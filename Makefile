@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race short-race fuzz chaos bench drift obs timeline tenants failover clean
+.PHONY: all tier1 vet race short-race fuzz chaos bench bench-selftest drift obs timeline tenants failover clean
 
 all: tier1
 
@@ -13,14 +13,24 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# The second line type-checks a big-endian target, the only kind of build
+# that compiles internal/wire's portable float32 codec (f32_portable.go).
 vet:
 	$(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./internal/wire ./internal/tensor
 
 # Race tier: vet, the observability/leak-audit suite, the timeline
 # pipeline, the multi-tenant tier, the elastic-membership failover tier,
-# then the full test suite under the race detector.
-race: vet obs timeline tenants failover
+# the benchmark module's own tests, then the full test suite under the
+# race detector.
+race: vet obs timeline tenants failover bench-selftest
 	$(GO) test -race ./...
+
+# bench/ is a nested module (omnireduce/bench), so `./...` from the root
+# never reaches it: a library API change can break the repository's
+# benchmark without tier 1 noticing. This builds, vets and smoke-tests it.
+bench-selftest:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Failover tier: elastic membership and aggregator handoff. The protocol
 # view/epoch machine traces, the checkpoint snapshot round-trip, the
@@ -75,18 +85,20 @@ short-race: vet
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/core/ ./internal/transport/
 
-# Continuous fuzzing of the wire decoders (FUZZTIME to override).
+# Continuous fuzzing of the zero-block kernel and the wire decoders
+# (FUZZTIME to override).
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzZeroBlock -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSparsePacket -fuzztime $(FUZZTIME) ./internal/wire/
 
 # Bench tier: the wall-clock datapath benchmarks with allocation stats,
 # recorded to BENCH_datapath.json (baseline preserved across reruns) so
 # the perf trajectory is tracked across PRs. Repeated runs (-count=3 on
-# the live collectives and wire microbenches) record the best observed
-# value per metric, which filters scheduler and GC noise on shared
-# boxes. benchjson also gates the pinned benchmark families against the
+# the live collectives and the wire and tensor microbenches) record the
+# best observed value per metric, which filters scheduler and GC noise on
+# shared boxes. benchjson also gates the pinned benchmark families against the
 # previous recording: >10% growth in allocs/op or >35% loss in MB/s
 # (throughput is the noisier metric) fails the tier.
 bench:
@@ -97,9 +109,9 @@ bench:
 	    $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x . ; \
 	  done ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto)$$' -benchmem -count=3 ./internal/wire/ ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem ./internal/tensor/ ) \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem -count=3 ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \
-	    -gate 'BenchmarkAllReduceLive,BenchmarkPacketEncode,BenchmarkPacketDecode' \
+	    -gate 'BenchmarkAllReduceLive,BenchmarkPacketEncode,BenchmarkPacketDecode,BenchmarkComputeBitmap' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
 	# Portable-flavor sanity run (scalar syscalls even on Linux); not

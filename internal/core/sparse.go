@@ -35,12 +35,13 @@ func (w *Worker) AllReduceSparse(in *tensor.COO) (*tensor.COO, error) {
 // runAllReduceSparse drives one sparse collective; pcfg and wid are the
 // operation's job parameters (see runAllReduce).
 func (w *Worker) runAllReduceSparse(in *tensor.COO, tid uint32, st *opState, pcfg protocol.Config, wid int) (*tensor.COO, error) {
+	// As in runAllReduce, the clock covers the per-op input pass (here the
+	// constructor's key-range check over every pair).
+	start := time.Now()
 	m, err := protocol.NewSparseWorkerMachine(pcfg, wid, tid, in)
 	if err != nil {
 		return nil, err
 	}
-
-	start := time.Now()
 	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
 
 	q, dec := st.q, st.dec

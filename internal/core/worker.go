@@ -393,11 +393,13 @@ func (w *Worker) AllReduceAsync(data []float32) (*Pending, error) {
 // parameters — the default job's are the worker's own, a named job
 // session substitutes its job-relative worker ID and worker count.
 func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg protocol.Config, wid int) error {
+	// The clock starts before the view is built: NewDenseView runs the
+	// bitmap scan, which is part of what the caller waits for.
+	start := time.Now()
+	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
 	m := protocol.GetWorkerMachine(pcfg, wid, tid)
 	defer m.Recycle()
 	view := protocol.NewDenseView(data, w.cfg.BlockSize, w.cfg.ForceDense)
-	start := time.Now()
-	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
 
 	// The persistent opState carries the decode state, encode arena, and
 	// inbound queue across collectives: every inbound result decodes into
@@ -429,8 +431,10 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 		return st.tx.sendEmits(w.conn, st.eb.Emits())
 	}
 
+	// The machine's clock shares the op clock's origin, so the first
+	// packets are stamped with the time the scan took, not zero.
 	st.eb.Reset()
-	m.Start(view, 0, &st.eb)
+	m.Start(view, time.Since(start), &st.eb)
 	sync()
 	if err := dispatch(); err != nil {
 		return err

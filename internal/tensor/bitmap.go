@@ -96,40 +96,32 @@ func (m *Bitmap) Clone() *Bitmap {
 	return c
 }
 
+// minShardBytes is the least tensor a scan shard is worth a goroutine for:
+// below 256 KiB the hand-off costs more than the scan it saves.
+const minShardBytes = 256 << 10
+
 // ComputeBitmap scans the dense tensor t with block size bs and returns the
-// non-zero-block bitmap. The scan is sharded across GOMAXPROCS goroutines
-// (the stand-in for the paper's CUDA kernel); shard boundaries are aligned
-// to multiples of 64 blocks so shards never write the same word.
+// non-zero-block bitmap. The scan is sharded across up to GOMAXPROCS
+// goroutines (the stand-in for the paper's CUDA kernel), the caller
+// scanning the first shard itself; shard boundaries are aligned to
+// multiples of 64 blocks so shards never write the same word.
 func ComputeBitmap(t *Dense, bs int) *Bitmap {
-	nb := t.NumBlocks(bs)
-	m := NewBitmap(nb)
-	workers := runtime.GOMAXPROCS(0)
-	// Each shard handles a contiguous range of bitmap words.
-	wordsPerShard := (len(m.bits) + workers - 1) / workers
-	if wordsPerShard == 0 {
-		wordsPerShard = 1
+	m := NewBitmap(t.NumBlocks(bs))
+	shards := min(runtime.GOMAXPROCS(0), 4*len(t.Data)/minShardBytes)
+	if shards <= 1 {
+		scanRange(m, t, bs, 0, len(m.bits))
+		return m
 	}
+	wordsPerShard := (len(m.bits) + shards - 1) / shards
 	var wg sync.WaitGroup
-	for w0 := 0; w0 < len(m.bits); w0 += wordsPerShard {
-		w1 := w0 + wordsPerShard
-		if w1 > len(m.bits) {
-			w1 = len(m.bits)
-		}
+	for w0 := wordsPerShard; w0 < len(m.bits); w0 += wordsPerShard {
 		wg.Add(1)
-		go func(w0, w1 int) {
+		go func(w0 int) {
 			defer wg.Done()
-			firstBlock := w0 << 6
-			lastBlock := w1 << 6
-			if lastBlock > nb {
-				lastBlock = nb
-			}
-			for b := firstBlock; b < lastBlock; b++ {
-				if !isZeroBlock(t.Block(b, bs)) {
-					m.bits[b>>6] |= 1 << (uint(b) & 63)
-				}
-			}
-		}(w0, w1)
+			scanRange(m, t, bs, w0, min(w0+wordsPerShard, len(m.bits)))
+		}(w0)
 	}
+	scanRange(m, t, bs, 0, wordsPerShard)
 	wg.Wait()
 	return m
 }
@@ -137,23 +129,40 @@ func ComputeBitmap(t *Dense, bs int) *Bitmap {
 // ComputeBitmapSerial is the single-goroutine variant, used by the bitmap
 // cost benchmark (Fig 20) to expose the raw per-element scan cost.
 func ComputeBitmapSerial(t *Dense, bs int) *Bitmap {
-	nb := t.NumBlocks(bs)
-	m := NewBitmap(nb)
-	for b := 0; b < nb; b++ {
-		if !isZeroBlock(t.Block(b, bs)) {
-			m.Set(b)
-		}
-	}
+	m := NewBitmap(t.NumBlocks(bs))
+	scanRange(m, t, bs, 0, len(m.bits))
 	return m
 }
 
-func isZeroBlock(v []float32) bool {
-	for _, x := range v {
-		if x != 0 {
-			return false
+// scanRange fills bitmap words [w0, w1) of m from t: each word is built in
+// a register from its 64 blocks and stored once. Short blocks get a loop of
+// their own: a call anywhere in the loop makes the compiler spill the loop
+// state around every block, which at bs=1 is most of the work.
+func scanRange(m *Bitmap, t *Dense, bs, w0, w1 int) {
+	for wi := w0; wi < w1; wi++ {
+		lo := (wi << 6) * bs
+		rest := t.Data[lo:min(lo+64*bs, len(t.Data))]
+		var word uint64
+		if bs < wordScanMin {
+			for j := 0; len(rest) > 0; j++ {
+				n := min(bs, len(rest))
+				if !isZeroShort(rest[:n]) {
+					word |= 1 << uint(j)
+				}
+				rest = rest[n:]
+			}
+		} else {
+			for j := 0; len(rest) > 0; j++ {
+				n := min(bs, len(rest))
+				// A dense block leaves on its first element without a call.
+				if rest[0] != 0 || !isZeroBlock(rest[:n]) {
+					word |= 1 << uint(j)
+				}
+				rest = rest[n:]
+			}
 		}
+		m.bits[wi] = word
 	}
-	return true
 }
 
 // DensityWithinBlocks returns the average fraction of non-zero elements

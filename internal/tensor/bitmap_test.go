@@ -91,11 +91,12 @@ func TestComputeBitmap(t *testing.T) {
 }
 
 // Property: the parallel bitmap matches the serial bitmap for random tensors
-// and block sizes, including tails that are not multiples of bs.
+// and block sizes, including tails that are not multiples of bs. Lengths
+// reach past 2*minShardBytes so the scan really is sharded on some draws.
 func TestComputeBitmapParallelMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(5000)
+		n := 1 + r.Intn(minShardBytes)
 		bs := 1 + r.Intn(300)
 		d := NewDense(n)
 		for i := range d.Data {

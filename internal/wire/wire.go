@@ -18,7 +18,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Message types.
@@ -131,50 +130,6 @@ func grow(dst []byte, n int) (ext, tail []byte) {
 	}
 	ext = dst[:len(dst)+n]
 	return ext, ext[len(dst):]
-}
-
-// putF32Slice writes src as little-endian float32 bits into dst, which
-// must hold at least 4*len(src) bytes. The 8-element unrolling replaces
-// the former per-element append loop: one bounds check per 32 bytes and
-// no slice-header churn.
-func putF32Slice(dst []byte, src []float32) {
-	for len(src) >= 8 {
-		d := dst[:32]
-		binary.LittleEndian.PutUint32(d[0:], math.Float32bits(src[0]))
-		binary.LittleEndian.PutUint32(d[4:], math.Float32bits(src[1]))
-		binary.LittleEndian.PutUint32(d[8:], math.Float32bits(src[2]))
-		binary.LittleEndian.PutUint32(d[12:], math.Float32bits(src[3]))
-		binary.LittleEndian.PutUint32(d[16:], math.Float32bits(src[4]))
-		binary.LittleEndian.PutUint32(d[20:], math.Float32bits(src[5]))
-		binary.LittleEndian.PutUint32(d[24:], math.Float32bits(src[6]))
-		binary.LittleEndian.PutUint32(d[28:], math.Float32bits(src[7]))
-		dst = dst[32:]
-		src = src[8:]
-	}
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-}
-
-// getF32Slice fills dst from little-endian float32 bits in src, which
-// must hold at least 4*len(dst) bytes.
-func getF32Slice(dst []float32, src []byte) {
-	for len(dst) >= 8 {
-		s := src[:32]
-		dst[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))
-		dst[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))
-		dst[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))
-		dst[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:]))
-		dst[4] = math.Float32frombits(binary.LittleEndian.Uint32(s[16:]))
-		dst[5] = math.Float32frombits(binary.LittleEndian.Uint32(s[20:]))
-		dst[6] = math.Float32frombits(binary.LittleEndian.Uint32(s[24:]))
-		dst[7] = math.Float32frombits(binary.LittleEndian.Uint32(s[28:]))
-		dst = dst[8:]
-		src = src[32:]
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
 }
 
 // putF16Slice writes src as little-endian binary16 into dst (2*len(src)
