@@ -125,7 +125,9 @@ func main() {
 		agg.Close()
 	}()
 
-	log.Printf("aggregator %d serving %d workers over %s", *id, *workers, *transportName)
+	// The bound address is part of the line so that a supervisor (or a
+	// test) that started this node on port 0 can read where it listens.
+	log.Printf("aggregator %d serving %d workers over %s on %s", *id, *workers, *transportName, agg.Addr())
 	if err := agg.Run(); err != nil {
 		log.Fatalf("aggregator: %v", err)
 	}

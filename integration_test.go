@@ -259,9 +259,12 @@ func TestCLIGracefulDrain(t *testing.T) {
 		t.Fatalf("build aggregator: %v\n%s", err, out)
 	}
 
+	// Every endpoint binds port 0: a fixed port can be held by an earlier
+	// run's TIME_WAIT socket. The aggregator reports where it listens in
+	// its "serving" line; workers are dialled by nobody (the aggregator
+	// answers over their inbound connections) and need no known address.
 	const workers = 2
-	nodes := "0=127.0.0.1:47821,1=127.0.0.1:47822,2=127.0.0.1:47823"
-	agg := exec.Command(bin, "-id", "2", "-workers", "2", "-nodes", nodes, "-drain-timeout", "60s")
+	agg := exec.Command(bin, "-id", "2", "-workers", "2", "-nodes", "2=127.0.0.1:0", "-drain-timeout", "60s")
 	aggOut := &strings.Builder{}
 	var aggMu sync.Mutex
 	agg.Stdout = lockedWriter{&aggMu, aggOut}
@@ -281,24 +284,24 @@ func TestCLIGracefulDrain(t *testing.T) {
 			<-exited
 		}
 	}()
+	var aggAddr string
 	bindDeadline := time.Now().Add(10 * time.Second)
-	for {
-		c, err := net.Dial("tcp", "127.0.0.1:47823")
-		if err == nil {
-			c.Close()
+	for aggAddr == "" {
+		// Only a complete line: the log is read while it is written.
+		if _, rest, ok := strings.Cut(aggLog(), " over tcp on "); ok && strings.Contains(rest, "\n") {
+			aggAddr, _, _ = strings.Cut(rest, "\n")
 			break
 		}
 		if time.Now().After(bindDeadline) {
-			t.Fatalf("aggregator never bound: %v\nagg: %s", err, aggLog())
+			t.Fatalf("aggregator never reported its address\nagg: %s", aggLog())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	opts := Options{Workers: workers, Streams: 2, StallTimeout: 30 * time.Second}
-	addrs := map[int]string{0: "127.0.0.1:47821", 1: "127.0.0.1:47822", 2: "127.0.0.1:47823"}
 	ws := make([]*Worker, workers)
 	for i := 0; i < workers; i++ {
-		w, err := NewTCPWorker(i, addrs, opts)
+		w, err := NewTCPWorker(i, map[int]string{i: "127.0.0.1:0", 2: aggAddr}, opts)
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}

@@ -192,7 +192,7 @@ func NewAggregator(conn transport.Conn, cfg Config) (*Aggregator, error) {
 		conn: conn,
 		cfg:  cfg,
 		reg:  tenant.NewRegistry(tcfg, obs.Default, cfg.Workers),
-		tx:   txBatch{observe: observeAggTx, flushFull: obsAggFlushFull, flushEnd: obsAggFlushEnd, dedup: true},
+		tx:   txBatch{observe: observeAggTx, flushFull: obsAggFlushFull, flushEnd: obsAggFlushEnd},
 	}
 	a.ms = newMachineSet(cfg.proto(), conn.LocalID(), a.reg)
 	a.ms.restore = a.restoreInto
@@ -377,8 +377,7 @@ func (a *Aggregator) Run() error {
 }
 
 // handle decodes one inbound message, runs it through its namespace's
-// machine, and transmits the machine's emits. The message buffer is
-// recycled to the transport pool as soon as decoding has copied it out.
+// machine, and transmits the machine's emits.
 func (a *Aggregator) handle(m transport.Message) error {
 	var gen, tid uint32
 	if t, ok := peekTensorID(m.Data); ok {
@@ -401,16 +400,17 @@ func (a *Aggregator) handle(m transport.Message) error {
 	return a.tx.sendEmits(a.conn, a.eb.Emits())
 }
 
-// handleMsg decodes one message into dec's reusable state, releases the
-// encoded buffer, and feeds the packet to its namespace's machine (built
+// handleMsg decodes one message as a view of its buffer (dec's shells
+// point into msg.Data), feeds the packet to its namespace's machine (built
 // or rebuilt for registration generation gen), which appends its emits to
-// eb (reset here). Decoding copies everything out of msg.Data (payloads
-// land in dec's scratch arena), so the buffer goes back to the transport
-// pool before the machine runs — on decode errors too, since a buffer
-// that failed to decode is equally finished with. The emits reference the
+// eb (reset here), and only then releases the buffer to the transport
+// pool: the machine has copied what it keeps by the time HandlePacket
+// returns, and nothing decoded is looked at afterwards. The buffer is
+// released on every path, decode errors included. The emits reference the
 // machine's reusable shells; the caller must consume them before the next
 // handleMsg on the same machine set (sendEmits encodes them immediately).
 func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg transport.Message, gen uint32) error {
+	defer transport.PutBuf(msg.Data)
 	eb.Reset()
 	n := int64(len(msg.Data))
 	obsAggPackets.Inc()
@@ -421,7 +421,6 @@ func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg trans
 	case wire.TypeData:
 		p, err := dec.decodeDense(msg.Data)
 		if err != nil {
-			transport.PutBuf(msg.Data)
 			return fmt.Errorf("core: aggregator decode: %w", err)
 		}
 		pm.Dense = p
@@ -429,16 +428,13 @@ func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg trans
 	case wire.TypeSparseData:
 		p, err := dec.decodeSparse(msg.Data)
 		if err != nil {
-			transport.PutBuf(msg.Data)
 			return fmt.Errorf("core: aggregator decode sparse: %w", err)
 		}
 		pm.Sparse = p
 		tid = p.TensorID
 	default:
-		transport.PutBuf(msg.Data)
 		return fmt.Errorf("core: aggregator received unexpected message type %d", wire.PeekType(msg.Data))
 	}
-	transport.PutBuf(msg.Data)
 	m := ms.machineFor(tid, gen)
 	if m == nil {
 		// The job closed with packets still queued behind the gate; too
@@ -720,7 +716,7 @@ func (a *Aggregator) runSharded(n int) error {
 		if len(a.cfg.CheckpointPeers) > 0 {
 			shards[i].ck = a.sendCheckpoint
 		}
-		shards[i].tx = txBatch{observe: observeAggTx, flushFull: obsAggFlushFull, flushEnd: obsAggFlushEnd, dedup: true, resolve: a.resolveDst}
+		shards[i].tx = txBatch{observe: observeAggTx, flushFull: obsAggFlushFull, flushEnd: obsAggFlushEnd, resolve: a.resolveDst}
 	}
 	a.shardsMu.Lock()
 	a.shards = shards

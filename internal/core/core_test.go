@@ -25,19 +25,32 @@ type cluster struct {
 }
 
 // startCluster builds N workers (node IDs 0..N-1) and the configured
-// aggregators (node IDs N, N+1, ...) on a channel network.
+// aggregators (node IDs N, N+1, ...) on a channel network, every endpoint
+// behind a seeded Lossy when lossRate is positive.
 func startCluster(t testing.TB, cfg Config, lossRate float64, seed int64) *cluster {
+	t.Helper()
+	return startClusterOn(t, cfg, func(id int, conn transport.Conn) transport.Conn {
+		if lossRate <= 0 {
+			return conn
+		}
+		if id >= cfg.Workers {
+			return transport.NewLossy(conn, lossRate, lossRate/4, seed+int64(id-cfg.Workers)*7919)
+		}
+		return transport.NewLossy(conn, lossRate, lossRate/4, seed+1000+int64(id)*104729)
+	})
+}
+
+// startClusterOn is startCluster with node id's endpoint passed through
+// wrap before its driver is built on it.
+func startClusterOn(t testing.TB, cfg Config, wrap func(id int, conn transport.Conn) transport.Conn) *cluster {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	if len(cfg.Aggregators) == 0 {
 		cfg.Aggregators = []int{cfg.Workers}
 	}
 	c := &cluster{cfg: cfg, nw: transport.NewNetwork(cfg.Workers, 4096), aggErr: make(chan error, len(cfg.Aggregators))}
-	for i, aggID := range cfg.Aggregators {
-		var conn transport.Conn = c.nw.AddNode(aggID)
-		if lossRate > 0 {
-			conn = transport.NewLossy(conn, lossRate, lossRate/4, seed+int64(i)*7919)
-		}
+	for _, aggID := range cfg.Aggregators {
+		conn := wrap(aggID, c.nw.AddNode(aggID))
 		agg, err := NewAggregator(conn, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -53,11 +66,7 @@ func startCluster(t testing.TB, cfg Config, lossRate float64, seed int64) *clust
 		}(agg)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		var conn transport.Conn = c.nw.Conn(i)
-		if lossRate > 0 {
-			conn = transport.NewLossy(conn, lossRate, lossRate/4, seed+1000+int64(i)*104729)
-		}
-		w, err := NewWorker(conn, cfg)
+		w, err := NewWorker(wrap(i, c.nw.Conn(i)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

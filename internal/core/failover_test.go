@@ -41,7 +41,12 @@ func newLiveCluster(workers int) *liveCluster {
 
 func (c *liveCluster) addAgg(t *testing.T, id int, cfg Config) *Aggregator {
 	t.Helper()
-	conn := c.nw.AddNode(id)
+	return c.addAggOn(t, id, c.nw.AddNode(id), cfg)
+}
+
+// addAggOn is addAgg over a caller-wrapped endpoint of node id.
+func (c *liveCluster) addAggOn(t *testing.T, id int, conn transport.Conn, cfg Config) *Aggregator {
+	t.Helper()
 	agg, err := NewAggregator(conn, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +270,17 @@ func TestFailoverLiveChaosKill(t *testing.T) {
 	primCfg := base
 	primCfg.CheckpointPeers = []int{standby}
 	c.addAgg(t, aggA, primCfg)
-	c.addAgg(t, aggB, primCfg)
+	// The doomed primary gets exactly one message out — its first
+	// checkpoint frame to the standby — and is blackholed otherwise, so
+	// the kill below lands at a point the protocol defines rather than
+	// one a race decides: under the output-commit rule that step's results
+	// have reached no worker, and the first collective cannot finish
+	// without the standby however fast the others run.
+	doomed := transport.NewChaosFabric(transport.Scenario{Phases: []transport.Phase{
+		{Packets: 1, Partitions: []transport.Partition{{From: aggB, To: 0}, {From: aggB, To: 1}, {From: aggB, To: 2}}},
+		{Partitions: []transport.Partition{{From: aggB, To: -1}}},
+	}})
+	c.addAggOn(t, aggB, doomed.Wrap(c.nw.AddNode(aggB)), primCfg)
 	sbCfg := base
 	sbCfg.Standby = true
 	sb := c.addAgg(t, standby, sbCfg)
@@ -295,8 +310,8 @@ func TestFailoverLiveChaosKill(t *testing.T) {
 		}(i, w)
 	}
 
-	// Kill aggB only once the standby provably holds one of its
-	// checkpoints — that is the state the takeover will restore from.
+	// Kill aggB once the standby provably holds its one checkpoint — that
+	// is the state the takeover will restore from.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if sb.CheckpointsFrom(aggB) > 0 {

@@ -4,7 +4,7 @@ import "omnireduce/internal/protocol"
 
 // opState is the per-collective driver state a worker keeps hot across
 // operations: the inbound message queue, the receive-side decode state,
-// and the transmit batch (encode arena + outgoing queue). One collective
+// and the transmit batch. One collective
 // owns the state exclusively from beginOp to endOp; between collectives
 // it parks on the worker's free list, so the second and later operations
 // on a connection run the whole datapath — decode, encode, queueing —

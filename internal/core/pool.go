@@ -14,25 +14,29 @@ func init() {
 }
 
 // decodeState is the reusable receive-side decode state of one driver
-// loop: a packet shell, its float32 scratch arena, and a sparse packet
-// shell. wire.DecodePacketInto repopulates the shell and carves block
-// payloads from the arena, so a loop that owns a decodeState decodes
-// every inbound packet without allocating once the arena has grown to the
-// working-set packet size.
+// loop: a dense and a sparse packet shell, plus the arenas payloads are
+// carved from when they cannot be decoded in place. The wire view decoders
+// point the shells' payload slices into the message buffer where they can
+// (float32 data, 4-byte-aligned buffer, little-endian build) and copy
+// into the arenas otherwise, so a loop that owns a decodeState decodes
+// every inbound packet without allocating, and on the usual path without
+// copying.
 //
-// The decoded contents are valid only until the next decode with the same
-// state — exactly the lifetime protocol machines need, since they copy
+// The decoded contents are valid only until the message buffer is
+// released or the next decode with the same state, whichever is first —
+// exactly the lifetime protocol machines need, since they copy
 // everything they keep during HandlePacket (see protocol.Msg ownership).
+// Drivers therefore release the buffer after HandlePacket, not before.
 type decodeState struct {
 	pkt     wire.Packet
-	scratch []float32
+	scratch []float32 // copy-path payloads: dense blocks, sparse values
 	sparse  wire.SparsePacket
+	keys    []uint32 // copy-path sparse keys
 }
 
-// decodeDense decodes buf into the reusable packet, recycling the scratch
-// arena.
+// decodeDense decodes buf into the reusable packet as a view of buf.
 func (d *decodeState) decodeDense(buf []byte) (*wire.Packet, error) {
-	arena, err := wire.DecodePacketInto(&d.pkt, d.scratch, buf)
+	arena, err := wire.DecodePacketView(&d.pkt, d.scratch, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -40,11 +44,14 @@ func (d *decodeState) decodeDense(buf []byte) (*wire.Packet, error) {
 	return &d.pkt, nil
 }
 
-// decodeSparse decodes buf into the reusable sparse packet.
+// decodeSparse decodes buf into the reusable sparse packet as a view of
+// buf.
 func (d *decodeState) decodeSparse(buf []byte) (*wire.SparsePacket, error) {
-	if err := wire.DecodeSparsePacketInto(&d.sparse, buf); err != nil {
+	keys, vals, err := wire.DecodeSparsePacketView(&d.sparse, d.keys, d.scratch, buf)
+	if err != nil {
 		return nil, err
 	}
+	d.keys, d.scratch = keys, vals
 	return &d.sparse, nil
 }
 

@@ -68,27 +68,34 @@ func (w *Worker) runAllReduceSparse(in *tensor.COO, tid uint32, st *opState, pcf
 		return nil, err
 	}
 
+	// feed runs one inbound chunk through the machine. The decoded keys
+	// and values point into the message; the machine has appended them to
+	// the output by the time HandlePacket returns.
+	feed := func(data []byte) error {
+		if t := wire.PeekType(data); t != wire.TypeSparseResult {
+			if rerr := rejectError(data); rerr != nil {
+				return fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, rerr)
+			}
+			return fmt.Errorf("core: worker %d: unexpected message type %d in sparse mode", w.id, t)
+		}
+		obs.Emit(obs.EvPacketRecvd, tid, int64(len(data)))
+		p, err := dec.decodeSparse(data)
+		if err != nil {
+			return err
+		}
+		st.eb.Reset()
+		err = m.HandlePacket(p, &st.eb)
+		sync()
+		return err
+	}
+
 	for !m.Done() {
 		select {
 		case msg := <-q.ch:
-			if wire.PeekType(msg.Data) != wire.TypeSparseResult {
-				rerr := rejectError(msg.Data)
-				t := wire.PeekType(msg.Data)
-				transport.PutBuf(msg.Data)
-				if rerr != nil {
-					return nil, fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, rerr)
-				}
-				return nil, fmt.Errorf("core: worker %d: unexpected message type %d in sparse mode", w.id, t)
-			}
-			obs.Emit(obs.EvPacketRecvd, tid, int64(len(msg.Data)))
-			p, err := dec.decodeSparse(msg.Data)
-			if err != nil {
-				return nil, err
-			}
+			// The buffer goes back as soon as the machine is done with the
+			// views into it, before the emits are encoded.
+			err := feed(msg.Data)
 			transport.PutBuf(msg.Data)
-			st.eb.Reset()
-			err = m.HandlePacket(p, &st.eb)
-			sync()
 			if err != nil {
 				return nil, err
 			}

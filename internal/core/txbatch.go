@@ -4,7 +4,6 @@ import (
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
 	"omnireduce/internal/transport"
-	"omnireduce/internal/wire"
 )
 
 // txBatchMax is the most packets a driver accumulates before forcing a
@@ -13,19 +12,21 @@ import (
 // much encoded data sits buffered, not the syscall batch size.
 const txBatchMax = 64
 
-// txBatch is a driver's reusable transmit state: an encode arena plus the
-// batch of outgoing datagrams carved from it, handed to the transport in
-// bursts via transport.SendAll (one sendmmsg per chunk on the Linux fast
-// path, a plain Send loop elsewhere). Allocated once per driver loop —
+// txBatch is a driver's reusable transmit state: the batch of outgoing
+// datagrams, each encoded into a buffer of its own from the transport
+// pool, handed to the transport in bursts via transport.SendAll (one
+// sendmmsg per chunk on the Linux fast path, a plain enqueue on the
+// channel fabric, a Send loop elsewhere). Allocated once per driver loop —
 // a worker's persistent opState or an aggregator (shard) — and reused
 // for every emit burst, so the steady-state transmit path allocates
 // nothing.
 //
 // Emitted packets are machine-owned and read-only (see protocol.Emit);
 // batching delays the Send, not the Encode, so the ownership story is
-// unchanged: every emit is encoded into the arena before sendEmits
-// returns, and the transport releases the buffers the moment the flush
-// call returns.
+// unchanged: every emit is encoded before sendEmits returns. The encoded
+// buffers are given away with the flush (see transport.Outgoing), which
+// is why a multicast is encoded once per destination: each receiver
+// releases the buffer it was handed.
 type txBatch struct {
 	// observe is called once per transmitted packet with its tensor ID
 	// and encoded size; package-level funcs only (no closure captures).
@@ -36,11 +37,6 @@ type txBatch struct {
 	// are small and batching wins come from the transport's recv side.
 	flushFull *obs.Counter
 	flushEnd  *obs.Counter
-	// dedup enables encode-once for consecutive emits sharing a packet
-	// (aggregator result multicasts). Only safe when the machine
-	// guarantees pointer-equal packets have identical contents, which the
-	// aggregator's multicast fan-out does; worker machines keep it off.
-	dedup bool
 	// resolve, when set, maps an emit's destination — the machine speaks
 	// job-relative worker IDs — to a transport node ID using the emit's
 	// tensor ID. Multi-tenant aggregators route named jobs' results to
@@ -48,7 +44,6 @@ type txBatch struct {
 	// identity mapping (worker ID == node ID).
 	resolve func(tid uint32, dst int) int
 
-	enc  []byte
 	outs []transport.Outgoing
 	tids []uint32
 }
@@ -65,72 +60,42 @@ func emitTID(e *protocol.Emit) uint32 {
 	return 0
 }
 
-// sendEmits encodes one emit burst into the arena and transmits it in
-// batches. The arena is presized from the emits' exact encoded sizes
-// (Emit.Size) so appends never reallocate — reallocation would invalidate
-// the Outgoing sub-slices already queued for the flush.
+// sendEmits encodes one emit burst, each packet into a pooled buffer of
+// its exact encoded size (Emit.Size), and transmits it in batches.
 func (b *txBatch) sendEmits(conn transport.Conn, emits []protocol.Emit) error {
-	if len(emits) == 0 {
-		return nil
-	}
-	total := 0
-	for i := range emits {
-		total += emits[i].Size
-	}
-	if cap(b.enc) < total {
-		b.enc = make([]byte, 0, total)
-	} else {
-		b.enc = b.enc[:0]
-	}
-	arena := cap(b.enc)
-	b.outs = b.outs[:0]
-	b.tids = b.tids[:0]
-	var lastPkt *wire.Packet
-	var lastSparse *wire.SparsePacket
-	var lastData []byte
 	for i := range emits {
 		e := &emits[i]
-		data := lastData
-		if !b.dedup || lastData == nil || e.Packet != lastPkt || e.Sparse != lastSparse {
-			off := len(b.enc)
-			b.enc = e.Encode(b.enc)
-			data = b.enc[off:len(b.enc):len(b.enc)]
-			lastPkt, lastSparse, lastData = e.Packet, e.Sparse, data
-		}
+		tid := emitTID(e)
 		dst := e.Dst
 		if b.resolve != nil {
-			dst = b.resolve(emitTID(e), dst)
+			dst = b.resolve(tid, dst)
 		}
-		b.outs = append(b.outs, transport.Outgoing{To: dst, Data: data})
-		b.tids = append(b.tids, emitTID(e))
+		b.outs = append(b.outs, transport.Outgoing{To: dst, Data: e.Encode(transport.GetBuf(e.Size)[:0])})
+		b.tids = append(b.tids, tid)
 		if len(b.outs) >= txBatchMax {
 			if err := b.flush(conn, b.flushFull); err != nil {
 				return err
 			}
 		}
 	}
-	if cap(b.enc) != arena {
-		// Emit.Size understated an encoding and the arena grew, orphaning
-		// every already-queued sub-slice. This is an encoder/Size bug; fail
-		// loudly rather than transmit stale bytes.
-		panic("core: emit Size smaller than its encoding")
-	}
 	return b.flush(conn, b.flushEnd)
 }
 
-// flush transmits the queued batch and records per-packet observations.
+// flush gives the queued batch to the transport and records per-packet
+// observations. The buffers are gone after SendAll, whatever it returns;
+// only their lengths are read afterwards.
 func (b *txBatch) flush(conn transport.Conn, reason *obs.Counter) error {
 	if len(b.outs) == 0 {
 		return nil
 	}
-	if err := transport.SendAll(conn, b.outs); err != nil {
-		return err
-	}
-	reason.Inc()
-	for i := range b.outs {
-		b.observe(b.tids[i], len(b.outs[i].Data))
+	err := transport.SendAll(conn, b.outs)
+	if err == nil {
+		reason.Inc()
+		for i := range b.outs {
+			b.observe(b.tids[i], len(b.outs[i].Data))
+		}
 	}
 	b.outs = b.outs[:0]
 	b.tids = b.tids[:0]
-	return nil
+	return err
 }

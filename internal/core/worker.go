@@ -401,12 +401,12 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 	defer m.Recycle()
 	view := protocol.NewDenseView(data, w.cfg.BlockSize, w.cfg.ForceDense)
 
-	// The persistent opState carries the decode state, encode arena, and
+	// The persistent opState carries the decode state, transmit batch and
 	// inbound queue across collectives: every inbound result decodes into
-	// the same packet shell and scratch arena (the machine copies what it
-	// keeps during HandlePacket), and every emit encodes into the same
-	// arena, so the steady-state datapath stops allocating once the state
-	// is warm.
+	// the same packet shell, as a view of its message buffer (the machine
+	// copies what it keeps during HandlePacket), and every emit encodes
+	// into a pooled buffer, so the steady-state datapath stops allocating
+	// once the state is warm.
 	q, dec := st.q, st.dec
 
 	// Mirror machine counters into the shared atomic Stats after every
@@ -463,7 +463,51 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 		watchdogCh = watchdog.C
 	}
 
+	// feed runs one inbound message through the machine. The decoded
+	// result points into the message, and the machine is done with it when
+	// HandlePacket returns.
+	feed := func(data []byte) error {
+		if t := wire.PeekType(data); t != wire.TypeResult {
+			if rerr := rejectError(data); rerr != nil {
+				return fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, rerr)
+			}
+			return fmt.Errorf("core: worker %d: unexpected message type %d", w.id, t)
+		}
+		obs.Emit(obs.EvPacketRecvd, tid, int64(len(data)))
+		p, err := dec.decodeDense(data)
+		if err != nil {
+			return fmt.Errorf("core: worker decode: %w", err)
+		}
+		st.eb.Reset()
+		err = m.HandlePacket(p, time.Since(start), &st.eb)
+		sync()
+		return err
+	}
+	// handle is feed plus the buffer's release — as soon as the machine is
+	// done with the views into it, before the emits are encoded — and the
+	// transmission of what the machine answered.
+	handle := func(msg transport.Message) error {
+		err := feed(msg.Data)
+		transport.PutBuf(msg.Data)
+		if err != nil {
+			return err
+		}
+		return dispatch()
+	}
+
 	for !m.Done() {
+		// A result already queued is taken without entering the seven-case
+		// select below. Results are what a collective mostly waits for and
+		// there are finitely many of them, so the other cases are looked
+		// at again as soon as the queue runs dry.
+		select {
+		case msg := <-q.ch:
+			if err := handle(msg); err != nil {
+				return err
+			}
+			continue
+		default:
+		}
 		select {
 		case v := <-q.viewCh:
 			// Membership changed mid-collective: re-resolve every
@@ -477,28 +521,7 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 			}
 			graceArmed = true
 		case msg := <-q.ch:
-			if wire.PeekType(msg.Data) != wire.TypeResult {
-				rerr := rejectError(msg.Data)
-				t := wire.PeekType(msg.Data)
-				transport.PutBuf(msg.Data)
-				if rerr != nil {
-					return fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, rerr)
-				}
-				return fmt.Errorf("core: worker %d: unexpected message type %d", w.id, t)
-			}
-			obs.Emit(obs.EvPacketRecvd, tid, int64(len(msg.Data)))
-			p, err := dec.decodeDense(msg.Data)
-			if err != nil {
-				return fmt.Errorf("core: worker decode: %w", err)
-			}
-			transport.PutBuf(msg.Data)
-			st.eb.Reset()
-			err = m.HandlePacket(p, time.Since(start), &st.eb)
-			sync()
-			if err != nil {
-				return err
-			}
-			if err := dispatch(); err != nil {
+			if err := handle(msg); err != nil {
 				return err
 			}
 		case <-q.fail:

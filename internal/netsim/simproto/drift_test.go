@@ -2,6 +2,7 @@ package simproto_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -288,5 +289,37 @@ func TestSubstrateEquivalence(t *testing.T) {
 	}
 	if leaks := audit.Settle(2 * time.Second); len(leaks) != 0 {
 		t.Errorf("drift grid leaked pooled buffers: %v", obs.LeaksErr(leaks))
+	}
+}
+
+// TestNegativeZeroSumLiveVsSim pins what the aggregator's accumulator does
+// with its first contribution: it is copied, not added to zeros, so an
+// element that is -0.0 on every worker sums to -0.0 (the IEEE sum; adding
+// into +0.0 would give +0.0) — on both substrates alike, since they share
+// the accumulator. Two workers, so arrival order cannot move a bit.
+func TestNegativeZeroSumLiveVsSim(t *testing.T) {
+	const W, blocks, bs, negAt = 2, 24, 16, 5
+	negZero := float32(math.Copysign(0, -1))
+	inputs := blockSparseInputs(W, blocks, bs, 0, 77)
+	for _, in := range inputs {
+		for b := 0; b < blocks; b++ {
+			in[b*bs+negAt] = negZero
+		}
+	}
+	cfg := core.Config{Workers: W, Aggregators: []int{W}, BlockSize: bs, FusionWidth: 4, Streams: 2, Reliable: true}
+	live, _, _ := liveRun(t, cfg, inputs)
+	sim := simproto.SimOmniReduceTensors(simproto.Testbed10G(W, 1), inputs, protocol.Config{
+		BlockSize: bs, FusionWidth: 4, Streams: 2, Reliable: true,
+	}, simproto.OmniOpts{FusionWidth: 4, Streams: 2})
+	for w := 0; w < W; w++ {
+		for e, v := range live[w] {
+			if math.Float32bits(v) != math.Float32bits(sim.Results[w][e]) {
+				t.Fatalf("worker %d elem %d: live %v (%#x) != sim %v (%#x)", w, e,
+					v, math.Float32bits(v), sim.Results[w][e], math.Float32bits(sim.Results[w][e]))
+			}
+			if e%bs == negAt && math.Float32bits(v) != math.Float32bits(negZero) {
+				t.Fatalf("worker %d elem %d: -0.0 + -0.0 = %v (%#x), want -0.0", w, e, v, math.Float32bits(v))
+			}
+		}
 	}
 }

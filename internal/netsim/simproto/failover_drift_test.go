@@ -46,9 +46,10 @@ func assertBitIdentical(t *testing.T, name string, results [][]float32, want []f
 }
 
 // liveFailoverRun executes the live chaos-kill scenario: three workers,
-// two checkpointing primaries, one standby; the stream-1 primary is
-// killed once the standby holds one of its checkpoints, the standby is
-// activated into epoch 2, and the workers adopt the view in-band.
+// two checkpointing primaries, one standby; the stream-1 primary falls
+// silent after its first checkpoint frame and is killed once the standby
+// holds that frame, the standby is activated into epoch 2, and the
+// workers adopt the view in-band.
 func liveFailoverRun(t *testing.T, inputs [][]float32, bs int) [][]float32 {
 	t.Helper()
 	const (
@@ -71,10 +72,23 @@ func liveFailoverRun(t *testing.T, inputs [][]float32, bs int) [][]float32 {
 	}
 
 	nw := transport.NewNetwork(W, 4096)
+	// The doomed primary gets exactly one message out: its first
+	// checkpoint frame to the standby. Results to workers are blackholed
+	// from the start and everything else after that frame, so the kill
+	// point is defined by the protocol, not by who wins a race: under the
+	// output-commit rule the first step's results have reached no worker,
+	// and the collective cannot finish without the standby.
+	doomed := transport.NewChaosFabric(transport.Scenario{Phases: []transport.Phase{
+		{Packets: 1, Partitions: []transport.Partition{{From: aggB, To: 0}, {From: aggB, To: 1}, {From: aggB, To: 2}}},
+		{Partitions: []transport.Partition{{From: aggB, To: -1}}},
+	}})
 	var aggWG sync.WaitGroup
 	conns := map[int]transport.Conn{}
 	startAgg := func(id int, c core.Config) *core.Aggregator {
 		conn := nw.AddNode(id)
+		if id == aggB {
+			conn = doomed.Wrap(conn)
+		}
 		conns[id] = conn
 		a, err := core.NewAggregator(conn, c)
 		if err != nil {
@@ -91,12 +105,11 @@ func liveFailoverRun(t *testing.T, inputs [][]float32, bs int) [][]float32 {
 	}
 	primCfg := cfg
 	primCfg.CheckpointPeers = []int{standby}
-	aggFirst := startAgg(aggA, primCfg)
+	startAgg(aggA, primCfg)
 	startAgg(aggB, primCfg)
 	sbCfg := cfg
 	sbCfg.Standby = true
 	sb := startAgg(standby, sbCfg)
-	_ = aggFirst
 
 	work := make([][]float32, W)
 	workers := make([]*core.Worker, W)

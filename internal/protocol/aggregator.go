@@ -738,6 +738,13 @@ func (a *accum) add(wid int, data []float32) {
 		}
 		return
 	}
+	if len(a.f) == 0 {
+		// The round's first contribution is the sum so far: copy it, where
+		// zero-extending and adding would touch the block twice (and turn
+		// a -0.0 every worker agrees on into +0.0).
+		a.f = append(a.f, data...)
+		return
+	}
 	if len(a.f) < len(data) {
 		a.f = append(a.f, make([]float32, len(data)-len(a.f))...)
 	}

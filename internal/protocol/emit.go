@@ -13,13 +13,16 @@ import (
 // Ownership: an inbound Msg is only guaranteed valid for the duration of
 // the HandlePacket call that consumes it. Machines copy whatever they
 // need (block payloads into accumulators or tensor views, metadata into
-// slot state) and must not retain references to the packet, its Nexts, or
-// any Block.Data past the call. This is what lets the live drivers decode
-// into recycled packets and scratch arenas (wire.DecodePacketInto) and
-// recycle them immediately after HandlePacket returns, keeping the
-// steady-state receive path allocation-free. The simulator relies on the
-// complementary guarantee: machines never mutate a received packet, so it
-// may deliver one decoded packet by reference to many machines.
+// slot state) and must not retain references to the packet, its Nexts,
+// any Block.Data, or a sparse packet's Keys and Values past the call.
+// The live drivers depend on this to the letter: they decode a packet as
+// a view of its message buffer (wire.DecodePacketView — Block.Data, Keys
+// and Values point into the bytes that arrived) and hand the buffer back
+// to the transport pool the moment HandlePacket returns, after which its
+// memory belongs to some other message. A retained slice would read, or
+// sum, another packet's data. The simulator relies on the complementary
+// guarantee: machines never mutate a received packet, so it may deliver
+// one decoded packet by reference to many machines.
 type Msg struct {
 	Dense  *wire.Packet
 	Sparse *wire.SparsePacket

@@ -152,6 +152,9 @@ type linkState struct {
 	held []heldEntry
 }
 
+// heldEntry is one message held back for reordering. data is a pooled
+// buffer the fabric owns until the entry is released (sent) or its sender
+// closes.
 type heldEntry struct {
 	to     int
 	data   []byte
@@ -230,7 +233,9 @@ type decision struct {
 }
 
 // decide advances the link state for one message and computes its fate.
-func (f *ChaosFabric) decide(from, to int, data []byte) decision {
+// owned says the caller is giving data away (SendBatch): a held message
+// then keeps the buffer itself, where a borrowed one (Send) is copied.
+func (f *ChaosFabric) decide(from, to int, data []byte, owned bool) decision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	key := linkKey{from, to}
@@ -304,8 +309,11 @@ func (f *ChaosFabric) decide(from, to int, data []byte) decision {
 		if span <= 0 {
 			span = 1
 		}
-		buf := make([]byte, len(data))
-		copy(buf, data)
+		buf := data
+		if !owned {
+			buf = GetBuf(len(data))
+			copy(buf, data)
+		}
 		ls.held = append(ls.held, heldEntry{to: to, data: buf, dueSeq: ls.seq + span})
 		event(&f.counts.Reordered)
 		d.hold = true
@@ -335,22 +343,11 @@ type ChaosConn struct {
 
 // Send applies the scenario to one outgoing message.
 func (c *ChaosConn) Send(to int, data []byte) error {
-	d := c.f.decide(c.inner.LocalID(), to, data)
+	d := c.f.decide(c.inner.LocalID(), to, data, false)
 	var err error
 	if d.send {
 		if d.delay > 0 {
-			// A delayed message leaves the caller's buffer ownership, so
-			// copy; delivery errors after close are unreportable and
-			// intentionally dropped, like a packet dying in flight.
-			buf := make([]byte, len(data))
-			copy(buf, data)
-			dup := d.dup
-			time.AfterFunc(d.delay, func() {
-				_ = c.inner.Send(to, buf)
-				if dup {
-					_ = c.inner.Send(to, buf)
-				}
-			})
+			c.sendLater(to, data, d)
 		} else {
 			err = c.inner.Send(to, data)
 			if err == nil && d.dup {
@@ -358,10 +355,36 @@ func (c *ChaosConn) Send(to int, data []byte) error {
 			}
 		}
 	}
-	for _, h := range d.releases {
+	if e := c.sendHeld(d.releases); e != nil && err == nil {
+		err = e
+	}
+	return err
+}
+
+// sendLater delivers a private copy of data after d.delay. A delayed
+// message outlives the call either way, so it never keeps the caller's
+// buffer; delivery errors after close are unreportable and intentionally
+// dropped, like a packet dying in flight.
+func (c *ChaosConn) sendLater(to int, data []byte, d decision) {
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	time.AfterFunc(d.delay, func() {
+		_ = c.inner.Send(to, buf)
+		if d.dup {
+			_ = c.inner.Send(to, buf)
+		}
+	})
+}
+
+// sendHeld transmits released reorder-held messages and recycles their
+// buffers.
+func (c *ChaosConn) sendHeld(rel []heldEntry) error {
+	var err error
+	for _, h := range rel {
 		if e := c.inner.Send(h.to, h.data); e != nil && err == nil {
 			err = e
 		}
+		PutBuf(h.data)
 	}
 	return err
 }
@@ -373,28 +396,29 @@ func (c *ChaosConn) Send(to int, data []byte) error {
 // chaos-wrapped batched UDP path injects exactly what the scalar path
 // would; only the syscall count differs. Delayed messages leave the
 // batch (they need a timer and a private copy), matching Send.
+//
+// The batch owns its buffers (see Outgoing), and so does everything it
+// forwards: a survivor goes on as it is, a duplicate is a pooled copy of
+// its own, a held message stays with the fabric until its release joins a
+// later batch, and a dropped or delayed one is recycled here.
 func (c *ChaosConn) SendBatch(msgs []Outgoing) error {
 	from := c.inner.LocalID()
 	out := make([]Outgoing, 0, len(msgs))
 	for _, m := range msgs {
-		d := c.f.decide(from, m.To, m.Data)
-		if d.send {
-			if d.delay > 0 {
-				buf := make([]byte, len(m.Data))
+		d := c.f.decide(from, m.To, m.Data, true)
+		switch {
+		case d.send && d.delay > 0:
+			c.sendLater(m.To, m.Data, d)
+			PutBuf(m.Data)
+		case d.send:
+			out = append(out, m)
+			if d.dup {
+				buf := GetBuf(len(m.Data))
 				copy(buf, m.Data)
-				to, dup := m.To, d.dup
-				time.AfterFunc(d.delay, func() {
-					_ = c.inner.Send(to, buf)
-					if dup {
-						_ = c.inner.Send(to, buf)
-					}
-				})
-			} else {
-				out = append(out, m)
-				if d.dup {
-					out = append(out, m)
-				}
+				out = append(out, Outgoing{To: m.To, Data: buf})
 			}
+		case !d.hold:
+			PutBuf(m.Data)
 		}
 		for _, h := range d.releases {
 			out = append(out, Outgoing{To: h.to, Data: h.data})
@@ -403,29 +427,26 @@ func (c *ChaosConn) SendBatch(msgs []Outgoing) error {
 	return SendAll(c.inner, out)
 }
 
+// takeHeld removes and returns every message the fabric still holds for
+// reordering on this endpoint's links.
+func (c *ChaosConn) takeHeld() []heldEntry {
+	from := c.inner.LocalID()
+	c.f.mu.Lock()
+	defer c.f.mu.Unlock()
+	var rel []heldEntry
+	for k, ls := range c.f.links {
+		if k.from == from {
+			rel = append(rel, ls.held...)
+			ls.held = nil
+		}
+	}
+	return rel
+}
+
 // Flush releases every message the fabric still holds for reordering on
 // this endpoint's links. Rarely needed: held messages self-release as
 // retransmissions generate new traffic on the link.
-func (c *ChaosConn) Flush() error {
-	from := c.inner.LocalID()
-	c.f.mu.Lock()
-	var rel []heldEntry
-	for k, ls := range c.f.links {
-		if k.from != from {
-			continue
-		}
-		rel = append(rel, ls.held...)
-		ls.held = nil
-	}
-	c.f.mu.Unlock()
-	var err error
-	for _, h := range rel {
-		if e := c.inner.Send(h.to, h.data); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
-}
+func (c *ChaosConn) Flush() error { return c.sendHeld(c.takeHeld()) }
 
 // Recv forwards to the inner connection.
 func (c *ChaosConn) Recv() (Message, error) { return c.inner.Recv() }
@@ -433,5 +454,12 @@ func (c *ChaosConn) Recv() (Message, error) { return c.inner.Recv() }
 // LocalID forwards to the inner connection.
 func (c *ChaosConn) LocalID() int { return c.inner.LocalID() }
 
-// Close forwards to the inner connection.
-func (c *ChaosConn) Close() error { return c.inner.Close() }
+// Close drops whatever the fabric still holds for this endpoint's links
+// (a message held when its sender goes away is lost, and its buffer must
+// not be) and closes the inner connection.
+func (c *ChaosConn) Close() error {
+	for _, h := range c.takeHeld() {
+		PutBuf(h.data)
+	}
+	return c.inner.Close()
+}

@@ -101,6 +101,212 @@ func TestNetworkConcurrentSendClose(t *testing.T) {
 	}
 }
 
+// pooled returns a GetBuf buffer holding s: what a SendAll caller gives
+// away.
+func pooled(s string) []byte {
+	b := GetBuf(len(s))
+	copy(b, s)
+	return b
+}
+
+// recvAll receives n messages, releases them, and returns their contents
+// in arrival order.
+func recvAll(t *testing.T, c Conn, n int) []string {
+	t.Helper()
+	var got []string
+	for i := 0; i < n; i++ {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatalf("recv %d of %d: %v", i+1, n, err)
+		}
+		got = append(got, string(m.Data))
+		PutBuf(m.Data)
+	}
+	return got
+}
+
+// sendOnly hides a Conn's SendBatch, leaving SendAll its Send loop.
+type sendOnly struct{ Conn }
+
+// TestSendAllOwnsBuffers pins the giving-away half of the ownership rule
+// on every fabric: whatever happens to a message handed to SendAll —
+// delivered, refused, dropped, duplicated, held back, stranded by a close
+// — its buffer is back in the pool once the fabric is torn down, and the
+// caller's Outgoing values still read as they did.
+func TestSendAllOwnsBuffers(t *testing.T) {
+	chanPair := func() (Conn, Conn) {
+		nw := NewNetwork(2, 16)
+		return nw.Conn(0), nw.Conn(1)
+	}
+	check := func(t *testing.T, run func(t *testing.T)) {
+		audit := obs.StartLeakAudit()
+		run(t)
+		if leaks := audit.Settle(2 * time.Second); len(leaks) != 0 {
+			t.Fatalf("buffers leaked: %v", obs.LeaksErr(leaks))
+		}
+	}
+	equal := func(t *testing.T, got []string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("received %q, want %q", got, want)
+		}
+	}
+
+	t.Run("chan", func(t *testing.T) {
+		check(t, func(t *testing.T) {
+			a, b := chanPair()
+			msgs := []Outgoing{{To: 1, Data: pooled("x")}, {To: 1, Data: pooled("yy")}, {To: 1, Data: pooled("z")}}
+			sent := &msgs[0].Data[0]
+			if err := SendAll(a, msgs); err != nil {
+				t.Fatal(err)
+			}
+			if msgs[1].To != 1 || len(msgs[1].Data) != 2 {
+				t.Fatalf("SendBatch rewrote the caller's Outgoing: %+v", msgs[1])
+			}
+			m, err := b.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &m.Data[0] != sent {
+				t.Fatal("channel fabric copied an owned buffer instead of enqueueing it")
+			}
+			PutBuf(m.Data)
+			equal(t, recvAll(t, b, 1), "yy")
+			// "z" stays queued for the close-time drain; an unknown peer
+			// mid-batch must release the whole tail; a closed peer eats
+			// its messages.
+			err = SendAll(a, []Outgoing{{To: 1, Data: pooled("q")}, {To: 7, Data: pooled("r")}, {To: 1, Data: pooled("s")}})
+			if !errors.Is(err, ErrUnknownPeer) {
+				t.Fatalf("unknown peer: %v", err)
+			}
+			b.Close()
+			if err := SendAll(a, []Outgoing{{To: 1, Data: pooled("late")}}); err != nil {
+				t.Fatal(err)
+			}
+			a.Close()
+		})
+	})
+
+	t.Run("send-loop", func(t *testing.T) {
+		check(t, func(t *testing.T) {
+			a, b := chanPair()
+			if err := SendAll(sendOnly{a}, []Outgoing{{To: 1, Data: pooled("x")}, {To: 1, Data: pooled("y")}}); err != nil {
+				t.Fatal(err)
+			}
+			equal(t, recvAll(t, b, 2), "x", "y")
+			err := SendAll(sendOnly{a}, []Outgoing{{To: 7, Data: pooled("r")}, {To: 1, Data: pooled("s")}})
+			if !errors.Is(err, ErrUnknownPeer) {
+				t.Fatalf("unknown peer: %v", err)
+			}
+			a.Close()
+			b.Close()
+		})
+	})
+
+	for _, batched := range []bool{true, false} {
+		t.Run(fmt.Sprintf("udp/batched=%v", batched), func(t *testing.T) {
+			check(t, func(t *testing.T) {
+				u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				u0.SetBatching(batched)
+				u1.SetBatching(batched)
+				if err := u0.RegisterPeer(1, u1.Addr()); err != nil {
+					t.Fatal(err)
+				}
+				if err := SendAll(u0, []Outgoing{{To: 1, Data: pooled("x")}, {To: 1, Data: pooled("y")}}); err != nil {
+					t.Fatal(err)
+				}
+				equal(t, recvAll(t, u1, 2), "x", "y")
+				err = SendAll(u0, []Outgoing{{To: 1, Data: pooled("q")}, {To: 7, Data: pooled("r")}, {To: 1, Data: pooled("s")}})
+				if !errors.Is(err, ErrUnknownPeer) {
+					t.Fatalf("unknown peer: %v", err)
+				}
+				equal(t, recvAll(t, u1, 1), "q")
+				u0.Close()
+				if err := SendAll(u0, []Outgoing{{To: 1, Data: pooled("late")}}); err == nil {
+					t.Fatal("send on a closed socket succeeded")
+				}
+				u1.Close()
+			})
+		})
+	}
+
+	chaos := func(ph Phase) (*ChaosConn, Conn) {
+		a, b := chanPair()
+		return NewChaosFabric(Scenario{Seed: 1, Phases: []Phase{ph}}).Wrap(a), b
+	}
+	t.Run("chaos/drop", func(t *testing.T) {
+		check(t, func(t *testing.T) {
+			a, b := chaos(Phase{Packets: 2, Drop: 1})
+			if err := SendAll(a, []Outgoing{{To: 1, Data: pooled("x")}, {To: 1, Data: pooled("y")}, {To: 1, Data: pooled("z")}}); err != nil {
+				t.Fatal(err)
+			}
+			equal(t, recvAll(t, b, 1), "z")
+			a.Close()
+			b.Close()
+		})
+	})
+	t.Run("chaos/duplicate", func(t *testing.T) {
+		check(t, func(t *testing.T) {
+			a, b := chaos(Phase{Dup: 1})
+			if err := SendAll(a, []Outgoing{{To: 1, Data: pooled("x")}}); err != nil {
+				t.Fatal(err)
+			}
+			m1, err := b.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2, err := b.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(m1.Data) != "x" || string(m2.Data) != "x" {
+				t.Fatalf("received %q and %q", m1.Data, m2.Data)
+			}
+			if &m1.Data[0] == &m2.Data[0] {
+				t.Fatal("a duplicate shares its original's buffer: two receivers would release it twice")
+			}
+			PutBuf(m1.Data)
+			PutBuf(m2.Data)
+			a.Close()
+			b.Close()
+		})
+	})
+	t.Run("chaos/hold-and-reorder", func(t *testing.T) {
+		check(t, func(t *testing.T) {
+			a, b := chaos(Phase{Packets: 1, Reorder: 1})
+			if err := SendAll(a, []Outgoing{{To: 1, Data: pooled("x")}, {To: 1, Data: pooled("y")}}); err != nil {
+				t.Fatal(err)
+			}
+			equal(t, recvAll(t, b, 2), "y", "x")
+			a.Close()
+			b.Close()
+		})
+	})
+	t.Run("chaos/held-at-close", func(t *testing.T) {
+		check(t, func(t *testing.T) {
+			// One message each way of entering the hold: given away in a
+			// batch, and borrowed by Send. Neither link sees a second
+			// message, so both are still held when the endpoint closes.
+			a, b := chaos(Phase{Reorder: 1, ReorderSpan: 8})
+			if err := SendAll(a, []Outgoing{{To: 1, Data: pooled("x")}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Send(0, []byte("y")); err != nil {
+				t.Fatal(err)
+			}
+			a.Close()
+			b.Close()
+		})
+	})
+}
+
 // deadAddr returns a loopback address guaranteed to refuse connections:
 // a port that was just bound and released.
 func deadAddr(t *testing.T) string {

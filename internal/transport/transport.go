@@ -34,10 +34,18 @@ type Message struct {
 // allow concurrent Send calls; Recv is typically called from one receive
 // loop but implementations must tolerate concurrent callers.
 //
-// Ownership: Send takes ownership of nothing — it copies data as needed
-// before returning, so the caller may immediately reuse the buffer. Recv
-// returns a buffer owned by the caller; callers that are done with it may
-// recycle it with PutBuf (transports draw receive buffers from GetBuf).
+// Ownership: every buffer on the datapath is born in GetBuf and dies in
+// PutBuf, and has exactly one owner in between.
+//
+//   - Send borrows. It copies or transmits data before returning and the
+//     caller keeps the buffer, pooled or not. Control, view and checkpoint
+//     traffic, and anything that sends one buffer to several peers, goes
+//     this way.
+//   - SendAll gives away. See Outgoing.
+//   - Recv hands over. The returned Message.Data came from GetBuf and now
+//     belongs to the caller, who passes it on or releases it with PutBuf.
+//     Whatever was decoded from it as a view (wire.DecodePacketView) is
+//     valid exactly until that release.
 type Conn interface {
 	// Send delivers data to node `to` (best effort for datagram fabrics).
 	Send(to int, data []byte) error
@@ -54,9 +62,14 @@ type Conn interface {
 var ErrClosed = errors.New("transport: connection closed")
 
 // Outgoing is one queued outbound message for batched transmission.
-// Ownership follows Send: the transport copies (or transmits) the data
-// before SendBatch returns, so the caller may immediately reuse every
-// buffer, including an arena shared by several entries.
+//
+// Ownership: Data is a whole GetBuf buffer, used by no other entry, and
+// passing it to SendAll (or SendBatch) gives it away. The transport either
+// hands it to the receiver as it is or transmits it and calls PutBuf, on
+// every path including errors, so the caller must not read, reuse or
+// release the bytes afterwards. The Outgoing values themselves stay the
+// caller's and are left as they were: To and len(Data) still read the same
+// after the call.
 type Outgoing struct {
 	To   int
 	Data []byte
@@ -64,18 +77,25 @@ type Outgoing struct {
 
 // BatchSender is implemented by transports that can hand several
 // messages to the kernel (or fabric) in one operation — the UDP
-// transport's sendmmsg fast path. Messages are transmitted in slice
-// order; an error may leave a prefix of the batch sent (datagram
-// semantics: the unsent tail is indistinguishable from in-flight loss).
+// transport's sendmmsg fast path, the channel fabric's enqueue without a
+// copy. Messages are transmitted in slice order; an error may leave a
+// prefix of the batch sent (datagram semantics: the unsent tail is
+// indistinguishable from in-flight loss).
+//
+// SendBatch takes ownership of every msgs[i].Data exactly as SendAll does
+// and must not write to msgs. A wrapper that forwards to its inner Conn
+// forwards through SendAll, which keeps it on the inner transport's fast
+// path and passes the ownership along.
 type BatchSender interface {
 	SendBatch(msgs []Outgoing) error
 }
 
-// SendAll transmits msgs over conn in order, in one batched operation
-// when the transport supports it and one Send per message otherwise.
-// The two paths are semantically identical — same order, same best-effort
-// delivery — so callers batch unconditionally and the fabric decides how
-// many syscalls that costs.
+// SendAll transmits msgs over conn in order and takes ownership of their
+// buffers (see Outgoing): in one batched operation when the transport
+// supports it, and one Send plus PutBuf per message otherwise. The two
+// paths are semantically identical — same order, same best-effort
+// delivery, every buffer released or delivered — so callers batch
+// unconditionally and the fabric decides what that costs.
 func SendAll(conn Conn, msgs []Outgoing) error {
 	if len(msgs) == 0 {
 		return nil
@@ -83,12 +103,22 @@ func SendAll(conn Conn, msgs []Outgoing) error {
 	if bs, ok := conn.(BatchSender); ok {
 		return bs.SendBatch(msgs)
 	}
-	for _, m := range msgs {
-		if err := conn.Send(m.To, m.Data); err != nil {
+	for i, m := range msgs {
+		err := conn.Send(m.To, m.Data)
+		PutBuf(m.Data)
+		if err != nil {
+			putAll(msgs[i+1:])
 			return err
 		}
 	}
 	return nil
+}
+
+// putAll releases the buffers of messages that will not be sent.
+func putAll(msgs []Outgoing) {
+	for _, m := range msgs {
+		PutBuf(m.Data)
+	}
 }
 
 // ErrUnknownPeer is returned by Send for an unregistered destination.
@@ -98,8 +128,11 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 // buffered channels. Delivery is reliable and per-sender ordered, matching
 // RDMA RC semantics. The zero value is not usable; call NewNetwork.
 type Network struct {
+	// boxes is replaced, never written in place, when AddNode registers a
+	// node, so Send finds its destination with one atomic load; mu orders
+	// the writers.
 	mu    sync.Mutex
-	boxes map[int]*box
+	boxes atomic.Pointer[map[int]*box]
 	cap   int
 }
 
@@ -120,10 +153,12 @@ type box struct {
 // of queueCap messages (Send blocks when the destination queue is full,
 // providing natural backpressure).
 func NewNetwork(n, queueCap int) *Network {
-	nw := &Network{boxes: make(map[int]*box, n), cap: queueCap}
+	nw := &Network{cap: queueCap}
+	boxes := make(map[int]*box, n)
 	for i := 0; i < n; i++ {
-		nw.boxes[i] = &box{ch: make(chan Message, queueCap)}
+		boxes[i] = &box{ch: make(chan Message, queueCap)}
 	}
+	nw.boxes.Store(&boxes)
 	return nw
 }
 
@@ -132,35 +167,37 @@ func NewNetwork(n, queueCap int) *Network {
 func (nw *Network) AddNode(id int) Conn {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if _, ok := nw.boxes[id]; !ok {
-		nw.boxes[id] = &box{ch: make(chan Message, nw.cap)}
+	old := *nw.boxes.Load()
+	b := old[id]
+	if b == nil {
+		b = &box{ch: make(chan Message, nw.cap)}
+		boxes := make(map[int]*box, len(old)+1)
+		for k, v := range old {
+			boxes[k] = v
+		}
+		boxes[id] = b
+		nw.boxes.Store(&boxes)
 	}
-	return &chanConn{nw: nw, id: id}
+	return newChanConn(nw, id, b)
 }
 
 // Conn returns node id's endpoint. The node must exist.
 func (nw *Network) Conn(id int) Conn {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	if _, ok := nw.boxes[id]; !ok {
+	b := nw.box(id)
+	if b == nil {
 		panic(fmt.Sprintf("transport: unknown node %d", id))
 	}
-	return &chanConn{nw: nw, id: id}
+	return newChanConn(nw, id, b)
 }
 
-func (nw *Network) box(id int) *box {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.boxes[id]
-}
+func (nw *Network) box(id int) *box { return (*nw.boxes.Load())[id] }
 
-// closeBox marks node id's inbox closed and drains it, recycling every
-// queued buffer. It waits out senders already committed to enqueueing
-// (inflight), so when it returns no pooled buffer remains in the box and
-// none can arrive later.
-func (nw *Network) closeBox(id int) {
-	b := nw.box(id)
-	if b == nil || b.closed.Swap(true) {
+// drain marks the inbox closed and empties it, recycling every queued
+// buffer. It waits out senders already committed to enqueueing (inflight),
+// so when it returns no pooled buffer remains in the box and none can
+// arrive later.
+func (b *box) drain() {
+	if b.closed.Swap(true) {
 		return
 	}
 	for {
@@ -178,21 +215,18 @@ func (nw *Network) closeBox(id int) {
 }
 
 type chanConn struct {
-	nw     *Network
-	id     int
-	mu     sync.Mutex
-	closed chan struct{} // lazily created
+	nw        *Network
+	id        int
+	in        *box // this node's inbox
+	closed    chan struct{}
+	closeOnce sync.Once
 }
 
-func (c *chanConn) closedCh() chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed == nil {
-		c.closed = make(chan struct{})
-	}
-	return c.closed
+func newChanConn(nw *Network, id int, in *box) *chanConn {
+	return &chanConn{nw: nw, id: id, in: in, closed: make(chan struct{})}
 }
 
+// Send copies data into a pooled buffer and enqueues the copy.
 func (c *chanConn) Send(to int, data []byte) error {
 	b := c.nw.box(to)
 	if b == nil {
@@ -200,10 +234,33 @@ func (c *chanConn) Send(to int, data []byte) error {
 	}
 	buf := GetBuf(len(data))
 	copy(buf, data)
+	return c.enqueue(b, buf)
+}
+
+// SendBatch enqueues the caller's buffers as they are: the receiver's
+// PutBuf releases what the sender's GetBuf allocated, and no byte is
+// copied in between.
+func (c *chanConn) SendBatch(msgs []Outgoing) error {
+	for i, m := range msgs {
+		b := c.nw.box(m.To)
+		if b == nil {
+			putAll(msgs[i:])
+			return fmt.Errorf("%w: %d", ErrUnknownPeer, m.To)
+		}
+		if err := c.enqueue(b, m.Data); err != nil {
+			putAll(msgs[i+1:])
+			return err
+		}
+	}
+	return nil
+}
+
+// enqueue delivers the pooled buffer buf to b, or releases it.
+func (c *chanConn) enqueue(b *box, buf []byte) error {
 	// Commit to the enqueue (inflight) before checking closed: the drain
-	// loop in closeBox waits for inflight to reach zero, so a send that
-	// slips past a concurrent close is either dropped here or drained
-	// there — never stranded with its buffer.
+	// loop waits for inflight to reach zero, so a send that slips past a
+	// concurrent close is either dropped here or drained there — never
+	// stranded with its buffer.
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	if b.closed.Load() {
@@ -212,27 +269,34 @@ func (c *chanConn) Send(to int, data []byte) error {
 		PutBuf(buf)
 		return nil
 	}
+	m := Message{From: c.id, Data: buf}
+	// A queue with room takes the message without entering select.
 	select {
-	case b.ch <- Message{From: c.id, Data: buf}:
+	case b.ch <- m:
 		return nil
-	case <-c.closedCh():
+	default:
+	}
+	select {
+	case b.ch <- m:
+		return nil
+	case <-c.closed:
 		PutBuf(buf)
 		return ErrClosed
 	}
 }
 
 func (c *chanConn) Recv() (Message, error) {
-	b := c.nw.box(c.id)
+	// A waiting message is taken without entering select — also after
+	// Close, so one that raced with it is still delivered.
 	select {
-	case m := <-b.ch:
+	case m := <-c.in.ch:
 		return m, nil
-	case <-c.closedCh():
-		// Drain any message that raced with close.
-		select {
-		case m := <-b.ch:
-			return m, nil
-		default:
-		}
+	default:
+	}
+	select {
+	case m := <-c.in.ch:
+		return m, nil
+	case <-c.closed:
 		return Message{}, ErrClosed
 	}
 }
@@ -240,19 +304,13 @@ func (c *chanConn) Recv() (Message, error) {
 func (c *chanConn) LocalID() int { return c.id }
 
 func (c *chanConn) Close() error {
-	ch := c.closedCh()
-	c.mu.Lock()
-	select {
-	case <-ch:
-		c.mu.Unlock()
-		return nil
-	default:
-		close(ch)
-	}
-	c.mu.Unlock()
-	// Drain this node's inbox so no pooled buffer is stranded in a queue
-	// nobody will read. Sends targeting this node from now on are dropped.
-	c.nw.closeBox(c.id)
+	c.closeOnce.Do(func() {
+		close(c.closed)
+		// Drain this node's inbox so no pooled buffer is stranded in a
+		// queue nobody will read. Sends targeting this node from now on
+		// are dropped.
+		c.in.drain()
+	})
 	return nil
 }
 

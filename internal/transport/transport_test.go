@@ -308,7 +308,7 @@ func TestUDPWildcardHostBook(t *testing.T) {
 			if err := u1.RegisterPeer(0, ":"+port(u0)); err != nil {
 				t.Fatal(err)
 			}
-			if err := u0.SendBatch([]Outgoing{{To: 1, Data: []byte("a")}, {To: 1, Data: []byte("b")}}); err != nil {
+			if err := u0.SendBatch([]Outgoing{{To: 1, Data: pooled("a")}, {To: 1, Data: pooled("b")}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := u0.Send(1, []byte("c")); err != nil {

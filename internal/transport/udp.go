@@ -180,15 +180,17 @@ func errUnknownPeerBatch(to int) error {
 }
 
 // SendBatch transmits msgs in order: one sendmmsg per 32 datagrams on the
-// fast path, a loop of scalar Sends otherwise. Like Send, ownership of
-// every Data buffer stays with the caller and is released the moment
-// SendBatch returns.
+// fast path, a loop of scalar Sends otherwise. It owns every Data buffer
+// (see Outgoing) and releases them all once the kernel has the datagrams,
+// or has refused them.
 func (u *UDP) SendBatch(msgs []Outgoing) error {
+	defer putAll(msgs)
 	// The batcher pointer is read under u.mu, never rxMu: a Recv blocked
 	// inside a batch read holds rxMu for the duration, and sends must not
 	// wait on receives.
 	u.mu.Lock()
 	b := u.b
+	closed := u.closed
 	u.mu.Unlock()
 	if b == nil {
 		for _, m := range msgs {
@@ -198,9 +200,6 @@ func (u *UDP) SendBatch(msgs []Outgoing) error {
 		}
 		return nil
 	}
-	u.mu.Lock()
-	closed := u.closed
-	u.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}

@@ -58,6 +58,41 @@ func TestDecodePacketIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// The view decoders must not allocate on either of their paths: aliasing
+// (offset 0) or carving from the recycled arenas (offset 1).
+func TestDecodeViewZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	dense := AppendPacket(nil, benchPacket())
+	src := &SparsePacket{Type: TypeSparseData, NextKey: 9}
+	for i := 0; i < 256; i++ {
+		src.Keys = append(src.Keys, uint32(2*i))
+		src.Values = append(src.Values, float32(i))
+	}
+	sparse := AppendSparsePacket(nil, src)
+	for off := 0; off < 2; off++ {
+		dbuf, sbuf := placeAt(dense, off), placeAt(sparse, off)
+		var p Packet
+		var sp SparsePacket
+		var scratch, vals []float32
+		var keys []uint32
+		var err error
+		decode := func() {
+			if scratch, err = DecodePacketView(&p, scratch, dbuf); err != nil {
+				t.Fatal(err)
+			}
+			if keys, vals, err = DecodeSparsePacketView(&sp, keys, vals, sbuf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // warm the recycled state
+		if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+			t.Fatalf("view decode at offset %d: %v allocs/op, want 0", off, allocs)
+		}
+	}
+}
+
 func TestAppendSparsePacketZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")

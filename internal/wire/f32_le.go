@@ -31,3 +31,25 @@ func getF32Slice(dst []float32, src []byte) {
 		copy(f32Bytes(dst), src[:4*len(dst)])
 	}
 }
+
+// The decoders' views: on these targets a 4-byte-aligned run of wire
+// payload bytes is already a []float32 (or []uint32) in memory, so a
+// decoded packet can point into the message buffer.
+
+// viewable reports whether payloads at 4-byte offsets in b can be viewed
+// in place: b must itself be 4-byte aligned. An empty b has none.
+func viewable(b []byte) bool {
+	return len(b) > 0 && uintptr(unsafe.Pointer(&b[0]))%4 == 0
+}
+
+// viewF32 returns b, non-empty, 4-byte aligned and a multiple of four
+// long, as the float32s it encodes, capped at its length so an append can
+// never write into the message.
+func viewF32(b []byte) []float32 {
+	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
+}
+
+// viewU32 is viewF32 for uint32 keys.
+func viewU32(b []byte) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
+}

@@ -53,3 +53,12 @@ func getF32Slice(dst []float32, src []byte) {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }
+
+// viewable reports whether payloads in b can be viewed in place: never
+// on these targets, so the view decoders always copy and viewF32/viewU32
+// are not reached.
+func viewable([]byte) bool { return false }
+
+func viewF32([]byte) []float32 { return nil }
+
+func viewU32([]byte) []uint32 { return nil }

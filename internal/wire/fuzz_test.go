@@ -3,11 +3,13 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // Robustness: decoding arbitrary bytes must never panic — it either
@@ -189,11 +191,81 @@ func checkReuseDecode(t *testing.T, dirty *Packet, scratch []float32, buf []byte
 	return scratch
 }
 
+// placeAt returns a copy of b whose first byte sits off bytes past a
+// 4-byte boundary, capped at its length so an overrun faults.
+func placeAt(b []byte, off int) []byte {
+	raw := make([]byte, len(b)+8)
+	start := int(-uintptr(unsafe.Pointer(&raw[0]))&3) + off
+	copy(raw[start:], b)
+	return raw[start : start+len(b) : start+len(b)]
+}
+
+// checkViewDecode runs the view decoder over buf placed at offsets 0-3 of
+// an aligned buffer, through one recycled packet and arena (so the paths
+// alternate over dirty state), and holds it to the copying decoder's
+// result: same error outcome, same header, nexts and indices, and the
+// same payload bits. Offset 0 is the aliasing path on little-endian
+// builds; 1-3 must fall back to the copy, not fault.
+func checkViewDecode(t *testing.T, buf []byte) {
+	want, wantErr := DecodePacket(buf)
+	var got Packet
+	var scratch []float32
+	for off := 0; off < 4; off++ {
+		var err error
+		scratch, err = DecodePacketView(&got, scratch, placeAt(buf, off))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("offset %d: view err %v, copy err %v", off, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !packetsEquivalent(want, &got) {
+			t.Fatalf("offset %d: view decode differs:\n copy %+v\n view %+v", off, want, &got)
+		}
+		for i, b := range want.Blocks {
+			for j, v := range b.Data {
+				if w := got.Blocks[i].Data[j]; math.Float32bits(v) != math.Float32bits(w) {
+					t.Fatalf("offset %d block %d elem %d: bits %#x != %#x", off, i, j, math.Float32bits(w), math.Float32bits(v))
+				}
+			}
+		}
+	}
+}
+
+// checkSparseViewDecode is checkViewDecode for the key-value decoder.
+func checkSparseViewDecode(t *testing.T, buf []byte) {
+	want, wantErr := DecodeSparsePacket(buf)
+	var got SparsePacket
+	var keys []uint32
+	var vals []float32
+	for off := 0; off < 4; off++ {
+		var err error
+		keys, vals, err = DecodeSparsePacketView(&got, keys, vals, placeAt(buf, off))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("offset %d: view err %v, copy err %v", off, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got.Type != want.Type || got.WID != want.WID || got.TensorID != want.TensorID ||
+			got.NextKey != want.NextKey || len(got.Keys) != len(want.Keys) || len(got.Values) != len(want.Values) {
+			t.Fatalf("offset %d: view decode differs:\n copy %+v\n view %+v", off, want, &got)
+		}
+		for i, k := range want.Keys {
+			if got.Keys[i] != k || math.Float32bits(got.Values[i]) != math.Float32bits(want.Values[i]) {
+				t.Fatalf("offset %d pair %d: (%d, %#x) != (%d, %#x)", off, i,
+					got.Keys[i], math.Float32bits(got.Values[i]), k, math.Float32bits(want.Values[i]))
+			}
+		}
+	}
+}
+
 // FuzzDecodePacket exercises the dense decoder on arbitrary and mutated
 // inputs: no panics ever, any buffer that decodes must survive an
 // encode/decode round trip (byte-exact for float32 payloads), and the
 // recycled-state reuse path (DecodePacketInto over a dirty packet and
-// scratch arena) must agree with the fresh path exactly.
+// scratch arena) must agree with the fresh path exactly, as must the view
+// decoder at every buffer alignment.
 func FuzzDecodePacket(f *testing.F) {
 	for _, seed := range seedPackets() {
 		f.Add(seed)
@@ -206,6 +278,7 @@ func FuzzDecodePacket(f *testing.F) {
 		scratch, _ := DecodePacketInto(dirty, nil, seedPackets()[0])
 		check := func(b []byte) {
 			scratch = checkReuseDecode(t, dirty, scratch, b)
+			checkViewDecode(t, b)
 			p, err := DecodePacket(b)
 			if err != nil {
 				return
@@ -240,13 +313,15 @@ func FuzzDecodePacket(f *testing.F) {
 
 // FuzzDecodeSparsePacket is the key-value analogue; sparse payloads are
 // always float32, so the round trip must be byte-exact whenever the
-// original buffer has no trailing garbage.
+// original buffer has no trailing garbage. The view decoder must agree
+// with the copying one at every buffer alignment.
 func FuzzDecodeSparsePacket(f *testing.F) {
 	for _, seed := range seedPackets() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		check := func(b []byte) {
+			checkSparseViewDecode(t, b)
 			p, err := DecodeSparsePacket(b)
 			if err != nil {
 				return

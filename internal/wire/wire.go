@@ -240,6 +240,26 @@ var emptyF32 = make([]float32, 0)
 // consumers must finish with (or copy out of) the packet before recycling
 // it. buf itself is not retained and may be released immediately.
 func DecodePacketInto(p *Packet, scratch []float32, buf []byte) ([]float32, error) {
+	return decodePacket(p, scratch, buf, false)
+}
+
+// DecodePacketView is DecodePacketInto without the payload copy: where the
+// float32 payloads in buf are already the target's in-memory form (float32
+// data on a little-endian build, buf 4-byte aligned), every Block.Data
+// aliases buf and scratch is returned untouched. Anything else — half
+// precision, a misaligned buf, a build f32_le.go does not name — decodes
+// exactly like DecodePacketInto; the input picks the path, and the two
+// results are equal element for element.
+//
+// Ownership: the decoded packet is valid only while buf is — the caller
+// must be done with it before it releases, recycles or rewrites buf — and,
+// like DecodePacketInto's, only until the next decode with the same p or
+// arena.
+func DecodePacketView(p *Packet, scratch []float32, buf []byte) ([]float32, error) {
+	return decodePacket(p, scratch, buf, true)
+}
+
+func decodePacket(p *Packet, scratch []float32, buf []byte, view bool) ([]float32, error) {
 	if len(buf) < headerLen {
 		return scratch, ErrTruncated
 	}
@@ -291,30 +311,41 @@ func DecodePacketInto(p *Packet, scratch []float32, buf []byte) ([]float32, erro
 		o += elemBytes * int(n)
 		total += int(n)
 	}
-	if cap(scratch) < total {
-		scratch = make([]float32, total)
-	}
-	scratch = scratch[:cap(scratch)]
 
-	// Second pass: decode payloads into disjoint arena carvings. The
-	// arena no longer moves, so earlier blocks stay valid.
+	// With float32 payloads every payload offset is a multiple of four
+	// (header, nexts and block headers all are), so buf's own alignment
+	// decides for all blocks at once. Only the copy path needs the arena.
+	alias := view && p.DType == DTypeF32 && viewable(buf)
+	if !alias {
+		if cap(scratch) < total {
+			scratch = make([]float32, total)
+		}
+		scratch = scratch[:cap(scratch)]
+	}
+
+	// Second pass: point each block at its payload in buf, or decode it
+	// into a disjoint arena carving. The arena no longer moves, so earlier
+	// blocks stay valid.
 	used := 0
 	for ; mask != 0; mask &= mask - 1 {
 		idx := binary.LittleEndian.Uint32(buf[off:])
 		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
 		off += 8
 		data := emptyF32
-		if n > 0 {
+		switch {
+		case n == 0:
+		case alias:
+			data = viewF32(buf[off : off+4*n])
+		default:
 			data = scratch[used : used+n : used+n]
 			used += n
+			if p.DType == DTypeF16 {
+				getF16Slice(data, buf[off:])
+			} else {
+				getF32Slice(data, buf[off:])
+			}
 		}
-		if p.DType == DTypeF16 {
-			getF16Slice(data, buf[off:])
-			off += 2 * n
-		} else {
-			getF32Slice(data, buf[off:])
-			off += 4 * n
-		}
+		off += elemBytes * n
 		p.Blocks = append(p.Blocks, Block{Index: idx, Data: data})
 	}
 	return scratch, nil
@@ -374,35 +405,58 @@ func DecodeSparsePacket(buf []byte) (*SparsePacket, error) {
 // value cannot overflow int arithmetic on 32-bit platforms) before any
 // storage is grown. buf is not retained.
 func DecodeSparsePacketInto(p *SparsePacket, buf []byte) error {
+	_, _, err := decodeSparsePacket(p, p.Keys, p.Values, buf, false)
+	return err
+}
+
+// DecodeSparsePacketView is the key-value DecodePacketView: on a
+// little-endian build with buf 4-byte aligned, p.Keys and p.Values alias
+// buf; otherwise they are carved from the caller's keys and vals arenas
+// (grown only when too small), which are returned for reuse either way.
+// The arenas are separate from p because an aliasing p.Keys must never be
+// taken for recycled storage by a later copying decode.
+//
+// Ownership: as for DecodePacketView, the decoded packet is valid only
+// while buf is, and only until the next decode with the same p or arenas.
+func DecodeSparsePacketView(p *SparsePacket, keys []uint32, vals []float32, buf []byte) ([]uint32, []float32, error) {
+	return decodeSparsePacket(p, keys, vals, buf, true)
+}
+
+func decodeSparsePacket(p *SparsePacket, keys []uint32, vals []float32, buf []byte, view bool) ([]uint32, []float32, error) {
+	p.Keys, p.Values = keys[:0], vals[:0]
 	if len(buf) < sparseHeaderLen {
-		return ErrTruncated
+		return keys, vals, ErrTruncated
 	}
 	p.Type = buf[0]
 	p.WID = binary.LittleEndian.Uint16(buf[2:])
 	p.TensorID = binary.LittleEndian.Uint32(buf[4:])
 	p.NextKey = binary.LittleEndian.Uint32(buf[8:])
-	p.Keys = p.Keys[:0]
-	p.Values = p.Values[:0]
 	n64 := uint64(binary.LittleEndian.Uint32(buf[12:]))
 	if n64 > uint64(len(buf)-sparseHeaderLen)/8 {
-		return ErrTruncated
+		return keys, vals, ErrTruncated
 	}
 	n := int(n64)
 	off := sparseHeaderLen
-	if cap(p.Keys) < n {
-		p.Keys = make([]uint32, n)
+	if view && n > 0 && viewable(buf) {
+		p.Keys = viewU32(buf[off : off+4*n])
+		p.Values = viewF32(buf[off+4*n : off+8*n])
+		return keys, vals, nil
 	}
-	p.Keys = p.Keys[:n]
-	for i := 0; i < n; i++ {
-		p.Keys[i] = binary.LittleEndian.Uint32(buf[off:])
+	if cap(keys) < n {
+		keys = make([]uint32, n)
+	}
+	keys = keys[:n]
+	for i := range keys {
+		keys[i] = binary.LittleEndian.Uint32(buf[off:])
 		off += 4
 	}
-	if cap(p.Values) < n {
-		p.Values = make([]float32, n)
+	if cap(vals) < n {
+		vals = make([]float32, n)
 	}
-	p.Values = p.Values[:n]
-	getF32Slice(p.Values, buf[off:])
-	return nil
+	vals = vals[:n]
+	getF32Slice(vals, buf[off:])
+	p.Keys, p.Values = keys, vals
+	return keys, vals, nil
 }
 
 // PeekType returns the message type of an encoded packet without decoding

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -271,6 +272,67 @@ func BenchmarkPacketDecodeInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		scratch, err = DecodePacketInto(&dst, scratch, buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeViewAliasing pins which path each input takes: float32
+// payloads in a 4-byte-aligned message are decoded in place where the
+// build allows it, and everything else — an odd offset, half precision —
+// is a private copy that rewriting the message cannot reach.
+func TestDecodeViewAliasing(t *testing.T) {
+	if a := runtime.GOARCH; (a == "amd64" || a == "arm64") && !viewable(placeAt([]byte{0}, 0)) {
+		t.Fatalf("%s decodes no views", a)
+	}
+	for _, dtype := range []uint8{DTypeF32, DTypeF16} {
+		for off := 0; off < 4; off++ {
+			buf := placeAt(AppendPacket(nil, &Packet{Type: TypeData, DType: dtype, BlockSize: 4,
+				Nexts: []uint32{Inf(0)}, Blocks: []Block{{Index: 0, Data: []float32{1, 2, 3, 4}}}}), off)
+			sbuf := placeAt(AppendSparsePacket(nil, &SparsePacket{Type: TypeSparseData, NextKey: InfKey,
+				Keys: []uint32{5, 6}, Values: []float32{1, 2}}), off)
+			var p Packet
+			if _, err := DecodePacketView(&p, nil, buf); err != nil {
+				t.Fatal(err)
+			}
+			var sp SparsePacket
+			if _, _, err := DecodeSparsePacketView(&sp, nil, nil, sbuf); err != nil {
+				t.Fatal(err)
+			}
+			clear(buf)
+			clear(sbuf)
+			aliased := p.Blocks[0].Data[3] == 0
+			if want := viewable(buf) && dtype == DTypeF32; aliased != want {
+				t.Errorf("dtype %d offset %d: dense payload aliased=%v, want %v", dtype, off, aliased, want)
+			}
+			if !aliased && p.Blocks[0].Data[3] != 4 {
+				t.Errorf("dtype %d offset %d: copied payload reads %v", dtype, off, p.Blocks[0].Data)
+			}
+			if aliased, want := sp.Keys[1] == 0 && sp.Values[1] == 0, viewable(sbuf); aliased != want {
+				t.Errorf("offset %d: sparse aliased=%v, want %v (%v %v)", off, aliased, want, sp.Keys, sp.Values)
+			}
+		}
+	}
+}
+
+// BenchmarkPacketDecodeView is the live drivers' receive decode: header,
+// validation pass and block slices pointing into the message, no payload
+// copy on little-endian targets.
+func BenchmarkPacketDecodeView(b *testing.B) {
+	p := &Packet{Type: TypeData, BlockSize: 256, Nexts: make([]uint32, 4)}
+	for c := 0; c < 4; c++ {
+		p.Blocks = append(p.Blocks, Block{Index: uint32(c), Data: make([]float32, 256)})
+	}
+	buf := placeAt(AppendPacket(nil, p), 0)
+	var dst Packet
+	var scratch []float32
+	b.SetBytes(int64(4 * 256 * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		scratch, err = DecodePacketView(&dst, scratch, buf)
 		if err != nil {
 			b.Fatal(err)
 		}
