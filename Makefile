@@ -102,14 +102,19 @@ fuzz:
 # the perf trajectory is tracked across PRs. Repeated runs (-count=3 on
 # the live collectives and the wire and tensor microbenches) record the
 # best observed value per metric, which filters scheduler and GC noise on
-# shared boxes. benchjson also gates the pinned benchmark families against the
-# previous recording: >10% growth in allocs/op or >35% loss in MB/s
+# shared boxes. BenchmarkAllReduceLive also records wire-B/op (the workers'
+# encoded bytes per operation), and BenchmarkPacketShape's FusionWidth x
+# Streams sweep is recorded with them: it is the evidence behind
+# protocol.Defaults' packet shape, so a change of default starts as a rerun.
+# benchjson also gates the pinned benchmark families against the previous
+# recording: >10% growth in allocs/op or >35% loss in MB/s
 # (throughput is the noisier metric) fails the tier. Of the decoders, the
 # copying DecodePacketInto and the live path's DecodePacketView are gated;
 # the allocating DecodePacket is recorded only (it measures the collector).
 bench:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 10x . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkPacketShape$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFailoverHandoff$$' -benchtime 5x . ; \
 	  for i in 1 2 3 4 5 6 7; do \
 	    $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x . ; \

@@ -24,6 +24,7 @@ import (
 	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
+	"omnireduce/internal/sparsity"
 	"omnireduce/internal/transport"
 )
 
@@ -119,39 +120,160 @@ func benchInputs(workers, n int, sparsity float64, seed int64) [][]float32 {
 	return out
 }
 
+// blockSparseInputs draws one tensor per worker with the given share of
+// all-zero blocks (internal/sparsity, random overlap, blocks of the
+// library's default size) — the sparsity OmniReduce acts on. Zeroing
+// elements instead leaves practically every block non-zero: a dense run
+// under a sparse label.
+func blockSparseInputs(workers, n int, blockSparsity float64, seed int64) [][]float32 {
+	ts := sparsity.Generate(sparsity.GenSpec{
+		Elements:     n,
+		Sparsity:     blockSparsity,
+		Workers:      workers,
+		Overlap:      sparsity.OverlapRandom,
+		BlockAligned: protocol.Defaults().BlockSize,
+	}, rand.New(rand.NewSource(seed)))
+	out := make([][]float32, workers)
+	for w, t := range ts {
+		out[w] = t.Data
+	}
+	return out
+}
+
+// benchAllReduce times b.N AllReduce rounds of inputs over ws and reports
+// the workers' encoded bytes per round as wire-B/op. Every round starts
+// from a fresh copy of inputs (untimed): reducing in place would turn each
+// worker's tensor into the union of all of them after one round, and the
+// label's sparsity with it. Four untimed rounds first populate the pooled
+// machine/buffer/op-state free lists, so allocs/op is the warm steady
+// state, not first-contact pool fills (a sparse tensor's packets spread
+// over every buffer size class up to the full packet, and one round does
+// not fill them all: 101-140 allocs/op after one, 72-85 after four).
+func benchAllReduce(b *testing.B, ws []*Worker, inputs [][]float32) {
+	b.Helper()
+	work := make([][]float32, len(inputs))
+	for w := range work {
+		work[w] = make([]float32, len(inputs[w]))
+	}
+	round := func() {
+		for w := range work {
+			copy(work[w], inputs[w])
+		}
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for w := range ws {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := ws[w].AllReduce(work[w]); err != nil {
+					b.Error(err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		b.StopTimer()
+	}
+	wireBytes := func() (n int64) {
+		for _, w := range ws {
+			n += w.Stats().BytesSent
+		}
+		return n
+	}
+	b.StopTimer()
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	b.SetBytes(int64(4 * len(inputs[0])))
+	b.ResetTimer()
+	before := wireBytes()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(wireBytes()-before)/float64(b.N), "wire-B/op")
+}
+
+func clusterWorkers(c *LocalCluster) []*Worker {
+	ws := make([]*Worker, c.Size())
+	for w := range ws {
+		ws[w] = c.Worker(w)
+	}
+	return ws
+}
+
+// BenchmarkAllReduceLive: sparsity is the share of all-zero blocks.
 func BenchmarkAllReduceLive(b *testing.B) {
 	for _, workers := range []int{2, 4, 8} {
 		for _, s := range []float64{0, 0.9, 0.99} {
 			name := fmt.Sprintf("workers=%d/sparsity=%v", workers, s)
 			b.Run(name, func(b *testing.B) {
 				c := benchCluster(b, workers)
-				const n = 1 << 20
-				inputs := benchInputs(workers, n, s, 7)
-				round := func() {
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							if err := c.Worker(w).AllReduce(inputs[w]); err != nil {
-								b.Error(err)
-							}
-						}(w)
-					}
-					wg.Wait()
-				}
-				// One untimed round populates the pooled machine/buffer/
-				// op-state free lists so the gated allocs/op figure is the
-				// warm steady state, not first-contact pool fills.
-				round()
-				b.SetBytes(int64(4 * n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					round()
-				}
+				benchAllReduce(b, clusterWorkers(c), blockSparseInputs(workers, 1<<20, s, 7))
 			})
 		}
 	}
+}
+
+// BenchmarkPacketShape is the evidence behind protocol.Defaults' packet
+// shape: FusionWidth x Streams on inputs shaped like the repository
+// benchmark's dense_chan / sparse99_chan (2 workers, 1 Mi elements, channel
+// fabric) and dense_udp (256 Ki elements, loopback UDP). Wider packets
+// amortise the per-packet cost and, since round 0 stopped shipping zero
+// blocks, cost a sparse tensor only the extra next-offsets; ns/op and
+// wire-B/op are read together. A change of default is a re-run of this.
+func BenchmarkPacketShape(b *testing.B) {
+	const workers = 2
+	for _, fab := range []string{"chan", "udp"} {
+		n := 1 << 20
+		if fab == "udp" {
+			n = 1 << 18
+		}
+		for _, s := range []float64{0, 0.99} {
+			inputs := blockSparseInputs(workers, n, s, 1)
+			for _, width := range []int{8, 16, 32} {
+				for _, streams := range []int{4, 8} {
+					name := fmt.Sprintf("%s/sparsity=%v/fusion=%d/streams=%d", fab, s, width, streams)
+					b.Run(name, func(b *testing.B) {
+						opts := Options{Workers: workers, FusionWidth: width, Streams: streams}
+						if fab == "udp" {
+							benchAllReduce(b, udpBenchCluster(b, opts), inputs)
+							return
+						}
+						c, err := NewLocalCluster(opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.Cleanup(func() { c.Close() })
+						benchAllReduce(b, clusterWorkers(c), inputs)
+					})
+				}
+			}
+		}
+	}
+}
+
+// udpBenchCluster starts one aggregator and o.Workers workers on loopback
+// UDP, every socket on an ephemeral port.
+func udpBenchCluster(b *testing.B, o Options) []*Worker {
+	b.Helper()
+	agg, err := NewUDPAggregator(o.Workers, map[int]string{o.Workers: "127.0.0.1:0"}, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { agg.Close() })
+	go agg.Run()
+	ws := make([]*Worker, o.Workers)
+	for i := range ws {
+		w, err := NewUDPWorker(i, map[int]string{i: "127.0.0.1:0", o.Workers: agg.Addr()}, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { w.Close() })
+		if err := agg.RegisterPeer(i, w.Addr()); err != nil {
+			b.Fatal(err)
+		}
+		ws[i] = w
+	}
+	return ws
 }
 
 func BenchmarkAllReduceSparseLive(b *testing.B) {

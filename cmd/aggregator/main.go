@@ -35,9 +35,7 @@ func main() {
 	aggregators := flag.Int("aggregators", 1, "number of aggregator shards")
 	nodes := flag.String("nodes", "", "comma-separated id=host:port address book")
 	transportName := flag.String("transport", "tcp", "tcp (reliable) or udp (loss recovery)")
-	blockSize := flag.Int("block-size", 256, "elements per block")
-	fusion := flag.Int("fusion", 8, "blocks fused per packet")
-	streams := flag.Int("streams", 4, "parallel aggregation streams")
+	blockSize, fusion, streams := cli.ShapeFlags(flag.CommandLine)
 	quotaFile := flag.String("quota-file", "", "JSON per-tenant quota/weight policy (see internal/cli.QuotaFile)")
 	viewEpoch := flag.Uint("view-epoch", 0, "starting membership view epoch (> 0 enables dynamic membership and epoch enforcement)")
 	checkpointPeers := flag.String("checkpoint-peers", "", "comma-separated standby node ids to stream slot-state checkpoints to (requires tcp between primary and standby)")

@@ -13,7 +13,7 @@
 //
 // Repeated runs of the same benchmark (from -count=N or repeated
 // invocations) are deduplicated before recording: each metric keeps its
-// best observed value (lowest ns/op and allocs/op, highest MB/s), so
+// best observed value (lowest ns/op, allocs/op and wire-B/op, highest MB/s), so
 // noisy outliers on a shared box do not pollute the trajectory.
 //
 // When the input contains the BenchmarkTracerOverhead off/flight pair,
@@ -54,6 +54,10 @@ type Result struct {
 	MBPerS   float64 `json:"mb_s,omitempty"`
 	BPerOp   int64   `json:"b_op"`
 	AllocsOp int64   `json:"allocs_op"`
+	// WireBPerOp is the live collectives' custom metric: encoded bytes the
+	// workers sent per operation (an exact count unless a datagram was
+	// retransmitted).
+	WireBPerOp float64 `json:"wire_b_op,omitempty"`
 }
 
 // File is the on-disk layout.
@@ -90,6 +94,8 @@ func parse(line string) (Result, bool) {
 			r.BPerOp = int64(v)
 		case "allocs/op":
 			r.AllocsOp = int64(v)
+		case "wire-B/op":
+			r.WireBPerOp = v
 		}
 	}
 	return r, r.NsPerOp > 0
@@ -98,7 +104,7 @@ func parse(line string) (Result, bool) {
 // dedupe collapses repeated runs of the same benchmark into one entry,
 // preserving first-appearance order and keeping the best observed value
 // per metric: lowest ns/op (and its iteration count), highest MB/s,
-// lowest B/op and allocs/op. Best-of-N per metric is the standard
+// lowest B/op, allocs/op and wire-B/op. Best-of-N per metric is the standard
 // answer to measurement noise — the fastest run is the one least
 // perturbed by the machine, and the leanest run is the one the GC
 // didn't interrupt (a pool cleared mid-run shows up as a burst of
@@ -125,6 +131,9 @@ func dedupe(results []Result) []Result {
 		}
 		if r.AllocsOp < b.AllocsOp {
 			b.AllocsOp = r.AllocsOp
+		}
+		if r.WireBPerOp < b.WireBPerOp {
+			b.WireBPerOp = r.WireBPerOp
 		}
 	}
 	return out

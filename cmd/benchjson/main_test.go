@@ -14,6 +14,11 @@ func TestParseLine(t *testing.T) {
 		r.MBPerS != 1948.87 || r.BPerOp != 16 || r.AllocsOp != 2 {
 		t.Fatalf("parsed %+v", r)
 	}
+	r, ok = parse("BenchmarkPacketShape/chan/sparsity=0.99/fusion=32/streams=4-2  100  824466 ns/op  5087.31 MB/s  88728 wire-B/op  8280 B/op  53 allocs/op")
+	if !ok || r.Name != "BenchmarkPacketShape/chan/sparsity=0.99/fusion=32/streams=4" ||
+		r.WireBPerOp != 88728 || r.BPerOp != 8280 || r.AllocsOp != 53 {
+		t.Fatalf("custom metric line: ok=%v %+v", ok, r)
+	}
 	if _, ok := parse("PASS"); ok {
 		t.Fatal("non-benchmark line parsed")
 	}

@@ -34,9 +34,7 @@ func main() {
 	sparsityF := flag.Float64("sparsity", 0.9, "fraction of zero elements")
 	iters := flag.Int("iters", 20, "measured iterations")
 	warmup := flag.Int("warmup", 3, "warm-up iterations")
-	blockSize := flag.Int("block-size", 256, "elements per block")
-	fusion := flag.Int("fusion", 8, "blocks fused per packet")
-	streams := flag.Int("streams", 4, "parallel aggregation streams")
+	blockSize, fusion, streams := cli.ShapeFlags(flag.CommandLine)
 	seed := flag.Int64("seed", 1, "tensor seed (same on all workers for overlap control)")
 	tenantName := flag.String("tenant", "", "tenant name for a multi-tenant aggregator (empty = legacy default job)")
 	jobName := flag.String("job", "", "job name within -tenant (required when -tenant is set)")

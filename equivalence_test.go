@@ -308,11 +308,14 @@ func TestEquivalenceAcrossTransports(t *testing.T) {
 			Seed:   61,
 			Phases: []transport.Phase{{Drop: 0.03, Dup: 0.02}},
 		})
-		aggConn, err := transport.NewUDP(workers, map[int]string{workers: "127.0.0.1:0"})
+		aggUDP, err := transport.NewUDP(workers, map[int]string{workers: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatalf("udp aggregator: %v", err)
 		}
-		agg, err := core.NewAggregator(fabric.Wrap(aggConn), cfg)
+		// The wrapped conn is the one to close: the fabric releases what it
+		// holds for an endpoint's links only through its own Close.
+		aggConn := fabric.Wrap(aggUDP)
+		agg, err := core.NewAggregator(aggConn, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,12 +325,12 @@ func TestEquivalenceAcrossTransports(t *testing.T) {
 		for i := range cws {
 			c, err := transport.NewUDP(i, map[int]string{
 				i:       "127.0.0.1:0",
-				workers: aggConn.Addr(),
+				workers: aggUDP.Addr(),
 			})
 			if err != nil {
 				t.Fatalf("udp worker %d: %v", i, err)
 			}
-			if err := aggConn.RegisterPeer(i, c.Addr()); err != nil {
+			if err := aggUDP.RegisterPeer(i, c.Addr()); err != nil {
 				t.Fatalf("register worker %d: %v", i, err)
 			}
 			w, err := core.NewWorker(fabric.Wrap(c), cfg)

@@ -37,7 +37,7 @@ import (
 	"omnireduce/internal/core"
 	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
-	"omnireduce/internal/protocol"
+	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
 )
 
@@ -87,9 +87,6 @@ func udpChaos(dumpDir string, density float64) {
 	}
 	var fr *obs.FlightRecorder
 	if dumpDir != "" {
-		// Smaller blocks keep the bootstrap correction (first-of-column
-		// blocks are always transmitted) under the tier's 1% tolerance.
-		cfg.BlockSize = 64
 		fr = obs.NewFlightRecorder(-1, 1<<15)
 		prev := obs.SetTracer(fr)
 		defer obs.SetTracer(prev)
@@ -149,7 +146,7 @@ func udpChaos(dumpDir string, density float64) {
 			expected[i] += v
 		}
 	}
-	expSkip := expectedSkipRatio(inputs, cfg)
+	expSkip := expectedSkipRatio(inputs, cfg.BlockSize)
 
 	ws := make([]*core.Worker, workers)
 	for i := range ws {
@@ -259,51 +256,16 @@ func fillBlockSparse(rng *rand.Rand, data []float32, bs int, density float64) {
 	}
 }
 
-// expectedSkipRatio computes the exact look-ahead skip ratio the protocol
+// expectedSkipRatio is the exact look-ahead skip ratio the protocol
 // machines will produce for these inputs: every zero block is skipped
-// once per worker except the bootstrap blocks (the first of each fused
-// column in each stream shard), which are always transmitted.
-func expectedSkipRatio(inputs [][]float32, cfg core.Config) float64 {
-	bs := cfg.BlockSize
-	var skipped, total int64
+// exactly once per worker (a zero first-in-column block is left out of the
+// bootstrap packet like any other), so it is the mean block sparsity.
+func expectedSkipRatio(inputs [][]float32, bs int) float64 {
+	var sum float64
 	for _, in := range inputs {
-		nb := (len(in) + bs - 1) / bs
-		zero := make([]bool, nb)
-		for b := range zero {
-			zero[b] = true
-			end := (b + 1) * bs
-			if end > len(in) {
-				end = len(in)
-			}
-			for i := b * bs; i < end; i++ {
-				if in[i] != 0 {
-					zero[b] = false
-					break
-				}
-			}
-			if zero[b] {
-				skipped++
-			}
-		}
-		total += int64(nb)
-		eff := protocol.EffectiveStreams(cfg.Streams, nb)
-		for s := 0; s < eff; s++ {
-			lo, hi := protocol.Shard(s, eff, nb)
-			cols := cfg.FusionWidth
-			if hi-lo < cols {
-				cols = hi - lo
-			}
-			for c := 0; c < cols; c++ {
-				if f := protocol.FirstInColumn(lo, hi, c, cols); f >= 0 && zero[f] {
-					skipped-- // zero bootstrap block: transmitted, not skipped
-				}
-			}
-		}
+		sum += tensor.ComputeBitmap(tensor.FromSlice(in), bs).BlockSparsity()
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(skipped) / float64(total)
+	return sum / float64(len(inputs))
 }
 
 // seededReplay demonstrates deterministic replay: the same scenario over

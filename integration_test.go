@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -259,44 +258,9 @@ func TestCLIGracefulDrain(t *testing.T) {
 		t.Fatalf("build aggregator: %v\n%s", err, out)
 	}
 
-	// Every endpoint binds port 0: a fixed port can be held by an earlier
-	// run's TIME_WAIT socket. The aggregator reports where it listens in
-	// its "serving" line; workers are dialled by nobody (the aggregator
-	// answers over their inbound connections) and need no known address.
 	const workers = 2
-	agg := exec.Command(bin, "-id", "2", "-workers", "2", "-nodes", "2=127.0.0.1:0", "-drain-timeout", "60s")
-	aggOut := &strings.Builder{}
-	var aggMu sync.Mutex
-	agg.Stdout = lockedWriter{&aggMu, aggOut}
-	agg.Stderr = lockedWriter{&aggMu, aggOut}
-	if err := agg.Start(); err != nil {
-		t.Fatal(err)
-	}
-	aggLog := func() string { aggMu.Lock(); defer aggMu.Unlock(); return aggOut.String() }
-	var exitErr error
-	exited := make(chan struct{})
-	go func() { exitErr = agg.Wait(); close(exited) }()
-	defer func() {
-		select {
-		case <-exited:
-		default:
-			agg.Process.Kill()
-			<-exited
-		}
-	}()
-	var aggAddr string
-	bindDeadline := time.Now().Add(10 * time.Second)
-	for aggAddr == "" {
-		// Only a complete line: the log is read while it is written.
-		if _, rest, ok := strings.Cut(aggLog(), " over tcp on "); ok && strings.Contains(rest, "\n") {
-			aggAddr, _, _ = strings.Cut(rest, "\n")
-			break
-		}
-		if time.Now().After(bindDeadline) {
-			t.Fatalf("aggregator never reported its address\nagg: %s", aggLog())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	a := startAggregatorCLI(t, bin, "-drain-timeout", "60s")
+	agg, aggLog, exited, aggAddr := a.cmd, a.log, a.exited, a.addr
 
 	opts := Options{Workers: workers, Streams: 2, StallTimeout: 30 * time.Second}
 	ws := make([]*Worker, workers)
@@ -362,14 +326,65 @@ func TestCLIGracefulDrain(t *testing.T) {
 
 	select {
 	case <-exited:
-		if exitErr != nil {
-			t.Fatalf("aggregator exit: %v\nagg: %s", exitErr, aggLog())
+		if a.exitErr != nil {
+			t.Fatalf("aggregator exit: %v\nagg: %s", a.exitErr, aggLog())
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("aggregator did not exit after drain\nagg: %s", aggLog())
 	}
 	if !strings.Contains(aggLog(), "drained cleanly") {
 		t.Fatalf("aggregator log missing clean-drain report:\n%s", aggLog())
+	}
+}
+
+// aggregatorCLI is a running cmd/aggregator subprocess serving two workers
+// as node 2.
+type aggregatorCLI struct {
+	cmd     *exec.Cmd
+	log     func() string // everything it has printed so far
+	addr    string        // where it listens
+	exited  chan struct{} // closed once it has been waited for
+	exitErr error         // its Wait result, valid after exited
+}
+
+// startAggregatorCLI starts the built aggregator binary and waits for its
+// address. Every endpoint binds port 0: a fixed port can be held by an
+// earlier run's TIME_WAIT socket. The aggregator reports where it listens
+// in its "serving" line; workers are dialled by nobody (the aggregator
+// answers over their inbound connections) and need no known address. The
+// process is killed at test end if it has not exited by then.
+func startAggregatorCLI(t *testing.T, bin string, args ...string) *aggregatorCLI {
+	t.Helper()
+	a := &aggregatorCLI{exited: make(chan struct{})}
+	a.cmd = exec.Command(bin, append([]string{"-id", "2", "-workers", "2", "-nodes", "2=127.0.0.1:0"}, args...)...)
+	out := &strings.Builder{}
+	var mu sync.Mutex
+	a.cmd.Stdout = lockedWriter{&mu, out}
+	a.cmd.Stderr = lockedWriter{&mu, out}
+	if err := a.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	a.log = func() string { mu.Lock(); defer mu.Unlock(); return out.String() }
+	go func() { a.exitErr = a.cmd.Wait(); close(a.exited) }()
+	t.Cleanup(func() {
+		select {
+		case <-a.exited:
+		default:
+			a.cmd.Process.Kill()
+			<-a.exited
+		}
+	})
+	bindDeadline := time.Now().Add(10 * time.Second)
+	for {
+		// Only a complete line: the log is read while it is written.
+		if _, rest, ok := strings.Cut(a.log(), " over tcp on "); ok && strings.Contains(rest, "\n") {
+			a.addr, _, _ = strings.Cut(rest, "\n")
+			return a
+		}
+		if time.Now().After(bindDeadline) {
+			t.Fatalf("aggregator never reported its address\nagg: %s", a.log())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -406,31 +421,12 @@ func TestCLIBinaries(t *testing.T) {
 	aggBin := build("aggregator")
 	workerBin := build("worker")
 
-	nodes := "0=127.0.0.1:47811,1=127.0.0.1:47812,2=127.0.0.1:47813"
-	agg := exec.Command(aggBin, "-id", "2", "-workers", "2", "-nodes", nodes)
-	aggOut := &strings.Builder{}
-	agg.Stdout, agg.Stderr = aggOut, aggOut
-	if err := agg.Start(); err != nil {
-		t.Fatal(err)
-	}
+	a := startAggregatorCLI(t, aggBin)
 	defer func() {
-		agg.Process.Signal(os.Interrupt)
-		agg.Wait()
+		a.cmd.Process.Signal(os.Interrupt)
+		<-a.exited
 	}()
-	// Wait for the aggregator to bind by polling its listener rather than
-	// sleeping a fixed interval: bounded, and fails with a clear message.
-	bindDeadline := time.Now().Add(10 * time.Second)
-	for {
-		c, err := net.Dial("tcp", "127.0.0.1:47813")
-		if err == nil {
-			c.Close()
-			break
-		}
-		if time.Now().After(bindDeadline) {
-			t.Fatalf("aggregator never bound: %v\nagg: %s", err, aggOut.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	nodes := "2=" + a.addr
 
 	run := func(id int, out *strings.Builder) *exec.Cmd {
 		c := exec.Command(workerBin,
@@ -453,7 +449,7 @@ func TestCLIBinaries(t *testing.T) {
 		case err := <-waitErr:
 			if err != nil {
 				t.Fatalf("worker failed: %v\nworker0: %s\nworker1: %s\nagg: %s",
-					err, o0.String(), o1.String(), aggOut.String())
+					err, o0.String(), o1.String(), a.log())
 			}
 		case <-time.After(90 * time.Second):
 			t.Fatalf("workers timed out\nworker0: %s\nworker1: %s", o0.String(), o1.String())

@@ -2,10 +2,30 @@
 package cli
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"omnireduce/internal/protocol"
 )
+
+// ShapeFlags registers the block-geometry flags cmd/worker and
+// cmd/aggregator share: -block-size, -fusion and -streams. Each defaults to
+// 0, which passes the choice through to the library (protocol.Defaults),
+// so binaries built from different commits run whatever their library
+// defaults to and only an explicit flag can pin a value; the usage text
+// shows the library's current value.
+func ShapeFlags(fs *flag.FlagSet) (blockSize, fusion, streams *int) {
+	d := protocol.Defaults()
+	usage := func(what string, def int) string {
+		return fmt.Sprintf("%s (0 = library default, currently %d)", what, def)
+	}
+	blockSize = fs.Int("block-size", 0, usage("elements per block", d.BlockSize))
+	fusion = fs.Int("fusion", 0, usage("blocks fused per packet", d.FusionWidth))
+	streams = fs.Int("streams", 0, usage("parallel aggregation streams", d.Streams))
+	return blockSize, fusion, streams
+}
 
 // ParseIDList parses a comma-separated list of node IDs ("5,6"); empty
 // input returns nil.

@@ -68,7 +68,8 @@ func TestBatchedUDPSoakUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := NewAggregator(fabric.Wrap(aggUDP), cfg)
+	aggConn := fabric.Wrap(aggUDP)
+	agg, err := NewAggregator(aggConn, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,10 @@ func TestBatchedUDPSoakUnderChaos(t *testing.T) {
 	for _, w := range workers {
 		w.Close()
 	}
-	aggUDP.Close()
+	// Close the conn the aggregator was given, not the raw socket under
+	// it: the fabric owns the pooled buffers its reorder holds are sitting
+	// on, and only its own Close releases them.
+	aggConn.Close()
 	select {
 	case err := <-aggDone:
 		if err != nil {

@@ -41,21 +41,21 @@ import (
 )
 
 // Config parameterizes workers and aggregators. Every participant in a
-// job must use an identical Config.
+// job must use an identical Config. A zero BlockSize, FusionWidth or
+// Streams takes protocol.Defaults' value, which is stated there only.
 type Config struct {
 	// Workers is the number of worker nodes, with IDs 0..Workers-1.
 	Workers int
 	// Aggregators lists the aggregator node IDs. Stream s is served by
 	// Aggregators[s % len(Aggregators)].
 	Aggregators []int
-	// BlockSize is the number of float32 elements per block (default 256,
-	// the paper's default, §6).
+	// BlockSize is the number of float32 elements per block.
 	BlockSize int
 	// FusionWidth is the number of blocks fused per packet, i.e. the
-	// number of columns in each stream's block layout (§3.2). Default 8.
+	// number of columns in each stream's block layout (§3.2).
 	FusionWidth int
 	// Streams is the number of parallel aggregation streams (the slot
-	// pool size, §3.1.1). Default 4.
+	// pool size, §3.1.1).
 	Streams int
 	// Reliable indicates the transport delivers every message in order
 	// (channel/TCP). When false, Algorithm 2 loss recovery is active.

@@ -460,7 +460,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	if good.BlockSize != 256 || good.FusionWidth != 8 || good.Streams != 4 {
+	if good.BlockSize != 256 || good.FusionWidth != 32 || good.Streams != 4 {
 		t.Errorf("defaults wrong: %+v", good)
 	}
 }

@@ -123,6 +123,24 @@ func TestDriversReleaseNoLiveView(t *testing.T) {
 		}
 	})
 
+	t.Run("sparse-bootstrap", func(t *testing.T) {
+		// Worker 1's bootstrap is header-only and worker 0's carries columns
+		// 1 and 3 alone: round 0 closes with two columns nobody contributed
+		// to and two with a single contributor. Everything after the first
+		// blocks is dense, so both workers still answer every result.
+		c := poisonCluster(t, Config{Workers: 2})
+		inputs := randomInputs(n, 2, 0, 25)
+		for _, b := range []int{0, 2} {
+			clear(inputs[0][32*b : 32*(b+1)])
+		}
+		clear(inputs[1][:32*4])
+		want := expectedSum(inputs)
+		c.allReduce(t, inputs)
+		for _, got := range inputs {
+			sameBits(t, got, want)
+		}
+	})
+
 	t.Run("deterministic-order", func(t *testing.T) {
 		c := poisonCluster(t, Config{Workers: 3, DeterministicOrder: true})
 		inputs := randomInputs(n, 3, 0, 22)

@@ -194,6 +194,10 @@ func TestSubstrateEquivalence(t *testing.T) {
 		{workers: 3, aggs: 1, sparsity: 0.9, fusion: 4, streams: 2},
 		{workers: 3, aggs: 2, sparsity: 0.5, fusion: 8, streams: 4},
 		{workers: 4, aggs: 1, sparsity: 0.7, fusion: 2, streams: 3},
+		// Sparse bootstrap: 32 first-in-column blocks per worker, nearly
+		// all zero, so round 0 is mostly header-only packets and columns
+		// nobody contributed to.
+		{workers: 3, aggs: 1, sparsity: 0.95, fusion: 8, streams: 4},
 	}
 	for i, g := range grid {
 		name := fmt.Sprintf("w%d_a%d_s%.0f%%_f%d", g.workers, g.aggs, g.sparsity*100, g.fusion)

@@ -203,8 +203,20 @@ type aggSlot struct {
 	dtype     uint8
 
 	// cur[c] is the block index currently being aggregated for column c
-	// (nextUnknown until the first packet reveals it, nextDone when the
+	// (nextUnknown until a contributed block reveals it, nextDone when the
 	// column is finished).
+	//
+	// Round-0 contract: workers bootstrap with a packet that always carries
+	// Nexts but attaches a column's first block only if it is non-zero
+	// (WorkerMachine.Start). A column nobody contributed to therefore
+	// concludes round 0 still at nextUnknown: merge never ran for it, its
+	// accumulator is empty, finishRound omits it from the result (workers
+	// keep their own zeros) and moves cur to the global minimum next. The
+	// round still closes only when every worker's packet arrived — in
+	// reliable mode because minOf(nexts[c]) stays nextUnknown until then,
+	// in versioned mode by count — so a payload-free bootstrap is a full
+	// participant. The same state arises after a fast-forward, whose
+	// finished columns restart at nextUnknown.
 	cur []int64
 
 	// nexts[c][wid] is the latest "next non-zero block" report from each

@@ -72,14 +72,23 @@ type Config struct {
 	QuantizeScale float64
 }
 
-// Defaults returns the paper-default protocol parameters (§6). This is the
-// single source of defaults: core.Config and simproto.OmniOpts both fill
-// their zero fields from it, so the live cluster and the simulator cannot
-// silently diverge on a parameter.
+// Defaults returns the default protocol parameters. This is the single
+// source of defaults: core.Config (and through it omnireduce.Options and
+// the cmd/worker and cmd/aggregator flags) fills its zero fields from it,
+// so no two layers can silently diverge on a parameter.
+//
+// BlockSize and the retransmission constants are the paper's (§6). The
+// packet shape — FusionWidth x Streams — is measured, not inherited: on
+// the live fabrics the fixed cost per packet, not bytes, bounds a dense
+// collective, so the default is the widest shape on which the dense,
+// 99%-block-sparse and loopback-UDP sweeps of the root package's
+// BenchmarkPacketShape agree (EXPERIMENTS.md, "Packet shape"). Width is
+// free on sparse tensors because the bootstrap ships no zero blocks
+// (WorkerMachine.Start). To move the default, re-run that benchmark.
 func Defaults() Config {
 	return Config{
 		BlockSize:         256,
-		FusionWidth:       8,
+		FusionWidth:       32,
 		Streams:           4,
 		RetransmitTimeout: 20 * time.Millisecond,
 		RetransmitBackoff: 2,

@@ -14,7 +14,7 @@ import (
 // atomic Stats; the simulator reads them directly after the run).
 type WorkerStats struct {
 	BlocksSent    int64 // non-bootstrap data blocks transmitted
-	BlocksSkipped int64 // zero blocks passed over by the next-non-zero look-ahead
+	BlocksSkipped int64 // zero blocks passed over by the next-non-zero look-ahead (elided bootstrap blocks included)
 	PacketsSent   int64
 	BytesSent     int64 // encoded packet bytes, including retransmissions
 	Retransmits   int64 // timer-driven resends, distinct from PacketsSent
@@ -144,9 +144,16 @@ func (m *WorkerMachine) nonZero(b int) bool {
 }
 
 // Start begins the collective over view, emitting one bootstrap packet per
-// stream into eb: the first block of every column is sent unconditionally
-// (Algorithm 1 line 5 generalized to fusion), with the per-column next
-// non-zero offsets piggybacked.
+// stream into eb. The packet always goes — it announces the per-column
+// next non-zero offsets (Algorithm 1 line 5 generalized to fusion) — but a
+// column's first block rides in it only when it is non-zero: the paper
+// sends that block unconditionally, which costs one zero block per column
+// per stream per worker and makes wide packets expensive on sparse
+// tensors. The aggregator needs no payload to open a round (see the
+// round-0 contract on aggSlot.cur), and an elided first block is a skipped
+// block like any other, so per worker
+//
+//	bootstrap blocks + BlocksSent + BlocksSkipped == NumBlocks.
 func (m *WorkerMachine) Start(view TensorView, now time.Duration, eb *EmitBuf) {
 	m.view = view
 	m.started = true
@@ -201,11 +208,18 @@ func (m *WorkerMachine) Start(view TensorView, now time.Duration, eb *EmitBuf) {
 				p.Nexts[c] = wire.Inf(c)
 				continue
 			}
-			p.Blocks = append(p.Blocks, wire.Block{
-				Index: uint32(first),
-				Data:  view.Block(first),
-			})
-			st.next = append(st.next, m.advanceNext(st, c, first))
+			after := first
+			if m.nonZero(first) {
+				p.Blocks = append(p.Blocks, wire.Block{
+					Index: uint32(first),
+					Data:  view.Block(first),
+				})
+			} else {
+				// Zero first block: the look-ahead starts one column slot
+				// earlier, so it passes over (and counts) first itself.
+				after = first - cols
+			}
+			st.next = append(st.next, m.advanceNext(st, c, after))
 			p.Nexts[c] = NextOffsetWire(st.next[c], c)
 		}
 		m.send(st, p, now, eb)
@@ -296,9 +310,6 @@ func (m *WorkerMachine) processResult(st *wStream, p *wire.Packet, now time.Dura
 	}
 	// Unreliable mode: always respond, with an empty ack if we have no
 	// block to contribute (Algorithm 2 lines 18-21).
-	if !contributes {
-		m.stats.AcksSent++
-	}
 	m.send(st, resp, now, eb)
 	return nil
 }
@@ -409,6 +420,9 @@ func (m *WorkerMachine) send(st *wStream, p *wire.Packet, now time.Duration, eb 
 	st.timeout = m.cfg.RetransmitTimeout // fresh packet: reset backoff
 	m.stats.PacketsSent++
 	m.stats.BytesSent += int64(st.lastSize)
+	if !m.cfg.Reliable && len(p.Blocks) == 0 {
+		m.stats.AcksSent++
+	}
 	obs.EmitSlot(obs.EvSlotIssue, int32(m.id), m.tid, uint16(st.idx), p.Version, int64(len(p.Blocks)))
 	eb.Append(Emit{Dst: m.cfg.AggregatorFor(st.idx), Packet: p, Size: st.lastSize})
 }

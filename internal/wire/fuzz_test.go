@@ -108,6 +108,11 @@ func seedPackets() [][]byte {
 	out = append(out, AppendSparsePacket(nil, &SparsePacket{
 		Type: TypeSparseResult, WID: 0, TensorID: 2, NextKey: InfKey,
 	}))
+	// A header-only bootstrap: round 0, next offsets, no block (the first
+	// block of every column was zero). Last, so that adding it renumbered
+	// no earlier corpus file.
+	out = append(out, AppendPacket(nil, &Packet{Type: TypeData, Version: 0, Slot: 2, WID: 1,
+		TensorID: 5, BlockSize: 256, Nexts: []uint32{64, Inf(1), 34, Inf(3)}}))
 	return out
 }
 

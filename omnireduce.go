@@ -38,17 +38,19 @@ import (
 )
 
 // Options configures a deployment. The zero value of every field selects
-// the paper's defaults.
+// the library default; for the block geometry (BlockSize, FusionWidth,
+// Streams) that is internal/protocol's Defaults, the one place those
+// numbers are written down.
 type Options struct {
 	// Workers is the number of worker processes (required).
 	Workers int
 	// Aggregators is the number of aggregator shards (default 1).
 	Aggregators int
-	// BlockSize is the elements per block (default 256).
+	// BlockSize is the elements per block.
 	BlockSize int
-	// FusionWidth is the number of blocks fused per packet (default 8).
+	// FusionWidth is the number of blocks fused per packet.
 	FusionWidth int
-	// Streams is the number of parallel aggregation streams (default 4).
+	// Streams is the number of parallel aggregation streams.
 	Streams int
 	// DeterministicOrder enforces bit-reproducible reduction order (§7).
 	DeterministicOrder bool
@@ -115,7 +117,7 @@ func (o Options) coreConfig(reliable bool, aggIDs []int) core.Config {
 		view = &v
 	}
 	return core.Config{
-		Tenancy: tcfg,
+		Tenancy:            tcfg,
 		Workers:            o.Workers,
 		Aggregators:        aggIDs,
 		BlockSize:          o.BlockSize,
