@@ -33,16 +33,21 @@ bench-selftest:
 	cd bench && $(GO) vet . && $(GO) test -short .
 
 # Failover tier: elastic membership and aggregator handoff. The protocol
-# view/epoch machine traces, the checkpoint snapshot round-trip, the
-# live chaos-kill end-to-end (an aggregator dies mid-collective, a
-# standby is activated, results stay bit-exact), the sparse
-# multi-aggregator routing regression, the drain/watchdog suppression
-# regression, and the sim-vs-live failover drift test — all under the
-# race detector, the two kill tests twenty times over (their kill point
-# is protocol-defined, so one failure in twenty is a bug, not bad luck).
+# view/epoch machine traces and the mirror-built-successor sweeps (a kill
+# after every delivery, a frame behind, two behind, double failover,
+# reliable mode between collectives only), the mirror frame format, the
+# standby's admission rules and its fuzz seeds, a standby behind a lossy
+# link, the live chaos-kill end-to-end (an aggregator dies
+# mid-collective, a standby is activated, results stay bit-exact), the
+# sparse multi-aggregator routing regression, the drain/watchdog
+# suppression regression, the simulator's kill-before-every-event sweep and
+# the sim-vs-live failover drift test — all under the race detector, the
+# two kill tests twenty times over (their kill point is protocol-defined,
+# so one failure in twenty is a bug, not bad luck).
 failover:
-	$(GO) test -race -run 'TestView|TestFailoverPumpHandoff|TestCheckpoint' ./internal/protocol/ ./internal/wire/
-	$(GO) test -race -run 'TestCheckpointGobRoundTrip|TestSparseLiveMultiAggregator|TestDrainSuppressesPostmortem' -v ./internal/core/
+	$(GO) test -race -run 'TestView|TestMembership|TestFailoverPumpHandoff|TestCheckpoint|TestBootstrapElisionFailover|TestMirror|TestReliableFailoverBetweenCollectivesOnly' ./internal/protocol/ ./internal/wire/
+	$(GO) test -race -run 'TestStandby|FuzzStandbyFrame|TestFailoverLossyStandbyLink|TestSparseLiveMultiAggregator|TestDrainSuppressesPostmortem' -v ./internal/core/
+	$(GO) test -race -run 'TestFailoverSimEveryEvent' ./internal/netsim/simproto/
 	$(GO) test -race -run 'TestFailoverLiveChaosKill' -count=20 ./internal/core/
 	$(GO) test -race -run 'TestFailoverDriftLiveVsSim' -count=20 ./internal/netsim/simproto/
 
@@ -87,15 +92,20 @@ short-race: vet
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/core/ ./internal/transport/
 
-# Continuous fuzzing of the zero-block kernel and the wire decoders
-# (FUZZTIME to override). The decoder targets hold the view decoders to
-# the copying ones at buffer offsets 0-3, and are built with checkptr so
-# that a view reaching outside its message is a crash, not a wrong value.
+# Continuous fuzzing of the zero-block kernel and of everything decoded
+# off the network (FUZZTIME to override): the data decoders, the view and
+# control planes, and the standby's mirror-frame handler. The data targets
+# hold the view decoders to the copying ones at buffer offsets 0-3; all
+# decoder targets are built with checkptr so that a view reaching outside
+# its message is a crash, not a wrong value.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzZeroBlock -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeSparsePacket -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeView -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeControl -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzStandbyFrame -fuzztime $(FUZZTIME) ./internal/core/
 
 # Bench tier: the wall-clock datapath benchmarks with allocation stats,
 # recorded to BENCH_datapath.json (baseline preserved across reruns) so
@@ -106,16 +116,20 @@ fuzz:
 # encoded bytes per operation), and BenchmarkPacketShape's FusionWidth x
 # Streams sweep is recorded with them: it is the evidence behind
 # protocol.Defaults' packet shape, so a change of default starts as a rerun.
-# benchjson also gates the pinned benchmark families against the previous
-# recording: >10% growth in allocs/op or >35% loss in MB/s
-# (throughput is the noisier metric) fails the tier. Of the decoders, the
-# copying DecodePacketInto and the live path's DecodePacketView are gated;
-# the allocating DecodePacket is recorded only (it measures the collector).
+# BenchmarkCheckpointTax records what a standby costs a dense collective
+# when nothing fails (tax-x, mirrored over plain, rounds interleaved), and
+# benchjson fails the tier if it exceeds 2. benchjson also gates the pinned
+# benchmark families against the previous recording: >10% growth in
+# allocs/op or >35% loss in MB/s (throughput is the noisier metric) fails
+# the tier. Of the decoders, the copying DecodePacketInto and the live
+# path's DecodePacketView are gated; the allocating DecodePacket is
+# recorded only (it measures the collector).
 bench:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 10x . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPacketShape$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFailoverHandoff$$' -benchtime 5x . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkCheckpointTax$$' -benchtime 50x -count=3 . ; \
 	  for i in 1 2 3 4 5 6 7; do \
 	    $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x . ; \
 	  done ; \

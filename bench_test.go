@@ -660,3 +660,110 @@ func BenchmarkFailoverHandoff(b *testing.B) {
 		b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/op")
 	})
 }
+
+// BenchmarkCheckpointTax measures what having a standby costs when nothing
+// fails: the same dense 1 Mi-element AllReduce on two channel-fabric
+// clusters, one plain and one whose aggregator mirrors every committed
+// result to a standby (the repository benchmark's dense_chan and
+// checkpoint_chan), one round on each in turn so that machine drift lands
+// on both. ns/op is the mirrored round; plain-ns/op the plain one; tax-x
+// their ratio, which cmd/benchjson holds to at most 2 in make bench.
+func BenchmarkCheckpointTax(b *testing.B) {
+	const (
+		W       = 2
+		agg     = 2
+		standby = 3
+		n       = 1 << 20
+	)
+	cluster := func(mirrored bool) []*core.Worker {
+		cfg := core.Config{Workers: W, Aggregators: []int{agg}, Reliable: true}
+		nw := transport.NewNetwork(W, 4096)
+		var conns []transport.Conn
+		var wg sync.WaitGroup
+		start := func(id int, c core.Config) {
+			conn := nw.AddNode(id)
+			conns = append(conns, conn)
+			a, err := core.NewAggregator(conn, c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := a.Run(); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		primCfg := cfg
+		if mirrored {
+			cfg.View = &protocol.View{Epoch: 1, Workers: []int{0, 1}, Aggregators: []int{agg}}
+			primCfg = cfg
+			primCfg.CheckpointPeers = []int{standby}
+			sbCfg := cfg
+			sbCfg.Standby = true
+			start(standby, sbCfg)
+		}
+		start(agg, primCfg)
+		ws := make([]*core.Worker, W)
+		for w := range ws {
+			wk, err := core.NewWorker(nw.Conn(w), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ws[w] = wk
+		}
+		b.Cleanup(func() {
+			for _, wk := range ws {
+				wk.Close()
+			}
+			for _, c := range conns {
+				c.Close()
+			}
+			wg.Wait()
+		})
+		return ws
+	}
+	inputs := benchInputs(W, n, 0, 5)
+	work := make([][]float32, W)
+	for w := range work {
+		work[w] = make([]float32, n)
+	}
+	round := func(ws []*core.Worker) time.Duration {
+		for w := range work {
+			copy(work[w], inputs[w])
+		}
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for w := range ws {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := ws[w].AllReduce(work[w]); err != nil {
+					b.Error(err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		return time.Since(t0)
+	}
+	plain, mirrored := cluster(false), cluster(true)
+	for i := 0; i < 4; i++ {
+		round(plain)
+		round(mirrored)
+	}
+	frames := obs.Default.Counter("agg_ck_frames_sent")
+	before := frames.Load()
+	var plainNs, mirroredNs time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plainNs += round(plain)
+		mirroredNs += round(mirrored)
+	}
+	if frames.Load() == before {
+		b.Fatal("the mirrored cluster mirrored nothing")
+	}
+	b.ReportMetric(float64(mirroredNs.Nanoseconds())/float64(b.N), "ns/op")
+	b.ReportMetric(float64(plainNs.Nanoseconds())/float64(b.N), "plain-ns/op")
+	b.ReportMetric(float64(mirroredNs)/float64(plainNs), "tax-x")
+}

@@ -38,8 +38,8 @@ func main() {
 	blockSize, fusion, streams := cli.ShapeFlags(flag.CommandLine)
 	quotaFile := flag.String("quota-file", "", "JSON per-tenant quota/weight policy (see internal/cli.QuotaFile)")
 	viewEpoch := flag.Uint("view-epoch", 0, "starting membership view epoch (> 0 enables dynamic membership and epoch enforcement)")
-	checkpointPeers := flag.String("checkpoint-peers", "", "comma-separated standby node ids to stream slot-state checkpoints to (requires tcp between primary and standby)")
-	standby := flag.Bool("standby", false, "start passive: store checkpoints and refuse data until activated into a view (requires -view-epoch)")
+	checkpointPeers := flag.String("checkpoint-peers", "", "comma-separated standby node ids to mirror every committed result to, ahead of the workers")
+	standby := flag.Bool("standby", false, "start passive: store mirrored results and refuse data until activated into a view (requires -view-epoch)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight rounds on SIGTERM before closing anyway")
 	obsAddr := flag.String("obs", "", "serve /debug/obs, /debug/vars, and /debug/pprof on this address (empty = off)")
 	flag.Parse()

@@ -32,6 +32,11 @@
 // far noisier than allocation counts on a shared box). The file is
 // still written first, so the offending numbers are on disk for
 // inspection.
+//
+// BenchmarkCheckpointTax reports tax-x, the time of a collective with a
+// standby over the same collective without one. It is recorded like the
+// other metrics and, whatever the flags, may not exceed maxCheckpointTax:
+// failover has to stay nearly free when nothing fails.
 package main
 
 import (
@@ -58,7 +63,12 @@ type Result struct {
 	// workers sent per operation (an exact count unless a datagram was
 	// retransmitted).
 	WireBPerOp float64 `json:"wire_b_op,omitempty"`
+	// TaxX is BenchmarkCheckpointTax's ratio (see the package comment).
+	TaxX float64 `json:"tax_x,omitempty"`
 }
+
+// maxCheckpointTax is the most a standby may cost a collective.
+const maxCheckpointTax = 2.0
 
 // File is the on-disk layout.
 type File struct {
@@ -96,6 +106,8 @@ func parse(line string) (Result, bool) {
 			r.AllocsOp = int64(v)
 		case "wire-B/op":
 			r.WireBPerOp = v
+		case "tax-x":
+			r.TaxX = v
 		}
 	}
 	return r, r.NsPerOp > 0
@@ -134,6 +146,9 @@ func dedupe(results []Result) []Result {
 		}
 		if r.WireBPerOp < b.WireBPerOp {
 			b.WireBPerOp = r.WireBPerOp
+		}
+		if r.TaxX < b.TaxX {
+			b.TaxX = r.TaxX
 		}
 	}
 	return out
@@ -305,6 +320,12 @@ func main() {
 			fail = true
 		case found:
 			fmt.Fprintf(os.Stderr, "benchjson: flight-recorder overhead %+.1f%% (budget %.0f%%)\n", pct, *budget)
+		}
+	}
+	for _, r := range current {
+		if r.TaxX > maxCheckpointTax {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: a standby costs %.2fx, more than %.0fx\n", r.Name, r.TaxX, maxCheckpointTax)
+			fail = true
 		}
 	}
 	if *gate != "" && len(prevCur) > 0 {

@@ -19,6 +19,13 @@ func TestParseLine(t *testing.T) {
 		r.WireBPerOp != 88728 || r.BPerOp != 8280 || r.AllocsOp != 53 {
 		t.Fatalf("custom metric line: ok=%v %+v", ok, r)
 	}
+	r, ok = parse("BenchmarkCheckpointTax-2  50  4264294 ns/op  3740708 plain-ns/op  1.140 tax-x")
+	if !ok || r.NsPerOp != 4264294 || r.TaxX != 1.14 {
+		t.Fatalf("tax line: ok=%v %+v", ok, r)
+	}
+	if d := dedupe([]Result{r, {Name: r.Name, NsPerOp: 5e6, TaxX: 1.1}}); len(d) != 1 || d[0].TaxX != 1.1 || d[0].NsPerOp != 4264294 {
+		t.Fatalf("tax dedupe: %+v", d)
+	}
 	if _, ok := parse("PASS"); ok {
 		t.Fatal("non-benchmark line parsed")
 	}

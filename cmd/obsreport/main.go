@@ -3,7 +3,10 @@
 // pool-leak audit bracketing the run, renders the metrics registry, trace
 // tallies, receive-pump routing decisions, and pool balances as tables,
 // and records the whole snapshot to a JSON file so the observability
-// surface is tracked alongside BENCH_datapath.json from PR to PR.
+// surface is tracked alongside BENCH_datapath.json from PR to PR. A last
+// sweep runs with a standby aggregator, so the failover counters carry
+// real numbers and the report can say what mirroring costs per operation
+// and which view epoch the aggregators are in.
 //
 // The report includes p50/p95/p99 for every histogram (extracted from the
 // log2 buckets by the registry snapshot) and the disabled-tracer overhead
@@ -26,7 +29,10 @@ import (
 	"time"
 
 	"omnireduce"
+	"omnireduce/internal/core"
 	"omnireduce/internal/obs"
+	"omnireduce/internal/protocol"
+	"omnireduce/internal/transport"
 )
 
 // report is the on-disk layout: the registry snapshot and pool balances
@@ -144,6 +150,70 @@ func runJobsSweep(workers, size int) {
 	}
 }
 
+// runStandbySweep runs iters dense AllReduces on two workers whose
+// aggregator mirrors every committed result to a standby, under view
+// epoch 1. The public package has no seam for a standby in a local
+// cluster, so the nodes are built from internal/core, as NewLocalCluster
+// builds its own.
+func runStandbySweep(size, iters int) {
+	const workers, agg, standby = 2, 2, 3
+	cfg := core.Config{Workers: workers, Aggregators: []int{agg}, Reliable: true,
+		View: &protocol.View{Epoch: 1, Workers: []int{0, 1}, Aggregators: []int{agg}}}
+	nw := transport.NewNetwork(workers, 4096)
+	var conns []transport.Conn
+	var aggs sync.WaitGroup
+	start := func(id int, c core.Config) {
+		conn := nw.AddNode(id)
+		conns = append(conns, conn)
+		a, err := core.NewAggregator(conn, c)
+		if err != nil {
+			log.Fatalf("obsreport: %v", err)
+		}
+		aggs.Add(1)
+		go func() {
+			defer aggs.Done()
+			if err := a.Run(); err != nil {
+				log.Fatalf("obsreport: aggregator %d: %v", id, err)
+			}
+		}()
+	}
+	sbCfg, primCfg := cfg, cfg
+	sbCfg.Standby = true
+	primCfg.CheckpointPeers = []int{standby}
+	start(standby, sbCfg)
+	start(agg, primCfg)
+	var wg sync.WaitGroup
+	ws := make([]*core.Worker, workers)
+	for w := range ws {
+		wk, err := core.NewWorker(nw.Conn(w), cfg)
+		if err != nil {
+			log.Fatalf("obsreport: %v", err)
+		}
+		ws[w] = wk
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			data := make([]float32, size)
+			for it := 0; it < iters; it++ {
+				for i := range data {
+					data[i] = float32(w + i%7 + 1)
+				}
+				if err := ws[w].AllReduce(data); err != nil {
+					log.Fatalf("obsreport: standby sweep worker %d: %v", w, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, wk := range ws {
+		wk.Close()
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	aggs.Wait()
+}
+
 func main() {
 	out := flag.String("o", "OBS_datapath.json", "output JSON path (empty to skip)")
 	workers := flag.Int("workers", 4, "in-process workers")
@@ -172,6 +242,12 @@ func main() {
 	// the per-tenant admission metrics appear in the tables and snapshot.
 	runJobsSweep(*workers, *size/4)
 
+	// Standby sweep: what mirroring to a standby adds per operation.
+	ck := func(name string) int64 { return obs.Default.Counter(name).Load() }
+	frames0, bytes0, stored0 := ck("agg_ck_frames_sent"), ck("agg_ck_bytes_sent"), ck("agg_ck_frames_stored")
+	runStandbySweep(*size, *iters)
+	ckFrames, ckBytes := ck("agg_ck_frames_sent")-frames0, ck("agg_ck_bytes_sent")-bytes0
+
 	leaks := audit.Settle(2 * time.Second)
 	overheadPct := 100 * (float64(traced-untraced) / float64(untraced))
 
@@ -179,6 +255,8 @@ func main() {
 		*workers, *iters, *size, *sparsityF*100)
 	fmt.Printf("obsreport: untraced %v, traced %v (delta %+.1f%%; enforced budget lives in make bench)\n",
 		untraced.Round(time.Millisecond), traced.Round(time.Millisecond), overheadPct)
+	fmt.Printf("obsreport: standby sweep: %d results mirrored per op in %d bytes per op (%d per frame), standby stored %d frames; view epoch %d\n",
+		ckFrames/int64(*iters), ckBytes/int64(*iters), ckBytes/ckFrames, ck("agg_ck_frames_stored")-stored0, obs.Default.Gauge("agg_view_epoch").Load())
 	for _, t := range obs.Default.Tables("obs ") {
 		t.Render(os.Stdout)
 	}

@@ -99,7 +99,6 @@ func udpChaos(dumpDir string, density float64) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer u.Close()
 		eps[i] = u
 	}
 	for i, u := range eps {
@@ -116,7 +115,12 @@ func udpChaos(dumpDir string, density float64) {
 	fabric := transport.NewChaosFabric(chaosScenario(2021))
 	conns := make([]transport.Conn, workers+1)
 	for i, u := range eps {
-		conns[i] = fabric.Wrap(u)
+		// Close the wrapped endpoint, not the socket under it: the fabric
+		// may still hold a reordered datagram of this sender's in a pooled
+		// buffer, and only its own Close gives that back.
+		c := fabric.Wrap(u)
+		defer c.Close()
+		conns[i] = c
 	}
 
 	agg, err := core.NewAggregator(conns[workers], cfg)

@@ -68,8 +68,8 @@ type Aggregator struct {
 	// PumpSnapshot.
 	pump aggPumpCounters
 
-	// Elastic membership (see failover.go). viewMu guards view, standby
-	// and ckStore; enforce is the datapath's lock-free "is epoch
+	// Elastic membership (see failover.go). viewMu guards view, standby,
+	// restoreFrom and shadows; enforce is the datapath's lock-free "is epoch
 	// enforcement on" check (flips on at most once, never off). The
 	// gate's epoch bindings live on the gate itself: they are touched
 	// only by the Recv-consumer thread.
@@ -77,7 +77,7 @@ type Aggregator struct {
 	view        protocol.View
 	standby     bool
 	restoreFrom int // primary replaced at activation (-1 = none recorded)
-	ckStore     map[ckKey][]byte
+	shadows     map[shadowKey]*protocol.AggregatorMachine
 	enforce     atomic.Bool
 
 	// Stats accumulates traffic counters. They are written by the Run
@@ -136,7 +136,7 @@ type AggStats struct {
 	DupsFiltered     int64 // same-round duplicates discarded
 	StaleRounds      int64 // packets arriving for an already-concluded round
 	StaleFinished    int64 // packets for finished tensors past the archive
-	FastForwards     int64 // rounds skipped resyncing after a checkpoint restore
+	FastForwards     int64 // rounds skipped resyncing after a takeover
 }
 
 // add folds another AggStats in field for field.
@@ -195,11 +195,12 @@ func NewAggregator(conn transport.Conn, cfg Config) (*Aggregator, error) {
 		tx:   txBatch{observe: observeAggTx, flushFull: obsAggFlushFull, flushEnd: obsAggFlushEnd},
 	}
 	a.ms = newMachineSet(cfg.proto(), conn.LocalID(), a.reg)
-	a.ms.restore = a.restoreInto
+	a.ms.restore = a.adoptShadow
 	a.tx.resolve = a.resolveDst
 	a.gate = admitGate{a: a, verdicts: make(map[admitKey]uint8), gens: make(map[uint32]uint32), bound: make(map[int]uint32)}
 	if cfg.View != nil {
 		a.view = cfg.View.Clone()
+		obsAggViewEpoch.Set(int64(a.view.Epoch))
 	}
 	a.standby = cfg.Standby
 	a.restoreFrom = -1
@@ -247,8 +248,8 @@ type machineSet struct {
 
 	// shard is this set's shard index (0 on the serial path); restore,
 	// when non-nil, is consulted once per freshly built machine so an
-	// activated standby resumes from the dead primary's streamed
-	// checkpoint instead of a blank slate (see Aggregator.restoreInto).
+	// activated standby resumes from the results the dead primary
+	// mirrored to it instead of a blank slate (see Aggregator.adoptShadow).
 	shard   int
 	restore func(m *protocol.AggregatorMachine, shard int, ns uint32)
 }
@@ -303,8 +304,8 @@ func (s *machineSet) machineFor(tid uint32, gen uint32) *protocol.AggregatorMach
 	m.Presize(cfg.WithDefaults().Streams, inFlight)
 	m.SlotOpened = s.reg.SlotOpened
 	m.SlotFinished = s.reg.SlotFinished
-	// Restore after the hooks are set: restoring open slots must replay
-	// SlotOpened into the registry's in-flight accounting.
+	// Restore after the hooks are set: adopted open slots must reach the
+	// registry's in-flight accounting through SlotOpened.
 	if s.restore != nil {
 		s.restore(m, s.shard, ns)
 	}
@@ -339,6 +340,7 @@ func (s *machineSet) fold(sum *AggStats) {
 // away between receiving a packet and transmitting its response) is also
 // orderly shutdown.
 func (a *Aggregator) Run() error {
+	defer a.releaseShadows()
 	if a.cfg.AggShards > 1 {
 		return a.runSharded(a.cfg.AggShards)
 	}
@@ -379,10 +381,9 @@ func (a *Aggregator) Run() error {
 // handle decodes one inbound message, runs it through its namespace's
 // machine, and transmits the machine's emits.
 func (a *Aggregator) handle(m transport.Message) error {
-	var gen, tid uint32
-	if t, ok := peekTensorID(m.Data); ok {
-		tid = t
-		gen = a.gate.genOf(t)
+	var gen uint32
+	if tid, ok := peekTensorID(m.Data); ok {
+		gen = a.gate.genOf(tid)
 	}
 	a.eb.Reset()
 	err := handleMsg(&a.ms, &a.dec, &a.eb, m, gen)
@@ -391,11 +392,11 @@ func (a *Aggregator) handle(m transport.Message) error {
 	if err != nil {
 		return err
 	}
-	// Output-commit: the checkpoint covering this machine step streams to
-	// the standbys BEFORE the step's emits reach any worker, so a standby
-	// can never know less than a worker holding one of these results.
-	if len(a.cfg.CheckpointPeers) > 0 && len(a.eb.Emits()) > 0 {
-		a.sendCheckpoint(&a.ms, a.ms.shard, protocol.TidNamespace(tid))
+	// Output-commit: a result this step committed goes to the standbys
+	// BEFORE it reaches any worker, so a standby can never know less than
+	// a worker holding it.
+	if len(a.cfg.CheckpointPeers) > 0 {
+		a.mirrorCommits(&a.tx, a.conn, a.eb.Emits(), a.ms.shard)
 	}
 	return a.tx.sendEmits(a.conn, a.eb.Emits())
 }
@@ -471,6 +472,7 @@ type admitGate struct {
 	gens     map[uint32]uint32  // namespace registration generations (bumped on job deregistration)
 	bound    map[int]uint32     // per-connection acked view epoch (TypeViewAck), gate-thread only
 	ctrlBuf  []byte             // reusable control-reply encode buffer
+	dec      decodeState        // decodes mirrored results (standbys only)
 }
 
 // admitKey identifies one ruled-on packet source: the operation, the
@@ -619,10 +621,10 @@ type aggShard struct {
 	tx   txBatch
 	err  error
 
-	// ck, when non-nil, streams the handled namespace's checkpoint to the
-	// standbys after each machine step that produced emits, before those
-	// emits transmit (Aggregator.sendCheckpoint).
-	ck func(ms *machineSet, shard int, ns uint32)
+	// mirror, when non-nil, sends the results a machine step committed to
+	// the standbys before the step's emits transmit
+	// (Aggregator.mirrorCommits).
+	mirror func(tx *txBatch, conn transport.Conn, emits []protocol.Emit, shard int)
 }
 
 // shardItem is one scheduled unit of shard work: the encoded message
@@ -652,16 +654,10 @@ func (s *aggShard) run(fail func()) {
 			transport.PutBuf(it.m.Data)
 			continue
 		}
-		var ns uint32
-		if s.ck != nil {
-			if tid, ok := peekTensorID(it.m.Data); ok {
-				ns = protocol.TidNamespace(tid)
-			}
-		}
 		err := handleMsg(&s.ms, &s.dec, &s.eb, it.m, it.gen)
 		if err == nil {
-			if s.ck != nil && len(s.eb.Emits()) > 0 {
-				s.ck(&s.ms, s.ms.shard, ns)
+			if s.mirror != nil {
+				s.mirror(&s.tx, s.conn, s.eb.Emits(), s.ms.shard)
 			}
 			err = s.tx.sendEmits(s.conn, s.eb.Emits())
 		}
@@ -712,9 +708,9 @@ func (a *Aggregator) runSharded(n int) error {
 			in:   tenant.NewDRR[shardItem](0, schedFlowCap, a.reg.Weight),
 		}
 		shards[i].ms.shard = i
-		shards[i].ms.restore = a.restoreInto
+		shards[i].ms.restore = a.adoptShadow
 		if len(a.cfg.CheckpointPeers) > 0 {
-			shards[i].ck = a.sendCheckpoint
+			shards[i].mirror = a.mirrorCommits
 		}
 		shards[i].tx = txBatch{observe: observeAggTx, flushFull: obsAggFlushFull, flushEnd: obsAggFlushEnd, resolve: a.resolveDst}
 	}

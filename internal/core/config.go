@@ -148,18 +148,21 @@ type Config struct {
 	// keeps the legacy static-membership behavior, bit for bit.
 	View *protocol.View
 	// CheckpointPeers lists standby aggregator node IDs this aggregator
-	// streams slot-state checkpoints to, one frame per tensor-ID
-	// namespace after every batch of result emits (the checkpoint is
-	// enqueued BEFORE the results it covers, so a standby always knows at
-	// least as much as any worker — the output-commit rule failover
-	// correctness rests on). Empty disables checkpointing; workers ignore
-	// it. Checkpoint frames can exceed a UDP datagram, so primaries and
-	// standbys must be linked by a framed reliable transport.
+	// mirrors its results to: every result that concludes a round is sent
+	// to each peer, behind a 16-byte envelope, BEFORE it is sent to any
+	// worker, so a standby always knows at least as much as any worker —
+	// the output-commit rule failover correctness rests on. Those results
+	// are all a successor needs (protocol.AggregatorMachine.AdoptResult).
+	// A frame fits wherever a result does, so the link to a standby may be
+	// any transport, datagrams included; a frame lost there costs the
+	// successor one round of fast-forward. Empty disables mirroring;
+	// workers ignore it. Primaries, standbys and workers must agree on
+	// BlockSize: a standby drops results of any other geometry.
 	CheckpointPeers []int
-	// Standby starts an aggregator passive: it stores inbound checkpoints
-	// and refuses data traffic with stale-epoch refusals until Activate
-	// installs a view that lists it (or a TypeView announcement arrives).
-	// Workers ignore it.
+	// Standby starts an aggregator passive: it stores the results its
+	// view's aggregators mirror to it and refuses data traffic with
+	// stale-epoch refusals until Activate installs a view that lists it
+	// (or a TypeView announcement arrives). Workers ignore it.
 	Standby bool
 }
 

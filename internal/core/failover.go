@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"omnireduce/internal/obs"
@@ -12,48 +10,39 @@ import (
 )
 
 // Aggregator-side elastic membership: epoch enforcement on the admission
-// gate, slot-state checkpoint streaming to standbys, and standby
-// activation (failover takeover).
+// gate, result mirroring to standbys, and standby activation (failover
+// takeover).
 //
-// The correctness backbone is the output-commit rule: a primary enqueues
-// the checkpoint covering a round BEFORE the round's result emits. Any
-// worker holding result r therefore implies checkpoint r is already in
-// the standby's receive queue (per-pair FIFO), so an activated standby
-// always knows at least as much as the most-advanced worker. If a
-// checkpoint is nevertheless lost (UDP-linked standby, crash between
-// frames), the machines' fast-forward resync recovers the one-round gap
-// from the workers' own packets — see protocol.AggregatorMachine.
+// What a standby needs of a primary is the results the primary committed
+// (protocol.AggregatorMachine.AdoptResult), so that is all that is sent:
+// each committed result, once more, to every checkpoint peer. The
+// correctness backbone is the output-commit rule, and it is one line of
+// ordering: a round's mirror frames are sent BEFORE the round's result
+// emits. Any worker holding result r therefore implies the frame carrying
+// r is already in the standby's receive queue (per-pair FIFO), so an
+// activated standby is never behind a worker. If a frame is nevertheless
+// lost (a standby on a lossy link), the machines' fast-forward resync
+// recovers the one-round gap from the workers' own packets.
 
-// ckKey identifies one stored checkpoint: the primary that produced it
-// (a standby may receive streams from every primary), the shard within
-// it, and the tensor-ID namespace it covers. Keying on the source is
-// load-bearing — two primaries both legitimately checkpoint (shard 0,
-// ns 0), and an activated standby must resume from the state of the
-// node it replaces, not whichever primary wrote last.
-type ckKey struct {
+// shadowKey names one shadow machine of a standby: the primary whose
+// results it adopts (a standby may serve several, and must resume from the
+// state of the node it replaces, not whichever wrote last), the tensor-ID
+// namespace, and the standby's own shard the slots fall in — its own,
+// because the successor's machines are laid out by its shard count, not
+// the dead primary's.
+type shadowKey struct {
 	from  int
-	shard uint16
 	ns    uint32
+	shard int
 }
 
-// encodeAggCheckpoint serializes a machine snapshot with gob (the DTOs
-// are gob-friendly by construction: exported fields, no cycles).
-func encodeAggCheckpoint(ck *protocol.AggCheckpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeAggCheckpoint is encodeAggCheckpoint's inverse.
-func decodeAggCheckpoint(p []byte) (*protocol.AggCheckpoint, error) {
-	ck := &protocol.AggCheckpoint{}
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(ck); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
+// Bounds on what a peer can make a standby hold: shadow machines in all,
+// and the slot index within one (the 12 bits wire.Immediate gives a slot).
+// Within a slot the machine bounds itself (protocol.ArchiveDepth).
+const (
+	maxShadows    = 1024
+	maxShadowSlot = 1 << 12
+)
 
 // View returns the aggregator's current membership view (Epoch 0 =
 // static legacy membership).
@@ -79,8 +68,8 @@ func (a *Aggregator) Standby() bool {
 
 // Activate installs a newer view on this aggregator and announces it to
 // every member: the failover takeover step. On a standby it flips the
-// node active — its stored checkpoints restore lazily as each
-// namespace's first data packet arrives (every checkpoint from the dead
+// node active — the results it stored are adopted lazily, as each
+// namespace's first data packet arrives (every frame from the dead
 // primary is FIFO-ahead of any post-rebind worker data, so the store is
 // complete by then). On an already-active aggregator it just adopts the
 // new membership. Views not newer than the current one are refused.
@@ -101,8 +90,8 @@ func (a *Aggregator) Activate(v protocol.View) error {
 		return fmt.Errorf("core: activate: view epoch %d not newer than current %d", v.Epoch, cur)
 	}
 	// Record which primary this node replaces: the node the outgoing view
-	// listed at the position the new view gives us. Its checkpoints are
-	// the ones our machines must restore from.
+	// listed at the position the new view gives us. Its results are the
+	// ones our machines must adopt.
 	if a.standby {
 		self := a.conn.LocalID()
 		for i, agg := range v.Aggregators {
@@ -116,6 +105,7 @@ func (a *Aggregator) Activate(v protocol.View) error {
 	a.viewMu.Unlock()
 	a.enforce.Store(true)
 	obsAggViewChanges.Inc()
+	obsAggViewEpoch.Set(int64(v.Epoch))
 	obs.Emit(obs.EvViewChange, 0, int64(v.Epoch))
 
 	vp := packetFromView(wire.TypeView, v)
@@ -139,21 +129,60 @@ func (a *Aggregator) Activate(v protocol.View) error {
 	return err
 }
 
-// storeCheckpoint retains the latest checkpoint per (source, shard,
-// namespace). Only the newest per key matters: each frame is a complete
-// snapshot, and per-pair FIFO delivery makes arrival order match
-// production order.
-func (a *Aggregator) storeCheckpoint(from int, f *wire.CheckpointFrame) {
-	a.viewMu.Lock()
-	if a.ckStore == nil {
-		a.ckStore = make(map[ckKey][]byte)
+// shadowResult rules on one TypeCheckpoint frame: its result is adopted by
+// the shadow machine of (sender, namespace, shard), which is all a standby
+// keeps of it. A standby adopts from a node its view lists as an
+// aggregator, frames not older than that view; once activated it adopts
+// only what the primary it replaced sent before dying (frames still queued
+// behind the activation are ahead of any rebound worker's data, so they
+// are in the shadow by the time a machine takes it over). The result must
+// belong to the namespace the envelope names, and be one AdoptResult
+// accepts. Everything else is dropped, which costs a well-behaved primary
+// nothing and a lossy link one round of fast-forward.
+func (a *Aggregator) shadowResult(from int, buf []byte, dec *decodeState) {
+	f, err := wire.DecodeCheckpoint(buf)
+	if err != nil {
+		return
 	}
-	a.ckStore[ckKey{from: from, shard: f.Shard, ns: f.NS}] = f.Payload
-	a.viewMu.Unlock()
-	obsAggCkStored.Inc()
+	res, err := dec.decodeDense(f.Result)
+	if err != nil || protocol.TidNamespace(res.TensorID) != f.NS || res.Slot >= maxShadowSlot {
+		return
+	}
+	a.viewMu.Lock()
+	defer a.viewMu.Unlock()
+	if a.standby {
+		if !a.view.HasAggregator(from) || f.Epoch < a.view.Epoch {
+			return
+		}
+	} else if from != a.restoreFrom {
+		return
+	}
+	k := shadowKey{from: from, ns: f.NS, shard: int(res.Slot) % a.shardCount()}
+	m := a.shadows[k]
+	if m == nil {
+		if len(a.shadows) >= maxShadows {
+			return
+		}
+		if a.shadows == nil {
+			a.shadows = make(map[shadowKey]*protocol.AggregatorMachine)
+		}
+		m = protocol.NewAggregatorMachine(a.cfg.proto(), a.conn.LocalID())
+		a.shadows[k] = m
+	}
+	if m.AdoptResult(res) {
+		obsAggCkStored.Inc()
+	}
 }
 
-// CheckpointsFrom reports how many checkpoint frames from primary node
+// shardCount is the number of machine sets Run spreads slots over.
+func (a *Aggregator) shardCount() int {
+	if a.cfg.AggShards > 1 {
+		return a.cfg.AggShards
+	}
+	return 1
+}
+
+// CheckpointsFrom reports how many mirrored results from primary node
 // `from` this aggregator currently holds. Chaos harnesses use it to kill
 // a primary only once its standby provably has state to take over from;
 // orchestrators can use it to gate activation the same way.
@@ -161,81 +190,67 @@ func (a *Aggregator) CheckpointsFrom(from int) int {
 	a.viewMu.Lock()
 	defer a.viewMu.Unlock()
 	n := 0
-	for k := range a.ckStore {
+	for k, m := range a.shadows {
 		if k.from == from {
-			n++
+			n += m.Held()
 		}
 	}
 	return n
 }
 
-// takeCheckpoint consumes the stored checkpoint for (shard, ns) from the
-// primary this node replaced at activation (restoreFrom). Consume-once:
-// after the machine restores, later lookups must build fresh state, not
-// resurrect the dead node's past. With no recorded predecessor (manual
-// activation against an unknown prior view) any single matching source
-// is accepted.
-func (a *Aggregator) takeCheckpoint(shard int, ns uint32) []byte {
-	a.viewMu.Lock()
-	defer a.viewMu.Unlock()
-	k := ckKey{from: a.restoreFrom, shard: uint16(shard), ns: ns}
-	if p, ok := a.ckStore[k]; ok {
-		delete(a.ckStore, k)
-		return p
+// mirrorCommits sends the result the burst commits, if any, to each
+// checkpoint peer, as its own encoding behind a TypeCheckpoint envelope.
+// Called after a machine step and BEFORE sendEmits transmits the burst (the
+// output-commit rule). Best effort per peer: a dead or unknown standby
+// must not take down the primary, and a lost frame is recovered by
+// fast-forward resync.
+func (a *Aggregator) mirrorCommits(tx *txBatch, conn transport.Conn, emits []protocol.Emit, shard int) {
+	e := protocol.Committed(emits)
+	if e == nil {
+		return
 	}
-	if a.restoreFrom < 0 {
-		for kk, p := range a.ckStore {
-			if kk.shard == uint16(shard) && kk.ns == ns {
-				delete(a.ckStore, kk)
-				return p
-			}
+	f := wire.CheckpointFrame{Shard: uint16(shard), NS: protocol.TidNamespace(e.Packet.TensorID), Epoch: a.curEpoch()}
+	n := wire.CheckpointHeaderLen + e.Size
+	for _, peer := range a.cfg.CheckpointPeers {
+		_ = tx.sendOwned(conn, peer, wire.AppendCheckpoint(transport.GetBuf(n)[:0], &f, e.Packet))
+		obsAggCkBytes.Add(int64(n))
+	}
+	obsAggCkSent.Inc()
+	obs.Emit(obs.EvCheckpoint, f.NS, int64(n))
+}
+
+// adoptShadow is machineSet's restore hook: m was just built for (shard,
+// ns) — with the job's own worker count, which a shadow cannot know — and
+// adopts what the shadow of the primary this node replaced at activation
+// holds (of any source, when a manual activation recorded no predecessor).
+// Consume-once: the shadow leaves the store, so a machine rebuilt later
+// starts fresh instead of resurrecting the dead node's past.
+func (a *Aggregator) adoptShadow(m *protocol.AggregatorMachine, shard int, ns uint32) {
+	var taken []*protocol.AggregatorMachine
+	a.viewMu.Lock()
+	for k, sh := range a.shadows {
+		if k.ns == ns && k.shard == shard && (k.from == a.restoreFrom || a.restoreFrom < 0) {
+			taken = append(taken, sh)
+			delete(a.shadows, k)
 		}
 	}
-	return nil
+	a.viewMu.Unlock()
+	for _, sh := range taken {
+		if m.AdoptFrom(sh) {
+			obsAggCkRestored.Inc()
+		}
+		sh.Release()
+	}
 }
 
-// sendCheckpoint snapshots ns's machine in ms and streams it to every
-// checkpoint peer. Called after a machine call that produced emits and
-// BEFORE those emits are transmitted (the output-commit rule). Best
-// effort per peer: a dead standby must not take down the primary, and a
-// lost frame is recovered by fast-forward resync.
-func (a *Aggregator) sendCheckpoint(ms *machineSet, shard int, ns uint32) {
-	m := ms.ms[ns]
-	if m == nil {
-		return
+// releaseShadows retires the shadows nobody took over (Run's exit).
+func (a *Aggregator) releaseShadows() {
+	a.viewMu.Lock()
+	defer a.viewMu.Unlock()
+	for k, sh := range a.shadows {
+		sh.Release()
+		delete(a.shadows, k)
 	}
-	payload, err := encodeAggCheckpoint(m.Checkpoint())
-	if err != nil {
-		return
-	}
-	f := &wire.CheckpointFrame{Shard: uint16(shard), NS: ns, Epoch: a.curEpoch(), Payload: payload}
-	buf := wire.AppendCheckpoint(transport.GetBuf(wire.EncodedCheckpointSize(f))[:0], f)
-	for _, peer := range a.cfg.CheckpointPeers {
-		_ = a.conn.Send(peer, buf)
-	}
-	transport.PutBuf(buf)
-	obsAggCkSent.Inc()
-	obs.Emit(obs.EvCheckpoint, ns, int64(len(payload)))
-}
-
-// restoreInto loads a stored checkpoint into a freshly built machine at
-// first contact with its namespace (see machineSet.machineFor). A
-// checkpoint that fails to decode or mismatches the namespace's worker
-// count is discarded — the fresh machine then resyncs via fast-forward,
-// which is the same path as a lost frame.
-func (a *Aggregator) restoreInto(m *protocol.AggregatorMachine, shard int, ns uint32) {
-	payload := a.takeCheckpoint(shard, ns)
-	if payload == nil {
-		return
-	}
-	ck, err := decodeAggCheckpoint(payload)
-	if err != nil {
-		return
-	}
-	if err := m.Restore(ck); err != nil {
-		return
-	}
-	obsAggCkRestored.Inc()
 }
 
 // viewMsg consumes one view-plane message on the gate (the single Recv-
@@ -271,11 +286,8 @@ func (g *admitGate) viewMsg(t uint8, m transport.Message) error {
 		}
 		return nil
 	case wire.TypeCheckpoint:
-		f, err := wire.DecodeCheckpoint(m.Data)
+		g.a.shadowResult(from, m.Data, &g.dec)
 		transport.PutBuf(m.Data)
-		if err == nil {
-			g.a.storeCheckpoint(from, f)
-		}
 		return nil
 	default:
 		// TypeStaleEpoch at an aggregator is a stray reflection.

@@ -2,9 +2,7 @@ package core
 
 import (
 	"errors"
-	"math"
 	"os"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +10,6 @@ import (
 	"omnireduce/internal/protocol"
 	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
-	"omnireduce/internal/wire"
 )
 
 // liveCluster is a hand-assembled deployment for failover tests: unlike
@@ -97,78 +94,6 @@ func (c *liveCluster) shutdown(t *testing.T) {
 	case err := <-c.errc:
 		t.Fatalf("aggregator error: %v", err)
 	default:
-	}
-}
-
-// TestCheckpointGobRoundTrip: the gob framing the live service streams
-// between primary and standby must reproduce a representative machine
-// snapshot exactly — including nil-ness of LastRes and of absent-worker
-// Per entries, which Restore uses to distinguish "worker absent this
-// round" from "worker contributed".
-func TestCheckpointGobRoundTrip(t *testing.T) {
-	ck := &protocol.AggCheckpoint{
-		Workers: 3,
-		Slots: []protocol.SlotCheckpoint{
-			{
-				Slot: 0, TensorID: 1, BlockSize: 32, Cols: 2, DType: wire.DTypeF32,
-				Cur:     []int64{1, 2},
-				Nexts:   [][]int64{{3, 4}, {5, 6}, {7, 8}},
-				MinNext: []int64{3, 4},
-				Seen:    []bool{true, false, true},
-				Count:   2, Round: 9,
-				Acc: []protocol.AccumCheckpoint{
-					{F: []float32{1.5, -2.25}},
-					{Per: [][]float32{{1, 2}, nil, {3, 4}}},
-				},
-				LastRes: &wire.Packet{
-					Type: wire.TypeResult, Version: 8, DType: wire.DTypeF32,
-					Slot: 0, TensorID: 1, BlockSize: 32,
-					Nexts:  []uint32{3, 4},
-					Blocks: []wire.Block{{Index: 7, Data: []float32{0.5, -0.5}}},
-				},
-				LastResSize: 64,
-			},
-			// A slot mid-bootstrap: no result yet, LastRes nil.
-			{Slot: 1, TensorID: 2, BlockSize: 32, Cols: 1, DType: wire.DTypeF32,
-				Cur: []int64{11}, Nexts: [][]int64{{12}}, MinNext: []int64{12},
-				Seen: []bool{true, true, true}, Count: 3, Round: 1},
-		},
-		Sparse: []protocol.SparseCheckpoint{
-			{TensorID: 5, Sorted: true, Keys: []uint32{1, 9}, Vals: []float32{2, 3},
-				Flushed: 1, Values: map[uint32]float32{4: 2.5},
-				Pending: []uint32{4}, NextKey: []int64{4, math.MaxInt64}, Sent: 7},
-		},
-		Archive: []protocol.ArchiveCheckpoint{
-			{Slot: 1, TensorID: 1, Size: 48, Packet: wire.Packet{
-				Type: wire.TypeResult, Version: 3, Slot: 1, TensorID: 1,
-				BlockSize: 32, Nexts: []uint32{wire.Inf(0)},
-			}},
-		},
-		Finished: []protocol.FinishedCheckpoint{
-			{Slot: 0, NS: 0, UpTo: 3, Except: []uint32{2}},
-		},
-		Stats: protocol.AggStats{PacketsRecvd: 10, RoundsCompleted: 4},
-	}
-
-	payload, err := encodeAggCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeAggCheckpoint(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ck) {
-		t.Fatalf("gob round trip mutated the snapshot:\n got %+v\nwant %+v", got, ck)
-	}
-	if got.Slots[0].Acc[1].Per[1] != nil {
-		t.Fatal("absent-worker Per entry came back non-nil: Restore would mark the worker present")
-	}
-	if got.Slots[1].LastRes != nil {
-		t.Fatal("nil LastRes came back non-nil")
-	}
-	if _, err := decodeAggCheckpoint(payload[:len(payload)/2]); err == nil {
-		t.Fatal("truncated checkpoint decoded")
 	}
 }
 
@@ -430,5 +355,160 @@ func TestSparseLiveMultiAggregator(t *testing.T) {
 		if c.aggs[id].Stats.PacketsRecvd == 0 {
 			t.Fatalf("aggregator %d saw no sparse traffic: routing is not spreading by tensor ID", id)
 		}
+	}
+}
+
+// lossyStandbyLink wraps the doomed primary's endpoint in
+// TestFailoverLossyStandbyLink. Frames to the standby cross a lossy link:
+// of every four, the second is dropped and the last two swap places. Frame
+// lastFrame is dropped too and is the primary's last act but one: the
+// results of that round still reach the workers, then the node falls
+// silent, as if it had crashed there. Results to workers are otherwise
+// untouched. It is a plain Conn, so transport.SendAll hands it one message
+// at a time, in order.
+type lossyStandbyLink struct {
+	transport.Conn
+	standby   int
+	lastFrame int
+	workers   int
+
+	mu      sync.Mutex
+	frames  int    // frames offered to the standby link so far
+	held    []byte // a frame waiting to swap with its successor
+	results int    // results let through since lastFrame was dropped
+	dead    chan struct{}
+}
+
+func (c *lossyStandbyLink) Send(to int, data []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.dead:
+		return nil
+	default:
+	}
+	if to != c.standby {
+		if c.frames > c.lastFrame {
+			if c.results++; c.results == c.workers {
+				defer close(c.dead)
+			}
+		}
+		return c.Conn.Send(to, data)
+	}
+	i := c.frames
+	c.frames++
+	switch {
+	case i == c.lastFrame || i%4 == 1:
+		return nil
+	case i%4 == 2:
+		c.held = append([]byte(nil), data...)
+		return nil
+	case i%4 == 3:
+		if err := c.Conn.Send(to, data); err != nil {
+			return err
+		}
+		return c.Conn.Send(to, c.held)
+	}
+	return c.Conn.Send(to, data)
+}
+
+// TestFailoverLossyStandbyLink is the standby behind a lossy link — legal
+// now that a mirror frame is one result plus sixteen bytes and fits a
+// datagram wherever results do. Frames from the doomed primary are
+// dropped and reordered on the way; the reordered ones must not roll the
+// standby's slot back, and the frame of the primary's last round never
+// arrives although every worker holds that round's result. The successor
+// is then exactly one round behind the workers, recovers by fast-forward,
+// and every collective ends in the exact deterministic sum.
+func TestFailoverLossyStandbyLink(t *testing.T) {
+	const (
+		W         = 3
+		aggA      = 3
+		aggB      = 4
+		standby   = 5
+		lastFrame = 9 // frame 8 arrives in order, 9 is lost
+	)
+	view1 := protocol.View{Epoch: 1, Workers: []int{0, 1, 2}, Aggregators: []int{aggA, aggB}}
+	base := Config{
+		Workers:            W,
+		Aggregators:        []int{aggA, aggB},
+		Reliable:           false,
+		DeterministicOrder: true,
+		BlockSize:          32,
+		FusionWidth:        4,
+		Streams:            2,
+		RetransmitTimeout:  3 * time.Millisecond,
+		View:               &view1,
+	}
+	c := newLiveCluster(W)
+	primCfg := base
+	primCfg.CheckpointPeers = []int{standby}
+	c.addAgg(t, aggA, primCfg)
+	link := &lossyStandbyLink{Conn: c.nw.AddNode(aggB), standby: standby, lastFrame: lastFrame, workers: W, dead: make(chan struct{})}
+	c.addAggOn(t, aggB, link, primCfg)
+	sbCfg := base
+	sbCfg.Standby = true
+	sb := c.addAgg(t, standby, sbCfg)
+	c.addWorkers(t, base)
+
+	// aggB serves stream 1 alone: 128 blocks in columns of 4, 32 rounds,
+	// so round 9 is mid-collective.
+	inputs := randomInputs(32*256, W, 0, 77)
+	want := expectedSum(inputs)
+	var wg sync.WaitGroup
+	errs := make([]error, W)
+	for i, w := range c.workers {
+		wg.Add(1)
+		go func(i int, w *Worker) {
+			defer wg.Done()
+			errs[i] = w.AllReduce(inputs[i])
+		}(i, w)
+	}
+
+	select {
+	case <-link.dead:
+	case <-time.After(10 * time.Second):
+		t.Fatal("doomed primary never reached its last round")
+	}
+	// Frames 0..8 were offered; 1 and 5 were dropped, 2/3 and 6/7 swapped,
+	// and all are rounds of one tensor on one slot: the store holds the
+	// newest that arrived, round 8, and refused the two that came late.
+	deadline := time.Now().Add(10 * time.Second)
+	for sb.CheckpointsFrom(aggB) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("standby holds nothing from the doomed primary")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.kill(aggB)
+	if n := sb.CheckpointsFrom(aggB); n != 1 {
+		t.Fatalf("standby holds %d frames of one slot's one tensor, want the newest only", n)
+	}
+	if err := sb.Activate(protocol.View{Epoch: 2, Workers: []int{0, 1, 2}, Aggregators: []int{aggA, standby}}); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("collective never completed after failover")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	for i := 0; i < W; i++ {
+		for j, v := range inputs[i] {
+			if v != want[j] {
+				t.Fatalf("worker %d elem %d: %g != %g (result drifted across failover)", i, j, v, want[j])
+			}
+		}
+	}
+	c.shutdown(t)
+	if sb.Stats.FastForwards == 0 {
+		t.Fatalf("successor never fast-forwarded: it was not behind the workers (%+v)", sb.Stats)
 	}
 }

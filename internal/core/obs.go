@@ -55,17 +55,23 @@ var (
 	obsAggDrains      = obs.Default.Counter("agg_drains_completed")
 
 	// Elastic membership & failover. view_changes counts adopted views
-	// (epoch bumps) per side; stale_epoch counters count typed refusals
-	// issued (aggregator) and received (worker); ck_* count checkpoint
-	// frames streamed to standbys and restored from them;
-	// watchdog_suppressed counts stall-watchdog periods swallowed because
-	// a drain or failover handoff was in progress.
+	// (epoch bumps) per side and agg_view_epoch is the epoch of the last
+	// view an aggregator of this process was built with or adopted (a
+	// process hosts one, in-process clusters aside); stale_epoch counters
+	// count typed refusals issued (aggregator) and received (worker).
+	// ck_frames_sent counts committed results mirrored to standbys and
+	// ck_bytes_sent their bytes over all peers, ck_frames_stored the
+	// frames a standby kept, ck_restores the machines a successor built
+	// from them. watchdog_suppressed counts stall-watchdog periods
+	// swallowed because a drain or failover handoff was in progress.
 	obsWorkerViewChanges  = obs.Default.Counter("worker_view_changes")
 	obsWorkerStaleEpochs  = obs.Default.Counter("worker_stale_epoch_refusals")
 	obsWatchdogSuppressed = obs.Default.Counter("worker_watchdog_suppressed")
 	obsAggViewChanges     = obs.Default.Counter("agg_view_changes")
 	obsAggStaleRefusals   = obs.Default.Counter("agg_stale_epoch_refusals")
+	obsAggViewEpoch       = obs.Default.Gauge("agg_view_epoch")
 	obsAggCkSent          = obs.Default.Counter("agg_ck_frames_sent")
+	obsAggCkBytes         = obs.Default.Counter("agg_ck_bytes_sent")
 	obsAggCkStored        = obs.Default.Counter("agg_ck_frames_stored")
 	obsAggCkRestored      = obs.Default.Counter("agg_ck_restores")
 )

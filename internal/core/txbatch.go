@@ -46,6 +46,7 @@ type txBatch struct {
 
 	outs []transport.Outgoing
 	tids []uint32
+	one  [1]transport.Outgoing // sendOwned's batch
 }
 
 // emitTID extracts the tensor ID an emit belongs to, for per-packet
@@ -79,6 +80,14 @@ func (b *txBatch) sendEmits(conn transport.Conn, emits []protocol.Emit) error {
 		}
 	}
 	return b.flush(conn, b.flushEnd)
+}
+
+// sendOwned transmits one buffer the caller gives away, at once and ahead
+// of the next burst: what sendEmits sends afterwards is behind it on every
+// per-pair FIFO link.
+func (b *txBatch) sendOwned(conn transport.Conn, to int, data []byte) error {
+	b.one[0] = transport.Outgoing{To: to, Data: data}
+	return transport.SendAll(conn, b.one[:])
 }
 
 // flush gives the queued batch to the transport and records per-packet

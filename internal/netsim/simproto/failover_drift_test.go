@@ -1,6 +1,7 @@
 package simproto_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,11 +14,12 @@ import (
 
 // Failover drift tier: killing an aggregator mid-collective and failing
 // the position over to a standby must not move a single result bit, on
-// either substrate. The simulator performs the handoff with the exact
-// Checkpoint/Restore snapshot the live driver streams to standbys, the
-// live cluster performs it with real checkpoint frames, a real kill, and
-// in-band view adoption — and both must land on the same bit-exact
-// deterministic dense sum as an undisturbed run.
+// either substrate. Both build the successor the same way — a fresh
+// machine that adopted the results the dead one committed, and nothing
+// else: the simulator from the machine's Commit emits directly, the live
+// cluster from real mirror frames, a real kill, and in-band view adoption
+// — and both must land on the same bit-exact deterministic dense sum as
+// an undisturbed run.
 
 // refDenseSum is the worker-ordered reference sum DeterministicOrder
 // contracts to reproduce exactly.
@@ -218,4 +220,50 @@ func TestFailoverDriftLiveVsSim(t *testing.T) {
 	// same bits.
 	live := liveFailoverRun(t, inputs, bs)
 	assertBitIdentical(t, "live-failover", live, want)
+}
+
+// TestFailoverSimEveryEvent puts the kill before every event of a small
+// versioned collective in turn — each delivery to a worker or an
+// aggregator, each retransmission wakeup, on a fabric that also loses
+// packets — for either aggregator. Every run completes, with the exact sum.
+func TestFailoverSimEveryEvent(t *testing.T) {
+	const W, blocks, bs = 3, 24, 4
+	inputs := blockSparseInputs(W, blocks, bs, 0.3, 99)
+	want := refDenseSum(inputs)
+	pcfg := protocol.Config{
+		BlockSize:          bs,
+		FusionWidth:        2,
+		Streams:            2,
+		DeterministicOrder: true,
+		RetransmitTimeout:  time.Millisecond,
+		RetransmitBackoff:  1,
+		RetransmitJitter:   -1,
+	}
+	opts := simproto.OmniOpts{FusionWidth: 2, Streams: 2, Lossy: true}
+	for _, loss := range []float64{0, 0.05} {
+		cl := simproto.Testbed10G(W, 2)
+		cl.Loss, cl.Seed = loss, 7
+		base := simproto.SimOmniReduceTensors(cl, inputs, pcfg, opts)
+		if base.Time <= 0 || base.Events < 50 {
+			t.Fatalf("loss %g: baseline took %g s and %d events", loss, base.Time, base.Events)
+		}
+		assertBitIdentical(t, "sim-baseline", base.Results, want)
+		var standbyRounds int64
+		for idx := 0; idx < 2; idx++ {
+			for k := 1; k <= base.Events; k++ {
+				fopts := opts
+				fopts.FailoverAtEvent, fopts.FailAggIndex = k, idx
+				run := simproto.SimOmniReduceTensors(cl, inputs, pcfg, fopts)
+				name := fmt.Sprintf("loss %g, aggregator %d killed before event %d of %d", loss, idx, k, base.Events)
+				if run.Time <= 0 {
+					t.Fatalf("%s: did not complete", name)
+				}
+				assertBitIdentical(t, name, run.Results, want)
+				standbyRounds += run.AggStats[idx].RoundsCompleted
+			}
+		}
+		if standbyRounds == 0 {
+			t.Fatalf("loss %g: no standby ever completed a round", loss)
+		}
+	}
 }

@@ -61,14 +61,22 @@ type OmniOpts struct {
 	NoCopy bool
 	// FailoverAt, when > 0, kills the aggregator serving position
 	// FailAggIndex (in aggregatorIDs order) at that simulated time and
-	// fails the position over to a standby node: the dead machine's state
-	// moves via Checkpoint/Restore — the same snapshot the live driver
-	// streams to standbys — and every worker machine rebinds (Rebind),
-	// replaying its unacknowledged rounds at the new aggregator. Requires
-	// Lossy (reliable mode has no replay machinery) and dedicated
-	// aggregator nodes (a colocated aggregator cannot die alone).
+	// fails the position over to a standby node. The standby machine has
+	// adopted every result the doomed machine committed (AdoptResult on
+	// its Commit emits — what the live driver mirrors to standbys, here
+	// without a fabric in between) and knows nothing else; every worker
+	// machine rebinds (Rebind), replaying its unacknowledged rounds at the
+	// new aggregator. Requires Lossy (reliable mode has no replay
+	// machinery) and dedicated aggregator nodes (a colocated aggregator
+	// cannot die alone).
 	FailoverAt   float64
 	FailAggIndex int
+	// FailoverAtEvent, when > 0, kills the same aggregator immediately
+	// before the run's FailoverAtEvent-th event instead (events are the
+	// deliveries to a machine and the timer wakeups, counted in
+	// OmniRun.Events), so a test can put the kill at every point of a
+	// collective rather than at the times it thought of.
+	FailoverAtEvent int
 	// StandbyID is the simulated node ID hosting the standby; 0 picks the
 	// next free ID after the dedicated aggregators.
 	StandbyID int
@@ -157,7 +165,10 @@ func (v *specView) SetBlock(int, []float32) {}
 // time plus the protocol machines' own traffic counters, for
 // substrate-equivalence checks against the live implementation.
 type OmniRun struct {
-	Time        float64
+	Time float64
+	// Events is how many messages were delivered to a machine plus how
+	// many retransmission wakeups fired.
+	Events      int
 	WorkerStats []protocol.WorkerStats
 	// AggStats is indexed in aggregatorIDs order; on failover runs a
 	// position reports the machine that finished serving it (the standby,
@@ -270,26 +281,34 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		} else {
 			sp = &simPkt{}
 		}
-		nexts := sp.p.Nexts[:0]
-		blocks := sp.p.Blocks[:0]
-		data := sp.data[:0]
-		sp.p = *src
-		sp.p.Nexts = append(nexts, src.Nexts...)
-		for _, b := range src.Blocks {
-			start := len(data)
-			data = append(data, b.Data...)
-			blocks = append(blocks, wire.Block{Index: b.Index, Data: data[start:len(data):len(data)]})
-		}
-		sp.p.Blocks = blocks
-		sp.data = data
+		sp.data = wire.CopyPacketInto(&sp.p, sp.data, src)
 		return sp
 	}
 	recycle := func(sp *simPkt) { pktFree = append(pktFree, sp) }
 
+	// mirrorOf is the doomed aggregator's standby machine on failover runs.
+	var mirrorOf int
+	var mirror *protocol.AggregatorMachine
 	route := func(src int, emits []protocol.Emit) {
+		if mirror != nil && src == mirrorOf {
+			if e := protocol.Committed(emits); e != nil {
+				mirror.AdoptResult(e.Packet)
+			}
+		}
 		nd := n.Node(src)
 		for i := range emits {
 			nd.Send(emits[i].Dst, float64(emits[i].Size), clone(emits[i].Packet))
+		}
+	}
+
+	// tick counts one event and, on FailoverAtEvent runs, kills the doomed
+	// aggregator just before the chosen one is handled.
+	events := 0
+	var kill func()
+	tick := func() {
+		events++
+		if events == opts.FailoverAtEvent {
+			kill()
 		}
 	}
 
@@ -326,6 +345,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 			if armed[w] == t {
 				armed[w] = 0
 			}
+			tick()
 			// This wakeup was armed for the machine-clock deadline d; the
 			// float64 seconds<->Duration round trip can land the virtual
 			// clock a nanosecond short of it, which would make the machine
@@ -359,6 +379,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 	for w := 0; w < N; w++ {
 		w := w
 		workers[w].Handler = func(m netsim.Message) {
+			tick()
 			sp := m.Payload.(*simPkt)
 			p := &sp.p
 			if p.Type == wire.TypeData {
@@ -380,6 +401,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		for _, id := range aggIDs {
 			id := id
 			n.Node(id).Handler = func(m netsim.Message) {
+				tick()
 				sp := m.Payload.(*simPkt)
 				runAgg(id, &sp.p)
 				recycle(sp)
@@ -390,7 +412,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 	// servedBy maps aggregator positions to the node currently serving
 	// them; failover swaps the failed position to the standby.
 	servedBy := append([]int(nil), aggIDs...)
-	if opts.FailoverAt > 0 {
+	if opts.FailoverAt > 0 || opts.FailoverAtEvent > 0 {
 		if c.Colocated {
 			panic("simproto: failover requires dedicated aggregator nodes")
 		}
@@ -410,23 +432,24 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 			nd.CPUPerMsg = 50e-9
 		}
 		nd.Handler = func(m netsim.Message) {
+			tick()
 			sp := m.Payload.(*simPkt)
 			runAgg(standby, &sp.p)
 			recycle(sp)
 		}
-		n.Sim.At(opts.FailoverAt, func() {
+		mirrorOf, mirror = servedBy[opts.FailAggIndex], protocol.NewAggregatorMachine(cfg, standby)
+		kill = func() {
+			if mirror == nil {
+				return // already failed over
+			}
 			// Kill: the dead node drops everything still in flight to it,
 			// exactly like the live chaos harness cutting the process.
 			dead := servedBy[opts.FailAggIndex]
 			n.Node(dead).Handler = func(m netsim.Message) { recycle(m.Payload.(*simPkt)) }
-			// Handoff: the standby machine restores the snapshot the live
-			// driver would have streamed it (output-commit makes the live
-			// standby at least this current; fast-forward covers the rest).
-			sm := protocol.NewAggregatorMachine(cfg, standby)
-			if err := sm.Restore(am[dead].Checkpoint()); err != nil {
-				panic(fmt.Sprintf("simproto: failover restore: %v", err))
-			}
-			am[standby] = sm
+			// Handoff: the standby machine holds every result the dead one
+			// committed (output-commit keeps a live standby on a FIFO link
+			// as current as this; fast-forward covers a lossy one).
+			am[standby], mirror = mirror, nil
 			delete(am, dead)
 			servedBy[opts.FailAggIndex] = standby
 			// Rebind: every worker re-resolves AggregatorFor against the
@@ -437,7 +460,10 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 				route(w, eb.Emits())
 				arm(w)
 			}
-		})
+		}
+		if opts.FailoverAt > 0 {
+			n.Sim.At(opts.FailoverAt, kill)
+		}
 	}
 
 	// Launch: staging copy plus bootstrap packets for every stream.
@@ -460,7 +486,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		finishedAt = copyFinished
 	}
 
-	run := &OmniRun{Time: finishedAt, WorkerStats: make([]protocol.WorkerStats, N)}
+	run := &OmniRun{Time: finishedAt, Events: events, WorkerStats: make([]protocol.WorkerStats, N)}
 	for w := 0; w < N; w++ {
 		run.WorkerStats[w] = wm[w].Stats()
 	}

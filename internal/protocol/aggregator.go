@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"omnireduce/internal/obs"
 	"omnireduce/internal/tensor"
@@ -33,11 +32,13 @@ type slotEnt struct {
 	sl  *aggSlot
 }
 
-// archived is a finished tensor's final result retained for replay. The
-// packet is a deep copy (live result packets are recycled shells).
+// archived is a finished tensor's final result retained for replay: a deep
+// copy in storage of its own (live result packets are recycled shells),
+// refilled in place when the entry is evicted for a newer tensor.
 type archived struct {
-	pkt  *wire.Packet
-	size int
+	pkt   wire.Packet
+	arena []float32
+	size  int
 }
 
 // AggregatorMachine is one aggregator node's protocol state: it owns the
@@ -77,10 +78,10 @@ type AggregatorMachine struct {
 	// archive keeps, per slot, the final result of recently finished
 	// tensors so a lost final multicast can be replayed to a
 	// retransmitting worker even after the slot moved on (unreliable
-	// mode). Bounded to the archiveDepth most recent tensors per
+	// mode). Bounded to the ArchiveDepth most recent tensors per
 	// (slot, namespace), so one busy job cannot evict a quiet job's
-	// replayable results.
-	archive map[uint16]map[uint32]*archived
+	// replayable results; a bucket that small is scanned, not hashed.
+	archive [][]*archived
 	// finished tracks exactly which tensor IDs have completed per
 	// (slot, tid-namespace) (compactly: a completed prefix plus
 	// out-of-order exceptions over the per-job sequence), so stale
@@ -113,7 +114,6 @@ func NewAggregatorMachine(cfg Config, localID int) *AggregatorMachine {
 		cfg:      cfg.WithDefaults(),
 		localID:  localID,
 		sparse:   make(map[uint32]*sparseAgg),
-		archive:  make(map[uint16]map[uint32]*archived),
 		finished: make(map[uint16]map[uint32]*finishedTracker),
 	}
 }
@@ -301,7 +301,7 @@ func (m *AggregatorMachine) freeSlot(sl *aggSlot) {
 	m.slotFree = append(m.slotFree, sl)
 }
 
-// newSlot re-arms a free-listed (or fresh) slot for p's tensor.
+// newSlot takes a free-listed (or fresh) slot and arms it for p's tensor.
 func (m *AggregatorMachine) newSlot(p *wire.Packet) *aggSlot {
 	aggSlotGets.Add(1)
 	obs.Emit(obs.EvMachinePoolGet, p.TensorID, 1)
@@ -313,6 +313,13 @@ func (m *AggregatorMachine) newSlot(p *wire.Packet) *aggSlot {
 	} else {
 		s = &aggSlot{}
 	}
+	s.arm(m.cfg, p)
+	return s
+}
+
+// arm resets the slot to round 0 of p's tensor with p's geometry, keeping
+// every backing array.
+func (s *aggSlot) arm(cfg Config, p *wire.Packet) {
 	cols := p.Cols()
 	s.tensorID = p.TensorID
 	s.blockSize = int(p.BlockSize)
@@ -335,7 +342,7 @@ func (m *AggregatorMachine) newSlot(p *wire.Packet) *aggSlot {
 	}
 	s.nexts = s.nexts[:cols]
 	for c := range s.nexts {
-		s.nexts[c] = resizeI64(s.nexts[c], m.cfg.Workers)
+		s.nexts[c] = resizeI64(s.nexts[c], cfg.Workers)
 		for w := range s.nexts[c] {
 			s.nexts[c][w] = nextUnknown
 		}
@@ -345,16 +352,15 @@ func (m *AggregatorMachine) newSlot(p *wire.Packet) *aggSlot {
 	}
 	s.acc = s.acc[:cols]
 	for c := range s.acc {
-		s.acc[c].init(m.cfg)
+		s.acc[c].init(cfg)
 	}
-	if cap(s.seen) < m.cfg.Workers {
-		s.seen = make([]bool, m.cfg.Workers)
+	if cap(s.seen) < cfg.Workers {
+		s.seen = make([]bool, cfg.Workers)
 	}
-	s.seen = s.seen[:m.cfg.Workers]
+	s.seen = s.seen[:cfg.Workers]
 	for i := range s.seen {
 		s.seen[i] = false
 	}
-	return s
 }
 
 func (m *AggregatorMachine) handleDense(p *wire.Packet, eb *EmitBuf) error {
@@ -363,11 +369,11 @@ func (m *AggregatorMachine) handleDense(p *wire.Packet, eb *EmitBuf) error {
 	}
 	sl := m.slotAt(p.Slot, p.TensorID)
 	if sl == nil {
-		if ar, ok := m.archive[p.Slot][p.TensorID]; ok {
+		if ar := m.archived(p.Slot, p.TensorID); ar != nil {
 			// Stale retransmission for a finished tensor: replay the
 			// final result to the sender (Algorithm 2 replay path).
 			m.stats.Replays++
-			eb.Append(Emit{Dst: int(p.WID), Packet: ar.pkt, Size: ar.size})
+			eb.Append(Emit{Dst: int(p.WID), Packet: &ar.pkt, Size: ar.size})
 			return nil
 		}
 		if m.isFinished(p.Slot, p.TensorID) {
@@ -411,6 +417,11 @@ func (f *finishedTracker) add(seq uint32) {
 		f.except = make(map[uint32]bool)
 	}
 	f.except[seq] = true
+	f.absorb()
+}
+
+// absorb extends the finished prefix over the exceptions adjacent to it.
+func (f *finishedTracker) absorb() {
 	for f.except[f.upTo+1] {
 		delete(f.except, f.upTo+1)
 		f.upTo++
@@ -421,6 +432,22 @@ func (f *finishedTracker) has(seq uint32) bool {
 	return seq <= f.upTo || f.except[seq]
 }
 
+// floor records every seq <= upTo as finished and reports whether that
+// was news.
+func (f *finishedTracker) floor(upTo uint32) bool {
+	if upTo <= f.upTo {
+		return false
+	}
+	f.upTo = upTo
+	for seq := range f.except {
+		if seq <= upTo {
+			delete(f.except, seq)
+		}
+	}
+	f.absorb()
+	return true
+}
+
 // isFinished reports whether tensorID already completed on this slot.
 func (m *AggregatorMachine) isFinished(slot uint16, tensorID uint32) bool {
 	f := m.finished[slot][TidNamespace(tensorID)]
@@ -428,7 +455,12 @@ func (m *AggregatorMachine) isFinished(slot uint16, tensorID uint32) bool {
 }
 
 func (m *AggregatorMachine) markFinished(slot uint16, tensorID uint32) {
-	ns := TidNamespace(tensorID)
+	m.tracker(slot, TidNamespace(tensorID)).add(TidSeq(tensorID))
+}
+
+// tracker returns (slot, ns)'s finished-sequence tracker, created on first
+// use.
+func (m *AggregatorMachine) tracker(slot uint16, ns uint32) *finishedTracker {
 	fm := m.finished[slot]
 	if fm == nil {
 		fm = make(map[uint32]*finishedTracker)
@@ -439,7 +471,7 @@ func (m *AggregatorMachine) markFinished(slot uint16, tensorID uint32) {
 		f = &finishedTracker{}
 		fm[ns] = f
 	}
-	f.add(TidSeq(tensorID))
+	return f
 }
 
 // processReliable implements Algorithm 1 (+ Block Fusion): silent workers,
@@ -622,7 +654,7 @@ func (m *AggregatorMachine) finishRound(sl *aggSlot, slot uint16, round uint8, e
 	sl.lastResSize = size
 	if allDone {
 		sl.finished = true
-		m.archiveResult(slot, sl.tensorID, res, size)
+		m.archiveResult(slot, res, size)
 		if freed := m.dropSlot(slot, sl.tensorID); freed != nil {
 			m.freeSlot(freed)
 		}
@@ -634,69 +666,201 @@ func (m *AggregatorMachine) finishRound(sl *aggSlot, slot uint16, round uint8, e
 	m.stats.BlocksAggregated += int64(len(res.Blocks))
 	obs.EmitSlot(obs.EvSlotComplete, int32(m.localID), sl.tensorID, slot, round, int64(len(res.Blocks)))
 	for w := 0; w < m.cfg.Workers; w++ {
-		eb.Append(Emit{Dst: w, Packet: res, Size: size})
+		eb.Append(Emit{Dst: w, Packet: res, Size: size, Commit: true})
 		m.stats.ResultsSent++
 	}
 	return nil
 }
 
-// archiveDepth bounds the per-(slot, namespace) final-result archive; it
+// ArchiveDepth bounds the per-(slot, namespace) final-result archive; it
 // must exceed the number of concurrently outstanding tensors per job so a
 // straggler can always recover a lost final multicast. Eviction is scoped
 // to the finishing tensor's namespace: a busy job churning through
-// results must not evict a quiet job's still-replayable ones.
-const archiveDepth = 16
+// results must not evict a quiet job's still-replayable ones. AdoptResult
+// leans on the same bound to tell which adopted tensors have concluded.
+const ArchiveDepth = 16
 
-// clonePacket deep-copies a result packet (header, nexts, and block
-// payloads into one fresh arena) for the archive: archived replays must
-// outlive the recycled shell they were built in.
-func clonePacket(p *wire.Packet) *wire.Packet {
-	c := &wire.Packet{}
-	*c = *p
-	c.Nexts = append([]uint32(nil), p.Nexts...)
-	n := 0
-	for _, b := range p.Blocks {
-		n += len(b.Data)
+// archived returns the archive entry of tensorID on slot, or nil.
+func (m *AggregatorMachine) archived(slot uint16, tensorID uint32) *archived {
+	if int(slot) >= len(m.archive) {
+		return nil
 	}
-	data := make([]float32, 0, n)
-	c.Blocks = make([]wire.Block, len(p.Blocks))
-	for i, b := range p.Blocks {
-		start := len(data)
-		data = append(data, b.Data...)
-		c.Blocks[i] = wire.Block{Index: b.Index, Data: data[start:len(data):len(data)]}
+	for _, ar := range m.archive[slot] {
+		if ar.pkt.TensorID == tensorID {
+			return ar
+		}
 	}
-	return c
+	return nil
 }
 
-func (m *AggregatorMachine) archiveResult(slot uint16, tensorID uint32, res *wire.Packet, size int) {
-	am := m.archive[slot]
-	if am == nil {
-		am = make(map[uint32]*archived)
-		m.archive[slot] = am
+// archiveResult retains a copy of res, a tensor's final result, and marks
+// the tensor finished. Once its namespace holds ArchiveDepth entries on the
+// slot, the one with the smallest sequence is refilled in place, so a warm
+// archive takes a result without allocating.
+func (m *AggregatorMachine) archiveResult(slot uint16, res *wire.Packet, size int) {
+	for int(slot) >= len(m.archive) {
+		m.archive = append(m.archive, nil)
 	}
-	am[tensorID] = &archived{pkt: clonePacket(res), size: size}
-	m.markFinished(slot, tensorID)
-	// Bound the archive to the namespace's most recent operation
-	// sequences.
-	ns := TidNamespace(tensorID)
+	ns := TidNamespace(res.TensorID)
+	var ar *archived
 	inNs := 0
-	for id := range am {
-		if TidNamespace(id) == ns {
-			inNs++
+	for _, e := range m.archive[slot] {
+		if TidNamespace(e.pkt.TensorID) != ns {
+			continue
+		}
+		inNs++
+		if ar == nil || e.pkt.TensorID < ar.pkt.TensorID {
+			ar = e
 		}
 	}
-	if inNs > archiveDepth {
-		ids := make([]uint32, 0, inNs)
-		for id := range am {
-			if TidNamespace(id) == ns {
-				ids = append(ids, id)
+	if inNs < ArchiveDepth {
+		ar = &archived{}
+		m.archive[slot] = append(m.archive[slot], ar)
+	}
+	ar.arena = wire.CopyPacketInto(&ar.pkt, ar.arena, res)
+	ar.size = size
+	m.markFinished(slot, res.TensorID)
+}
+
+// Handing an aggregator's position to a successor (DESIGN §12). Mid-
+// collective failover exists in versioned mode only, and there everything a
+// successor cannot get back from the workers — each replays its outstanding
+// packet on rebind, and the fast-forward in processVersioned recovers a
+// one-round gap — is, per slot, the last result and its round number, and
+// per finished tensor the final result: the packets the dead machine
+// multicast. A driver mirrors every Emit.Commit result to its standbys, and
+// a successor is built from those packets and nothing else. Not carried,
+// deliberately: a half-collected round (the workers resend it), Algorithm
+// 1's per-worker next table (reliable mode hands over between collectives
+// only), Algorithm 3 state, and the dead machine's counters.
+
+// AdoptResult loads one result a predecessor committed, as if this machine
+// had concluded that round itself: a non-final result leaves its slot at
+// round Version+1 with the column cursors the result announces, nothing
+// collected yet, and the result itself as the replay for stragglers; a
+// final one goes to the replay archive and the finished set. Results may be
+// adopted in any order and more than once: one that is not newer than what
+// the slot holds, or belongs to a finished tensor, is ignored — a replayed
+// frame never rolls a slot back. So is one this machine could not have
+// emitted and so could not replay, which is what bounds a standby's network
+// input: not a TypeResult, not 1 to wire.MaxCols columns of the configured
+// block size, not an operation (sequence 0 of a namespace is its control
+// channel), blocks not in ascending column order (AppendPacket panics on
+// that) or longer than a block (a worker copies block data over its tensor
+// unchecked). It reports whether state changed.
+//
+// The packet is copied; slots opened and concluded here fire SlotOpened and
+// SlotFinished like locally served ones, so a driver's in-flight accounting
+// tracks handed-over work.
+func (m *AggregatorMachine) AdoptResult(p *wire.Packet) bool {
+	cols := p.Cols()
+	if p.Type != wire.TypeResult || cols == 0 || cols > wire.MaxCols || int(p.BlockSize) != m.cfg.BlockSize ||
+		TidSeq(p.TensorID) == 0 || m.isFinished(p.Slot, p.TensorID) {
+		return false
+	}
+	prev := -1
+	for _, b := range p.Blocks {
+		c := ColOf(b.Index, cols)
+		if c <= prev || len(b.Data) > m.cfg.BlockSize {
+			return false
+		}
+		prev = c
+	}
+	final := p.Done()
+	sl := m.slotAt(p.Slot, p.TensorID)
+	if sl != nil && !final && int8(p.Version+1-sl.round) <= 0 {
+		return false
+	}
+	switch {
+	case final:
+		if sl != nil {
+			m.conclude(p.Slot, sl)
+		}
+		m.archiveResult(p.Slot, p, wire.EncodedPacketSize(p))
+	case sl == nil:
+		sl = m.newSlot(p)
+		m.putSlot(p.Slot, p.TensorID, sl)
+		if m.SlotOpened != nil {
+			m.SlotOpened(p.TensorID)
+		}
+	default:
+		sl.arm(m.cfg, p)
+	}
+	if !final {
+		sl.round = p.Version + 1
+		for c, n := range p.Nexts {
+			sl.cur[c] = decodeNext(n)
+		}
+		sl.flip ^= 1
+		sl.lastRes = &sl.shells[sl.flip]
+		sl.arenas[sl.flip] = wire.CopyPacketInto(sl.lastRes, sl.arenas[sl.flip], p)
+		sl.lastResSize = wire.EncodedPacketSize(p)
+	}
+	// The archive is sized on at most ArchiveDepth tensors of a namespace
+	// being outstanding on a slot. By the same bound, a tensor that far
+	// behind one the predecessor was serving has concluded, and if it is
+	// still open here its final result was mirrored and lost (a standby on
+	// a lossy link): without this, each such loss would pin a slot and an
+	// exception in the finished set for good. It is also what makes the
+	// finished set follow from the results alone.
+	ns, seq := TidNamespace(p.TensorID), TidSeq(p.TensorID)
+	if seq > ArchiveDepth && m.tracker(p.Slot, ns).floor(seq-ArchiveDepth) && int(p.Slot) < len(m.table) {
+		b := m.table[p.Slot]
+		for i := len(b) - 1; i >= 0; i-- {
+			if TidNamespace(b[i].tid) == ns && m.isFinished(p.Slot, b[i].tid) {
+				m.conclude(p.Slot, b[i].sl)
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids[:len(ids)-archiveDepth] {
-			delete(am, id)
+	}
+	return true
+}
+
+// conclude retires a live slot whose tensor finished.
+func (m *AggregatorMachine) conclude(slot uint16, sl *aggSlot) {
+	m.dropSlot(slot, sl.tensorID)
+	m.freeSlot(sl)
+	if m.SlotFinished != nil {
+		m.SlotFinished(sl.tensorID)
+	}
+}
+
+// AdoptFrom adopts every result src holds for replay (see Held) and reports
+// whether any changed this machine. For a src that was itself built by
+// AdoptResult — a standby's shadow of a primary — that is all of src's
+// state, so m ends where src is; the two may differ in configuration, which
+// is the point: a shadow is built before the job's worker count is known.
+func (m *AggregatorMachine) AdoptFrom(src *AggregatorMachine) bool {
+	adopted := false
+	for _, bucket := range src.archive {
+		for _, ar := range bucket {
+			adopted = m.AdoptResult(&ar.pkt) || adopted
 		}
 	}
+	for _, bucket := range src.table {
+		for _, e := range bucket {
+			if e.sl.lastRes != nil {
+				adopted = m.AdoptResult(e.sl.lastRes) || adopted
+			}
+		}
+	}
+	return adopted
+}
+
+// Held reports how many results the machine holds for replay: the last
+// result of each live slot that has one, and the archived final results.
+func (m *AggregatorMachine) Held() int {
+	n := 0
+	for _, bucket := range m.table {
+		for _, e := range bucket {
+			if e.sl.lastRes != nil {
+				n++
+			}
+		}
+	}
+	for _, bucket := range m.archive {
+		n += len(bucket)
+	}
+	return n
 }
 
 // accum accumulates one block-sized unit of aggregation, supporting plain

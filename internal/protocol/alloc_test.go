@@ -148,3 +148,56 @@ func TestWorkerMachinePoolReuse(t *testing.T) {
 		t.Fatalf("pool counters unbalanced: gets +%d puts +%d, want +4/+4", g1-g0, p1-p0)
 	}
 }
+
+// TestTensorCompletionZeroAllocs extends the pin across the end of a
+// tensor: once the result archive holds ArchiveDepth entries per slot,
+// serving a whole collective — opening its slots, every round, concluding
+// them, archiving the final results in place of the oldest — allocates
+// nothing on the aggregator. The worker side of one collective is recorded
+// once and replayed under fresh tensor IDs, so only aggregator calls are
+// measured.
+func TestTensorCompletionZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins run without -race")
+	}
+	for _, reliable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("reliable=%v", reliable), func(t *testing.T) {
+			cfg := Config{Reliable: reliable, DeterministicOrder: true, BlockSize: 4, FusionWidth: 2, Streams: 2}
+			var trace []*wire.Packet
+			p, _ := newPump(t, cfg, traceInputs(), func(_ int, m tmsg) []tmsg {
+				if m.dst == aggNode {
+					trace = append(trace, m.pkt)
+				}
+				return []tmsg{m}
+			}, false)
+			p.drain()
+			if !p.allDone() {
+				t.Fatal("recorded collective did not converge")
+			}
+
+			am := NewAggregatorMachine(p.cfg, aggNode)
+			am.Presize(p.cfg.Streams, 4)
+			var eb EmitBuf
+			tid := uint32(1)
+			collective := func() {
+				tid++
+				for _, pkt := range trace {
+					pkt.TensorID = tid
+					eb.Reset()
+					if err := am.HandlePacket(Msg{Dense: pkt}, &eb); err != nil {
+						t.Fatalf("aggregator: %v", err)
+					}
+				}
+			}
+			for i := 0; i < 2*ArchiveDepth; i++ {
+				collective()
+			}
+			if am.ActiveSlots() != 0 || am.Stats().RoundsCompleted == 0 {
+				t.Fatalf("replayed collectives left %d slots open after %d rounds", am.ActiveSlots(), am.Stats().RoundsCompleted)
+			}
+			if got := testing.AllocsPerRun(64, collective); got != 0 {
+				t.Fatalf("a collective on a warm archive allocates %.1f objects on the aggregator, want 0", got)
+			}
+		})
+	}
+}

@@ -293,10 +293,10 @@ func TestBootstrapForceDense(t *testing.T) {
 
 // TestBootstrapElisionFailover takes an aggregator away at every point of
 // a versioned collective whose bootstraps are mostly header-only, twice:
-// its successor restored from an up-to-date checkpoint, and from one that
-// is a round behind (the result went out, the checkpoint covering it did
-// not — the successor must fast-forward, round 0 included, with columns
-// nobody has contributed to yet).
+// its successor built from an up-to-date mirror, and from one that is a
+// round behind (the result went out, the mirror frame carrying it was lost
+// — the successor must fast-forward, round 0 included, with columns nobody
+// has contributed to yet).
 func TestBootstrapElisionFailover(t *testing.T) {
 	cfg := Config{BlockSize: bootBS, FusionWidth: bootCols, Streams: 2, Aggregators: []int{100, 200},
 		DeterministicOrder: true, RetransmitTimeout: time.Millisecond}
@@ -339,9 +339,9 @@ func TestBootstrapElisionFailover(t *testing.T) {
 		}
 	}
 
-	// A round behind: snapshot the doomed machine, let it conclude a round
-	// and its results reach the workers, then lose it and everything sent
-	// to it since.
+	// A round behind: let the doomed machine conclude a round and its
+	// results reach the workers, then lose it, everything sent to it since,
+	// and the mirror frame of that round.
 	var fastForwards, roundZero int64
 	for _, dead := range []int{100, 200} {
 		for k := 0; k < total; k++ {
@@ -349,10 +349,6 @@ func TestBootstrapElisionFailover(t *testing.T) {
 			p.step(k)
 			if len(p.q) == 0 || p.q[0].dst != dead {
 				continue
-			}
-			stale := NewAggregatorMachine(p.cfg, 300)
-			if err := stale.Restore(p.ams[dead].Checkpoint()); err != nil {
-				t.Fatal(err)
 			}
 			before := p.ams[dead].Stats().RoundsCompleted
 			p.step(1)
@@ -366,8 +362,8 @@ func TestBootstrapElisionFailover(t *testing.T) {
 				}
 				p.step(1)
 			}
-			p.kill(dead, 300)
-			p.ams[300] = stale
+			p.killBehind(dead, 300, 1)
+			stale := p.ams[300]
 			finish(p, work, fmt.Sprintf("kill %d a round behind, after %d steps", dead, k))
 			fastForwards += stale.Stats().FastForwards
 			if before == 0 {

@@ -1,25 +1,16 @@
 package protocol
 
 import (
-	"fmt"
 	"sort"
 
-	"omnireduce/internal/obs"
 	"omnireduce/internal/wire"
 )
 
-// Checkpoint/Restore serialize an aggregator machine's full protocol
-// state — per-slot round counters, in-progress accumulators, the
-// finished-tensor archive and trackers, and sparse merge state — so a
-// standby aggregator can adopt a dead primary's position mid-collective.
-// The DTO types hold only exported fields of gob/JSON-friendly shapes;
-// the driver chooses the encoding (the live service streams gob frames,
-// tests compare structs directly).
-//
-// Checkpoint ALIASES live machine state (the same contract as Emit
-// shells: the snapshot is valid until the next machine call, long enough
-// to encode and send). Restore COPIES everything, so a restored machine
-// shares nothing with the checkpoint buffer or the source machine.
+// Deprecated: this file is the full-machine snapshot that result mirroring
+// (AggregatorMachine.AdoptResult) replaced. Nothing restores one any more.
+// Checkpoint and its types are frozen because the repository benchmark
+// (bench/ladder.go, its own module) still times Checkpoint, and the file
+// goes whole when that rung is re-pointed.
 
 // AccumCheckpoint is one column accumulator's state. Exactly one of the
 // three representations is populated, matching the machine's mode: F for
@@ -95,6 +86,8 @@ type AggCheckpoint struct {
 // (or deep-copied) before the next machine call. Entries are sorted by
 // (slot, tensor) so identical machine states produce identical
 // checkpoints regardless of map iteration order.
+//
+// Deprecated: see above. Tests use it to compare two machines' state.
 func (m *AggregatorMachine) Checkpoint() *AggCheckpoint {
 	ck := &AggCheckpoint{Workers: m.cfg.Workers, Stats: m.stats}
 	for si := range m.table {
@@ -142,10 +135,10 @@ func (m *AggregatorMachine) Checkpoint() *AggCheckpoint {
 		})
 	}
 	sort.Slice(ck.Sparse, func(i, j int) bool { return ck.Sparse[i].TensorID < ck.Sparse[j].TensorID })
-	for slot, am := range m.archive {
-		for tid, ar := range am {
+	for slot, bucket := range m.archive {
+		for _, ar := range bucket {
 			ck.Archive = append(ck.Archive, ArchiveCheckpoint{
-				Slot: slot, TensorID: tid, Size: ar.size, Packet: *ar.pkt,
+				Slot: uint16(slot), TensorID: ar.pkt.TensorID, Size: ar.size, Packet: ar.pkt,
 			})
 		}
 	}
@@ -172,128 +165,4 @@ func (m *AggregatorMachine) Checkpoint() *AggCheckpoint {
 		return ck.Finished[i].NS < ck.Finished[j].NS
 	})
 	return ck
-}
-
-// Restore loads a checkpoint into a fresh (or Released) machine, deep-
-// copying every array so the checkpoint buffer can be recycled. The
-// restored machine mirrors the source's pool accounting (each adopted
-// slot counts as a pool get on this machine) and fires SlotOpened for
-// every live slot and sparse tensor, so a multi-tenant driver's
-// admission/drain refcounts track handed-over work exactly like locally
-// opened work.
-func (m *AggregatorMachine) Restore(ck *AggCheckpoint) error {
-	if ck.Workers != m.cfg.Workers {
-		return fmt.Errorf("protocol: checkpoint for %d workers restored into machine configured for %d",
-			ck.Workers, m.cfg.Workers)
-	}
-	if m.live > 0 || len(m.sparse) > 0 {
-		return fmt.Errorf("protocol: restore into machine with %d live slots", m.ActiveSlots())
-	}
-	for i := range ck.Slots {
-		sc := &ck.Slots[i]
-		if len(sc.Acc) != sc.Cols {
-			return fmt.Errorf("protocol: checkpoint slot %d tensor %#x: %d accumulators for %d columns",
-				sc.Slot, sc.TensorID, len(sc.Acc), sc.Cols)
-		}
-		aggSlotGets.Add(1)
-		obs.Emit(obs.EvMachinePoolGet, sc.TensorID, 1)
-		sl := &aggSlot{
-			tensorID:    sc.TensorID,
-			blockSize:   sc.BlockSize,
-			cols:        sc.Cols,
-			dtype:       sc.DType,
-			cur:         append([]int64(nil), sc.Cur...),
-			minNext:     append([]int64(nil), sc.MinNext...),
-			mins:        make([]int64, sc.Cols),
-			seen:        append([]bool(nil), sc.Seen...),
-			count:       sc.Count,
-			round:       sc.Round,
-			lastResSize: sc.LastResSize,
-		}
-		sl.nexts = make([][]int64, len(sc.Nexts))
-		for c := range sc.Nexts {
-			sl.nexts[c] = append([]int64(nil), sc.Nexts[c]...)
-		}
-		sl.acc = make([]accum, sc.Cols)
-		for c := range sl.acc {
-			a := &sl.acc[c]
-			a.init(m.cfg)
-			ac := &sc.Acc[c]
-			if a.det {
-				// Rebuild the arena through add() so per-slices carve from
-				// this machine's backing in worker order.
-				for w, d := range ac.Per {
-					if d != nil {
-						a.add(w, d)
-					}
-				}
-			} else {
-				a.f = append(a.f, ac.F...)
-				a.q = append(a.q, ac.Q...)
-			}
-		}
-		if sc.LastRes != nil {
-			// The checkpointed lastRes aliased the source's recycled shell;
-			// the restored one is standalone, replayed as-is until this
-			// machine finishes its own next round.
-			sl.lastRes = clonePacket(sc.LastRes)
-		}
-		m.putSlot(sc.Slot, sc.TensorID, sl)
-		if m.SlotOpened != nil {
-			m.SlotOpened(sc.TensorID)
-		}
-	}
-	for i := range ck.Sparse {
-		sp := &ck.Sparse[i]
-		sparseSlotGets.Add(1)
-		obs.Emit(obs.EvMachinePoolGet, sp.TensorID, 2)
-		sa := &sparseAgg{
-			tensorID: sp.TensorID,
-			sorted:   sp.Sorted,
-			keys:     append([]uint32(nil), sp.Keys...),
-			vals:     append([]float32(nil), sp.Vals...),
-			flushed:  sp.Flushed,
-			pending:  append(keyHeap(nil), sp.Pending...),
-			nextKey:  append([]int64(nil), sp.NextKey...),
-			sent:     sp.Sent,
-		}
-		if sp.Values != nil {
-			sa.values = make(map[uint32]float32, len(sp.Values))
-			for k, v := range sp.Values {
-				sa.values[k] = v
-			}
-		}
-		m.sparse[sp.TensorID] = sa
-		if m.SlotOpened != nil {
-			m.SlotOpened(sp.TensorID)
-		}
-	}
-	for i := range ck.Archive {
-		ar := &ck.Archive[i]
-		am := m.archive[ar.Slot]
-		if am == nil {
-			am = make(map[uint32]*archived)
-			m.archive[ar.Slot] = am
-		}
-		pkt := ar.Packet
-		am[ar.TensorID] = &archived{pkt: clonePacket(&pkt), size: ar.Size}
-	}
-	for i := range ck.Finished {
-		fc := &ck.Finished[i]
-		fm := m.finished[fc.Slot]
-		if fm == nil {
-			fm = make(map[uint32]*finishedTracker)
-			m.finished[fc.Slot] = fm
-		}
-		f := &finishedTracker{upTo: fc.UpTo}
-		if len(fc.Except) > 0 {
-			f.except = make(map[uint32]bool, len(fc.Except))
-			for _, seq := range fc.Except {
-				f.except[seq] = true
-			}
-		}
-		fm[fc.NS] = f
-	}
-	m.stats = ck.Stats
-	return nil
 }

@@ -57,6 +57,24 @@ type Emit struct {
 	// Retransmit marks timer-driven resends (loss-recovery traffic),
 	// distinguishing repairs from first transmissions in driver accounting.
 	Retransmit bool
+	// Commit marks the fan-out of a round the aggregator has just concluded:
+	// the one kind of emit that changes what a successor must know (see
+	// AggregatorMachine.AdoptResult). Replays and sparse flushes never carry
+	// it. A driver with standbys mirrors a Commit result to them before it
+	// sends the result to any worker.
+	Commit bool
+}
+
+// Committed returns the Commit emit among those of one aggregator machine
+// call — the first of its fan-out, which is one packet, pointer-equal across
+// destinations; a call concludes at most one round — or nil.
+func Committed(emits []Emit) *Emit {
+	for i := range emits {
+		if emits[i].Commit {
+			return &emits[i]
+		}
+	}
+	return nil
 }
 
 // Encode appends the emit's wire encoding to dst and returns the extended

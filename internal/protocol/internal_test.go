@@ -76,16 +76,15 @@ func TestArchiveEviction(t *testing.T) {
 	a := NewAggregatorMachine(cfg, 1)
 	for tid := uint32(1); tid <= 40; tid++ {
 		res := &wire.Packet{Type: wire.TypeResult, TensorID: tid, BlockSize: 4}
-		a.archiveResult(0, tid, res, wire.EncodedPacketSize(res))
+		a.archiveResult(0, res, wire.EncodedPacketSize(res))
 	}
-	m := a.archive[0]
-	if len(m) != archiveDepth {
-		t.Fatalf("archive holds %d entries, want %d", len(m), archiveDepth)
+	if n := len(a.archive[0]); n != ArchiveDepth {
+		t.Fatalf("archive holds %d entries, want %d", n, ArchiveDepth)
 	}
-	if _, ok := m[40]; !ok {
+	if a.archived(0, 40) == nil {
 		t.Fatal("archive lost the newest tensor")
 	}
-	if _, ok := m[40-archiveDepth]; ok {
+	if a.archived(0, 40-ArchiveDepth) != nil {
 		t.Fatal("archive kept an evicted tensor")
 	}
 	if !a.isFinished(0, 3) {

@@ -13,8 +13,8 @@ import (
 // machine layer: no transport, no goroutines. The Membership machine is
 // pure state, so stale epochs, deferred joins, and standby-chain
 // exhaustion are plain table tests; the handoff itself runs on a small
-// multi-aggregator pump that kills a machine mid-collective and resumes
-// its successor from a Checkpoint/Restore snapshot.
+// multi-aggregator pump that kills a machine mid-collective and builds
+// its successor from the results the dead machine committed.
 
 func TestMembershipEdgeCases(t *testing.T) {
 	base := View{Epoch: 1, Workers: []int{0, 1, 2}, Aggregators: []int{100, 200}}
@@ -155,8 +155,8 @@ func TestViewValidate(t *testing.T) {
 }
 
 // multiPump is the trace pump generalized to several aggregator nodes,
-// with a kill switch: killing a node checkpoints its machine into a
-// fresh standby, drops everything queued toward the corpse, and rebinds
+// with a kill switch: killing a node builds a fresh standby from the
+// node's mirror, drops everything queued toward the corpse, and rebinds
 // every worker. Delivery stays synchronous and deterministic.
 type multiPump struct {
 	t    *testing.T
@@ -167,6 +167,13 @@ type multiPump struct {
 	now  time.Duration
 	eb   EmitBuf
 	aggs []int // current serving list, round-robin order
+
+	// mirror is what a driver with standbys sends them: a copy of every
+	// Commit result, in emission order, tagged with the node that emitted
+	// it. heirOf[id] lists the nodes whose position id took over, oldest
+	// first: a standby of id has been sent their results too.
+	mirror []tmsg
+	heirOf map[int][]int
 }
 
 func newMultiPump(t *testing.T, cfg Config, inputs [][]float32) (*multiPump, [][]float32) {
@@ -177,25 +184,37 @@ func newMultiPump(t *testing.T, cfg Config, inputs [][]float32) (*multiPump, [][
 		t.Fatal(err)
 	}
 	p := &multiPump{t: t, cfg: cfg, ams: make(map[int]*AggregatorMachine),
-		aggs: append([]int(nil), cfg.Aggregators...)}
+		aggs: append([]int(nil), cfg.Aggregators...), heirOf: make(map[int][]int)}
 	for _, id := range cfg.Aggregators {
 		p.ams[id] = NewAggregatorMachine(cfg, id)
 	}
+	return p, p.begin(1, inputs)
+}
+
+// begin starts collective tid over copies of inputs, which it returns, on
+// fresh worker machines bound to the current serving list.
+func (p *multiPump) begin(tid uint32, inputs [][]float32) [][]float32 {
+	cfg := p.cfg
+	cfg.Aggregators = p.aggs
+	p.wms = p.wms[:0]
 	work := make([][]float32, len(inputs))
 	for w := range inputs {
 		work[w] = append([]float32(nil), inputs[w]...)
-		p.wms = append(p.wms, NewWorkerMachine(cfg, w, 1))
+		p.wms = append(p.wms, NewWorkerMachine(cfg, w, tid))
 	}
 	for w, m := range p.wms {
 		view := NewDenseView(work[w], cfg.BlockSize, cfg.ForceDense)
 		p.eb.Reset()
-		m.Start(view, 0, &p.eb)
+		m.Start(view, p.now, &p.eb)
 		p.push(w, p.eb.Emits())
 	}
-	return p, work
+	return work
 }
 
 func (p *multiPump) push(src int, emits []Emit) {
+	if e := Committed(emits); e != nil {
+		p.mirror = append(p.mirror, tmsg{src: src, pkt: testClone(e.Packet)})
+	}
 	for i := range emits {
 		p.q = append(p.q, tmsg{src: src, dst: emits[i].Dst, pkt: testClone(emits[i].Packet)})
 	}
@@ -250,15 +269,42 @@ func (p *multiPump) allDone() bool {
 	return true
 }
 
-// kill checkpoints dead's machine into a fresh standby at node standbyID,
-// removes the corpse (in-flight traffic toward it is lost), and rebinds
-// every worker to the updated serving list.
-func (p *multiPump) kill(dead, standbyID int) {
-	ck := p.ams[dead].Checkpoint()
-	sm := NewAggregatorMachine(p.cfg, standbyID)
-	if err := sm.Restore(ck); err != nil {
-		p.t.Fatalf("restore: %v", err)
+// successor builds the machine a standby at node id would take over dead's
+// position with: a fresh one that has adopted, in order, the results dead
+// (and the nodes dead itself succeeded) committed, and nothing else. The
+// newest behind of them never reached the standby.
+func (p *multiPump) successor(dead, id, behind int) *AggregatorMachine {
+	from := map[int]bool{dead: true}
+	for _, n := range p.heirOf[dead] {
+		from[n] = true
 	}
+	var frames []*wire.Packet
+	for _, m := range p.mirror {
+		if from[m.src] {
+			frames = append(frames, m.pkt)
+		}
+	}
+	if behind > len(frames) {
+		behind = len(frames)
+	}
+	sm := NewAggregatorMachine(p.cfg, id)
+	for _, f := range frames[:len(frames)-behind] {
+		sm.AdoptResult(f)
+	}
+	return sm
+}
+
+// kill replaces dead's machine with a successor at node standbyID built
+// from dead's mirror, removes the corpse (in-flight traffic toward it is
+// lost), and rebinds every worker to the updated serving list.
+func (p *multiPump) kill(dead, standbyID int) {
+	p.killBehind(dead, standbyID, 0)
+}
+
+// killBehind is kill with a standby that missed dead's last behind frames.
+func (p *multiPump) killBehind(dead, standbyID, behind int) {
+	sm := p.successor(dead, standbyID, behind)
+	p.heirOf[standbyID] = append(append([]int(nil), p.heirOf[dead]...), dead)
 	delete(p.ams, dead)
 	p.ams[standbyID] = sm
 	kept := p.q[:0]
@@ -281,7 +327,7 @@ func (p *multiPump) kill(dead, standbyID int) {
 }
 
 // TestFailoverPumpHandoff kills one of two aggregators mid-collective and
-// resumes its successor from the checkpoint. The surviving run must
+// resumes its successor from the mirror. The surviving run must
 // converge to results bit-identical to an undisturbed run, the standby
 // must complete rounds of its own, and replays landing at the survivor
 // must be version-filtered rather than double-merged.
@@ -329,9 +375,10 @@ func TestFailoverPumpHandoff(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip snapshots a mid-collective aggregator and
-// restores it into a fresh machine; both must answer the remaining trace
-// identically (the restored machine replaces the original outright).
+// TestCheckpointRoundTrip swaps a mid-collective aggregator for a fresh
+// machine that adopted the results it had committed, with nothing lost in
+// flight: the half-collected rounds the swap forgets come back by
+// retransmission, and the sum is exact.
 func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := Config{
 		BlockSize:          4,
@@ -344,15 +391,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	inputs := traceInputs()
 	p, work := newMultiPump(t, cfg, inputs)
 	p.step(9)
-	// Swap the live machine for its own checkpoint restored into a clone:
-	// pure state transfer, no network involved.
-	ck := p.ams[100].Checkpoint()
-	clone := NewAggregatorMachine(p.cfg, 100)
-	if err := clone.Restore(ck); err != nil {
-		t.Fatal(err)
-	}
+	// Swap the live machine for a clone built from its own mirror: pure
+	// state transfer, no network involved.
 	orig := p.ams[100]
+	clone := p.successor(100, 100, 0)
 	p.ams[100] = clone
+	adopted := len(p.mirror)
 	p.step(1 << 20)
 	for i := 0; i < 64 && !p.allDone(); i++ {
 		p.tick()
@@ -369,9 +413,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A restore into a machine with live slots must be refused.
-	if err := orig.Restore(ck); err == nil {
-		t.Fatal("restore into a live machine succeeded")
+	if adopted == 0 || clone.Stats().RoundsCompleted == 0 {
+		t.Fatalf("clone adopted %d results and completed %d rounds: not a mid-collective swap", adopted, clone.Stats().RoundsCompleted)
+	}
+	// Adoption never goes back: the original is level with, or ahead of,
+	// everything in its own mirror.
+	for _, m := range p.mirror[:adopted] {
+		if orig.AdoptResult(m.pkt) {
+			t.Fatalf("machine adopted a result it had itself committed: slot %d round %d", m.pkt.Slot, m.pkt.Version)
+		}
 	}
 }
 

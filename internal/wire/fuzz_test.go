@@ -425,3 +425,88 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeView holds the view-plane decoders — membership views, acks
+// and stale-epoch refusals (DecodeView) and the TypeCheckpoint envelope
+// (DecodeCheckpoint), all of which an aggregator or worker takes straight
+// off the network — to: no panic on any bytes; whatever decodes re-encodes
+// to a prefix-identical message of the declared size that decodes to the
+// same value; member lists are copies (view traffic outlives its buffer)
+// while a checkpoint's result is a view that never reaches past the
+// buffer or the length the envelope declares.
+func FuzzDecodeView(f *testing.F) {
+	f.Add(AppendView(nil, &ViewPacket{Type: TypeView, Epoch: 3, Workers: []int32{0, 1, 2}, Aggregators: []int32{100, 300}}))
+	f.Add(AppendView(nil, &ViewPacket{Type: TypeViewAck, WID: 7, Epoch: 9}))
+	f.Add(AppendView(nil, &ViewPacket{Type: TypeStaleEpoch, Reason: ReasonStaleEpoch, TensorID: 0xABCD, Epoch: 2, Workers: []int32{4}, Aggregators: []int32{-5}}))
+	for _, seed := range seedPackets()[:3] {
+		p, _ := DecodePacket(seed)
+		f.Add(AppendCheckpoint(nil, &CheckpointFrame{Shard: 1, NS: 77, Epoch: 12}, p))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		check := func(b []byte) {
+			if v, err := DecodeView(b); err == nil {
+				enc := AppendView(nil, v)
+				if len(enc) != EncodedViewSize(v) || len(enc) > len(b) || !bytes.Equal(enc, b[:len(enc)]) {
+					t.Fatalf("view re-encodes to\n  %x\nfrom\n  %x", enc, b)
+				}
+				own := append([]byte(nil), b...)
+				w, _ := DecodeView(own)
+				for i := range own {
+					own[i] = 0xFF
+				}
+				if enc2 := AppendView(nil, w); !bytes.Equal(enc, enc2) {
+					t.Fatal("decoded view aliases its buffer")
+				}
+			}
+			if c, err := DecodeCheckpoint(b); err == nil {
+				if len(c.Result) > 0 && &c.Result[0] != &b[CheckpointHeaderLen] {
+					t.Fatal("checkpoint result is not a view of the frame")
+				}
+				if len(c.Result) > len(b)-CheckpointHeaderLen || cap(c.Result) > cap(b)-CheckpointHeaderLen {
+					t.Fatalf("checkpoint result of %d bytes in a %d-byte frame", len(c.Result), len(b))
+				}
+				if p, err := DecodePacket(c.Result); err == nil && reencodable(p) {
+					enc := AppendCheckpoint(nil, &c, p)
+					d, err := DecodeCheckpoint(enc)
+					if err != nil || d.Shard != c.Shard || d.NS != c.NS || d.Epoch != c.Epoch || len(d.Result) != EncodedPacketSize(p) {
+						t.Fatalf("checkpoint round trip: %+v, %v", d, err)
+					}
+				}
+			}
+		}
+		check(buf)
+		for _, m := range chaosMutations(buf) {
+			check(m)
+		}
+	})
+}
+
+// FuzzDecodeControl is the same contract for the job/admission control
+// plane, which every aggregator decodes from whoever can reach it.
+func FuzzDecodeControl(f *testing.F) {
+	f.Add(AppendControl(nil, &ControlPacket{Type: TypeJobOpen, WID: 1, TensorID: 5 << 20, Workers: 4, Tenant: "prod", Job: "ranker"}))
+	f.Add(AppendControl(nil, &ControlPacket{Type: TypeJobReject, Reason: ReasonQuota, TensorID: 5 << 20}))
+	f.Add(AppendControl(nil, &ControlPacket{Type: TypeOpReject, Reason: ReasonDraining, TensorID: 5<<20 | 9}))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		check := func(b []byte) {
+			c, err := DecodeControl(b)
+			if err != nil {
+				return
+			}
+			if !IsControlType(c.Type) || len(c.Tenant) > MaxControlName || len(c.Job) > MaxControlName {
+				t.Fatalf("decoded an unencodable control packet: %+v", c)
+			}
+			enc := AppendControl(nil, c)
+			if len(enc) != EncodedControlSize(c) || len(enc) > len(b) || !bytes.Equal(enc, b[:len(enc)]) {
+				t.Fatalf("control packet re-encodes to\n  %x\nfrom\n  %x", enc, b)
+			}
+			if tid, ok := PeekWID(b); !ok || tid != c.WID {
+				t.Fatalf("PeekWID %d, %v; decoded %d", tid, ok, c.WID)
+			}
+		}
+		check(buf)
+		for _, m := range chaosMutations(buf) {
+			check(m)
+		}
+	})
+}

@@ -26,10 +26,10 @@ const (
 	// TypeView announcement learns the new membership from the refusal
 	// itself and can rebind without another round-trip.
 	TypeStaleEpoch
-	// TypeCheckpoint streams aggregator slot-state (an encoded
-	// protocol.AggCheckpoint) to a standby. Checkpoint frames can exceed
-	// a UDP datagram; they require a framed reliable transport (TCP or
-	// the in-process channel network) between primary and standby.
+	// TypeCheckpoint mirrors one committed aggregator result to a standby:
+	// a 16-byte envelope followed by the TypeResult packet itself, byte for
+	// byte as the workers receive it. A frame is 16 bytes longer than the
+	// result, so it fits wherever results do, datagrams included.
 	TypeCheckpoint
 )
 
@@ -136,65 +136,62 @@ func DecodeView(buf []byte) (*ViewPacket, error) {
 	return p, nil
 }
 
-const checkpointHeaderLen = 16
+// CheckpointHeaderLen is the length of a TypeCheckpoint envelope. It is a
+// multiple of four, so the result behind it is as aligned as the frame and
+// DecodePacketView can alias it.
+const CheckpointHeaderLen = 16
 
-// CheckpointFrame is a decoded TypeCheckpoint message: one shard's
-// encoded machine state for one tensor-ID namespace, stamped with the
-// epoch whose failover it serves. Payload encoding is the driver's
-// choice (the live service uses gob); the wire layer treats it as bytes.
+// CheckpointFrame is a TypeCheckpoint envelope: which shard of the primary
+// committed the result, the tensor-ID namespace it belongs to, and the
+// primary's view epoch at the time. Result is set by DecodeCheckpoint only.
 type CheckpointFrame struct {
-	Shard   uint16
-	NS      uint32
-	Epoch   uint32
-	Payload []byte
+	Shard  uint16
+	NS     uint32
+	Epoch  uint32
+	Result []byte // the encoded TypeResult packet; aliases the decoded buffer
 }
 
-// EncodedCheckpointSize returns the exact byte length AppendCheckpoint
-// produces.
-func EncodedCheckpointSize(f *CheckpointFrame) int {
-	return checkpointHeaderLen + len(f.Payload)
-}
-
-// AppendCheckpoint encodes f, appending to dst. Layout:
+// AppendCheckpoint encodes the envelope f followed by the result res,
+// appending CheckpointHeaderLen + EncodedPacketSize(res) bytes to dst.
+// Layout:
 //
 //	[0] type (TypeCheckpoint), [1] zero
 //	[2] shard uint16
 //	[4] namespace uint32
 //	[8] epoch uint32
-//	[12] payload length uint32
-//	[16] payload bytes
-func AppendCheckpoint(dst []byte, f *CheckpointFrame) []byte {
-	dst, w := grow(dst, EncodedCheckpointSize(f))
+//	[12] result length uint32
+//	[16] the result, as AppendPacket encodes it
+func AppendCheckpoint(dst []byte, f *CheckpointFrame, res *Packet) []byte {
+	dst, w := grow(dst, CheckpointHeaderLen)
 	w[0] = TypeCheckpoint
 	w[1] = 0
 	binary.LittleEndian.PutUint16(w[2:], f.Shard)
 	binary.LittleEndian.PutUint32(w[4:], f.NS)
 	binary.LittleEndian.PutUint32(w[8:], f.Epoch)
-	binary.LittleEndian.PutUint32(w[12:], uint32(len(f.Payload)))
-	copy(w[checkpointHeaderLen:], f.Payload)
-	return dst
+	binary.LittleEndian.PutUint32(w[12:], uint32(EncodedPacketSize(res)))
+	return AppendPacket(dst, res)
 }
 
-// DecodeCheckpoint parses an encoded checkpoint frame. The payload is
-// copied out of buf, so buf may be recycled immediately.
-func DecodeCheckpoint(buf []byte) (*CheckpointFrame, error) {
-	if len(buf) < checkpointHeaderLen || buf[0] != TypeCheckpoint {
-		if len(buf) < checkpointHeaderLen {
-			return nil, ErrTruncated
-		}
-		return nil, fmt.Errorf("wire: not a checkpoint frame (type %d)", buf[0])
+// DecodeCheckpoint parses a TypeCheckpoint envelope. Result is a view of
+// buf, not a copy: it lives as long as buf does, and whoever keeps one
+// keeps the other.
+func DecodeCheckpoint(buf []byte) (CheckpointFrame, error) {
+	if len(buf) < CheckpointHeaderLen {
+		return CheckpointFrame{}, ErrTruncated
 	}
-	n := int(binary.LittleEndian.Uint32(buf[12:]))
-	if len(buf) < checkpointHeaderLen+n {
-		return nil, ErrTruncated
+	if buf[0] != TypeCheckpoint {
+		return CheckpointFrame{}, fmt.Errorf("wire: not a checkpoint frame (type %d)", buf[0])
 	}
-	f := &CheckpointFrame{
-		Shard:   binary.LittleEndian.Uint16(buf[2:]),
-		NS:      binary.LittleEndian.Uint32(buf[4:]),
-		Epoch:   binary.LittleEndian.Uint32(buf[8:]),
-		Payload: append([]byte(nil), buf[checkpointHeaderLen:checkpointHeaderLen+n]...),
+	n := uint64(binary.LittleEndian.Uint32(buf[12:]))
+	if n > uint64(len(buf)-CheckpointHeaderLen) {
+		return CheckpointFrame{}, ErrTruncated
 	}
-	return f, nil
+	return CheckpointFrame{
+		Shard:  binary.LittleEndian.Uint16(buf[2:]),
+		NS:     binary.LittleEndian.Uint32(buf[4:]),
+		Epoch:  binary.LittleEndian.Uint32(buf[8:]),
+		Result: buf[CheckpointHeaderLen : CheckpointHeaderLen+int(n)],
+	}, nil
 }
 
 // IsViewType reports whether t is one of the view-plane types

@@ -55,7 +55,7 @@ func TestViewPacketDecodeErrors(t *testing.T) {
 		t.Fatal("truncated member list decoded")
 	}
 	// A checkpoint frame is not a view packet.
-	ck := AppendCheckpoint(nil, &CheckpointFrame{Payload: []byte("x")})
+	ck := AppendCheckpoint(nil, &CheckpointFrame{}, &Packet{Type: TypeResult, Nexts: []uint32{Inf(0)}})
 	if _, err := DecodeView(ck); err == nil {
 		t.Fatal("checkpoint frame decoded as view")
 	}
@@ -72,10 +72,13 @@ func TestViewAckWIDPeek(t *testing.T) {
 }
 
 func TestCheckpointFrameRoundTrip(t *testing.T) {
-	f := &CheckpointFrame{Shard: 3, NS: 77, Epoch: 12, Payload: []byte("slot-state-bytes")}
-	buf := AppendCheckpoint(nil, f)
-	if len(buf) != EncodedCheckpointSize(f) {
-		t.Fatalf("encoded %d bytes, EncodedCheckpointSize says %d", len(buf), EncodedCheckpointSize(f))
+	res := &Packet{Type: TypeResult, Version: 9, Slot: 3, WID: 200, TensorID: 77<<20 | 5, BlockSize: 2,
+		Nexts:  []uint32{6, Inf(1)},
+		Blocks: []Block{{Index: 4, Data: []float32{1.5, -2}}}}
+	f := &CheckpointFrame{Shard: 3, NS: 77, Epoch: 12}
+	buf := AppendCheckpoint(nil, f, res)
+	if len(buf) != CheckpointHeaderLen+EncodedPacketSize(res) {
+		t.Fatalf("encoded %d bytes, want %d + %d", len(buf), CheckpointHeaderLen, EncodedPacketSize(res))
 	}
 	if PeekType(buf) != TypeCheckpoint || !IsViewType(TypeCheckpoint) {
 		t.Fatal("checkpoint type not routable")
@@ -84,16 +87,25 @@ func TestCheckpointFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shard != f.Shard || got.NS != f.NS || got.Epoch != f.Epoch || !bytes.Equal(got.Payload, f.Payload) {
+	if got.Shard != f.Shard || got.NS != f.NS || got.Epoch != f.Epoch {
 		t.Fatalf("round trip mismatch: %+v != %+v", got, f)
 	}
-	// The payload must be a copy, not an alias of the encode buffer.
-	buf[checkpointHeaderLen] ^= 0xFF
-	if bytes.Equal(got.Payload, buf[checkpointHeaderLen:]) {
-		t.Fatal("decoded payload aliases the wire buffer")
+	// The payload is the result's own encoding, in place: no second codec,
+	// no copy.
+	if !bytes.Equal(got.Result, AppendPacket(nil, res)) {
+		t.Fatalf("payload is not the result packet:\n %x\n %x", got.Result, AppendPacket(nil, res))
+	}
+	if &got.Result[0] != &buf[CheckpointHeaderLen] {
+		t.Fatal("decoded payload is a copy of the wire buffer")
+	}
+	if p, err := DecodePacket(got.Result); err != nil || !packetsEquivalent(p, res) {
+		t.Fatalf("payload decodes to %+v, %v", p, err)
 	}
 	if _, err := DecodeCheckpoint(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated payload decoded")
+	}
+	if _, err := DecodeCheckpoint(buf[:CheckpointHeaderLen-1]); err == nil {
+		t.Fatal("truncated envelope decoded")
 	}
 	if _, err := DecodeCheckpoint(AppendView(nil, &ViewPacket{Type: TypeView, Epoch: 1})); err == nil {
 		t.Fatal("view packet decoded as checkpoint")

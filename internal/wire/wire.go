@@ -84,6 +84,37 @@ func (p *Packet) Done() bool {
 	return len(p.Nexts) > 0
 }
 
+// CopyPacketInto deep-copies src into dst: dst's Nexts and Blocks storage is
+// reused and every block payload is carved from arena (grown only when too
+// small), which is returned for the next copy into the same dst. Afterwards
+// dst shares no memory with src, so it outlives a recycled shell or a
+// released message buffer. Whoever keeps a packet past the lifetime it was
+// handed with — a result archive, a queue of simulated messages in flight —
+// keeps it this way, without allocating once dst and arena have grown.
+func CopyPacketInto(dst *Packet, arena []float32, src *Packet) []float32 {
+	nexts, blocks := dst.Nexts[:0], dst.Blocks[:0]
+	*dst = *src
+	dst.Nexts = append(nexts, src.Nexts...)
+	n := 0
+	for _, b := range src.Blocks {
+		n += len(b.Data)
+	}
+	if cap(arena) < n {
+		arena = make([]float32, 0, n)
+	}
+	arena = arena[:0]
+	if cap(blocks) < len(src.Blocks) {
+		blocks = make([]Block, 0, len(src.Blocks))
+	}
+	for _, b := range src.Blocks {
+		start := len(arena)
+		arena = append(arena, b.Data...)
+		blocks = append(blocks, Block{Index: b.Index, Data: arena[start:len(arena):len(arena)]})
+	}
+	dst.Blocks = blocks
+	return arena
+}
+
 const headerLen = 24
 
 // MaxPacketLen returns the encoded size of a packet with the given fusion

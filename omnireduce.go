@@ -86,13 +86,14 @@ type Options struct {
 	// keeps the legacy static membership.
 	ViewEpoch uint32
 	// CheckpointPeers lists standby aggregator node IDs this aggregator
-	// streams slot-state checkpoints to (aggregator-only; requires a
-	// framed reliable transport between primary and standby — frames can
-	// exceed a UDP datagram).
+	// mirrors every committed result to, before the workers get it
+	// (aggregator-only). A mirror frame is the result plus 16 bytes, so it
+	// travels over whatever transport the results do, UDP included.
 	CheckpointPeers []int
-	// Standby starts an aggregator passive: it stores checkpoints and
-	// refuses data until Aggregator.Activate (or an in-band view
-	// announcement) promotes it. Aggregator-only; requires ViewEpoch > 0.
+	// Standby starts an aggregator passive: it stores the results
+	// mirrored to it and refuses data until Aggregator.Activate (or an
+	// in-band view announcement) promotes it. Aggregator-only; requires
+	// ViewEpoch > 0.
 	Standby bool
 }
 
@@ -433,9 +434,15 @@ func (a *Aggregator) Close() error { return a.conn.Close() }
 
 // Activate installs view epoch with the given membership on this
 // aggregator and announces it to every member: the failover takeover
-// step, promoting a standby (which restores the dead primary's streamed
-// checkpoints lazily) or re-shaping an active aggregator's view. The
-// epoch must be newer than the node's current one.
+// step, promoting a standby or re-shaping an active aggregator's view.
+// A promoted standby takes the place of the aggregator the previous view
+// listed at its position and resumes from the results that node mirrored
+// to it: each slot at the round after its last result, finished tensors
+// replayable, anything half-collected re-sent by the workers. That covers
+// a kill at any point of a collective on unreliable transports
+// (Algorithm 2); on reliable ones (Algorithm 1 has no replay) hand over
+// between collectives. The successor's counters start at zero. The epoch
+// must be newer than the node's current one.
 func (a *Aggregator) Activate(epoch uint32, workers, aggregators []int) error {
 	return a.agg.Activate(protocol.View{
 		Epoch:       epoch,
@@ -448,9 +455,10 @@ func (a *Aggregator) Activate(epoch uint32, workers, aggregators []int) error {
 // yet activated into a view that lists it).
 func (a *Aggregator) Standby() bool { return a.agg.Standby() }
 
-// CheckpointsFrom reports how many checkpoint frames from primary node
-// `from` this aggregator holds — orchestrators gate failover on the
-// standby provably having state to take over from.
+// CheckpointsFrom reports how many mirrored results from primary node
+// `from` this standby holds (at most one per tensor in flight on a stream,
+// plus the last few final results per stream) — orchestrators gate
+// failover on the standby provably having state to take over from.
 func (a *Aggregator) CheckpointsFrom(from int) int { return a.agg.CheckpointsFrom(from) }
 
 func aggIDsFrom(o Options) []int {
