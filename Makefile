@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race short-race fuzz chaos bench bench-selftest drift obs timeline tenants failover clean
+.PHONY: all tier1 vet check race short-race fuzz chaos bench bench-selftest drift obs timeline tenants failover clean
 
 all: tier1
 
@@ -19,11 +19,18 @@ vet:
 	$(GO) vet ./...
 	GOARCH=s390x $(GO) vet ./internal/wire ./internal/tensor
 
-# Race tier: vet, the observability/leak-audit suite, the timeline
-# pipeline, the multi-tenant tier, the elastic-membership failover tier,
-# the benchmark module's own tests, then the full test suite under the
-# race detector.
-race: vet obs timeline tenants failover bench-selftest
+# Check tier: the protocol machines under every delivery schedule at small
+# scope. Today that is Algorithm 3 — 2 and 3 workers, FusionWidth 1 and 2,
+# every interleaving of the per-connection queues; -v prints the states and
+# schedules covered per input.
+check:
+	$(GO) test -run 'TestSparseScheduleExhaustive' -v ./internal/protocol/
+
+# Race tier: vet, the small-scope schedule check, the observability/
+# leak-audit suite, the timeline pipeline, the multi-tenant tier, the
+# elastic-membership failover tier, the benchmark module's own tests, then
+# the full test suite under the race detector.
+race: vet check obs timeline tenants failover bench-selftest
 	$(GO) test -race ./...
 
 # bench/ is a nested module (omnireduce/bench), so `./...` from the root
@@ -116,6 +123,9 @@ fuzz:
 # encoded bytes per operation), and BenchmarkPacketShape's FusionWidth x
 # Streams sweep is recorded with them: it is the evidence behind
 # protocol.Defaults' packet shape, so a change of default starts as a rerun.
+# The key-value path has two rungs: BenchmarkAllReduceSparseLive (the live
+# Algorithm 3 collective) and BenchmarkSparseMerge (the aggregator's merge
+# and flush alone, MB/s over the pairs merged), both gated.
 # BenchmarkCheckpointTax records what a standby costs a dense collective
 # when nothing fails (tax-x, mirrored over plain, rounds interleaved), and
 # benchjson fails the tier if it exceeds 2. benchjson also gates the pinned
@@ -126,6 +136,8 @@ fuzz:
 # recorded only (it measures the collector).
 bench:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceSparseLive$$' -benchmem -benchtime 50x -count=3 . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkSparseMerge$$' -benchmem -count=3 ./internal/protocol/ ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 10x . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPacketShape$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFailoverHandoff$$' -benchtime 5x . ; \
@@ -136,7 +148,7 @@ bench:
 	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView)$$' -benchmem -count=3 ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem -count=3 ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \
-	    -gate 'BenchmarkAllReduceLive,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap' \
+	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
 	# Portable-flavor sanity run (scalar syscalls even on Linux); not

@@ -174,7 +174,7 @@ func TestDriversReleaseNoLiveView(t *testing.T) {
 		// the same flush and the lockstep holds in this mode too.
 		c := poisonCluster(t, Config{Workers: 2})
 		rng := rand.New(rand.NewSource(24))
-		const nnz = 32*5 + 9
+		const nnz = 32*4*5 + 9 // five full packets per worker and a short tail
 		inputs := []*tensor.COO{tensor.NewCOO(3 * nnz), tensor.NewCOO(3 * nnz)}
 		want := make([]float32, nnz)
 		for k := 0; k < nnz; k++ {

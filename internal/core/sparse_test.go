@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -213,5 +214,83 @@ func TestSparseAllReduceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSparseAllReduceEdgeShapes runs the inputs on which Algorithm 3's
+// flow control is one-sided: while one worker holds the minimum for its
+// whole stream the others wait, and every flush fans out to every worker's
+// queue. Each shape runs at the default packet shape (where it is a packet
+// or two) and at a small one (hundreds of packets). allReduceSparse fails
+// the test on any error; the one these shapes could cause is
+// ErrOpBackpressure, from a worker's OpQueueLen-deep (default 1024) queue
+// overflowing with result chunks.
+//
+// A worker that holds the minimum now and then is flow-controlled — the
+// rest cannot pass it, so its queue holds a few chunks per packet in
+// flight (the fan-in case: some 1 250 flushes through 1 024-deep queues). A
+// worker that never holds it (its keys all above, or none at all) is not,
+// in the paper's Algorithm 3 or here: it is sent every flush and nobody
+// waits for it to read them. The two-worker inputs are sized so that a
+// whole collective is under 1 024 chunks at the small shape, which makes
+// those cases a check of the protocol and not of the scheduler.
+func TestSparseAllReduceEdgeShapes(t *testing.T) {
+	span := func(dim, from, n, stride int, v float32) *tensor.COO {
+		s := tensor.NewCOO(dim)
+		for i := 0; i < n; i++ {
+			s.Append(int32(from+i*stride), v+float32(i))
+		}
+		return s
+	}
+	const dim = 1 << 20
+	shapes := []struct {
+		name   string
+		inputs []*tensor.COO
+	}{
+		{"disjoint ranges", []*tensor.COO{span(dim, 0, 12000, 3, 1), span(dim, 500000, 12000, 3, 2)}},
+		{"one empty worker", []*tensor.COO{span(dim, 7, 12000, 5, 1), tensor.NewCOO(dim)}},
+		{"all keys equal", []*tensor.COO{span(dim, 11, 12000, 2, 1), span(dim, 11, 12000, 2, -3)}},
+		{"shorter than a packet", []*tensor.COO{span(dim, 5, 3, 9, 1), span(dim, 8, 2, 9, 2)}},
+	}
+	fanIn := make([]*tensor.COO, 8)
+	rng := rand.New(rand.NewSource(31))
+	for w := range fanIn {
+		fanIn[w] = tensor.NewCOO(dim)
+		for k := rng.Intn(40); k < dim && fanIn[w].Len() < 5000; k += 1 + rng.Intn(40) {
+			fanIn[w].Append(int32(k), float32(rng.NormFloat64()))
+		}
+	}
+	shapes = append(shapes, struct {
+		name   string
+		inputs []*tensor.COO
+	}{"8-worker fan-in", fanIn})
+
+	for _, sh := range shapes {
+		for _, small := range []bool{false, true} {
+			name := sh.name + "/default shape"
+			cfg := Config{Workers: len(sh.inputs), Reliable: true}
+			if small {
+				name = sh.name + "/small packets"
+				cfg.BlockSize, cfg.FusionWidth = 8, 4
+			}
+			t.Run(name, func(t *testing.T) {
+				c := startCluster(t, cfg, 0, 41)
+				outs := c.allReduceSparse(t, sh.inputs)
+				want := sh.inputs[0]
+				for _, in := range sh.inputs[1:] {
+					want = want.AddCOO(in)
+				}
+				for w, out := range outs {
+					if !slices.Equal(out.Keys, want.Keys) {
+						t.Fatalf("worker %d: %d keys, want %d (or they differ)", w, out.Len(), want.Len())
+					}
+					for i, v := range out.Values {
+						if d := v - want.Values[i]; d > 1e-3 || d < -1e-3 {
+							t.Fatalf("worker %d key %d: %v, want %v", w, out.Keys[i], v, want.Values[i])
+						}
+					}
+				}
+			})
+		}
 	}
 }

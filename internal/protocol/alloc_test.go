@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"omnireduce/internal/tensor"
 	"omnireduce/internal/wire"
 )
 
@@ -199,5 +200,87 @@ func TestTensorCompletionZeroAllocs(t *testing.T) {
 				t.Fatalf("a collective on a warm archive allocates %.1f objects on the aggregator, want 0", got)
 			}
 		})
+	}
+}
+
+// TestSparseSteadyStateZeroAllocs is the key-value pin. The aggregator
+// serves a whole Algorithm 3 collective — merge, flush, result chunks —
+// without allocating once a retired sparseAgg of that size is on
+// sparseFree. The worker allocates per collective (the machine, its
+// shells and their key arrays, the output pre-sized to the input), never
+// per packet: with one worker the result is the input, so the output
+// does not grow, and ten times the packets cost the same objects.
+func TestSparseSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins run without -race")
+	}
+	shape := Config{Aggregators: []int{aggNode}, Reliable: true, BlockSize: 4, FusionWidth: 2}
+
+	cfg := shape
+	cfg.Workers = 2
+	cfg = cfg.WithDefaults()
+	trace := sparseMergeTrace(t, cfg, 1<<14, 600)
+	if len(trace) != 2*75 {
+		t.Fatalf("%d data packets recorded, want 150", len(trace))
+	}
+	am := NewAggregatorMachine(cfg, aggNode)
+	var eb EmitBuf
+	tid := uint32(1)
+	replay := func() {
+		tid++
+		for _, p := range trace {
+			p.TensorID = tid
+			eb.Reset()
+			if err := am.HandlePacket(Msg{Sparse: p}, &eb); err != nil {
+				t.Fatalf("aggregator: %v", err)
+			}
+		}
+	}
+	replay()
+	if got := testing.AllocsPerRun(20, replay); got != 0 {
+		t.Fatalf("a key-value collective on a warm aggregator allocates %.1f objects, want 0", got)
+	}
+
+	cfg = shape
+	cfg.Workers = 1
+	cfg = cfg.WithDefaults()
+	solo := func(packets int) float64 {
+		in := tensor.NewCOO(1 << 14)
+		for k := 0; k < packets*cfg.sparsePairs(); k++ {
+			in.Append(int32(3*k), 1)
+		}
+		am := NewAggregatorMachine(cfg, aggNode)
+		var ebW, ebA EmitBuf
+		return testing.AllocsPerRun(20, func() {
+			tid++
+			m, err := NewSparseWorkerMachine(cfg, 0, tid, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ebW.Reset()
+			m.Start(&ebW)
+			for !m.Done() {
+				// Each call emits at most one packet, and its results are
+				// consumed before the worker is called again, as the Emit
+				// contract asks of a driver.
+				if ebW.Len() != 1 {
+					t.Fatalf("worker emitted %d packets, want 1", ebW.Len())
+				}
+				ebA.Reset()
+				if err := am.HandlePacket(Msg{Sparse: ebW.Emits()[0].Sparse}, &ebA); err != nil {
+					t.Fatal(err)
+				}
+				ebW.Reset()
+				for _, r := range ebA.Emits() {
+					if err := m.HandlePacket(r.Sparse, &ebW); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+	few, many := solo(4), solo(40)
+	if few != many || few > 12 {
+		t.Fatalf("worker allocates %.1f objects over 4 packets, %.1f over 40: want the same handful", few, many)
 	}
 }

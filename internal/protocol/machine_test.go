@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -344,24 +346,12 @@ func TestWorkerMachineResultErrors(t *testing.T) {
 	}
 }
 
-// TestSparseMachineTrace runs the Algorithm 3 key-value machines through
-// the same synchronous in-memory style: two workers with overlapping COO
-// tensors, one aggregator, in-order delivery.
-func TestSparseMachineTrace(t *testing.T) {
-	cfg := Config{Workers: 2, Aggregators: []int{aggNode}, Reliable: true, BlockSize: 2}.WithDefaults()
-	mk := func(pairs map[int32]float32) *tensor.COO {
-		c := tensor.NewCOO(100)
-		for k := int32(0); k < 100; k++ {
-			if v, ok := pairs[k]; ok {
-				c.Append(k, v)
-			}
-		}
-		return c
-	}
-	ins := []*tensor.COO{
-		mk(map[int32]float32{3: 1, 7: 2, 50: 3, 51: 4, 99: 5}),
-		mk(map[int32]float32{7: 10, 8: 11, 51: 12}),
-	}
+// runSparseFIFO runs the Algorithm 3 key-value machines through the same
+// synchronous in-memory style — one aggregator, one FIFO queue for the
+// whole cluster — calling deliver with every packet just before its
+// destination handles it, and returns the worker machines.
+func runSparseFIFO(tb testing.TB, cfg Config, ins []*tensor.COO, deliver func(dst int, p *wire.SparsePacket)) []*SparseWorkerMachine {
+	tb.Helper()
 	am := NewAggregatorMachine(cfg, aggNode)
 	var wms []*SparseWorkerMachine
 	type smsg struct {
@@ -378,42 +368,105 @@ func TestSparseMachineTrace(t *testing.T) {
 	for w := range ins {
 		m, err := NewSparseWorkerMachine(cfg, w, 1, ins[w])
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		wms = append(wms, m)
 		eb.Reset()
 		m.Start(&eb)
 		push(eb.Emits())
 	}
-	for len(q) > 0 {
+	for ; len(q) > 0; q = q[1:] {
 		m := q[0]
-		q = q[1:]
-		if m.dst == aggNode {
-			eb.Reset()
-			if err := am.HandlePacket(Msg{Sparse: m.pkt}, &eb); err != nil {
-				t.Fatal(err)
-			}
-			push(eb.Emits())
-			continue
-		}
+		deliver(m.dst, m.pkt)
 		eb.Reset()
-		if err := wms[m.dst].HandlePacket(m.pkt, &eb); err != nil {
-			t.Fatal(err)
+		var err error
+		if m.dst == aggNode {
+			err = am.HandlePacket(Msg{Sparse: m.pkt}, &eb)
+		} else {
+			err = wms[m.dst].HandlePacket(m.pkt, &eb)
+		}
+		if err != nil {
+			tb.Fatal(err)
 		}
 		push(eb.Emits())
 	}
-	want := map[int32]float32{3: 1, 7: 12, 8: 11, 50: 3, 51: 16, 99: 5}
 	for w, m := range wms {
 		if !m.Done() {
-			t.Fatalf("worker %d not done", w)
+			tb.Fatalf("worker %d not done", w)
 		}
-		res := m.Result()
-		if res.Len() != len(want) {
-			t.Fatalf("worker %d: %d keys, want %d", w, res.Len(), len(want))
+	}
+	return wms
+}
+
+// TestSparseMachineTrace: two workers with overlapping COO tensors,
+// in-order delivery, at every packet shape from Algorithm 3's own (one
+// block per packet) to one wider than the input.
+func TestSparseMachineTrace(t *testing.T) {
+	mk := func(pairs map[int32]float32) *tensor.COO {
+		c := tensor.NewCOO(100)
+		for k := int32(0); k < 100; k++ {
+			if v, ok := pairs[k]; ok {
+				c.Append(k, v)
+			}
 		}
-		for i, k := range res.Keys {
-			if res.Values[i] != want[k] {
-				t.Fatalf("worker %d key %d: %v != %v", w, k, res.Values[i], want[k])
+		return c
+	}
+	ins := []*tensor.COO{
+		mk(map[int32]float32{3: 1, 7: 2, 50: 3, 51: 4, 99: 5}),
+		mk(map[int32]float32{7: 10, 8: 11, 51: 12}),
+	}
+	want := map[int32]float32{3: 1, 7: 12, 8: 11, 50: 3, 51: 16, 99: 5}
+	// FusionWidth = 1 is the paper's Algorithm 3: this is the packet
+	// sequence the machine produced before packets were fused, delivery
+	// for delivery.
+	verbatim := []string{
+		"100<-0 next=50 [3 7]",
+		"100<-1 next=51 [7 8]",
+		"0<-100 next=4294967294 [3 7]",
+		"1<-100 next=4294967294 [3 7]",
+		"0<-100 next=50 [8]",
+		"1<-100 next=50 [8]",
+		"100<-0 next=99 [50 51]",
+		"0<-100 next=51 [50]",
+		"1<-100 next=51 [50]",
+		"100<-1 next=4294967295 [51]",
+		"0<-100 next=99 [51]",
+		"1<-100 next=99 [51]",
+		"100<-0 next=4294967295 [99]",
+		"0<-100 next=4294967295 [99]",
+		"1<-100 next=4294967295 [99]",
+	}
+	for _, shape := range []struct {
+		fusion, packets int
+		seq             []string
+	}{
+		{fusion: 1, packets: 15, seq: verbatim},
+		{fusion: 2, packets: 9},
+		{fusion: 32, packets: 4},
+	} {
+		cfg := Config{Workers: 2, Aggregators: []int{aggNode}, Reliable: true, BlockSize: 2,
+			FusionWidth: shape.fusion}.WithDefaults()
+		var seq []string // every packet in delivery order: "dst<-wid next=NextKey keys"
+		wms := runSparseFIFO(t, cfg, ins, func(dst int, p *wire.SparsePacket) {
+			seq = append(seq, fmt.Sprintf("%d<-%d next=%d %v", dst, p.WID, int64(p.NextKey), p.Keys))
+		})
+		if shape.seq != nil && !slices.Equal(seq, shape.seq) {
+			t.Fatalf("fusion %d: packet sequence\n%s\nwant\n%s", shape.fusion,
+				strings.Join(seq, "\n"), strings.Join(shape.seq, "\n"))
+		}
+		if len(seq) != shape.packets {
+			t.Errorf("fusion %d: %d packets delivered, want %d:\n%s", shape.fusion,
+				len(seq), shape.packets, strings.Join(seq, "\n"))
+		}
+		for w, m := range wms {
+			res := m.Result()
+			if res.Len() != len(want) {
+				t.Fatalf("fusion %d: worker %d: %d keys, want %d", shape.fusion, w, res.Len(), len(want))
+			}
+			for i, k := range res.Keys {
+				if res.Values[i] != want[k] {
+					t.Fatalf("fusion %d: worker %d key %d: %v != %v", shape.fusion, w, k, res.Values[i], want[k])
+				}
 			}
 		}
 	}

@@ -2,7 +2,10 @@ package protocol
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"omnireduce/internal/obs"
 	"omnireduce/internal/tensor"
@@ -10,11 +13,19 @@ import (
 )
 
 // This file implements the sparse (key-value) block format extension of
-// §3.3 / Algorithm 3. The input is a COO tensor; workers stream blocks of
-// BlockSize key-value pairs in key order, each packet carrying the key of
-// the sender's next non-zero value. The aggregator tracks every worker's
+// §3.3 / Algorithm 3. The input is a COO tensor; workers stream packets of
+// key-value pairs in key order, each packet carrying the key of the
+// sender's next non-zero value. The aggregator tracks every worker's
 // next key and flushes the aggregated prefix below the global minimum to
 // all workers, which assemble the full reduced tensor in key order.
+//
+// The paper's Algorithm 3 carries BlockSize pairs per packet. This
+// implementation applies Block Fusion (§3.2) to it, from the same Config
+// field the block path uses: a data packet and a flush chunk carry
+// FusionWidth × BlockSize pairs, and FusionWidth = 1 is Algorithm 3
+// verbatim. Flow control is the paper's stop-and-wait: a worker has one
+// data packet outstanding and sends the next when the announced global
+// next key reaches its own (Config.Streams does not apply to this mode).
 //
 // As in the paper, this mode targets reliable transports (the paper leaves
 // a lossy realization as future work), so the machine requests no timers.
@@ -26,8 +37,18 @@ import (
 // flush: the receiving worker must not treat it as flow-control progress.
 const MoreComing = wire.InfKey - 1
 
+// ErrSparseResult reports a result chunk a sparse worker refused: its keys
+// are not strictly increasing from the last pair assembled, one is not
+// below the tensor's dimension, or its keys and values differ in number.
+// The collective fails; the process does not.
+var ErrSparseResult = errors.New("protocol: malformed sparse result")
+
+// sparsePairs is the number of key-value pairs a full sparse data packet
+// or flush chunk carries.
+func (c Config) sparsePairs() int { return c.FusionWidth * c.BlockSize }
+
 // SparseWorkerMachine is the worker side of one sparse AllReduce
-// (Algorithm 3): it streams blocks of key-value pairs in key order, flow
+// (Algorithm 3): it streams packets of key-value pairs in key order, flow
 // controlled by the aggregator's announced global next key, and assembles
 // the multicast result prefix into the output COO tensor.
 type SparseWorkerMachine struct {
@@ -58,12 +79,15 @@ func NewSparseWorkerMachine(cfg Config, workerID int, tensorID uint32, in *tenso
 			return nil, fmt.Errorf("protocol: sparse key %d out of range", k)
 		}
 	}
+	// The result holds at least this worker's keys.
+	out := tensor.NewCOO(in.Dim)
+	out.Reserve(in.Len())
 	return &SparseWorkerMachine{
 		cfg: cfg,
 		id:  workerID,
 		tid: tensorID,
 		in:  in,
-		out: tensor.NewCOO(in.Dim),
+		out: out,
 	}, nil
 }
 
@@ -76,29 +100,25 @@ func (m *SparseWorkerMachine) Done() bool { return m.done }
 // Result returns the assembled global reduction; valid once Done.
 func (m *SparseWorkerMachine) Result() *tensor.COO { return m.out }
 
-// Start emits the first block of pairs (Algorithm 3 lines 2-7) into eb.
+// Start emits the first packet of pairs (Algorithm 3 lines 2-7) into eb.
 func (m *SparseWorkerMachine) Start(eb *EmitBuf) {
 	m.sendNext(eb)
 }
 
-// sendNext builds and accounts the next BlockSize-pair packet in a
-// flipped shell. Keys are converted into the shell's reused array; Values
-// alias the input tensor (machines never mutate it).
+// sendNext builds and accounts the next packet of FusionWidth × BlockSize
+// pairs in a flipped shell. Keys are converted into the shell's reused
+// array; Values alias the input tensor (machines never mutate it).
 func (m *SparseWorkerMachine) sendNext(eb *EmitBuf) {
-	bs := m.cfg.BlockSize
-	hi := m.idx + bs
-	if hi > m.in.Len() {
-		hi = m.in.Len()
-	}
+	hi := min(m.idx+m.cfg.sparsePairs(), m.in.Len())
 	m.flip ^= 1
 	p := &m.shells[m.flip]
 	p.Type = wire.TypeSparseData
 	p.WID = uint16(m.id)
 	p.TensorID = m.tid
 	p.NextKey = wire.InfKey
-	p.Keys = p.Keys[:0]
-	for i := m.idx; i < hi; i++ {
-		p.Keys = append(p.Keys, uint32(m.in.Keys[i]))
+	p.Keys = slices.Grow(p.Keys[:0], hi-m.idx)
+	for _, k := range m.in.Keys[m.idx:hi] {
+		p.Keys = append(p.Keys, uint32(k))
 	}
 	p.Values = m.in.Values[m.idx:hi]
 	m.idx = hi
@@ -118,7 +138,9 @@ func (m *SparseWorkerMachine) sendNext(eb *EmitBuf) {
 
 // HandlePacket consumes one sparse result chunk: appends the flushed
 // prefix to the output and, when the global progress reaches our next
-// unsent key, emits the next block into eb (Algorithm 3 line 10).
+// unsent key, emits the next packet into eb (Algorithm 3 line 10). A chunk
+// that does not continue the output in strictly increasing key order,
+// below the tensor's dimension, fails the collective with ErrSparseResult.
 func (m *SparseWorkerMachine) HandlePacket(p *wire.SparsePacket, eb *EmitBuf) error {
 	if p.Type != wire.TypeSparseResult {
 		return fmt.Errorf("protocol: worker %d: unexpected message type %d in sparse mode", m.id, p.Type)
@@ -126,8 +148,8 @@ func (m *SparseWorkerMachine) HandlePacket(p *wire.SparsePacket, eb *EmitBuf) er
 	if p.TensorID != m.tid {
 		return nil // stale
 	}
-	for i, k := range p.Keys {
-		m.out.Append(int32(k), p.Values[i])
+	if err := m.out.AppendRun(p.Keys, p.Values); err != nil {
+		return fmt.Errorf("protocol: worker %d: %w: %w", m.id, ErrSparseResult, err)
 	}
 	if p.NextKey == wire.InfKey {
 		m.done = true
@@ -144,8 +166,10 @@ func (m *SparseWorkerMachine) HandlePacket(p *wire.SparsePacket, eb *EmitBuf) er
 // The steady state holds the aggregate as parallel sorted runs
 // (keys/vals) with a flushed-prefix watermark: workers stream their pairs
 // in key order, so each inbound packet is an ascending run that merges
-// into the unflushed suffix in O(suffix + packet) with zero allocation
-// (the suffix is bounded by Workers × BlockSize through flow control).
+// into the part of the unflushed suffix it overlaps with zero allocation.
+// The suffix holds at most Workers × FusionWidth × BlockSize pairs: a
+// worker sends a packet only once everything below that packet's first key
+// has been flushed, so only its latest packet can hold unflushed pairs.
 // Flushes emit subslices of the runs zero-copy; the flushed prefix is
 // retained (never compacted) so emitted subslices stay valid while the
 // driver consumes them. If a packet ever violates the ordering
@@ -160,8 +184,12 @@ type sparseAgg struct {
 	keys    []uint32
 	vals    []float32
 	flushed int // keys[:flushed] already flushed
-	mergeK  []uint32
-	mergeV  []float32
+
+	// mergeK/mergeV are scratch both paths reuse: the sorted path merges
+	// a packet's overlap into them before moving it into place, the
+	// fallback path pops a flush's pairs into them to emit.
+	mergeK []uint32
+	mergeV []float32
 
 	// Fallback path (map + heap), engaged by fallbackify.
 	values  map[uint32]float32
@@ -267,39 +295,47 @@ func (sa *sparseAgg) runSortedFor(p *wire.SparsePacket) bool {
 
 // mergeRun folds p's ascending key-value run into the unflushed suffix of
 // the sorted runs. Equal keys fold in arrival order, the same float-op
-// sequence as the map path's `+=`.
+// sequence as the map path's `+=`. Only the pairs the packet's key range
+// overlaps go through the merge loop: those below its first key stay
+// where they are, those above its last key move up in one copy.
 func (sa *sparseAgg) mergeRun(p *wire.SparsePacket) {
-	suf := sa.keys[sa.flushed:]
-	sufV := sa.vals[sa.flushed:]
-	mk := sa.mergeK[:0]
-	mv := sa.mergeV[:0]
+	pk, pv := p.Keys, p.Values
+	if len(pk) == 0 {
+		return
+	}
+	unflushed := sa.keys[sa.flushed:]
+	lo := sa.flushed + sort.Search(len(unflushed), func(i int) bool { return unflushed[i] >= pk[0] })
+	suf, sufV := sa.keys[lo:], sa.vals[lo:]
+	mk, mv := sa.mergeK[:0], sa.mergeV[:0]
 	i, j := 0, 0
-	for i < len(suf) && j < len(p.Keys) {
+	for i < len(suf) && j < len(pk) {
 		switch {
-		case suf[i] < p.Keys[j]:
+		case suf[i] < pk[j]:
 			mk = append(mk, suf[i])
 			mv = append(mv, sufV[i])
 			i++
-		case suf[i] > p.Keys[j]:
-			mk, mv = appendFold(mk, mv, p.Keys[j], p.Values[j])
+		case suf[i] > pk[j]:
+			mk, mv = appendFold(mk, mv, pk[j], pv[j])
 			j++
 		default:
 			mk = append(mk, suf[i])
-			mv = append(mv, sufV[i]+p.Values[j])
+			mv = append(mv, sufV[i]+pv[j])
 			i++
 			j++
 		}
 	}
-	for ; i < len(suf); i++ {
-		mk = append(mk, suf[i])
-		mv = append(mv, sufV[i])
-	}
-	for ; j < len(p.Keys); j++ {
-		mk, mv = appendFold(mk, mv, p.Keys[j], p.Values[j])
+	for ; j < len(pk); j++ {
+		mk, mv = appendFold(mk, mv, pk[j], pv[j])
 	}
 	sa.mergeK, sa.mergeV = mk, mv
-	sa.keys = append(sa.keys[:sa.flushed], mk...)
-	sa.vals = append(sa.vals[:sa.flushed], mv...)
+	// mk replaces suf[:i]; it is longer by the keys that are new.
+	n, added := len(sa.keys), len(mk)-i
+	sa.keys = slices.Grow(sa.keys, added)[:n+added]
+	sa.vals = slices.Grow(sa.vals, added)[:n+added]
+	copy(sa.keys[lo+len(mk):], sa.keys[lo+i:n])
+	copy(sa.vals[lo+len(mk):], sa.vals[lo+i:n])
+	copy(sa.keys[lo:], mk)
+	copy(sa.vals[lo:], mv)
 }
 
 // appendFold appends (k, v), folding into the last entry when the key
@@ -372,16 +408,14 @@ func (m *AggregatorMachine) handleSparse(p *wire.SparsePacket, eb *EmitBuf) erro
 }
 
 // flushSparse multicasts aggregated pairs with key < upTo into eb,
-// chunked into BlockSize-pair packets. upTo == nextDone flushes
-// everything and marks the final chunk with InfKey.
+// chunked into packets of FusionWidth × BlockSize pairs. upTo == nextDone
+// flushes everything and marks the final chunk with InfKey.
 func (m *AggregatorMachine) flushSparse(sa *sparseAgg, upTo int64, eb *EmitBuf) {
 	var ks []uint32
 	var vs []float32
 	if sa.sorted {
-		end := sa.flushed
-		for end < len(sa.keys) && int64(sa.keys[end]) < upTo {
-			end++
-		}
+		unflushed := sa.keys[sa.flushed:]
+		end := sa.flushed + sort.Search(len(unflushed), func(i int) bool { return int64(unflushed[i]) >= upTo })
 		// Zero-copy subslices of the runs: the flushed prefix is never
 		// compacted or overwritten, so these stay valid past the call.
 		ks = sa.keys[sa.flushed:end]
@@ -398,7 +432,7 @@ func (m *AggregatorMachine) flushSparse(sa *sparseAgg, upTo int64, eb *EmitBuf) 
 		sa.mergeK, sa.mergeV = mk, mv
 		ks, vs = mk, mv
 	}
-	bs := m.cfg.BlockSize
+	bs := m.cfg.sparsePairs()
 	final := upTo == nextDone
 	chunks := (len(ks) + bs - 1) / bs
 	if chunks == 0 {

@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +145,47 @@ func TestCOOAppendOrdering(t *testing.T) {
 		}
 	}()
 	s.Append(3, 3)
+}
+
+// TestCOOAppendRun: the bulk form of Append takes wire keys, refuses a
+// run that would break the ordering or leave [0, Dim) with an error
+// instead of a panic, and a refused run changes nothing.
+func TestCOOAppendRun(t *testing.T) {
+	s := NewCOO(100)
+	s.Reserve(4)
+	if err := s.AppendRun([]uint32{1, 5}, []float32{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRun(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRun([]uint32{6, 90}, []float32{3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		keys []uint32
+		vals []float32
+	}{
+		{[]uint32{90}, []float32{1}},        // not above the last key
+		{[]uint32{95, 95}, []float32{1, 2}}, // repeats inside the run
+		{[]uint32{99, 98}, []float32{1, 2}}, // descends inside the run
+		{[]uint32{95}, nil},                 // a key without a value
+		{[]uint32{100}, []float32{1}},       // not below Dim
+		{[]uint32{1 << 31}, []float32{1}},   // negative as an int32
+	} {
+		if err := s.AppendRun(bad.keys, bad.vals); !errors.Is(err, ErrKeyOrder) {
+			t.Fatalf("AppendRun(%v, %v) = %v, want ErrKeyOrder", bad.keys, bad.vals, err)
+		}
+	}
+	if !slices.Equal(s.Keys, []int32{1, 5, 6, 90}) || !slices.Equal(s.Values, []float32{1, 2, 3, 4}) {
+		t.Fatalf("after refused runs: %v %v", s.Keys, s.Values)
+	}
+	// An empty output has no last key to compare with: the range check
+	// alone keeps a key of 2^31 or more from landing as a negative one.
+	empty := NewCOO(100)
+	if err := empty.AppendRun([]uint32{1<<31 + 5}, []float32{1}); !errors.Is(err, ErrKeyOrder) || empty.Len() != 0 {
+		t.Fatalf("first key >= 2^31 on an empty output: err %v, %d pairs", err, empty.Len())
+	}
 }
 
 func TestCOOAdd(t *testing.T) {
