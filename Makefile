@@ -151,27 +151,18 @@ bench:
 	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
-	# Portable-flavor sanity run (scalar syscalls even on Linux); not
-	# recorded to BENCH_datapath.json because the "scalar" sub-benchmark
-	# above already carries the runtime-toggled scalar numbers.
-	$(GO) test -tags portable_net -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 2x .
 
 # Full benchmark sweep (paper figures + wall clock), single iteration.
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Drift tier: the substrate-equivalence test (live channel cluster vs the
-# discrete-event simulator must produce identical per-worker packet,
-# block, and byte counts and bit-identical results), the batched-vs-scalar
-# UDP equivalence test under both build flavors (fast-path recvmmsg/
-# sendmmsg and the portable_net scalar build must report identical Stats
-# and bit-identical results), plus vet. Together: live-batched ≡
-# live-scalar ≡ sim.
+# Drift tier: vet plus the substrate-equivalence test — live channel
+# cluster vs the discrete-event simulator must produce identical
+# per-worker packet, block, and byte counts and bit-identical results.
+# Together: live ≡ simulator.
 drift:
 	$(GO) vet ./...
 	$(GO) test -run 'TestSubstrateEquivalence' -v ./internal/netsim/simproto/
-	$(GO) test -run 'TestBatchedScalarEquivalence' -v ./internal/core/
-	$(GO) test -tags portable_net -run 'TestBatchedScalarEquivalence' -v ./internal/core/
 
 clean:
 	$(GO) clean -testcache

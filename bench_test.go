@@ -423,78 +423,66 @@ func BenchmarkTracerOverhead(b *testing.B) {
 }
 
 // BenchmarkAllReduceUDPLive measures the real protocol over loopback UDP
-// sockets in both transport flavors: "batched" moves datagrams through
-// recvmmsg/sendmmsg (when the platform supports it) and "scalar" forces
-// the portable one-datagram-per-syscall path on the same sockets. The
-// delta between the two sub-benchmarks isolates the syscall-batching win;
-// allocs/op on either isolates the persistent-pump zero-allocation win
-// (cmd/benchjson records both in BENCH_datapath.json).
+// sockets, one syscall per datagram; allocs/op isolates the
+// persistent-pump zero-allocation win (cmd/benchjson records it in
+// BENCH_datapath.json).
 func BenchmarkAllReduceUDPLive(b *testing.B) {
-	run := func(b *testing.B, batched bool) {
-		if batched && !transport.BatchingSupported() {
-			b.Skip("batched datagram I/O unsupported on this platform/build")
-		}
-		const workers = 2
-		cfg := core.Config{
-			Workers:           workers,
-			Aggregators:       []int{workers},
-			Streams:           4,
-			BlockSize:         256,
-			Reliable:          false,
-			RetransmitTimeout: 20 * time.Millisecond,
-		}
-		aggUDP, err := transport.NewUDP(workers, map[int]string{workers: "127.0.0.1:0"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		aggUDP.SetBatching(batched)
-		agg, err := core.NewAggregator(aggUDP, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		go agg.Run()
-		b.Cleanup(func() { aggUDP.Close() })
-		ws := make([]*core.Worker, workers)
-		for i := 0; i < workers; i++ {
-			wUDP, err := transport.NewUDP(i, map[int]string{
-				i:       "127.0.0.1:0",
-				workers: aggUDP.Addr(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wUDP.SetBatching(batched)
-			if err := aggUDP.RegisterPeer(i, wUDP.Addr()); err != nil {
-				b.Fatal(err)
-			}
-			w, err := core.NewWorker(wUDP, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { w.Close() })
-			ws[i] = w
-		}
-		const n = 1 << 18
-		inputs := benchInputs(workers, n, 0.9, 17)
-		b.SetBytes(int64(4 * n))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					if err := ws[w].AllReduce(inputs[w]); err != nil {
-						b.Error(err)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
+	const workers = 2
+	cfg := core.Config{
+		Workers:           workers,
+		Aggregators:       []int{workers},
+		Streams:           4,
+		BlockSize:         256,
+		Reliable:          false,
+		RetransmitTimeout: 20 * time.Millisecond,
 	}
-	b.Run("batched", func(b *testing.B) { run(b, true) })
-	b.Run("scalar", func(b *testing.B) { run(b, false) })
+	aggUDP, err := transport.NewUDP(workers, map[int]string{workers: "127.0.0.1:0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	agg, err := core.NewAggregator(aggUDP, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	go agg.Run()
+	b.Cleanup(func() { aggUDP.Close() })
+	ws := make([]*core.Worker, workers)
+	for i := 0; i < workers; i++ {
+		wUDP, err := transport.NewUDP(i, map[int]string{
+			i:       "127.0.0.1:0",
+			workers: aggUDP.Addr(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := aggUDP.RegisterPeer(i, wUDP.Addr()); err != nil {
+			b.Fatal(err)
+		}
+		w, err := core.NewWorker(wUDP, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { w.Close() })
+		ws[i] = w
+	}
+	const n = 1 << 18
+	inputs := benchInputs(workers, n, 0.9, 17)
+	b.SetBytes(int64(4 * n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := ws[w].AllReduce(inputs[w]); err != nil {
+					b.Error(err)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
 }
 
 // BenchmarkAllReduceTCPLive measures the real protocol over loopback TCP

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
 	"omnireduce/internal/tenant"
@@ -32,8 +31,8 @@ import (
 //     answered with typed control packets, so workers fail with
 //     ErrTenantQuota / ErrAggregatorDraining / ErrTidCollision instead
 //     of timing out.
-//   - With Config.AggShards > 1, Run partitions the slot space across a
-//     bounded pool of shard goroutines. Each shard is fed through a
+//   - Run partitions the slot space across Config.AggShards shard
+//     goroutines (one is a valid count). Each shard is fed through a
 //     deficit-round-robin scheduler keyed by namespace, so a tenant
 //     flooding the aggregator gets at most its weighted share of merge
 //     time and quiet tenants' latency stays bounded.
@@ -49,18 +48,12 @@ type Aggregator struct {
 	cfg  Config
 	reg  *tenant.Registry
 
-	// Serial-path state (AggShards <= 1).
-	ms  machineSet
-	tx  txBatch
-	dec decodeState
-	eb  protocol.EmitBuf
-
-	// gate is the admission filter run by the single Recv-consumer
-	// thread (the serial loop or the sharded router).
+	// gate is the admission filter run by the router, the single
+	// Recv-consumer thread.
 	gate admitGate
 
 	// shardsMu guards shards, which Drain polls for queued work while
-	// runSharded owns it.
+	// Run owns it.
 	shardsMu sync.Mutex
 	shards   []*aggShard
 
@@ -80,9 +73,8 @@ type Aggregator struct {
 	shadows     map[shadowKey]*protocol.AggregatorMachine
 	enforce     atomic.Bool
 
-	// Stats accumulates traffic counters. They are written by the Run
-	// goroutine (folded from shard machines on sharded runs); read them
-	// only after Run returns (or accept racy reads for monitoring).
+	// Stats is the field-wise sum of every shard machine's counters,
+	// folded once when Run returns; read it only after that.
 	Stats AggStats
 }
 
@@ -94,7 +86,6 @@ type aggPumpCounters struct {
 }
 
 // AggPumpStats is a point-in-time copy of the sharded router's counters.
-// On unsharded runs (AggShards <= 1) all fields stay zero.
 type AggPumpStats struct {
 	// Routed is the number of messages dispatched to shards.
 	Routed int64
@@ -119,64 +110,11 @@ func (a *Aggregator) PumpSnapshot() AggPumpStats {
 	}
 }
 
-// AggStats counts aggregator-side protocol activity. The recovery
-// counters distinguish the three fates of a non-live packet: a duplicate
-// of the current round (filtered), a packet from an old round (answered
-// with a replay when possible), and a packet for a tensor that finished
-// long enough ago that its archived result was evicted (dropped). It
-// mirrors protocol.AggStats field for field; on sharded runs it is the
-// field-wise sum across shard machines, which equals the single-machine
-// totals because every counter is attributable to one slot or tensor.
-type AggStats struct {
-	PacketsRecvd     int64
-	BlocksAggregated int64
-	RoundsCompleted  int64
-	ResultsSent      int64
-	Replays          int64 // unicast result retransmissions (Algorithm 2)
-	DupsFiltered     int64 // same-round duplicates discarded
-	StaleRounds      int64 // packets arriving for an already-concluded round
-	StaleFinished    int64 // packets for finished tensors past the archive
-	FastForwards     int64 // rounds skipped resyncing after a takeover
-}
-
-// add folds another AggStats in field for field.
-func (s *AggStats) add(o AggStats) {
-	s.PacketsRecvd += o.PacketsRecvd
-	s.BlocksAggregated += o.BlocksAggregated
-	s.RoundsCompleted += o.RoundsCompleted
-	s.ResultsSent += o.ResultsSent
-	s.Replays += o.Replays
-	s.DupsFiltered += o.DupsFiltered
-	s.StaleRounds += o.StaleRounds
-	s.StaleFinished += o.StaleFinished
-	s.FastForwards += o.FastForwards
-}
-
-// accumulate folds one machine's counters in field for field.
-func (s *AggStats) accumulate(ms protocol.AggStats) {
-	s.PacketsRecvd += ms.PacketsRecvd
-	s.BlocksAggregated += ms.BlocksAggregated
-	s.RoundsCompleted += ms.RoundsCompleted
-	s.ResultsSent += ms.ResultsSent
-	s.Replays += ms.Replays
-	s.DupsFiltered += ms.DupsFiltered
-	s.StaleRounds += ms.StaleRounds
-	s.StaleFinished += ms.StaleFinished
-	s.FastForwards += ms.FastForwards
-}
-
-// RecoveryCounters exports the loss-recovery subset of the counters as a
-// metrics counter set. Call only after Run returns (the counters are
-// written unsynchronized by the Run goroutine).
-func (s *AggStats) RecoveryCounters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Add("result_replays", s.Replays)
-	c.Add("dups_filtered", s.DupsFiltered)
-	c.Add("stale_rounds", s.StaleRounds)
-	c.Add("stale_finished_dropped", s.StaleFinished)
-	c.Add("fast_forwards", s.FastForwards)
-	return c
-}
+// AggStats counts aggregator-side protocol activity (see
+// protocol.AggStats). Aggregator.Stats is the field-wise sum across shard
+// machines, which equals a single machine's totals because every counter
+// is attributable to one slot or tensor.
+type AggStats = protocol.AggStats
 
 // NewAggregator returns an aggregator bound to conn.
 func NewAggregator(conn transport.Conn, cfg Config) (*Aggregator, error) {
@@ -192,11 +130,7 @@ func NewAggregator(conn transport.Conn, cfg Config) (*Aggregator, error) {
 		conn: conn,
 		cfg:  cfg,
 		reg:  tenant.NewRegistry(tcfg, obs.Default, cfg.Workers),
-		tx:   txBatch{observe: observeAggTx, flushFull: obsAggFlushFull, flushEnd: obsAggFlushEnd},
 	}
-	a.ms = newMachineSet(cfg.proto(), conn.LocalID(), a.reg)
-	a.ms.restore = a.adoptShadow
-	a.tx.resolve = a.resolveDst
 	a.gate = admitGate{a: a, verdicts: make(map[admitKey]uint8), gens: make(map[uint32]uint32), bound: make(map[int]uint32)}
 	if cfg.View != nil {
 		a.view = cfg.View.Clone()
@@ -246,10 +180,10 @@ type machineSet struct {
 	gens    map[uint32]uint32 // registration generation each machine was built under
 	retired AggStats          // counters folded out of retired machines
 
-	// shard is this set's shard index (0 on the serial path); restore,
-	// when non-nil, is consulted once per freshly built machine so an
-	// activated standby resumes from the results the dead primary
-	// mirrored to it instead of a blank slate (see Aggregator.adoptShadow).
+	// shard is this set's shard index; restore, when non-nil, is
+	// consulted once per freshly built machine so an activated standby
+	// resumes from the results the dead primary mirrored to it instead of
+	// a blank slate (see Aggregator.adoptShadow).
 	shard   int
 	restore func(m *protocol.AggregatorMachine, shard int, ns uint32)
 }
@@ -278,9 +212,7 @@ func (s *machineSet) machineFor(tid uint32, gen uint32) *protocol.AggregatorMach
 		if s.gens[ns] == gen {
 			return m
 		}
-		var old AggStats
-		old.accumulate(m.Stats())
-		s.retired.add(old)
+		s.retired.Add(m.Stats())
 		m.Release() // return live slot state, balancing the pool audit
 		delete(s.ms, ns)
 	}
@@ -318,9 +250,7 @@ func (s *machineSet) machineFor(tid uint32, gen uint32) *protocol.AggregatorMach
 // protocol pools (leak-audit balance) and folding counters into retired.
 func (s *machineSet) release() {
 	for ns, m := range s.ms {
-		var old AggStats
-		old.accumulate(m.Stats())
-		s.retired.add(old)
+		s.retired.Add(m.Stats())
 		m.Release()
 		delete(s.ms, ns)
 	}
@@ -328,77 +258,10 @@ func (s *machineSet) release() {
 
 // fold accumulates every machine's counters (live and retired) into sum.
 func (s *machineSet) fold(sum *AggStats) {
-	sum.add(s.retired)
+	sum.Add(s.retired)
 	for _, m := range s.ms {
-		sum.accumulate(m.Stats())
+		sum.Add(m.Stats())
 	}
-}
-
-// Run processes packets until the connection closes. It returns nil on
-// orderly shutdown (transport.ErrClosed) and the underlying error
-// otherwise. A close racing with an in-flight reply (the connection went
-// away between receiving a packet and transmitting its response) is also
-// orderly shutdown.
-func (a *Aggregator) Run() error {
-	defer a.releaseShadows()
-	if a.cfg.AggShards > 1 {
-		return a.runSharded(a.cfg.AggShards)
-	}
-	// On exit, retire the surviving machines so their pooled slot state is
-	// returned (leak-audit balance) while the folded stats stay readable.
-	defer func() {
-		a.ms.release()
-		a.Stats = AggStats{}
-		a.ms.fold(&a.Stats)
-	}()
-	for {
-		m, err := a.conn.Recv()
-		if err != nil {
-			if err == transport.ErrClosed {
-				return nil
-			}
-			return err
-		}
-		forward, err := a.gate.filter(m)
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if !forward {
-			continue
-		}
-		if err := a.handle(m); err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// handle decodes one inbound message, runs it through its namespace's
-// machine, and transmits the machine's emits.
-func (a *Aggregator) handle(m transport.Message) error {
-	var gen uint32
-	if tid, ok := peekTensorID(m.Data); ok {
-		gen = a.gate.genOf(tid)
-	}
-	a.eb.Reset()
-	err := handleMsg(&a.ms, &a.dec, &a.eb, m, gen)
-	a.Stats = AggStats{}
-	a.ms.fold(&a.Stats)
-	if err != nil {
-		return err
-	}
-	// Output-commit: a result this step committed goes to the standbys
-	// BEFORE it reaches any worker, so a standby can never know less than
-	// a worker holding it.
-	if len(a.cfg.CheckpointPeers) > 0 {
-		a.mirrorCommits(&a.tx, a.conn, a.eb.Emits(), a.ms.shard)
-	}
-	return a.tx.sendEmits(a.conn, a.eb.Emits())
 }
 
 // handleMsg decodes one message as a view of its buffer (dec's shells
@@ -456,11 +319,11 @@ func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg trans
 }
 
 // admitGate is the admission filter in front of the merge path, run by
-// whichever single thread consumes Recv (the serial loop or the sharded
-// router) — so every admission decision is serialized without any
-// datapath locking. It owns the control plane: job opens and closes are
-// answered here, and every (tensor ID, worker ID, sender) triple the
-// router has not seen is ruled on by the registry. Keying verdicts on
+// the router, the single thread that consumes Recv — so every admission
+// decision is serialized without any datapath locking. It owns the
+// control plane: job opens and closes are answered here, and every
+// (tensor ID, worker ID, sender) triple the router has not seen is ruled
+// on by the registry. Keying verdicts on
 // the full triple (not the tensor ID alone) is what catches a second
 // cluster squatting on an already-ruled tensor ID from a different node
 // — with a tid-only cache its packets would ride the first cluster's
@@ -592,12 +455,6 @@ func (g *admitGate) retire(ns uint32) {
 	}
 }
 
-// genOf reports the current registration generation of tid's namespace.
-// Must be called from the gate's owning thread (the Recv consumer).
-func (g *admitGate) genOf(tid uint32) uint32 {
-	return g.gens[protocol.TidNamespace(tid)]
-}
-
 // sendControl encodes and transmits one control packet, reusing the
 // gate's buffer.
 func (g *admitGate) sendControl(to int, cp *wire.ControlPacket) error {
@@ -643,7 +500,7 @@ type shardItem struct {
 // router learn about the failure promptly.
 func (s *aggShard) run(fail func()) {
 	// Machines retire when the shard exits; stats stay readable through
-	// the retired fold (runSharded folds after the shards join).
+	// the retired fold (Run folds after the shards join).
 	defer s.ms.release()
 	for {
 		it, ok := s.in.Pop()
@@ -671,7 +528,7 @@ func (s *aggShard) run(fail func()) {
 // shardOf routes an encoded message to its shard: dense packets by slot,
 // sparse packets by tensor ID — the keys the machine partitions all of
 // its state by. Unparseable messages go to shard 0, whose decode error
-// surfaces through Run just as on the serial path.
+// surfaces through Run.
 func shardOf(data []byte, n int) int {
 	switch wire.PeekType(data) {
 	case wire.TypeData:
@@ -692,13 +549,20 @@ func shardOf(data []byte, n int) int {
 // drops (unreliable) rather than unbounded memory.
 const schedFlowCap = 64
 
-// runSharded is Run's bounded-parallel form: n shard goroutines, a
-// router loop feeding them through per-namespace DRR schedulers, and a
-// final fold of per-shard stats into Stats. Per-(job, slot) FIFO order
-// is preserved because the route is a pure function of (namespace,
-// slot), flows are FIFO, and each shard processes its scheduler
-// serially.
-func (a *Aggregator) runSharded(n int) error {
+// Run processes packets until the connection closes. It returns nil on
+// orderly shutdown (transport.ErrClosed) and the underlying error
+// otherwise. A close racing with an in-flight reply (the connection went
+// away between receiving a packet and transmitting its response) is also
+// orderly shutdown.
+//
+// Config.AggShards shard goroutines own the machines, a router loop feeds
+// them through per-namespace DRR schedulers, and their stats fold into
+// Stats on exit. Per-(job, slot) FIFO order is preserved because the
+// route is a pure function of (namespace, slot), flows are FIFO, and each
+// shard processes its scheduler serially.
+func (a *Aggregator) Run() error {
+	defer a.releaseShadows()
+	n := a.cfg.AggShards
 	shards := make([]*aggShard, n)
 	proto := a.cfg.proto()
 	for i := range shards {
@@ -835,7 +699,7 @@ router:
 }
 
 // queuedPackets reports how many admitted packets sit in shard
-// schedulers (0 on the serial path, which has no queues).
+// schedulers.
 func (a *Aggregator) queuedPackets() int {
 	a.shardsMu.Lock()
 	shards := a.shards

@@ -6,49 +6,56 @@ import (
 	"testing"
 	"time"
 
+	"omnireduce/internal/obs"
+	"omnireduce/internal/protocol"
+	"omnireduce/internal/tenant"
 	"omnireduce/internal/transport"
 	"omnireduce/internal/wire"
 )
 
-// Driver-level aggregator tests: protocol error surfacing through the
-// transport handler and lifecycle behavior. The aggregation internals
+// Driver-level aggregator tests: protocol error surfacing through a
+// shard's message handler and lifecycle behavior. The aggregation internals
 // (accumulator modes, archive, finished tracking, machine traces) are
 // tested in internal/protocol.
 
+// shardStep is the decode-and-step half of a shard's loop: handleMsg on
+// one machine set, without the transmit.
+type shardStep struct {
+	ms  machineSet
+	dec decodeState
+	eb  protocol.EmitBuf
+}
+
+func newShardStep(cfg Config) *shardStep {
+	cfg = cfg.withDefaults()
+	reg := tenant.NewRegistry(tenant.Config{}, obs.Default, cfg.Workers)
+	return &shardStep{ms: newMachineSet(cfg.proto(), cfg.Aggregators[0], reg)}
+}
+
+func (s *shardStep) handle(from int, data []byte) error {
+	return handleMsg(&s.ms, &s.dec, &s.eb, transport.Message{From: from, Data: data}, 0)
+}
+
 func TestAggregatorRejectsUnknownWorker(t *testing.T) {
-	nw := transport.NewNetwork(1, 16)
-	aggConn := nw.AddNode(1)
-	defer aggConn.Close()
-	cfg := Config{Workers: 1, Aggregators: []int{1}, Reliable: true}.withDefaults()
-	a, err := NewAggregator(aggConn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newShardStep(Config{Workers: 1, Aggregators: []int{1}, Reliable: true})
 	p := &wire.Packet{
 		Type: wire.TypeData, WID: 9, TensorID: 1, BlockSize: 4,
 		Nexts: []uint32{wire.Inf(0)},
 	}
-	err = a.handle(transport.Message{From: 9, Data: wire.AppendPacket(nil, p)})
+	err := s.handle(9, wire.AppendPacket(nil, p))
 	if err == nil || !strings.Contains(err.Error(), "unknown worker") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestAggregatorRejectsGeometryChange(t *testing.T) {
-	nw := transport.NewNetwork(2, 16)
-	aggConn := nw.AddNode(2)
-	defer aggConn.Close()
-	cfg := Config{Workers: 2, Aggregators: []int{2}, Reliable: true}.withDefaults()
-	a, err := NewAggregator(aggConn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newShardStep(Config{Workers: 2, Aggregators: []int{2}, Reliable: true})
 	first := &wire.Packet{
 		Type: wire.TypeData, WID: 0, TensorID: 1, BlockSize: 4,
 		Nexts:  []uint32{wire.Inf(0), wire.Inf(1)},
 		Blocks: []wire.Block{{Index: 0, Data: []float32{1, 2, 3, 4}}},
 	}
-	if err := a.handle(transport.Message{From: 0, Data: wire.AppendPacket(nil, first)}); err != nil {
+	if err := s.handle(0, wire.AppendPacket(nil, first)); err != nil {
 		t.Fatal(err)
 	}
 	// Same tensor, different fusion width from the other worker.
@@ -56,21 +63,14 @@ func TestAggregatorRejectsGeometryChange(t *testing.T) {
 		Type: wire.TypeData, WID: 1, TensorID: 1, BlockSize: 4,
 		Nexts: []uint32{wire.Inf(0)},
 	}
-	err = a.handle(transport.Message{From: 1, Data: wire.AppendPacket(nil, bad)})
+	err := s.handle(1, wire.AppendPacket(nil, bad))
 	if err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestAggregatorRejectsWrongBlockIndex(t *testing.T) {
-	nw := transport.NewNetwork(2, 16)
-	aggConn := nw.AddNode(2)
-	defer aggConn.Close()
-	cfg := Config{Workers: 2, Aggregators: []int{2}, Reliable: true}.withDefaults()
-	a, err := NewAggregator(aggConn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newShardStep(Config{Workers: 2, Aggregators: []int{2}, Reliable: true})
 	mk := func(wid uint16, idx uint32) []byte {
 		return wire.AppendPacket(nil, &wire.Packet{
 			Type: wire.TypeData, WID: wid, TensorID: 1, BlockSize: 2,
@@ -78,29 +78,21 @@ func TestAggregatorRejectsWrongBlockIndex(t *testing.T) {
 			Blocks: []wire.Block{{Index: idx, Data: []float32{1, 2}}},
 		})
 	}
-	if err := a.handle(transport.Message{From: 0, Data: mk(0, 0)}); err != nil {
+	if err := s.handle(0, mk(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Worker 1 claims a different block for the same column position.
-	err = a.handle(transport.Message{From: 1, Data: mk(1, 3)})
-	if err == nil {
+	if err := s.handle(1, mk(1, 3)); err == nil {
 		t.Fatal("expected block index mismatch error")
 	}
 }
 
 func TestAggregatorRejectsGarbage(t *testing.T) {
-	nw := transport.NewNetwork(1, 16)
-	aggConn := nw.AddNode(1)
-	defer aggConn.Close()
-	cfg := Config{Workers: 1, Aggregators: []int{1}, Reliable: true}.withDefaults()
-	a, err := NewAggregator(aggConn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.handle(transport.Message{From: 0, Data: []byte{99, 1, 2}}); err == nil {
+	s := newShardStep(Config{Workers: 1, Aggregators: []int{1}, Reliable: true})
+	if err := s.handle(0, []byte{99, 1, 2}); err == nil {
 		t.Fatal("expected error for unknown message type")
 	}
-	if err := a.handle(transport.Message{From: 0, Data: []byte{wire.TypeData, 0}}); err == nil {
+	if err := s.handle(0, []byte{wire.TypeData, 0}); err == nil {
 		t.Fatal("expected decode error for truncated packet")
 	}
 }

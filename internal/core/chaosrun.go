@@ -60,9 +60,21 @@ func (r *ChaosReport) RecoveryCounters() *metrics.Counters {
 	for i := range r.WorkerStats {
 		c.Merge(r.WorkerStats[i].RecoveryCounters())
 	}
-	for i := range r.AggStats {
-		c.Merge(r.AggStats[i].RecoveryCounters())
+	for _, s := range r.AggStats {
+		c.Merge(aggRecoveryCounters(s))
 	}
+	return c
+}
+
+// aggRecoveryCounters exports the loss-recovery subset of an aggregator's
+// counters as a metrics counter set.
+func aggRecoveryCounters(s AggStats) *metrics.Counters {
+	c := metrics.NewCounters()
+	c.Add("result_replays", s.Replays)
+	c.Add("dups_filtered", s.DupsFiltered)
+	c.Add("stale_rounds", s.StaleRounds)
+	c.Add("stale_finished_dropped", s.StaleFinished)
+	c.Add("fast_forwards", s.FastForwards)
 	return c
 }
 

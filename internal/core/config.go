@@ -107,7 +107,7 @@ type Config struct {
 	// sparse by tensor ID; per-slot packet order is preserved). It is a
 	// driver-level knob only — the protocol machines and the simulator
 	// never see it, and aggregate statistics are identical for any value.
-	// Default min(4, GOMAXPROCS); 1 disables sharding.
+	// Default min(4, GOMAXPROCS); 1 runs one shard goroutine.
 	AggShards int
 	// OpQueueLen is the capacity of each in-flight collective's inbound
 	// message queue on the worker (a driver-level knob, like AggShards).

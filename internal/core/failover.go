@@ -157,7 +157,7 @@ func (a *Aggregator) shadowResult(from int, buf []byte, dec *decodeState) {
 	} else if from != a.restoreFrom {
 		return
 	}
-	k := shadowKey{from: from, ns: f.NS, shard: int(res.Slot) % a.shardCount()}
+	k := shadowKey{from: from, ns: f.NS, shard: int(res.Slot) % a.cfg.AggShards}
 	m := a.shadows[k]
 	if m == nil {
 		if len(a.shadows) >= maxShadows {
@@ -172,14 +172,6 @@ func (a *Aggregator) shadowResult(from int, buf []byte, dec *decodeState) {
 	if m.AdoptResult(res) {
 		obsAggCkStored.Inc()
 	}
-}
-
-// shardCount is the number of machine sets Run spreads slots over.
-func (a *Aggregator) shardCount() int {
-	if a.cfg.AggShards > 1 {
-		return a.cfg.AggShards
-	}
-	return 1
 }
 
 // CheckpointsFrom reports how many mirrored results from primary node

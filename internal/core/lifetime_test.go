@@ -14,25 +14,22 @@ import (
 // message as a view of its buffer and releases the buffer when
 // HandlePacket returns, so a machine that kept any slice of the packet
 // would go on to read whatever the pool puts there next. These tests make
-// "next" immediate and hostile.
+// "next" immediate and hostile on the worker side; the aggregator side is
+// held to the same rule at machine level (internal/protocol's
+// TestMachinesReleaseNoLiveView), because a shard handles a packet while
+// its router is already receiving the next.
 
-// poisonConn gives its endpoint a private copy of every inbound message
-// and overwrites the copy with 0xFF (NaNs, and keys no tensor has) at the
-// first moment the endpoint has provably finished handling it:
-//
-//   - a serial aggregator (AggShards 1) asks for the next message only
-//     after the previous one went through HandlePacket, so its copies are
-//     poisoned on its next Recv — before the round's other contributions
-//     are merged;
-//   - a worker running one stream over dense input answers every result
-//     and gets the next only after its answer, so its copies are poisoned
-//     on its next send — before the next result is applied.
+// poisonConn gives a worker a private copy of every inbound message and
+// overwrites the copy with 0xFF (NaNs, and keys no tensor has) at the
+// first moment the worker has provably finished handling it: running one
+// stream over dense input, it answers every result and gets the next only
+// after its answer, so its copies are poisoned on its next send — before
+// the next result is applied.
 //
 // The copies never enter the buffer pool (their capacity is no pool class),
 // so nothing but a retained view can still be looking at one.
 type poisonConn struct {
 	transport.Conn
-	onSend bool
 
 	mu        sync.Mutex
 	delivered [][]byte
@@ -50,9 +47,6 @@ func (c *poisonConn) poison() {
 }
 
 func (c *poisonConn) Recv() (transport.Message, error) {
-	if !c.onSend {
-		c.poison()
-	}
 	m, err := c.Conn.Recv()
 	if err != nil {
 		return m, err
@@ -69,38 +63,36 @@ func (c *poisonConn) Recv() (transport.Message, error) {
 }
 
 func (c *poisonConn) Send(to int, data []byte) error {
-	if c.onSend {
-		c.poison()
-	}
+	c.poison()
 	return c.Conn.Send(to, data)
 }
 
 func (c *poisonConn) SendBatch(msgs []transport.Outgoing) error {
-	if c.onSend {
-		c.poison()
-	}
+	c.poison()
 	return transport.SendAll(c.Conn, msgs)
 }
 
-// poisonCluster is startCluster with every endpoint behind a poisonConn.
-// One stream and a serial aggregator give the lockstep poisonConn's timing
-// rests on.
+// poisonCluster is startCluster with every worker behind a poisonConn. One
+// stream gives the lockstep poisonConn's timing rests on.
 func poisonCluster(t *testing.T, cfg Config) *cluster {
 	t.Helper()
 	cfg.Reliable = true
 	cfg.Streams = 1
-	cfg.AggShards = 1
 	cfg.BlockSize = 32
 	cfg.FusionWidth = 4
 	return startClusterOn(t, cfg, func(id int, conn transport.Conn) transport.Conn {
-		return &poisonConn{Conn: conn, onSend: id < cfg.Workers}
+		if id >= cfg.Workers {
+			return conn
+		}
+		return &poisonConn{Conn: conn}
 	})
 }
 
 // TestDriversReleaseNoLiveView runs each aggregation mode with every
-// inbound message buffer poisoned right after its HandlePacket, and still
-// expects the exact sum. Two workers where contributions are summed in
-// arrival order (a+b is b+a bit for bit), three where the order is fixed.
+// result buffer a worker receives poisoned right after its HandlePacket,
+// and still expects the exact sum. Two workers where contributions are
+// summed in arrival order (a+b is b+a bit for bit), three where the order
+// is fixed.
 func TestDriversReleaseNoLiveView(t *testing.T) {
 	const n = 32*4*5 + 7 // five full packets per worker and a short tail
 	sameBits := func(t *testing.T, got, want []float32) {

@@ -8,10 +8,10 @@ import (
 	"omnireduce/internal/wire"
 )
 
-// Sharded-aggregator driver tests: the bounded shard pool must produce
-// results and statistics identical to the serial loop while packets for
-// many slots land concurrently. Run under -race (make race) this also
-// proves the shards share no protocol state.
+// Sharded-aggregator driver tests: any shard count must produce the same
+// results and statistics while packets for many slots land concurrently.
+// Run under -race (make race) this also proves the shards share no
+// protocol state.
 
 // runShardedCluster drives overlapped AllReduces through a cluster whose
 // aggregator uses the given shard count, shuts the cluster down, and
@@ -80,12 +80,12 @@ func runShardedCluster(t *testing.T, shards, workers, nOps, n int) AggStats {
 	return c.aggs[0].Stats
 }
 
-func TestShardedAggregatorMatchesSerial(t *testing.T) {
+func TestAggregatorStatsShardCountInvariant(t *testing.T) {
 	const workers, nOps, n = 4, 6, 4096
-	serial := runShardedCluster(t, 1, workers, nOps, n)
+	one := runShardedCluster(t, 1, workers, nOps, n)
 	sharded := runShardedCluster(t, 4, workers, nOps, n)
-	if serial != sharded {
-		t.Errorf("stats drifted between serial and sharded aggregation:\n serial  %+v\n sharded %+v", serial, sharded)
+	if one != sharded {
+		t.Errorf("stats drifted between 1 and 4 shards:\n 1 shard  %+v\n 4 shards %+v", one, sharded)
 	}
 	if sharded.PacketsRecvd == 0 || sharded.RoundsCompleted == 0 {
 		t.Fatalf("sharded aggregator saw no traffic: %+v", sharded)

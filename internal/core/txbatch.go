@@ -7,19 +7,16 @@ import (
 )
 
 // txBatchMax is the most packets a driver accumulates before forcing a
-// flush. It is deliberately larger than the transport's per-syscall batch
-// (the transport re-chunks), so the flush boundary here only bounds how
-// much encoded data sits buffered, not the syscall batch size.
+// flush: it bounds how much encoded data sits buffered.
 const txBatchMax = 64
 
 // txBatch is a driver's reusable transmit state: the batch of outgoing
 // datagrams, each encoded into a buffer of its own from the transport
-// pool, handed to the transport in bursts via transport.SendAll (one
-// sendmmsg per chunk on the Linux fast path, a plain enqueue on the
-// channel fabric, a Send loop elsewhere). Allocated once per driver loop —
-// a worker's persistent opState or an aggregator (shard) — and reused
-// for every emit burst, so the steady-state transmit path allocates
-// nothing.
+// pool, handed to the transport in bursts via transport.SendAll (a plain
+// enqueue on the channel fabric, a Send loop elsewhere). Allocated once
+// per driver loop — a worker's persistent opState or an aggregator shard —
+// and reused for every emit burst, so the steady-state transmit path
+// allocates nothing.
 //
 // Emitted packets are machine-owned and read-only (see protocol.Emit);
 // batching delays the Send, not the Encode, so the ownership story is
@@ -34,7 +31,7 @@ type txBatch struct {
 	// flushFull/flushEnd count why each flush happened: the batch filled
 	// up mid-burst, or the burst ended. A full-heavy mix means emits come
 	// in windows larger than txBatchMax; an end-heavy mix means bursts
-	// are small and batching wins come from the transport's recv side.
+	// are small.
 	flushFull *obs.Counter
 	flushEnd  *obs.Counter
 	// resolve, when set, maps an emit's destination — the machine speaks

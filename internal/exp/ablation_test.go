@@ -65,9 +65,8 @@ func TestLiveComparison(t *testing.T) {
 	if tb.Rows() != 4 {
 		t.Fatalf("rows = %d", tb.Rows())
 	}
-	// Blocks sent must not grow with sparsity (at 90% element sparsity
-	// every 256-block is still non-zero, so equality is expected there),
-	// and must clearly shrink by 99.9%.
+	// Blocks sent must not grow with sparsity, must track it at 90% (the
+	// rows are block sparsity), and must clearly shrink by 99.9%.
 	prev := cell(t, tb, 0, 4)
 	for r := 1; r < 4; r++ {
 		b := cell(t, tb, r, 4)
@@ -75,6 +74,9 @@ func TestLiveComparison(t *testing.T) {
 			t.Errorf("row %d: blocks %v grew from %v", r, b, prev)
 		}
 		prev = b
+	}
+	if dense, s90 := cell(t, tb, 0, 4), cell(t, tb, 1, 4); s90 > 0.15*dense {
+		t.Errorf("90%% sparsity blocks %v above 15%% of dense %v", s90, dense)
 	}
 	if dense, sparse := cell(t, tb, 0, 4), cell(t, tb, 3, 4); sparse > dense/2 {
 		t.Errorf("99.9%% sparsity blocks %v not far below dense %v", sparse, dense)

@@ -8,6 +8,8 @@ import (
 	"omnireduce/internal/collective"
 	"omnireduce/internal/core"
 	"omnireduce/internal/metrics"
+	"omnireduce/internal/protocol"
+	"omnireduce/internal/sparsity"
 	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
 )
@@ -19,13 +21,13 @@ func FromDenseSlice(v []float32) *tensor.COO {
 
 // LiveComparison measures the *real* implementations — OmniReduce workers
 // plus aggregator, ring AllReduce, and AGsparse — wall-clock on the
-// in-process fabric as sparsity varies. Unlike the simulated figures this
-// reflects actual CPU/protocol costs (encode/decode, bitmap scans,
+// in-process fabric as block sparsity varies. Unlike the simulated figures
+// this reflects actual CPU/protocol costs (encode/decode, bitmap scans,
 // goroutine scheduling) rather than modeled network time, so absolute
 // ordering differs from Fig 6 (the channel fabric has memory bandwidth,
 // not NIC bandwidth). The invariants that must hold: OmniReduce's
-// transmitted block count tracks sparsity, and at very high sparsity it
-// beats dense ring even on CPU cost alone.
+// transmitted block count tracks block sparsity, and at very high sparsity
+// it beats dense ring even on CPU cost alone.
 func LiveComparison(o Options) *metrics.Table {
 	o = o.withDefaults()
 	t := metrics.NewTable("Live (wall-clock, in-process): AllReduce time (ms)",
@@ -46,16 +48,17 @@ func LiveComparison(o Options) *metrics.Table {
 	return t
 }
 
-func liveInputs(workers, elems int, sparsity float64, seed int64) [][]float32 {
-	rng := rand.New(rand.NewSource(seed))
+// liveInputs draws each worker's tensor with the given *block* sparsity at
+// the block size OmniReduce runs with, so the row label is the fraction of
+// blocks the protocol may skip (independently per worker).
+func liveInputs(workers, elems int, s float64, seed int64) [][]float32 {
+	ts := sparsity.Generate(sparsity.GenSpec{
+		Elements: elems, Sparsity: s, Workers: workers,
+		BlockAligned: protocol.Defaults().BlockSize,
+	}, rand.New(rand.NewSource(seed)))
 	out := make([][]float32, workers)
-	for w := range out {
-		out[w] = make([]float32, elems)
-		for i := range out[w] {
-			if rng.Float64() >= sparsity {
-				out[w][i] = float32(rng.NormFloat64())
-			}
-		}
+	for w, t := range ts {
+		out[w] = t.Data
 	}
 	return out
 }

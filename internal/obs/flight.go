@@ -146,10 +146,6 @@ const DefaultFlightEvents = 4096
 var DefaultFlightKeep = []Event{
 	EvOpBegin, EvOpEnd, EvRetransmit, EvStaleDrop, EvOverflowDrop,
 	EvSlotIssue, EvSlotComplete, EvLookaheadSkip,
-	// Batch syscall events fire once per up-to-32 packets, far below the
-	// per-packet firehose rate, and are the flight-level evidence of
-	// batching effectiveness — retained by default.
-	EvTxBatch, EvRxBatch,
 }
 
 // NewFlightRecorder returns a recorder whose untagged events default to

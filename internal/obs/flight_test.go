@@ -183,36 +183,3 @@ func TestEmitSlotFallback(t *testing.T) {
 			c.Count(EvLookaheadSkip), c.ArgSum(EvLookaheadSkip))
 	}
 }
-
-func TestRingTracerExactCapacity(t *testing.T) {
-	r := NewRingTracer(4)
-	for i := 0; i < 4; i++ {
-		r.Trace(EvOpBegin, uint32(i), int64(i))
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("Events() = %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if e.Tid != uint32(i) {
-			t.Fatalf("event %d out of emission order: %+v", i, e)
-		}
-	}
-}
-
-func TestRingTracerWraparound(t *testing.T) {
-	r := NewRingTracer(4)
-	const n = 11 // wraps twice, lands mid-ring
-	for i := 0; i < n; i++ {
-		r.Trace(EvOpBegin, uint32(i), int64(i))
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("Events() = %d, want capacity 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := uint32(n - 4 + i); e.Tid != want {
-			t.Fatalf("event %d: tid %d, want %d (oldest-first emission order after wrap)", i, e.Tid, want)
-		}
-	}
-}

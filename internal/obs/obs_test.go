@@ -157,20 +157,6 @@ func TestTracerDisabledAndEnabled(t *testing.T) {
 	}
 }
 
-func TestRingTracer(t *testing.T) {
-	r := NewRingTracer(3)
-	for i := int64(1); i <= 5; i++ {
-		r.Trace(EvPacketSent, uint32(i), i*10)
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring kept %d events", len(evs))
-	}
-	if evs[0].Arg != 30 || evs[2].Arg != 50 {
-		t.Fatalf("ring order wrong: %+v", evs)
-	}
-}
-
 func TestMultiTracer(t *testing.T) {
 	a, b := NewCountingTracer(), NewCountingTracer()
 	m := MultiTracer{a, b}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"omnireduce/internal/metrics"
@@ -69,10 +68,7 @@ const (
 	// skipped (each zero block is skipped exactly once per worker).
 	EvLookaheadSkip
 
-	// EvTxBatch / EvRxBatch fire once per batched transport syscall
-	// (sendmmsg/recvmmsg); arg is the number of datagrams the call moved.
-	// Dividing the packet event rate by the batch event rate gives the
-	// live amortization factor the batching tentpole is gated on.
+	// Reserved, no longer emitted: serialized traces depend on the enum's numeric values.
 	EvTxBatch
 	EvRxBatch
 
@@ -257,56 +253,8 @@ func (c *CountingTracer) Counters() *metrics.Counters {
 	return out
 }
 
-// TraceEvent is one recorded event in a RingTracer.
-type TraceEvent struct {
-	Ev  Event
-	Tid uint32
-	Arg int64
-}
-
-// RingTracer keeps the last N events in a ring: the flight recorder for
-// debugging a wedged collective. It allocates only at construction.
-type RingTracer struct {
-	mu      sync.Mutex
-	buf     []TraceEvent
-	next    int
-	wrapped bool
-}
-
-// NewRingTracer returns a tracer retaining the last n events (n >= 1).
-func NewRingTracer(n int) *RingTracer {
-	if n < 1 {
-		n = 1
-	}
-	return &RingTracer{buf: make([]TraceEvent, n)}
-}
-
-// Trace implements Tracer.
-func (r *RingTracer) Trace(ev Event, tid uint32, arg int64) {
-	r.mu.Lock()
-	r.buf[r.next] = TraceEvent{Ev: ev, Tid: tid, Arg: arg}
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
-}
-
-// Events returns the recorded events, oldest first.
-func (r *RingTracer) Events() []TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		return append([]TraceEvent(nil), r.buf[:r.next]...)
-	}
-	out := make([]TraceEvent, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// MultiTracer fans events out to several tracers (e.g. counting + ring).
+// MultiTracer fans events out to several tracers (e.g. counting + a
+// flight recorder).
 type MultiTracer []Tracer
 
 // Trace implements Tracer.

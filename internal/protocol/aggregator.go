@@ -26,6 +26,19 @@ type AggStats struct {
 	FastForwards     int64 // rounds skipped resyncing after a checkpoint restore
 }
 
+// Add folds o into s field for field.
+func (s *AggStats) Add(o AggStats) {
+	s.PacketsRecvd += o.PacketsRecvd
+	s.BlocksAggregated += o.BlocksAggregated
+	s.RoundsCompleted += o.RoundsCompleted
+	s.ResultsSent += o.ResultsSent
+	s.Replays += o.Replays
+	s.DupsFiltered += o.DupsFiltered
+	s.StaleRounds += o.StaleRounds
+	s.StaleFinished += o.StaleFinished
+	s.FastForwards += o.FastForwards
+}
+
 // slotEnt is one live tensor's aggregation state within a slot bucket.
 type slotEnt struct {
 	tid uint32

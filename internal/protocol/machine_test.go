@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -46,10 +48,24 @@ func testCloneSparse(p *wire.SparsePacket) *wire.SparsePacket {
 	return &c
 }
 
+// poison overwrites a delivered packet's encoding with 0xFF (NaN payloads,
+// keys no tensor has): what the buffer pool may do to it once a live
+// driver has released it after HandlePacket.
+func poison(buf []byte) {
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+}
+
 // pump drives the machines to completion with deterministic, synchronous
 // delivery. tamper sees every enqueued message and returns the copies to
 // actually deliver (nil drops it); swapLinks additionally swaps adjacent
 // queue entries on distinct links to exercise cross-link reordering.
+//
+// The aggregator gets each packet the way a live driver hands it one: as a
+// view of the packet's own encoding (wire.DecodePacketView), poisoned as
+// soon as HandlePacket returns. A machine that kept any slice of it sums
+// NaNs.
 type pump struct {
 	t         *testing.T
 	cfg       Config
@@ -61,6 +77,8 @@ type pump struct {
 	swapLinks bool
 	seq       int
 	eb        EmitBuf
+	view      wire.Packet
+	arena     []float32
 }
 
 func newPump(t *testing.T, cfg Config, inputs [][]float32, tamper func(n int, m tmsg) []tmsg, swap bool) (*pump, [][]float32) {
@@ -111,8 +129,16 @@ func (p *pump) drain() {
 		m := p.q[0]
 		p.q = p.q[1:]
 		if m.dst == aggNode {
+			buf := wire.AppendPacket(nil, m.pkt)
+			arena, err := wire.DecodePacketView(&p.view, p.arena, buf)
+			if err != nil {
+				p.t.Fatalf("decode: %v", err)
+			}
+			p.arena = arena
 			p.eb.Reset()
-			if err := p.am.HandlePacket(Msg{Dense: m.pkt}, &p.eb); err != nil {
+			err = p.am.HandlePacket(Msg{Dense: &p.view}, &p.eb)
+			poison(buf)
+			if err != nil {
 				p.t.Fatalf("aggregator: %v", err)
 			}
 			p.push(aggNode, p.eb.Emits())
@@ -305,6 +331,97 @@ func TestMachineTraces(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMachinesReleaseNoLiveView runs each aggregation mode with every
+// aggregator-bound packet poisoned right after its HandlePacket (see pump
+// and kvWorld.deliver) and expects the exact sum, bit for bit. Two workers
+// where contributions are summed in arrival order (a+b is b+a), three where
+// the order is fixed or the inputs are integers.
+func TestMachinesReleaseNoLiveView(t *testing.T) {
+	const n = 4*24 + 3 // 25 blocks, the last one short
+	random := func(workers int, seed int64) [][]float32 {
+		rng := rand.New(rand.NewSource(seed))
+		ins := make([][]float32, workers)
+		for w := range ins {
+			ins[w] = make([]float32, n)
+			for i := range ins[w] {
+				ins[w][i] = float32(rng.NormFloat64())
+			}
+		}
+		return ins
+	}
+	quantized := func(inputs [][]float32, scale float64) []float32 {
+		want := make([]float32, len(inputs[0]))
+		for i := range want {
+			var q int64
+			for _, in := range inputs {
+				q += int64(math.RoundToEven(float64(in[i]) * scale))
+			}
+			want[i] = float32(float64(q) / scale)
+		}
+		return want
+	}
+	dense := []struct {
+		name   string
+		cfg    Config
+		inputs [][]float32
+		want   func([][]float32) []float32
+	}{
+		{name: "reliable", inputs: random(2, 21)},
+		// Worker 2 holds no block of stream 0 and workers 0 and 1 only some
+		// of its first row: stream 0's round 0 closes on header-only and
+		// partial bootstraps.
+		{name: "sparse-bootstrap", inputs: traceInputs()},
+		{name: "deterministic-order", cfg: Config{DeterministicOrder: true}, inputs: random(3, 22)},
+		{name: "quantized", cfg: Config{QuantizeScale: 1 << 16}, inputs: random(3, 23),
+			want: func(in [][]float32) []float32 { return quantized(in, 1<<16) }},
+	}
+	for _, tc := range dense {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Reliable = true
+			cfg.BlockSize, cfg.FusionWidth, cfg.Streams = 4, 4, 2
+			p, work := newPump(t, cfg, tc.inputs, nil, false)
+			p.drain()
+			if !p.allDone() {
+				t.Fatal("machines did not converge")
+			}
+			want := refSum(tc.inputs)
+			if tc.want != nil {
+				want = tc.want(tc.inputs)
+			}
+			for w := range work {
+				for i, v := range work[w] {
+					if math.Float32bits(v) != math.Float32bits(want[i]) {
+						t.Fatalf("worker %d elem %d: %v != %v: a released buffer was still being read", w, i, v, want[i])
+					}
+				}
+			}
+		})
+	}
+
+	t.Run("key-value", func(t *testing.T) {
+		cfg := Config{Workers: 2, Aggregators: []int{aggNode}, Reliable: true,
+			BlockSize: 4, FusionWidth: 4}.WithDefaults()
+		rng := rand.New(rand.NewSource(24))
+		const nnz = 16*5 + 9 // five full packets per worker and a short tail
+		ins := []*tensor.COO{tensor.NewCOO(3 * nnz), tensor.NewCOO(3 * nnz)}
+		for k := int32(0); k < nnz; k++ {
+			ins[0].Append(3*k, float32(rng.NormFloat64()))
+			ins[1].Append(3*k+rng.Int31n(2), float32(rng.NormFloat64()))
+		}
+		w := newKVWorld(t, cfg, ins)
+		for qs := w.enabled(); len(qs) > 0; qs = w.enabled() {
+			w.deliver(t, qs[0])
+			w.check(t)
+		}
+		for id, m := range w.wms {
+			if !m.Done() || m.Result().Len() != len(w.ref) {
+				t.Fatalf("worker %d: done %v, %d pairs of %d", id, m.Done(), m.Result().Len(), len(w.ref))
+			}
+		}
+	})
 }
 
 // TestWorkerMachineResultErrors exercises the worker machine's protocol

@@ -111,7 +111,16 @@ func (w *kvWorld) deliver(t *testing.T, q int) {
 		for i, k := range p.Keys {
 			w.ref[k] += p.Values[i]
 		}
-		if err := w.am.HandlePacket(Msg{Sparse: p}, &eb); err != nil {
+		// Delivered as a live driver delivers it: a view of the packet's
+		// encoding, poisoned once HandlePacket returns.
+		buf := wire.AppendSparsePacket(nil, p)
+		var view wire.SparsePacket
+		if _, _, err := wire.DecodeSparsePacketView(&view, nil, nil, buf); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		err := w.am.HandlePacket(Msg{Sparse: &view}, &eb)
+		poison(buf)
+		if err != nil {
 			t.Fatalf("aggregator: %v", err)
 		}
 		w.route(aggNode, eb.Emits())

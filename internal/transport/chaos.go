@@ -389,12 +389,12 @@ func (c *ChaosConn) sendHeld(rel []heldEntry) error {
 	return err
 }
 
-// SendBatch applies the scenario to a whole burst of outgoing messages,
-// forwarding the survivors in one batched operation when the inner
-// transport supports it. Per-message fates are identical to Send's —
-// decide() advances the same per-link state in the same order — so a
-// chaos-wrapped batched UDP path injects exactly what the scalar path
-// would; only the syscall count differs. Delayed messages leave the
+// SendBatch applies the scenario to a whole burst of outgoing messages and
+// forwards the survivors through SendAll, so the inner transport sends them
+// its own way (the channel fabric without a copy, UDP one datagram at a
+// time). Per-message fates are identical to Send's — decide() advances the
+// same per-link state in the same order — so a burst injects exactly what
+// the same messages sent one by one would. Delayed messages leave the
 // batch (they need a timer and a private copy), matching Send.
 //
 // The batch owns its buffers (see Outgoing), and so does everything it

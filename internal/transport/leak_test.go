@@ -203,39 +203,35 @@ func TestSendAllOwnsBuffers(t *testing.T) {
 		})
 	})
 
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("udp/batched=%v", batched), func(t *testing.T) {
-			check(t, func(t *testing.T) {
-				u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				u0.SetBatching(batched)
-				u1.SetBatching(batched)
-				if err := u0.RegisterPeer(1, u1.Addr()); err != nil {
-					t.Fatal(err)
-				}
-				if err := SendAll(u0, []Outgoing{{To: 1, Data: pooled("x")}, {To: 1, Data: pooled("y")}}); err != nil {
-					t.Fatal(err)
-				}
-				equal(t, recvAll(t, u1, 2), "x", "y")
-				err = SendAll(u0, []Outgoing{{To: 1, Data: pooled("q")}, {To: 7, Data: pooled("r")}, {To: 1, Data: pooled("s")}})
-				if !errors.Is(err, ErrUnknownPeer) {
-					t.Fatalf("unknown peer: %v", err)
-				}
-				equal(t, recvAll(t, u1, 1), "q")
-				u0.Close()
-				if err := SendAll(u0, []Outgoing{{To: 1, Data: pooled("late")}}); err == nil {
-					t.Fatal("send on a closed socket succeeded")
-				}
-				u1.Close()
-			})
+	t.Run("udp", func(t *testing.T) {
+		check(t, func(t *testing.T) {
+			u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u0.RegisterPeer(1, u1.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			if err := SendAll(u0, []Outgoing{{To: 1, Data: pooled("x")}, {To: 1, Data: pooled("y")}}); err != nil {
+				t.Fatal(err)
+			}
+			equal(t, recvAll(t, u1, 2), "x", "y")
+			err = SendAll(u0, []Outgoing{{To: 1, Data: pooled("q")}, {To: 7, Data: pooled("r")}, {To: 1, Data: pooled("s")}})
+			if !errors.Is(err, ErrUnknownPeer) {
+				t.Fatalf("unknown peer: %v", err)
+			}
+			equal(t, recvAll(t, u1, 1), "q")
+			u0.Close()
+			if err := SendAll(u0, []Outgoing{{To: 1, Data: pooled("late")}}); err == nil {
+				t.Fatal("send on a closed socket succeeded")
+			}
+			u1.Close()
 		})
-	}
+	})
 
 	chaos := func(ph Phase) (*ChaosConn, Conn) {
 		a, b := chanPair()

@@ -76,9 +76,9 @@ type Outgoing struct {
 }
 
 // BatchSender is implemented by transports that can hand several
-// messages to the kernel (or fabric) in one operation — the UDP
-// transport's sendmmsg fast path, the channel fabric's enqueue without a
-// copy. Messages are transmitted in slice order; an error may leave a
+// messages to the fabric in one operation — the channel fabric's enqueue
+// without a copy, and wrappers that forward to it. Messages are
+// transmitted in slice order; an error may leave a
 // prefix of the batch sent (datagram semantics: the unsent tail is
 // indistinguishable from in-flight loss).
 //

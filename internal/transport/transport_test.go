@@ -269,63 +269,54 @@ func TestUDPTransport(t *testing.T) {
 }
 
 // TestUDPWildcardHostBook covers the CLI's ":port" address-book form: a
-// peer entry with no host can only mean "this machine" and must work on
-// both the scalar and batched send paths, with correct sender
-// attribution (the datagram arrives from 127.0.0.1, not the wildcard).
+// peer entry with no host can only mean "this machine" and must work for
+// Send and SendAll alike, with correct sender attribution (the datagram
+// arrives from 127.0.0.1, not the wildcard).
 func TestUDPWildcardHostBook(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		name := "scalar"
-		if batched {
-			if !BatchingSupported() {
-				continue
-			}
-			name = "batched"
+	// One subtest per UDP send engine; the scalar one-datagram-per-call
+	// engine is the only one.
+	t.Run("scalar", func(t *testing.T) {
+		u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+		defer u0.Close()
+		u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u1.Close()
+		port := func(u *UDP) string {
+			_, p, err := net.SplitHostPort(u.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer u0.Close()
-			u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
+			return p
+		}
+		// Register each peer under the wildcard-host form.
+		if err := u0.RegisterPeer(1, ":"+port(u1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := u1.RegisterPeer(0, ":"+port(u0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := SendAll(u0, []Outgoing{{To: 1, Data: pooled("a")}, {To: 1, Data: pooled("b")}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := u0.Send(1, []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"a", "b", "c"} {
+			m, err := u1.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer u1.Close()
-			u0.SetBatching(batched)
-			u1.SetBatching(batched)
-			port := func(u *UDP) string {
-				_, p, err := net.SplitHostPort(u.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
+			if m.From != 0 || string(m.Data) != want {
+				t.Fatalf("got From=%d Data=%q, want From=0 Data=%q", m.From, m.Data, want)
 			}
-			// Register each peer under the wildcard-host form.
-			if err := u0.RegisterPeer(1, ":"+port(u1)); err != nil {
-				t.Fatal(err)
-			}
-			if err := u1.RegisterPeer(0, ":"+port(u0)); err != nil {
-				t.Fatal(err)
-			}
-			if err := u0.SendBatch([]Outgoing{{To: 1, Data: pooled("a")}, {To: 1, Data: pooled("b")}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := u0.Send(1, []byte("c")); err != nil {
-				t.Fatal(err)
-			}
-			for _, want := range []string{"a", "b", "c"} {
-				m, err := u1.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.From != 0 || string(m.Data) != want {
-					t.Fatalf("got From=%d Data=%q, want From=0 Data=%q", m.From, m.Data, want)
-				}
-				PutBuf(m.Data)
-			}
-		})
-	}
+			PutBuf(m.Data)
+		}
+	})
 }
 
 func TestUDPOversizeDatagram(t *testing.T) {
