@@ -14,10 +14,12 @@ tier1:
 	$(GO) test ./...
 
 # The second line type-checks a big-endian target, the only kind of build
-# that compiles internal/wire's portable float32 codec (f32_portable.go).
+# that compiles internal/wire's portable codecs (f32_portable.go); the last
+# fails if gofmt would change any file, bench/ included.
 vet:
 	$(GO) vet ./...
 	GOARCH=s390x $(GO) vet ./internal/wire ./internal/tensor
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 # Check tier: the protocol machines under every delivery schedule at small
 # scope. Today that is Algorithm 3 — 2 and 3 workers, FusionWidth 1 and 2,

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
+
+	"omnireduce/internal/tensor"
 )
 
 // steadyStateAllocBudget pins the per-collective allocation count on a
@@ -116,5 +122,86 @@ func TestOpStateReuseAcrossOverlap(t *testing.T) {
 		if created+reused != rounds*inflight {
 			t.Errorf("worker %d: created+reused = %d, want %d ops", i, created+reused, rounds*inflight)
 		}
+	}
+}
+
+// TestSparseAllocsPerOp pins what a warm key-value collective allocates,
+// measured across the whole process: the worker assembles into its pooled
+// machine's run and the aggregator merges into a free-listed slot, so an
+// AllReduceSparse allocates the caller's exact-size copy of the result
+// and an operation envelope of at most 4 KiB. The copy is charged at what
+// the allocator takes for it — 8 bytes a pair, rounded up to whole 8 KiB
+// pages at this size — and the envelope's object count does not depend on
+// the pairs moved. As in testing.AllocsPerRun the process runs on one P,
+// so a sync.Pool Get never misses an object parked in another P's
+// private slot, and the collector is off, so pooled state stays pooled.
+func TestSparseAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race runtime")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const dim = 1 << 20
+	// run does ops warm collectives on both workers of a fresh cluster,
+	// each worker holding about density × dim pairs, and reports the
+	// whole-process bytes and objects per AllReduceSparse and one result.
+	run := func(density float64, ops int) (bytes, objects float64, out *tensor.COO) {
+		c := startCluster(t, Config{Workers: 2, Reliable: true}, 0, 1)
+		rng := rand.New(rand.NewSource(int64(density * 1e4)))
+		gap := int(2 / density)
+		var ins [2]*tensor.COO
+		for w := range ins {
+			ins[w] = tensor.NewCOO(dim)
+			for k := rng.Intn(gap); k < dim; k += 1 + rng.Intn(gap) {
+				ins[w].Append(int32(k), float32(rng.NormFloat64()))
+			}
+		}
+		var outs [2]*tensor.COO
+		var errs [2]error
+		var wg sync.WaitGroup
+		op := func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[1], errs[1] = c.workers[1].AllReduceSparse(ins[1])
+			}()
+			outs[0], errs[0] = c.workers[0].AllReduceSparse(ins[0])
+			wg.Wait()
+			for w, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", w, err)
+				}
+			}
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for i := 0; i < 3; i++ {
+			op()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ops; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		n := float64(ops * len(ins))
+		return float64(after.TotalAlloc-before.TotalAlloc) / n, float64(after.Mallocs-before.Mallocs) / n, outs[0]
+	}
+
+	bytes, _, out := run(0.01, 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cp := out.Clone()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(cp)
+	copyBytes := after.TotalAlloc - before.TotalAlloc
+	budget := float64(copyBytes + 4096)
+	t.Logf("1%% density: %.0f bytes per AllReduceSparse; the %d-pair result is %d bytes, its copy %d", bytes, out.Len(), 8*out.Len(), copyBytes)
+	if bytes > budget {
+		t.Errorf("a warm AllReduceSparse allocates %.0f bytes, budget one %d-byte copy of the result + 4 KiB = %.0f", bytes, copyBytes, budget)
+	}
+	_, few, _ := run(0.02, 50)
+	_, many, _ := run(0.10, 50)
+	t.Logf("objects per AllReduceSparse: %.2f at 2%% density, %.2f at 10%%", few, many)
+	if d := many - few; d >= 1 || d <= -1 {
+		t.Errorf("a warm AllReduceSparse allocates %.2f objects at 2%% density and %.2f at 10%%: want the same", few, many)
 	}
 }

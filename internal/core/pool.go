@@ -31,7 +31,7 @@ type decodeState struct {
 	pkt     wire.Packet
 	scratch []float32 // copy-path payloads: dense blocks, sparse values
 	sparse  wire.SparsePacket
-	keys    []uint32 // copy-path sparse keys
+	keys    []int32 // copy-path sparse keys
 }
 
 // decodeDense decodes buf into the reusable packet as a view of buf.

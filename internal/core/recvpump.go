@@ -40,6 +40,7 @@ var ErrOpBackpressure = errors.New("core: operation receive queue overflow")
 //     (unreliable mode — Algorithm 2's retransmission repairs it), or the
 //     one offending operation is failed with ErrOpBackpressure (reliable
 //     mode). The pump never blocks on any operation's queue.
+//
 // Queues outlive single collectives: a worker parks finished queues (as
 // part of opState) on a free list and re-arms them with reset. The tid
 // field makes reuse safe — the pump looks a queue up under w.mu but

@@ -38,10 +38,11 @@ func (w *Worker) runAllReduceSparse(in *tensor.COO, tid uint32, st *opState, pcf
 	// As in runAllReduce, the clock covers the per-op input pass (here the
 	// constructor's key-range check over every pair).
 	start := time.Now()
-	m, err := protocol.NewSparseWorkerMachine(pcfg, wid, tid, in)
+	m, err := protocol.GetSparseWorkerMachine(pcfg, wid, tid, in)
 	if err != nil {
 		return nil, err
 	}
+	defer m.Recycle()
 	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
 
 	q, dec := st.q, st.dec
@@ -111,5 +112,7 @@ func (w *Worker) runAllReduceSparse(in *tensor.COO, tid uint32, st *opState, pcf
 			return nil, fmt.Errorf("core: worker %d receive: %w", w.id, err)
 		}
 	}
-	return m.Result(), nil
+	// The machine assembles into its pooled run; the caller gets one
+	// exact-size copy.
+	return m.Result().Clone(), nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -8,7 +10,10 @@ import (
 	"testing/quick"
 	"time"
 
+	"omnireduce/internal/protocol"
 	"omnireduce/internal/tensor"
+	"omnireduce/internal/transport"
+	"omnireduce/internal/wire"
 )
 
 // allReduceSparse runs the key-value collective across all workers and
@@ -163,9 +168,9 @@ func TestSparseAllReduceRequiresReliable(t *testing.T) {
 func TestSparseAllReduceKeyRange(t *testing.T) {
 	cfg := Config{Workers: 1, Reliable: true}
 	c := startCluster(t, cfg, 0, 7)
-	s := &tensor.COO{Dim: 1 << 31, Keys: []int32{-2}, Values: []float32{1}} // 0xFFFFFFFE as uint32
-	if _, err := c.workers[0].AllReduceSparse(s); err == nil {
-		t.Fatal("expected key-range error")
+	s := &tensor.COO{Dim: 1 << 31, Keys: []int32{-2}, Values: []float32{1}} // MoreComing on the wire
+	if _, err := c.workers[0].AllReduceSparse(s); !errors.Is(err, tensor.ErrKeyOrder) {
+		t.Fatalf("err = %v, want a key-range error wrapping tensor.ErrKeyOrder", err)
 	}
 }
 
@@ -234,6 +239,11 @@ func TestSparseAllReduceProperty(t *testing.T) {
 // waits for it to read them. The two-worker inputs are sized so that a
 // whole collective is under 1 024 chunks at the small shape, which makes
 // those cases a check of the protocol and not of the scheduler.
+//
+// The key edges follow the shapes: the largest int32 key round-trips, a
+// negative input key fails at the worker that passed it, and a wire key
+// with the high bit set (negative as an int32) is forwarded by the
+// aggregator, which keeps serving, and refused by every worker.
 func TestSparseAllReduceEdgeShapes(t *testing.T) {
 	span := func(dim, from, n, stride int, v float32) *tensor.COO {
 		s := tensor.NewCOO(dim)
@@ -293,4 +303,68 @@ func TestSparseAllReduceEdgeShapes(t *testing.T) {
 			})
 		}
 	}
+
+	cfg := Config{Workers: 2, Reliable: true}
+	t.Run("key MaxInt32 at Dim 2^31", func(t *testing.T) {
+		if math.MaxInt == math.MaxInt32 {
+			t.Skip("Dim 2^31 does not fit an int")
+		}
+		top := int(int64(math.MaxInt32) + 1)
+		a := &tensor.COO{Dim: top, Keys: []int32{0, math.MaxInt32}, Values: []float32{1, 2}}
+		b := &tensor.COO{Dim: top, Keys: []int32{math.MaxInt32}, Values: []float32{3}}
+		for w, out := range startCluster(t, cfg, 0, 43).allReduceSparse(t, []*tensor.COO{a, b}) {
+			if !slices.Equal(out.Keys, []int32{0, math.MaxInt32}) || !slices.Equal(out.Values, []float32{1, 5}) {
+				t.Fatalf("worker %d: %v %v, want [0 %d] [1 5]", w, out.Keys, out.Values, math.MaxInt32)
+			}
+		}
+	})
+	t.Run("negative input key", func(t *testing.T) {
+		c := startCluster(t, cfg, 0, 44)
+		in := &tensor.COO{Dim: 16, Keys: []int32{-5, 3}, Values: []float32{1, 2}}
+		if _, err := c.workers[0].AllReduceSparse(in); !errors.Is(err, tensor.ErrKeyOrder) {
+			t.Fatalf("err = %v, want the passing worker to fail with tensor.ErrKeyOrder", err)
+		}
+	})
+	t.Run("wire key with the high bit set", func(t *testing.T) {
+		c := startClusterOn(t, cfg, func(id int, conn transport.Conn) transport.Conn {
+			if id == 0 {
+				return highBitConn{conn}
+			}
+			return conn
+		})
+		ins := []*tensor.COO{
+			{Dim: 16, Keys: []int32{3, 9}, Values: []float32{1, 2}},
+			{Dim: 16, Keys: []int32{5}, Values: []float32{3}},
+		}
+		errs := make([]error, len(ins))
+		var wg sync.WaitGroup
+		for i, w := range c.workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = w.AllReduceSparse(ins[i])
+			}()
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if !errors.Is(err, protocol.ErrSparseResult) || !errors.Is(err, tensor.ErrKeyOrder) {
+				t.Errorf("worker %d: err = %v, want ErrSparseResult wrapping tensor.ErrKeyOrder", w, err)
+			}
+		}
+		// The cluster's cleanup fails the test if the aggregator stopped.
+	})
+}
+
+// highBitConn sets the high bit of the last key of every sparse data packet
+// it sends: a key of 2^31 or more on the wire, which no int32 input holds.
+type highBitConn struct{ transport.Conn }
+
+func (c highBitConn) Send(to int, data []byte) error {
+	if wire.PeekType(data) == wire.TypeSparseData {
+		if p, err := wire.DecodeSparsePacket(data); err == nil && len(p.Keys) > 0 {
+			p.Keys[len(p.Keys)-1] |= math.MinInt32
+			data = wire.AppendSparsePacket(data[:0], p)
+		}
+	}
+	return c.Conn.Send(to, data)
 }

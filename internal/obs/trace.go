@@ -73,9 +73,10 @@ const (
 	EvRxBatch
 
 	// EvMachinePoolGet / EvMachinePoolPut fire when a protocol machine's
-	// pooled state (worker machines, aggregator slots, sparse slots) is
-	// acquired or released; appended after the batch events so earlier
-	// serialized traces keep their numeric values.
+	// pooled state is acquired or released (arg: 0 worker machines, 1
+	// aggregator slots, 2 sparse slots, 3 sparse worker machines);
+	// appended after the batch events so earlier serialized traces keep
+	// their numeric values.
 	EvMachinePoolGet
 	EvMachinePoolPut
 

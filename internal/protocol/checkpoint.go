@@ -46,11 +46,11 @@ type SlotCheckpoint struct {
 type SparseCheckpoint struct {
 	TensorID uint32
 	Sorted   bool
-	Keys     []uint32
+	Keys     []int32
 	Vals     []float32
 	Flushed  int
-	Values   map[uint32]float32
-	Pending  []uint32
+	Values   map[int32]float32
+	Pending  []int32
 	NextKey  []int64
 	Sent     int64
 }

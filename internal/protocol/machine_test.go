@@ -43,7 +43,7 @@ func testClone(p *wire.Packet) *wire.Packet {
 // testCloneSparse is testClone for key-value packets.
 func testCloneSparse(p *wire.SparsePacket) *wire.SparsePacket {
 	c := *p
-	c.Keys = append([]uint32(nil), p.Keys...)
+	c.Keys = append([]int32(nil), p.Keys...)
 	c.Values = append([]float32(nil), p.Values...)
 	return &c
 }

@@ -5,12 +5,15 @@ import (
 	"sync/atomic"
 
 	"omnireduce/internal/obs"
+	"omnireduce/internal/tensor"
+	"omnireduce/internal/wire"
 )
 
 func init() {
 	obs.RegisterPool("protocol_worker_machines", WorkerMachinePoolBalance)
 	obs.RegisterPool("protocol_agg_slots", AggSlotPoolBalance)
 	obs.RegisterPool("protocol_sparse_slots", SparseSlotPoolBalance)
+	obs.RegisterPool("protocol_sparse_worker_machines", SparseWorkerMachinePoolBalance)
 }
 
 // EmitBuf is a caller-owned, reusable emit accumulator. Machines append
@@ -39,13 +42,19 @@ func (b *EmitBuf) Len() int { return len(b.e) }
 // packet shells, and next-offset scratch) across collectives.
 var workerMachinePool sync.Pool
 
+// sparseWorkerMachinePool recycles SparseWorkerMachines (with their output
+// run) across key-value collectives.
+var sparseWorkerMachinePool sync.Pool
+
 var (
-	workerMachineGets atomic.Int64
-	workerMachinePuts atomic.Int64
-	aggSlotGets       atomic.Int64
-	aggSlotPuts       atomic.Int64
-	sparseSlotGets    atomic.Int64
-	sparseSlotPuts    atomic.Int64
+	workerMachineGets       atomic.Int64
+	workerMachinePuts       atomic.Int64
+	aggSlotGets             atomic.Int64
+	aggSlotPuts             atomic.Int64
+	sparseSlotGets          atomic.Int64
+	sparseSlotPuts          atomic.Int64
+	sparseWorkerMachineGets atomic.Int64
+	sparseWorkerMachinePuts atomic.Int64
 )
 
 // GetWorkerMachine returns a pooled worker machine initialized exactly
@@ -77,6 +86,42 @@ func (m *WorkerMachine) Recycle() {
 // exactly one machine, so a quiesced system balances.
 func WorkerMachinePoolBalance() (gets, puts int64) {
 	return workerMachineGets.Load(), workerMachinePuts.Load()
+}
+
+// GetSparseWorkerMachine returns a pooled sparse worker machine
+// initialized exactly like NewSparseWorkerMachine, which it also fails
+// like. A recycled machine assembles into the output run it kept, so a
+// warm pool allocates nothing per collective; Result is valid until
+// Recycle. Callers must Recycle the machine when the collective finishes.
+func GetSparseWorkerMachine(cfg Config, workerID int, tensorID uint32, in *tensor.COO) (*SparseWorkerMachine, error) {
+	m, _ := sparseWorkerMachinePool.Get().(*SparseWorkerMachine)
+	if m == nil {
+		m = &SparseWorkerMachine{}
+	}
+	if err := m.init(cfg, workerID, tensorID, in); err != nil {
+		sparseWorkerMachinePool.Put(m)
+		return nil, err
+	}
+	sparseWorkerMachineGets.Add(1)
+	obs.Emit(obs.EvMachinePoolGet, tensorID, 3)
+	return m, nil
+}
+
+// Recycle returns a machine obtained from GetSparseWorkerMachine to the
+// pool. Neither the machine nor its Result may be used afterwards.
+func (m *SparseWorkerMachine) Recycle() {
+	sparseWorkerMachinePuts.Add(1)
+	obs.Emit(obs.EvMachinePoolPut, m.tid, 3)
+	// Drop the input tensor's references; keep the output run warm.
+	m.in = nil
+	m.shells = [2]wire.SparsePacket{}
+	sparseWorkerMachinePool.Put(m)
+}
+
+// SparseWorkerMachinePoolBalance is WorkerMachinePoolBalance for sparse
+// worker machines.
+func SparseWorkerMachinePoolBalance() (gets, puts int64) {
+	return sparseWorkerMachineGets.Load(), sparseWorkerMachinePuts.Load()
 }
 
 // AggSlotPoolBalance reports cumulative get/put counts for aggregator

@@ -30,7 +30,8 @@ import (
 // As in the paper, this mode targets reliable transports (the paper leaves
 // a lossy realization as future work), so the machine requests no timers.
 //
-// Keys must be < 0xFFFFFFFE: 0xFFFFFFFF is the "no more keys" sentinel and
+// Keys are int32 and must not be negative, so every key is below the
+// uint32 NextKey sentinels: 0xFFFFFFFF is the "no more keys" sentinel and
 // 0xFFFFFFFE marks non-final chunks of the final flush.
 
 // MoreComing marks a sparse-result chunk that is not the last of its
@@ -56,13 +57,14 @@ type SparseWorkerMachine struct {
 	id    int
 	tid   uint32
 	in    *tensor.COO
-	out   *tensor.COO
-	idx   int // next unsent pair index into in
+	out   tensor.COO // kept, truncated, by a recycled machine
+	idx   int        // next unsent pair index into in
 	done  bool
 	stats WorkerStats
 
 	// shells are the machine's reusable outbound packets (see the Emit
-	// ownership contract); Values alias the input tensor zero-copy.
+	// ownership contract); Keys and Values alias the input tensor
+	// zero-copy.
 	shells [2]wire.SparsePacket
 	flip   int
 }
@@ -70,25 +72,30 @@ type SparseWorkerMachine struct {
 // NewSparseWorkerMachine validates the input tensor's key range and
 // creates the machine. Sparse mode requires a reliable transport.
 func NewSparseWorkerMachine(cfg Config, workerID int, tensorID uint32, in *tensor.COO) (*SparseWorkerMachine, error) {
+	m := &SparseWorkerMachine{}
+	if err := m.init(cfg, workerID, tensorID, in); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// init validates in and re-arms m for a new collective over it, leaving m
+// untouched on error. A key below zero is the only one that could collide
+// with the NextKey sentinels (MoreComing, wire.InfKey) on the wire.
+func (m *SparseWorkerMachine) init(cfg Config, workerID int, tensorID uint32, in *tensor.COO) error {
 	cfg = cfg.WithDefaults()
 	if !cfg.Reliable {
-		return nil, fmt.Errorf("protocol: sparse mode requires a reliable transport")
+		return fmt.Errorf("protocol: sparse mode requires a reliable transport")
 	}
 	for _, k := range in.Keys {
-		if uint32(k) >= MoreComing {
-			return nil, fmt.Errorf("protocol: sparse key %d out of range", k)
+		if k < 0 {
+			return fmt.Errorf("protocol: worker %d: sparse key %d: %w", workerID, k, tensor.ErrKeyOrder)
 		}
 	}
-	// The result holds at least this worker's keys.
-	out := tensor.NewCOO(in.Dim)
-	out.Reserve(in.Len())
-	return &SparseWorkerMachine{
-		cfg: cfg,
-		id:  workerID,
-		tid: tensorID,
-		in:  in,
-		out: out,
-	}, nil
+	m.cfg, m.id, m.tid, m.in = cfg, workerID, tensorID, in
+	m.out = tensor.COO{Dim: in.Dim, Keys: m.out.Keys[:0], Values: m.out.Values[:0]}
+	m.idx, m.done, m.stats = 0, false, WorkerStats{}
+	return nil
 }
 
 // Stats returns a copy of the machine's traffic counters.
@@ -97,8 +104,9 @@ func (m *SparseWorkerMachine) Stats() WorkerStats { return m.stats }
 // Done reports whether the final result chunk has arrived.
 func (m *SparseWorkerMachine) Done() bool { return m.done }
 
-// Result returns the assembled global reduction; valid once Done.
-func (m *SparseWorkerMachine) Result() *tensor.COO { return m.out }
+// Result returns the assembled global reduction; valid once Done, and,
+// for a pooled machine, until Recycle.
+func (m *SparseWorkerMachine) Result() *tensor.COO { return &m.out }
 
 // Start emits the first packet of pairs (Algorithm 3 lines 2-7) into eb.
 func (m *SparseWorkerMachine) Start(eb *EmitBuf) {
@@ -106,8 +114,8 @@ func (m *SparseWorkerMachine) Start(eb *EmitBuf) {
 }
 
 // sendNext builds and accounts the next packet of FusionWidth × BlockSize
-// pairs in a flipped shell. Keys are converted into the shell's reused
-// array; Values alias the input tensor (machines never mutate it).
+// pairs in a flipped shell. Keys and Values alias the input tensor
+// (machines never mutate it).
 func (m *SparseWorkerMachine) sendNext(eb *EmitBuf) {
 	hi := min(m.idx+m.cfg.sparsePairs(), m.in.Len())
 	m.flip ^= 1
@@ -116,10 +124,7 @@ func (m *SparseWorkerMachine) sendNext(eb *EmitBuf) {
 	p.WID = uint16(m.id)
 	p.TensorID = m.tid
 	p.NextKey = wire.InfKey
-	p.Keys = slices.Grow(p.Keys[:0], hi-m.idx)
-	for _, k := range m.in.Keys[m.idx:hi] {
-		p.Keys = append(p.Keys, uint32(k))
-	}
+	p.Keys = m.in.Keys[m.idx:hi]
 	p.Values = m.in.Values[m.idx:hi]
 	m.idx = hi
 	if m.idx < m.in.Len() {
@@ -181,18 +186,18 @@ type sparseAgg struct {
 
 	// Sorted-run fast path.
 	sorted  bool
-	keys    []uint32
+	keys    []int32
 	vals    []float32
 	flushed int // keys[:flushed] already flushed
 
 	// mergeK/mergeV are scratch both paths reuse: the sorted path merges
 	// a packet's overlap into them before moving it into place, the
 	// fallback path pops a flush's pairs into them to emit.
-	mergeK []uint32
+	mergeK []int32
 	mergeV []float32
 
 	// Fallback path (map + heap), engaged by fallbackify.
-	values  map[uint32]float32
+	values  map[int32]float32
 	pending keyHeap // aggregated keys not yet flushed
 
 	nextKey  []int64 // per-worker next key; -1 unknown, maxInt64 done
@@ -205,12 +210,12 @@ type sparseAgg struct {
 	shells []wire.SparsePacket
 }
 
-type keyHeap []uint32
+type keyHeap []int32
 
 func (h keyHeap) Len() int            { return len(h) }
 func (h keyHeap) Less(i, j int) bool  { return h[i] < h[j] }
 func (h keyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *keyHeap) Push(x interface{}) { *h = append(*h, x.(uint32)) }
+func (h *keyHeap) Push(x interface{}) { *h = append(*h, x.(int32)) }
 func (h *keyHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -261,7 +266,7 @@ func (m *AggregatorMachine) freeSparse(sa *sparseAgg) {
 // historical map semantics), unflushed keys into the pending heap.
 func (sa *sparseAgg) fallbackify() {
 	if sa.values == nil {
-		sa.values = make(map[uint32]float32, len(sa.keys))
+		sa.values = make(map[int32]float32, len(sa.keys))
 	}
 	for i, k := range sa.keys {
 		sa.values[k] = sa.vals[i]
@@ -340,7 +345,7 @@ func (sa *sparseAgg) mergeRun(p *wire.SparsePacket) {
 
 // appendFold appends (k, v), folding into the last entry when the key
 // repeats (duplicate keys within one packet).
-func appendFold(mk []uint32, mv []float32, k uint32, v float32) ([]uint32, []float32) {
+func appendFold(mk []int32, mv []float32, k int32, v float32) ([]int32, []float32) {
 	if n := len(mk); n > 0 && mk[n-1] == k {
 		mv[n-1] += v
 		return mk, mv
@@ -411,7 +416,7 @@ func (m *AggregatorMachine) handleSparse(p *wire.SparsePacket, eb *EmitBuf) erro
 // chunked into packets of FusionWidth × BlockSize pairs. upTo == nextDone
 // flushes everything and marks the final chunk with InfKey.
 func (m *AggregatorMachine) flushSparse(sa *sparseAgg, upTo int64, eb *EmitBuf) {
-	var ks []uint32
+	var ks []int32
 	var vs []float32
 	if sa.sorted {
 		unflushed := sa.keys[sa.flushed:]
@@ -425,7 +430,7 @@ func (m *AggregatorMachine) flushSparse(sa *sparseAgg, upTo int64, eb *EmitBuf) 
 		mk := sa.mergeK[:0]
 		mv := sa.mergeV[:0]
 		for sa.pending.Len() > 0 && int64(sa.pending[0]) < upTo {
-			k := heap.Pop(&sa.pending).(uint32)
+			k := heap.Pop(&sa.pending).(int32)
 			mk = append(mk, k)
 			mv = append(mv, sa.values[k])
 		}

@@ -28,12 +28,12 @@ type kvWorld struct {
 	down [][]*wire.SparsePacket // aggregator -> worker w
 	// ref is the key-wise fold of every data packet delivered so far, in
 	// this schedule's order of arrival at the aggregator.
-	ref map[uint32]float32
+	ref map[int32]float32
 }
 
 func newKVWorld(t *testing.T, cfg Config, ins []*tensor.COO) *kvWorld {
 	t.Helper()
-	w := &kvWorld{cfg: cfg, am: NewAggregatorMachine(cfg, aggNode), ref: map[uint32]float32{},
+	w := &kvWorld{cfg: cfg, am: NewAggregatorMachine(cfg, aggNode), ref: map[int32]float32{},
 		up: make([][]*wire.SparsePacket, len(ins)), down: make([][]*wire.SparsePacket, len(ins))}
 	var eb EmitBuf
 	for id, in := range ins {
@@ -73,7 +73,7 @@ func (w *kvWorld) clone() *kvWorld {
 	}
 	for _, m := range w.wms {
 		d := *m
-		d.out = m.out.Clone()
+		d.out = *m.out.Clone()
 		d.shells = [2]wire.SparsePacket{}
 		c.wms = append(c.wms, &d)
 	}
@@ -174,7 +174,7 @@ func (w *kvWorld) check(t *testing.T) {
 			t.Fatalf("worker %d assembled %d pairs of %d delivered", id, out.Len(), len(refKeys))
 		}
 		for i, k := range out.Keys {
-			if uint32(k) != refKeys[i] || !sameBits(out.Values[i], w.ref[refKeys[i]]) {
+			if k != refKeys[i] || !sameBits(out.Values[i], w.ref[refKeys[i]]) {
 				t.Fatalf("worker %d pair %d: (%d, %v), fold has (%d, %v)", id, i, k, out.Values[i], refKeys[i], w.ref[refKeys[i]])
 			}
 		}
@@ -190,11 +190,16 @@ func (w *kvWorld) fingerprint() string {
 			b = binary.LittleEndian.AppendUint32(b, v)
 		}
 	}
+	i32 := func(vs []int32) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
 	pkts := func(q []*wire.SparsePacket) {
 		u32(uint32(len(q)))
 		for _, p := range q {
 			u32(p.NextKey, uint32(len(p.Keys)))
-			u32(p.Keys...)
+			i32(p.Keys)
 			for _, v := range p.Values {
 				u32(math.Float32bits(v))
 			}
@@ -202,7 +207,7 @@ func (w *kvWorld) fingerprint() string {
 	}
 	if sa := w.am.sparse[1]; sa != nil {
 		u32(1, uint32(sa.flushed), uint32(sa.sent), uint32(len(sa.keys)))
-		u32(sa.keys...)
+		i32(sa.keys)
 		for _, v := range sa.vals {
 			u32(math.Float32bits(v))
 		}

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,22 +19,22 @@ func TestSparseWorkerRejectsMalformedResult(t *testing.T) {
 	cfg := Config{Workers: 1, Aggregators: []int{aggNode}, Reliable: true}.WithDefaults()
 	in := tensor.NewCOO(100)
 	in.Append(10, 1)
-	result := func(next uint32, keys []uint32, vals []float32) *wire.SparsePacket {
+	result := func(next uint32, keys []int32, vals []float32) *wire.SparsePacket {
 		return &wire.SparsePacket{Type: wire.TypeSparseResult, WID: aggNode, TensorID: 1, NextKey: next, Keys: keys, Values: vals}
 	}
 	for _, tc := range []struct {
 		name string
-		keys []uint32
+		keys []int32
 		vals []float32
 	}{
-		{"duplicate key", []uint32{30, 30}, []float32{1, 2}},
-		{"descending key", []uint32{31, 30}, []float32{1, 2}},
-		{"first key equals the previous chunk's last", []uint32{20, 30}, []float32{1, 2}},
-		{"first key below the previous chunk's last", []uint32{5, 30}, []float32{1, 2}},
-		{"more keys than values", []uint32{30, 31}, []float32{1}},
-		{"more values than keys", []uint32{30}, []float32{1, 2}},
-		{"key at the dimension", []uint32{30, 100}, []float32{1, 2}},
-		{"key above 2^31", []uint32{30, 1<<31 + 7}, []float32{1, 2}},
+		{"duplicate key", []int32{30, 30}, []float32{1, 2}},
+		{"descending key", []int32{31, 30}, []float32{1, 2}},
+		{"first key equals the previous chunk's last", []int32{20, 30}, []float32{1, 2}},
+		{"first key below the previous chunk's last", []int32{5, 30}, []float32{1, 2}},
+		{"more keys than values", []int32{30, 31}, []float32{1}},
+		{"more values than keys", []int32{30}, []float32{1, 2}},
+		{"key at the dimension", []int32{30, 100}, []float32{1, 2}},
+		{"key above 2^31", []int32{30, math.MinInt32 + 7}, []float32{1, 2}}, // 2^31 + 7 on the wire
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := NewSparseWorkerMachine(cfg, 0, 1, in)
@@ -42,7 +43,7 @@ func TestSparseWorkerRejectsMalformedResult(t *testing.T) {
 			}
 			var eb EmitBuf
 			m.Start(&eb)
-			if err := m.HandlePacket(result(MoreComing, []uint32{10, 20}, []float32{1, 2}), &eb); err != nil {
+			if err := m.HandlePacket(result(MoreComing, []int32{10, 20}, []float32{1, 2}), &eb); err != nil {
 				t.Fatalf("well-formed chunk: %v", err)
 			}
 			err = m.HandlePacket(result(wire.InfKey, tc.keys, tc.vals), &eb)
@@ -54,16 +55,16 @@ func TestSparseWorkerRejectsMalformedResult(t *testing.T) {
 			}
 		})
 	}
-	// On an empty output there is no last key to be below: a first key of
-	// 2^31 or more must not be assembled as a negative one, which Dense()
-	// would index with.
+	// On an empty output there is no last key to be below: a first wire
+	// key of 2^31 or more decodes negative and must not be assembled, as
+	// ToDense would index with it.
 	m, err := NewSparseWorkerMachine(cfg, 0, 1, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var eb EmitBuf
 	m.Start(&eb)
-	err = m.HandlePacket(result(wire.InfKey, []uint32{1 << 31}, []float32{1}), &eb)
+	err = m.HandlePacket(result(wire.InfKey, []int32{math.MinInt32}, []float32{1}), &eb)
 	if !errors.Is(err, ErrSparseResult) || m.Done() || m.Result().Len() != 0 {
 		t.Fatalf("first key >= 2^31 on an empty output: err %v, done %v, %d pairs", err, m.Done(), m.Result().Len())
 	}

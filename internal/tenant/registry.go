@@ -42,9 +42,9 @@ type jobEntry struct {
 	// attribution for the default namespace. A later packet claiming the
 	// same wid from a different node is a collision — the exact silent
 	// tid-interleaving hazard the registry exists to close.
-	nodes   []int
-	openBy  map[int]bool // wids with an open session (named jobs)
-	tenant  *tenantEntry
+	nodes  []int
+	openBy map[int]bool // wids with an open session (named jobs)
+	tenant *tenantEntry
 }
 
 type tenantEntry struct {

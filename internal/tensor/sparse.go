@@ -3,7 +3,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -43,38 +42,34 @@ func (s *COO) Append(key int32, value float32) {
 // below Dim.
 var ErrKeyOrder = errors.New("tensor: COO run is not strictly increasing in-range key-value pairs")
 
-// AppendRun appends a run of pairs in bulk: one pass over keys (wire keys
-// are the uint32 form of COO's int32, converted on the way) and one append
-// of values. Unlike Append it is meant for data that did not originate in
-// this process, so a malformed run is an error wrapping ErrKeyOrder and
-// leaves s as it was. Every key must be below Dim — which also keeps a
-// wire key of 2^31 or more from turning negative — so that ToDense can
-// index with what was accepted.
-func (s *COO) AppendRun(keys []uint32, values []float32) error {
+// AppendRun appends a run of pairs in bulk: one pass checks the keys, then
+// keys and values are each appended in one copy. Unlike Append it is meant
+// for data that did not originate in this process, so a malformed run is
+// an error wrapping ErrKeyOrder and leaves s as it was. Every key must lie
+// in [0, Dim), so that ToDense can index with what was accepted.
+func (s *COO) AppendRun(keys []int32, values []float32) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("%w: %d keys, %d values", ErrKeyOrder, len(keys), len(values))
 	}
-	dim := uint32(min(uint64(max(s.Dim, 0)), 1<<31))
-	out := slices.Grow(s.Keys, len(keys))
-	for _, k := range keys {
-		if k >= dim {
-			return fmt.Errorf("%w: key %d, dimension %d", ErrKeyOrder, k, s.Dim)
-		}
-		if m := len(out); m > 0 && out[m-1] >= int32(k) {
-			return fmt.Errorf("%w: key %d after %d", ErrKeyOrder, k, out[m-1])
-		}
-		out = append(out, int32(k))
+	prev := int64(-1)
+	if n := len(s.Keys); n > 0 {
+		prev = int64(s.Keys[n-1])
 	}
-	s.Keys = out
+	for _, k := range keys {
+		if int64(k) <= prev {
+			if k < 0 {
+				return fmt.Errorf("%w: key %d, dimension %d", ErrKeyOrder, k, s.Dim)
+			}
+			return fmt.Errorf("%w: key %d after %d", ErrKeyOrder, k, prev)
+		}
+		prev = int64(k)
+	}
+	if prev >= int64(s.Dim) {
+		return fmt.Errorf("%w: key %d, dimension %d", ErrKeyOrder, prev, s.Dim)
+	}
+	s.Keys = append(s.Keys, keys...)
 	s.Values = append(s.Values, values...)
 	return nil
-}
-
-// Reserve makes room for n more pairs, so that appending them does not
-// reallocate.
-func (s *COO) Reserve(n int) {
-	s.Keys = slices.Grow(s.Keys, n)
-	s.Values = slices.Grow(s.Values, n)
 }
 
 // Clone returns a deep copy of s.

@@ -147,31 +147,31 @@ func TestCOOAppendOrdering(t *testing.T) {
 	s.Append(3, 3)
 }
 
-// TestCOOAppendRun: the bulk form of Append takes wire keys, refuses a
-// run that would break the ordering or leave [0, Dim) with an error
-// instead of a panic, and a refused run changes nothing.
+// TestCOOAppendRun: the bulk form of Append refuses a run that would
+// break the ordering or leave [0, Dim) with an error instead of a panic,
+// and a refused run changes nothing.
 func TestCOOAppendRun(t *testing.T) {
 	s := NewCOO(100)
-	s.Reserve(4)
-	if err := s.AppendRun([]uint32{1, 5}, []float32{1, 2}); err != nil {
+	if err := s.AppendRun([]int32{1, 5}, []float32{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendRun(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRun([]uint32{6, 90}, []float32{3, 4}); err != nil {
+	if err := s.AppendRun([]int32{6, 90}, []float32{3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []struct {
-		keys []uint32
+		keys []int32
 		vals []float32
 	}{
-		{[]uint32{90}, []float32{1}},        // not above the last key
-		{[]uint32{95, 95}, []float32{1, 2}}, // repeats inside the run
-		{[]uint32{99, 98}, []float32{1, 2}}, // descends inside the run
-		{[]uint32{95}, nil},                 // a key without a value
-		{[]uint32{100}, []float32{1}},       // not below Dim
-		{[]uint32{1 << 31}, []float32{1}},   // negative as an int32
+		{[]int32{90}, []float32{1}},            // not above the last key
+		{[]int32{95, 95}, []float32{1, 2}},     // repeats inside the run
+		{[]int32{99, 98}, []float32{1, 2}},     // descends inside the run
+		{[]int32{95}, nil},                     // a key without a value
+		{[]int32{100}, []float32{1}},           // not below Dim
+		{[]int32{95, 100}, []float32{1, 2}},    // last key not below Dim
+		{[]int32{math.MinInt32}, []float32{1}}, // a wire key >= 2^31
 	} {
 		if err := s.AppendRun(bad.keys, bad.vals); !errors.Is(err, ErrKeyOrder) {
 			t.Fatalf("AppendRun(%v, %v) = %v, want ErrKeyOrder", bad.keys, bad.vals, err)
@@ -180,11 +180,19 @@ func TestCOOAppendRun(t *testing.T) {
 	if !slices.Equal(s.Keys, []int32{1, 5, 6, 90}) || !slices.Equal(s.Values, []float32{1, 2, 3, 4}) {
 		t.Fatalf("after refused runs: %v %v", s.Keys, s.Values)
 	}
-	// An empty output has no last key to compare with: the range check
-	// alone keeps a key of 2^31 or more from landing as a negative one.
+	// An empty output has no last key to compare with: a negative first
+	// key is still refused, and the largest int32 key is accepted when
+	// Dim is above it.
 	empty := NewCOO(100)
-	if err := empty.AppendRun([]uint32{1<<31 + 5}, []float32{1}); !errors.Is(err, ErrKeyOrder) || empty.Len() != 0 {
-		t.Fatalf("first key >= 2^31 on an empty output: err %v, %d pairs", err, empty.Len())
+	if err := empty.AppendRun([]int32{-5, 3}, []float32{1, 2}); !errors.Is(err, ErrKeyOrder) || empty.Len() != 0 {
+		t.Fatalf("negative first key on an empty output: err %v, %d pairs", err, empty.Len())
+	}
+	if math.MaxInt > math.MaxInt32 {
+		dim := int64(math.MaxInt32) + 1
+		top := NewCOO(int(dim))
+		if err := top.AppendRun([]int32{0, math.MaxInt32}, []float32{1, 2}); err != nil || top.Len() != 2 {
+			t.Fatalf("key MaxInt32 at Dim 2^31: err %v, %d pairs", err, top.Len())
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func TestDecodeViewZeroAllocs(t *testing.T) {
 	dense := AppendPacket(nil, benchPacket())
 	src := &SparsePacket{Type: TypeSparseData, NextKey: 9}
 	for i := 0; i < 256; i++ {
-		src.Keys = append(src.Keys, uint32(2*i))
+		src.Keys = append(src.Keys, int32(2*i))
 		src.Values = append(src.Values, float32(i))
 	}
 	sparse := AppendSparsePacket(nil, src)
@@ -76,7 +76,7 @@ func TestDecodeViewZeroAllocs(t *testing.T) {
 		var p Packet
 		var sp SparsePacket
 		var scratch, vals []float32
-		var keys []uint32
+		var keys []int32
 		var err error
 		decode := func() {
 			if scratch, err = DecodePacketView(&p, scratch, dbuf); err != nil {
@@ -99,7 +99,7 @@ func TestAppendSparsePacketZeroAllocs(t *testing.T) {
 	}
 	p := &SparsePacket{Type: TypeSparseData, WID: 1, TensorID: 2, NextKey: 9}
 	for i := 0; i < 256; i++ {
-		p.Keys = append(p.Keys, uint32(2*i))
+		p.Keys = append(p.Keys, int32(2*i))
 		p.Values = append(p.Values, float32(i))
 	}
 	buf := AppendSparsePacket(nil, p)
@@ -117,7 +117,7 @@ func TestDecodeSparsePacketIntoZeroAllocs(t *testing.T) {
 	}
 	src := &SparsePacket{Type: TypeSparseData, NextKey: 9}
 	for i := 0; i < 256; i++ {
-		src.Keys = append(src.Keys, uint32(2*i))
+		src.Keys = append(src.Keys, int32(2*i))
 		src.Values = append(src.Values, float32(i))
 	}
 	buf := AppendSparsePacket(nil, src)

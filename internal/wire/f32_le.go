@@ -4,10 +4,11 @@ package wire
 
 import "unsafe"
 
-// The float32 payload codec for little-endian targets. The wire format is
-// little-endian IEEE-754 bits, which is exactly how these targets hold a
-// []float32 in memory, so encode and decode are one memmove through a byte
-// view of the float slice. The target list is closed on purpose: a target
+// The float32 payload and int32 key codecs for little-endian targets. The
+// wire format is little-endian IEEE-754 bits (values) and little-endian
+// two's complement (keys), which is exactly how these targets hold a
+// []float32 or []int32 in memory, so encode and decode are one memmove
+// through a byte view of the slice. The target list is closed on purpose: a target
 // not named here builds f32_portable.go, which is correct on any byte
 // order.
 
@@ -32,8 +33,27 @@ func getF32Slice(dst []float32, src []byte) {
 	}
 }
 
+// i32Bytes is f32Bytes for int32 keys.
+func i32Bytes(v []int32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
+// putI32Slice is putF32Slice for int32 keys.
+func putI32Slice(dst []byte, src []int32) {
+	if len(src) > 0 {
+		copy(dst[:4*len(src)], i32Bytes(src))
+	}
+}
+
+// getI32Slice is getF32Slice for int32 keys.
+func getI32Slice(dst []int32, src []byte) {
+	if len(dst) > 0 {
+		copy(i32Bytes(dst), src[:4*len(dst)])
+	}
+}
+
 // The decoders' views: on these targets a 4-byte-aligned run of wire
-// payload bytes is already a []float32 (or []uint32) in memory, so a
+// payload bytes is already a []float32 (or []int32) in memory, so a
 // decoded packet can point into the message buffer.
 
 // viewable reports whether payloads at 4-byte offsets in b can be viewed
@@ -49,7 +69,7 @@ func viewF32(b []byte) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// viewU32 is viewF32 for uint32 keys.
-func viewU32(b []byte) []uint32 {
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
+// viewI32 is viewF32 for int32 keys.
+func viewI32(b []byte) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }

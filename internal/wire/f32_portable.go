@@ -7,9 +7,9 @@ import (
 	"math"
 )
 
-// The float32 payload codec for targets not known to be little-endian
-// (f32_le.go lists those): per-element conversion, correct on any byte
-// order.
+// The float32 payload and int32 key codecs for targets not known to be
+// little-endian (f32_le.go lists those): per-element conversion, correct on
+// any byte order.
 
 // putF32Slice writes src as little-endian float32 bits into dst, which
 // must hold at least 4*len(src) bytes. Eight elements per iteration: one
@@ -54,11 +54,27 @@ func getF32Slice(dst []float32, src []byte) {
 	}
 }
 
+// putI32Slice writes src as little-endian int32s into dst, which must
+// hold at least 4*len(src) bytes.
+func putI32Slice(dst []byte, src []int32) {
+	for i, k := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(k))
+	}
+}
+
+// getI32Slice fills dst from little-endian int32s in src, which must hold
+// at least 4*len(dst) bytes.
+func getI32Slice(dst []int32, src []byte) {
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
 // viewable reports whether payloads in b can be viewed in place: never
-// on these targets, so the view decoders always copy and viewF32/viewU32
+// on these targets, so the view decoders always copy and viewF32/viewI32
 // are not reached.
 func viewable([]byte) bool { return false }
 
 func viewF32([]byte) []float32 { return nil }
 
-func viewU32([]byte) []uint32 { return nil }
+func viewI32([]byte) []int32 { return nil }

@@ -103,7 +103,7 @@ func seedPackets() [][]byte {
 	}
 	out = append(out, AppendSparsePacket(nil, &SparsePacket{
 		Type: TypeSparseData, WID: 1, TensorID: 2, NextKey: 77,
-		Keys: []uint32{3, 9, 40}, Values: []float32{1, -1, 0.25},
+		Keys: []int32{3, 9, 40}, Values: []float32{1, -1, 0.25},
 	}))
 	out = append(out, AppendSparsePacket(nil, &SparsePacket{
 		Type: TypeSparseResult, WID: 0, TensorID: 2, NextKey: InfKey,
@@ -113,6 +113,12 @@ func seedPackets() [][]byte {
 	// no earlier corpus file.
 	out = append(out, AppendPacket(nil, &Packet{Type: TypeData, Version: 0, Slot: 2, WID: 1,
 		TensorID: 5, BlockSize: 256, Nexts: []uint32{64, Inf(1), 34, Inf(3)}}))
+	// Keys at the int32 edges: the largest valid key and wire keys with
+	// the high bit set, which decode negative.
+	out = append(out, AppendSparsePacket(nil, &SparsePacket{
+		Type: TypeSparseResult, TensorID: 3, NextKey: math.MaxInt32,
+		Keys: []int32{math.MinInt32, -1, math.MaxInt32}, Values: []float32{1, 2, 3},
+	}))
 	return out
 }
 
@@ -241,7 +247,7 @@ func checkViewDecode(t *testing.T, buf []byte) {
 func checkSparseViewDecode(t *testing.T, buf []byte) {
 	want, wantErr := DecodeSparsePacket(buf)
 	var got SparsePacket
-	var keys []uint32
+	var keys []int32
 	var vals []float32
 	for off := 0; off < 4; off++ {
 		var err error

@@ -64,7 +64,7 @@ func TestEncodedSparsePacketSizeMatchesEncoder(t *testing.T) {
 	cases := map[string]*SparsePacket{
 		"data-chunk": {
 			Type: TypeSparseData, WID: 1, TensorID: 5,
-			Keys:    []uint32{3, 9, 200},
+			Keys:    []int32{3, 9, 200},
 			Values:  []float32{1, 2, 3},
 			NextKey: 201,
 		},
@@ -73,7 +73,7 @@ func TestEncodedSparsePacketSizeMatchesEncoder(t *testing.T) {
 		},
 		"result-chunk": {
 			Type: TypeSparseResult, WID: 2, TensorID: 5,
-			Keys:    []uint32{1, 2, 3, 4},
+			Keys:    []int32{1, 2, 3, 4},
 			Values:  []float32{4, 3, 2, 1},
 			NextKey: InfKey - 1, // MoreComing marker
 		},

@@ -387,8 +387,8 @@ type SparsePacket struct {
 	Type     uint8
 	WID      uint16
 	TensorID uint32
-	NextKey  uint32 // key of the sender's next non-zero value; InfKey if none
-	Keys     []uint32
+	NextKey  uint32  // key of the sender's next non-zero value; InfKey if none
+	Keys     []int32 // tensor.COO's key type, 4 bytes little-endian on the wire
 	Values   []float32
 }
 
@@ -409,12 +409,8 @@ func AppendSparsePacket(dst []byte, p *SparsePacket) []byte {
 	binary.LittleEndian.PutUint32(w[4:], p.TensorID)
 	binary.LittleEndian.PutUint32(w[8:], p.NextKey)
 	binary.LittleEndian.PutUint32(w[12:], uint32(len(p.Keys)))
-	off := sparseHeaderLen
-	for _, k := range p.Keys {
-		binary.LittleEndian.PutUint32(w[off:], k)
-		off += 4
-	}
-	putF32Slice(w[off:], p.Values)
+	putI32Slice(w[sparseHeaderLen:], p.Keys)
+	putF32Slice(w[sparseHeaderLen+4*len(p.Keys):], p.Values)
 	return dst
 }
 
@@ -449,11 +445,11 @@ func DecodeSparsePacketInto(p *SparsePacket, buf []byte) error {
 //
 // Ownership: as for DecodePacketView, the decoded packet is valid only
 // while buf is, and only until the next decode with the same p or arenas.
-func DecodeSparsePacketView(p *SparsePacket, keys []uint32, vals []float32, buf []byte) ([]uint32, []float32, error) {
+func DecodeSparsePacketView(p *SparsePacket, keys []int32, vals []float32, buf []byte) ([]int32, []float32, error) {
 	return decodeSparsePacket(p, keys, vals, buf, true)
 }
 
-func decodeSparsePacket(p *SparsePacket, keys []uint32, vals []float32, buf []byte, view bool) ([]uint32, []float32, error) {
+func decodeSparsePacket(p *SparsePacket, keys []int32, vals []float32, buf []byte, view bool) ([]int32, []float32, error) {
 	p.Keys, p.Values = keys[:0], vals[:0]
 	if len(buf) < sparseHeaderLen {
 		return keys, vals, ErrTruncated
@@ -469,23 +465,20 @@ func decodeSparsePacket(p *SparsePacket, keys []uint32, vals []float32, buf []by
 	n := int(n64)
 	off := sparseHeaderLen
 	if view && n > 0 && viewable(buf) {
-		p.Keys = viewU32(buf[off : off+4*n])
+		p.Keys = viewI32(buf[off : off+4*n])
 		p.Values = viewF32(buf[off+4*n : off+8*n])
 		return keys, vals, nil
 	}
 	if cap(keys) < n {
-		keys = make([]uint32, n)
+		keys = make([]int32, n)
 	}
 	keys = keys[:n]
-	for i := range keys {
-		keys[i] = binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-	}
+	getI32Slice(keys, buf[off:])
 	if cap(vals) < n {
 		vals = make([]float32, n)
 	}
 	vals = vals[:n]
-	getF32Slice(vals, buf[off:])
+	getF32Slice(vals, buf[off+4*n:])
 	p.Keys, p.Values = keys, vals
 	return keys, vals, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -128,7 +129,7 @@ func TestDecodePacketBadWidth(t *testing.T) {
 func TestSparseRoundTrip(t *testing.T) {
 	p := &SparsePacket{
 		Type: TypeSparseData, WID: 5, TensorID: 9, NextKey: 100,
-		Keys:   []uint32{1, 5, 9},
+		Keys:   []int32{1, 5, 9},
 		Values: []float32{0.5, -1, 2},
 	}
 	buf := AppendSparsePacket(nil, p)
@@ -138,6 +139,25 @@ func TestSparseRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, p) {
 		t.Fatalf("sparse round trip mismatch: %+v vs %+v", got, p)
+	}
+}
+
+// TestSparseKeyBytes pins the key encoding: little-endian two's
+// complement, so a key's wire bytes are those of its uint32 form and a
+// wire key with the high bit set decodes negative.
+func TestSparseKeyBytes(t *testing.T) {
+	p := &SparsePacket{Keys: []int32{0x01020304, math.MaxInt32, -1, math.MinInt32}, Values: make([]float32, 4)}
+	buf := AppendSparsePacket(nil, p)
+	want := []byte{4, 3, 2, 1, 0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0x80}
+	if got := buf[sparseHeaderLen : sparseHeaderLen+16]; !bytes.Equal(got, want) {
+		t.Fatalf("key bytes % x, want % x", got, want)
+	}
+	got, err := DecodeSparsePacket(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Keys, p.Keys) {
+		t.Fatalf("keys %v, want %v", got.Keys, p.Keys)
 	}
 }
 
@@ -158,12 +178,12 @@ func TestSparseMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AppendSparsePacket(nil, &SparsePacket{Keys: []uint32{1}})
+	AppendSparsePacket(nil, &SparsePacket{Keys: []int32{1}})
 }
 
 func TestSparseTruncated(t *testing.T) {
 	buf := AppendSparsePacket(nil, &SparsePacket{
-		Type: TypeSparseData, Keys: []uint32{1, 2}, Values: []float32{1, 2}})
+		Type: TypeSparseData, Keys: []int32{1, 2}, Values: []float32{1, 2}})
 	for _, n := range []int{0, sparseHeaderLen - 1, len(buf) - 1} {
 		if _, err := DecodeSparsePacket(buf[:n]); err == nil {
 			t.Errorf("accepted %d-byte prefix", n)
@@ -291,7 +311,7 @@ func TestDecodeViewAliasing(t *testing.T) {
 			buf := placeAt(AppendPacket(nil, &Packet{Type: TypeData, DType: dtype, BlockSize: 4,
 				Nexts: []uint32{Inf(0)}, Blocks: []Block{{Index: 0, Data: []float32{1, 2, 3, 4}}}}), off)
 			sbuf := placeAt(AppendSparsePacket(nil, &SparsePacket{Type: TypeSparseData, NextKey: InfKey,
-				Keys: []uint32{5, 6}, Values: []float32{1, 2}}), off)
+				Keys: []int32{5, 6}, Values: []float32{1, 2}}), off)
 			var p Packet
 			if _, err := DecodePacketView(&p, nil, buf); err != nil {
 				t.Fatal(err)
