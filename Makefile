@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet check race short-race fuzz chaos bench bench-selftest drift obs timeline tenants failover clean
+.PHONY: all tier1 vet check race short-race fuzz chaos bench bench-all bench-selftest drift obs timeline tenants failover clean
 
 all: tier1
 
@@ -49,13 +49,15 @@ bench-selftest:
 # link, the live chaos-kill end-to-end (an aggregator dies
 # mid-collective, a standby is activated, results stay bit-exact), the
 # sparse multi-aggregator routing regression, the drain/watchdog
-# suppression regression, the simulator's kill-before-every-event sweep and
-# the sim-vs-live failover drift test — all under the race detector, the
-# two kill tests twenty times over (their kill point is protocol-defined,
-# so one failure in twenty is a bug, not bad luck).
+# suppression regression, the stall watchdog over both formats, view
+# changes racing collectives and job control, the simulator's
+# kill-before-every-event sweep and the sim-vs-live failover drift test —
+# all under the race detector, the two kill tests twenty times over (their
+# kill point is protocol-defined, so one failure in twenty is a bug, not
+# bad luck).
 failover:
 	$(GO) test -race -run 'TestView|TestMembership|TestFailoverPumpHandoff|TestCheckpoint|TestBootstrapElisionFailover|TestMirror|TestReliableFailoverBetweenCollectivesOnly' ./internal/protocol/ ./internal/wire/
-	$(GO) test -race -run 'TestStandby|FuzzStandbyFrame|TestFailoverLossyStandbyLink|TestSparseLiveMultiAggregator|TestDrainSuppressesPostmortem' -v ./internal/core/
+	$(GO) test -race -run 'TestStandby|FuzzStandbyFrame|TestFailoverLossyStandbyLink|TestSparseLiveMultiAggregator|TestDrainSuppressesPostmortem|TestStallWatchdog|TestViewChangeDuringOps' -v ./internal/core/
 	$(GO) test -race -run 'TestFailoverSimEveryEvent' ./internal/netsim/simproto/
 	$(GO) test -race -run 'TestFailoverLiveChaosKill' -count=20 ./internal/core/
 	$(GO) test -race -run 'TestFailoverDriftLiveVsSim' -count=20 ./internal/netsim/simproto/

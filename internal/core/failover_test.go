@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -162,6 +163,71 @@ func TestDrainSuppressesPostmortem(t *testing.T) {
 	}
 	if _, err := os.Stat(se.BundlePath); err != nil {
 		t.Fatalf("bundle path not on disk: %v", err)
+	}
+}
+
+// TestViewChangeDuringOps adopts views with rising epochs while both
+// formats' collectives and a named job's lifecycle run on the same worker.
+// The view swaps the worker's aggregator list; under the race detector
+// this fails if any op or job-control path reads the list outside the
+// lock the swap holds.
+func TestViewChangeDuringOps(t *testing.T) {
+	c := startCluster(t, Config{Workers: 1, Reliable: true}, 0, 1)
+	w := c.workers[0]
+	aggs := c.cfg.Aggregators
+
+	stop := make(chan struct{})
+	views := make(chan uint32, 1)
+	go func() {
+		epoch := uint32(0)
+		defer func() { views <- epoch }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			epoch++
+			w.maybeApplyView(protocol.View{Epoch: epoch, Workers: []int{0}, Aggregators: aggs})
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	data := make([]float32, 256)
+	kv := tensor.NewCOO(len(data))
+	kv.Append(3, 1)
+	kv.Append(200, 2)
+	for i := 0; i < 60; i++ {
+		for j := range data {
+			data[j] = float32(j%5) + 1
+		}
+		if err := w.AllReduce(data); err != nil {
+			t.Fatalf("op %d: AllReduce: %v", i, err)
+		}
+		if data[7] != 3 {
+			t.Fatalf("op %d: AllReduce sum %v, want 3", i, data[7])
+		}
+		out, err := w.AllReduceSparse(kv)
+		if err != nil {
+			t.Fatalf("op %d: AllReduceSparse: %v", i, err)
+		}
+		if out.Len() != 2 || out.Values[1] != 2 {
+			t.Fatalf("op %d: AllReduceSparse result %v %v", i, out.Keys, out.Values)
+		}
+		if i%10 == 0 {
+			j, err := w.OpenJob("views", fmt.Sprintf("job%d", i))
+			if err != nil {
+				t.Fatalf("op %d: OpenJob: %v", i, err)
+			}
+			if err := j.AllReduce(data); err != nil {
+				t.Fatalf("op %d: job AllReduce: %v", i, err)
+			}
+			j.Close()
+		}
+	}
+	close(stop)
+	if epoch := <-views; epoch < 2 {
+		t.Fatalf("only %d views applied: the ops never overlapped a view change", epoch)
 	}
 }
 

@@ -49,7 +49,8 @@ type Job struct {
 	ns  uint32
 	wid int
 	// pcfg is the job's protocol configuration: the worker's own with the
-	// job's worker count substituted.
+	// job's worker count substituted. Its Aggregators is nil: each op
+	// routes by the list beginOpAt returns.
 	pcfg protocol.Config
 
 	mu     sync.Mutex
@@ -86,7 +87,7 @@ func (w *Worker) OpenJobAs(tenantName, jobName string, wid, workers int) (*Job, 
 	if workers <= 0 || wid < 0 || wid >= workers {
 		return nil, fmt.Errorf("core: job %s: invalid wid %d of %d workers", key, wid, workers)
 	}
-	pcfg := w.cfg.proto()
+	pcfg := w.job.pcfg
 	pcfg.Workers = workers
 	j := &Job{
 		w:    w,
@@ -127,9 +128,10 @@ func (j *Job) open() error {
 		Job:      j.key.Job,
 	}
 	buf := wire.AppendControl(nil, &req)
-	accepted := make(map[int]bool, len(w.cfg.Aggregators))
+	aggs := w.aggregators()
+	accepted := make(map[int]bool, len(aggs))
 	send := func() error {
-		for _, agg := range w.cfg.Aggregators {
+		for _, agg := range aggs {
 			if accepted[agg] {
 				continue
 			}
@@ -163,7 +165,7 @@ func (j *Job) open() error {
 			switch cp.Type {
 			case wire.TypeJobAccept:
 				accepted[msg.From] = true
-				if len(accepted) == len(w.cfg.Aggregators) {
+				if len(accepted) == len(aggs) {
 					return nil
 				}
 			case wire.TypeJobReject:
@@ -186,7 +188,7 @@ func (j *Job) open() error {
 			}
 		case <-deadline.C:
 			return fmt.Errorf("core: open job %s: no answer from %d/%d aggregators within %v",
-				j.key, len(w.cfg.Aggregators)-len(accepted), len(w.cfg.Aggregators), w.cfg.OpenTimeout)
+				j.key, len(aggs)-len(accepted), len(aggs), w.cfg.OpenTimeout)
 		}
 	}
 }
@@ -221,25 +223,29 @@ func (w *Worker) unregisterCtrl(tid uint32, q *opQueue) {
 	q.finish()
 }
 
-// beginOp mints the job's next tensor ID and checks out a driver state.
-func (j *Job) beginOp() (uint32, *opState, error) {
+// beginOp mints the job's next tensor ID, checks out a driver state, and
+// returns the operation's protocol configuration, routed by the current
+// view.
+func (j *Job) beginOp() (uint32, *opState, protocol.Config, error) {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
-		return 0, nil, fmt.Errorf("core: job %s: session closed", j.key)
+		return 0, nil, protocol.Config{}, fmt.Errorf("core: job %s: session closed", j.key)
 	}
 	if j.seq >= protocol.MaxTidSeq {
 		j.mu.Unlock()
-		return 0, nil, fmt.Errorf("core: job %s exhausted its tensor-ID space; reopen the session", j.key)
+		return 0, nil, protocol.Config{}, fmt.Errorf("core: job %s exhausted its tensor-ID space; reopen the session", j.key)
 	}
 	j.seq++
 	tid := protocol.TidFor(j.ns, j.seq)
 	j.mu.Unlock()
-	st, err := j.w.beginOpAt(tid)
+	st, aggs, err := j.w.beginOpAt(tid)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, protocol.Config{}, err
 	}
-	return tid, st, nil
+	pcfg := j.pcfg
+	pcfg.Aggregators = aggs
+	return tid, st, pcfg, nil
 }
 
 // AllReduce sums data element-wise across the job's workers; on return,
@@ -262,14 +268,14 @@ func (j *Job) AllReduceAsync(data []float32) (*Pending, error) {
 		close(p.done)
 		return p, nil
 	}
-	tid, st, err := j.beginOp()
+	tid, st, pcfg, err := j.beginOp()
 	if err != nil {
 		return nil, err
 	}
 	go func() {
 		defer close(p.done)
 		defer j.w.endOp(tid, st)
-		p.err = j.w.runAllReduce(data, tid, st, j.pcfg, j.wid)
+		p.err = j.w.runAllReduce(data, tid, st, pcfg, j.wid)
 	}()
 	return p, nil
 }
@@ -277,12 +283,12 @@ func (j *Job) AllReduceAsync(data []float32) (*Pending, error) {
 // AllReduceSparse sums COO tensors across the job's workers (Algorithm
 // 3); see Worker.AllReduceSparse.
 func (j *Job) AllReduceSparse(in *tensor.COO) (*tensor.COO, error) {
-	tid, st, err := j.beginOp()
+	tid, st, pcfg, err := j.beginOp()
 	if err != nil {
 		return nil, err
 	}
 	defer j.w.endOp(tid, st)
-	return j.w.runAllReduceSparse(in, tid, st, j.pcfg, j.wid)
+	return j.w.runAllReduceSparse(in, tid, st, pcfg, j.wid)
 }
 
 // Close ends the session: a best-effort JobClose notice goes to every
@@ -304,7 +310,7 @@ func (j *Job) Close() error {
 		Job:      j.key.Job,
 	}
 	buf := wire.AppendControl(nil, &req)
-	for _, agg := range j.w.cfg.Aggregators {
+	for _, agg := range j.w.aggregators() {
 		// Best effort: a closed transport or unreachable aggregator must
 		// not fail session teardown.
 		_ = j.w.conn.Send(agg, buf)

@@ -23,7 +23,7 @@ var (
 	obsPumpBad       = obs.Default.Counter("worker_pump_bad_packets")
 
 	// Transmit-batch flush reasons (see txBatch) and opState free-list
-	// behavior (see Worker.beginOp).
+	// behavior (see Worker.beginOpAt).
 	obsWorkerFlushEnd  = obs.Default.Counter("worker_tx_flush_end")
 	obsWorkerFlushFull = obs.Default.Counter("worker_tx_flush_full")
 	obsAggFlushEnd     = obs.Default.Counter("agg_tx_flush_end")

@@ -79,16 +79,16 @@ type Postmortem struct {
 }
 
 // capturePostmortem snapshots the observability surfaces for a stalled
-// operation and, when dir is non-empty, writes the bundle to
-// <dir>/postmortem-w<id>-t<tid>.json.
-func (w *Worker) capturePostmortem(tid uint32, m *protocol.WorkerMachine, idle time.Duration) *StallError {
+// operation, whose machine counters are ms, and, when dir is non-empty,
+// writes the bundle to <dir>/postmortem-w<id>-t<tid>.json.
+func (w *Worker) capturePostmortem(tid uint32, ms protocol.WorkerStats, idle time.Duration) *StallError {
 	pm := &Postmortem{
 		CapturedAt: time.Now().Format(time.RFC3339Nano),
 		WorkerID:   w.id,
 		TensorID:   tid,
 		IdleNs:     int64(idle),
 		Quiesced:   w.quiesced(),
-		Machine:    m.Stats(),
+		Machine:    ms,
 		Worker:     w.Stats.Snapshot(),
 		Pump:       w.pump.snapshot(),
 		Metrics:    obs.Default.Snapshot(),

@@ -36,7 +36,7 @@ func TestEndOpDrainsQueuedMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tid, st, err := w.beginOp()
+	tid, st, _, err := w.job.beginOp()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRecvPumpOverflowDoesNotStallOtherOps(t *testing.T) {
 
 	// A victim operation that never consumes its queue: register it
 	// directly so no driver goroutine drains it.
-	victim, victimSt, err := w.beginOp()
+	victim, victimSt, _, err := w.job.beginOp()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReliableOverflowFailsOp(t *testing.T) {
 	defer w.Close()
 	nw.AddNode(5) // aggregator inbox exists but nobody serves it
 
-	tid, st, err := w.beginOp()
+	tid, st, pcfg, err := w.job.beginOp()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestReliableOverflowFailsOp(t *testing.T) {
 
 	// A driver loop parked on this queue must surface ErrOpBackpressure.
 	errCh := make(chan error, 1)
-	go func() { errCh <- w.runAllReduce(make([]float32, 8), tid, st, w.cfg.proto(), w.id) }()
+	go func() { errCh <- w.runAllReduce(make([]float32, 8), tid, st, pcfg, w.job.wid) }()
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrOpBackpressure) {

@@ -9,91 +9,113 @@ import (
 	"time"
 
 	"omnireduce/internal/obs"
+	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
 )
 
 // TestStallWatchdogPostmortem wedges a worker's transport — sends are
 // swallowed, nothing is ever received — and asserts the watchdog turns
 // the silent hang into a typed error carrying a postmortem bundle, within
-// the configured timeout (plus scheduling slack).
+// the configured timeout (plus scheduling slack), for both formats: they
+// run the same driver loop.
 func TestStallWatchdogPostmortem(t *testing.T) {
-	dir := t.TempDir()
-	fr := obs.NewFlightRecorder(-1, 256)
-	prev := obs.SetTracer(fr)
-	defer obs.SetTracer(prev)
-
-	conn := transport.NewWedgedConn(0)
-	defer conn.Close()
-	const stall = 100 * time.Millisecond
-	w, err := NewWorker(conn, Config{
-		Workers:       1,
-		Aggregators:   []int{1},
-		Reliable:      true,
-		StallTimeout:  stall,
-		PostmortemDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	data := make([]float32, 4096)
+	kv := tensor.NewCOO(len(data))
 	for i := range data {
 		data[i] = float32(i%7) + 1
+		kv.Append(int32(i), data[i])
 	}
-	start := time.Now()
-	err = w.AllReduce(data)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("AllReduce over a wedged transport succeeded")
-	}
-	if !errors.Is(err, ErrOpStalled) {
-		t.Fatalf("error %v is not ErrOpStalled", err)
-	}
-	var se *StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %v is not a *StallError", err)
-	}
-	// No result ever arrives, so the very first watchdog period detects
-	// the stall; allow generous scheduling slack.
-	if elapsed > 10*stall {
-		t.Fatalf("stall detected after %v, want ~%v", elapsed, stall)
-	}
+	for _, tc := range []struct {
+		name string
+		op   func(w *Worker) error
+		ev   obs.Event // a record the flight dump must hold
+	}{
+		{"AllReduce", func(w *Worker) error { return w.AllReduce(data) }, obs.EvSlotIssue},
+		{"AllReduceSparse", func(w *Worker) error {
+			_, err := w.AllReduceSparse(kv)
+			return err
+		}, obs.EvOpBegin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fr := obs.NewFlightRecorder(-1, 256)
+			prev := obs.SetTracer(fr)
+			defer obs.SetTracer(prev)
 
-	if se.Bundle == nil {
-		t.Fatal("StallError carries no bundle")
-	}
-	if se.Bundle.WorkerID != 0 || se.Bundle.TensorID == 0 {
-		t.Fatalf("bundle identity = w%d t%d", se.Bundle.WorkerID, se.Bundle.TensorID)
-	}
-	if se.Bundle.Machine.PacketsSent == 0 {
-		t.Fatal("bundle machine stats show no bootstrap packets: capture happened too early or not at all")
-	}
-	if se.Bundle.Flight == nil {
-		t.Fatal("bundle has no flight-recorder dump despite an installed recorder")
-	}
-	issues := 0
-	for _, r := range se.Bundle.Flight.Records {
-		if r.Ev == obs.EvSlotIssue {
-			issues++
-		}
-	}
-	if issues == 0 {
-		t.Fatal("flight dump in bundle has no EvSlotIssue records")
-	}
+			conn := transport.NewWedgedConn(0)
+			defer conn.Close()
+			const stall = 100 * time.Millisecond
+			w, err := NewWorker(conn, Config{
+				Workers:       1,
+				Aggregators:   []int{1},
+				Reliable:      true,
+				StallTimeout:  stall,
+				PostmortemDir: dir,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if se.BundlePath == "" {
-		t.Fatal("no postmortem file written despite PostmortemDir")
-	}
-	raw, err := os.ReadFile(se.BundlePath)
-	if err != nil {
-		t.Fatalf("reading bundle: %v", err)
-	}
-	var onDisk Postmortem
-	if err := json.Unmarshal(raw, &onDisk); err != nil {
-		t.Fatalf("bundle does not parse: %v", err)
-	}
-	if onDisk.TensorID != se.Bundle.TensorID || onDisk.IdleNs != int64(stall) {
-		t.Fatalf("on-disk bundle mismatch: %+v", onDisk)
+			start := time.Now()
+			errCh := make(chan error, 1)
+			go func() { errCh <- tc.op(w) }()
+			select {
+			case err = <-errCh:
+			case <-time.After(10 * stall):
+				t.Fatalf("%s over a wedged transport still running after %v", tc.name, 10*stall)
+			}
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatalf("%s over a wedged transport succeeded", tc.name)
+			}
+			if !errors.Is(err, ErrOpStalled) {
+				t.Fatalf("error %v is not ErrOpStalled", err)
+			}
+			var se *StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("error %v is not a *StallError", err)
+			}
+			// No result ever arrives, so the very first watchdog period
+			// detects the stall; allow generous scheduling slack.
+			if elapsed > 10*stall {
+				t.Fatalf("stall detected after %v, want ~%v", elapsed, stall)
+			}
+
+			if se.Bundle == nil {
+				t.Fatal("StallError carries no bundle")
+			}
+			if se.Bundle.WorkerID != 0 || se.Bundle.TensorID == 0 {
+				t.Fatalf("bundle identity = w%d t%d", se.Bundle.WorkerID, se.Bundle.TensorID)
+			}
+			if se.Bundle.Machine.PacketsSent == 0 {
+				t.Fatal("bundle machine stats show no bootstrap packets: capture happened too early or not at all")
+			}
+			if se.Bundle.Flight == nil {
+				t.Fatal("bundle has no flight-recorder dump despite an installed recorder")
+			}
+			found := false
+			for _, r := range se.Bundle.Flight.Records {
+				found = found || r.Ev == tc.ev
+			}
+			if !found {
+				t.Fatalf("flight dump in bundle has no %v records", tc.ev)
+			}
+
+			if se.BundlePath == "" {
+				t.Fatal("no postmortem file written despite PostmortemDir")
+			}
+			raw, err := os.ReadFile(se.BundlePath)
+			if err != nil {
+				t.Fatalf("reading bundle: %v", err)
+			}
+			var onDisk Postmortem
+			if err := json.Unmarshal(raw, &onDisk); err != nil {
+				t.Fatalf("bundle does not parse: %v", err)
+			}
+			if onDisk.TensorID != se.Bundle.TensorID || onDisk.IdleNs != int64(stall) {
+				t.Fatalf("on-disk bundle mismatch: %+v", onDisk)
+			}
+		})
 	}
 }
 

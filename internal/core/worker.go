@@ -9,7 +9,6 @@ import (
 	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
-	"omnireduce/internal/tenant"
 	"omnireduce/internal/transport"
 	"omnireduce/internal/wire"
 )
@@ -23,20 +22,27 @@ import (
 // PyTorch integration overlaps bucket aggregation with backpropagation.
 // The blocking AllReduce is AllReduceAsync + Wait.
 //
-// The protocol logic lives in protocol.WorkerMachine; the Worker is its
-// I/O driver: one goroutine per operation pumps transport messages and
-// retransmission ticks through the machine and transmits its emits.
+// The protocol logic lives in protocol.WorkerMachine (block format) and
+// protocol.SparseWorkerMachine (key-value format); the Worker is their
+// I/O driver: one loop per operation, the same for both formats, pumps
+// transport messages and retransmission ticks through the machine and
+// transmits its emits.
 type Worker struct {
 	conn transport.Conn
 	cfg  Config
 	id   int
 
-	mu        sync.Mutex
-	tensorSeq uint32
-	ops       map[uint32]*opQueue
-	closed    chan struct{}
-	recvErr   error
-	shutdown  bool // Close ran; released states are freed, not recycled
+	mu       sync.Mutex
+	ops      map[uint32]*opQueue
+	closed   chan struct{}
+	recvErr  error
+	shutdown bool // Close ran; released states are freed, not recycled
+
+	// job is the default job: namespace 0, the worker's own ID and worker
+	// count. AllReduceAsync and AllReduceSparse run on it, and
+	// TidFor(0, seq) == seq keeps its wire tensor IDs those of the
+	// pre-namespace protocol.
+	job Job
 
 	// view is the current membership view (Epoch 0 = static legacy
 	// membership, no epoch enforcement); guarded by mu. quiesce, when
@@ -46,7 +52,7 @@ type Worker struct {
 	quiesce atomic.Int32
 
 	// free parks finished opStates for reuse; stateNew/stateReused tally
-	// how often beginOp allocated fresh state vs recycled (see
+	// how often beginOpAt allocated fresh state vs recycled (see
 	// OpStateStats). Steady state on a long-lived connection is one state
 	// per concurrently in-flight collective, reused forever after.
 	free        []*opState
@@ -143,6 +149,9 @@ func NewWorker(conn transport.Conn, cfg Config) (*Worker, error) {
 		// lockstep with the view from the start.
 		w.cfg.Aggregators = append([]int(nil), w.view.Aggregators...)
 	}
+	pcfg := w.cfg.proto()
+	pcfg.Aggregators = nil // each op routes by the list beginOpAt returns
+	w.job = Job{w: w, wid: id, pcfg: pcfg}
 	go w.recvPump()
 	if cfg.View != nil {
 		// Bind the connection to the initial epoch on every aggregator.
@@ -223,63 +232,23 @@ func peekTensorID(buf []byte) (uint32, bool) {
 	}
 }
 
-// rejectError translates an aggregator TypeOpReject control packet into
-// its typed admission error; any other message yields nil.
-func rejectError(data []byte) error {
-	if wire.PeekType(data) != wire.TypeOpReject {
-		return nil
-	}
-	cp, err := wire.DecodeControl(data)
-	if err != nil {
-		return nil
-	}
-	if e := tenant.ErrorForReason(cp.Reason); e != nil {
-		return e
-	}
-	return tenant.ErrAdmissionRejected
-}
-
-// beginOp allocates a default-namespace tensor ID and checks out a
-// driver state for the operation. Named-job operations mint their tensor
-// IDs in the job's namespace and go through beginOpAt directly; the
-// legacy path is namespace 0, where TidFor(0, seq) == seq keeps the
-// pre-namespace wire IDs byte-identical.
-func (w *Worker) beginOp() (uint32, *opState, error) {
+// beginOpAt checks out a driver state for an operation on tensor ID tid —
+// recycled from the free list when one is parked there, freshly allocated
+// only when every state is busy (more concurrent collectives in flight
+// than the connection has ever seen). The free list is shared across all
+// jobs on the connection: driver states carry no job identity beyond the
+// queue's re-stamped tensor ID. It also returns the aggregator list the
+// operation routes by, read under the lock maybeApplyView writes it under.
+func (w *Worker) beginOpAt(tid uint32) (*opState, []int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.tensorSeq >= protocol.MaxTidSeq {
-		return 0, nil, fmt.Errorf("core: worker %d exhausted the default job's tensor-ID space", w.id)
-	}
-	w.tensorSeq++
-	tid := protocol.TidFor(0, w.tensorSeq)
-	st, err := w.beginOpAtLocked(tid)
-	if err != nil {
-		return 0, nil, err
-	}
-	return tid, st, nil
-}
-
-// beginOpAt checks out a driver state for an operation on a caller-minted
-// tensor ID (a job session's namespace) — recycled from the free list
-// when one is parked there, freshly allocated only when every state is
-// busy (more concurrent collectives in flight than the connection has
-// ever seen). The free list is shared across all jobs on the connection:
-// driver states carry no job identity beyond the queue's re-stamped
-// tensor ID.
-func (w *Worker) beginOpAt(tid uint32) (*opState, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.beginOpAtLocked(tid)
-}
-
-func (w *Worker) beginOpAtLocked(tid uint32) (*opState, error) {
 	select {
 	case <-w.closed:
-		return nil, fmt.Errorf("core: worker %d receive: %w", w.id, w.recvErr)
+		return nil, nil, fmt.Errorf("core: worker %d receive: %w", w.id, w.recvErr)
 	default:
 	}
 	if w.ops[tid] != nil {
-		return nil, fmt.Errorf("core: worker %d: tensor %#x already in flight", w.id, tid)
+		return nil, nil, fmt.Errorf("core: worker %d: tensor %#x already in flight", w.id, tid)
 	}
 	var st *opState
 	if n := len(w.free); n > 0 {
@@ -297,7 +266,16 @@ func (w *Worker) beginOpAtLocked(tid uint32) (*opState, error) {
 	w.ops[tid] = st.q
 	obsOpsStarted.Inc()
 	obs.Emit(obs.EvOpBegin, tid, 0)
-	return st, nil
+	return st, w.cfg.Aggregators, nil
+}
+
+// aggregators returns the current routing table. maybeApplyView swaps in
+// a fresh slice rather than writing into the old one, so the caller may
+// keep what it gets.
+func (w *Worker) aggregators() []int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.cfg.Aggregators
 }
 
 // endOp unregisters the operation, recycles any message still queued (or
@@ -370,36 +348,35 @@ func (w *Worker) AllReduce(data []float32) error {
 // (gradient-bucket pipelining); all workers must start the same
 // operations in the same order.
 func (w *Worker) AllReduceAsync(data []float32) (*Pending, error) {
-	p := &Pending{done: make(chan struct{})}
-	if len(data) == 0 {
-		close(p.done)
-		return p, nil
-	}
-	tid, st, err := w.beginOp()
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		defer close(p.done)
-		defer w.endOp(tid, st)
-		p.err = w.runAllReduce(data, tid, st, w.cfg.proto(), w.id)
-	}()
-	return p, nil
+	return w.job.AllReduceAsync(data)
 }
 
-// runAllReduce drives one collective to completion: it pumps transport
-// messages and retransmission ticks through a protocol.WorkerMachine and
-// transmits the machine's emits. pcfg and wid are the operation's job
-// parameters — the default job's are the worker's own, a named job
-// session substitutes its job-relative worker ID and worker count.
+// runAllReduce runs one dense collective: it builds and starts a
+// protocol.WorkerMachine over data and hands it to the driver loop. pcfg
+// and wid are the operation's job parameters — the default job's are the
+// worker's own, a named job session substitutes its job-relative worker ID
+// and worker count.
 func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg protocol.Config, wid int) error {
 	// The clock starts before the view is built: NewDenseView runs the
 	// bitmap scan, which is part of what the caller waits for.
 	start := time.Now()
-	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
 	m := protocol.GetWorkerMachine(pcfg, wid, tid)
 	defer m.Recycle()
 	view := protocol.NewDenseView(data, w.cfg.BlockSize, w.cfg.ForceDense)
+	// The machine's clock shares the op clock's origin, so the first
+	// packets are stamped with the time the scan took, not zero.
+	st.eb.Reset()
+	m.Start(view, time.Since(start), &st.eb)
+	st.dense = denseOp{m, st.dec}
+	return w.drive(&st.dense, tid, st, start)
+}
+
+// drive runs a started collective to completion, whatever its format: it
+// transmits the machine's emits (Start's are already in st.eb), pumps
+// transport messages and retransmission ticks through it, and turns a
+// silent stall into a postmortem. start is the op clock's origin.
+func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) error {
+	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
 
 	// The persistent opState carries the decode state, transmit batch and
 	// inbound queue across collectives: every inbound result decodes into
@@ -407,7 +384,7 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 	// copies what it keeps during HandlePacket), and every emit encodes
 	// into a pooled buffer, so the steady-state datapath stops allocating
 	// once the state is warm.
-	q, dec := st.q, st.dec
+	q := st.q
 
 	// Mirror machine counters into the shared atomic Stats after every
 	// machine interaction (including error exits) so concurrent Snapshot
@@ -431,10 +408,6 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 		return st.tx.sendEmits(w.conn, st.eb.Emits())
 	}
 
-	// The machine's clock shares the op clock's origin, so the first
-	// packets are stamped with the time the scan took, not zero.
-	st.eb.Reset()
-	m.Start(view, time.Since(start), &st.eb)
 	sync()
 	if err := dispatch(); err != nil {
 		return err
@@ -463,34 +436,18 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 		watchdogCh = watchdog.C
 	}
 
-	// feed runs one inbound message through the machine. The decoded
-	// result points into the message, and the machine is done with it when
-	// HandlePacket returns.
-	feed := func(data []byte) error {
-		if t := wire.PeekType(data); t != wire.TypeResult {
-			if rerr := rejectError(data); rerr != nil {
-				return fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, rerr)
-			}
-			return fmt.Errorf("core: worker %d: unexpected message type %d", w.id, t)
-		}
-		obs.Emit(obs.EvPacketRecvd, tid, int64(len(data)))
-		p, err := dec.decodeDense(data)
-		if err != nil {
-			return fmt.Errorf("core: worker decode: %w", err)
-		}
-		st.eb.Reset()
-		err = m.HandlePacket(p, time.Since(start), &st.eb)
-		sync()
-		return err
-	}
-	// handle is feed plus the buffer's release — as soon as the machine is
-	// done with the views into it, before the emits are encoded — and the
-	// transmission of what the machine answered.
+	// handle runs one inbound message through the machine, releases its
+	// buffer — as soon as the machine is done with the views into it,
+	// before the emits are encoded — and transmits what the machine
+	// answered.
 	handle := func(msg transport.Message) error {
-		err := feed(msg.Data)
+		obs.Emit(obs.EvPacketRecvd, tid, int64(len(msg.Data)))
+		st.eb.Reset()
+		err := m.step(msg.Data, time.Since(start), &st.eb)
+		sync()
 		transport.PutBuf(msg.Data)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, err)
 		}
 		return dispatch()
 	}
@@ -512,7 +469,8 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 		case v := <-q.viewCh:
 			// Membership changed mid-collective: re-resolve every
 			// stream's aggregator and (unreliable mode) replay the
-			// outstanding packets to the new owners.
+			// outstanding packets to the new owners. Key-value ops have
+			// no failover and ignore the view, but take the grace period.
 			st.eb.Reset()
 			m.Rebind(v.Aggregators, time.Since(start), &st.eb)
 			sync()
@@ -553,7 +511,7 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 				obsWatchdogSuppressed.Inc()
 				continue
 			}
-			return w.capturePostmortem(tid, m, w.cfg.StallTimeout)
+			return w.capturePostmortem(tid, m.Stats(), w.cfg.StallTimeout)
 		}
 	}
 	return nil

@@ -564,8 +564,12 @@ func TestSparseMachineTrace(t *testing.T) {
 		cfg := Config{Workers: 2, Aggregators: []int{aggNode}, Reliable: true, BlockSize: 2,
 			FusionWidth: shape.fusion}.WithDefaults()
 		var seq []string // every packet in delivery order: "dst<-wid next=NextKey keys"
+		results := make([]int64, len(ins))
 		wms := runSparseFIFO(t, cfg, ins, func(dst int, p *wire.SparsePacket) {
 			seq = append(seq, fmt.Sprintf("%d<-%d next=%d %v", dst, p.WID, int64(p.NextKey), p.Keys))
+			if dst != aggNode {
+				results[dst]++
+			}
 		})
 		if shape.seq != nil && !slices.Equal(seq, shape.seq) {
 			t.Fatalf("fusion %d: packet sequence\n%s\nwant\n%s", shape.fusion,
@@ -576,6 +580,15 @@ func TestSparseMachineTrace(t *testing.T) {
 				len(seq), shape.packets, strings.Join(seq, "\n"))
 		}
 		for w, m := range wms {
+			// Every chunk counts as a result (the driver's progress
+			// signal); a stale one, for another tensor, does not.
+			var eb EmitBuf
+			if err := m.HandlePacket(&wire.SparsePacket{Type: wire.TypeSparseResult, TensorID: 2, NextKey: wire.InfKey}, &eb); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Stats().ResultsRecvd; got != results[w] {
+				t.Errorf("fusion %d: worker %d: ResultsRecvd %d, want %d", shape.fusion, w, got, results[w])
+			}
 			res := m.Result()
 			if res.Len() != len(want) {
 				t.Fatalf("fusion %d: worker %d: %d keys, want %d", shape.fusion, w, res.Len(), len(want))

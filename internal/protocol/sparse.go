@@ -143,7 +143,8 @@ func (m *SparseWorkerMachine) sendNext(eb *EmitBuf) {
 
 // HandlePacket consumes one sparse result chunk: appends the flushed
 // prefix to the output and, when the global progress reaches our next
-// unsent key, emits the next packet into eb (Algorithm 3 line 10). A chunk
+// unsent key, emits the next packet into eb (Algorithm 3 line 10). Every
+// accepted chunk counts in ResultsRecvd, the driver's progress signal. A chunk
 // that does not continue the output in strictly increasing key order,
 // below the tensor's dimension, fails the collective with ErrSparseResult.
 func (m *SparseWorkerMachine) HandlePacket(p *wire.SparsePacket, eb *EmitBuf) error {
@@ -156,6 +157,7 @@ func (m *SparseWorkerMachine) HandlePacket(p *wire.SparsePacket, eb *EmitBuf) er
 	if err := m.out.AppendRun(p.Keys, p.Values); err != nil {
 		return fmt.Errorf("protocol: worker %d: %w: %w", m.id, ErrSparseResult, err)
 	}
+	m.stats.ResultsRecvd++
 	if p.NextKey == wire.InfKey {
 		m.done = true
 		return nil
