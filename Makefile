@@ -132,8 +132,11 @@ fuzz:
 # and flush alone, MB/s over the pairs merged), both gated.
 # BenchmarkCheckpointTax records what a standby costs a dense collective
 # when nothing fails (tax-x, mirrored over plain, rounds interleaved), and
-# benchjson fails the tier if it exceeds 2. benchjson also gates the pinned
-# benchmark families against the previous recording: >10% growth in
+# benchjson fails the tier if it exceeds 2; BenchmarkTracerOverhead records
+# what a live flight recorder costs the same way (tracer-x, traced over
+# untraced median round on one cluster), failing above 1.05. benchjson
+# also gates the pinned benchmark families against the previous
+# recording: >10% growth in
 # allocs/op or >35% loss in MB/s (throughput is the noisier metric) fails
 # the tier. Of the decoders, the copying DecodePacketInto and the live
 # path's DecodePacketView are gated; the allocating DecodePacket is
@@ -146,9 +149,7 @@ bench:
 	  $(GO) test -run '^$$' -bench '^BenchmarkPacketShape$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFailoverHandoff$$' -benchtime 5x . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCheckpointTax$$' -benchtime 50x -count=3 . ; \
-	  for i in 1 2 3 4 5 6 7; do \
-	    $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x . ; \
-	  done ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView)$$' -benchmem -count=3 ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem -count=3 ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \

@@ -16,13 +16,6 @@
 // best observed value (lowest ns/op, allocs/op and wire-B/op, highest MB/s), so
 // noisy outliers on a shared box do not pollute the trajectory.
 //
-// When the input contains the BenchmarkTracerOverhead off/flight pair,
-// benchjson also enforces the flight-recorder enabled-path budget: the
-// traced run may cost at most -tracer-budget percent (default 5) more
-// than the untraced run, or the command exits nonzero and fails the
-// bench tier. The budget is computed on the raw (pre-dedup) run list so
-// the off/flight pairing by input order is preserved.
-//
 // With -gate "prefix1,prefix2", benchjson additionally acts as a
 // regression gate: each new current entry whose name starts with a
 // listed prefix is compared against the same-named entry in the
@@ -37,6 +30,9 @@
 // standby over the same collective without one. It is recorded like the
 // other metrics and, whatever the flags, may not exceed maxCheckpointTax:
 // failover has to stay nearly free when nothing fails.
+// BenchmarkTracerOverhead likewise reports tracer-x, the median traced
+// round over the median untraced one on the same cluster, and may not
+// exceed maxTracerOverhead: a live flight recorder costs at most 5%.
 package main
 
 import (
@@ -46,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -65,10 +60,16 @@ type Result struct {
 	WireBPerOp float64 `json:"wire_b_op,omitempty"`
 	// TaxX is BenchmarkCheckpointTax's ratio (see the package comment).
 	TaxX float64 `json:"tax_x,omitempty"`
+	// TracerX is BenchmarkTracerOverhead's ratio (see the package comment).
+	TracerX float64 `json:"tracer_x,omitempty"`
 }
 
-// maxCheckpointTax is the most a standby may cost a collective.
-const maxCheckpointTax = 2.0
+// maxCheckpointTax is the most a standby may cost a collective, and
+// maxTracerOverhead the most a live flight recorder may.
+const (
+	maxCheckpointTax  = 2.0
+	maxTracerOverhead = 1.05
+)
 
 // File is the on-disk layout.
 type File struct {
@@ -108,6 +109,8 @@ func parse(line string) (Result, bool) {
 			r.WireBPerOp = v
 		case "tax-x":
 			r.TaxX = v
+		case "tracer-x":
+			r.TracerX = v
 		}
 	}
 	return r, r.NsPerOp > 0
@@ -150,58 +153,11 @@ func dedupe(results []Result) []Result {
 		if r.TaxX < b.TaxX {
 			b.TaxX = r.TaxX
 		}
-	}
-	return out
-}
-
-// The tracer-overhead benchmark pair: the same AllReduce workload with no
-// tracer vs with a live flight recorder. Budget enforcement keys on these
-// exact names (bench_test.go's BenchmarkTracerOverhead sub-benchmarks).
-const (
-	tracerOffName    = "BenchmarkTracerOverhead/off"
-	tracerFlightName = "BenchmarkTracerOverhead/flight"
-)
-
-// checkTracerBudget enforces the flight-recorder enabled-path budget when
-// both halves of the pair are present. The bench tier runs the pair
-// several times in separate, temporally adjacent invocations; each i-th
-// off run is paired with the i-th flight run (input order) and the
-// overhead is the median of the per-pair ratios. Pairing before reducing
-// cancels machine-speed drift across the run — a shared box slowing down
-// mid-sweep inflates both halves of a pair equally, where comparing
-// block-of-off against block-of-flight minima would read the drift as
-// tracer cost. Returns (overheadPct, found, err).
-func checkTracerBudget(results []Result, budgetPct float64) (float64, bool, error) {
-	var offs, flights []float64
-	for _, r := range results {
-		switch r.Name {
-		case tracerOffName:
-			offs = append(offs, r.NsPerOp)
-		case tracerFlightName:
-			flights = append(flights, r.NsPerOp)
+		if r.TracerX < b.TracerX {
+			b.TracerX = r.TracerX
 		}
 	}
-	n := len(offs)
-	if len(flights) < n {
-		n = len(flights)
-	}
-	if n == 0 {
-		return 0, false, nil
-	}
-	pcts := make([]float64, n)
-	for i := 0; i < n; i++ {
-		pcts[i] = 100 * (flights[i] - offs[i]) / offs[i]
-	}
-	sort.Float64s(pcts)
-	pct := pcts[n/2]
-	if n%2 == 0 {
-		pct = (pcts[n/2-1] + pcts[n/2]) / 2
-	}
-	if pct > budgetPct {
-		return pct, true, fmt.Errorf("flight-recorder overhead %.1f%% exceeds the %.0f%% budget (median of %d paired runs: %v)",
-			pct, budgetPct, n, pcts)
-	}
-	return pct, true, nil
+	return out
 }
 
 // allocGateSlack is the absolute allocs/op slack added on top of the
@@ -259,7 +215,6 @@ func checkGate(newCur, oldCur []Result, prefixes []string, pct, mbsPct float64) 
 
 func main() {
 	out := flag.String("o", "BENCH_datapath.json", "output JSON path")
-	budget := flag.Float64("tracer-budget", 5, "max flight-recorder overhead %% over the untraced pair (<0 disables)")
 	gate := flag.String("gate", "", "comma-separated benchmark name prefixes to gate against the previous recording")
 	gatePct := flag.Float64("gate-pct", 10, "max %% regression in allocs/op for gated benchmarks")
 	gateMBsPct := flag.Float64("gate-mbs-pct", 35, "max %% regression in MB/s for gated benchmarks (throughput is noisier than allocation counts)")
@@ -310,23 +265,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks (%d runs) to %s\n", len(current), len(runs), *out)
 
 	fail := false
-	if *budget >= 0 {
-		// The budget pairs the i-th off run with the i-th flight run, so it
-		// consumes the raw run list, not the deduplicated recording.
-		pct, found, err := checkTracerBudget(runs, *budget)
-		switch {
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			fail = true
-		case found:
-			fmt.Fprintf(os.Stderr, "benchjson: flight-recorder overhead %+.1f%% (budget %.0f%%)\n", pct, *budget)
-		}
-	}
-	for _, r := range current {
-		if r.TaxX > maxCheckpointTax {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: a standby costs %.2fx, more than %.0fx\n", r.Name, r.TaxX, maxCheckpointTax)
-			fail = true
-		}
+	for _, err := range checkRatios(current) {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		fail = true
 	}
 	if *gate != "" && len(prevCur) > 0 {
 		prefixes := strings.Split(*gate, ",")
@@ -343,6 +284,21 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
+}
+
+// checkRatios holds the interleaved-ratio benchmarks to their constant
+// ceilings, whatever the flags.
+func checkRatios(results []Result) []error {
+	var errs []error
+	for _, r := range results {
+		if r.TaxX > maxCheckpointTax {
+			errs = append(errs, fmt.Errorf("%s: a standby costs %.2fx, more than %.2fx", r.Name, r.TaxX, maxCheckpointTax))
+		}
+		if r.TracerX > maxTracerOverhead {
+			errs = append(errs, fmt.Errorf("%s: a flight recorder costs %.3fx, more than %.2fx", r.Name, r.TracerX, maxTracerOverhead))
+		}
+	}
+	return errs
 }
 
 func countPinned(results []Result, prefixes []string) int {

@@ -57,23 +57,23 @@ func TestDedupeKeepsBestPerMetric(t *testing.T) {
 	}
 }
 
-func TestTracerBudgetUsesRawRuns(t *testing.T) {
-	// Three off/flight pairs; the median ratio (2%) is under budget even
-	// though one outlier pair (20%) would trip it alone.
-	runs := []Result{
-		{Name: tracerOffName, NsPerOp: 100}, {Name: tracerFlightName, NsPerOp: 102},
-		{Name: tracerOffName, NsPerOp: 100}, {Name: tracerFlightName, NsPerOp: 120},
-		{Name: tracerOffName, NsPerOp: 100}, {Name: tracerFlightName, NsPerOp: 101},
+func TestTracerOverheadGate(t *testing.T) {
+	// The benchmark reports the ratio of its interleaved medians; benchjson
+	// records the best of the repeated runs and fails only above the budget.
+	r, ok := parse("BenchmarkTracerOverhead-2  30  1155133 ns/op  1173226 off-ns/op  0.9846 tracer-x  78610 B/op  63 allocs/op")
+	if !ok || r.TracerX != 0.9846 || r.NsPerOp != 1155133 {
+		t.Fatalf("tracer line: ok=%v %+v", ok, r)
 	}
-	pct, found, err := checkTracerBudget(runs, 5)
-	if !found || err != nil {
-		t.Fatalf("found=%v err=%v", found, err)
+	d := dedupe([]Result{{Name: r.Name, NsPerOp: 1, TracerX: 1.2}, r})
+	if len(d) != 1 || d[0].TracerX != 0.9846 {
+		t.Fatalf("tracer dedupe: %+v", d)
 	}
-	if pct != 2 {
-		t.Fatalf("median overhead = %v, want 2", pct)
+	if errs := checkRatios(d); len(errs) != 0 {
+		t.Fatalf("0.98x tripped the gate: %v", errs)
 	}
-	if _, _, err := checkTracerBudget(runs, 1); err == nil {
-		t.Fatal("budget 1%% should fail on 2%% median")
+	over := []Result{{Name: r.Name, TracerX: 1.06}, {Name: "BenchmarkCheckpointTax", TaxX: 2.1}}
+	if errs := checkRatios(over); len(errs) != 2 {
+		t.Fatalf("over-budget ratios: %v", errs)
 	}
 }
 

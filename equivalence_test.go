@@ -2,10 +2,9 @@ package omnireduce
 
 // Property-based equivalence tests: on the same inputs, OmniReduce's
 // sparse AllReduce must agree with the plain dense float32 sum and with
-// every comparison collective the paper evaluates against (§6.1) — ring
-// AllReduce, a parameter server, and SparCML's split-allgather — across
-// randomized sparsity, block sizes, and worker counts, and across the
-// channel, TCP, and lossy-UDP transports.
+// the two live comparison collectives the benchmarks time (§6.1) — ring
+// AllReduce and AGsparse — across randomized sparsity, block sizes, and
+// worker counts, and across the channel, TCP, and lossy-UDP transports.
 
 import (
 	"fmt"
@@ -128,38 +127,7 @@ func ringSum(inputs [][]float32) ([][]float32, error) {
 	return out, nil
 }
 
-func psSum(inputs [][]float32) ([][]float32, error) {
-	n := len(inputs)
-	nw := transport.NewNetwork(n, 4096)
-	serverIDs := []int{n}
-	for _, id := range serverIDs {
-		conn := nw.AddNode(id)
-		srv := collective.NewPSServer(conn, n)
-		go srv.Run()
-		defer conn.Close()
-	}
-	clients := make([]*collective.PSClient, n)
-	for r := 0; r < n; r++ {
-		c, err := collective.NewComm(nw.Conn(r), n)
-		if err != nil {
-			return nil, err
-		}
-		defer c.Close()
-		clients[r] = collective.NewPSClient(c, serverIDs)
-	}
-	out := make([][]float32, n)
-	for r := range inputs {
-		out[r] = append([]float32(nil), inputs[r]...)
-	}
-	if err := runConcurrent(n, func(r int) error {
-		return clients[r].ReduceDense(out[r])
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func sparcmlSum(inputs [][]float32) ([][]float32, error) {
+func agsparseSum(inputs [][]float32) ([][]float32, error) {
 	n := len(inputs)
 	cs, err := comms(n)
 	if err != nil {
@@ -173,7 +141,7 @@ func sparcmlSum(inputs [][]float32) ([][]float32, error) {
 	out := make([][]float32, n)
 	if err := runConcurrent(n, func(r int) error {
 		coo := tensor.FromDense(tensor.FromSlice(inputs[r]))
-		res, err := cs[r].SSARSplitAllgather(coo)
+		res, err := cs[r].AGsparseAllReduce(coo)
 		if err != nil {
 			return err
 		}
@@ -220,8 +188,7 @@ func TestEquivalenceProperty(t *testing.T) {
 			}{
 				{"omnireduce", func() ([][]float32, error) { return omniSum(o, inputs) }},
 				{"ring", func() ([][]float32, error) { return ringSum(inputs) }},
-				{"paramserver", func() ([][]float32, error) { return psSum(inputs) }},
-				{"sparcml", func() ([][]float32, error) { return sparcmlSum(inputs) }},
+				{"agsparse", func() ([][]float32, error) { return agsparseSum(inputs) }},
 			}
 			for _, a := range algos {
 				out, err := a.run()

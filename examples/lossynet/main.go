@@ -194,20 +194,32 @@ func udpChaos(dumpDir string, density float64) {
 	fmt.Printf("injected: %d dropped (%d burst), %d duplicated, %d reordered, %d delayed\n",
 		ev.Dropped, ev.BurstDrops, ev.Duplicated, ev.Reordered, ev.Delayed)
 
-	// Per-event recovery metrics, merged across all participants.
-	recovery := ws[0].Stats.RecoveryCounters()
-	for _, w := range ws[1:] {
-		recovery.Merge(w.Stats.RecoveryCounters())
-	}
-	recovery.Table("loss recovery (workers)").Render(os.Stdout)
-
-	// Receive-pump routing and pool balance: under chaos the pump may
-	// drop overflow and stale traffic, but never a pooled buffer.
-	pump := metrics.NewCounters()
+	// Per-event recovery metrics and receive-pump routing, summed over the
+	// workers, then the pool balance: under chaos the pump may drop
+	// overflow and stale traffic, but never a pooled buffer.
+	var rec core.Stats
+	var pump core.PumpStats
 	for _, w := range ws {
-		pump.Merge(w.PumpSnapshot().Counters())
+		s, p := w.Stats.Snapshot(), w.PumpSnapshot()
+		rec.Retransmits += s.Retransmits
+		rec.Backoffs += s.Backoffs
+		rec.AcksSent += s.AcksSent
+		rec.StaleResults += s.StaleResults
+		pump.Delivered += p.Delivered
+		pump.StaleDrops += p.StaleDrops
+		pump.OverflowDrops += p.OverflowDrops
+		pump.BadPackets += p.BadPackets
 	}
-	pump.Table("receive pump (workers)").Render(os.Stdout)
+	t := metrics.NewTable("loss recovery and receive pump (workers)", "event", "count")
+	t.AddRow("retransmits", rec.Retransmits)
+	t.AddRow("backoffs", rec.Backoffs)
+	t.AddRow("acks_sent", rec.AcksSent)
+	t.AddRow("stale_results_filtered", rec.StaleResults)
+	t.AddRow("pump_delivered", pump.Delivered)
+	t.AddRow("pump_stale_drops", pump.StaleDrops)
+	t.AddRow("pump_overflow_drops", pump.OverflowDrops)
+	t.AddRow("pump_bad_packets", pump.BadPackets)
+	t.Render(os.Stdout)
 	obs.PoolTable().Render(os.Stdout)
 
 	if dumpDir != "" {
@@ -308,6 +320,5 @@ func seededReplay() {
 		sc.Seed, first.Exact, replay.Exact,
 		first.WindowEvents, replay.WindowEvents,
 		first.WindowEvents == replay.WindowEvents)
-	first.RecoveryCounters().Table("recovery events (run 1)").Render(os.Stdout)
 	first.ObsReport().Render(os.Stdout)
 }

@@ -110,32 +110,6 @@ func TestRingAllReduceSmall(t *testing.T) {
 	checkVecs(t, data, want, 1e-4)
 }
 
-func TestRecursiveDoublingAllReduce(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-		cs := group(t, n)
-		data := randVecs(1_000, n, int64(n)*3)
-		want := sumVecs(data)
-		runAll(t, n, func(r int) error { return cs[r].RecursiveDoublingAllReduce(data[r]) })
-		checkVecs(t, data, want, 1e-3)
-	}
-}
-
-func TestRingAllGather(t *testing.T) {
-	n := 4
-	cs := group(t, n)
-	segs := randVecs(100, n, 9)
-	outs := make([][]float32, n)
-	runAll(t, n, func(r int) error {
-		outs[r] = make([]float32, 100*n)
-		return cs[r].RingAllGather(segs[r], outs[r])
-	})
-	var want []float32
-	for r := 0; r < n; r++ {
-		want = append(want, segs[r]...)
-	}
-	checkVecs(t, outs, want, 0)
-}
-
 func TestRingAllGatherVar(t *testing.T) {
 	n := 3
 	cs := group(t, n)
@@ -188,151 +162,6 @@ func TestAGsparseAllReduce(t *testing.T) {
 	}
 }
 
-func TestSSARSplitAllgather(t *testing.T) {
-	for _, n := range []int{2, 3, 5} {
-		cs := group(t, n)
-		rng := rand.New(rand.NewSource(int64(n) * 13))
-		ins := make([]*tensor.COO, n)
-		for r := range ins {
-			ins[r] = randCOO(1_500, 120, rng)
-		}
-		want := tensor.NewDense(1_500)
-		for _, in := range ins {
-			want.Add(in.ToDense())
-		}
-		outs := make([]*tensor.COO, n)
-		runAll(t, n, func(r int) error {
-			var err error
-			outs[r], err = cs[r].SSARSplitAllgather(ins[r])
-			return err
-		})
-		for r, out := range outs {
-			if !out.ToDense().ApproxEqual(want, 1e-4) {
-				t.Fatalf("n=%d rank %d mismatch", n, r)
-			}
-		}
-	}
-}
-
-func TestDSARSplitAllgatherDensifies(t *testing.T) {
-	// Heavy overlap at every rank forces partitions past rho and into the
-	// dense representation.
-	n := 3
-	cs := group(t, n)
-	rng := rand.New(rand.NewSource(17))
-	base := randCOO(900, 800, rng) // very dense
-	ins := []*tensor.COO{base.Clone(), base.Clone(), base.Clone()}
-	want := tensor.NewDense(900)
-	for _, in := range ins {
-		want.Add(in.ToDense())
-	}
-	outs := make([]*tensor.Dense, n)
-	runAll(t, n, func(r int) error {
-		var err error
-		outs[r], err = cs[r].DSARSplitAllgather(ins[r])
-		return err
-	})
-	for r, out := range outs {
-		if !out.ApproxEqual(want, 1e-4) {
-			t.Fatalf("rank %d mismatch", r)
-		}
-	}
-}
-
-func TestDSARSplitAllgatherSparseCase(t *testing.T) {
-	n := 4
-	cs := group(t, n)
-	rng := rand.New(rand.NewSource(19))
-	ins := make([]*tensor.COO, n)
-	for r := range ins {
-		ins[r] = randCOO(4_000, 50, rng) // sparse: stays in COO form
-	}
-	want := tensor.NewDense(4_000)
-	for _, in := range ins {
-		want.Add(in.ToDense())
-	}
-	outs := make([]*tensor.Dense, n)
-	runAll(t, n, func(r int) error {
-		var err error
-		outs[r], err = cs[r].DSARSplitAllgather(ins[r])
-		return err
-	})
-	for r, out := range outs {
-		if !out.ApproxEqual(want, 1e-4) {
-			t.Fatalf("rank %d mismatch", r)
-		}
-	}
-}
-
-func TestParameterServerDense(t *testing.T) {
-	const n, servers = 3, 2
-	nw := transport.NewNetwork(n, 4096)
-	serverIDs := []int{n, n + 1}
-	for _, id := range serverIDs {
-		conn := nw.AddNode(id)
-		srv := NewPSServer(conn, n)
-		go srv.Run()
-		defer conn.Close()
-	}
-	cs := make([]*Comm, n)
-	clients := make([]*PSClient, n)
-	for r := 0; r < n; r++ {
-		c, err := NewComm(nw.Conn(r), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs[r] = c
-		clients[r] = NewPSClient(c, serverIDs)
-	}
-	defer func() {
-		for _, c := range cs {
-			c.Close()
-		}
-	}()
-	data := randVecs(5_000, n, 23)
-	want := sumVecs(data)
-	runAll(t, n, func(r int) error { return clients[r].ReduceDense(data[r]) })
-	checkVecs(t, data, want, 1e-3)
-}
-
-func TestParameterServerSparse(t *testing.T) {
-	const n, servers = 2, 2
-	nw := transport.NewNetwork(n, 4096)
-	serverIDs := []int{n, n + 1}
-	for _, id := range serverIDs {
-		conn := nw.AddNode(id)
-		srv := NewPSServer(conn, n)
-		go srv.Run()
-		defer conn.Close()
-	}
-	clients := make([]*PSClient, n)
-	for r := 0; r < n; r++ {
-		c, err := NewComm(nw.Conn(r), n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[r] = NewPSClient(c, serverIDs)
-	}
-	rng := rand.New(rand.NewSource(29))
-	ins := []*tensor.COO{randCOO(1_000, 80, rng), randCOO(1_000, 80, rng)}
-	want := tensor.NewDense(1_000)
-	for _, in := range ins {
-		want.Add(in.ToDense())
-	}
-	outs := make([]*tensor.COO, n)
-	runAll(t, n, func(r int) error {
-		var err error
-		outs[r], err = clients[r].ReduceSparse(ins[r])
-		return err
-	})
-	for r, out := range outs {
-		if !out.ToDense().ApproxEqual(want, 1e-4) {
-			t.Fatalf("rank %d mismatch", r)
-		}
-	}
-}
-
 func TestCOOCodec(t *testing.T) {
 	s := tensor.NewCOO(50)
 	s.Append(3, 1.5)
@@ -371,7 +200,8 @@ func TestSegmentPartition(t *testing.T) {
 	}
 }
 
-// Property: ring and recursive doubling agree with the serial sum.
+// Property: ring AllReduce agrees with the serial sum at any group size
+// and vector length.
 func TestAllReduceAlgorithmsAgreeProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -382,23 +212,11 @@ func TestAllReduceAlgorithmsAgreeProperty(t *testing.T) {
 		size := 1 + rng.Intn(2_000)
 		data := randVecs(size, n, seed)
 		want := sumVecs(data)
-
-		ring := make([][]float32, n)
-		rd := make([][]float32, n)
-		for r := 0; r < n; r++ {
-			ring[r] = append([]float32(nil), data[r]...)
-			rd[r] = append([]float32(nil), data[r]...)
-		}
 		cs := group(t, n)
-		runAll(t, n, func(r int) error { return cs[r].RingAllReduce(ring[r]) })
-		cs2 := group(t, n)
-		runAll(t, n, func(r int) error { return cs2[r].RecursiveDoublingAllReduce(rd[r]) })
+		runAll(t, n, func(r int) error { return cs[r].RingAllReduce(data[r]) })
 		for r := 0; r < n; r++ {
 			for i := range want {
-				if d := float64(ring[r][i]) - float64(want[i]); d > 1e-3 || d < -1e-3 {
-					return false
-				}
-				if d := float64(rd[r][i]) - float64(want[i]); d > 1e-3 || d < -1e-3 {
+				if d := float64(data[r][i]) - float64(want[i]); d > 1e-3 || d < -1e-3 {
 					return false
 				}
 			}

@@ -1,11 +1,11 @@
-// Package collective implements the comparison collectives the paper
-// evaluates OmniReduce against (§2.1, §6.1): ring AllReduce (the NCCL/Gloo
-// default), recursive-doubling AllReduce (latency-optimal small-message
-// case), ring AllGather, AGsparse sparse AllReduce (PyTorch's
-// AllGather-based method), SparCML's SSAR/DSAR split-allgather methods,
-// and a Parallax-style parameter server. All run over the same transport
-// abstraction as OmniReduce, so correctness tests and wall-clock
-// benchmarks compare like with like.
+// Package collective implements the live comparison collectives that the
+// benchmarks time against OmniReduce (§2.1, §6.1): ring AllReduce (the
+// NCCL/Gloo default) and AGsparse sparse AllReduce (PyTorch's
+// AllGather-based method). Both run over the same transport abstraction
+// as OmniReduce, so correctness tests and wall-clock benchmarks compare
+// like with like. The paper's other baselines (parameter server, SparCML's
+// split-allgather, Parallax) appear in the figures through the simulator
+// (internal/netsim/simproto), not here.
 package collective
 
 import (

@@ -63,42 +63,9 @@ func (c *Comm) RingAllReduce(data []float32) error {
 	return nil
 }
 
-// RingAllGather concatenates each rank's segment into out on every rank;
-// out must be len(segment)*Size() long. This is the AllGather primitive
-// AGsparse builds on.
-func (c *Comm) RingAllGather(seg []float32, out []float32) error {
-	if len(out) != len(seg)*c.n {
-		return errSize("allgather output", len(out), len(seg)*c.n)
-	}
-	copy(out[c.rank*len(seg):], seg)
-	if c.n == 1 {
-		return nil
-	}
-	op := c.nextOp()
-	right := (c.rank + 1) % c.n
-	left := (c.rank - 1 + c.n) % c.n
-	for s := 0; s < c.n-1; s++ {
-		src := ((c.rank-s)%c.n + c.n) % c.n
-		if err := c.send(right, op|uint64(s), f32Bytes(out[src*len(seg):(src+1)*len(seg)])); err != nil {
-			return err
-		}
-		buf, err := c.recv(left, op|uint64(s))
-		if err != nil {
-			return err
-		}
-		dst := ((c.rank-s-1)%c.n + c.n) % c.n
-		in := bytesF32(buf)
-		if len(in) != len(seg) {
-			return errSize("allgather", len(in), len(seg))
-		}
-		copy(out[dst*len(seg):], in)
-	}
-	return nil
-}
-
 // RingAllGatherVar gathers variable-length byte payloads from every rank;
-// result[r] holds rank r's payload on every rank. Used by the sparse
-// collectives, which exchange COO buffers of different sizes.
+// result[r] holds rank r's payload on every rank. This is the AllGather
+// AGsparse builds on: ranks exchange COO buffers of different sizes.
 func (c *Comm) RingAllGatherVar(mine []byte) ([][]byte, error) {
 	out := make([][]byte, c.n)
 	out[c.rank] = mine

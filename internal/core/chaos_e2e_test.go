@@ -1,6 +1,8 @@
 package core
 
 import (
+	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
@@ -110,8 +112,8 @@ func TestChaosScenarioDeterministicReplay(t *testing.T) {
 
 // TestChaosRecoveryCountersSurface checks the per-event recovery metrics:
 // a lossy run must show retransmissions on the workers and replay /
-// duplicate-filter activity on the aggregator, all visible through the
-// metrics counter set.
+// duplicate-filter activity on the aggregator, all visible as rows of the
+// run's one observability table.
 func TestChaosRecoveryCountersSurface(t *testing.T) {
 	cfg := chaosE2ECfg(2)
 	sc := transport.Scenario{
@@ -129,9 +131,17 @@ func TestChaosRecoveryCountersSurface(t *testing.T) {
 	if rep.Retransmits() == 0 {
 		t.Fatal("10% loss with no retransmissions")
 	}
-	rc := rep.RecoveryCounters()
-	if rc.Get("retransmits") != rep.Retransmits() {
-		t.Fatalf("counter set retransmits %d != stats %d", rc.Get("retransmits"), rep.Retransmits())
+	report := rep.ObsReport().String()
+	row := func(name string) int64 {
+		m := regexp.MustCompile(`(?m)^` + name + ` +(\d+)$`).FindStringSubmatch(report)
+		if m == nil {
+			t.Fatalf("no %s row in:\n%s", name, report)
+		}
+		v, _ := strconv.ParseInt(m[1], 10, 64)
+		return v
+	}
+	if row("retransmits") != rep.Retransmits() {
+		t.Fatalf("report retransmits %d != stats %d", row("retransmits"), rep.Retransmits())
 	}
 	// Duplicated packets and retransmissions crossing a round boundary
 	// both surface on the aggregator.
@@ -142,8 +152,8 @@ func TestChaosRecoveryCountersSurface(t *testing.T) {
 	if aggRecovery == 0 {
 		t.Fatal("aggregator saw no duplicate/stale traffic at 10% loss + 5% dup")
 	}
-	if rc.Get("dups_filtered")+rc.Get("stale_rounds")+rc.Get("result_replays") != aggRecovery {
-		t.Fatal("recovery counter set does not match aggregator stats")
+	if row("dups_filtered")+row("stale_rounds")+row("result_replays") != aggRecovery {
+		t.Fatal("report's recovery rows do not match aggregator stats")
 	}
 }
 

@@ -54,34 +54,35 @@ func (r *ChaosReport) Retransmits() int64 {
 	return n
 }
 
-// RecoveryCounters merges every participant's recovery counters.
-func (r *ChaosReport) RecoveryCounters() *metrics.Counters {
-	c := metrics.NewCounters()
-	for i := range r.WorkerStats {
-		c.Merge(r.WorkerStats[i].RecoveryCounters())
-	}
-	for _, s := range r.AggStats {
-		c.Merge(aggRecoveryCounters(s))
-	}
-	return c
-}
-
-// aggRecoveryCounters exports the loss-recovery subset of an aggregator's
-// counters as a metrics counter set.
-func aggRecoveryCounters(s AggStats) *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Add("result_replays", s.Replays)
-	c.Add("dups_filtered", s.DupsFiltered)
-	c.Add("stale_rounds", s.StaleRounds)
-	c.Add("stale_finished_dropped", s.StaleFinished)
-	c.Add("fast_forwards", s.FastForwards)
-	return c
-}
-
-// ObsReport renders the run's observability summary: merged pump
-// counters, the pool-balance audit verdict, and current pool balances.
+// ObsReport renders a chaos run as one table: the loss-recovery counters
+// summed over workers and over aggregators, the merged pump counters, the
+// pool-balance audit verdict, and any leaked pool's balance.
 func (r *ChaosReport) ObsReport() *metrics.Table {
 	t := metrics.NewTable("chaos observability", "metric", "value")
+	var ws Stats
+	for _, s := range r.WorkerStats {
+		ws.Retransmits += s.Retransmits
+		ws.Backoffs += s.Backoffs
+		ws.AcksSent += s.AcksSent
+		ws.StaleResults += s.StaleResults
+	}
+	t.AddRow("retransmits", ws.Retransmits)
+	t.AddRow("backoffs", ws.Backoffs)
+	t.AddRow("acks_sent", ws.AcksSent)
+	t.AddRow("stale_results_filtered", ws.StaleResults)
+	var as AggStats
+	for _, s := range r.AggStats {
+		as.Replays += s.Replays
+		as.DupsFiltered += s.DupsFiltered
+		as.StaleRounds += s.StaleRounds
+		as.StaleFinished += s.StaleFinished
+		as.FastForwards += s.FastForwards
+	}
+	t.AddRow("result_replays", as.Replays)
+	t.AddRow("dups_filtered", as.DupsFiltered)
+	t.AddRow("stale_rounds", as.StaleRounds)
+	t.AddRow("stale_finished_dropped", as.StaleFinished)
+	t.AddRow("fast_forwards", as.FastForwards)
 	var pump PumpStats
 	for _, p := range r.Pump {
 		pump.Delivered += p.Delivered

@@ -25,23 +25,24 @@ type cluster struct {
 }
 
 // startCluster builds N workers (node IDs 0..N-1) and the configured
-// aggregators (node IDs N, N+1, ...) on a channel network, every endpoint
-// behind a seeded Lossy when lossRate is positive.
+// aggregators (node IDs N, N+1, ...) on a channel network. When lossRate
+// is positive every endpoint sends through one seeded chaos fabric that
+// drops at lossRate and duplicates at lossRate/4.
 func startCluster(t testing.TB, cfg Config, lossRate float64, seed int64) *cluster {
 	t.Helper()
-	return startClusterOn(t, cfg, func(id int, conn transport.Conn) transport.Conn {
-		if lossRate <= 0 {
-			return conn
-		}
-		if id >= cfg.Workers {
-			return transport.NewLossy(conn, lossRate, lossRate/4, seed+int64(id-cfg.Workers)*7919)
-		}
-		return transport.NewLossy(conn, lossRate, lossRate/4, seed+1000+int64(id)*104729)
+	if lossRate <= 0 {
+		return startClusterOn(t, cfg, func(_ int, conn transport.Conn) transport.Conn { return conn })
+	}
+	fabric := transport.NewChaosFabric(transport.Scenario{
+		Seed:   seed,
+		Phases: []transport.Phase{{Drop: lossRate, Dup: lossRate / 4}},
 	})
+	return startClusterOn(t, cfg, func(_ int, conn transport.Conn) transport.Conn { return fabric.Wrap(conn) })
 }
 
 // startClusterOn is startCluster with node id's endpoint passed through
-// wrap before its driver is built on it.
+// wrap before its driver is built on it. Teardown closes the wrapped
+// conns, so a wrapper releases whatever it still holds.
 func startClusterOn(t testing.TB, cfg Config, wrap func(id int, conn transport.Conn) transport.Conn) *cluster {
 	t.Helper()
 	cfg = cfg.withDefaults()

@@ -11,7 +11,7 @@ import (
 )
 
 // Loss-recovery tests exercise Algorithm 2 over the channel transport
-// wrapped in deterministic loss/duplication injectors.
+// wrapped in a seeded chaos fabric (drops, duplicates, reordering).
 
 func lossyConfig(workers int) Config {
 	return Config{
@@ -129,18 +129,22 @@ func TestAllReduceOverUDP(t *testing.T) {
 		}
 	}
 
-	agg, err := NewAggregator(transport.NewLossy(eps[workers], 0.01, 0, 3), cfg)
+	fabric := transport.NewChaosFabric(transport.Scenario{Seed: 3, Phases: []transport.Phase{{Drop: 0.01}}})
+	aggConn := fabric.Wrap(eps[workers])
+	agg, err := NewAggregator(aggConn, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go agg.Run()
+	defer aggConn.Close()
 
 	ws := make([]*Worker, workers)
 	for i := 0; i < workers; i++ {
-		w, err := NewWorker(transport.NewLossy(eps[i], 0.01, 0, int64(i)+10), cfg)
+		w, err := NewWorker(fabric.Wrap(eps[i]), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer w.Close()
 		ws[i] = w
 	}
 
@@ -314,7 +318,11 @@ func TestAllReduceWithLossDupAndReorder(t *testing.T) {
 	cfg := lossyConfig(3)
 	cfg.RetransmitTimeout = 5 * time.Millisecond
 	nw := transport.NewNetwork(3, 4096)
-	aggConn := transport.NewLossy(nw.AddNode(3), 0.03, 0.02, 5).SetReorder(0.1)
+	fabric := transport.NewChaosFabric(transport.Scenario{
+		Seed:   5,
+		Phases: []transport.Phase{{Drop: 0.03, Dup: 0.02, Reorder: 0.1}},
+	})
+	aggConn := fabric.Wrap(nw.AddNode(3))
 	agg, err := NewAggregator(aggConn, Config{
 		Workers: 3, Aggregators: []int{3}, Reliable: false,
 		BlockSize: 32, FusionWidth: 4, Streams: 2,
@@ -326,7 +334,7 @@ func TestAllReduceWithLossDupAndReorder(t *testing.T) {
 	defer aggConn.Close()
 	ws := make([]*Worker, 3)
 	for i := range ws {
-		conn := transport.NewLossy(nw.Conn(i), 0.03, 0.02, int64(i)+50).SetReorder(0.1)
+		conn := fabric.Wrap(nw.Conn(i))
 		cfgW := cfg
 		cfgW.Aggregators = []int{3}
 		if ws[i], err = NewWorker(conn, cfgW); err != nil {

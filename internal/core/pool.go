@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/wire"
 )
@@ -85,15 +84,4 @@ func putDecodeState(d *decodeState) {
 // shutdown, so a quiesced system balances exactly.
 func DecodePoolBalance() (gets, puts int64) {
 	return decodePoolHits.Load() + decodePoolMisses.Load(), decodePoolPuts.Load()
-}
-
-// DecodePoolCounters exports the decode-state pool's tallies. After
-// warm-up, hits should dominate: each miss is one fresh arena that has
-// to re-grow to packet size.
-func DecodePoolCounters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Add("decode_pool_hits", decodePoolHits.Load())
-	c.Add("decode_pool_misses", decodePoolMisses.Load())
-	c.Add("decode_pool_puts", decodePoolPuts.Load())
-	return c
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
 	"omnireduce/internal/transport"
@@ -188,14 +187,4 @@ func (p *pumpCounters) snapshot() PumpStats {
 		OverflowDrops: p.overflowDrops.Load(),
 		BadPackets:    p.badPackets.Load(),
 	}
-}
-
-// Counters exports the pump tallies as named metrics counters.
-func (p PumpStats) Counters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Add("pump_delivered", p.Delivered)
-	c.Add("pump_stale_drops", p.StaleDrops)
-	c.Add("pump_overflow_drops", p.OverflowDrops)
-	c.Add("pump_bad_packets", p.BadPackets)
-	return c
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
 	"omnireduce/internal/transport"
@@ -96,19 +95,6 @@ func (s *Stats) Snapshot() Stats {
 		StaleResults:  atomic.LoadInt64(&s.StaleResults),
 		Backoffs:      atomic.LoadInt64(&s.Backoffs),
 	}
-}
-
-// RecoveryCounters exports the loss-recovery subset of the counters as a
-// metrics counter set (one named counter per recovery event kind), ready
-// for rendering or merging across workers.
-func (s *Stats) RecoveryCounters() *metrics.Counters {
-	snap := s.Snapshot()
-	c := metrics.NewCounters()
-	c.Add("retransmits", snap.Retransmits)
-	c.Add("backoffs", snap.Backoffs)
-	c.Add("acks_sent", snap.AcksSent)
-	c.Add("stale_results_filtered", snap.StaleResults)
-	return c
 }
 
 // add folds the delta between two machine-counter snapshots into the

@@ -1,14 +1,10 @@
 package metrics
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Counters is a small set of named monotonic event counters, safe for
-// concurrent use. The protocol layers use it to expose per-event recovery
-// metrics (retransmissions, replays, filtered duplicates) in a form the
-// reporting toolkit can render and merge across nodes.
+// concurrent use, that the reporting toolkit renders as a table (the
+// transport buffer pool's tallies, the counting tracer's event counts).
 type Counters struct {
 	mu    sync.Mutex
 	order []string
@@ -31,13 +27,6 @@ func (c *Counters) Add(name string, delta int64) {
 	c.vals[name] += delta
 }
 
-// Get returns the named counter's value (zero if absent).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vals[name]
-}
-
 // Snapshot returns a copy of all counters.
 func (c *Counters) Snapshot() map[string]int64 {
 	c.mu.Lock()
@@ -49,63 +38,15 @@ func (c *Counters) Snapshot() map[string]int64 {
 	return out
 }
 
-// snapshotOrdered returns the counter names in creation order together
-// with their values, captured under one lock acquisition so the pair is
-// a consistent point-in-time view even while other goroutines Add.
-func (c *Counters) snapshotOrdered() ([]string, []int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := append([]string(nil), c.order...)
-	vals := make([]int64, len(names))
-	for i, n := range names {
-		vals[i] = c.vals[n]
-	}
-	return names, vals
-}
-
-// Merge adds every counter of other into c, preserving other's creation
-// order for counters c does not yet have. The names and values of other
-// are read in a single consistent snapshot: a counter created in other
-// concurrently with the merge is either fully included or fully absent,
-// never present with a torn value.
-func (c *Counters) Merge(other *Counters) {
-	names, vals := other.snapshotOrdered()
-	for i, name := range names {
-		c.Add(name, vals[i])
-	}
-}
-
-// Total returns the sum of all counters.
-func (c *Counters) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t int64
-	for _, v := range c.vals {
-		t += v
-	}
-	return t
-}
-
-// Names returns the counter names in creation order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// Table renders the counters as a two-column table in creation order.
+// Table renders the counters as a two-column table in creation order,
+// read under one lock acquisition so the rows are a consistent
+// point-in-time view even while other goroutines Add.
 func (c *Counters) Table(title string) *Table {
-	names, vals := c.snapshotOrdered()
 	t := NewTable(title, "event", "count")
-	for i, n := range names {
-		t.AddRow(n, vals[i])
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, n := range c.order {
+		t.AddRow(n, c.vals[n])
 	}
 	return t
-}
-
-// SortedNames returns the counter names sorted lexicographically.
-func (c *Counters) SortedNames() []string {
-	n := c.Names()
-	sort.Strings(n)
-	return n
 }

@@ -12,44 +12,17 @@ func TestCountersBasics(t *testing.T) {
 	c.Add("retransmits", 3)
 	c.Add("backoffs", 1)
 	c.Add("retransmits", 2)
-	if got := c.Get("retransmits"); got != 5 {
-		t.Fatalf("retransmits = %d", got)
+	snap := c.Snapshot()
+	if len(snap) != 2 || snap["retransmits"] != 5 || snap["backoffs"] != 1 {
+		t.Fatalf("snapshot = %v", snap)
 	}
-	if got := c.Get("missing"); got != 0 {
-		t.Fatalf("missing = %d", got)
-	}
-	if got := c.Total(); got != 6 {
-		t.Fatalf("total = %d", got)
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "retransmits" || names[1] != "backoffs" {
-		t.Fatalf("creation order lost: %v", names)
-	}
-	sorted := c.SortedNames()
-	if sorted[0] != "backoffs" || sorted[1] != "retransmits" {
-		t.Fatalf("sorted = %v", sorted)
-	}
-}
-
-func TestCountersMergePreservesOrder(t *testing.T) {
-	a := NewCounters()
-	a.Add("x", 1)
-	b := NewCounters()
-	b.Add("y", 2)
-	b.Add("z", 3)
-	b.Add("x", 10)
-	a.Merge(b)
-	if got := a.Get("x"); got != 11 {
-		t.Fatalf("x = %d", got)
-	}
-	names := a.Names()
-	if len(names) != 3 || names[0] != "x" || names[1] != "y" || names[2] != "z" {
-		t.Fatalf("merge order = %v", names)
-	}
-	snap := a.Snapshot()
-	snap["x"] = 0 // snapshot is a copy
-	if a.Get("x") != 11 {
+	snap["retransmits"] = 0 // a snapshot is a copy
+	if c.Snapshot()["retransmits"] != 5 {
 		t.Fatal("snapshot aliased internal state")
+	}
+	out := c.Table("recovery").String()
+	if strings.Index(out, "retransmits") > strings.Index(out, "backoffs") {
+		t.Fatalf("creation order lost:\n%s", out)
 	}
 }
 
@@ -66,15 +39,12 @@ func TestCountersTable(t *testing.T) {
 	}
 }
 
-// TestCountersMergeConcurrentWithAdd races Merge against counter
-// creation and increments in the source set. The merge must read names
-// and values as one consistent snapshot: with the old two-lock protocol
-// (Names() then Snapshot()), a counter created between the calls could
-// merge with a value the names slice never agreed to, and under the
-// race detector the torn accesses surface as data races.
-func TestCountersMergeConcurrentWithAdd(t *testing.T) {
-	src := NewCounters()
-	dst := NewCounters()
+// TestCountersTableConcurrentWithAdd races Table against counter creation
+// and increments. Table must read names and values under one lock, so
+// under the race detector no access is torn, and every rendered table has
+// one row per counter created so far.
+func TestCountersTableConcurrentWithAdd(t *testing.T) {
+	c := NewCounters()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -86,28 +56,17 @@ func TestCountersMergeConcurrentWithAdd(t *testing.T) {
 				return
 			default:
 			}
-			src.Add("steady", 1)
-			src.Add(fmt.Sprintf("new_%d", i%64), 1)
+			c.Add("steady", 1)
+			c.Add(fmt.Sprintf("new_%d", i%64), 1)
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		dst.Merge(src)
+		c.Table("live")
 	}
 	close(stop)
 	wg.Wait()
-	// Final merge after the writer stops: dst must now cover every
-	// counter src has, each with a sane (≤ src) value from some earlier
-	// consistent snapshot.
-	final := NewCounters()
-	final.Merge(src)
-	names, vals := src.snapshotOrdered()
-	if len(names) != len(vals) {
-		t.Fatalf("snapshotOrdered: %d names, %d vals", len(names), len(vals))
-	}
-	for i, n := range names {
-		if got := final.Get(n); got != vals[i] {
-			t.Fatalf("final merge %s = %d, want %d", n, got, vals[i])
-		}
+	if rows, want := c.Table("final").Rows(), len(c.Snapshot()); rows != want {
+		t.Fatalf("table has %d rows for %d counters", rows, want)
 	}
 }
 
@@ -124,7 +83,7 @@ func TestCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Get("n"); got != 8_000 {
+	if got := c.Snapshot()["n"]; got != 8_000 {
 		t.Fatalf("n = %d", got)
 	}
 }

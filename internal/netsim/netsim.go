@@ -107,9 +107,7 @@ type Node struct {
 }
 
 // Net is a collection of nodes with uniform one-way latency and an
-// optional uniform loss rate. Beyond uniform loss, a Net can model the
-// chaos-fabric failure patterns in virtual time: Gilbert–Elliott burst
-// loss, per-message latency jitter, and one-way partitions.
+// optional uniform loss rate, drawn from one seeded stream.
 type Net struct {
 	Sim     *Sim
 	Latency float64 // one-way seconds
@@ -117,112 +115,28 @@ type Net struct {
 	rng     *rand.Rand
 	nodes   map[int]*Node
 
-	// Burst-loss (Gilbert–Elliott) parameters; active when pEnter > 0.
-	// Each directed link carries its own good/bad channel state.
-	gePEnter, gePExit     float64
-	geDropGood, geDropBad float64
-	geBad                 map[[2]int]bool
-
-	// One-way partitions (blackholes); -1 matches any node.
-	partitions map[[2]int]bool
-
-	// Jitter is the maximum extra one-way latency, uniformly drawn per
-	// message.
-	jitter float64
-
-	// Drop accounting.
-	Dropped     int64 // uniform-loss drops
-	BurstDrops  int64 // Gilbert–Elliott drops
-	Partitioned int64 // partition blackholes
+	// Dropped counts uniform-loss drops.
+	Dropped int64
 }
 
 // NewNet creates a network on a fresh simulator.
 func NewNet(latency, loss float64, seed int64) *Net {
 	return &Net{
-		Sim:        &Sim{},
-		Latency:    latency,
-		Loss:       loss,
-		rng:        rand.New(rand.NewSource(seed)),
-		nodes:      make(map[int]*Node),
-		geBad:      make(map[[2]int]bool),
-		partitions: make(map[[2]int]bool),
+		Sim:     &Sim{},
+		Latency: latency,
+		Loss:    loss,
+		rng:     rand.New(rand.NewSource(seed)),
+		nodes:   make(map[int]*Node),
 	}
 }
 
-// SetBurstLoss enables Gilbert–Elliott burst loss on every link: each
-// message advances the link's two-state channel (good->bad with pEnter,
-// bad->good with pExit) and is dropped with dropGood or dropBad according
-// to the state, so losses cluster in runs as on real congested fabrics.
-func (n *Net) SetBurstLoss(pEnter, pExit, dropGood, dropBad float64) {
-	n.gePEnter, n.gePExit = pEnter, pExit
-	n.geDropGood, n.geDropBad = dropGood, dropBad
-}
-
-// SetJitter adds a uniform [0, j) seconds to each message's one-way
-// latency, perturbing arrival order without loss.
-func (n *Net) SetJitter(j float64) { n.jitter = j }
-
-// PartitionLink blackholes messages from `from` to `to` (one-way). Either
-// side may be -1 to match every node; traffic in the reverse direction is
-// unaffected.
-func (n *Net) PartitionLink(from, to int) { n.partitions[[2]int{from, to}] = true }
-
-// HealLink removes a partition installed by PartitionLink with the same
-// arguments.
-func (n *Net) HealLink(from, to int) { delete(n.partitions, [2]int{from, to}) }
-
-func (n *Net) partitioned(from, to int) bool {
-	if len(n.partitions) == 0 {
-		return false
-	}
-	for _, k := range [...][2]int{{from, to}, {-1, to}, {from, -1}, {-1, -1}} {
-		if n.partitions[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// dropInFlight applies partition, burst, and uniform loss for one message
-// on the directed link (from, to), in that order.
-func (n *Net) dropInFlight(from, to int) bool {
-	if n.partitioned(from, to) {
-		n.Partitioned++
-		return true
-	}
-	if n.gePEnter > 0 {
-		k := [2]int{from, to}
-		bad := n.geBad[k]
-		if bad {
-			if n.rng.Float64() < n.gePExit {
-				bad = false
-			}
-		} else if n.rng.Float64() < n.gePEnter {
-			bad = true
-		}
-		n.geBad[k] = bad
-		p := n.geDropGood
-		if bad {
-			p = n.geDropBad
-		}
-		if p > 0 && n.rng.Float64() < p {
-			n.BurstDrops++
-			return true
-		}
-	}
+// dropInFlight applies uniform loss to one message.
+func (n *Net) dropInFlight() bool {
 	if n.Loss > 0 && n.rng.Float64() < n.Loss {
 		n.Dropped++
 		return true
 	}
 	return false
-}
-
-// oneWayLatency returns the base latency plus any jitter draw.
-func (n *Net) oneWayLatency() float64 {
-	if n.jitter > 0 {
-		return n.Latency + n.rng.Float64()*n.jitter
-	}
-	return n.Latency
 }
 
 // AddNode registers a node with the given NIC bandwidths (bits/second).
@@ -272,14 +186,13 @@ func (nd *Node) Send(to int, bytes float64, payload interface{}) {
 	txEnd := start + bytes*8/nd.EgressBW
 	nd.egressBusy = txEnd
 
-	if nd.net.dropInFlight(nd.ID, to) {
+	if nd.net.dropInFlight() {
 		return // dropped in flight
 	}
 	// The first bit arrives latency after transmission starts; the
 	// receiver cannot finish before the sender does (txEnd + latency).
-	lat := nd.net.oneWayLatency()
-	firstBit := start + lat
-	minEnd := txEnd + lat
+	firstBit := start + nd.net.Latency
+	minEnd := txEnd + nd.net.Latency
 	m := Message{From: nd.ID, To: to, Bytes: bytes, Payload: payload}
 	sim.At(firstBit, func() { dst.receive(m, minEnd) })
 }

@@ -131,6 +131,9 @@ func TestLossDeterministic(t *testing.T) {
 			a.Send(1, 100, nil)
 		}
 		n.Sim.Run()
+		if n.Dropped+b.MsgsRecvd != 1000 {
+			t.Fatalf("accounting mismatch: %d dropped + %d delivered != 1000", n.Dropped, b.MsgsRecvd)
+		}
 		return b.MsgsRecvd
 	}
 	r1, r2 := run(), run()

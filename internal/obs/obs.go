@@ -319,20 +319,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return s
 }
 
-// Counters exports the registry's counters (and gauges) as a
-// metrics.Counters set, merging into the harness's existing reporting.
-func (r *Registry) Counters() *metrics.Counters {
-	snap := r.Snapshot()
-	c := metrics.NewCounters()
-	for _, nv := range snap.Counters {
-		c.Add(nv.Name, nv.Value)
-	}
-	for _, nv := range snap.Gauges {
-		c.Add(nv.Name, nv.Value)
-	}
-	return c
-}
-
 // Tables renders the registry as metrics tables: one for counters and
 // gauges, one summary row per histogram.
 func (r *Registry) Tables(titlePrefix string) []*metrics.Table {

@@ -60,13 +60,13 @@ func TestPutBufForeignBuffers(t *testing.T) {
 }
 
 func TestPoolCounters(t *testing.T) {
-	before := PoolCounters()
+	before := PoolCounters().Snapshot()
 	b := GetBuf(2048)
 	PutBuf(b)
 	GetBuf(2048)
-	after := PoolCounters()
-	dh := after.Get("buf_pool_hits") - before.Get("buf_pool_hits")
-	dm := after.Get("buf_pool_misses") - before.Get("buf_pool_misses")
+	after := PoolCounters().Snapshot()
+	dh := after["buf_pool_hits"] - before["buf_pool_hits"]
+	dm := after["buf_pool_misses"] - before["buf_pool_misses"]
 	if dh+dm != 2 {
 		t.Fatalf("hits+misses delta = %d, want 2 (hits %d misses %d)", dh+dm, dh, dm)
 	}

@@ -7,10 +7,9 @@ import (
 
 // Chaos fabric: a seeded, scriptable datagram-pathology injector.
 //
-// Lossy (above) injects uniform loss/duplication per endpoint. Chaos
-// generalizes it into a fabric-wide wrapper that composes every pathology
-// the paper's DPDK/UDP loss-recovery evaluation (§6, Appendix D) and real
-// datacenter networks exhibit:
+// Chaos is the one live fault injector: a fabric-wide wrapper that
+// composes every pathology the paper's DPDK/UDP loss-recovery evaluation
+// (§6, Appendix D) and real datacenter networks exhibit:
 //
 //   - uniform random loss,
 //   - bursty loss following the Gilbert–Elliott two-state Markov model,
@@ -75,7 +74,7 @@ type Phase struct {
 	// position in the stream.
 	Reorder float64
 	// ReorderSpan bounds how many later messages overtake a held one
-	// (default 1: adjacent swap, like Lossy.SetReorder).
+	// (default 1: an adjacent swap).
 	ReorderSpan int
 	// Delay is the maximum extra latency added to a delayed message; the
 	// actual delay is a deterministic fraction of it.

@@ -79,9 +79,10 @@ func TestChaosDeterministicDecisions(t *testing.T) {
 }
 
 func TestChaosPhaseScheduleAdvancesPerLink(t *testing.T) {
-	// Phase 1 drops everything, phase 2 is clean: exactly the first 10
-	// messages on each link vanish.
-	sc := Scenario{Seed: 7, Phases: []Phase{{Packets: 10, Drop: 1.0}, {}}}
+	// Phase 1 drops everything, phase 2 duplicates everything: exactly the
+	// first 10 messages on each link vanish, and every later one arrives
+	// twice, back to back.
+	sc := Scenario{Seed: 7, Phases: []Phase{{Packets: 10, Drop: 1.0}, {Dup: 1.0}}}
 	nw := NewNetwork(3, 256)
 	f := NewChaosFabric(sc)
 	c0 := f.Wrap(nw.Conn(0))
@@ -96,14 +97,17 @@ func TestChaosPhaseScheduleAdvancesPerLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := collect(t, nw.Conn(1), 20, 2*time.Second)
+	got := collect(t, nw.Conn(1), 40, 2*time.Second)
 	for i, m := range got {
-		if int(m.Data[0]) != i+10 {
-			t.Fatalf("message %d: got payload %d, want %d", i, m.Data[0], i+10)
+		if int(m.Data[0]) != i/2+10 {
+			t.Fatalf("message %d: got payload %d, want %d", i, m.Data[0], i/2+10)
 		}
 	}
 	if n := f.Counts().Dropped; n != 15 {
 		t.Fatalf("dropped %d, want 15 (10 on 0->1, 5 on 0->2)", n)
+	}
+	if n := f.Counts().Duplicated; n != 20 {
+		t.Fatalf("duplicated %d, want 20", n)
 	}
 }
 

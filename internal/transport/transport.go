@@ -9,7 +9,8 @@
 //     RC stand-in and the fabric used by tests and examples),
 //   - a TCP message transport (reliable and ordered across processes),
 //   - a UDP datagram transport (unreliable, exercising loss recovery), and
-//   - a deterministic loss/duplication injector that wraps any transport.
+//   - a seeded chaos fabric (ChaosFabric) that wraps any transport and
+//     injects loss, duplication, reordering, delay and partitions.
 //
 // All transports move opaque []byte messages between small-integer node
 // IDs; the wire package defines what is inside the messages.
@@ -18,7 +19,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -312,122 +312,4 @@ func (c *chanConn) Close() error {
 		c.in.drain()
 	})
 	return nil
-}
-
-// Lossy wraps a Conn and drops, duplicates, or reorders outgoing messages
-// with the given probabilities, using a seeded deterministic source. It
-// emulates the paper's packet-loss experiments (Appendix D), where loss is
-// injected "assuming uniform probability at a given loss rate".
-type Lossy struct {
-	inner     Conn
-	mu        sync.Mutex
-	rng       *rand.Rand
-	dropP     float64
-	dupP      float64
-	reorderP  float64
-	held      *heldMsg
-	dropped   int
-	dups      int
-	reordered int
-}
-
-type heldMsg struct {
-	to   int
-	data []byte
-}
-
-// NewLossy wraps inner. dropP and dupP are per-message probabilities.
-// Reordering is off by default; enable with SetReorder.
-func NewLossy(inner Conn, dropP, dupP float64, seed int64) *Lossy {
-	return &Lossy{inner: inner, rng: rand.New(rand.NewSource(seed)), dropP: dropP, dupP: dupP}
-}
-
-// SetReorder makes each surviving message be held back with probability p
-// and released after the next message to the same fabric, swapping their
-// order. Returns l for chaining.
-func (l *Lossy) SetReorder(p float64) *Lossy {
-	l.mu.Lock()
-	l.reorderP = p
-	l.mu.Unlock()
-	return l
-}
-
-// Send drops the message with probability dropP, otherwise forwards it
-// (possibly after the next message, when reordering is enabled) and
-// possibly forwards a duplicate.
-func (l *Lossy) Send(to int, data []byte) error {
-	l.mu.Lock()
-	drop := l.rng.Float64() < l.dropP
-	dup := !drop && l.rng.Float64() < l.dupP
-	hold := !drop && l.held == nil && l.rng.Float64() < l.reorderP
-	if drop {
-		l.dropped++
-	}
-	if dup {
-		l.dups++
-	}
-	var release *heldMsg
-	if !drop && !hold && l.held != nil {
-		release = l.held
-		l.held = nil
-		l.reordered++
-	}
-	if hold {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		l.held = &heldMsg{to: to, data: buf}
-	}
-	l.mu.Unlock()
-	if drop {
-		return nil
-	}
-	if !hold {
-		if err := l.inner.Send(to, data); err != nil {
-			return err
-		}
-		if dup {
-			if err := l.inner.Send(to, data); err != nil {
-				return err
-			}
-		}
-	}
-	if release != nil {
-		return l.inner.Send(release.to, release.data)
-	}
-	return nil
-}
-
-// Flush releases any held (reorder-delayed) message immediately.
-func (l *Lossy) Flush() error {
-	l.mu.Lock()
-	release := l.held
-	l.held = nil
-	l.mu.Unlock()
-	if release != nil {
-		return l.inner.Send(release.to, release.data)
-	}
-	return nil
-}
-
-// Recv forwards to the inner connection.
-func (l *Lossy) Recv() (Message, error) { return l.inner.Recv() }
-
-// LocalID forwards to the inner connection.
-func (l *Lossy) LocalID() int { return l.inner.LocalID() }
-
-// Close forwards to the inner connection.
-func (l *Lossy) Close() error { return l.inner.Close() }
-
-// Stats reports how many messages were dropped and duplicated.
-func (l *Lossy) Stats() (dropped, duplicated int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped, l.dups
-}
-
-// Reordered reports how many message pairs were swapped.
-func (l *Lossy) Reordered() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.reordered
 }

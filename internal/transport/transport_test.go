@@ -95,56 +95,6 @@ func TestNetworkAddNode(t *testing.T) {
 	}
 }
 
-func TestLossyDropsDeterministically(t *testing.T) {
-	nw := NewNetwork(2, 4096)
-	l := NewLossy(nw.Conn(0), 0.5, 0, 42)
-	const total = 2000
-	for i := 0; i < total; i++ {
-		if err := l.Send(1, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dropped, _ := l.Stats()
-	if dropped < total/2-100 || dropped > total/2+100 {
-		t.Fatalf("dropped %d of %d at p=0.5", dropped, total)
-	}
-	// Deterministic across runs with the same seed.
-	nw2 := NewNetwork(2, 4096)
-	l2 := NewLossy(nw2.Conn(0), 0.5, 0, 42)
-	for i := 0; i < total; i++ {
-		l2.Send(1, []byte{1})
-	}
-	d2, _ := l2.Stats()
-	if d2 != dropped {
-		t.Fatalf("non-deterministic loss: %d vs %d", d2, dropped)
-	}
-}
-
-func TestLossyDuplicates(t *testing.T) {
-	nw := NewNetwork(2, 8192)
-	l := NewLossy(nw.Conn(0), 0, 1.0, 1)
-	for i := 0; i < 10; i++ {
-		if err := l.Send(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, dups := l.Stats()
-	if dups != 10 {
-		t.Fatalf("dups = %d, want 10", dups)
-	}
-	b := nw.Conn(1)
-	count := 0
-	for i := 0; i < 20; i++ {
-		if _, err := b.Recv(); err != nil {
-			t.Fatal(err)
-		}
-		count++
-	}
-	if count != 20 {
-		t.Fatalf("received %d, want 20", count)
-	}
-}
-
 func TestTCPTransport(t *testing.T) {
 	// Bind two endpoints on ephemeral ports, then cross-register.
 	t0, err := NewTCP(0, map[int]string{0: "127.0.0.1:0"})
@@ -349,47 +299,6 @@ func TestUDPCloseUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock")
-	}
-}
-
-func TestLossyReorder(t *testing.T) {
-	nw := NewNetwork(2, 64)
-	l := NewLossy(nw.Conn(0), 0, 0, 7).SetReorder(1.0) // hold every other message
-	for i := byte(0); i < 4; i++ {
-		if err := l.Send(1, []byte{i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	b := nw.Conn(1)
-	var got []byte
-	for i := 0; i < 4; i++ {
-		m, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, m.Data[0])
-	}
-	// With p=1: msg0 held; msg1 sent then releases msg0; msg2 held;
-	// msg3 sent then releases msg2 -> order 1,0,3,2.
-	want := []byte{1, 0, 3, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-	if l.Reordered() != 2 {
-		t.Fatalf("Reordered = %d, want 2", l.Reordered())
-	}
-}
-
-func TestLossyFlushEmpty(t *testing.T) {
-	nw := NewNetwork(1, 4)
-	l := NewLossy(nw.Conn(0), 0, 0, 1)
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
 	}
 }
 

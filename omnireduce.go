@@ -69,8 +69,9 @@ type Options struct {
 	// receiving no results for this long fails with a postmortem capture
 	// instead of hanging silently. Zero disables the watchdog.
 	StallTimeout time.Duration
-	// PostmortemDir is where stall postmortems are written (default: the
-	// process working directory).
+	// PostmortemDir is where stall postmortem bundles are written, one
+	// JSON file per stalled operation. Empty keeps the bundle in the
+	// returned *StallError without touching the filesystem.
 	PostmortemDir string
 	// Tenants sets per-tenant quotas and scheduling weights for
 	// multi-tenant aggregators (see Worker.OpenJob). Tenants absent from
