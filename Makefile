@@ -48,16 +48,16 @@ bench-selftest:
 # standby's admission rules and its fuzz seeds, a standby behind a lossy
 # link, the live chaos-kill end-to-end (an aggregator dies
 # mid-collective, a standby is activated, results stay bit-exact), the
-# sparse multi-aggregator routing regression, the drain/watchdog
-# suppression regression, the stall watchdog over both formats, view
+# sparse multi-aggregator routing regression, the watchdog's one-period
+# grace after a rebind, the stall watchdog over both formats, view
 # changes racing collectives and job control, the simulator's
 # kill-before-every-event sweep and the sim-vs-live failover drift test —
 # all under the race detector, the two kill tests twenty times over (their
 # kill point is protocol-defined, so one failure in twenty is a bug, not
 # bad luck).
 failover:
-	$(GO) test -race -run 'TestView|TestMembership|TestFailoverPumpHandoff|TestCheckpoint|TestBootstrapElisionFailover|TestMirror|TestReliableFailoverBetweenCollectivesOnly' ./internal/protocol/ ./internal/wire/
-	$(GO) test -race -run 'TestStandby|FuzzStandbyFrame|TestFailoverLossyStandbyLink|TestSparseLiveMultiAggregator|TestDrainSuppressesPostmortem|TestStallWatchdog|TestViewChangeDuringOps' -v ./internal/core/
+	$(GO) test -race -run 'TestView|TestFailoverPumpHandoff|TestCheckpoint|TestBootstrapElisionFailover|TestMirror|TestReliableFailoverBetweenCollectivesOnly' ./internal/protocol/ ./internal/wire/
+	$(GO) test -race -run 'TestStandby|FuzzStandbyFrame|TestFailoverLossyStandbyLink|TestSparseLiveMultiAggregator|TestRebindGraceSuppressesOnePeriod|TestStallWatchdog|TestViewChangeDuringOps' -v ./internal/core/
 	$(GO) test -race -run 'TestFailoverSimEveryEvent' ./internal/netsim/simproto/
 	$(GO) test -race -run 'TestFailoverLiveChaosKill' -count=20 ./internal/core/
 	$(GO) test -race -run 'TestFailoverDriftLiveVsSim' -count=20 ./internal/netsim/simproto/

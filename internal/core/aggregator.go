@@ -57,10 +57,6 @@ type Aggregator struct {
 	shardsMu sync.Mutex
 	shards   []*aggShard
 
-	// pump tallies the sharded router's dispatch decisions; see
-	// PumpSnapshot.
-	pump aggPumpCounters
-
 	// Elastic membership (see failover.go). viewMu guards view, standby,
 	// restoreFrom and shadows; enforce is the datapath's lock-free "is epoch
 	// enforcement on" check (flips on at most once, never off). The
@@ -76,38 +72,6 @@ type Aggregator struct {
 	// Stats is the field-wise sum of every shard machine's counters,
 	// folded once when Run returns; read it only after that.
 	Stats AggStats
-}
-
-// aggPumpCounters tallies the sharded router's dispatch behavior.
-type aggPumpCounters struct {
-	routed      atomic.Int64
-	shardStalls atomic.Int64
-	schedDrops  atomic.Int64
-}
-
-// AggPumpStats is a point-in-time copy of the sharded router's counters.
-type AggPumpStats struct {
-	// Routed is the number of messages dispatched to shards.
-	Routed int64
-	// ShardStalls counts messages that found their flow's scheduler queue
-	// full on a reliable transport and made the router block until the
-	// shard caught up. A high ratio of stalls to routed messages means
-	// one shard is the bottleneck (skewed slot distribution) or shards
-	// are starved for CPU.
-	ShardStalls int64
-	// SchedDrops counts messages dropped because their flow's scheduler
-	// queue was full on an unreliable transport (repaired by Algorithm
-	// 2's retransmission, like any other loss).
-	SchedDrops int64
-}
-
-// PumpSnapshot returns the sharded router's dispatch counters.
-func (a *Aggregator) PumpSnapshot() AggPumpStats {
-	return AggPumpStats{
-		Routed:      a.pump.routed.Load(),
-		ShardStalls: a.pump.shardStalls.Load(),
-		SchedDrops:  a.pump.schedDrops.Load(),
-	}
 }
 
 // AggStats counts aggregator-side protocol activity (see
@@ -648,7 +612,6 @@ router:
 			ns := protocol.TidNamespace(tid)
 			it := shardItem{m: r.m, gen: a.gate.gens[ns]}
 			sh := shards[shardOf(r.m.Data, n)]
-			a.pump.routed.Add(1)
 			if sh.in.Push(ns, it, len(r.m.Data)) {
 				continue
 			}
@@ -656,16 +619,14 @@ router:
 				// The flow's queue is full on a lossy fabric: drop like
 				// the network would; Algorithm 2 repairs it. Only this
 				// flow is penalized — other tenants' queues are unaffected.
-				a.pump.schedDrops.Add(1)
 				obsAggSchedDrops.Inc()
 				transport.PutBuf(r.m.Data)
 				continue
 			}
 			// Reliable transports must not drop; the router waits for the
 			// shard, counted so a bottleneck shard is visible in
-			// AggPumpStats rather than showing up only as mysteriously low
-			// throughput.
-			a.pump.shardStalls.Add(1)
+			// agg_router_stalls rather than showing up only as mysteriously
+			// low throughput.
 			obsAggStalls.Inc()
 			if err := sh.in.PushWait(ns, it, len(r.m.Data)); err != nil {
 				transport.PutBuf(r.m.Data)

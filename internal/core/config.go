@@ -135,11 +135,6 @@ type Config struct {
 	// reproduces the pre-registry single-job behavior for the legacy API.
 	// Workers ignore it.
 	Tenancy *tenant.Config
-	// OpenTimeout bounds a worker's OpenJob handshake with the
-	// aggregators (on unreliable transports the request is retried every
-	// RetransmitTimeout until accepted, rejected, or this deadline).
-	// Default 5s.
-	OpenTimeout time.Duration
 	// View, when non-nil (and Epoch > 0), enables epoch-numbered group
 	// membership: workers bind their connections to the view's epoch via
 	// TypeViewAck, aggregators refuse traffic from connections bound to a
@@ -207,9 +202,6 @@ func (c Config) withDefaults() Config {
 	if c.OpQueueLen == 0 {
 		c.OpQueueLen = 1024
 	}
-	if c.OpenTimeout == 0 {
-		c.OpenTimeout = 5 * time.Second
-	}
 	return c
 }
 
@@ -224,9 +216,6 @@ func (c Config) Validate() error {
 	if c.StallTimeout < 0 {
 		return fmt.Errorf("core: StallTimeout must be >= 0, got %v", c.StallTimeout)
 	}
-	if c.OpenTimeout < 0 {
-		return fmt.Errorf("core: OpenTimeout must be >= 0, got %v", c.OpenTimeout)
-	}
 	if c.View != nil {
 		if err := c.View.Validate(); err != nil {
 			return err
@@ -236,16 +225,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Standby requires a View (the refusals it answers data with must carry one)")
 	}
 	return c.proto().Validate()
-}
-
-// shard returns the global block range [lo, hi) owned by stream s when the
-// tensor has nb blocks total and eff streams are active.
-func shard(s, eff, nb int) (lo, hi int) {
-	return protocol.Shard(s, eff, nb)
-}
-
-// effectiveStreams caps the stream count so every stream owns at least one
-// block.
-func effectiveStreams(streams, nb int) int {
-	return protocol.EffectiveStreams(streams, nb)
 }

@@ -474,76 +474,6 @@ func TestNewWorkerBadID(t *testing.T) {
 	}
 }
 
-func TestShardMath(t *testing.T) {
-	// Shards must partition [0, nb) exactly.
-	for _, tc := range []struct{ streams, nb int }{{1, 10}, {4, 10}, {4, 3}, {7, 100}, {16, 16}} {
-		eff := effectiveStreams(tc.streams, tc.nb)
-		covered := 0
-		prevHi := 0
-		for s := 0; s < eff; s++ {
-			lo, hi := shard(s, eff, tc.nb)
-			if lo != prevHi {
-				t.Fatalf("streams=%d nb=%d: shard %d starts at %d, want %d", tc.streams, tc.nb, s, lo, prevHi)
-			}
-			if hi < lo {
-				t.Fatalf("negative shard")
-			}
-			covered += hi - lo
-			prevHi = hi
-		}
-		if covered != tc.nb || prevHi != tc.nb {
-			t.Fatalf("streams=%d nb=%d: covered %d", tc.streams, tc.nb, covered)
-		}
-	}
-	if effectiveStreams(4, 0) != 1 {
-		t.Fatal("effectiveStreams(4,0) != 1")
-	}
-}
-
-func TestColumnHelpers(t *testing.T) {
-	// firstInColumn over [10, 18) width 4: columns hold 10..17 by residue.
-	cases := []struct{ c, want int }{{0, 12}, {1, 13}, {2, 10}, {3, 11}}
-	for _, tc := range cases {
-		if got := firstInColumn(10, 18, tc.c, 4); got != tc.want {
-			t.Errorf("firstInColumn(10,18,%d,4) = %d, want %d", tc.c, got, tc.want)
-		}
-	}
-	if got := firstInColumn(10, 11, 2, 4); got != 10 {
-		t.Errorf("firstInColumn single = %d", got)
-	}
-	if got := firstInColumn(10, 11, 0, 4); got != -1 {
-		t.Errorf("firstInColumn empty column = %d, want -1", got)
-	}
-
-	bm := tensor.NewBitmap(20)
-	bm.Set(14) // column 2 of width 4
-	bm.Set(18) // column 2
-	if got := nextNonZeroInColumn(bm, 10, 10, 20, 2, 4); got != 14 {
-		t.Errorf("nextNonZero after 10 = %d, want 14", got)
-	}
-	if got := nextNonZeroInColumn(bm, 14, 10, 20, 2, 4); got != 18 {
-		t.Errorf("nextNonZero after 14 = %d, want 18", got)
-	}
-	if got := nextNonZeroInColumn(bm, 18, 10, 20, 2, 4); got != -1 {
-		t.Errorf("nextNonZero after 18 = %d, want -1", got)
-	}
-	if got := nextNonZeroInColumn(bm, -1, 10, 20, 2, 4); got != 14 {
-		t.Errorf("nextNonZero from start = %d, want 14", got)
-	}
-}
-
-func TestBlockLen(t *testing.T) {
-	if blockLen(0, 256, 1000) != 256 {
-		t.Fatal("full block")
-	}
-	if blockLen(3, 256, 1000) != 1000-768 {
-		t.Fatal("tail block")
-	}
-	if blockLen(4, 256, 1000) != 0 {
-		t.Fatal("past-end block")
-	}
-}
-
 func BenchmarkAllReduceInProcess(b *testing.B) {
 	for _, s := range []float64{0, 0.9, 0.99} {
 		b.Run(fmt.Sprintf("sparsity=%v", s), func(b *testing.B) {

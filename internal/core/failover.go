@@ -37,7 +37,8 @@ type shadowKey struct {
 }
 
 // Bounds on what a peer can make a standby hold: shadow machines in all,
-// and the slot index within one (the 12 bits wire.Immediate gives a slot).
+// and the slot index within one, since a frame's 16-bit slot would
+// otherwise let one frame grow a shadow's slot table to 64 Ki entries.
 // Within a slot the machine bounds itself (protocol.ArchiveDepth).
 const (
 	maxShadows    = 1024

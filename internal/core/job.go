@@ -33,6 +33,9 @@ var (
 	ErrUnknownJob = tenant.ErrUnknownJob
 )
 
+// openTimeout bounds a worker's OpenJob handshake with the aggregators.
+const openTimeout = 5 * time.Second
+
 // Job is an open session for one (tenant, job) identity on a worker's
 // connection: a handle that mints the job's tensor IDs inside its own
 // namespace and runs collectives against the shared aggregator fleet.
@@ -109,8 +112,7 @@ func (j *Job) ctrlTid() uint32 { return protocol.TidFor(j.ns, 0) }
 // open runs the JobOpen handshake: the request goes to every aggregator
 // and each must answer Accept. On unreliable transports unacknowledged
 // aggregators are re-asked every RetransmitTimeout (the request and its
-// reply are idempotent); the whole handshake is bounded by
-// Config.OpenTimeout.
+// reply are idempotent); the whole handshake is bounded by openTimeout.
 func (j *Job) open() error {
 	w := j.w
 	q, err := w.registerCtrl(j.ctrlTid())
@@ -151,7 +153,7 @@ func (j *Job) open() error {
 		defer t.Stop()
 		resendCh = t.C
 	}
-	deadline := time.NewTimer(w.cfg.OpenTimeout)
+	deadline := time.NewTimer(openTimeout)
 	defer deadline.Stop()
 
 	for {
@@ -188,7 +190,7 @@ func (j *Job) open() error {
 			}
 		case <-deadline.C:
 			return fmt.Errorf("core: open job %s: no answer from %d/%d aggregators within %v",
-				j.key, len(aggs)-len(accepted), len(aggs), w.cfg.OpenTimeout)
+				j.key, len(aggs)-len(accepted), len(aggs), openTimeout)
 		}
 	}
 }

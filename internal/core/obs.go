@@ -63,7 +63,7 @@ var (
 	// ck_bytes_sent their bytes over all peers, ck_frames_stored the
 	// frames a standby kept, ck_restores the machines a successor built
 	// from them. watchdog_suppressed counts stall-watchdog periods
-	// swallowed because a drain or failover handoff was in progress.
+	// swallowed because a view change had just rebound the operation.
 	obsWorkerViewChanges  = obs.Default.Counter("worker_view_changes")
 	obsWorkerStaleEpochs  = obs.Default.Counter("worker_stale_epoch_refusals")
 	obsWatchdogSuppressed = obs.Default.Counter("worker_watchdog_suppressed")

@@ -55,12 +55,6 @@ type Postmortem struct {
 	TensorID uint32 `json:"tensor_id"`
 	// IdleNs is how long the operation had made no progress.
 	IdleNs int64 `json:"idle_ns"`
-	// Quiesced reports whether the worker was quiesced (drain or view
-	// change in progress) at capture time. The watchdog suppresses
-	// capture while quiesced, so a true here means the quiesce began in
-	// the narrow window between the suppression check and the snapshot —
-	// the stall is almost certainly the handoff, not a wedge.
-	Quiesced bool `json:"quiesced,omitempty"`
 	// Machine is the stalled operation's protocol-machine counters: how
 	// far the collective got before wedging.
 	Machine protocol.WorkerStats `json:"machine"`
@@ -87,7 +81,6 @@ func (w *Worker) capturePostmortem(tid uint32, ms protocol.WorkerStats, idle tim
 		WorkerID:   w.id,
 		TensorID:   tid,
 		IdleNs:     int64(idle),
-		Quiesced:   w.quiesced(),
 		Machine:    ms,
 		Worker:     w.Stats.Snapshot(),
 		Pump:       w.pump.snapshot(),

@@ -41,26 +41,6 @@ func packetFromView(t uint8, v protocol.View) *wire.ViewPacket {
 	return vp
 }
 
-// View returns the worker's current membership view (Epoch 0 until a
-// view is configured or adopted).
-func (w *Worker) View() protocol.View {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.view.Clone()
-}
-
-// ApplyView hands the worker a membership view out of band (tests and
-// orchestrators; the in-band path is a TypeView announcement or a
-// TypeStaleEpoch refusal carrying the newer view). Views older than the
-// current one are ignored.
-func (w *Worker) ApplyView(v protocol.View) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
-	w.maybeApplyView(v)
-	return nil
-}
-
 // handleViewMsg consumes one view-plane message on the receive pump.
 // Always takes ownership of m.Data.
 func (w *Worker) handleViewMsg(t uint8, m transport.Message) {
@@ -143,14 +123,3 @@ func (w *Worker) RegisterPeer(id int, addr string) error {
 	}
 	return nil
 }
-
-// BeginQuiesce suppresses the stall watchdog: periods with no progress
-// while quiesced are expected (graceful drain, failover handoff), not
-// wedges, so no postmortem fires. Nests; pair every call with
-// EndQuiesce.
-func (w *Worker) BeginQuiesce() { w.quiesce.Add(1) }
-
-// EndQuiesce re-arms the stall watchdog.
-func (w *Worker) EndQuiesce() { w.quiesce.Add(-1) }
-
-func (w *Worker) quiesced() bool { return w.quiesce.Load() > 0 }

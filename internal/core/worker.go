@@ -44,11 +44,8 @@ type Worker struct {
 	job Job
 
 	// view is the current membership view (Epoch 0 = static legacy
-	// membership, no epoch enforcement); guarded by mu. quiesce, when
-	// positive, suppresses the stall watchdog (graceful drain / failover
-	// handoff in progress — see BeginQuiesce).
-	view    protocol.View
-	quiesce atomic.Int32
+	// membership, no epoch enforcement); guarded by mu.
+	view protocol.View
 
 	// free parks finished opStates for reuse; stateNew/stateReused tally
 	// how often beginOpAt allocated fresh state vs recycled (see
@@ -410,9 +407,8 @@ func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) er
 	// Stall watchdog: progress means aggregator results arriving. The
 	// timer fires once per StallTimeout; a period with no new results
 	// wedges the operation into a postmortem instead of a silent hang —
-	// unless the worker is quiesced (graceful drain) or a view change
-	// just rebound the operation (failover handoff), both of which make
-	// a silent period expected rather than pathological.
+	// unless a view change just rebound the operation (failover handoff),
+	// which makes one silent period expected rather than pathological.
 	var watchdogCh <-chan time.Time
 	var lastResults int64
 	graceArmed := false // one watchdog period of grace after a rebind
@@ -492,7 +488,7 @@ func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) er
 				lastResults = got
 				continue
 			}
-			if w.quiesced() || graceArmed {
+			if graceArmed {
 				graceArmed = false
 				obsWatchdogSuppressed.Inc()
 				continue

@@ -27,7 +27,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -139,17 +138,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return 1<<uint(HistBuckets) - 1
-}
-
-// BucketBound returns the inclusive upper bound of bucket i.
-func BucketBound(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 63 {
-		return 1<<63 - 1
-	}
-	return 1<<uint(i) - 1
 }
 
 // Registry is a named collection of metrics. Metric creation
@@ -342,14 +330,4 @@ func (r *Registry) Tables(titlePrefix string) []*metrics.Table {
 		out = append(out, t)
 	}
 	return out
-}
-
-// SortedCounterNames returns the registry's counter names sorted
-// lexicographically (test helper).
-func (r *Registry) SortedCounterNames() []string {
-	r.mu.Lock()
-	names := append([]string(nil), r.counterOrder...)
-	r.mu.Unlock()
-	sort.Strings(names)
-	return names
 }

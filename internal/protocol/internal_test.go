@@ -4,12 +4,84 @@ import (
 	"math"
 	"testing"
 
+	"omnireduce/internal/tensor"
 	"omnireduce/internal/wire"
 )
 
-// Unit tests for package internals: the accumulator modes, the result
-// archive, and the finished-tensor tracker. (Machine-level behavior is
-// covered by the trace tests in machine_test.go.)
+// Unit tests for package internals: the shard and column arithmetic, the
+// accumulator modes, the result archive, and the finished-tensor tracker.
+// (Machine-level behavior is covered by the trace tests in
+// machine_test.go.)
+
+func TestShardMath(t *testing.T) {
+	// Shards must partition [0, nb) exactly.
+	for _, tc := range []struct{ streams, nb int }{{1, 10}, {4, 10}, {4, 3}, {7, 100}, {16, 16}} {
+		eff := EffectiveStreams(tc.streams, tc.nb)
+		covered := 0
+		prevHi := 0
+		for s := 0; s < eff; s++ {
+			lo, hi := Shard(s, eff, tc.nb)
+			if lo != prevHi {
+				t.Fatalf("streams=%d nb=%d: shard %d starts at %d, want %d", tc.streams, tc.nb, s, lo, prevHi)
+			}
+			if hi < lo {
+				t.Fatalf("negative shard")
+			}
+			covered += hi - lo
+			prevHi = hi
+		}
+		if covered != tc.nb || prevHi != tc.nb {
+			t.Fatalf("streams=%d nb=%d: covered %d", tc.streams, tc.nb, covered)
+		}
+	}
+	if EffectiveStreams(4, 0) != 1 {
+		t.Fatal("EffectiveStreams(4,0) != 1")
+	}
+}
+
+func TestColumnHelpers(t *testing.T) {
+	// FirstInColumn over [10, 18) width 4: columns hold 10..17 by residue.
+	cases := []struct{ c, want int }{{0, 12}, {1, 13}, {2, 10}, {3, 11}}
+	for _, tc := range cases {
+		if got := FirstInColumn(10, 18, tc.c, 4); got != tc.want {
+			t.Errorf("FirstInColumn(10,18,%d,4) = %d, want %d", tc.c, got, tc.want)
+		}
+	}
+	if got := FirstInColumn(10, 11, 2, 4); got != 10 {
+		t.Errorf("FirstInColumn single = %d", got)
+	}
+	if got := FirstInColumn(10, 11, 0, 4); got != -1 {
+		t.Errorf("FirstInColumn empty column = %d, want -1", got)
+	}
+
+	bm := tensor.NewBitmap(20)
+	bm.Set(14) // column 2 of width 4
+	bm.Set(18) // column 2
+	if got := NextNonZeroInColumn(bm.Get, 10, 10, 20, 2, 4); got != 14 {
+		t.Errorf("NextNonZeroInColumn after 10 = %d, want 14", got)
+	}
+	if got := NextNonZeroInColumn(bm.Get, 14, 10, 20, 2, 4); got != 18 {
+		t.Errorf("NextNonZeroInColumn after 14 = %d, want 18", got)
+	}
+	if got := NextNonZeroInColumn(bm.Get, 18, 10, 20, 2, 4); got != -1 {
+		t.Errorf("NextNonZeroInColumn after 18 = %d, want -1", got)
+	}
+	if got := NextNonZeroInColumn(bm.Get, -1, 10, 20, 2, 4); got != 14 {
+		t.Errorf("NextNonZeroInColumn from start = %d, want 14", got)
+	}
+}
+
+func TestBlockLen(t *testing.T) {
+	if BlockLen(0, 256, 1000) != 256 {
+		t.Fatal("full block")
+	}
+	if BlockLen(3, 256, 1000) != 1000-768 {
+		t.Fatal("tail block")
+	}
+	if BlockLen(4, 256, 1000) != 0 {
+		t.Fatal("past-end block")
+	}
+}
 
 func TestAccumFloat(t *testing.T) {
 	a := newAccum(Config{})

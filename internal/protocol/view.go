@@ -1,22 +1,21 @@
 package protocol
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"omnireduce/internal/obs"
 )
 
-// This file implements epoch-numbered group views: the membership layer
-// that lets a running deployment survive aggregator loss (ROADMAP item 2,
-// motivated by Flare's fault-tolerant aggregation trees and SparCML's
-// changing participant sets). A View names the participant set of one
-// epoch; the Membership machine rules on epoch validity and sequences
-// view changes (failover promotions, planned joins). Like the protocol
-// machines it is pure state — no clocks, goroutines, or I/O — so the live
-// driver and the simulator share it verbatim and the view-epoch edge
-// cases are testable without a transport.
+// This file holds epoch-numbered group views: the membership data that
+// lets a running deployment survive aggregator loss (motivated by Flare's
+// fault-tolerant aggregation trees and SparCML's changing participant
+// sets). A View names the participant set of one epoch. The rules on
+// epochs live in the drivers that enforce them: the aggregator's
+// admission gate refuses data from a connection bound to another epoch,
+// Aggregator.Activate installs only a newer view, and the worker's
+// maybeApplyView adopts only a newer one. WorkerMachine.Rebind is the
+// machine's half of a view change.
 
 // View is one epoch of group membership: the worker node IDs and the
 // aggregator node IDs serving the streams, in stream round-robin order
@@ -36,16 +35,6 @@ func (v View) Clone() View {
 		Workers:     append([]int(nil), v.Workers...),
 		Aggregators: append([]int(nil), v.Aggregators...),
 	}
-}
-
-// HasWorker reports whether node id is a member worker of this view.
-func (v View) HasWorker(id int) bool {
-	for _, w := range v.Workers {
-		if w == id {
-			return true
-		}
-	}
-	return false
 }
 
 // HasAggregator reports whether node id serves streams in this view.
@@ -68,183 +57,6 @@ func (v View) Validate() error {
 		return fmt.Errorf("protocol: view %d has no aggregators", v.Epoch)
 	}
 	return nil
-}
-
-// ErrStaleEpoch is the sentinel wrapped by every StaleEpochError:
-// errors.Is(err, ErrStaleEpoch) identifies a typed stale-view refusal.
-var ErrStaleEpoch = errors.New("protocol: stale view epoch")
-
-// StaleEpochError is the typed refusal for traffic bound to an epoch the
-// group has moved past. It is never a silent drop: the refusing side
-// answers with its current view (anti-entropy — the refusal is also how a
-// worker that missed the view announcement learns the new membership).
-type StaleEpochError struct {
-	// Got is the sender's bound epoch; Current is the refusing side's.
-	Got, Current uint32
-	// TensorID is the refused operation, when the refusal answers a data
-	// packet (0 for control traffic).
-	TensorID uint32
-}
-
-func (e *StaleEpochError) Error() string {
-	return fmt.Sprintf("protocol: stale view epoch %d (current %d, tensor %#x)",
-		e.Got, e.Current, e.TensorID)
-}
-
-func (e *StaleEpochError) Unwrap() error { return ErrStaleEpoch }
-
-// Verdict is Membership's ruling on one observed epoch.
-type Verdict uint8
-
-const (
-	// VerdictCurrent admits traffic bound to the live epoch.
-	VerdictCurrent Verdict = iota
-	// VerdictStale refuses traffic bound to a concluded epoch; the
-	// refusal must be typed (StaleEpochError), never a silent drop.
-	VerdictStale
-	// VerdictFuture defers traffic bound to an epoch this node has not
-	// reached (it is the one that is behind; it must catch up before
-	// ruling).
-	VerdictFuture
-)
-
-func (v Verdict) String() string {
-	switch v {
-	case VerdictCurrent:
-		return "current"
-	case VerdictStale:
-		return "stale"
-	case VerdictFuture:
-		return "future"
-	default:
-		return "unknown"
-	}
-}
-
-// MembershipStats counts view-change activity.
-type MembershipStats struct {
-	ViewChanges   int64 // epochs advanced (failovers + planned changes)
-	Failovers     int64 // aggregator replacements
-	StaleRefusals int64 // typed stale-epoch refusals issued
-	DeferredJoins int64 // workers queued for the next epoch
-}
-
-// Membership sequences a group's epoch-numbered views: it rules on
-// observed epochs, queues joining workers for the next epoch (a worker
-// arriving mid-collective must not change the live epoch's participant
-// set — in-flight rounds fold exactly the registered contributor set),
-// and promotes standby aggregators on failover. One instance lives
-// wherever view decisions are made (each aggregator driver, the chaos
-// orchestrator, tests); determinism of the transition function keeps
-// replicas in agreement given the same event sequence.
-type Membership struct {
-	cur      View
-	standbys []int // failover chain, consumed front to back
-	pending  []int // workers awaiting admission at the next epoch
-	stats    MembershipStats
-}
-
-// NewMembership starts a membership machine at the given initial view.
-func NewMembership(initial View) (*Membership, error) {
-	if err := initial.Validate(); err != nil {
-		return nil, err
-	}
-	return &Membership{cur: initial.Clone()}, nil
-}
-
-// View returns (a copy of) the current view.
-func (g *Membership) View() View { return g.cur.Clone() }
-
-// Epoch returns the current epoch.
-func (g *Membership) Epoch() uint32 { return g.cur.Epoch }
-
-// Stats returns a copy of the activity counters.
-func (g *Membership) Stats() MembershipStats { return g.stats }
-
-// AddStandby appends an aggregator node to the failover chain.
-func (g *Membership) AddStandby(id int) { g.standbys = append(g.standbys, id) }
-
-// Standbys returns the remaining failover chain.
-func (g *Membership) Standbys() []int { return append([]int(nil), g.standbys...) }
-
-// Check rules on traffic bound to the given epoch.
-func (g *Membership) Check(epoch uint32) Verdict {
-	switch {
-	case epoch == g.cur.Epoch:
-		return VerdictCurrent
-	case epoch < g.cur.Epoch:
-		return VerdictStale
-	default:
-		return VerdictFuture
-	}
-}
-
-// Refuse issues the typed refusal for a stale-epoch packet (and counts
-// it). Callers check the verdict first; Refuse on a non-stale epoch
-// still returns the error describing the mismatch.
-func (g *Membership) Refuse(epoch, tensorID uint32) *StaleEpochError {
-	g.stats.StaleRefusals++
-	return &StaleEpochError{Got: epoch, Current: g.cur.Epoch, TensorID: tensorID}
-}
-
-// Join queues a worker for admission at the next epoch and returns that
-// epoch. A worker already in the current view (or already queued) is not
-// re-queued; its admission epoch is returned unchanged.
-func (g *Membership) Join(worker int) uint32 {
-	if g.cur.HasWorker(worker) {
-		return g.cur.Epoch
-	}
-	for _, p := range g.pending {
-		if p == worker {
-			return g.cur.Epoch + 1
-		}
-	}
-	g.pending = append(g.pending, worker)
-	g.stats.DeferredJoins++
-	return g.cur.Epoch + 1
-}
-
-// Failover replaces a dead aggregator with the next standby in the
-// chain, advancing the epoch (and admitting any queued joins — a view
-// change is a view change). Returns the new view.
-func (g *Membership) Failover(dead int) (View, error) {
-	pos := -1
-	for i, a := range g.cur.Aggregators {
-		if a == dead {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return View{}, fmt.Errorf("protocol: failover: node %d is not an aggregator of epoch %d", dead, g.cur.Epoch)
-	}
-	if len(g.standbys) == 0 {
-		return View{}, fmt.Errorf("protocol: failover: no standby left to replace aggregator %d", dead)
-	}
-	promoted := g.standbys[0]
-	g.standbys = g.standbys[1:]
-	// The standby takes the dead node's exact round-robin position, so
-	// AggregatorFor(stream) re-resolves every stream it served and no
-	// other stream moves.
-	g.cur.Aggregators[pos] = promoted
-	g.stats.Failovers++
-	g.advance()
-	return g.View(), nil
-}
-
-// Advance concludes a planned membership change: the epoch increments
-// and pending joins are admitted. Returns the new view.
-func (g *Membership) Advance() View {
-	g.advance()
-	return g.View()
-}
-
-func (g *Membership) advance() {
-	g.cur.Epoch++
-	g.cur.Workers = append(g.cur.Workers, g.pending...)
-	g.pending = g.pending[:0]
-	g.stats.ViewChanges++
-	obs.Emit(obs.EvViewChange, 0, int64(g.cur.Epoch))
 }
 
 // Rebind re-resolves every stream's aggregator against a new aggregator

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -9,138 +8,10 @@ import (
 	"omnireduce/internal/wire"
 )
 
-// View-epoch edge cases and failover handoff, exercised entirely at the
-// machine layer: no transport, no goroutines. The Membership machine is
-// pure state, so stale epochs, deferred joins, and standby-chain
-// exhaustion are plain table tests; the handoff itself runs on a small
-// multi-aggregator pump that kills a machine mid-collective and builds
-// its successor from the results the dead machine committed.
-
-func TestMembershipEdgeCases(t *testing.T) {
-	base := View{Epoch: 1, Workers: []int{0, 1, 2}, Aggregators: []int{100, 200}}
-	cases := []struct {
-		name string
-		run  func(t *testing.T, g *Membership)
-	}{
-		{
-			// A packet bound to a concluded epoch draws a typed refusal
-			// carrying both epochs and the refused tensor — never a silent
-			// drop, and identifiable with errors.Is/As.
-			name: "stale-epoch-typed-refusal",
-			run: func(t *testing.T, g *Membership) {
-				g.Advance() // epoch 1 -> 2
-				if v := g.Check(1); v != VerdictStale {
-					t.Fatalf("Check(1) = %v, want stale", v)
-				}
-				err := g.Refuse(1, 0xABC)
-				if !errors.Is(err, ErrStaleEpoch) {
-					t.Fatalf("refusal does not wrap ErrStaleEpoch: %v", err)
-				}
-				var se *StaleEpochError
-				if !errors.As(err, &se) {
-					t.Fatalf("refusal is not a *StaleEpochError: %v", err)
-				}
-				if se.Got != 1 || se.Current != 2 || se.TensorID != 0xABC {
-					t.Fatalf("refusal fields = %+v", se)
-				}
-				if s := g.Stats(); s.StaleRefusals != 1 {
-					t.Fatalf("StaleRefusals = %d, want 1", s.StaleRefusals)
-				}
-			},
-		},
-		{
-			// An epoch we have not reached is OUR problem, not the
-			// sender's: defer, don't refuse.
-			name: "future-epoch-deferred",
-			run: func(t *testing.T, g *Membership) {
-				if v := g.Check(5); v != VerdictFuture {
-					t.Fatalf("Check(5) = %v, want future", v)
-				}
-				if v := g.Check(1); v != VerdictCurrent {
-					t.Fatalf("Check(1) = %v, want current", v)
-				}
-			},
-		},
-		{
-			// A worker joining mid-collective is admitted at the NEXT
-			// epoch: the live epoch's contributor set must not change under
-			// in-flight rounds.
-			name: "join-mid-collective-admitted-next-epoch",
-			run: func(t *testing.T, g *Membership) {
-				if e := g.Join(7); e != 2 {
-					t.Fatalf("Join(7) admission epoch = %d, want 2", e)
-				}
-				if e := g.Join(7); e != 2 { // idempotent re-join
-					t.Fatalf("second Join(7) = %d, want 2", e)
-				}
-				if g.View().HasWorker(7) {
-					t.Fatal("joiner visible in the live epoch")
-				}
-				if e := g.Join(0); e != 1 { // existing member: admitted now
-					t.Fatalf("Join(0) = %d, want 1", e)
-				}
-				v := g.Advance()
-				if v.Epoch != 2 || !v.HasWorker(7) {
-					t.Fatalf("post-advance view %+v does not admit the joiner", v)
-				}
-				if s := g.Stats(); s.DeferredJoins != 1 {
-					t.Fatalf("DeferredJoins = %d, want 1", s.DeferredJoins)
-				}
-			},
-		},
-		{
-			// Two failovers consume the standby chain front to back, each
-			// promoted node taking the dead one's exact round-robin
-			// position; a third failover has nothing left and must error.
-			name: "double-failover-consumes-standby-chain",
-			run: func(t *testing.T, g *Membership) {
-				g.AddStandby(300)
-				g.AddStandby(400)
-				v, err := g.Failover(200)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.Epoch != 2 || v.Aggregators[0] != 100 || v.Aggregators[1] != 300 {
-					t.Fatalf("first failover view %+v", v)
-				}
-				v, err = g.Failover(100)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.Epoch != 3 || v.Aggregators[0] != 400 || v.Aggregators[1] != 300 {
-					t.Fatalf("second failover view %+v", v)
-				}
-				if _, err = g.Failover(300); err == nil {
-					t.Fatal("third failover succeeded with an empty standby chain")
-				}
-				if s := g.Stats(); s.Failovers != 2 || s.ViewChanges != 2 {
-					t.Fatalf("stats = %+v", s)
-				}
-			},
-		},
-		{
-			name: "failover-of-non-aggregator-refused",
-			run: func(t *testing.T, g *Membership) {
-				g.AddStandby(300)
-				if _, err := g.Failover(7); err == nil {
-					t.Fatal("failover of a non-aggregator succeeded")
-				}
-				if g.Epoch() != 1 {
-					t.Fatalf("failed failover advanced the epoch to %d", g.Epoch())
-				}
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g, err := NewMembership(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.run(t, g)
-		})
-	}
-}
+// Failover handoff, exercised entirely at the machine layer: no
+// transport, no goroutines. A small multi-aggregator pump kills a machine
+// mid-collective and builds its successor from the results the dead
+// machine committed.
 
 func TestViewValidate(t *testing.T) {
 	if err := (View{Epoch: 0, Aggregators: []int{1}}).Validate(); err == nil {
@@ -148,9 +19,6 @@ func TestViewValidate(t *testing.T) {
 	}
 	if err := (View{Epoch: 1}).Validate(); err == nil {
 		t.Fatal("aggregator-less view validated")
-	}
-	if _, err := NewMembership(View{}); err == nil {
-		t.Fatal("NewMembership accepted an invalid view")
 	}
 }
 

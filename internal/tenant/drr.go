@@ -179,17 +179,6 @@ func (d *DRR[T]) Pop() (v T, ok bool) {
 	}
 }
 
-// TryPop dequeues without blocking.
-func (d *DRR[T]) TryPop() (v T, ok bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.n == 0 {
-		var zero T
-		return zero, false
-	}
-	return d.popLocked()
-}
-
 func (d *DRR[T]) popLocked() (T, bool) {
 	for {
 		if d.idx >= len(d.ring) {

@@ -477,31 +477,3 @@ func (r *Registry) TenantOf(ns uint32) string {
 	}
 	return j.tenant.name
 }
-
-// Stats is a point-in-time per-tenant accounting snapshot, handed to the
-// obs layer as the final word at drain time.
-type Stats struct {
-	Tenant   string
-	Jobs     int
-	Inflight int
-	Admitted int64
-	Rejected int64
-}
-
-// Snapshot returns per-tenant accounting, sorted by tenant name
-// insertion-independently (callers sort if they need determinism).
-func (r *Registry) Snapshot() []Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Stats, 0, len(r.tenants))
-	for _, te := range r.tenants {
-		out = append(out, Stats{
-			Tenant:   te.name,
-			Jobs:     te.jobs,
-			Inflight: te.inflight,
-			Admitted: te.mAdmitted.Load(),
-			Rejected: te.mRejected.Load(),
-		})
-	}
-	return out
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
 )
 
@@ -245,26 +246,30 @@ func TestSlotReactivation(t *testing.T) {
 	}
 }
 
-func TestSnapshotAccounting(t *testing.T) {
+// TestTenantMetricsAccounting reads a tenant's accounting where the
+// registry publishes it: the tenant:<name>:* metrics of the obs registry
+// it was built with.
+func TestTenantMetricsAccounting(t *testing.T) {
 	cfg := Config{Tenants: map[string]Quota{"small": {MaxInFlightOps: 1}}}
-	r := NewRegistry(cfg, nil, 2)
+	reg := obs.NewRegistry()
+	r := NewRegistry(cfg, reg, 2)
 	key := JobKey{Tenant: "small", Job: "a"}
 	ns := openOK(t, r, key, 0, 2, 10)
 	r.AdmitOp(protocol.TidFor(ns, 1), 0, 10)
 	r.AdmitOp(protocol.TidFor(ns, 2), 0, 10) // rejected: quota
 
-	var small *Stats
-	for _, s := range r.Snapshot() {
-		if s.Tenant == "small" {
-			v := s
-			small = &v
+	for _, m := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"jobs_active", reg.Gauge("tenant:small:jobs_active").Load(), 1},
+		{"ops_active", reg.Gauge("tenant:small:ops_active").Load(), 1},
+		{"ops_admitted", reg.Counter("tenant:small:ops_admitted").Load(), 1},
+		{"ops_rejected", reg.Counter("tenant:small:ops_rejected").Load(), 1},
+	} {
+		if m.got != m.want {
+			t.Errorf("tenant:small:%s = %d, want %d", m.name, m.got, m.want)
 		}
-	}
-	if small == nil {
-		t.Fatal("tenant small missing from snapshot")
-	}
-	if small.Jobs != 1 || small.Inflight != 1 || small.Admitted != 1 || small.Rejected != 1 {
-		t.Fatalf("snapshot = %+v; want jobs=1 inflight=1 admitted=1 rejected=1", *small)
 	}
 }
 

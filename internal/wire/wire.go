@@ -506,16 +506,3 @@ func PeekSlot(buf []byte) (uint16, bool) {
 	}
 	return binary.LittleEndian.Uint16(buf[4:]), true
 }
-
-// Immediate packs OmniReduce metadata into the 32-bit RDMA immediate
-// layout described in §5: data type (2 bits), AllReduce opcode (2 bits),
-// slot id (12 bits), and number of blocks (16 bits).
-func Immediate(dtype, opcode uint8, slot uint16, numBlocks uint16) uint32 {
-	return uint32(dtype&0x3)<<30 | uint32(opcode&0x3)<<28 |
-		uint32(slot&0xFFF)<<16 | uint32(numBlocks)
-}
-
-// SplitImmediate is the inverse of Immediate.
-func SplitImmediate(imm uint32) (dtype, opcode uint8, slot uint16, numBlocks uint16) {
-	return uint8(imm >> 30), uint8(imm>>28) & 0x3, uint16(imm>>16) & 0xFFF, uint16(imm)
-}

@@ -191,19 +191,6 @@ func TestSparseTruncated(t *testing.T) {
 	}
 }
 
-func TestImmediateRoundTrip(t *testing.T) {
-	f := func(dtype, opcode uint8, slot, nb uint16) bool {
-		dtype &= 0x3
-		opcode &= 0x3
-		slot &= 0xFFF
-		d, o, s, n := SplitImmediate(Immediate(dtype, opcode, slot, nb))
-		return d == dtype && o == opcode && s == slot && n == nb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: random packets survive a round trip.
 func TestPacketRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
