@@ -163,8 +163,10 @@ bench-all:
 
 # Drift tier: vet plus the substrate-equivalence test — live channel
 # cluster vs the discrete-event simulator must produce identical
-# per-worker packet, block, and byte counts and bit-identical results.
-# Together: live ≡ simulator.
+# per-worker packet, block, and byte counts and bit-identical results,
+# loss-free and under loss (the live fabric and the simulator share one
+# fault decision function; DESIGN.md §5 lists what the lossy rows hold
+# equal). Together: live ≡ simulator.
 drift:
 	$(GO) vet ./...
 	$(GO) test -run 'TestSubstrateEquivalence' -v ./internal/netsim/simproto/

@@ -104,7 +104,7 @@ func (c *liveCluster) shutdown(t *testing.T) {
 // a wedge is a real stall again and ends in a typed error with a bundle.
 func TestRebindGraceSuppressesOnePeriod(t *testing.T) {
 	dir := t.TempDir()
-	conn := transport.NewWedgedConn(0)
+	conn := wedgedConn()
 	defer conn.Close()
 	const stall = 50 * time.Millisecond
 	w, err := NewWorker(conn, Config{

@@ -13,6 +13,17 @@ import (
 	"omnireduce/internal/transport"
 )
 
+// wedgedConn returns node 0's endpoint behind a fabric that blackholes
+// everything it sends: sends succeed and vanish, and Recv blocks until
+// Close — the silent failure a heartbeat-free protocol cannot tell from
+// slowness.
+func wedgedConn() transport.Conn {
+	f := transport.NewChaosFabric(transport.Scenario{Phases: []transport.Phase{
+		{Partitions: []transport.Partition{{From: 0, To: -1}}},
+	}})
+	return f.Wrap(transport.NewNetwork(1, 16).Conn(0))
+}
+
 // TestStallWatchdogPostmortem wedges a worker's transport — sends are
 // swallowed, nothing is ever received — and asserts the watchdog turns
 // the silent hang into a typed error carrying a postmortem bundle, within
@@ -42,7 +53,7 @@ func TestStallWatchdogPostmortem(t *testing.T) {
 			prev := obs.SetTracer(fr)
 			defer obs.SetTracer(prev)
 
-			conn := transport.NewWedgedConn(0)
+			conn := wedgedConn()
 			defer conn.Close()
 			const stall = 100 * time.Millisecond
 			w, err := NewWorker(conn, Config{

@@ -19,6 +19,7 @@ import (
 	"omnireduce/internal/netsim/simproto"
 	"omnireduce/internal/perfmodel"
 	"omnireduce/internal/sparsity"
+	"omnireduce/internal/transport"
 )
 
 // Options tunes experiment fidelity.
@@ -57,21 +58,15 @@ func scaledBytes(o Options) float64 { return microTensorBytes / float64(o.Scale)
 
 // Fabric presets (per-message CPU distinguishes the data paths).
 func dpdk10G(o Options, workers int) simproto.Cluster {
-	c := simproto.Testbed10G(workers, 8)
-	c.Seed = o.Seed
-	return c.Scaled(o.Scale)
+	return simproto.Testbed10G(workers, 8).Scaled(o.Scale)
 }
 
 func rdma100G(o Options, workers int) simproto.Cluster {
-	c := simproto.Testbed100G(workers, 8)
-	c.Seed = o.Seed
-	return c.Scaled(o.Scale)
+	return simproto.Testbed100G(workers, 8).Scaled(o.Scale)
 }
 
 func gdr100G(o Options, workers int) simproto.Cluster {
-	c := simproto.Testbed100GGDR(workers, 8)
-	c.Seed = o.Seed
-	return c.Scaled(o.Scale)
+	return simproto.Testbed100GGDR(workers, 8).Scaled(o.Scale)
 }
 
 // nccl models the dense ring baseline on the matching fabric.
@@ -374,7 +369,7 @@ func Fig21(o Options) *metrics.Table {
 	ncclBase := ncclTime(clean, scaledBytes(o))
 	for _, loss := range []float64{0.0001, 0.001, 0.01} {
 		c := clean
-		c.Loss = loss
+		c.Faults = transport.Scenario{Seed: o.Seed, Phases: []transport.Phase{{Drop: loss}}}
 		row := []interface{}{loss * 100}
 		for _, s := range []float64{0, 0.90, 0.99} {
 			spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)

@@ -9,7 +9,15 @@
 // on an aggregator), optionally queues on the receiver's CPU (a fixed
 // per-message processing cost, standing in for DPDK packet handling), and
 // is then delivered to the receiving node's handler. Virtual time is a
-// float64 in seconds; all randomness (loss) is seeded.
+// float64 in seconds.
+//
+// Every message's fate comes from a transport.FaultModel — the decision
+// function the live chaos fabric applies — keyed by the directed link and
+// the message's position on it, so a scenario drops the same messages in
+// virtual time as on a live fabric that offers each link the same
+// sequence. The simulator models loss (uniform, Gilbert–Elliott bursts)
+// and partitions; NewNet refuses a scenario that duplicates, reorders or
+// delays.
 //
 // Nodes can also model a host staging copy (the GPU-to-host PCIe transfer
 // of Appendix B, absent under GPU-direct RDMA) via the Copy method, which
@@ -18,7 +26,9 @@ package netsim
 
 import (
 	"container/heap"
-	"math/rand"
+	"fmt"
+
+	"omnireduce/internal/transport"
 )
 
 // Sim is the event loop. The zero value is ready to use.
@@ -106,37 +116,39 @@ type Node struct {
 	MsgsSent, MsgsRecvd   int64
 }
 
-// Net is a collection of nodes with uniform one-way latency and an
-// optional uniform loss rate, drawn from one seeded stream.
+// Net is a collection of nodes with uniform one-way latency whose
+// messages meet the fates of one fault scenario.
 type Net struct {
 	Sim     *Sim
 	Latency float64 // one-way seconds
-	Loss    float64 // per-message drop probability
-	rng     *rand.Rand
-	nodes   map[int]*Node
-
-	// Dropped counts uniform-loss drops.
-	Dropped int64
+	// Faults decides every message's fate and tallies the drops.
+	Faults *transport.FaultModel
+	nodes  map[int]*Node
 }
 
-// NewNet creates a network on a fresh simulator.
-func NewNet(latency, loss float64, seed int64) *Net {
+// NewNet creates a network on a fresh simulator. It panics if a phase of
+// faults sets Dup, Reorder or Delay, which the simulator does not model.
+func NewNet(latency float64, faults transport.Scenario) *Net {
+	for i, ph := range faults.Phases {
+		field := ""
+		switch {
+		case ph.Dup != 0:
+			field = "Dup"
+		case ph.Reorder != 0:
+			field = "Reorder"
+		case ph.Delay != 0 || ph.DelayP != 0:
+			field = "Delay"
+		}
+		if field != "" {
+			panic(fmt.Sprintf("netsim: fault phase %d sets %s; the simulator models loss and partitions only", i, field))
+		}
+	}
 	return &Net{
 		Sim:     &Sim{},
 		Latency: latency,
-		Loss:    loss,
-		rng:     rand.New(rand.NewSource(seed)),
+		Faults:  transport.NewFaultModel(faults),
 		nodes:   make(map[int]*Node),
 	}
-}
-
-// dropInFlight applies uniform loss to one message.
-func (n *Net) dropInFlight() bool {
-	if n.Loss > 0 && n.rng.Float64() < n.Loss {
-		n.Dropped++
-		return true
-	}
-	return false
 }
 
 // AddNode registers a node with the given NIC bandwidths (bits/second).
@@ -160,7 +172,7 @@ func (nd *Node) Send(to int, bytes float64, payload interface{}) {
 	nd.MsgsSent++
 	if to == nd.ID {
 		// Loopback: colocated components on the same host bypass the NIC
-		// (and cannot lose messages); only the CPU cost applies.
+		// and the fault model; only the CPU cost applies.
 		m := Message{From: nd.ID, To: to, Bytes: bytes, Payload: payload}
 		deliver := sim.Now()
 		if nd.CPUPerMsg > 0 {
@@ -186,7 +198,7 @@ func (nd *Node) Send(to int, bytes float64, payload interface{}) {
 	txEnd := start + bytes*8/nd.EgressBW
 	nd.egressBusy = txEnd
 
-	if nd.net.dropInFlight() {
+	if nd.net.Faults.Next(nd.ID, to).Drop {
 		return // dropped in flight
 	}
 	// The first bit arrives latency after transmission starts; the

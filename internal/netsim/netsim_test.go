@@ -2,7 +2,11 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
+
+	"omnireduce/internal/transport"
 )
 
 func TestSimOrdering(t *testing.T) {
@@ -48,7 +52,7 @@ func TestSimPastClamped(t *testing.T) {
 func TestSendSerializationAndLatency(t *testing.T) {
 	// 1 MB at 8 Mbps = 1 second serialization + 0.1 latency (transmission
 	// and reception overlap: a single flow pays serialization once).
-	n := NewNet(0.1, 0, 1)
+	n := NewNet(0.1, transport.Scenario{})
 	a := n.AddNode(0, 8e6, 8e6)
 	b := n.AddNode(1, 8e6, 8e6)
 	var deliveredAt float64
@@ -65,7 +69,7 @@ func TestSendSerializationAndLatency(t *testing.T) {
 
 func TestEgressQueueing(t *testing.T) {
 	// Two back-to-back messages serialize on the sender's egress link.
-	n := NewNet(0, 0, 1)
+	n := NewNet(0, transport.Scenario{})
 	a := n.AddNode(0, 8e6, 8e6)
 	b := n.AddNode(1, 8e6, Gbps(100)) // fast ingress isolates egress effect
 	var times []float64
@@ -84,7 +88,7 @@ func TestEgressQueueing(t *testing.T) {
 func TestIngressIncast(t *testing.T) {
 	// Two senders to one receiver: ingress serializes, so the second
 	// message lands ~1s after the first despite parallel sends.
-	n := NewNet(0, 0, 1)
+	n := NewNet(0, transport.Scenario{})
 	s1 := n.AddNode(0, 8e6, 8e6)
 	s2 := n.AddNode(1, 8e6, 8e6)
 	r := n.AddNode(2, 8e6, 8e6)
@@ -102,7 +106,7 @@ func TestIngressIncast(t *testing.T) {
 }
 
 func TestCPUPerMessage(t *testing.T) {
-	n := NewNet(0, 0, 1)
+	n := NewNet(0, transport.Scenario{})
 	a := n.AddNode(0, Gbps(10), Gbps(10))
 	b := n.AddNode(1, Gbps(10), Gbps(10))
 	b.CPUPerMsg = 0.01
@@ -123,7 +127,7 @@ func TestCPUPerMessage(t *testing.T) {
 
 func TestLossDeterministic(t *testing.T) {
 	run := func() int64 {
-		n := NewNet(0, 0.5, 42)
+		n := NewNet(0, transport.Scenario{Seed: 42, Phases: []transport.Phase{{Drop: 0.5}}})
 		a := n.AddNode(0, Gbps(1), Gbps(1))
 		b := n.AddNode(1, Gbps(1), Gbps(1))
 		b.Handler = func(m Message) {}
@@ -131,8 +135,9 @@ func TestLossDeterministic(t *testing.T) {
 			a.Send(1, 100, nil)
 		}
 		n.Sim.Run()
-		if n.Dropped+b.MsgsRecvd != 1000 {
-			t.Fatalf("accounting mismatch: %d dropped + %d delivered != 1000", n.Dropped, b.MsgsRecvd)
+		c := n.Faults.Counts()
+		if c.Sent != 1000 || c.Dropped+b.MsgsRecvd != 1000 {
+			t.Fatalf("accounting mismatch: %d dropped + %d delivered != %d sent", c.Dropped, b.MsgsRecvd, c.Sent)
 		}
 		return b.MsgsRecvd
 	}
@@ -145,8 +150,27 @@ func TestLossDeterministic(t *testing.T) {
 	}
 }
 
+func TestNewNetRefusesUnmodeledFaults(t *testing.T) {
+	for field, ph := range map[string]transport.Phase{
+		"Dup":     {Dup: 0.1},
+		"Reorder": {Reorder: 0.1, ReorderSpan: 2},
+		"Delay":   {Delay: time.Millisecond, DelayP: 0.5},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "sets "+field) {
+					t.Errorf("%s: panic %q does not name the field", field, msg)
+				}
+			}()
+			NewNet(0, transport.Scenario{Phases: []transport.Phase{{Drop: 0.01}, ph}})
+			t.Errorf("%s: NewNet accepted a scenario it cannot simulate", field)
+		}()
+	}
+}
+
 func TestCopyEngine(t *testing.T) {
-	n := NewNet(0, 0, 1)
+	n := NewNet(0, transport.Scenario{})
 	a := n.AddNode(0, Gbps(10), Gbps(10))
 	a.CopyBW = 8e6 // 1 MB/s in bytes terms
 	var doneAt []float64

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"omnireduce/internal/netsim"
+	"omnireduce/internal/transport"
 )
 
 // This file models the comparison systems of §6.1 on the simulator. The
@@ -23,7 +24,7 @@ func SimRingAllReduce(c Cluster, tensorBytes float64) float64 {
 	if N == 1 {
 		return 0
 	}
-	n := netsim.NewNet(c.Latency, 0, c.Seed)
+	n := netsim.NewNet(c.Latency, transport.Scenario{})
 	nodes := make([]*netsim.Node, N)
 	for w := 0; w < N; w++ {
 		nodes[w] = n.AddNode(w, c.WorkerBW, c.WorkerBW)
@@ -66,7 +67,7 @@ func SimAGsparseAllReduce(c Cluster, tensorBytes, density, reduceBW float64) flo
 	if N == 1 {
 		return 0
 	}
-	n := netsim.NewNet(c.Latency, 0, c.Seed)
+	n := netsim.NewNet(c.Latency, transport.Scenario{})
 	nodes := make([]*netsim.Node, N)
 	for w := 0; w < N; w++ {
 		nodes[w] = n.AddNode(w, c.WorkerBW, c.WorkerBW)
@@ -121,7 +122,7 @@ func SimSparCMLSplitAllgather(c Cluster, tensorBytes, density, unionDensity floa
 	if N == 1 {
 		return 0
 	}
-	n := netsim.NewNet(c.Latency, 0, c.Seed)
+	n := netsim.NewNet(c.Latency, transport.Scenario{})
 	nodes := make([]*netsim.Node, N)
 	for w := 0; w < N; w++ {
 		nodes[w] = n.AddNode(w, c.WorkerBW, c.WorkerBW)
@@ -184,7 +185,7 @@ type psMsg struct{ push bool }
 // each shard replies to every worker with the reduced union slice.
 func SimParameterServer(c Cluster, tensorBytes, density, unionDensity float64, servers int) float64 {
 	N := c.Workers
-	n := netsim.NewNet(c.Latency, 0, c.Seed)
+	n := netsim.NewNet(c.Latency, transport.Scenario{})
 	nodes := make([]*netsim.Node, N)
 	for w := 0; w < N; w++ {
 		nodes[w] = n.AddNode(w, c.WorkerBW, c.WorkerBW)

@@ -13,6 +13,7 @@ import (
 	"omnireduce/internal/netsim"
 	"omnireduce/internal/sparsity"
 	"omnireduce/internal/tensor"
+	"omnireduce/internal/transport"
 )
 
 // Cluster describes a simulated testbed (§6 "Testbeds").
@@ -22,11 +23,12 @@ type Cluster struct {
 	WorkerBW    float64 // bits/s, full duplex per NIC
 	AggBW       float64
 	Latency     float64 // one-way seconds
-	Loss        float64 // message drop probability
 	CPUPerMsg   float64 // per-message processing cost at every node
 	CopyBW      float64 // worker staging-copy (PCIe) bandwidth; 0 = GDR
 	Colocated   bool    // aggregator shards run on the worker nodes
-	Seed        int64
+	// Faults is the OmniReduce fabric's loss and partition schedule (see
+	// netsim.NewNet); the zero value is lossless.
+	Faults transport.Scenario
 }
 
 // Testbed10G models the paper's 10 Gbps testbed: P100 workers without

@@ -242,7 +242,7 @@ func TestFailoverSimEveryEvent(t *testing.T) {
 	opts := simproto.OmniOpts{FusionWidth: 2, Streams: 2, Lossy: true}
 	for _, loss := range []float64{0, 0.05} {
 		cl := simproto.Testbed10G(W, 2)
-		cl.Loss, cl.Seed = loss, 7
+		cl.Faults = transport.Scenario{Seed: 7, Phases: []transport.Phase{{Drop: loss}}}
 		base := simproto.SimOmniReduceTensors(cl, inputs, pcfg, opts)
 		if base.Time <= 0 || base.Events < 50 {
 			t.Fatalf("loss %g: baseline took %g s and %d events", loss, base.Time, base.Events)

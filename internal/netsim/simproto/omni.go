@@ -7,6 +7,7 @@ import (
 	"omnireduce/internal/netsim"
 	"omnireduce/internal/protocol"
 	"omnireduce/internal/tensor"
+	"omnireduce/internal/transport"
 	"omnireduce/internal/wire"
 )
 
@@ -177,6 +178,8 @@ type OmniRun struct {
 	// Results holds each worker's reduced tensor for tensor-backed runs
 	// (SimOmniReduceTensors); nil for spec-driven runs.
 	Results [][]float32
+	// Faults are the fabric's injection tallies (Cluster.Faults).
+	Faults transport.EventCounts
 }
 
 // SimOmniReduce runs the block-aggregation protocol on the simulator and
@@ -229,7 +232,7 @@ func SimOmniReduceTensors(c Cluster, inputs [][]float32, cfg protocol.Config, op
 // messages, and arms virtual-time retransmission timers from the worker
 // machines' deadline requests.
 func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts OmniOpts, copyBytes float64) *OmniRun {
-	n := netsim.NewNet(c.Latency, c.Loss, c.Seed)
+	n := netsim.NewNet(c.Latency, c.Faults)
 	N := c.Workers
 	nsPerSec := float64(time.Second)
 
@@ -486,7 +489,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		finishedAt = copyFinished
 	}
 
-	run := &OmniRun{Time: finishedAt, Events: events, WorkerStats: make([]protocol.WorkerStats, N)}
+	run := &OmniRun{Time: finishedAt, Events: events, WorkerStats: make([]protocol.WorkerStats, N), Faults: n.Faults.Counts()}
 	for w := 0; w < N; w++ {
 		run.WorkerStats[w] = wm[w].Stats()
 	}

@@ -7,6 +7,7 @@ import (
 
 	"omnireduce/internal/netsim"
 	"omnireduce/internal/sparsity"
+	"omnireduce/internal/transport"
 )
 
 // tb is a clean 8-worker cluster with no CPU or copy modeling, for
@@ -185,11 +186,11 @@ func TestOmniColocated(t *testing.T) {
 func TestOmniLossyConvergesAndCosts(t *testing.T) {
 	N := 4
 	c := cleanCluster(N, 10)
-	c.Loss = 0.01
+	c.Faults = transport.Scenario{Phases: []transport.Phase{{Drop: 0.01}}}
 	rng := rand.New(rand.NewSource(7))
 	spec := UniformSpec(5_000, N, 1024, 0.2, sparsity.OverlapRandom, rng)
 	lossy := SimOmniReduce(c, spec, OmniOpts{Lossy: true, RetransmitTimeout: 500e-6})
-	c.Loss = 0
+	c.Faults = transport.Scenario{}
 	clean := SimOmniReduce(c, spec, OmniOpts{Lossy: true, RetransmitTimeout: 500e-6})
 	if lossy <= clean {
 		t.Errorf("loss should cost time: %v vs %v", lossy, clean)

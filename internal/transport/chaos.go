@@ -23,7 +23,8 @@ import (
 // decision taken for the k-th message on a given directed link is a pure
 // function of the scenario — independent of goroutine scheduling and of
 // what other links do. Re-running a scenario replays identical injection
-// decisions, which is what makes failures reproducible.
+// decisions, which is what makes failures reproducible. The decisions are
+// FaultModel's, which the netsim simulator applies in virtual time too.
 //
 // Schedules are expressed in per-link packet counts, not wall-clock time:
 // each directed link advances through the scenario's phases after sending
@@ -131,64 +132,55 @@ func (e EventCounts) Total() int64 {
 	return e.Dropped + e.BurstDrops + e.Duplicated + e.Reordered + e.Delayed + e.Partitioned
 }
 
-// ChaosFabric owns the shared per-link state of one chaos scenario. Wrap
-// every participant's Conn with Wrap; the fabric keys its state by the
-// directed (src, dst) pair, so a scenario describes the whole network.
-type ChaosFabric struct {
-	sc Scenario
-
-	mu           sync.Mutex
-	links        map[linkKey]*linkState
+// FaultModel is the one fault decision function, shared by the live chaos
+// fabric and the netsim simulator: it owns a scenario, each directed link's
+// sequence number and Gilbert–Elliott state, and the event tallies, and
+// decides each message's Fate. It does no I/O and takes no lock — the
+// fabric calls it under its own, the simulator from its single event loop
+// — so two substrates offering a link the same messages in the same order
+// get the same fates.
+type FaultModel struct {
+	sc           Scenario
+	links        map[linkKey]*linkFault
 	counts       EventCounts
 	windowEvents int64
 }
 
 type linkKey struct{ from, to int }
 
-type linkState struct {
-	seq  int  // messages offered on this link so far
-	bad  bool // Gilbert–Elliott state
-	held []heldEntry
+type linkFault struct {
+	seq int  // messages offered on this link so far
+	bad bool // Gilbert–Elliott state
 }
 
-// heldEntry is one message held back for reordering. data is a pooled
-// buffer the fabric owns until the entry is released (sent) or its sender
-// closes.
-type heldEntry struct {
-	to     int
-	data   []byte
-	dueSeq int // release once the link's seq reaches this value
+// Fate is the model's decision for one message. At most one of Drop and
+// Hold is set, and Dup and Delay only on a message that is sent now.
+type Fate struct {
+	// seq is the message's 0-based position on its directed link.
+	seq int
+	// Drop loses the message (partition, burst or uniform loss).
+	Drop bool
+	// Hold, when positive, holds the message back until the link's
+	// message Hold places later is offered, which it then follows.
+	Hold int
+	// Dup delivers the message twice.
+	Dup bool
+	// Delay, when positive, is extra latency added to the delivery.
+	Delay time.Duration
 }
 
-// NewChaosFabric creates the shared injector for a scenario.
-func NewChaosFabric(sc Scenario) *ChaosFabric {
-	return &ChaosFabric{sc: sc, links: make(map[linkKey]*linkState)}
+// NewFaultModel creates the decision state for a scenario.
+func NewFaultModel(sc Scenario) *FaultModel {
+	return &FaultModel{sc: sc, links: make(map[linkKey]*linkFault)}
 }
 
-// Scenario returns the fabric's script.
-func (f *ChaosFabric) Scenario() Scenario { return f.sc }
-
-// Counts returns a snapshot of the injection tallies.
-func (f *ChaosFabric) Counts() EventCounts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.counts
-}
+// Counts returns the injection tallies so far.
+func (m *FaultModel) Counts() EventCounts { return m.counts }
 
 // WindowEvents returns the number of injection events that occurred within
 // the first Scenario.Window packets of each link — the deterministic
 // replay fingerprint of a run.
-func (f *ChaosFabric) WindowEvents() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.windowEvents
-}
-
-// Wrap returns a Conn that routes inner's outgoing traffic through the
-// fabric. Recv, LocalID, and Close pass through.
-func (f *ChaosFabric) Wrap(inner Conn) *ChaosConn {
-	return &ChaosConn{f: f, inner: inner}
-}
+func (m *FaultModel) WindowEvents() int64 { return m.windowEvents }
 
 // splitmix64 is the stateless mixing function behind every decision.
 func splitmix64(x uint64) uint64 {
@@ -212,8 +204,8 @@ const (
 
 // roll returns a deterministic uniform in [0, 1) for one decision on one
 // packet of one link.
-func (f *ChaosFabric) roll(from, to, seq int, salt uint64) float64 {
-	h := splitmix64(uint64(f.sc.Seed))
+func (m *FaultModel) roll(from, to, seq int, salt uint64) float64 {
+	h := splitmix64(uint64(m.sc.Seed))
 	h = splitmix64(h ^ uint64(uint32(from)))
 	h = splitmix64(h ^ uint64(uint32(to))<<32)
 	h = splitmix64(h ^ uint64(uint32(seq)))
@@ -221,68 +213,42 @@ func (f *ChaosFabric) roll(from, to, seq int, salt uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// decision is the plan computed for one message under the fabric lock and
-// executed outside it.
-type decision struct {
-	send     bool
-	dup      bool
-	delay    time.Duration
-	releases []heldEntry
-	hold     bool
-}
-
-// decide advances the link state for one message and computes its fate.
-// owned says the caller is giving data away (SendBatch): a held message
-// then keeps the buffer itself, where a borrowed one (Send) is copied.
-func (f *ChaosFabric) decide(from, to int, data []byte, owned bool) decision {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// Next offers the link from->to its next message and returns its fate.
+func (m *FaultModel) Next(from, to int) Fate {
 	key := linkKey{from, to}
-	ls := f.links[key]
+	ls := m.links[key]
 	if ls == nil {
-		ls = &linkState{}
-		f.links[key] = ls
+		ls = &linkFault{}
+		m.links[key] = ls
 	}
 	seq := ls.seq
 	ls.seq++
-	f.counts.Sent++
-	inWindow := f.sc.Window == 0 || seq < f.sc.Window
+	m.counts.Sent++
+	inWindow := m.sc.Window == 0 || seq < m.sc.Window
 	event := func(counter *int64) {
 		*counter++
 		if inWindow {
-			f.windowEvents++
+			m.windowEvents++
 		}
 	}
 
-	var d decision
-	// Due held messages are released regardless of the current message's
-	// fate, preserving the bounded-reorder guarantee.
-	rest := ls.held[:0]
-	for _, h := range ls.held {
-		if h.dueSeq <= ls.seq {
-			d.releases = append(d.releases, h)
-		} else {
-			rest = append(rest, h)
-		}
-	}
-	ls.held = rest
-
-	ph := f.sc.phaseAt(seq)
+	fate := Fate{seq: seq}
+	ph := m.sc.phaseAt(seq)
 	if ph == nil {
-		d.send = true
-		return d
+		return fate
 	}
 	for _, part := range ph.Partitions {
 		if part.matches(from, to) {
-			event(&f.counts.Partitioned)
-			return d
+			event(&m.counts.Partitioned)
+			fate.Drop = true
+			return fate
 		}
 	}
 	if ph.Burst != nil {
 		// Advance the Gilbert–Elliott chain, then apply the state's drop
 		// probability. The chain is per-link and per-packet, so its state
 		// at seq k is a deterministic fold over rolls 0..k.
-		flip := f.roll(from, to, seq, saltGEFlip)
+		flip := m.roll(from, to, seq, saltGEFlip)
 		if ls.bad {
 			if flip < ph.Burst.PExit {
 				ls.bad = false
@@ -294,44 +260,114 @@ func (f *ChaosFabric) decide(from, to int, data []byte, owned bool) decision {
 		if ls.bad {
 			dropP = ph.Burst.DropBad
 		}
-		if dropP > 0 && f.roll(from, to, seq, saltGEDrop) < dropP {
-			event(&f.counts.BurstDrops)
-			return d
+		if dropP > 0 && m.roll(from, to, seq, saltGEDrop) < dropP {
+			event(&m.counts.BurstDrops)
+			fate.Drop = true
+			return fate
 		}
 	}
-	if ph.Drop > 0 && f.roll(from, to, seq, saltDrop) < ph.Drop {
-		event(&f.counts.Dropped)
-		return d
+	if ph.Drop > 0 && m.roll(from, to, seq, saltDrop) < ph.Drop {
+		event(&m.counts.Dropped)
+		fate.Drop = true
+		return fate
 	}
-	if ph.Reorder > 0 && f.roll(from, to, seq, saltReorder) < ph.Reorder {
-		span := ph.ReorderSpan
-		if span <= 0 {
-			span = 1
+	if ph.Reorder > 0 && m.roll(from, to, seq, saltReorder) < ph.Reorder {
+		fate.Hold = ph.ReorderSpan
+		if fate.Hold <= 0 {
+			fate.Hold = 1
 		}
+		event(&m.counts.Reordered)
+		return fate
+	}
+	if ph.Dup > 0 && m.roll(from, to, seq, saltDup) < ph.Dup {
+		event(&m.counts.Duplicated)
+		fate.Dup = true
+	}
+	if ph.Delay > 0 && ph.DelayP > 0 && m.roll(from, to, seq, saltDelayP) < ph.DelayP {
+		frac := m.roll(from, to, seq, saltDelayD)
+		fate.Delay = time.Duration(frac * float64(ph.Delay))
+		if fate.Delay <= 0 {
+			fate.Delay = time.Nanosecond
+		}
+		event(&m.counts.Delayed)
+	}
+	return fate
+}
+
+// ChaosFabric applies one FaultModel to live traffic. Wrap every
+// participant's Conn with Wrap; the model keys its state by the directed
+// (src, dst) pair, so a scenario describes the whole network. The fabric
+// itself keeps only the messages held back for reordering.
+type ChaosFabric struct {
+	mu    sync.Mutex
+	model *FaultModel
+	held  map[linkKey][]heldEntry
+}
+
+// heldEntry is one message held back for reordering. data is a pooled
+// buffer the fabric owns until the entry is released (sent) or its sender
+// closes.
+type heldEntry struct {
+	to     int
+	data   []byte
+	dueSeq int // release with the link's message of this seq
+}
+
+// NewChaosFabric creates the shared injector for a scenario.
+func NewChaosFabric(sc Scenario) *ChaosFabric {
+	return &ChaosFabric{model: NewFaultModel(sc), held: make(map[linkKey][]heldEntry)}
+}
+
+// Counts returns a snapshot of the injection tallies.
+func (f *ChaosFabric) Counts() EventCounts {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.model.Counts()
+}
+
+// WindowEvents returns the model's replay fingerprint (see
+// FaultModel.WindowEvents).
+func (f *ChaosFabric) WindowEvents() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.model.WindowEvents()
+}
+
+// Wrap returns a Conn that routes inner's outgoing traffic through the
+// fabric. Recv, LocalID, and Close pass through.
+func (f *ChaosFabric) Wrap(inner Conn) *ChaosConn {
+	return &ChaosConn{f: f, inner: inner}
+}
+
+// decide takes one message's fate and the held messages due with it.
+// owned says the caller is giving data away (SendBatch): a held message
+// then keeps the buffer itself, where a borrowed one (Send) is copied.
+// Due held messages are released whatever the current message's fate,
+// preserving the bounded-reorder guarantee.
+func (f *ChaosFabric) decide(from, to int, data []byte, owned bool) (Fate, []heldEntry) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fate := f.model.Next(from, to)
+	key := linkKey{from, to}
+	var releases []heldEntry
+	rest := f.held[key][:0]
+	for _, h := range f.held[key] {
+		if h.dueSeq <= fate.seq {
+			releases = append(releases, h)
+		} else {
+			rest = append(rest, h)
+		}
+	}
+	if fate.Hold > 0 {
 		buf := data
 		if !owned {
 			buf = GetBuf(len(data))
 			copy(buf, data)
 		}
-		ls.held = append(ls.held, heldEntry{to: to, data: buf, dueSeq: ls.seq + span})
-		event(&f.counts.Reordered)
-		d.hold = true
-		return d
+		rest = append(rest, heldEntry{to: to, data: buf, dueSeq: fate.seq + fate.Hold})
 	}
-	d.send = true
-	if ph.Dup > 0 && f.roll(from, to, seq, saltDup) < ph.Dup {
-		event(&f.counts.Duplicated)
-		d.dup = true
-	}
-	if ph.Delay > 0 && ph.DelayP > 0 && f.roll(from, to, seq, saltDelayP) < ph.DelayP {
-		frac := f.roll(from, to, seq, saltDelayD)
-		d.delay = time.Duration(frac * float64(ph.Delay))
-		if d.delay <= 0 {
-			d.delay = time.Nanosecond
-		}
-		event(&f.counts.Delayed)
-	}
-	return d
+	f.held[key] = rest
+	return fate, releases
 }
 
 // ChaosConn routes one endpoint's sends through its fabric.
@@ -342,34 +378,34 @@ type ChaosConn struct {
 
 // Send applies the scenario to one outgoing message.
 func (c *ChaosConn) Send(to int, data []byte) error {
-	d := c.f.decide(c.inner.LocalID(), to, data, false)
+	fate, releases := c.f.decide(c.inner.LocalID(), to, data, false)
 	var err error
-	if d.send {
-		if d.delay > 0 {
-			c.sendLater(to, data, d)
+	if !fate.Drop && fate.Hold == 0 {
+		if fate.Delay > 0 {
+			c.sendLater(to, data, fate)
 		} else {
 			err = c.inner.Send(to, data)
-			if err == nil && d.dup {
+			if err == nil && fate.Dup {
 				err = c.inner.Send(to, data)
 			}
 		}
 	}
-	if e := c.sendHeld(d.releases); e != nil && err == nil {
+	if e := c.sendHeld(releases); e != nil && err == nil {
 		err = e
 	}
 	return err
 }
 
-// sendLater delivers a private copy of data after d.delay. A delayed
+// sendLater delivers a private copy of data after fate.Delay. A delayed
 // message outlives the call either way, so it never keeps the caller's
 // buffer; delivery errors after close are unreportable and intentionally
 // dropped, like a packet dying in flight.
-func (c *ChaosConn) sendLater(to int, data []byte, d decision) {
+func (c *ChaosConn) sendLater(to int, data []byte, fate Fate) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	time.AfterFunc(d.delay, func() {
+	time.AfterFunc(fate.Delay, func() {
 		_ = c.inner.Send(to, buf)
-		if d.dup {
+		if fate.Dup {
 			_ = c.inner.Send(to, buf)
 		}
 	})
@@ -404,22 +440,23 @@ func (c *ChaosConn) SendBatch(msgs []Outgoing) error {
 	from := c.inner.LocalID()
 	out := make([]Outgoing, 0, len(msgs))
 	for _, m := range msgs {
-		d := c.f.decide(from, m.To, m.Data, true)
+		fate, releases := c.f.decide(from, m.To, m.Data, true)
 		switch {
-		case d.send && d.delay > 0:
-			c.sendLater(m.To, m.Data, d)
+		case fate.Drop:
 			PutBuf(m.Data)
-		case d.send:
+		case fate.Hold > 0: // the fabric keeps the buffer until release
+		case fate.Delay > 0:
+			c.sendLater(m.To, m.Data, fate)
+			PutBuf(m.Data)
+		default:
 			out = append(out, m)
-			if d.dup {
+			if fate.Dup {
 				buf := GetBuf(len(m.Data))
 				copy(buf, m.Data)
 				out = append(out, Outgoing{To: m.To, Data: buf})
 			}
-		case !d.hold:
-			PutBuf(m.Data)
 		}
-		for _, h := range d.releases {
+		for _, h := range releases {
 			out = append(out, Outgoing{To: h.to, Data: h.data})
 		}
 	}
@@ -433,10 +470,10 @@ func (c *ChaosConn) takeHeld() []heldEntry {
 	c.f.mu.Lock()
 	defer c.f.mu.Unlock()
 	var rel []heldEntry
-	for k, ls := range c.f.links {
+	for k, held := range c.f.held {
 		if k.from == from {
-			rel = append(rel, ls.held...)
-			ls.held = nil
+			rel = append(rel, held...)
+			delete(c.f.held, k)
 		}
 	}
 	return rel

@@ -11,49 +11,14 @@ import (
 	"time"
 )
 
-// TCPOptions tunes connection establishment. The zero value picks the
-// defaults noted on each field, which reproduce the historical behavior
-// (2 s dial timeout, 50 attempts spaced 100 ms apart).
-type TCPOptions struct {
-	// DialTimeout bounds each individual dial attempt. Default 2s.
-	DialTimeout time.Duration
-	// DialAttempts is the number of dial attempts before Send fails
-	// (peers may come up in any order, so first contact retries).
-	// Default 50; values < 1 are treated as 1.
-	DialAttempts int
-	// DialBackoff is the wait after the first failed attempt. Default
-	// 100ms.
-	DialBackoff time.Duration
-	// DialBackoffMax caps the exponentially growing wait between
-	// attempts. Default: equal to DialBackoff, i.e. fixed spacing.
-	DialBackoffMax time.Duration
-	// DialContext cancels in-progress dials and retry waits (for
-	// example on process shutdown). Default context.Background().
-	DialContext context.Context
-}
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.DialAttempts < 1 {
-		if o.DialAttempts == 0 {
-			o.DialAttempts = 50
-		} else {
-			o.DialAttempts = 1
-		}
-	}
-	if o.DialBackoff <= 0 {
-		o.DialBackoff = 100 * time.Millisecond
-	}
-	if o.DialBackoffMax <= 0 {
-		o.DialBackoffMax = o.DialBackoff
-	}
-	if o.DialContext == nil {
-		o.DialContext = context.Background()
-	}
-	return o
-}
+// Connection establishment: peers may come up in any order, so first
+// contact retries — up to dialAttempts dials of at most dialTimeout each,
+// dialSpacing apart — until it connects or Close cancels it.
+const (
+	dialTimeout  = 2 * time.Second
+	dialAttempts = 50
+	dialSpacing  = 100 * time.Millisecond
+)
 
 // TCP is a reliable message transport over a full mesh of TCP
 // connections, the cross-process stand-in for the paper's RDMA RC mode.
@@ -61,7 +26,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // peer once and announces its ID in an 8-byte hello frame.
 type TCP struct {
 	id       int
-	opts     TCPOptions
 	addrs    map[int]string
 	ln       net.Listener
 	recvCh   chan Message
@@ -69,8 +33,10 @@ type TCP struct {
 	outbound map[int]*tcpPeer
 	dialing  map[int]chan struct{} // in-progress dials, keyed by peer
 	inbound  map[net.Conn]struct{}
-	closed   chan struct{}
-	wg       sync.WaitGroup
+	// ctx is cancelled by Close, which ends every dial, wait and loop.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 var _ Conn = (*TCP)(nil)
@@ -84,31 +50,23 @@ type tcpPeer struct {
 // MaxFrame bounds accepted message sizes to catch stream corruption.
 const MaxFrame = 64 << 20
 
-// NewTCP creates a TCP endpoint for node id listening on addrs[id] with
-// default dial options. It returns once the listener is active;
-// connections to peers are established lazily on first Send and by
-// inbound dials.
+// NewTCP creates a TCP endpoint for node id listening on addrs[id]. It
+// returns once the listener is active; connections to peers are
+// established lazily on first Send and by inbound dials.
 func NewTCP(id int, addrs map[int]string) (*TCP, error) {
-	return NewTCPWithOptions(id, addrs, TCPOptions{})
-}
-
-// NewTCPWithOptions is NewTCP with explicit connection-establishment
-// tuning (dial timeout, retry count, backoff, cancellation).
-func NewTCPWithOptions(id int, addrs map[int]string, opts TCPOptions) (*TCP, error) {
 	ln, err := net.Listen("tcp", addrs[id])
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addrs[id], err)
 	}
 	t := &TCP{
 		id:       id,
-		opts:     opts.withDefaults(),
 		ln:       ln,
 		recvCh:   make(chan Message, 1024),
 		outbound: make(map[int]*tcpPeer),
 		dialing:  make(map[int]chan struct{}),
 		inbound:  make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
 	}
+	t.ctx, t.cancel = context.WithCancel(context.Background())
 	t.addrs = make(map[int]string, len(addrs))
 	for id, a := range addrs {
 		t.addrs[id] = a
@@ -176,7 +134,7 @@ func (t *TCP) readLoop(c net.Conn, from int) {
 		}
 		select {
 		case t.recvCh <- Message{From: from, Data: buf}:
-		case <-t.closed:
+		case <-t.ctx.Done():
 			PutBuf(buf)
 			return
 		}
@@ -186,7 +144,7 @@ func (t *TCP) readLoop(c net.Conn, from int) {
 // Send frames and writes data to the peer, dialing on first use.
 func (t *TCP) Send(to int, data []byte) error {
 	select {
-	case <-t.closed:
+	case <-t.ctx.Done():
 		return ErrClosed
 	default:
 	}
@@ -227,7 +185,7 @@ func (t *TCP) peer(to int) (*tcpPeer, error) {
 			t.mu.Unlock()
 			select {
 			case <-wait:
-			case <-t.closed:
+			case <-t.ctx.Done():
 				return nil, ErrClosed
 			}
 			continue
@@ -253,7 +211,7 @@ func (t *TCP) peer(to int) (*tcpPeer, error) {
 			return existing, nil
 		}
 		select {
-		case <-t.closed:
+		case <-t.ctx.Done():
 			t.mu.Unlock()
 			p.c.Close()
 			return nil, ErrClosed
@@ -271,7 +229,7 @@ func (t *TCP) peer(to int) (*tcpPeer, error) {
 }
 
 // dialPeer establishes and greets one outbound connection, retrying per
-// the transport's TCPOptions. It runs without t.mu held.
+// the dial schedule above. It runs without t.mu held.
 func (t *TCP) dialPeer(to int, addr string) (*tcpPeer, error) {
 	c, err := t.dial(addr)
 	if err != nil {
@@ -286,40 +244,29 @@ func (t *TCP) dialPeer(to int, addr string) (*tcpPeer, error) {
 	return &tcpPeer{w: bufio.NewWriterSize(c, 1<<16), c: c}, nil
 }
 
-// dial attempts addr up to DialAttempts times with exponential backoff
-// between attempts (capped at DialBackoffMax), respecting DialContext
-// cancellation and transport shutdown. Peers may come up in any order,
-// so first contact commonly needs a few retries.
+// dial attempts addr up to dialAttempts times, dialSpacing apart; Close
+// cancels it mid-dial or mid-wait.
 func (t *TCP) dial(addr string) (net.Conn, error) {
-	o := t.opts
-	d := net.Dialer{Timeout: o.DialTimeout}
-	backoff := o.DialBackoff
+	d := net.Dialer{Timeout: dialTimeout}
 	var lastErr error
-	for i := 0; i < o.DialAttempts; i++ {
+	for i := 0; i < dialAttempts; i++ {
 		if i > 0 {
-			timer := time.NewTimer(backoff)
+			timer := time.NewTimer(dialSpacing)
 			select {
 			case <-timer.C:
-			case <-o.DialContext.Done():
-				timer.Stop()
-				return nil, o.DialContext.Err()
-			case <-t.closed:
+			case <-t.ctx.Done():
 				timer.Stop()
 				return nil, ErrClosed
 			}
-			backoff *= 2
-			if backoff > o.DialBackoffMax {
-				backoff = o.DialBackoffMax
-			}
 		}
-		c, err := d.DialContext(o.DialContext, "tcp", addr)
+		c, err := d.DialContext(t.ctx, "tcp", addr)
 		if err == nil {
 			return c, nil
 		}
-		lastErr = err
-		if o.DialContext.Err() != nil {
-			return nil, lastErr
+		if t.ctx.Err() != nil {
+			return nil, ErrClosed
 		}
+		lastErr = err
 	}
 	return nil, lastErr
 }
@@ -341,7 +288,7 @@ func (t *TCP) Recv() (Message, error) {
 	select {
 	case m := <-t.recvCh:
 		return m, nil
-	case <-t.closed:
+	case <-t.ctx.Done():
 		select {
 		case m := <-t.recvCh:
 			return m, nil
@@ -362,13 +309,11 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 // pooled memory.
 func (t *TCP) Close() error {
 	t.mu.Lock()
-	select {
-	case <-t.closed:
+	if t.ctx.Err() != nil {
 		t.mu.Unlock()
 		return nil
-	default:
-		close(t.closed)
 	}
+	t.cancel()
 	err := t.ln.Close()
 	for _, p := range t.outbound {
 		p.c.Close()

@@ -10,7 +10,8 @@
 //   - a TCP message transport (reliable and ordered across processes),
 //   - a UDP datagram transport (unreliable, exercising loss recovery), and
 //   - a seeded chaos fabric (ChaosFabric) that wraps any transport and
-//     injects loss, duplication, reordering, delay and partitions.
+//     injects loss, duplication, reordering, delay and partitions, as
+//     decided by FaultModel, which the netsim simulator shares.
 //
 // All transports move opaque []byte messages between small-integer node
 // IDs; the wire package defines what is inside the messages.
