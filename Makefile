@@ -103,8 +103,9 @@ short-race: vet
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/core/ ./internal/transport/
 
-# Continuous fuzzing of the zero-block kernel and of everything decoded
-# off the network (FUZZTIME to override): the data decoders, the view and
+# Continuous fuzzing of the zero-block and AddF32 kernels (AddF32 against
+# the portable Go loop, bit for bit) and of everything decoded off the
+# network (FUZZTIME to override): the data decoders, the view and
 # control planes, and the standby's mirror-frame handler. The data targets
 # hold the view decoders to the copying ones at buffer offsets 0-3; all
 # decoder targets are built with checkptr so that a view reaching outside
@@ -112,6 +113,7 @@ chaos:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzZeroBlock -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzAddF32 -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeSparsePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeView -fuzztime $(FUZZTIME) ./internal/wire/
@@ -140,20 +142,25 @@ fuzz:
 # allocs/op or >35% loss in MB/s (throughput is the noisier metric) fails
 # the tier. Of the decoders, the copying DecodePacketInto and the live
 # path's DecodePacketView are gated; the allocating DecodePacket is
-# recorded only (it measures the collector).
+# recorded only (it measures the collector). Three rungs at the live shape
+# explain the dense floor and are gated too: BenchmarkAggregatorStep (one
+# round of view decodes and aggregator machine steps at Defaults()' 32 x 4
+# with 2 workers, ns/op = ns per round), BenchmarkPacketDecodeViewCold (a
+# 32 x 256 packet from a set larger than L2; the DecodePacketView prefix
+# gates it) and BenchmarkDenseAdd's block=256 and span=4MiB rows.
 bench:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceSparseLive$$' -benchmem -benchtime 50x -count=3 . ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkSparseMerge$$' -benchmem -count=3 ./internal/protocol/ ; \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkSparseMerge|BenchmarkAggregatorStep)$$' -benchmem -count=3 ./internal/protocol/ ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 10x . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPacketShape$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFailoverHandoff$$' -benchtime 5x . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCheckpointTax$$' -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x -count=3 . ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView)$$' -benchmem -count=3 ./internal/wire/ ; \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView|BenchmarkPacketDecodeViewCold)$$' -benchmem -count=3 ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem -count=3 ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \
-	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap' \
+	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkAggregatorStep,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap,BenchmarkDenseAdd' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
 

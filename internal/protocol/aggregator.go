@@ -248,12 +248,12 @@ type aggSlot struct {
 	lastResSize int
 	finished    bool
 
-	// shells/arenas are the slot's two reusable result packets and their
-	// block-payload arenas, flipped each finished round: the shell emitted
-	// for round r is only rebuilt at round r+2, after the driver consumed
-	// it (and after any stale-round replay of it went out).
+	// shells are the slot's two reusable result packets, flipped each
+	// finished round: the shell emitted for round r is only rebuilt at
+	// round r+2, after the driver consumed it (and after any stale-round
+	// replay of it went out). Their block payloads are the columns'
+	// accumulators themselves (accum.take), on the same two-round lifetime.
 	shells [2]wire.Packet
-	arenas [2][]float32
 	flip   int
 }
 
@@ -613,8 +613,9 @@ func (sl *aggSlot) merge(p *wire.Packet, wid int) error {
 // finishRound emits the multicast result for a completed round into eb
 // and advances or finishes the slot. sl.mins[c] holds the new global next
 // for column c; round is the concluded round's number. The result packet
-// is the slot's flipped shell with block payloads carved from its arena —
-// consumed by the driver before the shell's next rewrite two rounds out.
+// is the slot's flipped shell, and each block's payload is its column's
+// accumulator, handed over rather than copied — both consumed by the
+// driver before they are rewritten two rounds out.
 func (m *AggregatorMachine) finishRound(sl *aggSlot, slot uint16, round uint8, eb *EmitBuf) error {
 	sl.flip ^= 1
 	res := &sl.shells[sl.flip]
@@ -630,21 +631,10 @@ func (m *AggregatorMachine) finishRound(sl *aggSlot, slot uint16, round uint8, e
 	res.WID = uint16(m.localID & 0xFFFF)
 	res.TensorID = sl.tensorID
 	res.BlockSize = uint32(sl.blockSize)
-	// Block payloads are carved from the shell's arena. If the arena
-	// reallocates mid-loop, earlier blocks keep reading the old backing
-	// (their copied values are intact there) and the grown capacity is
-	// kept for the next use of this shell, so the steady state stops
-	// reallocating.
-	arena := sl.arenas[sl.flip][:0]
 	allDone := true
 	for c := 0; c < sl.cols; c++ {
 		if sl.cur[c] != nextUnknown && sl.cur[c] != nextDone {
-			start := len(arena)
-			arena = sl.acc[c].appendResult(arena)
-			res.Blocks = append(res.Blocks, wire.Block{
-				Index: uint32(sl.cur[c]),
-				Data:  arena[start:len(arena):len(arena)],
-			})
+			res.Blocks = append(res.Blocks, wire.Block{Index: uint32(sl.cur[c]), Data: sl.acc[c].take()})
 		}
 		min := sl.mins[c]
 		if sl.cur[c] == nextDone {
@@ -661,7 +651,6 @@ func (m *AggregatorMachine) finishRound(sl *aggSlot, slot uint16, round uint8, e
 		sl.acc[c].reset()
 		sl.minNext[c] = nextDone
 	}
-	sl.arenas[sl.flip] = arena
 	size := wire.EncodedPacketSize(res)
 	sl.lastRes = res
 	sl.lastResSize = size
@@ -804,9 +793,18 @@ func (m *AggregatorMachine) AdoptResult(p *wire.Packet) bool {
 		for c, n := range p.Nexts {
 			sl.cur[c] = decodeNext(n)
 		}
+		// The copy goes where finishRound would have left the result: the
+		// flipped shell, with each block in its column's accumulator.
 		sl.flip ^= 1
-		sl.lastRes = &sl.shells[sl.flip]
-		sl.arenas[sl.flip] = wire.CopyPacketInto(sl.lastRes, sl.arenas[sl.flip], p)
+		res := &sl.shells[sl.flip]
+		nexts, blocks := res.Nexts[:0], res.Blocks[:0]
+		*res = *p
+		res.Nexts = append(nexts, p.Nexts...)
+		for _, b := range p.Blocks {
+			blocks = append(blocks, wire.Block{Index: b.Index, Data: sl.acc[ColOf(b.Index, cols)].adopt(b.Data)})
+		}
+		res.Blocks = blocks
+		sl.lastRes = res
 		sl.lastResSize = wire.EncodedPacketSize(p)
 	}
 	// The archive is sized on at most ArchiveDepth tensors of a namespace
@@ -880,10 +878,17 @@ func (m *AggregatorMachine) Held() int {
 // float32 summation, fixed-point (switch-mode) summation, and
 // deterministic worker-ID-ordered reduction. All backing arrays are
 // retained across rounds and tensors (init/reset truncate, never free).
+//
+// Every mode ends a round with its sum in f, and take hands f out as the
+// result block's payload: no copy. f and prev are the two float arrays the
+// accumulator alternates between, so round r's sum stays intact while
+// round r+1 collects into the other one, and is overwritten only when
+// round r+2 starts collecting — the lifetime of the result shells.
 type accum struct {
 	det   bool
 	scale float64
 	f     []float32
+	prev  []float32 // the last sum taken (or adopted)
 	q     []int64
 	// Deterministic mode: per[wid] is worker wid's block copy for the
 	// current round (nil = absent), carved from arena. If arena
@@ -927,6 +932,7 @@ func (a *accum) add(wid int, data []float32) {
 		}
 		return
 	}
+	a.reserve(len(data))
 	if len(a.f) == 0 {
 		// The round's first contribution is the sum so far: copy it, where
 		// zero-extending and adding would touch the block twice (and turn
@@ -940,40 +946,61 @@ func (a *accum) add(wid int, data []float32) {
 	tensor.AddF32(a.f, data)
 }
 
-// appendResult appends the round's aggregate to dst and returns the
-// extended slice. Deterministic mode folds worker contributions in
-// ascending worker-ID order (the same float-op sequence as summing a
-// sorted map), so results are bit-identical run to run.
-func (a *accum) appendResult(dst []float32) []float32 {
-	if a.det {
-		start := len(dst)
-		for w := 0; w < len(a.per); w++ {
-			d := a.per[w]
+// take returns the round's aggregate and starts the next round in the
+// other array. The returned slice is valid until the round after next
+// starts accumulating. Deterministic mode folds worker contributions into
+// f in ascending worker-ID order (the same float-op sequence as summing a
+// sorted map), so results are bit-identical run to run; quantized mode
+// converts its fixed-point sums into f.
+func (a *accum) take() []float32 {
+	switch {
+	case a.det:
+		for _, d := range a.per {
 			if d == nil {
 				continue
 			}
-			for len(dst)-start < len(d) {
-				dst = append(dst, 0)
+			a.reserve(len(d))
+			for len(a.f) < len(d) {
+				a.f = append(a.f, 0)
 			}
-			out := dst[start:]
 			if a.scale != 0 {
 				// Deterministic + quantized: quantize each contribution.
 				for i, v := range d {
-					out[i] += float32(math.RoundToEven(float64(v)*a.scale) / a.scale)
+					a.f[i] += float32(math.RoundToEven(float64(v)*a.scale) / a.scale)
 				}
 			} else {
-				tensor.AddF32(out, d)
+				tensor.AddF32(a.f, d)
 			}
 		}
-		return dst
-	}
-	if a.scale != 0 {
+	case a.scale != 0:
+		a.reserve(len(a.q))
 		for _, v := range a.q {
-			dst = append(dst, float32(float64(v)/a.scale))
+			a.f = append(a.f, float32(float64(v)/a.scale))
 		}
-		return dst
 	}
-	return append(dst, a.f...)
+	sum := a.f
+	a.f, a.prev = a.prev, sum
+	a.reset()
+	return sum[:len(sum):len(sum)]
+}
+
+// reserve gives f room for n elements. When f is too small it allocates f
+// and prev together, since prev is needed as soon as f is taken; the
+// dropped prev, if any, lives on as the last result's payload.
+func (a *accum) reserve(n int) {
+	if cap(a.f) < n {
+		pair := make([]float32, 2*n)
+		a.f = append(pair[:0:n], a.f...)
+		a.prev = pair[n : n : 2*n]
+	}
+}
+
+// adopt makes a copy of data the last sum taken, as if this accumulator
+// had concluded the round that produced it, and returns the copy; the
+// round being collected is untouched.
+func (a *accum) adopt(data []float32) []float32 {
+	a.prev = append(a.prev[:0], data...)
+	return a.prev[:len(data):len(data)]
 }
 
 func (a *accum) reset() {

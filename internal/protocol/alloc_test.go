@@ -10,9 +10,9 @@ import (
 
 // Steady-state allocation pins for the machines themselves. The protocol
 // machines promise zero-allocation rounds once their pooled state has
-// warmed up: slot and stream buffers are generation-recycled, accumulator
-// storage is carved from per-slot arenas, and emitted packets are reusable
-// shells. These tests drive worker and aggregator machines round by round
+// warmed up: slot and stream buffers are generation-recycled, each
+// column's accumulator alternates between two arrays and is handed over as
+// the result's payload, and emitted packets are reusable shells. These tests drive worker and aggregator machines round by round
 // with no transport underneath, so any allocation observed comes from the
 // machines (or the EmitBuf, which is part of the same contract).
 

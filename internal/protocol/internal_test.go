@@ -87,14 +87,16 @@ func TestAccumFloat(t *testing.T) {
 	a := newAccum(Config{})
 	a.add(1, []float32{1, 2})
 	a.add(0, []float32{10, 20, 30}) // longer contribution grows the slot
-	got := a.appendResult(nil)
+	got := a.take()
 	if len(got) != 3 || got[0] != 11 || got[1] != 22 || got[2] != 30 {
 		t.Fatalf("result = %v", got)
 	}
-	a.reset()
 	a.add(0, []float32{5})
-	if got := a.appendResult(nil); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("after reset: %v", got)
+	if next := a.take(); len(next) != 1 || next[0] != 5 {
+		t.Fatalf("next round: %v", next)
+	}
+	if got[0] != 11 || got[2] != 30 {
+		t.Fatalf("the next round overwrote the last one's sum: %v", got)
 	}
 }
 
@@ -102,7 +104,7 @@ func TestAccumQuantized(t *testing.T) {
 	a := newAccum(Config{QuantizeScale: 4}) // quarter resolution
 	a.add(0, []float32{0.1})                // 0.1*4 = 0.4 rounds to 0
 	a.add(1, []float32{0.5})                // 0.5*4 = 2
-	got := a.appendResult(nil)
+	got := a.take()
 	if len(got) != 1 {
 		t.Fatalf("result = %v", got)
 	}
@@ -123,7 +125,7 @@ func TestAccumDeterministicOrder(t *testing.T) {
 		for _, w := range order {
 			a.add(w, vals[w])
 		}
-		return a.appendResult(nil)
+		return a.take()
 	}
 	r1 := mk([]int{0, 1, 2, 3})
 	r2 := mk([]int{3, 2, 1, 0})
@@ -137,7 +139,7 @@ func TestAccumDeterministicQuantized(t *testing.T) {
 	a := newAccum(Config{DeterministicOrder: true, QuantizeScale: 1 << 10})
 	a.add(1, []float32{0.25})
 	a.add(0, []float32{0.5})
-	got := a.appendResult(nil)
+	got := a.take()
 	if math.Abs(float64(got[0])-0.75) > 1e-3 {
 		t.Fatalf("det+quant = %v", got)
 	}

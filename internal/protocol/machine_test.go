@@ -601,3 +601,132 @@ func TestSparseMachineTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestResultLifetime pins how long a result's payload lives now that it is
+// the accumulator itself (accum.take): round r's sum must survive round
+// r+1 collecting into the other array, in both modes — a versioned
+// aggregator replays round r's result to a straggler while round r+1 is
+// under way, and round r's emitted packet still reads round r's sum once
+// round r+1 has closed. Round r+2 then collects into round r's array, which
+// is the swap: the result is handed over, never copied. Every packet's
+// payload is overwritten with NaNs as soon as HandlePacket returns, as a
+// live driver's released buffer may be.
+func TestResultLifetime(t *testing.T) {
+	const bs, cols, rows, workers = 4, 2, 6, 2
+	rng := rand.New(rand.NewSource(31))
+	vals := make([][]float32, workers) // vals[w][block*bs+i]
+	for w := range vals {
+		vals[w] = make([]float32, rows*cols*bs)
+		for i := range vals[w] {
+			vals[w][i] = float32(rng.NormFloat64())
+		}
+	}
+	// send hands the aggregator worker w's packet for row (its round),
+	// stamped with round number version.
+	send := func(t *testing.T, am *AggregatorMachine, eb *EmitBuf, w, row int, version uint8) {
+		t.Helper()
+		p := &wire.Packet{Type: wire.TypeData, Version: version, WID: uint16(w), TensorID: 1,
+			BlockSize: bs, Nexts: make([]uint32, cols)}
+		for c := 0; c < cols; c++ {
+			b := row*cols + c
+			p.Blocks = append(p.Blocks, wire.Block{Index: uint32(b),
+				Data: append([]float32(nil), vals[w][b*bs:(b+1)*bs]...)})
+			p.Nexts[c] = uint32(b + cols)
+			if row == rows-1 {
+				p.Nexts[c] = wire.Inf(c)
+			}
+		}
+		eb.Reset()
+		if err := am.HandlePacket(Msg{Dense: p}, eb); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range p.Blocks {
+			for i := range b.Data {
+				b.Data[i] = float32(math.NaN())
+			}
+		}
+	}
+	// sum is row's exact result, as bits.
+	sum := func(row int) [][]uint32 {
+		var out [][]uint32
+		for c := 0; c < cols; c++ {
+			b := row*cols + c
+			var blk []uint32
+			for i := 0; i < bs; i++ {
+				blk = append(blk, math.Float32bits(vals[0][b*bs+i]+vals[1][b*bs+i]))
+			}
+			out = append(out, blk)
+		}
+		return out
+	}
+	check := func(t *testing.T, what string, p *wire.Packet, row int) {
+		t.Helper()
+		want := sum(row)
+		if len(p.Blocks) != cols {
+			t.Fatalf("%s: %d blocks, want %d", what, len(p.Blocks), cols)
+		}
+		for c, b := range p.Blocks {
+			for i, v := range b.Data {
+				if math.Float32bits(v) != want[c][i] {
+					t.Fatalf("%s: block %d elem %d = %v, want round %d's sum %v",
+						what, b.Index, i, v, row, math.Float32frombits(want[c][i]))
+				}
+			}
+		}
+	}
+	// result returns the packet of the round eb's call concluded.
+	result := func(t *testing.T, eb *EmitBuf) *wire.Packet {
+		t.Helper()
+		if e := Committed(eb.Emits()); e != nil {
+			return e.Packet
+		}
+		t.Fatal("the round did not close")
+		return nil
+	}
+
+	for _, reliable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reliable=%v", reliable), func(t *testing.T) {
+			cfg := Config{Workers: workers, Aggregators: []int{aggNode}, Reliable: reliable,
+				BlockSize: bs, FusionWidth: cols, Streams: 1}.WithDefaults()
+			am := NewAggregatorMachine(cfg, aggNode)
+			var eb EmitBuf
+			const r = 2 // rounds 0 and 1 first warm both arrays of every column
+			var kept *wire.Packet
+			for row := 0; row <= r; row++ {
+				send(t, am, &eb, 0, row, uint8(row))
+				send(t, am, &eb, 1, row, uint8(row))
+				kept = result(t, &eb)
+			}
+			check(t, "round r's result", kept, r)
+
+			send(t, am, &eb, 0, r+1, r+1)
+			if !reliable {
+				// Worker 1 missed result r and retransmits its round-r packet
+				// while round r+1 is collecting.
+				send(t, am, &eb, 1, r, r)
+				if eb.Len() != 1 {
+					t.Fatalf("stale packet drew %d emits, want one replay", eb.Len())
+				}
+				check(t, "replay of round r during round r+1", eb.Emits()[0].Packet, r)
+			}
+			send(t, am, &eb, 1, r+1, r+1)
+			next := result(t, &eb)
+			check(t, "round r+1's result", next, r+1)
+			check(t, "round r's result after round r+1 closed", kept, r)
+			if !reliable {
+				send(t, am, &eb, 0, r+1, r+1) // a stale round-(r+1) retransmission
+				check(t, "replay of round r+1 during round r+2", eb.Emits()[0].Packet, r+1)
+			}
+
+			send(t, am, &eb, 0, r+2, r+2)
+			send(t, am, &eb, 1, r+2, r+2)
+			third := result(t, &eb)
+			check(t, "round r+2's result", third, r+2)
+			for c := range third.Blocks {
+				if &third.Blocks[c].Data[0] != &kept.Blocks[c].Data[0] {
+					t.Fatalf("column %d: round r+2 summed outside round r's array: the result was copied", c)
+				}
+			}
+		})
+	}
+}

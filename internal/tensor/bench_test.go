@@ -62,12 +62,26 @@ func benchBitmap(b *testing.B, scan func(*tensor.Dense, int) *tensor.Bitmap) {
 func BenchmarkComputeBitmap(b *testing.B)       { benchBitmap(b, tensor.ComputeBitmap) }
 func BenchmarkComputeBitmapSerial(b *testing.B) { benchBitmap(b, tensor.ComputeBitmapSerial) }
 
+// BenchmarkDenseAdd is the aggregator's merge kernel, tensor.AddF32, at
+// its two working sizes: one 256-element block, resident in L1 as a
+// received block and its accumulator are, and a 4 MiB span, where the add
+// is bound by memory as a whole tensor's is. MB/s counts the summand's
+// bytes.
 func BenchmarkDenseAdd(b *testing.B) {
-	x := benchTensor(1<<20, 1, 2)
-	y := benchTensor(1<<20, 1, 3)
-	b.SetBytes(int64(4 * x.Len()))
-	for i := 0; i < b.N; i++ {
-		x.Add(y)
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"block=256", 256}, {"span=4MiB", 1 << 20}} {
+		b.Run(c.name, func(b *testing.B) {
+			x := benchTensor(c.n, 1, 2)
+			y := benchTensor(c.n, 1, 3)
+			b.SetBytes(int64(4 * c.n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.AddF32(x.Data, y.Data)
+			}
+		})
 	}
 }
 

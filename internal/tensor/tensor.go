@@ -59,12 +59,12 @@ func (t *Dense) Scale(f float32) {
 	}
 }
 
-// addF32 is the hot loop for block accumulation: the per-element merge
-// cost every aggregator pays for every received block (the cost S2
-// Reducer targets). 4-way unrolled — four independent adds per iteration
-// with one bounds check, which the compiler schedules much better than
-// the rolled loop.
-func addF32(dst, src []float32) {
+// addF32Go is the portable form of the merge kernel: dst[i] += src[i]
+// over len(src) elements, 4-way unrolled (four independent adds per
+// iteration and one bounds check, which the compiler schedules much better
+// than the rolled loop). Targets without an assembly addF32 run it, and
+// the amd64 tests hold the SSE2 kernel to it bit for bit.
+func addF32Go(dst, src []float32) {
 	dst = dst[:len(src)]
 	for len(src) >= 4 {
 		d, s := dst[:4], src[:4]
@@ -81,11 +81,12 @@ func addF32(dst, src []float32) {
 }
 
 // AddF32 accumulates src into dst element-wise (dst[i] += src[i] over
-// len(src) elements; dst must be at least as long). It is the exported
-// form of the unrolled merge kernel, shared with the protocol
-// accumulators so every layer pays the same optimized per-element cost.
+// len(src) elements; dst must be at least as long). It is the merge
+// kernel every aggregator pays per element of every received block (the
+// cost S2 Reducer targets): SSE2 on amd64 (add_amd64.s), addF32Go
+// elsewhere, with identical results.
 func AddF32(dst, src []float32) {
-	addF32(dst, src)
+	addF32(dst[:len(src)], src)
 }
 
 // AddBlock accumulates src into t starting at element offset off. Panics if

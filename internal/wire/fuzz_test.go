@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"strconv"
@@ -119,7 +121,54 @@ func seedPackets() [][]byte {
 		Type: TypeSparseResult, TensorID: 3, NextKey: math.MaxInt32,
 		Keys: []int32{math.MinInt32, -1, math.MaxInt32}, Values: []float32{1, 2, 3},
 	}))
+	// A tensor's short tail block between full blocks in column order:
+	// the stride walk must hand it to the sequential one.
+	out = append(out, AppendPacket(nil, midTailPacket()))
 	return out
+}
+
+// midTailPacket is a 4-column packet of 8-element blocks whose second
+// block, in column order, is the 3-element tail of a 75-element tensor:
+// columns advance independently, so column 1 can reach the last row while
+// columns 2 and 3 are a row behind.
+func midTailPacket() *Packet {
+	p := &Packet{Type: TypeData, Version: 3, Slot: 1, WID: 1, TensorID: 6, BlockSize: 8,
+		Nexts: []uint32{Inf(0), Inf(1), 10, 11}}
+	for _, b := range []struct{ idx, n int }{{8, 8}, {9, 3}, {6, 8}, {7, 8}} {
+		d := make([]float32, b.n)
+		for i := range d {
+			d[i] = float32(b.idx*8+i) + 0.25
+		}
+		p.Blocks = append(p.Blocks, Block{Index: uint32(b.idx), Data: d})
+	}
+	return p
+}
+
+// checkWalksAgree holds the stride walk to the sequential one on buf: when
+// fullBlocks accepts a packet's block run, walkBlocks must accept it too,
+// with the total the stride walk assumes.
+func checkWalksAgree(t *testing.T, buf []byte) {
+	if len(buf) < headerLen {
+		return
+	}
+	cols := int(buf[2])
+	elemBytes := 4
+	if buf[3] == DTypeF16 {
+		elemBytes = 2
+	}
+	off := headerLen + 4*cols
+	if cols == 0 || cols > MaxCols || len(buf) < off {
+		return
+	}
+	mask := binary.LittleEndian.Uint64(buf[16:])
+	bs := binary.LittleEndian.Uint32(buf[12:])
+	k := bits.OnesCount64(mask)
+	if !fullBlocks(buf, off, k, bs, elemBytes) {
+		return
+	}
+	if total, err := walkBlocks(buf, off, mask, elemBytes); err != nil || total != k*int(bs) {
+		t.Fatalf("stride walk accepted %d blocks of %d; sequential walk: total %d, err %v", k, bs, total, err)
+	}
 }
 
 // chaosMutations derives deterministic corruptions of buf — the same
@@ -272,7 +321,8 @@ func checkSparseViewDecode(t *testing.T, buf []byte) {
 }
 
 // FuzzDecodePacket exercises the dense decoder on arbitrary and mutated
-// inputs: no panics ever, any buffer that decodes must survive an
+// inputs: no panics ever, the stride walk accepts nothing the sequential
+// walk would not (checkWalksAgree), any buffer that decodes must survive an
 // encode/decode round trip (byte-exact for float32 payloads), and the
 // recycled-state reuse path (DecodePacketInto over a dirty packet and
 // scratch arena) must agree with the fresh path exactly, as must the view
@@ -288,6 +338,7 @@ func FuzzDecodePacket(f *testing.F) {
 		dirty := &Packet{}
 		scratch, _ := DecodePacketInto(dirty, nil, seedPackets()[0])
 		check := func(b []byte) {
+			checkWalksAgree(t, b)
 			scratch = checkReuseDecode(t, dirty, scratch, b)
 			checkViewDecode(t, b)
 			p, err := DecodePacket(b)

@@ -18,6 +18,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Message types.
@@ -325,22 +326,20 @@ func decodePacket(p *Packet, scratch []float32, buf []byte, view bool) ([]float3
 	}
 
 	// First pass: validate the block structure and total the element
-	// counts before touching the arena. Element counts come off the wire
-	// as uint32, so all comparisons stay in uint64 — a hostile length
-	// cannot overflow int arithmetic on any platform, and nothing is
-	// allocated for a packet that fails validation.
-	total := 0
-	for m, o := mask, off; m != 0; m &= m - 1 {
-		if len(buf) < o+8 {
-			return scratch, ErrTruncated
+	// counts before touching the arena, and allocate nothing for a packet
+	// that fails. Almost every packet carries full blocks only, and then
+	// the headers sit one stride apart and can all be checked without
+	// reading one to find the next; anything else — a short tail block, a
+	// damaged length — takes the sequential walk, which decides.
+	k := bits.OnesCount64(mask)
+	var total int
+	if fullBlocks(buf, off, k, p.BlockSize, elemBytes) {
+		total = k * int(p.BlockSize)
+	} else {
+		var err error
+		if total, err = walkBlocks(buf, off, mask, elemBytes); err != nil {
+			return scratch, err
 		}
-		n := uint64(binary.LittleEndian.Uint32(buf[o+4:]))
-		o += 8
-		if n > uint64(len(buf)-o)/uint64(elemBytes) {
-			return scratch, ErrTruncated
-		}
-		o += elemBytes * int(n)
-		total += int(n)
 	}
 
 	// With float32 payloads every payload offset is a multiple of four
@@ -380,6 +379,49 @@ func decodePacket(p *Packet, scratch []float32, buf []byte, view bool) ([]float3
 		p.Blocks = append(p.Blocks, Block{Index: idx, Data: data})
 	}
 	return scratch, nil
+}
+
+// fullBlocks reports whether the k block headers that follow off in buf
+// all declare blockSize elements, with the blocks fitting in buf. Every
+// header's offset is then known before any is read — the i-th sits at
+// off + i×(8 + elemBytes×blockSize) — so the loads overlap, where a walk
+// that finds each header from the length before it waits out one cache
+// miss per block. It accepts a subset of what walkBlocks accepts, with the
+// same total.
+func fullBlocks(buf []byte, off, k int, blockSize uint32, elemBytes int) bool {
+	stride := 8 + uint64(elemBytes)*uint64(blockSize)
+	if uint64(k)*stride > uint64(len(buf)-off) {
+		return false
+	}
+	s := int(stride) // fits: k×stride fits in buf, and k > 0 if the loop runs
+	for i, o := 0, off+4; i < k; i, o = i+1, o+s {
+		if binary.LittleEndian.Uint32(buf[o:]) != blockSize {
+			return false
+		}
+	}
+	return true
+}
+
+// walkBlocks validates the block headers the presence mask announces
+// after off, each found from the length before it, and totals their
+// element counts. Counts come off the wire as uint32, so all comparisons
+// stay in uint64: a hostile length cannot overflow int arithmetic on any
+// platform.
+func walkBlocks(buf []byte, off int, mask uint64, elemBytes int) (int, error) {
+	total := 0
+	for ; mask != 0; mask &= mask - 1 {
+		if len(buf) < off+8 {
+			return 0, ErrTruncated
+		}
+		n := uint64(binary.LittleEndian.Uint32(buf[off+4:]))
+		off += 8
+		if n > uint64(len(buf)-off)/uint64(elemBytes) {
+			return 0, ErrTruncated
+		}
+		off += elemBytes * int(n)
+		total += int(n)
+	}
+	return total, nil
 }
 
 // SparsePacket is a decoded key-value message (Algorithm 3).

@@ -346,6 +346,78 @@ func BenchmarkPacketDecodeView(b *testing.B) {
 	}
 }
 
+// TestDecodeWalks covers both of decodePacket's validation walks. A packet
+// of full blocks is checked at the block stride; a short tail block in the
+// middle of a packet makes the stride walk give up and the sequential walk
+// decide, and the view and copying decoders must then agree with the
+// encoder. A packet one byte short is refused on each path: by the stride
+// walk's bounds check and then the sequential walk, and by a length
+// mismatch and then the sequential walk.
+func TestDecodeWalks(t *testing.T) {
+	full := &Packet{Type: TypeData, TensorID: 2, BlockSize: 8, Nexts: []uint32{Inf(0), 5, Inf(2)}}
+	for _, idx := range []uint32{0, 1, 2} {
+		full.Blocks = append(full.Blocks, Block{Index: idx, Data: make([]float32, 8)})
+	}
+	for _, tc := range []struct {
+		name   string
+		p      *Packet
+		stride bool // the stride walk accepts it
+	}{{"full blocks", full, true}, {"short tail mid-packet", midTailPacket(), false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := AppendPacket(nil, tc.p)
+			if got := fullBlocks(buf, headerLen+4*tc.p.Cols(), len(tc.p.Blocks), tc.p.BlockSize, 4); got != tc.stride {
+				t.Fatalf("stride walk accepts: %v, want %v", got, tc.stride)
+			}
+			var view, into Packet
+			if _, err := DecodePacketView(&view, nil, placeAt(buf, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodePacketInto(&into, nil, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !packetsEquivalent(&view, tc.p) || !packetsEquivalent(&into, tc.p) {
+				t.Fatalf("decoded\n view %+v\n into %+v\nwant %+v", &view, &into, tc.p)
+			}
+			checkViewDecode(t, buf)
+			short := buf[:len(buf)-1]
+			if _, err := DecodePacketView(&view, nil, placeAt(short, 0)); err != ErrTruncated {
+				t.Fatalf("view of a packet one byte short: err %v, want ErrTruncated", err)
+			}
+			if _, err := DecodePacketInto(&into, nil, short); err != ErrTruncated {
+				t.Fatalf("copy of a packet one byte short: err %v, want ErrTruncated", err)
+			}
+		})
+	}
+}
+
+// BenchmarkPacketDecodeViewCold is BenchmarkPacketDecodeView at the live
+// packet shape, 32 full blocks of 256, over a rotating set of 512 packets
+// (17 MB, well past L2): a live aggregator decodes a packet another core
+// just wrote, so its block headers are cache misses, not L1 hits.
+func BenchmarkPacketDecodeViewCold(b *testing.B) {
+	const cols, bs, set = 32, 256, 512
+	bufs := make([][]byte, set)
+	for i := range bufs {
+		p := &Packet{Type: TypeData, TensorID: uint32(i), BlockSize: bs, Nexts: make([]uint32, cols)}
+		for c := 0; c < cols; c++ {
+			p.Blocks = append(p.Blocks, Block{Index: uint32(c), Data: make([]float32, bs)})
+		}
+		bufs[i] = placeAt(AppendPacket(nil, p), 0)
+	}
+	var dst Packet
+	var scratch []float32
+	b.SetBytes(int64(4 * cols * bs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		scratch, err = DecodePacketView(&dst, scratch, bufs[i%set])
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestF16RoundTripExactValues(t *testing.T) {
 	// Values exactly representable in binary16 survive both directions.
 	for _, v := range []float32{0, 1, -1, 0.5, 2, -1024, 65504, 6.103515625e-05} {
