@@ -13,11 +13,14 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# The second line type-checks a big-endian target, the only kind of build
-# that compiles internal/wire's portable codecs (f32_portable.go); the last
-# fails if gofmt would change any file, bench/ included.
+# The second line vets the files built only with GOEXPERIMENT=synctest
+# (the virtual-time tests, which tier 1 does not compile); the third
+# type-checks a big-endian target, the only kind of build that compiles
+# internal/wire's portable codecs (f32_portable.go); the last fails if
+# gofmt would change any file, bench/ included.
 vet:
 	$(GO) vet ./...
+	GOEXPERIMENT=synctest $(GO) vet ./...
 	GOARCH=s390x $(GO) vet ./internal/wire ./internal/tensor
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
@@ -31,9 +34,12 @@ check:
 # Race tier: vet, the small-scope schedule check, the observability/
 # leak-audit suite, the timeline pipeline, the multi-tenant tier, the
 # elastic-membership failover tier, the benchmark module's own tests, then
-# the full test suite under the race detector.
+# the full test suite under the race detector with the virtual-time tests
+# built in, and the drift grid in virtual time twenty times over (it is
+# deterministic there, so one failure in twenty is a bug).
 race: vet check obs timeline tenants failover bench-selftest
-	$(GO) test -race ./...
+	GOEXPERIMENT=synctest $(GO) test -race ./...
+	GOEXPERIMENT=synctest $(GO) test -race -run 'TestSubstrateEquivalenceBubble' -count=20 ./internal/netsim/simproto/
 
 # bench/ is a nested module (omnireduce/bench), so `./...` from the root
 # never reaches it: a library API change can break the repository's
@@ -172,11 +178,15 @@ bench-all:
 # cluster vs the discrete-event simulator must produce identical
 # per-worker packet, block, and byte counts and bit-identical results,
 # loss-free and under loss (the live fabric and the simulator share one
-# fault decision function; DESIGN.md §5 lists what the lossy rows hold
-# equal). Together: live ≡ simulator.
+# fault decision function). The grid runs twice: on the wall clock, and
+# with the live cluster in a synctest bubble, where both substrates wake
+# workers by one timer rule in virtual time and every row is held to
+# every counter (DESIGN.md §5). TestRetransmitAtMachineDeadline checks
+# that rule on the live driver alone. Together: live ≡ simulator.
 drift:
 	$(GO) vet ./...
-	$(GO) test -run 'TestSubstrateEquivalence' -v ./internal/netsim/simproto/
+	GOEXPERIMENT=synctest $(GO) test -run 'TestSubstrateEquivalence' -v ./internal/netsim/simproto/
+	GOEXPERIMENT=synctest $(GO) test -run 'TestRetransmitAtMachineDeadline' -v ./internal/core/
 
 clean:
 	$(GO) clean -testcache

@@ -37,6 +37,7 @@ import (
 	"omnireduce/internal/core"
 	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
+	"omnireduce/internal/protocol"
 	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
 )
@@ -197,14 +198,11 @@ func udpChaos(dumpDir string, density float64) {
 	// Per-event recovery metrics and receive-pump routing, summed over the
 	// workers, then the pool balance: under chaos the pump may drop
 	// overflow and stale traffic, but never a pooled buffer.
-	var rec core.Stats
+	var rec protocol.WorkerStats
 	var pump core.PumpStats
 	for _, w := range ws {
-		s, p := w.Stats.Snapshot(), w.PumpSnapshot()
-		rec.Retransmits += s.Retransmits
-		rec.Backoffs += s.Backoffs
-		rec.AcksSent += s.AcksSent
-		rec.StaleResults += s.StaleResults
+		p := w.PumpSnapshot()
+		rec.Add(w.Stats.Snapshot())
 		pump.Delivered += p.Delivered
 		pump.StaleDrops += p.StaleDrops
 		pump.OverflowDrops += p.OverflowDrops

@@ -13,6 +13,15 @@ import (
 // End-to-end chaos suite: full AllReduce runs through the seeded chaos
 // fabric, verifying exact results and deterministic replay.
 
+// retransmits sums a chaos run's worker retransmissions.
+func retransmits(rep *ChaosReport) int64 {
+	var n int64
+	for _, s := range rep.WorkerStats {
+		n += s.Retransmits
+	}
+	return n
+}
+
 // assertNoPoolLeaks fails the test when a chaos run's end-of-run pool
 // audit reports unreturned buffers: every GetBuf on the run's receive
 // paths must have been matched by a PutBuf once the cluster quiesced.
@@ -128,7 +137,7 @@ func TestChaosRecoveryCountersSurface(t *testing.T) {
 		t.Fatalf("max err %g", rep.MaxAbsErr)
 	}
 	assertNoPoolLeaks(t, rep)
-	if rep.Retransmits() == 0 {
+	if retransmits(rep) == 0 {
 		t.Fatal("10% loss with no retransmissions")
 	}
 	report := rep.ObsReport().String()
@@ -140,8 +149,8 @@ func TestChaosRecoveryCountersSurface(t *testing.T) {
 		v, _ := strconv.ParseInt(m[1], 10, 64)
 		return v
 	}
-	if row("retransmits") != rep.Retransmits() {
-		t.Fatalf("report retransmits %d != stats %d", row("retransmits"), rep.Retransmits())
+	if row("retransmits") != retransmits(rep) {
+		t.Fatalf("report retransmits %d != stats %d", row("retransmits"), retransmits(rep))
 	}
 	// Duplicated packets and retransmissions crossing a round boundary
 	// both surface on the aggregator.

@@ -147,7 +147,7 @@ func TestChaosFailurePatterns(t *testing.T) {
 			if !rep.Exact {
 				t.Fatalf("pattern broke correctness: max err %g", rep.MaxAbsErr)
 			}
-			got := rep.Retransmits()
+			got := retransmits(rep)
 			if got < p.minRetrans {
 				t.Fatalf("retransmits %d below floor %d: pattern did not exercise recovery", got, p.minRetrans)
 			}

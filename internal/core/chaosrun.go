@@ -6,6 +6,7 @@ import (
 
 	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
+	"omnireduce/internal/protocol"
 	"omnireduce/internal/transport"
 )
 
@@ -31,7 +32,7 @@ type ChaosReport struct {
 	// events within the scenario's per-link window.
 	WindowEvents int64
 	// WorkerStats are per-worker protocol counters.
-	WorkerStats []Stats
+	WorkerStats []protocol.WorkerStats
 	// AggStats are per-aggregator protocol counters.
 	AggStats []AggStats
 	// Pump are per-worker receive-pump routing counters.
@@ -45,26 +46,14 @@ type ChaosReport struct {
 	Elapsed time.Duration
 }
 
-// Retransmits sums worker retransmissions.
-func (r *ChaosReport) Retransmits() int64 {
-	var n int64
-	for _, s := range r.WorkerStats {
-		n += s.Retransmits
-	}
-	return n
-}
-
 // ObsReport renders a chaos run as one table: the loss-recovery counters
 // summed over workers and over aggregators, the merged pump counters, the
 // pool-balance audit verdict, and any leaked pool's balance.
 func (r *ChaosReport) ObsReport() *metrics.Table {
 	t := metrics.NewTable("chaos observability", "metric", "value")
-	var ws Stats
+	var ws protocol.WorkerStats
 	for _, s := range r.WorkerStats {
-		ws.Retransmits += s.Retransmits
-		ws.Backoffs += s.Backoffs
-		ws.AcksSent += s.AcksSent
-		ws.StaleResults += s.StaleResults
+		ws.Add(s)
 	}
 	t.AddRow("retransmits", ws.Retransmits)
 	t.AddRow("backoffs", ws.Backoffs)
@@ -72,11 +61,7 @@ func (r *ChaosReport) ObsReport() *metrics.Table {
 	t.AddRow("stale_results_filtered", ws.StaleResults)
 	var as AggStats
 	for _, s := range r.AggStats {
-		as.Replays += s.Replays
-		as.DupsFiltered += s.DupsFiltered
-		as.StaleRounds += s.StaleRounds
-		as.StaleFinished += s.StaleFinished
-		as.FastForwards += s.FastForwards
+		as.Add(s)
 	}
 	t.AddRow("result_replays", as.Replays)
 	t.AddRow("dups_filtered", as.DupsFiltered)

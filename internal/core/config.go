@@ -6,11 +6,11 @@
 // scheduling, §3.2 Block Fusion, Algorithm 2 loss recovery, and
 // Algorithm 3 sparse key-value mode — lives in internal/protocol as pure
 // event-driven state machines. This package owns only the I/O: it pumps
-// real transport.Conn messages and wall-clock retransmission ticks through
-// the machines, encodes their emitted packets, and mirrors their counters
-// into the public Stats surfaces. The discrete-event simulator
-// (internal/netsim/simproto) drives the same machines in virtual time, so
-// the two substrates cannot diverge.
+// real transport.Conn messages, and wall-clock timeouts armed at the
+// machines' own deadlines, through the machines, encodes their emitted
+// packets, and totals their counters for the public Stats surfaces. The
+// discrete-event simulator (internal/netsim/simproto) drives the same
+// machines in virtual time, so the two substrates cannot diverge.
 //
 // The tensor is split into blocks of Config.BlockSize elements. Workers
 // transmit only non-zero blocks; one or more aggregators coordinate, each
@@ -61,13 +61,14 @@ type Config struct {
 	// (channel/TCP). When false, Algorithm 2 loss recovery is active.
 	Reliable bool
 	// RetransmitTimeout is the worker's initial per-packet loss-detection
-	// timer (unreliable mode only). Default 20ms.
+	// timer (unreliable mode only), skewed by a 64th per worker ID (mod
+	// 64) so that workers do not expire together. Default 20ms.
 	RetransmitTimeout time.Duration
 	// RetransmitBackoff multiplies a stream's timeout after every
 	// retransmission (exponential backoff), so a worker facing a long
 	// outage — a partition, a dead aggregator — backs off instead of
-	// flooding the fabric at a fixed rate. The timeout resets to
-	// RetransmitTimeout as soon as a result arrives. Default 2; must be
+	// flooding the fabric at a fixed rate. The timeout resets to its
+	// initial value as soon as a result arrives. Default 2; must be
 	// >= 1 when set.
 	RetransmitBackoff float64
 	// RetransmitCeiling caps the backed-off timeout. Default

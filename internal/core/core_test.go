@@ -243,7 +243,7 @@ func TestAllReduceZeroBlocksNotSent(t *testing.T) {
 	c.allReduce(t, inputs)
 	var sent int64
 	for _, w := range c.workers {
-		sent += w.Stats.BlocksSent
+		sent += w.Stats.Snapshot().BlocksSent
 	}
 	// Bootstrap sends Streams*FusionWidth blocks per worker in addition to
 	// the non-zero blocks (minus non-zero first blocks, counted once).
@@ -513,8 +513,8 @@ func TestAllGatherTransmitsOnlyOwnSegment(t *testing.T) {
 		// Own segment is 40 blocks; bootstrap adds at most
 		// Streams*FusionWidth extra.
 		limit := int64(40 + 2*4)
-		if wk.Stats.BlocksSent > limit {
-			t.Errorf("worker %d sent %d blocks, want <= %d", w, wk.Stats.BlocksSent, limit)
+		if n := wk.Stats.Snapshot().BlocksSent; n > limit {
+			t.Errorf("worker %d sent %d blocks, want <= %d", w, n, limit)
 		}
 	}
 }

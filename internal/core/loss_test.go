@@ -46,7 +46,7 @@ func TestAllReduceWithHeavyLossAndDuplication(t *testing.T) {
 	checkResult(t, inputs, want)
 	var retrans int64
 	for _, w := range c.workers {
-		retrans += w.Stats.Retransmits
+		retrans += w.Stats.Snapshot().Retransmits
 	}
 	if retrans == 0 {
 		t.Fatal("expected retransmissions at 10% loss")
@@ -79,7 +79,7 @@ func TestAllReduceLossLessModeAcksSent(t *testing.T) {
 	checkResult(t, inputs, want)
 	var acks int64
 	for _, w := range c.workers {
-		acks += w.Stats.AcksSent
+		acks += w.Stats.Snapshot().AcksSent
 	}
 	if acks == 0 {
 		t.Fatal("expected empty-ack packets in versioned mode with sparse data")
@@ -291,8 +291,8 @@ func TestMaxRetriesFailsWithoutAggregator(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("AllReduce did not give up")
 	}
-	if w.Stats.Retransmits < 3 {
-		t.Fatalf("retransmits = %d, want >= 3", w.Stats.Retransmits)
+	if n := w.Stats.Snapshot().Retransmits; n < 3 {
+		t.Fatalf("retransmits = %d, want >= 3", n)
 	}
 }
 
@@ -302,13 +302,14 @@ func TestBytesSentAccounting(t *testing.T) {
 	inputs := randomInputs(2_048, 2, 0.5, 43)
 	c.allReduce(t, inputs)
 	for i, w := range c.workers {
-		if w.Stats.BytesSent <= 0 {
-			t.Fatalf("worker %d: BytesSent = %d", i, w.Stats.BytesSent)
+		s := w.Stats.Snapshot()
+		if s.BytesSent <= 0 {
+			t.Fatalf("worker %d: BytesSent = %d", i, s.BytesSent)
 		}
 		// Bytes must at least cover the counted data blocks.
-		if w.Stats.BytesSent < w.Stats.BlocksSent*16*4 {
+		if s.BytesSent < s.BlocksSent*16*4 {
 			t.Fatalf("worker %d: bytes %d below block payload %d",
-				i, w.Stats.BytesSent, w.Stats.BlocksSent*16*4)
+				i, s.BytesSent, s.BlocksSent*16*4)
 		}
 	}
 }

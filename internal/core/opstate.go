@@ -31,6 +31,10 @@ type opState struct {
 	tx  txBatch
 	eb  protocol.EmitBuf
 
+	// rt is the retransmission timer, stopped between operations; drive
+	// arms it at the machine's NextTimeout.
+	rt *time.Timer
+
 	// dense and kv adapt the operation's machine to the driver loop. They
 	// live here so that handing one to drive as an opMachine allocates
 	// nothing.
@@ -40,9 +44,12 @@ type opState struct {
 
 // newOpState builds the state for its first operation.
 func (w *Worker) newOpState(tid uint32) *opState {
+	rt := time.NewTimer(time.Hour)
+	rt.Stop()
 	return &opState{
 		q:   newOpQueue(w.cfg.OpQueueLen, tid),
 		dec: getDecodeState(),
+		rt:  rt,
 		tx: txBatch{
 			observe:   observeWorkerTx,
 			flushFull: obsWorkerFlushFull,
@@ -69,6 +76,7 @@ type opMachine interface {
 	// hands them to HandlePacket.
 	step(data []byte, now time.Duration, eb *protocol.EmitBuf) error
 	HandleTimeout(now time.Duration, eb *protocol.EmitBuf) error
+	NextTimeout() (time.Duration, bool)
 	Rebind(aggs []int, now time.Duration, eb *protocol.EmitBuf)
 	Done() bool
 	Stats() protocol.WorkerStats
@@ -108,8 +116,10 @@ func (a *kvOp) step(data []byte, _ time.Duration, eb *protocol.EmitBuf) error {
 	return a.HandlePacket(p, eb)
 }
 
-// HandleTimeout is never called: the key-value mode requires Reliable, so
-// the loop arms no retransmission ticker.
+// NextTimeout asks for no timer: the key-value mode requires Reliable, so
+// HandleTimeout is never called.
+func (a *kvOp) NextTimeout() (time.Duration, bool) { return 0, false }
+
 func (a *kvOp) HandleTimeout(time.Duration, *protocol.EmitBuf) error { return nil }
 
 // Rebind does nothing: the key-value path has no failover (DESIGN §12).

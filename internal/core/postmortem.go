@@ -58,8 +58,8 @@ type Postmortem struct {
 	// Machine is the stalled operation's protocol-machine counters: how
 	// far the collective got before wedging.
 	Machine protocol.WorkerStats `json:"machine"`
-	// Worker is the worker's cross-operation traffic counters.
-	Worker Stats `json:"worker"`
+	// Worker is the counters of the worker's finished operations.
+	Worker protocol.WorkerStats `json:"worker"`
 	// Pump is the receive pump's routing decisions — a wedge upstream of
 	// the machine (drops, bad packets) shows up here.
 	Pump PumpStats `json:"pump"`

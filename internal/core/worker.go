@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"omnireduce/internal/obs"
@@ -24,7 +23,7 @@ import (
 // The protocol logic lives in protocol.WorkerMachine (block format) and
 // protocol.SparseWorkerMachine (key-value format); the Worker is their
 // I/O driver: one loop per operation, the same for both formats, pumps
-// transport messages and retransmission ticks through the machine and
+// transport messages and retransmission timeouts through the machine and
 // transmits its emits.
 type Worker struct {
 	conn transport.Conn
@@ -58,54 +57,24 @@ type Worker struct {
 	// pump tallies the receive pump's routing decisions; see PumpSnapshot.
 	pump pumpCounters
 
-	// Stats accumulates per-worker traffic counters across operations.
-	// Fields are updated atomically (operations may overlap); use
-	// Snapshot for a consistent-enough view while operations run.
-	Stats Stats
+	// Stats totals the protocol counters of the worker's finished
+	// operations; Stats.Snapshot returns them.
+	Stats workerStats
 }
 
-// Stats counts protocol traffic for analysis and tests. It mirrors
-// protocol.WorkerStats field for field; the driver folds machine counters
-// in atomically as events are processed.
-type Stats struct {
-	BlocksSent    int64 // non-bootstrap data blocks transmitted
-	BlocksSkipped int64 // zero blocks elided by the next-non-zero look-ahead
-	PacketsSent   int64
-	BytesSent     int64 // encoded packet bytes, including retransmissions
-	Retransmits   int64 // timer-driven resends, distinct from PacketsSent
-	AcksSent      int64 // empty payload packets (unreliable mode)
-	ResultsRecvd  int64
-	StaleResults  int64 // duplicate or out-of-round results filtered out
-	Backoffs      int64 // retransmissions sent at a backed-off (>base) timeout
+// workerStats is a worker's running total of its machines' counters.
+// Operations may overlap, so each adds its machine's under the lock as it
+// ends (drive).
+type workerStats struct {
+	mu sync.Mutex
+	s  protocol.WorkerStats
 }
 
-// Snapshot returns an atomic-read copy of the counters.
-func (s *Stats) Snapshot() Stats {
-	return Stats{
-		BlocksSent:    atomic.LoadInt64(&s.BlocksSent),
-		BlocksSkipped: atomic.LoadInt64(&s.BlocksSkipped),
-		PacketsSent:   atomic.LoadInt64(&s.PacketsSent),
-		BytesSent:     atomic.LoadInt64(&s.BytesSent),
-		Retransmits:   atomic.LoadInt64(&s.Retransmits),
-		AcksSent:      atomic.LoadInt64(&s.AcksSent),
-		ResultsRecvd:  atomic.LoadInt64(&s.ResultsRecvd),
-		StaleResults:  atomic.LoadInt64(&s.StaleResults),
-		Backoffs:      atomic.LoadInt64(&s.Backoffs),
-	}
-}
-
-// add folds the delta between two machine-counter snapshots into the
-// shared atomic counters, keeping Stats live while operations run.
-func (s *Stats) add(cur, prev protocol.WorkerStats) {
-	atomic.AddInt64(&s.BlocksSent, cur.BlocksSent-prev.BlocksSent)
-	atomic.AddInt64(&s.BlocksSkipped, cur.BlocksSkipped-prev.BlocksSkipped)
-	atomic.AddInt64(&s.PacketsSent, cur.PacketsSent-prev.PacketsSent)
-	atomic.AddInt64(&s.BytesSent, cur.BytesSent-prev.BytesSent)
-	atomic.AddInt64(&s.Retransmits, cur.Retransmits-prev.Retransmits)
-	atomic.AddInt64(&s.AcksSent, cur.AcksSent-prev.AcksSent)
-	atomic.AddInt64(&s.ResultsRecvd, cur.ResultsRecvd-prev.ResultsRecvd)
-	atomic.AddInt64(&s.StaleResults, cur.StaleResults-prev.StaleResults)
-	atomic.AddInt64(&s.Backoffs, cur.Backoffs-prev.Backoffs)
+// Snapshot returns a copy of the counters.
+func (c *workerStats) Snapshot() protocol.WorkerStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.s
 }
 
 // NewWorker creates a worker bound to conn; conn.LocalID() must be in
@@ -356,7 +325,7 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 
 // drive runs a started collective to completion, whatever its format: it
 // transmits the machine's emits (Start's are already in st.eb), pumps
-// transport messages and retransmission ticks through it, and turns a
+// transport messages and retransmission timeouts through it, and turns a
 // silent stall into a postmortem. start is the op clock's origin.
 func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) error {
 	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
@@ -369,39 +338,45 @@ func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) er
 	// once the state is warm.
 	q := st.q
 
-	// Mirror machine counters into the shared atomic Stats after every
-	// machine interaction (including error exits) so concurrent Snapshot
-	// readers stay current.
-	var published protocol.WorkerStats
-	sync := func() {
-		cur := m.Stats()
-		w.Stats.add(cur, published)
-		if obs.Enabled() && cur.BlocksSent > published.BlocksSent {
-			obs.Emit(obs.EvBlockSent, tid, cur.BlocksSent-published.BlocksSent)
+	// The worker's counters take the operation's as it ends, error exits
+	// included.
+	defer func() {
+		ms := m.Stats()
+		w.Stats.mu.Lock()
+		w.Stats.s.Add(ms)
+		w.Stats.mu.Unlock()
+		obs.Emit(obs.EvBlockSent, tid, ms.BlocksSent)
+	}()
+
+	// Retransmission timer (Algorithm 2): one wakeup, armed at the
+	// machine's earliest deadline and moved only when that deadline comes
+	// earlier than the pending wakeup, which is the simulator's rule. A
+	// deadline that moves later is met by a harmless early wakeup
+	// (HandleTimeout re-checks every stream), so a fresh packet costs no
+	// Reset. Reliable machines and the key-value path publish no deadline.
+	var armedAt time.Duration
+	armed := false
+	arm := func() {
+		d, ok := m.NextTimeout()
+		if !ok || armed && armedAt <= d {
+			return
 		}
-		published = cur
+		armedAt, armed = d, true
+		st.rt.Reset(d - time.Since(start))
 	}
-	defer sync()
+	defer st.rt.Stop()
 
 	// The machine appends its emits to the opState's reusable EmitBuf; the
 	// Emit contract requires consuming them before the next machine call,
 	// which dispatch satisfies (sendEmits encodes everything before
-	// returning).
+	// returning). It also re-arms the retransmission timer, whose deadline
+	// may have moved.
 	dispatch := func() error {
+		arm()
 		return st.tx.sendEmits(w.conn, st.eb.Emits())
 	}
-
-	sync()
 	if err := dispatch(); err != nil {
 		return err
-	}
-
-	var ticker *time.Ticker
-	var tickCh <-chan time.Time
-	if !w.cfg.Reliable {
-		ticker = time.NewTicker(w.cfg.RetransmitTimeout / 2)
-		defer ticker.Stop()
-		tickCh = ticker.C
 	}
 
 	// Stall watchdog: progress means aggregator results arriving. The
@@ -426,7 +401,6 @@ func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) er
 		obs.Emit(obs.EvPacketRecvd, tid, int64(len(msg.Data)))
 		st.eb.Reset()
 		err := m.step(msg.Data, time.Since(start), &st.eb)
-		sync()
 		transport.PutBuf(msg.Data)
 		if err != nil {
 			return fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, err)
@@ -455,7 +429,6 @@ func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) er
 			// no failover and ignore the view, but take the grace period.
 			st.eb.Reset()
 			m.Rebind(v.Aggregators, time.Since(start), &st.eb)
-			sync()
 			if err := dispatch(); err != nil {
 				return err
 			}
@@ -471,10 +444,10 @@ func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) er
 			err := w.recvErr
 			w.mu.Unlock()
 			return fmt.Errorf("core: worker %d receive: %w", w.id, err)
-		case <-tickCh:
+		case <-st.rt.C:
+			armed = false
 			st.eb.Reset()
 			err := m.HandleTimeout(time.Since(start), &st.eb)
-			sync()
 			// Transmit the resends accumulated before any MaxRetries
 			// failure, then surface the error.
 			if derr := dispatch(); derr != nil {

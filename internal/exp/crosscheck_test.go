@@ -88,7 +88,7 @@ func TestSimTrafficMatchesRealImplementation(t *testing.T) {
 	}
 	var liveBlocks int64
 	for _, w := range ws {
-		liveBlocks += w.Stats.BlocksSent
+		liveBlocks += w.Stats.Snapshot().BlocksSent
 	}
 
 	// The live count excludes the bootstrap row (first block per column

@@ -107,7 +107,7 @@ func liveOmni(workers int, inputs [][]float32, iters int) (sec float64, blocksSe
 		wg.Wait()
 	}
 	for _, w := range ws {
-		blocksSent += w.Stats.BlocksSent
+		blocksSent += w.Stats.Snapshot().BlocksSent
 	}
 	return time.Since(start).Seconds() / float64(iters), blocksSent / int64(iters)
 }

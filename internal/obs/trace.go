@@ -18,8 +18,8 @@ const (
 	// EvOpEnd fires when a collective completes; arg is its latency in
 	// nanoseconds.
 	EvOpEnd
-	// EvBlockSent fires when a worker's machine transmits data blocks;
-	// arg is the block-count delta.
+	// EvBlockSent fires when a worker's collective ends; arg is the data
+	// blocks its machine sent.
 	EvBlockSent
 	// EvBlockRecvd fires when an aggregator machine aggregates inbound
 	// blocks; arg is the block-count delta.

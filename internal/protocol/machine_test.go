@@ -424,6 +424,60 @@ func TestMachinesReleaseNoLiveView(t *testing.T) {
 	})
 }
 
+// TestRetransmitDeadlines pins the deadline a worker machine publishes
+// through NextTimeout: a fresh packet's timer is RetransmitTimeout plus
+// RetransmitTimeout/64 per worker ID, so workers 0–7 never expire at the
+// same instant; with backoff 1 and jitter off, a retransmission re-arms
+// that same skewed timeout; reliable mode asks for no timer.
+func TestRetransmitDeadlines(t *testing.T) {
+	const rt, start = 64 * time.Millisecond, 3 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		reliable bool
+		timeouts int // HandleTimeout calls, each at the published deadline
+	}{
+		{name: "after-start"},
+		{name: "after-one-timeout", timeouts: 1},
+		{name: "after-three-timeouts", timeouts: 3},
+		{name: "reliable", reliable: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for wid := 0; wid < 8; wid++ {
+				cfg := Config{Workers: 8, Aggregators: []int{aggNode}, BlockSize: 4, FusionWidth: 2, Streams: 1,
+					Reliable: tc.reliable, RetransmitTimeout: rt, RetransmitBackoff: 1, RetransmitJitter: -1}
+				m := NewWorkerMachine(cfg, wid, 1)
+				var eb EmitBuf
+				m.Start(NewDenseView(make([]float32, 16), 4, false), start, &eb)
+				d, ok := m.NextTimeout()
+				if tc.reliable {
+					if ok {
+						t.Fatalf("worker %d: reliable mode published deadline %v", wid, d)
+					}
+					continue
+				}
+				now := start
+				for i := 0; i < tc.timeouts; i++ {
+					now = d
+					eb.Reset()
+					if err := m.HandleTimeout(now, &eb); err != nil {
+						t.Fatal(err)
+					}
+					if len(eb.Emits()) != 1 || !eb.Emits()[0].Retransmit {
+						t.Fatalf("worker %d: timeout %d at its deadline emitted %d packets", wid, i, len(eb.Emits()))
+					}
+					d, ok = m.NextTimeout()
+				}
+				if want := now + rt + time.Duration(wid)*rt/64; !ok || d != want {
+					t.Errorf("worker %d: NextTimeout = %v, %v; want %v", wid, d, ok, want)
+				}
+				if s := m.Stats(); s.Retransmits != int64(tc.timeouts) || s.Backoffs != 0 {
+					t.Errorf("worker %d: %d retransmits, %d backoffs; want %d, 0", wid, s.Retransmits, s.Backoffs, tc.timeouts)
+				}
+			}
+		})
+	}
+}
+
 // TestWorkerMachineResultErrors exercises the worker machine's protocol
 // error paths directly: wrong message type, unknown stream, stale tensor.
 func TestWorkerMachineResultErrors(t *testing.T) {

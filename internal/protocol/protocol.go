@@ -12,10 +12,11 @@
 //     return []Emit — destination node IDs plus decoded packets annotated
 //     with their exact encoded size (internal/wire's EncodedPacketSize).
 //   - A driver owns all I/O: internal/core pumps real transport.Conn
-//     messages and time.Timer ticks through the machines, while
-//     internal/netsim/simproto feeds the same machines from a
-//     discrete-event loop in virtual time, charging Emit.Size bytes to the
-//     simulated fabric.
+//     messages through the machines and wakes them with a time.Timer
+//     armed at NextTimeout, while internal/netsim/simproto feeds the same
+//     machines from a discrete-event loop in virtual time, waking them
+//     by the same rule and charging Emit.Size bytes to the simulated
+//     fabric.
 //
 // Because both substrates execute this one implementation, the simulator
 // cannot drift from the live protocol: round schedules, loss recovery, and
@@ -47,7 +48,8 @@ type Config struct {
 	// Reliable selects Algorithm 1 (in-order lossless fabric, silent
 	// workers, no timers) over Algorithm 2 (acks, rounds, retransmission).
 	Reliable bool
-	// RetransmitTimeout is the initial per-packet loss-detection timer.
+	// RetransmitTimeout is the initial per-packet loss-detection timer,
+	// skewed per worker (WorkerMachine.firstTimeout).
 	RetransmitTimeout time.Duration
 	// RetransmitBackoff multiplies a stream's timeout after every
 	// retransmission; >= 1 when set.

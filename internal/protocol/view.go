@@ -85,7 +85,7 @@ func (m *WorkerMachine) Rebind(aggs []int, now time.Duration, eb *EmitBuf) {
 		}
 		st.sentAt = now
 		st.retries = 0
-		st.timeout = m.cfg.RetransmitTimeout
+		st.timeout = m.firstTimeout()
 		m.stats.PacketsSent++
 		m.stats.Retransmits++
 		m.stats.BytesSent += int64(st.lastSize)

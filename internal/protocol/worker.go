@@ -24,6 +24,19 @@ type WorkerStats struct {
 	Backoffs      int64 // retransmissions sent at a backed-off (>base) timeout
 }
 
+// Add folds o into s field for field.
+func (s *WorkerStats) Add(o WorkerStats) {
+	s.BlocksSent += o.BlocksSent
+	s.BlocksSkipped += o.BlocksSkipped
+	s.PacketsSent += o.PacketsSent
+	s.BytesSent += o.BytesSent
+	s.Retransmits += o.Retransmits
+	s.AcksSent += o.AcksSent
+	s.ResultsRecvd += o.ResultsRecvd
+	s.StaleResults += o.StaleResults
+	s.Backoffs += o.Backoffs
+}
+
 // wStream is the per-stream worker state for one AllReduce. The struct
 // (and its next-offset scratch and packet shells) is retained across
 // collectives by the owning machine, so the steady state re-sends through
@@ -391,6 +404,16 @@ func (m *WorkerMachine) backoff(st *wStream) {
 	st.timeout = next
 }
 
+// firstTimeout is a fresh packet's loss-detection timeout, skewed by a
+// 64th of RetransmitTimeout per worker ID (mod 64) so that the workers of
+// a stream stalled by one loss expire one at a time, not at once as with
+// Algorithm 2's fixed timer; once the repair has gone, the result reaches
+// the rest before their timers fire (DESIGN §4).
+func (m *WorkerMachine) firstTimeout() time.Duration {
+	rt := m.cfg.RetransmitTimeout
+	return rt + time.Duration(m.id%64)*rt/64
+}
+
 // advanceNext moves a column's next-non-zero pointer strictly past blk
 // and accounts for the look-ahead: every zero block the scan passes over
 // is skipped exactly once per worker, which is the paper's bandwidth
@@ -417,7 +440,7 @@ func (m *WorkerMachine) send(st *wStream, p *wire.Packet, now time.Duration, eb 
 	st.lastSize = wire.EncodedPacketSize(p)
 	st.sentAt = now
 	st.retries = 0
-	st.timeout = m.cfg.RetransmitTimeout // fresh packet: reset backoff
+	st.timeout = m.firstTimeout() // fresh packet: reset backoff
 	m.stats.PacketsSent++
 	m.stats.BytesSent += int64(st.lastSize)
 	if !m.cfg.Reliable && len(p.Blocks) == 0 {

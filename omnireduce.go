@@ -191,7 +191,7 @@ type Pending struct{ p *core.Pending }
 // Wait blocks until the collective completes and returns its error.
 func (p *Pending) Wait() error { return p.p.Wait() }
 
-// Stats returns the worker's cumulative traffic counters.
+// Stats returns the worker's traffic counters over its finished collectives.
 func (w *Worker) Stats() Stats {
 	s := w.w.Stats.Snapshot()
 	return Stats{
