@@ -16,8 +16,11 @@ tier1:
 # The second line vets the files built only with GOEXPERIMENT=synctest
 # (the virtual-time tests, which tier 1 does not compile); the third
 # type-checks a big-endian target, the only kind of build that compiles
-# internal/wire's portable codecs (f32_portable.go); the last fails if
-# gofmt would change any file, bench/ included.
+# internal/wire's portable codecs (f32_portable.go), and a non-amd64 one,
+# which is what compiles internal/tensor's Go-only kernels (add_other.go,
+# scan_other.go); on amd64 the first line's asmdecl pass checks the
+# assembly kernels' frames against their Go declarations; the last fails
+# if gofmt would change any file, bench/ included.
 vet:
 	$(GO) vet ./...
 	GOEXPERIMENT=synctest $(GO) vet ./...
@@ -109,8 +112,10 @@ short-race: vet
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/core/ ./internal/transport/
 
-# Continuous fuzzing of the zero-block and AddF32 kernels (AddF32 against
-# the portable Go loop, bit for bit) and of everything decoded off the
+# Continuous fuzzing of the zero-block, bitmap-scan and AddF32 kernels
+# (the scan against the per-element oracle on long, mostly-zero tensors
+# whose full words reach the AVX2 word kernel; AddF32 against the portable
+# Go loop, bit for bit) and of everything decoded off the
 # network (FUZZTIME to override): the data decoders, the view and
 # control planes, and the standby's mirror-frame handler. The data targets
 # hold the view decoders to the copying ones at buffer offsets 0-3; all
@@ -119,6 +124,7 @@ chaos:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzZeroBlock -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzComputeBitmap -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzAddF32 -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeSparsePacket -fuzztime $(FUZZTIME) ./internal/wire/
@@ -153,7 +159,10 @@ fuzz:
 # round of view decodes and aggregator machine steps at Defaults()' 32 x 4
 # with 2 workers, ns/op = ns per round), BenchmarkPacketDecodeViewCold (a
 # 32 x 256 packet from a set larger than L2; the DecodePacketView prefix
-# gates it) and BenchmarkDenseAdd's block=256 and span=4MiB rows.
+# gates it) and BenchmarkDenseAdd's block=256 and span=4MiB rows. The
+# scan's rung at the live shape is BenchmarkComputeBitmap's
+# elems=1Mi,bs=256,blocksparsity=0.99,scans=2 row (two 4 MiB tensors
+# scanned at once, as sparse99_chan's two workers do), under the same gate.
 bench:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceSparseLive$$' -benchmem -benchtime 50x -count=3 . ; \

@@ -3,6 +3,7 @@ package tensor_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"omnireduce/internal/sparsity"
@@ -57,6 +58,35 @@ func benchBitmap(b *testing.B, scan func(*tensor.Dense, int) *tensor.Bitmap) {
 			}
 		})
 	}
+	// The live shape: sparse99_chan's two workers each scan their own
+	// 4 MiB tensor at once, right after copying it in from a pristine copy
+	// (the copy is untimed here, as it is outside the op there).
+	pristine := sparsity.Generate(sparsity.GenSpec{
+		Elements: 1 << 20, Sparsity: 0.99, Workers: 2, BlockAligned: 256,
+	}, rand.New(rand.NewSource(1)))
+	b.Run("elems=1Mi,bs=256,blocksparsity=0.99,scans=2", func(b *testing.B) {
+		ts := make([]*tensor.Dense, len(pristine))
+		for w := range ts {
+			ts[w] = tensor.NewDense(pristine[w].Len())
+		}
+		b.SetBytes(int64(4 * len(ts) * pristine[0].Len()))
+		var wg sync.WaitGroup
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for w, t := range ts {
+				copy(t.Data, pristine[w].Data)
+			}
+			b.StartTimer()
+			for _, t := range ts {
+				wg.Add(1)
+				go func(t *tensor.Dense) {
+					defer wg.Done()
+					scan(t, 256)
+				}(t)
+			}
+			wg.Wait()
+		}
+	})
 }
 
 func BenchmarkComputeBitmap(b *testing.B)       { benchBitmap(b, tensor.ComputeBitmap) }

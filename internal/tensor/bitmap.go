@@ -134,35 +134,41 @@ func ComputeBitmapSerial(t *Dense, bs int) *Bitmap {
 	return m
 }
 
-// scanRange fills bitmap words [w0, w1) of m from t: each word is built in
-// a register from its 64 blocks and stored once. Short blocks get a loop of
-// their own: a call anywhere in the loop makes the compiler spill the loop
-// state around every block, which at bs=1 is most of the work.
+// scanRange fills bitmap words [w0, w1) of m from t, each built by
+// scanWord from its 64 blocks and stored once.
 func scanRange(m *Bitmap, t *Dense, bs, w0, w1 int) {
 	for wi := w0; wi < w1; wi++ {
 		lo := (wi << 6) * bs
-		rest := t.Data[lo:min(lo+64*bs, len(t.Data))]
-		var word uint64
-		if bs < wordScanMin {
-			for j := 0; len(rest) > 0; j++ {
-				n := min(bs, len(rest))
-				if !isZeroShort(rest[:n]) {
-					word |= 1 << uint(j)
-				}
-				rest = rest[n:]
-			}
-		} else {
-			for j := 0; len(rest) > 0; j++ {
-				n := min(bs, len(rest))
-				// A dense block leaves on its first element without a call.
-				if rest[0] != 0 || !isZeroBlock(rest[:n]) {
-					word |= 1 << uint(j)
-				}
-				rest = rest[n:]
-			}
-		}
-		m.bits[wi] = word
+		m.bits[wi] = scanWord(t.Data[lo:min(lo+64*bs, len(t.Data))], bs)
 	}
+}
+
+// scanWordGo is the portable word builder: bit j of the result is set iff
+// the j-th block of bs floats in rest (the last one possibly shorter) is
+// non-zero. The word is built in a register. Short blocks get a loop of
+// their own: a call anywhere in the loop makes the compiler spill the loop
+// state around every block, which at bs=1 is most of the work.
+func scanWordGo(rest []float32, bs int) uint64 {
+	var word uint64
+	if bs < wordScanMin {
+		for j := 0; len(rest) > 0; j++ {
+			n := min(bs, len(rest))
+			if !isZeroShort(rest[:n]) {
+				word |= 1 << uint(j)
+			}
+			rest = rest[n:]
+		}
+		return word
+	}
+	for j := 0; len(rest) > 0; j++ {
+		n := min(bs, len(rest))
+		// A dense block leaves on its first element without a call.
+		if rest[0] != 0 || !isZeroBlock(rest[:n]) {
+			word |= 1 << uint(j)
+		}
+		rest = rest[n:]
+	}
+	return word
 }
 
 // DensityWithinBlocks returns the average fraction of non-zero elements

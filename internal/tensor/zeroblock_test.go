@@ -74,11 +74,13 @@ func TestZeroBlockSemantics(t *testing.T) {
 }
 
 // TestComputeBitmapMatchesOracle holds both scan entry points to the
-// oracle on block sizes either side of the word-kernel threshold, with
-// tails shorter than a block and tensors large enough to shard.
+// oracle on block sizes either side of the word-kernel threshold and on
+// multiples of 32 and not (the AVX2 word kernel's condition), with tails
+// shorter than a block, a last word of fewer than 64 blocks at every block
+// size, and tensors large enough to shard.
 func TestComputeBitmapMatchesOracle(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
-	for _, n := range []int{0, 1, 255, 4096 + 7, 3*minShardBytes/4 + 13} {
+	for _, n := range []int{0, 1, 255, 4096 + 7, 2*64*288 + 29*288 + 31, 3*minShardBytes/4 + 13} {
 		d := NewDense(n)
 		for i := range d.Data {
 			switch {
@@ -88,7 +90,7 @@ func TestComputeBitmapMatchesOracle(t *testing.T) {
 				d.Data[i] = negZero
 			}
 		}
-		for _, bs := range []int{1, 15, 16, 17, 256} {
+		for _, bs := range []int{1, 15, 16, 17, 32, 100, 256, 288} {
 			par, ser := ComputeBitmap(d, bs), ComputeBitmapSerial(d, bs)
 			for b := 0; b < d.NumBlocks(bs); b++ {
 				want := !isZeroOracle(d.Block(b, bs))
@@ -118,6 +120,40 @@ func FuzzZeroBlock(f *testing.F) {
 		v := floats[lo:hi]
 		if got, want := isZeroBlock(v), isZeroOracle(v); got != want {
 			t.Fatalf("isZeroBlock=%v, oracle=%v for %d floats at offset %d: % x", got, want, len(v), lo, raw)
+		}
+	})
+}
+
+// FuzzComputeBitmap builds a tensor of n floats at a float offset of 0-3
+// from raw, read as records of a little-endian uint16 gap and float32 bits:
+// each record's float lands gap elements after the previous one, the rest
+// stay zero. Small inputs thus make long tensors of mostly zero blocks,
+// whose full words reach the AVX2 kernel. The block size is a multiple of
+// 32 up to 288; both scan entry points must give the oracle's bitmap.
+func FuzzComputeBitmap(f *testing.F) {
+	f.Add([]byte{}, uint16(64*32), uint8(0), uint8(0))
+	f.Add([]byte{0xff, 0x07, 0, 0, 0, 0x80}, uint16(4096), uint8(0), uint8(1))                              // -0.0
+	f.Add([]byte{0x00, 0x20, 1, 0, 0, 0}, uint16(20000), uint8(7), uint8(3))                                // denormal
+	f.Add([]byte{0x1f, 0, 1, 0, 0x80, 0x7f, 0x60, 0, 0, 0, 0xc0, 0x7f}, uint16(64*256), uint8(7), uint8(2)) // sNaN, qNaN
+	f.Fuzz(func(t *testing.T, raw []byte, n uint16, bsSel, off uint8) {
+		bs := 32 * (1 + int(bsSel)%9)
+		lo := int(off) & 3
+		backing := make([]float32, lo+int(n))
+		v := backing[lo:]
+		for pos := 0; len(raw) >= 6; raw = raw[6:] {
+			pos += int(binary.LittleEndian.Uint16(raw))
+			if pos >= len(v) {
+				break
+			}
+			v[pos] = math.Float32frombits(binary.LittleEndian.Uint32(raw[2:]))
+		}
+		d := FromSlice(v)
+		par, ser := ComputeBitmap(d, bs), ComputeBitmapSerial(d, bs)
+		for b := 0; b < d.NumBlocks(bs); b++ {
+			want := !isZeroOracle(d.Block(b, bs))
+			if par.Get(b) != want || ser.Get(b) != want {
+				t.Fatalf("n=%d bs=%d offset %d block %d: parallel=%v serial=%v, want %v", n, bs, lo, b, par.Get(b), ser.Get(b), want)
+			}
 		}
 	})
 }
