@@ -29,10 +29,11 @@ vet:
 
 # Check tier: the protocol machines under every delivery schedule at small
 # scope. Today that is Algorithm 3 — 2 and 3 workers, FusionWidth 1 and 2,
-# every interleaving of the per-connection queues; -v prints the states and
-# schedules covered per input.
+# every interleaving of the per-connection queues, and the aggregator's
+# merge against the scalar fold under every FIFO-consistent delivery order
+# of random packetizations; -v prints the states and schedules covered.
 check:
-	$(GO) test -run 'TestSparseScheduleExhaustive' -v ./internal/protocol/
+	$(GO) test -run 'TestSparseScheduleExhaustive|TestSparseMergeMatchesFold' -v ./internal/protocol/
 
 # Race tier: vet, the small-scope schedule check, the observability/
 # leak-audit suite, the timeline pipeline, the multi-tenant tier, the
@@ -115,7 +116,10 @@ chaos:
 # Continuous fuzzing of the zero-block, bitmap-scan and AddF32 kernels
 # (the scan against the per-element oracle on long, mostly-zero tensors
 # whose full words reach the AVX2 word kernel; AddF32 against the portable
-# Go loop, bit for bit) and of everything decoded off the
+# Go loop, bit for bit), of the key-value aggregator's branch-free merge
+# (against the scalar arrival-order fold, bit for bit, on ±0, denormals,
+# ±Inf and NaN payloads, over any packetization and delivery order) and of
+# everything decoded off the
 # network (FUZZTIME to override): the data decoders, the view and
 # control planes, and the standby's mirror-frame handler. The data targets
 # hold the view decoders to the copying ones at buffer offsets 0-3; all
@@ -126,6 +130,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzZeroBlock -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzComputeBitmap -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzAddF32 -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzSparseMerge -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeSparsePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeView -fuzztime $(FUZZTIME) ./internal/wire/
@@ -141,9 +146,11 @@ fuzz:
 # encoded bytes per operation), and BenchmarkPacketShape's FusionWidth x
 # Streams sweep is recorded with them: it is the evidence behind
 # protocol.Defaults' packet shape, so a change of default starts as a rerun.
-# The key-value path has two rungs: BenchmarkAllReduceSparseLive (the live
-# Algorithm 3 collective) and BenchmarkSparseMerge (the aggregator's merge
-# and flush alone, MB/s over the pairs merged), both gated.
+# The key-value path has three rungs: BenchmarkAllReduceSparseLive (the
+# live Algorithm 3 collective), BenchmarkSparseMerge (the aggregator's
+# merge and flush alone, MB/s over the pairs merged) and
+# BenchmarkSparseWorkerStep (a pooled worker machine's whole collective
+# over view-decoded result chunks, ns per collective), all gated.
 # BenchmarkCheckpointTax records what a standby costs a dense collective
 # when nothing fails (tax-x, mirrored over plain, rounds interleaved), and
 # benchjson fails the tier if it exceeds 2; BenchmarkTracerOverhead records
@@ -166,7 +173,7 @@ fuzz:
 bench:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceSparseLive$$' -benchmem -benchtime 50x -count=3 . ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkSparseMerge|BenchmarkAggregatorStep)$$' -benchmem -count=3 ./internal/protocol/ ; \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkSparseMerge|BenchmarkSparseWorkerStep|BenchmarkAggregatorStep)$$' -benchmem -count=3 ./internal/protocol/ ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 10x . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkPacketShape$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFailoverHandoff$$' -benchtime 5x . ; \
@@ -175,7 +182,7 @@ bench:
 	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView|BenchmarkPacketDecodeViewCold)$$' -benchmem -count=3 ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem -count=3 ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \
-	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkAggregatorStep,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap,BenchmarkDenseAdd' \
+	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkSparseWorkerStep,BenchmarkAggregatorStep,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap,BenchmarkDenseAdd' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
 

@@ -15,7 +15,10 @@ import (
 
 // AllReduceSparse sums COO tensors across workers and returns the global
 // result (also in COO form, keys ascending). All workers must call it
-// collectively. The result may be denser than any input.
+// collectively. The result may be denser than any input. An input that
+// is not a well-formed COO tensor (tensor.COO.Check: keys strictly
+// ascending, each in [0, Dim)) fails with an error wrapping
+// tensor.ErrKeyOrder before anything is sent.
 //
 // As in the paper, sparse mode targets reliable transports (the paper
 // leaves a lossy realization as future work); AllReduceSparse returns an
@@ -30,7 +33,7 @@ func (w *Worker) AllReduceSparse(in *tensor.COO) (*tensor.COO, error) {
 // runAllReduce).
 func (w *Worker) runAllReduceSparse(in *tensor.COO, tid uint32, st *opState, pcfg protocol.Config, wid int) (*tensor.COO, error) {
 	// As in runAllReduce, the clock covers the per-op input pass (here the
-	// constructor's key-range check over every pair).
+	// constructor's key-order check over every pair).
 	start := time.Now()
 	m, err := protocol.GetSparseWorkerMachine(pcfg, wid, tid, in)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +173,51 @@ func TestSparseAllReduceKeyRange(t *testing.T) {
 	if _, err := c.workers[0].AllReduceSparse(s); !errors.Is(err, tensor.ErrKeyOrder) {
 		t.Fatalf("err = %v, want a key-range error wrapping tensor.ErrKeyOrder", err)
 	}
+}
+
+// TestSparseAllReduceRefusesMalformedInput: the input must be a
+// well-formed COO tensor (keys strictly ascending, in [0, Dim)), the
+// contract the aggregator's merge admits. Anything else fails the caller
+// with tensor.ErrKeyOrder before a single message leaves the worker.
+func TestSparseAllReduceRefusesMalformedInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   *tensor.COO
+	}{
+		{"duplicate key", &tensor.COO{Dim: 16, Keys: []int32{1, 3, 3}, Values: []float32{1, 2, 3}}},
+		{"descending keys", &tensor.COO{Dim: 16, Keys: []int32{1, 4, 3}, Values: []float32{1, 2, 3}}},
+		{"negative key", &tensor.COO{Dim: 16, Keys: []int32{-5, 3}, Values: []float32{1, 2}}},
+		{"key at the dimension", &tensor.COO{Dim: 16, Keys: []int32{3, 16}, Values: []float32{1, 2}}},
+		{"more keys than values", &tensor.COO{Dim: 16, Keys: []int32{1, 3}, Values: []float32{1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sent atomic.Int64
+			c := startClusterOn(t, Config{Workers: 2, Reliable: true}, func(id int, conn transport.Conn) transport.Conn {
+				if id == 0 {
+					return countingConn{conn, &sent}
+				}
+				return conn
+			})
+			before := sent.Load()
+			if _, err := c.workers[0].AllReduceSparse(tc.in); !errors.Is(err, tensor.ErrKeyOrder) {
+				t.Fatalf("err = %v, want tensor.ErrKeyOrder", err)
+			}
+			if n := sent.Load() - before; n != 0 {
+				t.Fatalf("the refused collective sent %d messages", n)
+			}
+		})
+	}
+}
+
+// countingConn counts the messages its endpoint sends.
+type countingConn struct {
+	transport.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Send(to int, data []byte) error {
+	c.n.Add(1)
+	return c.Conn.Send(to, data)
 }
 
 func TestSparseAllReduceSequential(t *testing.T) {

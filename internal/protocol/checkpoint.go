@@ -45,12 +45,9 @@ type SlotCheckpoint struct {
 // SparseCheckpoint is one sparse tensor's Algorithm 3 merge state.
 type SparseCheckpoint struct {
 	TensorID uint32
-	Sorted   bool
 	Keys     []int32
 	Vals     []float32
 	Flushed  int
-	Values   map[int32]float32
-	Pending  []int32
 	NextKey  []int64
 	Sent     int64
 }
@@ -124,12 +121,9 @@ func (m *AggregatorMachine) Checkpoint() *AggCheckpoint {
 	for tid, sa := range m.sparse {
 		ck.Sparse = append(ck.Sparse, SparseCheckpoint{
 			TensorID: tid,
-			Sorted:   sa.sorted,
 			Keys:     sa.keys,
 			Vals:     sa.vals,
 			Flushed:  sa.flushed,
-			Values:   sa.values,
-			Pending:  sa.pending,
 			NextKey:  sa.nextKey,
 			Sent:     sa.sent,
 		})

@@ -1,9 +1,9 @@
 package protocol
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -80,17 +80,18 @@ func NewSparseWorkerMachine(cfg Config, workerID int, tensorID uint32, in *tenso
 }
 
 // init validates in and re-arms m for a new collective over it, leaving m
-// untouched on error. A key below zero is the only one that could collide
-// with the NextKey sentinels (MoreComing, wire.InfKey) on the wire.
+// untouched on error. The input must be a well-formed COO tensor
+// (tensor.COO.Check): strictly ascending keys are what the aggregator
+// admits (see admit), and a key in [0, Dim) never collides with the
+// NextKey sentinels (MoreComing, wire.InfKey) on the wire. A malformed
+// input fails here, before anything is sent.
 func (m *SparseWorkerMachine) init(cfg Config, workerID int, tensorID uint32, in *tensor.COO) error {
 	cfg = cfg.WithDefaults()
 	if !cfg.Reliable {
 		return fmt.Errorf("protocol: sparse mode requires a reliable transport")
 	}
-	for _, k := range in.Keys {
-		if k < 0 {
-			return fmt.Errorf("protocol: worker %d: sparse key %d: %w", workerID, k, tensor.ErrKeyOrder)
-		}
+	if err := in.Check(); err != nil {
+		return fmt.Errorf("protocol: worker %d: %w", workerID, err)
 	}
 	m.cfg, m.id, m.tid, m.in = cfg, workerID, tensorID, in
 	m.out = tensor.COO{Dim: in.Dim, Keys: m.out.Keys[:0], Values: m.out.Values[:0]}
@@ -170,60 +171,40 @@ func (m *SparseWorkerMachine) HandlePacket(p *wire.SparsePacket, eb *EmitBuf) er
 
 // sparseAgg is the aggregator-side state of Algorithm 3.
 //
-// The steady state holds the aggregate as parallel sorted runs
-// (keys/vals) with a flushed-prefix watermark: workers stream their pairs
-// in key order, so each inbound packet is an ascending run that merges
-// into the part of the unflushed suffix it overlaps with zero allocation.
-// The suffix holds at most Workers × FusionWidth × BlockSize pairs: a
-// worker sends a packet only once everything below that packet's first key
-// has been flushed, so only its latest packet can hold unflushed pairs.
-// Flushes emit subslices of the runs zero-copy; the flushed prefix is
-// retained (never compacted) so emitted subslices stay valid while the
-// driver consumes them. If a packet ever violates the ordering
-// assumptions (unsorted keys, or keys below the flush watermark), the
-// state falls back permanently to the map+heap path, which accepts
-// arbitrary key orderings at allocation cost.
+// The aggregate is held as parallel sorted runs (keys/vals) with a
+// flushed-prefix watermark: workers stream their pairs in key order, so
+// each inbound packet is an ascending run that merges into the part of the
+// unflushed suffix it overlaps with zero allocation. The suffix holds at
+// most Workers × FusionWidth × BlockSize pairs: a worker sends a packet
+// only once everything below that packet's first key has been flushed, so
+// only its latest packet can hold unflushed pairs. Flushes emit subslices
+// of the runs zero-copy; the flushed prefix is retained (never compacted)
+// so emitted subslices stay valid while the driver consumes them.
+//
+// A packet that is not such a run — keys not strictly ascending, or a key
+// below the flush watermark — is refused (see admit). Keys order as the
+// wire carries them, unsigned: the aggregator does not know the tensor's
+// dimension, so a key of 2^31 or more merges like any other and is the
+// workers' to refuse (ErrSparseResult).
 type sparseAgg struct {
 	tensorID uint32
 
-	// Sorted-run fast path.
-	sorted  bool
 	keys    []int32
 	vals    []float32
 	flushed int // keys[:flushed] already flushed
 
-	// mergeK/mergeV are scratch both paths reuse: the sorted path merges
-	// a packet's overlap into them before moving it into place, the
-	// fallback path pops a flush's pairs into them to emit.
+	// mergeK/mergeV are scratch: mergeRun merges a packet with the
+	// suffix it overlaps into them before moving the result into place.
 	mergeK []int32
 	mergeV []float32
 
-	// Fallback path (map + heap), engaged by fallbackify.
-	values  map[int32]float32
-	pending keyHeap // aggregated keys not yet flushed
-
-	nextKey  []int64 // per-worker next key; -1 unknown, maxInt64 done
-	sent     int64   // smallest unflushed key
-	finished bool
+	nextKey []int64 // per-worker next key; -1 unknown, maxInt64 done
+	sent    int64   // smallest unflushed key
 
 	// shells are the reusable result-chunk packets of one flush; the
 	// array is reserved to the flush's chunk count up front so earlier
 	// chunks' pointers stay stable while later ones are built.
 	shells []wire.SparsePacket
-}
-
-type keyHeap []int32
-
-func (h keyHeap) Len() int            { return len(h) }
-func (h keyHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h keyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *keyHeap) Push(x interface{}) { *h = append(*h, x.(int32)) }
-func (h *keyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // newSparse re-arms a free-listed (or fresh) sparse aggregation state.
@@ -239,20 +220,14 @@ func (m *AggregatorMachine) newSparse(tensorID uint32) *sparseAgg {
 		sa = &sparseAgg{}
 	}
 	sa.tensorID = tensorID
-	sa.sorted = true
 	sa.keys = sa.keys[:0]
 	sa.vals = sa.vals[:0]
 	sa.flushed = 0
-	if sa.values != nil {
-		clear(sa.values)
-	}
-	sa.pending = sa.pending[:0]
 	sa.nextKey = resizeI64(sa.nextKey, m.cfg.Workers)
 	for i := range sa.nextKey {
 		sa.nextKey[i] = -1
 	}
 	sa.sent = 0
-	sa.finished = false
 	return sa
 }
 
@@ -262,103 +237,119 @@ func (m *AggregatorMachine) freeSparse(sa *sparseAgg) {
 	m.sparseFree = append(m.sparseFree, sa)
 }
 
-// fallbackify abandons the sorted-run representation: all aggregated
-// pairs move into the values map (flushed ones included, so late
-// contributions to already-flushed keys keep folding in, matching the
-// historical map semantics), unflushed keys into the pending heap.
-func (sa *sparseAgg) fallbackify() {
-	if sa.values == nil {
-		sa.values = make(map[int32]float32, len(sa.keys))
+// admit checks p against the merge's contract: as many values as keys,
+// keys strictly ascending, and none below the flush watermark sent (0 for
+// a tensor not yet open). An honest worker always meets it: its input is
+// strictly ascending (SparseWorkerMachine checks), and a packet's first
+// key is at or above the announced global next key it waited for.
+//
+// A packet below the watermark cannot be merged correctly at all: its
+// keys may already have gone out in a flush, and a flush is never resent,
+// so folding it in would lose the contribution without an error. The
+// refusal wraps tensor.ErrKeyOrder and leaves the state untouched.
+func admit(p *wire.SparsePacket, sent int64) error {
+	if len(p.Keys) != len(p.Values) {
+		return fmt.Errorf("protocol: sparse packet from worker %d: %w: %d keys, %d values", p.WID, tensor.ErrKeyOrder, len(p.Keys), len(p.Values))
 	}
-	for i, k := range sa.keys {
-		sa.values[k] = sa.vals[i]
-	}
-	sa.pending = append(sa.pending[:0], sa.keys[sa.flushed:]...)
-	heap.Init(&sa.pending)
-	sa.keys = sa.keys[:0]
-	sa.vals = sa.vals[:0]
-	sa.flushed = 0
-	sa.sorted = false
-}
-
-// runSortedFor reports whether p's keys can merge into the sorted runs:
-// non-descending and nothing below the flush watermark. In-order workers
-// always satisfy this (a worker's new keys are >= its announced next key
-// >= the flushed global minimum).
-func (sa *sparseAgg) runSortedFor(p *wire.SparsePacket) bool {
 	if len(p.Keys) == 0 {
-		return true
+		return nil
 	}
-	if int64(p.Keys[0]) < sa.sent {
-		return false
+	if k := uint32(p.Keys[0]); int64(k) < sent {
+		return fmt.Errorf("protocol: sparse packet from worker %d: %w: key %d below the flushed prefix (next key %d)", p.WID, tensor.ErrKeyOrder, k, sent)
 	}
 	for i := 1; i < len(p.Keys); i++ {
-		if p.Keys[i] < p.Keys[i-1] {
-			return false
+		if uint32(p.Keys[i]) <= uint32(p.Keys[i-1]) {
+			return fmt.Errorf("protocol: sparse packet from worker %d: %w: key %d after %d", p.WID, tensor.ErrKeyOrder, uint32(p.Keys[i]), uint32(p.Keys[i-1]))
 		}
 	}
-	return true
+	return nil
 }
 
-// mergeRun folds p's ascending key-value run into the unflushed suffix of
-// the sorted runs. Equal keys fold in arrival order, the same float-op
-// sequence as the map path's `+=`. Only the pairs the packet's key range
-// overlaps go through the merge loop: those below its first key stay
-// where they are, those above its last key move up in one copy.
+// mergeRun folds p's strictly ascending run into the unflushed suffix of
+// the sorted runs. Pairs below the packet's first key stay where they
+// are. The held suffix from there and the packet merge into mergeK/mergeV
+// (mergeSteps), what is left of the packet goes on in one copy, and held
+// pairs above its last key move up in one copy. A packet past every held
+// key, as every worker's first is, is two bulk copies.
 func (sa *sparseAgg) mergeRun(p *wire.SparsePacket) {
 	pk, pv := p.Keys, p.Values
 	if len(pk) == 0 {
 		return
 	}
 	unflushed := sa.keys[sa.flushed:]
-	lo := sa.flushed + sort.Search(len(unflushed), func(i int) bool { return unflushed[i] >= pk[0] })
+	lo := sa.flushed + sort.Search(len(unflushed), func(i int) bool { return uint32(unflushed[i]) >= uint32(pk[0]) })
 	suf, sufV := sa.keys[lo:], sa.vals[lo:]
-	mk, mv := sa.mergeK[:0], sa.mergeV[:0]
-	i, j := 0, 0
-	for i < len(suf) && j < len(pk) {
-		switch {
-		case suf[i] < pk[j]:
-			mk = append(mk, suf[i])
-			mv = append(mv, sufV[i])
-			i++
-		case suf[i] > pk[j]:
-			mk, mv = appendFold(mk, mv, pk[j], pv[j])
-			j++
-		default:
-			mk = append(mk, suf[i])
-			mv = append(mv, sufV[i]+pv[j])
-			i++
-			j++
-		}
-	}
-	for ; j < len(pk); j++ {
-		mk, mv = appendFold(mk, mv, pk[j], pv[j])
-	}
+	n := len(suf) + len(pk)
+	mk := slices.Grow(sa.mergeK[:0], n)[:n]
+	mv := slices.Grow(sa.mergeV[:0], n)[:n]
+	i, j, o := mergeSteps(mk, mv, suf, sufV, pk, pv)
+	copy(mv[o:], pv[j:])
+	o += copy(mk[o:], pk[j:])
+	mk, mv = mk[:o], mv[:o]
 	sa.mergeK, sa.mergeV = mk, mv
 	// mk replaces suf[:i]; it is longer by the keys that are new.
-	n, added := len(sa.keys), len(mk)-i
-	sa.keys = slices.Grow(sa.keys, added)[:n+added]
-	sa.vals = slices.Grow(sa.vals, added)[:n+added]
-	copy(sa.keys[lo+len(mk):], sa.keys[lo+i:n])
-	copy(sa.vals[lo+len(mk):], sa.vals[lo+i:n])
+	end, added := len(sa.keys), len(mk)-i
+	sa.keys = slices.Grow(sa.keys, added)[:end+added]
+	sa.vals = slices.Grow(sa.vals, added)[:end+added]
+	copy(sa.keys[lo+len(mk):], sa.keys[lo+i:end])
+	copy(sa.vals[lo+len(mk):], sa.vals[lo+i:end])
 	copy(sa.keys[lo:], mk)
 	copy(sa.vals[lo:], mv)
 }
 
-// appendFold appends (k, v), folding into the last entry when the key
-// repeats (duplicate keys within one packet).
-func appendFold(mk []int32, mv []float32, k int32, v float32) ([]int32, []float32) {
-	if n := len(mk); n > 0 && mk[n-1] == k {
-		mv[n-1] += v
-		return mk, mv
+// mergeSteps merges the strictly ascending runs (ak, av) and (bk, bv) into
+// mk/mv until one of them runs out, and returns how far each got: i pairs
+// of a, j of b, o written. Every step writes the smaller key and advances
+// each side whose key it wrote. Its value is selected by bits, so a value
+// that is not folded is copied (NaN payloads and -0 included); on equal
+// keys it is av + bv (held + packet), a sum computed every step and kept
+// only then. The selects and the advances compile to conditional moves
+// and SETcc on amd64 (CSEL and CSET on arm64), not branches: the keys of
+// two workers interleave at random, and a branch on them is mispredicted
+// about half the time. o < len(mk) always holds (o <= i+j); it lets the
+// compiler drop the stores' bounds checks.
+func mergeSteps(mk []int32, mv []float32, ak []int32, av []float32, bk []int32, bv []float32) (i, j, o int) {
+	av, bv = av[:len(ak)], bv[:len(bk)]
+	mv = mv[:len(mk)]
+	for ; i < len(ak) && j < len(bk) && o < len(mk); o++ {
+		a, b := uint32(ak[i]), uint32(bk[j])
+		va, vb := math.Float32bits(av[i]), math.Float32bits(bv[j])
+		sum := math.Float32bits(av[i] + bv[j])
+		k, v := b, vb
+		if a < b {
+			k, v = a, va
+		}
+		if a == b {
+			v = sum
+		}
+		mk[o], mv[o] = int32(k), math.Float32frombits(v)
+		di, dj := 0, 0
+		if a <= b {
+			di = 1
+		}
+		if b <= a {
+			dj = 1
+		}
+		i, j = i+di, j+dj
 	}
-	return append(mk, k), append(mv, v)
+	return i, j, o
 }
 
 func (m *AggregatorMachine) handleSparse(p *wire.SparsePacket, eb *EmitBuf) error {
+	wid := int(p.WID)
+	if wid >= m.cfg.Workers {
+		return fmt.Errorf("protocol: sparse packet from unknown worker %d", p.WID)
+	}
 	// Sparse operations are keyed by tensor ID, so several may be in
-	// flight concurrently.
+	// flight concurrently. A refused packet opens no state.
 	sa := m.sparse[p.TensorID]
+	sent := int64(0)
+	if sa != nil {
+		sent = sa.sent
+	}
+	if err := admit(p, sent); err != nil {
+		return err
+	}
 	if sa == nil {
 		sa = m.newSparse(p.TensorID)
 		m.sparse[p.TensorID] = sa
@@ -366,27 +357,8 @@ func (m *AggregatorMachine) handleSparse(p *wire.SparsePacket, eb *EmitBuf) erro
 			m.SlotOpened(p.TensorID)
 		}
 	}
-	if sa.finished {
-		return nil
-	}
-	wid := int(p.WID)
-	if wid >= m.cfg.Workers {
-		return fmt.Errorf("protocol: sparse packet from unknown worker %d", p.WID)
-	}
 	// Merge pairs (Algorithm 3 line 25).
-	if sa.sorted && !sa.runSortedFor(p) {
-		sa.fallbackify()
-	}
-	if sa.sorted {
-		sa.mergeRun(p)
-	} else {
-		for i, k := range p.Keys {
-			if _, ok := sa.values[k]; !ok {
-				heap.Push(&sa.pending, k)
-			}
-			sa.values[k] += p.Values[i]
-		}
-	}
+	sa.mergeRun(p)
 	if p.NextKey == wire.InfKey {
 		sa.nextKey[wid] = nextDone
 	} else {
@@ -399,7 +371,6 @@ func (m *AggregatorMachine) handleSparse(p *wire.SparsePacket, eb *EmitBuf) erro
 	if min == nextDone {
 		// Final flush: everything pending, last chunk marked InfKey.
 		m.flushSparse(sa, nextDone, eb)
-		sa.finished = true
 		delete(m.sparse, p.TensorID)
 		if m.SlotFinished != nil {
 			m.SlotFinished(p.TensorID)
@@ -418,27 +389,13 @@ func (m *AggregatorMachine) handleSparse(p *wire.SparsePacket, eb *EmitBuf) erro
 // chunked into packets of FusionWidth × BlockSize pairs. upTo == nextDone
 // flushes everything and marks the final chunk with InfKey.
 func (m *AggregatorMachine) flushSparse(sa *sparseAgg, upTo int64, eb *EmitBuf) {
-	var ks []int32
-	var vs []float32
-	if sa.sorted {
-		unflushed := sa.keys[sa.flushed:]
-		end := sa.flushed + sort.Search(len(unflushed), func(i int) bool { return int64(unflushed[i]) >= upTo })
-		// Zero-copy subslices of the runs: the flushed prefix is never
-		// compacted or overwritten, so these stay valid past the call.
-		ks = sa.keys[sa.flushed:end]
-		vs = sa.vals[sa.flushed:end]
-		sa.flushed = end
-	} else {
-		mk := sa.mergeK[:0]
-		mv := sa.mergeV[:0]
-		for sa.pending.Len() > 0 && int64(sa.pending[0]) < upTo {
-			k := heap.Pop(&sa.pending).(int32)
-			mk = append(mk, k)
-			mv = append(mv, sa.values[k])
-		}
-		sa.mergeK, sa.mergeV = mk, mv
-		ks, vs = mk, mv
-	}
+	unflushed := sa.keys[sa.flushed:]
+	end := sa.flushed + sort.Search(len(unflushed), func(i int) bool { return int64(uint32(unflushed[i])) >= upTo })
+	// Zero-copy subslices of the runs: the flushed prefix is never
+	// compacted or overwritten, so these stay valid past the call.
+	ks := sa.keys[sa.flushed:end]
+	vs := sa.vals[sa.flushed:end]
+	sa.flushed = end
 	bs := m.cfg.sparsePairs()
 	final := upTo == nextDone
 	chunks := (len(ks) + bs - 1) / bs

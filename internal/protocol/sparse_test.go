@@ -71,11 +71,9 @@ func TestSparseWorkerRejectsMalformedResult(t *testing.T) {
 	m.Result().ToDense() // what was accepted indexes in range
 }
 
-// sparseMergeTrace records the data packets of one collective in the
-// order a FIFO fabric delivers them to the aggregator: cfg.Workers inputs
-// of nnz pairs each over dim keys.
-func sparseMergeTrace(tb testing.TB, cfg Config, dim, nnz int) []*wire.SparsePacket {
-	tb.Helper()
+// sparseInputs is cfg.Workers random inputs of nnz pairs each over dim
+// keys.
+func sparseInputs(cfg Config, dim, nnz int) []*tensor.COO {
 	rng := rand.New(rand.NewSource(5))
 	ins := make([]*tensor.COO, cfg.Workers)
 	for w := range ins {
@@ -86,8 +84,15 @@ func sparseMergeTrace(tb testing.TB, cfg Config, dim, nnz int) []*wire.SparsePac
 			ins[w].Append(int32(k), float32(rng.NormFloat64()))
 		}
 	}
+	return ins
+}
+
+// sparseMergeTrace records the data packets of one collective over
+// sparseInputs in the order a FIFO fabric delivers them to the aggregator.
+func sparseMergeTrace(tb testing.TB, cfg Config, dim, nnz int) []*wire.SparsePacket {
+	tb.Helper()
 	var trace []*wire.SparsePacket
-	runSparseFIFO(tb, cfg, ins, func(dst int, p *wire.SparsePacket) {
+	runSparseFIFO(tb, cfg, sparseInputs(cfg, dim, nnz), func(dst int, p *wire.SparsePacket) {
 		if dst == aggNode {
 			trace = append(trace, p)
 		}
@@ -122,5 +127,50 @@ func BenchmarkSparseMerge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkSparseWorkerStep is worker 0's share of the same collective
+// (kv_sparse_chan's shape: 2 workers, 1% of 1Mi keys each) with nothing
+// else in the loop: a pooled machine from GetSparseWorkerMachine, its
+// Start, a view decode and HandlePacket for every result chunk it was
+// sent (recorded encoded, in FIFO order), and Recycle. One op is one
+// collective; MB/s counts the result pairs assembled, 8 bytes each.
+func BenchmarkSparseWorkerStep(b *testing.B) {
+	cfg := Config{Workers: 2, Aggregators: []int{aggNode}, Reliable: true}.WithDefaults()
+	ins := sparseInputs(cfg, 1<<20, 10486)
+	var chunks [][]byte
+	wms := runSparseFIFO(b, cfg, ins, func(dst int, p *wire.SparsePacket) {
+		if dst == 0 {
+			chunks = append(chunks, wire.AppendSparsePacket(nil, p))
+		}
+	})
+	b.SetBytes(8 * int64(wms[0].Result().Len()))
+	var view wire.SparsePacket
+	var keys []int32
+	var vals []float32
+	var eb EmitBuf
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := GetSparseWorkerMachine(cfg, 0, 1, ins[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		eb.Reset()
+		m.Start(&eb)
+		for _, buf := range chunks {
+			if keys, vals, err = wire.DecodeSparsePacketView(&view, keys, vals, buf); err != nil {
+				b.Fatal(err)
+			}
+			eb.Reset()
+			if err := m.HandlePacket(&view, &eb); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !m.Done() {
+			b.Fatal("the replayed collective did not conclude")
+		}
+		m.Recycle()
 	}
 }

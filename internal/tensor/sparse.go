@@ -37,10 +37,15 @@ func (s *COO) Append(key int32, value float32) {
 	s.Values = append(s.Values, value)
 }
 
-// ErrKeyOrder reports a run of pairs AppendRun refused: keys and values
-// of different lengths, a key not above the one before it, or a key not
+// ErrKeyOrder reports pairs that are not a COO run: keys and values of
+// different lengths, a key not above the one before it, or a key not
 // below Dim.
 var ErrKeyOrder = errors.New("tensor: COO run is not strictly increasing in-range key-value pairs")
+
+// Check reports whether s is a well-formed COO tensor: as many values as
+// keys, keys strictly increasing, every key in [0, Dim). A malformed
+// tensor is an error wrapping ErrKeyOrder.
+func (s *COO) Check() error { return checkRun(-1, s.Keys, s.Values, s.Dim) }
 
 // AppendRun appends a run of pairs in bulk: one pass checks the keys, then
 // keys and values are each appended in one copy. Unlike Append it is meant
@@ -48,27 +53,36 @@ var ErrKeyOrder = errors.New("tensor: COO run is not strictly increasing in-rang
 // an error wrapping ErrKeyOrder and leaves s as it was. Every key must lie
 // in [0, Dim), so that ToDense can index with what was accepted.
 func (s *COO) AppendRun(keys []int32, values []float32) error {
-	if len(keys) != len(values) {
-		return fmt.Errorf("%w: %d keys, %d values", ErrKeyOrder, len(keys), len(values))
-	}
 	prev := int64(-1)
 	if n := len(s.Keys); n > 0 {
 		prev = int64(s.Keys[n-1])
 	}
+	if err := checkRun(prev, keys, values, s.Dim); err != nil {
+		return err
+	}
+	s.Keys = append(s.Keys, keys...)
+	s.Values = append(s.Values, values...)
+	return nil
+}
+
+// checkRun reports whether keys and values continue a run whose last key
+// is prev (-1 for none) in strictly increasing order below dim.
+func checkRun(prev int64, keys []int32, values []float32, dim int) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("%w: %d keys, %d values", ErrKeyOrder, len(keys), len(values))
+	}
 	for _, k := range keys {
 		if int64(k) <= prev {
 			if k < 0 {
-				return fmt.Errorf("%w: key %d, dimension %d", ErrKeyOrder, k, s.Dim)
+				return fmt.Errorf("%w: key %d, dimension %d", ErrKeyOrder, k, dim)
 			}
 			return fmt.Errorf("%w: key %d after %d", ErrKeyOrder, k, prev)
 		}
 		prev = int64(k)
 	}
-	if prev >= int64(s.Dim) {
-		return fmt.Errorf("%w: key %d, dimension %d", ErrKeyOrder, prev, s.Dim)
+	if prev >= int64(dim) {
+		return fmt.Errorf("%w: key %d, dimension %d", ErrKeyOrder, prev, dim)
 	}
-	s.Keys = append(s.Keys, keys...)
-	s.Values = append(s.Values, values...)
 	return nil
 }
 

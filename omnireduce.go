@@ -164,7 +164,9 @@ func (w *Worker) HierarchicalAllReduce(locals [][]float32) error {
 }
 
 // AllReduceSparse sums COO sparse tensors across workers and returns the
-// global sum in COO form (Algorithm 3's key-value block format).
+// global sum in COO form (Algorithm 3's key-value block format). An input
+// that is not a well-formed SparseTensor (see there) fails with an error
+// wrapping ErrKeyOrder before anything is sent.
 func (w *Worker) AllReduceSparse(in *SparseTensor) (*SparseTensor, error) {
 	out, err := w.w.AllReduceSparse(in.coo())
 	if err != nil {
@@ -246,12 +248,17 @@ func (w *Worker) PumpStats() PumpStats {
 }
 
 // SparseTensor is a coordinate-list sparse tensor: Keys strictly
-// ascending, Values aligned with Keys, Dim the dense length.
+// ascending, each in [0, Dim), Values aligned with Keys, Dim the dense
+// length. AllReduceSparse refuses any other with ErrKeyOrder.
 type SparseTensor struct {
 	Dim    int
 	Keys   []int32
 	Values []float32
 }
+
+// ErrKeyOrder reports a SparseTensor whose keys are not strictly
+// ascending in [0, Dim), or whose keys and values differ in number.
+var ErrKeyOrder = tensor.ErrKeyOrder
 
 func (s *SparseTensor) coo() *tensor.COO {
 	return &tensor.COO{Dim: s.Dim, Keys: s.Keys, Values: s.Values}

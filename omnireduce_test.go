@@ -167,6 +167,30 @@ func TestLocalClusterSparse(t *testing.T) {
 	}
 }
 
+// TestLocalClusterSparseRefusesMalformedInput: a SparseTensor whose keys
+// are not strictly ascending in [0, Dim) fails with ErrKeyOrder, and the
+// worker sends nothing.
+func TestLocalClusterSparseRefusesMalformedInput(t *testing.T) {
+	c, err := NewLocalCluster(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, in := range []*SparseTensor{
+		{Dim: 100, Keys: []int32{2, 2}, Values: []float32{1, 2}},
+		{Dim: 100, Keys: []int32{50, 2}, Values: []float32{1, 2}},
+		{Dim: 100, Keys: []int32{-1, 2}, Values: []float32{1, 2}},
+		{Dim: 100, Keys: []int32{2, 100}, Values: []float32{1, 2}},
+	} {
+		if _, err := c.Worker(0).AllReduceSparse(in); !errors.Is(err, ErrKeyOrder) {
+			t.Fatalf("keys %v at Dim %d: err = %v, want ErrKeyOrder", in.Keys, in.Dim, err)
+		}
+	}
+	if n := c.Worker(0).Stats().PacketsSent; n != 0 {
+		t.Fatalf("refused collectives sent %d packets", n)
+	}
+}
+
 func TestLocalClusterBroadcastAllGather(t *testing.T) {
 	c, err := NewLocalCluster(Options{Workers: 2})
 	if err != nil {

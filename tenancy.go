@@ -101,7 +101,8 @@ func (j *Job) AllReduceAsync(data []float32) (*Pending, error) {
 	return &Pending{p: p}, nil
 }
 
-// AllReduceSparse sums COO sparse tensors across the job's workers.
+// AllReduceSparse sums COO sparse tensors across the job's workers; see
+// Worker.AllReduceSparse.
 func (j *Job) AllReduceSparse(in *SparseTensor) (*SparseTensor, error) {
 	out, err := j.j.AllReduceSparse(in.coo())
 	if err != nil {
