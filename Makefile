@@ -54,19 +54,21 @@ bench-selftest:
 # Failover tier: elastic membership and aggregator handoff. The protocol
 # view/epoch machine traces and the mirror-built-successor sweeps (a kill
 # after every delivery, a frame behind, two behind, double failover,
-# reliable mode between collectives only), the mirror frame format, the
-# standby's admission rules and its fuzz seeds, a standby behind a lossy
-# link, the live chaos-kill end-to-end (an aggregator dies
-# mid-collective, a standby is activated, results stay bit-exact), the
-# sparse multi-aggregator routing regression, the watchdog's one-period
-# grace after a rebind, the stall watchdog over both formats, view
-# changes racing collectives and job control, the simulator's
+# reliable mode between collectives only), what each mode commits (every
+# round versioned, final results reliable, and a finals-only successor
+# equal to one built from every round), the mirror frame format, the
+# standby's frames per live op, its admission rules and its fuzz seeds, a
+# standby behind a lossy link, the live chaos-kill end-to-end (an
+# aggregator dies mid-collective, a standby is activated, results stay
+# bit-exact), the sparse multi-aggregator routing regression, the
+# watchdog's one-period grace after a rebind, the stall watchdog over both
+# formats, view changes racing collectives and job control, the simulator's
 # kill-before-every-event sweep and the sim-vs-live failover drift test —
 # all under the race detector, the two kill tests twenty times over (their
 # kill point is protocol-defined, so one failure in twenty is a bug, not
 # bad luck).
 failover:
-	$(GO) test -race -run 'TestView|TestFailoverPumpHandoff|TestCheckpoint|TestBootstrapElisionFailover|TestMirror|TestReliableFailoverBetweenCollectivesOnly' ./internal/protocol/ ./internal/wire/
+	$(GO) test -race -run 'TestView|TestFailoverPumpHandoff|TestCheckpoint|TestBootstrapElisionFailover|TestMirror|TestReliableFailoverBetweenCollectivesOnly|TestCommitMarksResumableResults|TestReliableFinalsOnlySuccessor' ./internal/protocol/ ./internal/wire/
 	$(GO) test -race -run 'TestStandby|FuzzStandbyFrame|TestFailoverLossyStandbyLink|TestSparseLiveMultiAggregator|TestRebindGraceSuppressesOnePeriod|TestStallWatchdog|TestViewChangeDuringOps' -v ./internal/core/
 	$(GO) test -race -run 'TestFailoverSimEveryEvent' ./internal/netsim/simproto/
 	$(GO) test -race -run 'TestFailoverLiveChaosKill' -count=20 ./internal/core/
@@ -152,8 +154,12 @@ fuzz:
 # BenchmarkSparseWorkerStep (a pooled worker machine's whole collective
 # over view-decoded result chunks, ns per collective), all gated.
 # BenchmarkCheckpointTax records what a standby costs a dense collective
-# when nothing fails (tax-x, mirrored over plain, rounds interleaved), and
-# benchjson fails the tier if it exceeds 2; BenchmarkTracerOverhead records
+# when nothing fails (tax-x, mirrored over plain, rounds interleaved) in a
+# row per mode, and benchjson fails the tier if either exceeds 2 or the
+# reliable row, whose primary mirrors final results only, exceeds 1.15;
+# BenchmarkMirrorFrame is one mirror frame at the live shape (the primary's
+# AppendCheckpoint and the standby's decode and AdoptResult, ns per frame,
+# gated, 0 allocs/op); BenchmarkTracerOverhead records
 # what a live flight recorder costs the same way (tracer-x, traced over
 # untraced median round on one cluster), failing above 1.05. benchjson
 # also gates the pinned benchmark families against the previous
@@ -178,11 +184,12 @@ bench:
 	  $(GO) test -run '^$$' -bench '^BenchmarkPacketShape$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkFailoverHandoff$$' -benchtime 5x . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCheckpointTax$$' -benchtime 50x -count=3 . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkMirrorFrame$$' -benchmem -count=3 ./internal/core/ ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView|BenchmarkPacketDecodeViewCold)$$' -benchmem -count=3 ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem -count=3 ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \
-	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkSparseWorkerStep,BenchmarkAggregatorStep,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap,BenchmarkDenseAdd' \
+	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkSparseWorkerStep,BenchmarkAggregatorStep,BenchmarkMirrorFrame,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap,BenchmarkDenseAdd' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
 

@@ -669,11 +669,19 @@ func BenchmarkFailoverHandoff(b *testing.B) {
 // BenchmarkCheckpointTax measures what having a standby costs when nothing
 // fails: the same dense 1 Mi-element AllReduce on two channel-fabric
 // clusters, one plain and one whose aggregator mirrors every committed
-// result to a standby (the repository benchmark's dense_chan and
-// checkpoint_chan), one round on each in turn so that machine drift lands
-// on both. ns/op is the mirrored round; plain-ns/op the plain one; tax-x
-// their ratio, which cmd/benchjson holds to at most 2 in make bench.
+// result to a standby, one round on each in turn so that machine drift
+// lands on both. It has a row per mode, because the modes commit different
+// results: reliable (the repository benchmark's dense_chan and
+// checkpoint_chan) mirrors a slot's final results only, versioned
+// (Algorithm 2) every concluded round. ns/op is the mirrored round;
+// plain-ns/op the plain one; tax-x their ratio, which cmd/benchjson holds
+// to at most 2 in make bench, and the reliable row to at most 1.15.
 func BenchmarkCheckpointTax(b *testing.B) {
+	b.Run("reliable", func(b *testing.B) { benchCheckpointTax(b, true) })
+	b.Run("versioned", func(b *testing.B) { benchCheckpointTax(b, false) })
+}
+
+func benchCheckpointTax(b *testing.B, reliable bool) {
 	const (
 		W       = 2
 		agg     = 2
@@ -681,7 +689,7 @@ func BenchmarkCheckpointTax(b *testing.B) {
 		n       = 1 << 20
 	)
 	cluster := func(mirrored bool) []*core.Worker {
-		cfg := core.Config{Workers: W, Aggregators: []int{agg}, Reliable: true}
+		cfg := core.Config{Workers: W, Aggregators: []int{agg}, Reliable: reliable}
 		nw := transport.NewNetwork(W, 4096)
 		var conns []transport.Conn
 		var wg sync.WaitGroup

@@ -19,7 +19,7 @@ func TestParseLine(t *testing.T) {
 		r.WireBPerOp != 88728 || r.BPerOp != 8280 || r.AllocsOp != 53 {
 		t.Fatalf("custom metric line: ok=%v %+v", ok, r)
 	}
-	r, ok = parse("BenchmarkCheckpointTax-2  50  4264294 ns/op  3740708 plain-ns/op  1.140 tax-x")
+	r, ok = parse("BenchmarkCheckpointTax/versioned-2  50  4264294 ns/op  3740708 plain-ns/op  1.140 tax-x")
 	if !ok || r.NsPerOp != 4264294 || r.TaxX != 1.14 {
 		t.Fatalf("tax line: ok=%v %+v", ok, r)
 	}
@@ -71,9 +71,23 @@ func TestTracerOverheadGate(t *testing.T) {
 	if errs := checkRatios(d); len(errs) != 0 {
 		t.Fatalf("0.98x tripped the gate: %v", errs)
 	}
-	over := []Result{{Name: r.Name, TracerX: 1.06}, {Name: "BenchmarkCheckpointTax", TaxX: 2.1}}
+	over := []Result{{Name: r.Name, TracerX: 1.06}, {Name: "BenchmarkCheckpointTax/versioned", TaxX: 2.1}}
 	if errs := checkRatios(over); len(errs) != 2 {
 		t.Fatalf("over-budget ratios: %v", errs)
+	}
+}
+
+func TestCheckpointTaxGate(t *testing.T) {
+	// Both rows are held to 2x; the reliable one, which mirrors final
+	// results only, to 1.15x.
+	within := []Result{{Name: "BenchmarkCheckpointTax/reliable", TaxX: 1.14}, {Name: "BenchmarkCheckpointTax/versioned", TaxX: 1.9}}
+	if errs := checkRatios(within); len(errs) != 0 {
+		t.Fatalf("within-budget taxes tripped the gate: %v", errs)
+	}
+	over := []Result{{Name: "BenchmarkCheckpointTax/reliable", TaxX: 1.16}, {Name: "BenchmarkCheckpointTax/versioned", TaxX: 2.01}}
+	errs := checkRatios(over)
+	if len(errs) != 2 || !strings.Contains(errs[0].Error(), "more than 1.15x") || !strings.Contains(errs[1].Error(), "more than 2.00x") {
+		t.Fatalf("over-budget taxes: %v", errs)
 	}
 }
 

@@ -152,7 +152,8 @@ func runJobsSweep(workers, size int) {
 
 // runStandbySweep runs iters dense AllReduces on two workers whose
 // aggregator mirrors every committed result to a standby, under view
-// epoch 1. The public package has no seam for a standby in a local
+// epoch 1. The cluster is reliable, so those are the slots' final
+// results. The public package has no seam for a standby in a local
 // cluster, so the nodes are built from internal/core, as NewLocalCluster
 // builds its own.
 func runStandbySweep(size, iters int) {
@@ -255,8 +256,12 @@ func main() {
 		*workers, *iters, *size, *sparsityF*100)
 	fmt.Printf("obsreport: untraced %v, traced %v (delta %+.1f%%; enforced budget lives in make bench)\n",
 		untraced.Round(time.Millisecond), traced.Round(time.Millisecond), overheadPct)
-	fmt.Printf("obsreport: standby sweep: %d results mirrored per op in %d bytes per op (%d per frame), standby stored %d frames; view epoch %d\n",
-		ckFrames/int64(*iters), ckBytes/int64(*iters), ckBytes/ckFrames, ck("agg_ck_frames_stored")-stored0, obs.Default.Gauge("agg_view_epoch").Load())
+	var perFrame int64
+	if ckFrames > 0 {
+		perFrame = ckBytes / ckFrames
+	}
+	fmt.Printf("obsreport: standby sweep: %d final results mirrored per op in %d bytes per op (%d per frame), standby stored %d frames; view epoch %d\n",
+		ckFrames/int64(*iters), ckBytes/int64(*iters), perFrame, ck("agg_ck_frames_stored")-stored0, obs.Default.Gauge("agg_view_epoch").Load())
 	for _, t := range obs.Default.Tables("obs ") {
 		t.Render(os.Stdout)
 	}

@@ -349,6 +349,76 @@ func TestFailoverLiveChaosKill(t *testing.T) {
 	}
 }
 
+// TestStandbyFramesPerOp counts the mirror frames one live collective
+// sends its standby: in reliable mode one per (slot, tensor) pair the
+// operation used — the final results, all a successor between collectives
+// resumes from — and in versioned mode one per concluded round. Either way
+// the standby ends up holding the final results.
+func TestStandbyFramesPerOp(t *testing.T) {
+	const (
+		W       = 2
+		agg     = 2
+		standby = 3
+	)
+	for _, reliable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("reliable=%v", reliable), func(t *testing.T) {
+			view := protocol.View{Epoch: 1, Workers: []int{0, 1}, Aggregators: []int{agg}}
+			base := Config{Workers: W, Aggregators: []int{agg}, Reliable: reliable,
+				BlockSize: 32, FusionWidth: 4, Streams: 2, View: &view}
+			c := newLiveCluster(W)
+			primCfg := base
+			primCfg.CheckpointPeers = []int{standby}
+			c.addAgg(t, agg, primCfg)
+			sbCfg := base
+			sbCfg.Standby = true
+			sb := c.addAgg(t, standby, sbCfg)
+			c.addWorkers(t, base)
+
+			inputs := randomInputs(32*256, W, 0, 7)
+			want := expectedSum(inputs)
+			before := obsAggCkSent.Load()
+			var wg sync.WaitGroup
+			errs := make([]error, W)
+			for i, w := range c.workers {
+				wg.Add(1)
+				go func(i int, w *Worker) {
+					defer wg.Done()
+					errs[i] = w.AllReduce(inputs[i])
+				}(i, w)
+			}
+			wg.Wait()
+			frames := obsAggCkSent.Load() - before
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("worker %d: %v", i, err)
+				}
+				for j, v := range inputs[i] {
+					if v != want[j] {
+						t.Fatalf("worker %d elem %d: %g != %g", i, j, v, want[j])
+					}
+				}
+			}
+			pairs := base.Streams // 256 blocks: every slot serves the tensor
+			deadline := time.Now().Add(10 * time.Second)
+			for sb.CheckpointsFrom(agg) != pairs {
+				if time.Now().After(deadline) {
+					t.Fatalf("standby holds %d results, want the %d final ones", sb.CheckpointsFrom(agg), pairs)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			c.shutdown(t)
+			rounds := c.aggs[agg].Stats.RoundsCompleted
+			wantFrames := int64(pairs)
+			if !reliable {
+				wantFrames = rounds
+			}
+			if frames != wantFrames || rounds <= int64(pairs) {
+				t.Fatalf("%d mirror frames for %d rounds on %d slots, want %d", frames, rounds, pairs, wantFrames)
+			}
+		})
+	}
+}
+
 // TestSparseLiveMultiAggregator is the live half of the sparse routing
 // regression (the machine-level emit destinations are asserted in
 // internal/protocol): with two aggregators, consecutive sparse tensors

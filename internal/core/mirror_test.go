@@ -360,3 +360,65 @@ func TestMirrorCommitsCostNothingUnconfigured(t *testing.T) {
 		t.Fatal("failover state built for a node that takes no part in it")
 	}
 }
+
+// mirrorFrame is one mirror frame's trip at the live shape, a 32 x 256
+// result: the primary's wire.AppendCheckpoint into a pooled buffer, then
+// the standby's whole handler — DecodeCheckpoint, the view decode and
+// AdoptResult on a warm shadow. Each call sends the slot's next round, so
+// every frame is adopted. It returns the call and the frame's size.
+func mirrorFrame(tb testing.TB) (func(), int) {
+	tb.Helper()
+	const cols, bs = 32, 256
+	nw := transport.NewNetwork(2, 64)
+	conn := nw.AddNode(mirStandby)
+	tb.Cleanup(func() { conn.Close() })
+	a, err := NewAggregator(conn, Config{
+		Workers: 2, Aggregators: []int{mirPrimary}, BlockSize: bs,
+		View:    &protocol.View{Epoch: mirEpoch, Workers: []int{0, 1}, Aggregators: []int{mirPrimary}},
+		Standby: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res := &wire.Packet{Type: wire.TypeResult, WID: mirPrimary, TensorID: protocol.TidFor(0, 1), BlockSize: bs}
+	for c := uint32(0); c < cols; c++ {
+		res.Nexts = append(res.Nexts, cols+c)
+		res.Blocks = append(res.Blocks, wire.Block{Index: c, Data: make([]float32, bs)})
+	}
+	f := wire.CheckpointFrame{NS: protocol.TidNamespace(res.TensorID), Epoch: mirEpoch}
+	n := wire.CheckpointHeaderLen + wire.EncodedPacketSize(res)
+	frame := func() {
+		res.Version++
+		if !offerRaw(a, mirPrimary, wire.AppendCheckpoint(transport.GetBuf(n)[:0], &f, res)) {
+			tb.Fatalf("round %d's frame was not adopted", res.Version)
+		}
+	}
+	frame() // the shadow machine and its slot
+	frame() // both result shells
+	return frame, n
+}
+
+// BenchmarkMirrorFrame is what one mirror frame costs the primary and the
+// standby together (mirrorFrame), in ns per frame; MB/s counts the frame's
+// bytes.
+func BenchmarkMirrorFrame(b *testing.B) {
+	frame, n := mirrorFrame(b)
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame()
+	}
+}
+
+// TestStandbyFrameAllocatesNothing: once the shadow is warm, a mirror
+// frame's trip allocates nothing on either side.
+func TestStandbyFrameAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	frame, _ := mirrorFrame(t)
+	if n := testing.AllocsPerRun(100, frame); n != 0 {
+		t.Fatalf("a mirror frame allocates %.1f times", n)
+	}
+}

@@ -667,8 +667,11 @@ func (m *AggregatorMachine) finishRound(sl *aggSlot, slot uint16, round uint8, e
 	m.stats.RoundsCompleted++
 	m.stats.BlocksAggregated += int64(len(res.Blocks))
 	obs.EmitSlot(obs.EvSlotComplete, int32(m.localID), sl.tensorID, slot, round, int64(len(res.Blocks)))
+	// What a successor can resume from (Emit.Commit): every concluded
+	// round in versioned mode, a slot's final result in reliable mode.
+	commit := !m.cfg.Reliable || allDone
 	for w := 0; w < m.cfg.Workers; w++ {
-		eb.Append(Emit{Dst: w, Packet: res, Size: size, Commit: true})
+		eb.Append(Emit{Dst: w, Packet: res, Size: size, Commit: commit})
 		m.stats.ResultsSent++
 	}
 	return nil
@@ -731,10 +734,13 @@ func (m *AggregatorMachine) archiveResult(slot uint16, res *wire.Packet, size in
 // one-round gap — is, per slot, the last result and its round number, and
 // per finished tensor the final result: the packets the dead machine
 // multicast. A driver mirrors every Emit.Commit result to its standbys, and
-// a successor is built from those packets and nothing else. Not carried,
-// deliberately: a half-collected round (the workers resend it), Algorithm
-// 1's per-worker next table (reliable mode hands over between collectives
-// only), Algorithm 3 state, and the dead machine's counters.
+// a successor is built from those packets and nothing else: every concluded
+// round in versioned mode, only final results in reliable mode, which hands
+// over between collectives only and there needs the finals alone. Not
+// carried, deliberately: a half-collected round (the workers resend it),
+// Algorithm 1's per-worker next table and its non-final results (useless to
+// a successor without that table), Algorithm 3 state, and the dead
+// machine's counters.
 
 // AdoptResult loads one result a predecessor committed, as if this machine
 // had concluded that round itself: a non-final result leaves its slot at

@@ -57,11 +57,13 @@ type Emit struct {
 	// Retransmit marks timer-driven resends (loss-recovery traffic),
 	// distinguishing repairs from first transmissions in driver accounting.
 	Retransmit bool
-	// Commit marks the fan-out of a round the aggregator has just concluded:
-	// the one kind of emit that changes what a successor must know (see
-	// AggregatorMachine.AdoptResult). Replays and sparse flushes never carry
-	// it. A driver with standbys mirrors a Commit result to them before it
-	// sends the result to any worker.
+	// Commit marks a result a successor can resume from: the fan-out of a
+	// round the aggregator has just concluded, in versioned mode (Algorithm
+	// 2) every round, in reliable mode (Algorithm 1) only a slot's final
+	// result, because a reliable-mode successor takes over between
+	// collectives only (see AggregatorMachine.AdoptResult). Replays and
+	// sparse flushes never carry it. A driver with standbys mirrors a Commit
+	// result to them before it sends the result to any worker.
 	Commit bool
 }
 

@@ -728,11 +728,15 @@ func TestResultLifetime(t *testing.T) {
 			}
 		}
 	}
-	// result returns the packet of the round eb's call concluded.
+	// result returns the packet of the round eb's call concluded: the
+	// emitted result (not the Commit one, which reliable mode sets on a
+	// slot's final result only).
 	result := func(t *testing.T, eb *EmitBuf) *wire.Packet {
 		t.Helper()
-		if e := Committed(eb.Emits()); e != nil {
-			return e.Packet
+		for _, e := range eb.Emits() {
+			if e.Packet != nil && e.Packet.Type == wire.TypeResult {
+				return e.Packet
+			}
 		}
 		t.Fatal("the round did not close")
 		return nil

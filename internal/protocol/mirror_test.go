@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -268,31 +270,242 @@ func TestReliableFailoverBetweenCollectivesOnly(t *testing.T) {
 		t.Fatalf("straggler of a finished tensor reopened it on the successor: %d live slots, %+v", sm.ActiveSlots(), s)
 	}
 
-	// Mid-collective, nothing lost in flight.
-	converged := 0
-	for k := 0; k <= total; k++ {
-		p, work := newMultiPump(t, cfg, inputs)
-		p.step(k)
-		p.ams[100] = p.successor(100, 100, 0)
-		p.step(1 << 20)
-		if p.allDone() {
-			converged++
-			assertExact(t, fmt.Sprintf("handover after %d", k), work, ref)
-			continue
-		}
-		if k == 0 || k == total {
-			t.Fatalf("handover after %d of %d (no collective in progress) did not converge", k, total)
-		}
-		for w := range work {
-			for i, v := range work[w] {
-				if v != ref[i] && v != inputs[w][i] {
-					t.Fatalf("handover after %d: worker %d elem %d: %v is neither its input nor the sum", k, w, i, v)
+	// Mid-collective, nothing lost in flight, from what reliable mode
+	// mirrors (final results) and from every round's result: the non-final
+	// results it does not send would not have helped a successor.
+	var converged [2]int
+	for every, name := range []string{"the mirror", "every round's result"} {
+		for k := 0; k <= total; k++ {
+			p, work := newMultiPump(t, cfg, inputs)
+			p.step(k)
+			log := p.mirror
+			if every == 1 {
+				log = p.rounds
+			}
+			p.ams[100] = p.successorOf(log, 100, 100, 0)
+			p.step(1 << 20)
+			what := fmt.Sprintf("handover after %d from %s", k, name)
+			if p.allDone() {
+				converged[every]++
+				assertExact(t, what, work, ref)
+				continue
+			}
+			if k == 0 || k == total {
+				t.Fatalf("%s of %d (no collective in progress) did not converge", what, total)
+			}
+			for w := range work {
+				for i, v := range work[w] {
+					if v != ref[i] && v != inputs[w][i] {
+						t.Fatalf("%s: worker %d elem %d: %v is neither its input nor the sum", what, w, i, v)
+					}
 				}
 			}
 		}
 	}
-	t.Logf("reliable-mode handover converged at %d of %d points", converged, total+1)
-	if converged == total+1 {
+	t.Logf("reliable-mode handover converged at %d of %d points", converged[0], total+1)
+	if converged[0] != converged[1] {
+		t.Fatalf("handover converged at %d points from the mirror, %d from every round's result", converged[0], converged[1])
+	}
+	if converged[0] == total+1 {
 		t.Fatal("every mid-collective reliable handover converged: the limitation DESIGN §12 states is gone, update it")
 	}
+}
+
+// TestCommitMarksResumableResults pins what Emit.Commit means — a result a
+// successor can resume from — in each mode: in reliable mode one fan-out
+// per (slot, tensor), the final result's; in versioned mode one per
+// concluded round. A Commit emit is always a whole fan-out, and replays
+// (of a live slot's last result or of an archived final) and sparse
+// flushes never carry it.
+func TestCommitMarksResumableResults(t *testing.T) {
+	inputs := traceInputs()
+	for _, reliable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("reliable=%v", reliable), func(t *testing.T) {
+			cfg := Config{BlockSize: 4, FusionWidth: 4, Streams: 2, Aggregators: []int{100},
+				Reliable: reliable, DeterministicOrder: true, RetransmitTimeout: time.Millisecond}
+			p, _ := newMultiPump(t, cfg, inputs)
+			am := p.ams[100]
+			type pair struct {
+				slot uint16
+				tid  uint32
+			}
+			perPair := make(map[pair]int)
+			var rounds, finals, commits int
+			var sent []tmsg // every worker packet the aggregator was sent
+			for tid := uint32(1); tid <= 3; tid++ {
+				if tid > 1 {
+					p.begin(tid, inputs)
+				}
+				for n := 1; !p.allDone(); n++ {
+					if !reliable && n%7 == 0 {
+						p.tick() // the workers retransmit: stale rounds draw replays
+					}
+					if len(p.q) == 0 {
+						t.Fatalf("tensor %d stalled", tid)
+					}
+					m := p.q[0]
+					if m.dst != 100 {
+						p.step(1)
+						continue
+					}
+					p.q = p.q[1:]
+					sent = append(sent, m)
+					before := am.Stats().RoundsCompleted
+					p.eb.Reset()
+					if err := am.HandlePacket(Msg{Dense: m.pkt}, &p.eb); err != nil {
+						t.Fatal(err)
+					}
+					emits := p.eb.Emits()
+					marked := 0
+					for i := range emits {
+						if emits[i].Commit {
+							marked++
+						}
+					}
+					if am.Stats().RoundsCompleted == before {
+						if marked != 0 {
+							t.Fatalf("tensor %d: %d emits outside a round's fan-out carry Commit", tid, marked)
+						}
+						p.push(100, emits)
+						continue
+					}
+					res := emits[0].Packet
+					want := 0
+					if !reliable || res.Done() {
+						want = len(emits)
+					}
+					if len(emits) != len(inputs) || marked != want {
+						t.Fatalf("tensor %d slot %d round %d (final %v): %d of %d emits carry Commit, want %d of %d",
+							tid, res.Slot, res.Version, res.Done(), marked, len(emits), want, len(inputs))
+					}
+					rounds++
+					if res.Done() {
+						finals++
+					}
+					if want > 0 {
+						commits++
+						perPair[pair{res.Slot, res.TensorID}]++
+					}
+					p.push(100, emits)
+				}
+				if !reliable && tid == 1 && am.Stats().Replays == 0 {
+					t.Fatal("retransmissions drew no replay of a live slot")
+				}
+			}
+			want := rounds
+			if reliable {
+				want = finals
+			}
+			if commits != want || len(perPair) != finals || finals == 0 || rounds <= finals {
+				t.Fatalf("%d Commit fan-outs over %d (slot, tensor) pairs, want %d over %d (%d rounds)",
+					commits, len(perPair), want, finals, rounds)
+			}
+			for k, n := range perPair {
+				if reliable && n != 1 {
+					t.Fatalf("slot %d tensor %d: %d Commit fan-outs, want one", k.slot, k.tid, n)
+				}
+			}
+
+			// Every packet again, after the fact: archive replays only.
+			replays := am.Stats().Replays
+			for _, m := range sent {
+				p.eb.Reset()
+				if err := am.HandlePacket(Msg{Dense: m.pkt}, &p.eb); err != nil {
+					t.Fatal(err)
+				}
+				if e := Committed(p.eb.Emits()); e != nil {
+					t.Fatalf("a straggler of tensor %d drew a Commit emit", m.pkt.TensorID)
+				}
+			}
+			if am.Stats().Replays == replays {
+				t.Fatal("stragglers drew no archive replay")
+			}
+		})
+	}
+
+	t.Run("sparse", func(t *testing.T) {
+		cfg := Config{Workers: 2, Aggregators: []int{aggNode}, Reliable: true, BlockSize: 2, FusionWidth: 2}.WithDefaults()
+		am := NewAggregatorMachine(cfg, aggNode)
+		var eb EmitBuf
+		flushes := 0
+		for _, sp := range sparseMergeTrace(t, cfg, 200, 20) {
+			eb.Reset()
+			if err := am.HandlePacket(Msg{Sparse: sp}, &eb); err != nil {
+				t.Fatal(err)
+			}
+			flushes += eb.Len()
+			if Committed(eb.Emits()) != nil {
+				t.Fatal("a sparse flush carried Commit")
+			}
+		}
+		if flushes == 0 {
+			t.Fatal("the sparse trace flushed nothing")
+		}
+	})
+}
+
+// TestReliableFinalsOnlySuccessor: between collectives, a reliable-mode
+// successor built from the mirror (final results only) is the successor
+// built from every round's result. At every point between the collectives
+// of a run longer than the archive is deep, the two hold the same results,
+// the same archive bit for bit and the same finished sets, and each serves
+// the next collective bit-exact.
+func TestReliableFinalsOnlySuccessor(t *testing.T) {
+	cfg := Config{BlockSize: 4, FusionWidth: 4, Streams: 2, Aggregators: []int{100},
+		Reliable: true, DeterministicOrder: true}
+	inputs := traceInputs()
+	ref := refSum(inputs)
+	const collectives = ArchiveDepth + 2
+	p, work := newMultiPump(t, cfg, inputs)
+	for tid := uint32(1); ; tid++ {
+		p.step(1 << 20)
+		if !p.allDone() {
+			t.Fatalf("collective %d did not converge", tid)
+		}
+		assertExact(t, fmt.Sprintf("collective %d", tid), work, ref)
+		finals := p.successor(100, 100, 0)
+		every := p.successorOf(p.rounds, 100, 100, 0)
+		if len(p.mirror) >= len(p.rounds) {
+			t.Fatalf("after %d: the mirror holds %d results of %d rounds", tid, len(p.mirror), len(p.rounds))
+		}
+		if got, want := finals.Held(), every.Held(); got != want {
+			t.Fatalf("after %d: successor from the mirror holds %d results, from every round %d", tid, got, want)
+		}
+		if got, want := finals.ActiveSlots(), every.ActiveSlots(); got != 0 || want != 0 {
+			t.Fatalf("after %d: live slots %d and %d between collectives", tid, got, want)
+		}
+		if got, want := archiveBytes(finals), archiveBytes(every); !bytes.Equal(got, want) {
+			t.Fatalf("after %d: the two successors' archives differ", tid)
+		}
+		if !reflect.DeepEqual(finals.finished, every.finished) {
+			t.Fatalf("after %d: finished sets differ: %v and %v", tid, finals.finished, every.finished)
+		}
+		for _, sm := range []*AggregatorMachine{finals, every} {
+			q, _ := newMultiPump(t, cfg, inputs)
+			q.q = q.q[:0]
+			q.ams[100] = sm
+			next := q.begin(tid+1, inputs)
+			q.step(1 << 20)
+			if !q.allDone() {
+				t.Fatalf("after %d: the successor did not serve collective %d", tid, tid+1)
+			}
+			assertExact(t, fmt.Sprintf("collective %d on a successor", tid+1), next, ref)
+		}
+		if tid == collectives {
+			return
+		}
+		work = p.begin(tid+1, inputs)
+	}
+}
+
+// archiveBytes is m's replay archive encoded, slot by slot in order.
+func archiveBytes(m *AggregatorMachine) []byte {
+	var out []byte
+	for slot, bucket := range m.archive {
+		for _, ar := range bucket {
+			out = append(out, byte(slot), byte(slot>>8))
+			out = wire.AppendPacket(out, &ar.pkt)
+		}
+	}
+	return out
 }

@@ -38,9 +38,12 @@ type multiPump struct {
 
 	// mirror is what a driver with standbys sends them: a copy of every
 	// Commit result, in emission order, tagged with the node that emitted
-	// it. heirOf[id] lists the nodes whose position id took over, oldest
-	// first: a standby of id has been sent their results too.
+	// it. rounds is the same for every concluded round's result, committed
+	// or not: in reliable mode, which commits final results only, more
+	// than the mirror. heirOf[id] lists the nodes whose position id took
+	// over, oldest first: a standby of id has been sent their results too.
 	mirror []tmsg
+	rounds []tmsg
 	heirOf map[int][]int
 }
 
@@ -94,8 +97,12 @@ func (p *multiPump) step(budget int) {
 		p.q = p.q[1:]
 		if am := p.ams[m.dst]; am != nil {
 			p.eb.Reset()
+			before := am.Stats().RoundsCompleted
 			if err := am.HandlePacket(Msg{Dense: m.pkt}, &p.eb); err != nil {
 				p.t.Fatalf("aggregator %d: %v", m.dst, err)
+			}
+			if am.Stats().RoundsCompleted != before {
+				p.rounds = append(p.rounds, tmsg{src: m.dst, pkt: testClone(p.eb.Emits()[0].Packet)})
 			}
 			p.push(m.dst, p.eb.Emits())
 			continue
@@ -142,12 +149,17 @@ func (p *multiPump) allDone() bool {
 // (and the nodes dead itself succeeded) committed, and nothing else. The
 // newest behind of them never reached the standby.
 func (p *multiPump) successor(dead, id, behind int) *AggregatorMachine {
+	return p.successorOf(p.mirror, dead, id, behind)
+}
+
+// successorOf is successor built from log instead of the mirror.
+func (p *multiPump) successorOf(log []tmsg, dead, id, behind int) *AggregatorMachine {
 	from := map[int]bool{dead: true}
 	for _, n := range p.heirOf[dead] {
 		from[n] = true
 	}
 	var frames []*wire.Packet
-	for _, m := range p.mirror {
+	for _, m := range log {
 		if from[m.src] {
 			frames = append(frames, m.pkt)
 		}
