@@ -201,7 +201,10 @@ bench-all:
 # cluster vs the discrete-event simulator must produce identical
 # per-worker packet, block, and byte counts and bit-identical results,
 # loss-free and under loss (the live fabric and the simulator share one
-# fault decision function). The grid runs twice: on the wall clock, and
+# fault decision function). Its key-value rows run Algorithm 3 on both
+# (loss-free, since the mode is reliable-only); the aggregator sums those
+# in arrival order, so rows of more than two workers use integer values,
+# whose sums are exact in any order. The grid runs twice: on the wall clock, and
 # with the live cluster in a synctest bubble, where both substrates wake
 # workers by one timer rule in virtual time and every row is held to
 # every counter (DESIGN.md §5). TestRetransmitAtMachineDeadline checks

@@ -243,26 +243,11 @@ func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg trans
 	n := int64(len(msg.Data))
 	obsAggPackets.Inc()
 	obsAggRxSize.Observe(n)
-	var pm protocol.Msg
-	var tid uint32
-	switch wire.PeekType(msg.Data) {
-	case wire.TypeData:
-		p, err := dec.decodeDense(msg.Data)
-		if err != nil {
-			return fmt.Errorf("core: aggregator decode: %w", err)
-		}
-		pm.Dense = p
-		tid = p.TensorID
-	case wire.TypeSparseData:
-		p, err := dec.decodeSparse(msg.Data)
-		if err != nil {
-			return fmt.Errorf("core: aggregator decode sparse: %w", err)
-		}
-		pm.Sparse = p
-		tid = p.TensorID
-	default:
-		return fmt.Errorf("core: aggregator received unexpected message type %d", wire.PeekType(msg.Data))
+	pm, err := dec.decode(msg.Data)
+	if err != nil {
+		return fmt.Errorf("core: aggregator: %w", err)
 	}
+	tid, _ := peekTensorID(msg.Data)
 	m := ms.machineFor(tid, gen)
 	if m == nil {
 		// The job closed with packets still queued behind the gate; too

@@ -86,7 +86,8 @@ type Config struct {
 	MaxRetries int
 	// DeterministicOrder makes aggregation numerically reproducible by
 	// reducing worker contributions in worker-ID order (§7). It requires
-	// buffering one contribution per worker per slot.
+	// buffering one contribution per worker per slot. It covers the block
+	// path only: AllReduceSparse (Algorithm 3) sums in arrival order.
 	DeterministicOrder bool
 	// HalfPrecision transmits block data as IEEE 754 binary16 on the
 	// wire, halving communication volume; the aggregator still

@@ -145,8 +145,9 @@ func (a *Aggregator) shadowResult(from int, buf []byte, dec *decodeState) {
 	if err != nil {
 		return
 	}
-	res, err := dec.decodeDense(f.Result)
-	if err != nil || protocol.TidNamespace(res.TensorID) != f.NS || res.Slot >= maxShadowSlot {
+	pm, err := dec.decode(f.Result)
+	res := pm.Dense
+	if err != nil || res == nil || protocol.TidNamespace(res.TensorID) != f.NS || res.Slot >= maxShadowSlot {
 		return
 	}
 	a.viewMu.Lock()

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"omnireduce/internal/obs"
+	"omnireduce/internal/protocol"
 	"omnireduce/internal/wire"
 )
 
@@ -33,25 +35,30 @@ type decodeState struct {
 	keys    []int32 // copy-path sparse keys
 }
 
-// decodeDense decodes buf into the reusable packet as a view of buf.
-func (d *decodeState) decodeDense(buf []byte) (*wire.Packet, error) {
-	arena, err := wire.DecodePacketView(&d.pkt, d.scratch, buf)
-	if err != nil {
-		return nil, err
+// decode decodes buf, a data or result packet of either format, into the
+// matching reusable shell as a view of buf. It is both drivers' one
+// decoder: which types a machine reads, and from whom, is the machine's
+// check (HandleMsg, AggregatorMachine.HandlePacket). Any other type is an
+// error.
+func (d *decodeState) decode(buf []byte) (protocol.Msg, error) {
+	switch t := wire.PeekType(buf); t {
+	case wire.TypeData, wire.TypeResult:
+		arena, err := wire.DecodePacketView(&d.pkt, d.scratch, buf)
+		if err != nil {
+			return protocol.Msg{}, fmt.Errorf("decode: %w", err)
+		}
+		d.scratch = arena
+		return protocol.Msg{Dense: &d.pkt}, nil
+	case wire.TypeSparseData, wire.TypeSparseResult:
+		keys, vals, err := wire.DecodeSparsePacketView(&d.sparse, d.keys, d.scratch, buf)
+		if err != nil {
+			return protocol.Msg{}, fmt.Errorf("decode sparse: %w", err)
+		}
+		d.keys, d.scratch = keys, vals
+		return protocol.Msg{Sparse: &d.sparse}, nil
+	default:
+		return protocol.Msg{}, fmt.Errorf("unexpected message type %d", t)
 	}
-	d.scratch = arena
-	return &d.pkt, nil
-}
-
-// decodeSparse decodes buf into the reusable sparse packet as a view of
-// buf.
-func (d *decodeState) decodeSparse(buf []byte) (*wire.SparsePacket, error) {
-	keys, vals, err := wire.DecodeSparsePacketView(&d.sparse, d.keys, d.scratch, buf)
-	if err != nil {
-		return nil, err
-	}
-	d.keys, d.scratch = keys, vals
-	return &d.sparse, nil
 }
 
 // decodePool recycles decodeStates across operations. Long-lived loops

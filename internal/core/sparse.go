@@ -42,8 +42,7 @@ func (w *Worker) runAllReduceSparse(in *tensor.COO, tid uint32, st *opState, pcf
 	defer m.Recycle()
 	st.eb.Reset()
 	m.Start(&st.eb)
-	st.kv = kvOp{m, st.dec}
-	if err := w.drive(&st.kv, tid, st, start); err != nil {
+	if err := w.drive(m, tid, st, start); err != nil {
 		return nil, err
 	}
 	// The machine assembles into its pooled run; the caller gets one

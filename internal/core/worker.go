@@ -22,9 +22,9 @@ import (
 //
 // The protocol logic lives in protocol.WorkerMachine (block format) and
 // protocol.SparseWorkerMachine (key-value format); the Worker is their
-// I/O driver: one loop per operation, the same for both formats, pumps
-// transport messages and retransmission timeouts through the machine and
-// transmits its emits.
+// I/O driver: one loop per operation, the same for both formats (each
+// machine is a protocol.WorkerOp), pumps transport messages and
+// retransmission timeouts through the machine and transmits its emits.
 type Worker struct {
 	conn transport.Conn
 	cfg  Config
@@ -319,15 +319,14 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 	// packets are stamped with the time the scan took, not zero.
 	st.eb.Reset()
 	m.Start(view, time.Since(start), &st.eb)
-	st.dense = denseOp{m, st.dec}
-	return w.drive(&st.dense, tid, st, start)
+	return w.drive(m, tid, st, start)
 }
 
 // drive runs a started collective to completion, whatever its format: it
 // transmits the machine's emits (Start's are already in st.eb), pumps
 // transport messages and retransmission timeouts through it, and turns a
 // silent stall into a postmortem. start is the op clock's origin.
-func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) error {
+func (w *Worker) drive(m protocol.WorkerOp, tid uint32, st *opState, start time.Time) error {
 	defer func() { obsOpLatency.Observe(int64(time.Since(start))) }()
 
 	// The persistent opState carries the decode state, transmit batch and
@@ -393,14 +392,20 @@ func (w *Worker) drive(m opMachine, tid uint32, st *opState, start time.Time) er
 		watchdogCh = watchdog.C
 	}
 
-	// handle runs one inbound message through the machine, releases its
-	// buffer — as soon as the machine is done with the views into it,
-	// before the emits are encoded — and transmits what the machine
-	// answered.
+	// handle decodes one inbound message as a view of its buffer and runs
+	// it through the machine, which refuses a format or direction it does
+	// not read; it releases the buffer as soon as the machine is done with
+	// the views into it, before the emits are encoded, and transmits what
+	// the machine answered.
 	handle := func(msg transport.Message) error {
 		obs.Emit(obs.EvPacketRecvd, tid, int64(len(msg.Data)))
 		st.eb.Reset()
-		err := m.step(msg.Data, time.Since(start), &st.eb)
+		pm, err := st.dec.decode(msg.Data)
+		if err == nil {
+			err = m.HandleMsg(pm, time.Since(start), &st.eb)
+		} else {
+			err = refused(msg.Data, err)
+		}
 		transport.PutBuf(msg.Data)
 		if err != nil {
 			return fmt.Errorf("core: worker %d tensor %#x: %w", w.id, tid, err)

@@ -13,6 +13,7 @@ import (
 	"omnireduce/internal/netsim/simproto"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
+	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
 )
 
@@ -43,10 +44,71 @@ func blockSparseInputs(workers, blocks, bs int, sparsity float64, seed int64) []
 	return out
 }
 
+// kvInputs builds per-worker COO inputs over dim keys, each present with
+// probability density, deterministically from seed: normal float values,
+// or small integers (ints), whose sums are exact in any order.
+func kvInputs(workers, dim int, density float64, ints bool, seed int64) []*tensor.COO {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*tensor.COO, workers)
+	for w := range out {
+		in := tensor.NewCOO(dim)
+		for k := 0; k < dim; k++ {
+			if rng.Float64() >= density {
+				continue
+			}
+			v := float32(rng.NormFloat64())
+			if ints {
+				v = float32(rng.Intn(19) - 9)
+			}
+			in.Append(int32(k), v)
+		}
+		out[w] = in
+	}
+	return out
+}
+
+// diffCOO describes the first difference between two COO tensors, bit
+// for bit, or returns "".
+func diffCOO(a, b *tensor.COO) string {
+	if a.Dim != b.Dim || a.Len() != b.Len() {
+		return fmt.Sprintf("dim %d vs %d, %d pairs vs %d", a.Dim, b.Dim, a.Len(), b.Len())
+	}
+	for i := range a.Keys {
+		if a.Keys[i] != b.Keys[i] || math.Float32bits(a.Values[i]) != math.Float32bits(b.Values[i]) {
+			return fmt.Sprintf("pair %d: (%d, %v) vs (%d, %v)", i, a.Keys[i], a.Values[i], b.Keys[i], b.Values[i])
+		}
+	}
+	return ""
+}
+
 // liveRun executes one AllReduce per worker over the in-process channel
 // transport — every endpoint behind fabric, when it is not nil — and
 // returns the reduced tensors plus both sides' counters.
 func liveRun(t *testing.T, cfg core.Config, inputs [][]float32, fabric *transport.ChaosFabric) ([][]float32, []protocol.WorkerStats, []core.AggStats) {
+	t.Helper()
+	work := make([][]float32, len(inputs))
+	for w := range inputs {
+		work[w] = append([]float32(nil), inputs[w]...)
+	}
+	ws, as := liveCluster(t, cfg, fabric, func(w int, wk *core.Worker) error { return wk.AllReduce(work[w]) })
+	return work, ws, as
+}
+
+// liveRunSparse is liveRun for AllReduceSparse, on a loss-free fabric.
+func liveRunSparse(t *testing.T, cfg core.Config, inputs []*tensor.COO) ([]*tensor.COO, []protocol.WorkerStats, []core.AggStats) {
+	t.Helper()
+	out := make([]*tensor.COO, len(inputs))
+	ws, as := liveCluster(t, cfg, nil, func(w int, wk *core.Worker) (err error) {
+		out[w], err = wk.AllReduceSparse(inputs[w])
+		return err
+	})
+	return out, ws, as
+}
+
+// liveCluster runs op once on each of cfg.Workers workers, concurrently,
+// over the in-process channel transport (behind fabric, when it is not
+// nil), and returns both sides' counters.
+func liveCluster(t *testing.T, cfg core.Config, fabric *transport.ChaosFabric, op func(w int, wk *core.Worker) error) ([]protocol.WorkerStats, []core.AggStats) {
 	t.Helper()
 	nw := transport.NewNetwork(cfg.Workers, 4096)
 	wrap := func(c transport.Conn) transport.Conn {
@@ -74,10 +136,8 @@ func liveRun(t *testing.T, cfg core.Config, inputs [][]float32, fabric *transpor
 			}
 		}(a)
 	}
-	work := make([][]float32, len(inputs))
-	workers := make([]*core.Worker, len(inputs))
-	for w := range inputs {
-		work[w] = append([]float32(nil), inputs[w]...)
+	workers := make([]*core.Worker, cfg.Workers)
+	for w := range workers {
 		conn := wrap(nw.Conn(w))
 		conns = append(conns, conn)
 		wk, err := core.NewWorker(conn, cfg)
@@ -91,7 +151,7 @@ func liveRun(t *testing.T, cfg core.Config, inputs [][]float32, fabric *transpor
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := workers[w].AllReduce(work[w]); err != nil {
+			if err := op(w, workers[w]); err != nil {
 				t.Errorf("worker %d: %v", w, err)
 			}
 		}(w)
@@ -114,7 +174,7 @@ func liveRun(t *testing.T, cfg core.Config, inputs [][]float32, fabric *transpor
 	for _, a := range aggs {
 		as = append(as, a.Stats)
 	}
-	return work, ws, as
+	return ws, as
 }
 
 // slotEventKey identifies one machine-emitted event occurrence modulo
@@ -243,6 +303,15 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 		fusion   int
 		streams  int
 		faults   *faults // nil: reliable mode on a loss-free fabric
+		// kv rows run Algorithm 3 (AllReduceSparse) over COO inputs with
+		// a key at each of the blocks*bs positions with probability
+		// 1-sparsity. It is reliable-only, so they run loss-free. With
+		// BlockSize bs every worker sends several packets (about ten at
+		// FusionWidth 1). The aggregator sums in arrival order
+		// (DeterministicOrder does not reach this path), so only two
+		// workers' float sums are order-free: rows with more workers use
+		// small-integer values (ints), whose sums are exact in any order.
+		kv, ints bool
 	}{
 		{workers: 2, aggs: 1, sparsity: 0, fusion: 1, streams: 1},
 		{workers: 2, aggs: 1, sparsity: 0.5, fusion: 4, streams: 2},
@@ -259,14 +328,21 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 		{workers: 3, aggs: 1, sparsity: 0.7, fusion: 1, streams: 1, faults: burst},
 		{workers: 2, aggs: 1, sparsity: 0.5, fusion: 2, streams: 1, faults: lockstep},
 		{workers: 3, aggs: 2, sparsity: 0.3, fusion: 4, streams: 2, faults: lockstep},
+		{workers: 2, aggs: 1, sparsity: 0.8, fusion: 1, streams: 1, kv: true},
+		// Two aggregators: the collective goes to the one its tensor ID
+		// names (AggregatorFor), on both substrates.
+		{workers: 3, aggs: 2, sparsity: 0.8, fusion: 2, streams: 1, kv: true, ints: true},
+		{workers: 4, aggs: 1, sparsity: 0.7, fusion: 1, streams: 1, kv: true, ints: true},
 	}
 	for i, g := range grid {
 		name := fmt.Sprintf("w%d_a%d_s%.0f%%_f%d", g.workers, g.aggs, g.sparsity*100, g.fusion)
 		if g.faults != nil {
 			name += "_" + g.faults.name
 		}
+		if g.kv {
+			name += "_kv"
+		}
 		t.Run(name, func(t *testing.T) {
-			inputs := blockSparseInputs(g.workers, blocks, bs, g.sparsity, int64(1000+i))
 
 			// Live cluster: dedicated aggregator nodes after the workers,
 			// matching the simulator's non-colocated layout.
@@ -306,29 +382,51 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 				cfg.RetransmitTimeout, cfg.RetransmitBackoff, cfg.RetransmitJitter = lossyTimeout, 1, -1
 				pcfg.RetransmitTimeout, pcfg.RetransmitBackoff, pcfg.RetransmitJitter = lossyTimeout, 1, -1
 			}
+			opts := simproto.OmniOpts{FusionWidth: g.fusion, Streams: g.streams, Lossy: g.faults != nil}
 			liveFR := obs.NewFlightRecorder(-1, 8192)
-			obs.SetTracer(obs.MultiTracer{tracer, liveFR})
-			var liveRes [][]float32
+			simFR := obs.NewFlightRecorder(-1, 8192)
 			var liveWS []protocol.WorkerStats
 			var liveAS []core.AggStats
-			run(func() { liveRes, liveWS, liveAS = liveRun(t, cfg, inputs, fabric) })
-
-			simFR := obs.NewFlightRecorder(-1, 8192)
-			obs.SetTracer(obs.MultiTracer{tracer, simFR})
-			sim := simproto.SimOmniReduceTensors(cl, inputs, pcfg,
-				simproto.OmniOpts{FusionWidth: g.fusion, Streams: g.streams, Lossy: g.faults != nil})
-			obs.SetTracer(tracer)
-
-			if sim.Time <= 0 {
-				t.Fatalf("sim did not complete: time %g", sim.Time)
-			}
-			for w := 0; w < g.workers; w++ {
-				for e := range liveRes[w] {
-					if sim.Results[w][e] != liveRes[w][e] {
-						t.Fatalf("worker %d elem %d: sim %v != live %v",
-							w, e, sim.Results[w][e], liveRes[w][e])
+			var sim *simproto.OmniRun
+			if g.kv {
+				inputs := kvInputs(g.workers, blocks*bs, 1-g.sparsity, g.ints, int64(1000+i))
+				var liveRes []*tensor.COO
+				obs.SetTracer(obs.MultiTracer{tracer, liveFR})
+				run(func() { liveRes, liveWS, liveAS = liveRunSparse(t, cfg, inputs) })
+				obs.SetTracer(obs.MultiTracer{tracer, simFR})
+				var err error
+				sim, err = simproto.SimOmniReduceSparse(cl, inputs, pcfg, opts)
+				obs.SetTracer(tracer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w := 0; w < g.workers; w++ {
+					if d := diffCOO(sim.SparseResults[w], liveRes[w]); d != "" {
+						t.Fatalf("worker %d: sim and live results differ: %s", w, d)
+					}
+					if n := liveWS[w].PacketsSent; n < 4 {
+						t.Errorf("worker %d sent %d packets; the row is meant to stream several", w, n)
 					}
 				}
+			} else {
+				inputs := blockSparseInputs(g.workers, blocks, bs, g.sparsity, int64(1000+i))
+				var liveRes [][]float32
+				obs.SetTracer(obs.MultiTracer{tracer, liveFR})
+				run(func() { liveRes, liveWS, liveAS = liveRun(t, cfg, inputs, fabric) })
+				obs.SetTracer(obs.MultiTracer{tracer, simFR})
+				sim = simproto.SimOmniReduceTensors(cl, inputs, pcfg, opts)
+				obs.SetTracer(tracer)
+				for w := 0; w < g.workers; w++ {
+					for e := range liveRes[w] {
+						if sim.Results[w][e] != liveRes[w][e] {
+							t.Fatalf("worker %d elem %d: sim %v != live %v",
+								w, e, sim.Results[w][e], liveRes[w][e])
+						}
+					}
+				}
+			}
+			if sim.Time <= 0 {
+				t.Fatalf("sim did not complete: time %g", sim.Time)
 			}
 			if len(sim.AggStats) != len(liveAS) {
 				t.Fatalf("aggregator count: sim %d live %d", len(sim.AggStats), len(liveAS))
@@ -358,7 +456,7 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 			}
 
 			liveMS := machineMultiset(liveFR)
-			if len(liveMS) == 0 {
+			if len(liveMS) == 0 && !g.kv { // the k-v machines emit no slot events
 				t.Error("live run recorded no machine-emitted slot events")
 			}
 			if d := diffEventMultisets(liveMS, machineMultiset(simFR)); len(d) > 0 {

@@ -12,13 +12,15 @@ import (
 )
 
 // This file is the virtual-time driver of the OmniReduce protocol: it runs
-// the same protocol.WorkerMachine / protocol.AggregatorMachine state
-// machines that internal/core drives over real transports, but feeds them
-// from the netsim discrete-event loop. Messages are delivered as decoded
-// packets and charged to the simulated fabric at their exact wire-encoded
-// size (Emit.Size, computed by internal/wire). There is no
-// simulator-private round schedule or packet-size formula: whatever the
-// machines emit is what the fabric carries.
+// the same worker machines (protocol.WorkerOp: the block format's
+// WorkerMachine and the key-value format's SparseWorkerMachine) and
+// protocol.AggregatorMachine that internal/core drives over real
+// transports, but feeds them from the netsim discrete-event loop. Messages
+// are delivered as decoded packets (protocol.Msg) and charged to the
+// simulated fabric at their exact wire-encoded size (Emit.Size, computed
+// by internal/wire). There is no simulator-private round schedule or
+// packet-size formula: whatever the machines emit is what the fabric
+// carries.
 //
 // Because the machines emit reusable packet shells (see the protocol.Emit
 // ownership contract: consume before the next call into the machine) and
@@ -83,13 +85,22 @@ type OmniOpts struct {
 	StandbyID int
 }
 
-// simPkt is one in-flight simulated packet: a deep copy of an emitted
-// machine shell (header, nexts, and block payloads carved from data),
-// pooled per run and recycled by the receiving handler.
+// simPkt is one in-flight simulated message: a deep copy of an emitted
+// machine shell of either format (a block packet with its payloads carved
+// from data, or a key-value packet), pooled per run and recycled by the
+// receiving handler. msg points at whichever shell holds the copy.
 type simPkt struct {
 	p    wire.Packet
 	data []float32
+	sp   wire.SparsePacket
+	msg  protocol.Msg
 }
+
+// simTid is the tensor ID of every simulated collective: the live
+// worker's first (core's default job numbers its operations from 1), so a
+// key-value run, which picks its aggregator by tensor ID, uses the same
+// one on both substrates.
+const simTid = 1
 
 func (o OmniOpts) withDefaults() OmniOpts {
 	if o.FusionWidth == 0 {
@@ -178,6 +189,9 @@ type OmniRun struct {
 	// Results holds each worker's reduced tensor for tensor-backed runs
 	// (SimOmniReduceTensors); nil for spec-driven runs.
 	Results [][]float32
+	// SparseResults holds each worker's reduced tensor for key-value runs
+	// (SimOmniReduceSparse).
+	SparseResults []*tensor.COO
 	// Faults are the fabric's injection tallies (Cluster.Faults).
 	Faults transport.EventCounts
 }
@@ -197,7 +211,28 @@ func SimOmniReduce(c Cluster, spec *BlockSpec, opts OmniOpts) float64 {
 		bm := spec.PerWorker[w]
 		views[w] = &specView{blocks: spec.Blocks, bm: bm, zeros: zeros}
 	}
-	return runOmni(c, views, opts.protoConfig(c, bs), opts, spec.TotalBytes()).Time
+	return runDense(c, views, opts.protoConfig(c, bs), opts, spec.TotalBytes()).Time
+}
+
+// runDense runs one block-format collective over views.
+func runDense(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts OmniOpts, copyBytes float64) *OmniRun {
+	return runOmni(c, cfg, opts, copyBytes, func(w int, eb *protocol.EmitBuf) protocol.WorkerOp {
+		m := protocol.NewWorkerMachine(cfg, w, simTid)
+		m.Start(views[w], 0, eb)
+		return m
+	})
+}
+
+// tensorRun fits a cluster and a protocol configuration to a
+// tensor-backed run over n workers: aggregator IDs from the cluster
+// layout, reliable unless opts is lossy, zero fields from
+// protocol.Defaults.
+func tensorRun(c Cluster, n int, cfg protocol.Config, opts OmniOpts) (Cluster, protocol.Config) {
+	c.Workers = n
+	cfg.Workers = n
+	cfg.Aggregators = aggregatorIDs(c)
+	cfg.Reliable = !opts.Lossy
+	return c, cfg.WithDefaults()
 }
 
 // SimOmniReduceTensors runs the protocol machines over real per-worker
@@ -208,11 +243,7 @@ func SimOmniReduce(c Cluster, spec *BlockSpec, opts OmniOpts) float64 {
 // are not modified; Results holds the reduced tensors.
 func SimOmniReduceTensors(c Cluster, inputs [][]float32, cfg protocol.Config, opts OmniOpts) *OmniRun {
 	opts = opts.withDefaults()
-	c.Workers = len(inputs)
-	cfg.Workers = len(inputs)
-	cfg.Aggregators = aggregatorIDs(c)
-	cfg.Reliable = !opts.Lossy
-	cfg = cfg.WithDefaults()
+	c, cfg = tensorRun(c, len(inputs), cfg, opts)
 	views := make([]protocol.TensorView, len(inputs))
 	results := make([][]float32, len(inputs))
 	var copyBytes float64
@@ -222,16 +253,48 @@ func SimOmniReduceTensors(c Cluster, inputs [][]float32, cfg protocol.Config, op
 		views[w] = protocol.NewDenseView(d, cfg.BlockSize, cfg.ForceDense)
 		copyBytes = float64(4 * len(d))
 	}
-	run := runOmni(c, views, cfg, opts, copyBytes)
+	run := runDense(c, views, cfg, opts, copyBytes)
 	run.Results = results
 	return run
+}
+
+// SimOmniReduceSparse runs Algorithm 3, the key-value format, over real
+// per-worker COO tensors in virtual time: SimOmniReduceTensors' twin for
+// the live worker's AllReduceSparse. The collective goes to the one
+// aggregator cfg.AggregatorFor(tensor ID) names, as it does live. The mode
+// is reliable-only, so a Lossy opts fails, as does a malformed input
+// (tensor.COO.Check); failover is not modelled for it. The inputs are not
+// modified; SparseResults holds the reduced tensors. The staging copy is
+// charged at the largest input's encoded pairs (8 bytes each).
+func SimOmniReduceSparse(c Cluster, inputs []*tensor.COO, cfg protocol.Config, opts OmniOpts) (*OmniRun, error) {
+	opts = opts.withDefaults()
+	c, cfg = tensorRun(c, len(inputs), cfg, opts)
+	ms := make([]*protocol.SparseWorkerMachine, len(inputs))
+	var copyBytes float64
+	for w, in := range inputs {
+		m, err := protocol.NewSparseWorkerMachine(cfg, w, simTid, in)
+		if err != nil {
+			return nil, fmt.Errorf("simproto: %w", err)
+		}
+		ms[w] = m
+		copyBytes = max(copyBytes, float64(8*in.Len()))
+	}
+	run := runOmni(c, cfg, opts, copyBytes, func(w int, eb *protocol.EmitBuf) protocol.WorkerOp {
+		ms[w].Start(eb)
+		return ms[w]
+	})
+	for _, m := range ms {
+		run.SparseResults = append(run.SparseResults, m.Result())
+	}
+	return run, nil
 }
 
 // runOmni is the shared discrete-event driver: it wires worker and
 // aggregator machines onto netsim nodes, routes their emits as simulated
 // messages, and arms virtual-time retransmission timers from the worker
-// machines' deadline requests.
-func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts OmniOpts, copyBytes float64) *OmniRun {
+// machines' deadline requests. start builds worker w's machine, of either
+// format, and starts it, appending its first packets to eb.
+func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, start func(w int, eb *protocol.EmitBuf) protocol.WorkerOp) *OmniRun {
 	n := netsim.NewNet(c.Latency, c.Faults)
 	N := c.Workers
 	nsPerSec := float64(time.Second)
@@ -255,10 +318,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		}
 	}
 
-	wm := make([]*protocol.WorkerMachine, N)
-	for w := 0; w < N; w++ {
-		wm[w] = protocol.NewWorkerMachine(cfg, w, 1)
-	}
+	wm := make([]protocol.WorkerOp, N)
 	am := make(map[int]*protocol.AggregatorMachine, len(aggIDs))
 	for _, id := range aggIDs {
 		am[id] = protocol.NewAggregatorMachine(cfg, id)
@@ -275,7 +335,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 	// messages simply never return their shell — bounded garbage on lossy
 	// runs, zero on reliable ones.
 	var pktFree []*simPkt
-	clone := func(src *wire.Packet) *simPkt {
+	clone := func(e *protocol.Emit) *simPkt {
 		var sp *simPkt
 		if k := len(pktFree); k > 0 {
 			sp = pktFree[k-1]
@@ -284,7 +344,13 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		} else {
 			sp = &simPkt{}
 		}
-		sp.data = wire.CopyPacketInto(&sp.p, sp.data, src)
+		if e.Packet != nil {
+			sp.data = wire.CopyPacketInto(&sp.p, sp.data, e.Packet)
+			sp.msg = protocol.Msg{Dense: &sp.p}
+		} else {
+			wire.CopySparsePacketInto(&sp.sp, e.Sparse)
+			sp.msg = protocol.Msg{Sparse: &sp.sp}
+		}
 		return sp
 	}
 	recycle := func(sp *simPkt) { pktFree = append(pktFree, sp) }
@@ -300,7 +366,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		}
 		nd := n.Node(src)
 		for i := range emits {
-			nd.Send(emits[i].Dst, float64(emits[i].Size), clone(emits[i].Packet))
+			nd.Send(emits[i].Dst, float64(emits[i].Size), clone(&emits[i]))
 		}
 	}
 
@@ -367,13 +433,13 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		})
 	}
 
-	runAgg := func(nodeID int, p *wire.Packet) {
+	runAgg := func(nodeID int, msg protocol.Msg) {
 		m := am[nodeID]
 		if m == nil {
 			return // dead (failed-over) or not-yet-activated node: drop
 		}
 		eb.Reset()
-		if err := m.HandlePacket(protocol.Msg{Dense: p}, eb); err != nil {
+		if err := m.HandlePacket(msg, eb); err != nil {
 			panic(fmt.Sprintf("simproto: aggregator %d: %v", nodeID, err))
 		}
 		route(nodeID, eb.Emits())
@@ -384,14 +450,13 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		workers[w].Handler = func(m netsim.Message) {
 			tick()
 			sp := m.Payload.(*simPkt)
-			p := &sp.p
-			if p.Type == wire.TypeData {
-				runAgg(w, p) // colocated aggregator shard
+			if t := sp.msg.Type(); t == wire.TypeData || t == wire.TypeSparseData {
+				runAgg(w, sp.msg) // colocated aggregator shard
 				recycle(sp)
 				return
 			}
 			eb.Reset()
-			if err := wm[w].HandlePacket(p, now(), eb); err != nil {
+			if err := wm[w].HandleMsg(sp.msg, now(), eb); err != nil {
 				panic(fmt.Sprintf("simproto: worker %d: %v", w, err))
 			}
 			route(w, eb.Emits())
@@ -406,7 +471,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 			n.Node(id).Handler = func(m netsim.Message) {
 				tick()
 				sp := m.Payload.(*simPkt)
-				runAgg(id, &sp.p)
+				runAgg(id, sp.msg)
 				recycle(sp)
 			}
 		}
@@ -437,7 +502,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 		nd.Handler = func(m netsim.Message) {
 			tick()
 			sp := m.Payload.(*simPkt)
-			runAgg(standby, &sp.p)
+			runAgg(standby, sp.msg)
 			recycle(sp)
 		}
 		mirrorOf, mirror = servedBy[opts.FailAggIndex], protocol.NewAggregatorMachine(cfg, standby)
@@ -478,7 +543,7 @@ func runOmni(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts O
 			}
 		})
 		eb.Reset()
-		wm[w].Start(views[w], 0, eb)
+		wm[w] = start(w, eb)
 		route(w, eb.Emits())
 		checkDone(w)
 		arm(w)

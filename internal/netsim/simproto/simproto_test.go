@@ -1,12 +1,16 @@
 package simproto
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"omnireduce/internal/netsim"
+	"omnireduce/internal/protocol"
 	"omnireduce/internal/sparsity"
+	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
 )
 
@@ -180,6 +184,56 @@ func TestOmniColocated(t *testing.T) {
 	tCol := SimOmniReduce(col, spec, OmniOpts{})
 	if tCol < tDed {
 		t.Errorf("colocated %v faster than dedicated %v on dense data", tCol, tDed)
+	}
+}
+
+// TestSimOmniReduceSparse runs Algorithm 3 in virtual time on dedicated
+// aggregators (two: the op goes to the one its tensor ID names) and
+// colocated ones (each worker node's handler tells data for its
+// aggregator from results for its worker): every worker ends with the
+// key-wise sum of the inputs. Values are small integers, whose sums do
+// not depend on the order the aggregator adds in. The mode is
+// reliable-only, so a lossy run fails, as does a malformed input.
+func TestSimOmniReduceSparse(t *testing.T) {
+	const W, dim = 3, 600
+	rng := rand.New(rand.NewSource(41))
+	inputs := make([]*tensor.COO, W)
+	want := tensor.NewCOO(dim)
+	for w := range inputs {
+		inputs[w] = tensor.NewCOO(dim)
+		for k := 0; k < dim; k++ {
+			if rng.Float64() < 0.3 {
+				inputs[w].Append(int32(k), float32(rng.Intn(9)-4))
+			}
+		}
+		want = want.AddCOO(inputs[w])
+	}
+	cfg := protocol.Config{BlockSize: 8, FusionWidth: 2}
+	col := Testbed10G(W, W)
+	col.Colocated = true
+	for name, c := range map[string]Cluster{"dedicated": Testbed10G(W, 2), "colocated": col} {
+		run, err := SimOmniReduceSparse(c, inputs, cfg, OmniOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if run.Time <= 0 {
+			t.Fatalf("%s: did not complete: time %g", name, run.Time)
+		}
+		for w, got := range run.SparseResults {
+			if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Values, want.Values) {
+				t.Fatalf("%s: worker %d result differs from the key-wise sum", name, w)
+			}
+			if n := run.WorkerStats[w].PacketsSent; n < 4 {
+				t.Errorf("%s: worker %d sent %d packets, want several", name, w, n)
+			}
+		}
+	}
+	if _, err := SimOmniReduceSparse(Testbed10G(W, 1), inputs, cfg, OmniOpts{Lossy: true}); err == nil {
+		t.Error("lossy key-value run accepted")
+	}
+	bad := &tensor.COO{Dim: dim, Keys: []int32{5, 3}, Values: []float32{1, 1}}
+	if _, err := SimOmniReduceSparse(Testbed10G(2, 1), []*tensor.COO{inputs[0], bad}, cfg, OmniOpts{}); !errors.Is(err, tensor.ErrKeyOrder) {
+		t.Errorf("malformed input: err %v, want tensor.ErrKeyOrder", err)
 	}
 }
 

@@ -183,16 +183,19 @@ func (m *AggregatorMachine) Stats() AggStats { return m.stats }
 // result packets are reusable shells under the Emit ownership contract:
 // the caller must consume them before the next HandlePacket call. Within
 // one call, a multicast result is pointer-equal across its fan-out, so
-// drivers may encode once and send N times.
+// drivers may encode once and send N times. Only worker data of either
+// format is accepted: any other message (a result, an empty Msg) is
+// refused with an error and changes nothing.
 func (m *AggregatorMachine) HandlePacket(msg Msg, eb *EmitBuf) error {
-	m.stats.PacketsRecvd++
 	switch {
-	case msg.Dense != nil:
+	case msg.Dense != nil && msg.Dense.Type == wire.TypeData:
+		m.stats.PacketsRecvd++
 		return m.handleDense(msg.Dense, eb)
-	case msg.Sparse != nil:
+	case msg.Sparse != nil && msg.Sparse.Type == wire.TypeSparseData:
+		m.stats.PacketsRecvd++
 		return m.handleSparse(msg.Sparse, eb)
 	default:
-		return fmt.Errorf("protocol: aggregator received empty message")
+		return fmt.Errorf("protocol: aggregator: unexpected message type %d", msg.Type())
 	}
 }
 

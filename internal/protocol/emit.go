@@ -28,6 +28,17 @@ type Msg struct {
 	Sparse *wire.SparsePacket
 }
 
+// Type is the message's wire type; 0 for an empty Msg.
+func (m Msg) Type() uint8 {
+	switch {
+	case m.Dense != nil:
+		return m.Dense.Type
+	case m.Sparse != nil:
+		return m.Sparse.Type
+	}
+	return 0
+}
+
 // Emit is one outbound message requested by a machine: a decoded packet,
 // its destination node ID, and the exact number of bytes the wire encoding
 // occupies (per internal/wire's encoders). Real drivers call Encode and

@@ -40,14 +40,6 @@ func testClone(p *wire.Packet) *wire.Packet {
 	return &c
 }
 
-// testCloneSparse is testClone for key-value packets.
-func testCloneSparse(p *wire.SparsePacket) *wire.SparsePacket {
-	c := *p
-	c.Keys = append([]int32(nil), p.Keys...)
-	c.Values = append([]float32(nil), p.Values...)
-	return &c
-}
-
 // poison overwrites a delivered packet's encoding with 0xFF (NaN payloads,
 // keys no tensor has): what the buffer pool may do to it once a live
 // driver has released it after HandlePacket.
@@ -533,7 +525,9 @@ func runSparseFIFO(tb testing.TB, cfg Config, ins []*tensor.COO, deliver func(ds
 	var eb EmitBuf
 	push := func(emits []Emit) {
 		for i := range emits {
-			q = append(q, smsg{dst: emits[i].Dst, pkt: testCloneSparse(emits[i].Sparse)})
+			p := new(wire.SparsePacket)
+			wire.CopySparsePacketInto(p, emits[i].Sparse)
+			q = append(q, smsg{dst: emits[i].Dst, pkt: p})
 		}
 	}
 	for w := range ins {

@@ -11,6 +11,8 @@
 //     HandlePacket and wall-clock notifications via HandleTimeout, and
 //     return []Emit — destination node IDs plus decoded packets annotated
 //     with their exact encoded size (internal/wire's EncodedPacketSize).
+//     Drivers hold a worker machine of either format (WorkerMachine,
+//     SparseWorkerMachine) as a WorkerOp and feed it decoded Msgs.
 //   - A driver owns all I/O: internal/core pumps real transport.Conn
 //     messages through the machines and wakes them with a time.Timer
 //     armed at NextTimeout, while internal/netsim/simproto feeds the same
@@ -64,6 +66,8 @@ type Config struct {
 	// MaxRetries bounds per-packet retransmissions; 0 retries forever.
 	MaxRetries int
 	// DeterministicOrder reduces contributions in worker-ID order (§7).
+	// It covers the block path only; the key-value aggregator
+	// (handleSparse) sums in arrival order whatever it says.
 	DeterministicOrder bool
 	// HalfPrecision transmits block data as IEEE 754 binary16.
 	HalfPrecision bool

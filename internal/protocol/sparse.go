@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"time"
 
 	"omnireduce/internal/obs"
 	"omnireduce/internal/tensor"
@@ -29,6 +30,9 @@ import (
 //
 // As in the paper, this mode targets reliable transports (the paper leaves
 // a lossy realization as future work), so the machine requests no timers.
+// It also sums in arrival order: Config.DeterministicOrder does not reach
+// it, so with three or more workers a float result can differ in its last
+// bits from run to run (integer-valued sums cannot).
 //
 // Keys are int32 and must not be negative, so every key is below the
 // uint32 NextKey sentinels: 0xFFFFFFFF is the "no more keys" sentinel and
@@ -142,18 +146,41 @@ func (m *SparseWorkerMachine) sendNext(eb *EmitBuf) {
 	eb.Append(Emit{Dst: m.cfg.AggregatorFor(int(m.tid)), Sparse: p, Size: size})
 }
 
+// HandleMsg is HandlePacket for a Msg; it refuses a block-format message.
+// The key-value mode has no timers (now is unused).
+func (m *SparseWorkerMachine) HandleMsg(msg Msg, _ time.Duration, eb *EmitBuf) error {
+	if msg.Sparse == nil {
+		return fmt.Errorf("protocol: worker %d: unexpected message type %d in sparse mode", m.id, msg.Type())
+	}
+	return m.HandlePacket(msg.Sparse, eb)
+}
+
+// NextTimeout publishes no deadline: the mode is reliable-only (init
+// refuses anything else), so nothing is ever resent.
+func (m *SparseWorkerMachine) NextTimeout() (time.Duration, bool) { return 0, false }
+
+// HandleTimeout does nothing, for the same reason as NextTimeout.
+func (m *SparseWorkerMachine) HandleTimeout(time.Duration, *EmitBuf) error { return nil }
+
+// Rebind does nothing: the key-value mode has no failover (DESIGN §12).
+// Its packets keep going to the aggregator the collective started with.
+func (m *SparseWorkerMachine) Rebind([]int, time.Duration, *EmitBuf) {}
+
 // HandlePacket consumes one sparse result chunk: appends the flushed
 // prefix to the output and, when the global progress reaches our next
 // unsent key, emits the next packet into eb (Algorithm 3 line 10). Every
-// accepted chunk counts in ResultsRecvd, the driver's progress signal. A chunk
-// that does not continue the output in strictly increasing key order,
-// below the tensor's dimension, fails the collective with ErrSparseResult.
+// accepted chunk counts in ResultsRecvd, the driver's progress signal. A
+// chunk for another tensor is filtered (counted in StaleResults) with no
+// emits, as WorkerMachine filters one. A chunk that does not continue the
+// output in strictly increasing key order, below the tensor's dimension,
+// fails the collective with ErrSparseResult.
 func (m *SparseWorkerMachine) HandlePacket(p *wire.SparsePacket, eb *EmitBuf) error {
 	if p.Type != wire.TypeSparseResult {
 		return fmt.Errorf("protocol: worker %d: unexpected message type %d in sparse mode", m.id, p.Type)
 	}
 	if p.TensorID != m.tid {
-		return nil // stale
+		m.stats.StaleResults++
+		return nil // stale result from another tensor
 	}
 	if err := m.out.AppendRun(p.Keys, p.Values); err != nil {
 		return fmt.Errorf("protocol: worker %d: %w: %w", m.id, ErrSparseResult, err)

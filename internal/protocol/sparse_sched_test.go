@@ -53,7 +53,8 @@ func newKVWorld(t *testing.T, cfg Config, ins []*tensor.COO) *kvWorld {
 // the aggregator's on each destination's.
 func (w *kvWorld) route(src int, emits []Emit) {
 	for i := range emits {
-		p := testCloneSparse(emits[i].Sparse)
+		p := new(wire.SparsePacket)
+		wire.CopySparsePacketInto(p, emits[i].Sparse)
 		if dst := emits[i].Dst; dst == aggNode {
 			w.up[src] = append(w.up[src], p)
 		} else {

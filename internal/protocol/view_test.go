@@ -348,7 +348,9 @@ func TestSparseMultiAggregatorRouting(t *testing.T) {
 					t.Fatalf("tid %d: worker %d sent sparse packet to node %d, want %d",
 						tc.tid, src, emits[i].Dst, tc.wantDst)
 				}
-				q = append(q, smsg{dst: emits[i].Dst, pkt: testCloneSparse(emits[i].Sparse)})
+				p := new(wire.SparsePacket)
+				wire.CopySparsePacketInto(p, emits[i].Sparse)
+				q = append(q, smsg{dst: emits[i].Dst, pkt: p})
 			}
 		}
 		for w := range ins {

@@ -37,6 +37,31 @@ func (s *WorkerStats) Add(o WorkerStats) {
 	s.Backoffs += o.Backoffs
 }
 
+// WorkerOp is a started worker machine of either format, as a driver loop
+// sees it: WorkerMachine (Algorithms 1 and 2) and SparseWorkerMachine
+// (Algorithm 3). Each format's constructor and Start differ; everything
+// after Start goes through these methods, so the live worker and the
+// simulator each run one loop for both formats.
+type WorkerOp interface {
+	// HandleMsg consumes one decoded inbound message. A message of the
+	// other format, or of a type other than a result, is refused with an
+	// error and changes nothing.
+	HandleMsg(msg Msg, now time.Duration, eb *EmitBuf) error
+	// HandleTimeout resends what is overdue at now.
+	HandleTimeout(now time.Duration, eb *EmitBuf) error
+	// NextTimeout is the earliest retransmission deadline, if any.
+	NextTimeout() (time.Duration, bool)
+	// Rebind routes by a new aggregator list after a view change.
+	Rebind(aggs []int, now time.Duration, eb *EmitBuf)
+	Done() bool
+	Stats() WorkerStats
+}
+
+var (
+	_ WorkerOp = (*WorkerMachine)(nil)
+	_ WorkerOp = (*SparseWorkerMachine)(nil)
+)
+
 // wStream is the per-stream worker state for one AllReduce. The struct
 // (and its next-offset scratch and packet shells) is retained across
 // collectives by the owning machine, so the steady state re-sends through
@@ -237,6 +262,14 @@ func (m *WorkerMachine) Start(view TensorView, now time.Duration, eb *EmitBuf) {
 		}
 		m.send(st, p, now, eb)
 	}
+}
+
+// HandleMsg is HandlePacket for a Msg; it refuses a key-value message.
+func (m *WorkerMachine) HandleMsg(msg Msg, now time.Duration, eb *EmitBuf) error {
+	if msg.Dense == nil {
+		return fmt.Errorf("protocol: worker %d: unexpected message type %d", m.id, msg.Type())
+	}
+	return m.HandlePacket(msg.Dense, now, eb)
 }
 
 // HandlePacket consumes one aggregator result, appending the next round's

@@ -36,6 +36,44 @@ func TestAppendPacketZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCopyPacketIntoZeroAllocs: copying into a warm shell and arena (the
+// simulator's in-flight copies, the aggregator's result archive) does not
+// allocate.
+func TestCopyPacketIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	src := benchPacket()
+	var dst Packet
+	arena := CopyPacketInto(&dst, nil, src)
+	allocs := testing.AllocsPerRun(100, func() {
+		arena = CopyPacketInto(&dst, arena, src)
+	})
+	if allocs != 0 {
+		t.Fatalf("CopyPacketInto into a warm shell: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestCopySparsePacketIntoZeroAllocs is the key-value twin.
+func TestCopySparsePacketIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	src := &SparsePacket{Type: TypeSparseData, NextKey: 9}
+	for i := 0; i < 256; i++ {
+		src.Keys = append(src.Keys, int32(2*i))
+		src.Values = append(src.Values, float32(i))
+	}
+	var dst SparsePacket
+	CopySparsePacketInto(&dst, src)
+	allocs := testing.AllocsPerRun(100, func() {
+		CopySparsePacketInto(&dst, src)
+	})
+	if allocs != 0 {
+		t.Fatalf("CopySparsePacketInto into a warm shell: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestDecodePacketIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")

@@ -116,6 +116,17 @@ func CopyPacketInto(dst *Packet, arena []float32, src *Packet) []float32 {
 	return arena
 }
 
+// CopySparsePacketInto is CopyPacketInto for a key-value packet: dst's
+// Keys and Values storage is reused (grown only when too small), so dst
+// must own it — a shell kept for copies, not a packet whose slices alias
+// another's. Afterwards dst shares no memory with src.
+func CopySparsePacketInto(dst, src *SparsePacket) {
+	keys, vals := dst.Keys[:0], dst.Values[:0]
+	*dst = *src
+	dst.Keys = append(keys, src.Keys...)
+	dst.Values = append(vals, src.Values...)
+}
+
 const headerLen = 24
 
 // MaxPacketLen returns the encoded size of a packet with the given fusion

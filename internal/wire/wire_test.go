@@ -526,3 +526,57 @@ func TestDecodePacketBadDType(t *testing.T) {
 		t.Fatal("accepted unknown dtype")
 	}
 }
+
+// TestCopyPacketInto checks that a copy is equal to its source and shares
+// no memory with it: scribbling over the source afterwards leaves the
+// copy as it was, into a fresh shell and into a used one alike.
+func TestCopyPacketInto(t *testing.T) {
+	var dst Packet
+	var arena []float32
+	for round := 0; round < 2; round++ {
+		src := benchPacket()
+		want := benchPacket()
+		arena = CopyPacketInto(&dst, arena, src)
+		if !reflect.DeepEqual(&dst, want) {
+			t.Fatalf("round %d: copy differs:\n got %+v\nwant %+v", round, dst, *want)
+		}
+		for i := range src.Nexts {
+			src.Nexts[i] = 0xBAD
+		}
+		for _, b := range src.Blocks {
+			for i := range b.Data {
+				b.Data[i] = -1
+			}
+		}
+		if !reflect.DeepEqual(&dst, want) {
+			t.Fatalf("round %d: copy changed with its source", round)
+		}
+	}
+}
+
+// TestCopySparsePacketInto is TestCopyPacketInto for a key-value packet.
+func TestCopySparsePacketInto(t *testing.T) {
+	mk := func(n int) *SparsePacket {
+		p := &SparsePacket{Type: TypeSparseResult, WID: 3, TensorID: 7, NextKey: uint32(2 * n)}
+		for i := 0; i < n; i++ {
+			p.Keys = append(p.Keys, int32(2*i))
+			p.Values = append(p.Values, float32(i)+0.5)
+		}
+		return p
+	}
+	var dst SparsePacket
+	// Shrink, then grow past the storage the first copy left in dst.
+	for _, n := range []int{16, 4, 64} {
+		src, want := mk(n), mk(n)
+		CopySparsePacketInto(&dst, src)
+		if !reflect.DeepEqual(&dst, want) {
+			t.Fatalf("n=%d: copy differs:\n got %+v\nwant %+v", n, dst, *want)
+		}
+		for i := range src.Keys {
+			src.Keys[i], src.Values[i] = -1, -1
+		}
+		if !reflect.DeepEqual(&dst, want) {
+			t.Fatalf("n=%d: copy changed with its source", n)
+		}
+	}
+}

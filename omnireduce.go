@@ -52,7 +52,9 @@ type Options struct {
 	FusionWidth int
 	// Streams is the number of parallel aggregation streams.
 	Streams int
-	// DeterministicOrder enforces bit-reproducible reduction order (§7).
+	// DeterministicOrder enforces bit-reproducible reduction order (§7)
+	// on the block path. AllReduceSparse (Algorithm 3) does not take it:
+	// it sums in arrival order.
 	DeterministicOrder bool
 	// SwitchMode emulates a programmable-switch aggregator: fixed-point
 	// accumulation at the given scale (e.g. 1<<16). Zero disables.
