@@ -18,7 +18,7 @@ tier1:
 # type-checks a big-endian target, the only kind of build that compiles
 # internal/wire's portable codecs (f32_portable.go), and a non-amd64 one,
 # which is what compiles internal/tensor's Go-only kernels (add_other.go,
-# scan_other.go); on amd64 the first line's asmdecl pass checks the
+# scan_other.go, merge_other.go); on amd64 the first line's asmdecl pass checks the
 # assembly kernels' frames against their Go declarations; the last fails
 # if gofmt would change any file, bench/ included.
 vet:
@@ -115,12 +115,13 @@ short-race: vet
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/core/ ./internal/transport/
 
-# Continuous fuzzing of the zero-block, bitmap-scan and AddF32 kernels
-# (the scan against the per-element oracle on long, mostly-zero tensors
-# whose full words reach the AVX2 word kernel; AddF32 against the portable
-# Go loop, bit for bit), of the key-value aggregator's branch-free merge
-# (against the scalar arrival-order fold, bit for bit, on ±0, denormals,
-# ±Inf and NaN payloads, over any packetization and delivery order) and of
+# Continuous fuzzing of the zero-block, bitmap-scan, AddF32 and MergeRuns
+# kernels (the scan against the per-element oracle on long, mostly-zero
+# tensors whose full words reach the AVX2 word kernel; AddF32 and the
+# two-chain sorted-run merge against their portable Go loops, bit for
+# bit), of the key-value aggregator's merge (against the scalar
+# arrival-order fold, bit for bit, on ±0, denormals, ±Inf and NaN
+# payloads, over any packetization and delivery order) and of
 # everything decoded off the
 # network (FUZZTIME to override): the data decoders, the view and
 # control planes, and the standby's mirror-frame handler. The data targets
@@ -132,6 +133,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzZeroBlock -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzComputeBitmap -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzAddF32 -fuzztime $(FUZZTIME) ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzMergeRuns -fuzztime $(FUZZTIME) ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz FuzzSparseMerge -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -gcflags=-d=checkptr -run '^$$' -fuzz FuzzDecodeSparsePacket -fuzztime $(FUZZTIME) ./internal/wire/
@@ -148,11 +150,13 @@ fuzz:
 # encoded bytes per operation), and BenchmarkPacketShape's FusionWidth x
 # Streams sweep is recorded with them: it is the evidence behind
 # protocol.Defaults' packet shape, so a change of default starts as a rerun.
-# The key-value path has three rungs: BenchmarkAllReduceSparseLive (the
+# The key-value path has four rungs: BenchmarkAllReduceSparseLive (the
 # live Algorithm 3 collective), BenchmarkSparseMerge (the aggregator's
-# merge and flush alone, MB/s over the pairs merged) and
+# merge and flush alone, MB/s over the pairs merged),
 # BenchmarkSparseWorkerStep (a pooled worker machine's whole collective
-# over view-decoded result chunks, ns per collective), all gated.
+# over view-decoded result chunks, ns per collective) and
+# BenchmarkMergeRuns (the two-chain merge kernel alone at the live op's
+# first merge, 8 192 + 8 192 pairs), all gated.
 # BenchmarkCheckpointTax records what a standby costs a dense collective
 # when nothing fails (tax-x, mirrored over plain, rounds interleaved) in a
 # row per mode, and benchjson fails the tier if either exceeds 2 or the
@@ -187,9 +191,9 @@ bench:
 	  $(GO) test -run '^$$' -bench '^BenchmarkMirrorFrame$$' -benchmem -count=3 ./internal/core/ ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView|BenchmarkPacketDecodeViewCold)$$' -benchmem -count=3 ./internal/wire/ ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem -count=3 ./internal/tensor/ ) \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd|BenchmarkMergeRuns)$$' -benchmem -count=3 ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \
-	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkSparseWorkerStep,BenchmarkAggregatorStep,BenchmarkMirrorFrame,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap,BenchmarkDenseAdd' \
+	    -gate 'BenchmarkAllReduceLive,BenchmarkAllReduceSparseLive,BenchmarkSparseMerge,BenchmarkSparseWorkerStep,BenchmarkAggregatorStep,BenchmarkMirrorFrame,BenchmarkPacketEncode,BenchmarkPacketDecodeInto,BenchmarkPacketDecodeView,BenchmarkComputeBitmap,BenchmarkDenseAdd,BenchmarkMergeRuns' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
 

@@ -98,29 +98,7 @@ func TestPublicUDPJob(t *testing.T) {
 		RetransmitTimeout: 20 * time.Millisecond,
 		StallTimeout:      30 * time.Second,
 	}
-	// The aggregator binds ":0" first; each worker also binds ":0" knowing
-	// only the aggregator's real address, and the aggregator learns the
-	// worker addresses through RegisterPeer. No fixed ports, no retry loop.
-	agg, err := NewUDPAggregator(workers, map[int]string{workers: "127.0.0.1:0"}, opts)
-	if err != nil {
-		t.Fatalf("aggregator: %v", err)
-	}
-	go agg.Run()
-	defer agg.Close()
-
-	ws := make([]*Worker, workers)
-	for i := 0; i < workers; i++ {
-		addrs := map[int]string{i: "127.0.0.1:0", workers: agg.Addr()}
-		w, err := NewUDPWorker(i, addrs, opts)
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		defer w.Close()
-		if err := agg.RegisterPeer(i, w.Addr()); err != nil {
-			t.Fatalf("register worker %d: %v", i, err)
-		}
-		ws[i] = w
-	}
+	ws := startUDPJob(t, opts)
 
 	rng := rand.New(rand.NewSource(3))
 	const n = 20_000
@@ -136,8 +114,52 @@ func TestPublicUDPJob(t *testing.T) {
 			}
 		}
 	}
+	allReduceUDP(t, ws, inputs)
+	for w := range inputs {
+		for i := range want {
+			d := float64(inputs[w][i]) - float64(want[i])
+			if d > 1e-4 || d < -1e-4 {
+				t.Fatalf("worker %d elem %d: %v vs %v", w, i, inputs[w][i], want[i])
+			}
+		}
+	}
+}
+
+// startUDPJob starts an aggregator and opts.Workers workers over loopback
+// UDP, closed when the test ends. The aggregator binds ":0" first; each
+// worker also binds ":0" knowing only the aggregator's real address, and
+// the aggregator learns the worker addresses through RegisterPeer. No
+// fixed ports, no retry loop.
+func startUDPJob(t *testing.T, opts Options) []*Worker {
+	t.Helper()
+	agg, err := NewUDPAggregator(opts.Workers, map[int]string{opts.Workers: "127.0.0.1:0"}, opts)
+	if err != nil {
+		t.Fatalf("aggregator: %v", err)
+	}
+	go agg.Run()
+	t.Cleanup(func() { agg.Close() })
+	ws := make([]*Worker, opts.Workers)
+	for i := range ws {
+		addrs := map[int]string{i: "127.0.0.1:0", opts.Workers: agg.Addr()}
+		w, err := NewUDPWorker(i, addrs, opts)
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+		t.Cleanup(func() { w.Close() })
+		if err := agg.RegisterPeer(i, w.Addr()); err != nil {
+			t.Fatalf("register worker %d: %v", i, err)
+		}
+		ws[i] = w
+	}
+	return ws
+}
+
+// allReduceUDP runs one AllReduce on every worker at once, each on its
+// own input, and fails on any error or after a minute.
+func allReduceUDP(t *testing.T, ws []*Worker, inputs [][]float32) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make([]error, workers)
+	errs := make([]error, len(ws))
 	for i := range ws {
 		wg.Add(1)
 		go func(i int) {
@@ -157,13 +179,50 @@ func TestPublicUDPJob(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	for w := range inputs {
-		for i := range want {
-			d := float64(inputs[w][i]) - float64(want[i])
-			if d > 1e-4 || d < -1e-4 {
-				t.Fatalf("worker %d elem %d: %v vs %v", w, i, inputs[w][i], want[i])
+}
+
+// TestUDPPacketShapeLimit: a UDP datagram carries at most 65 507 bytes
+// (transport.MaxDatagram). A full packet of 64 float32 blocks of 256
+// (66 328 bytes) does not fit, so both constructors refuse that shape and
+// name the limit; 64 blocks at half precision and 63 at float32 fit, and
+// each completes an AllReduce over loopback whose every packet is full.
+func TestUDPPacketShapeLimit(t *testing.T) {
+	const workers = 2
+	base := Options{Workers: workers, Streams: 1, BlockSize: 256, RetransmitTimeout: 20 * time.Millisecond, StallTimeout: 30 * time.Second}
+	wide := base
+	wide.FusionWidth = 64
+	if _, err := NewUDPAggregator(workers, map[int]string{workers: "127.0.0.1:0"}, wide); err == nil || !strings.Contains(err.Error(), "65507") {
+		t.Fatalf("aggregator at 64 x 256 float32: err %v, want a refusal naming 65507", err)
+	}
+	if _, err := NewUDPWorker(0, map[int]string{0: "127.0.0.1:0", workers: "127.0.0.1:9"}, wide); err == nil || !strings.Contains(err.Error(), "65507") {
+		t.Fatalf("worker at 64 x 256 float32: err %v, want a refusal naming 65507", err)
+	}
+	half := wide
+	half.HalfPrecision = true
+	narrower := base
+	narrower.FusionWidth = 63
+	for name, opts := range map[string]Options{"64 x 256 fp16": half, "63 x 256 fp32": narrower} {
+		t.Run(name, func(t *testing.T) {
+			ws := startUDPJob(t, opts)
+			// Two packets of every block non-zero, in small integers, which
+			// both precisions carry exactly.
+			n := 2 * opts.FusionWidth * opts.BlockSize
+			inputs := make([][]float32, workers)
+			for w := range inputs {
+				inputs[w] = make([]float32, n)
+				for i := range inputs[w] {
+					inputs[w][i] = float32(1 + (i+w)%3)
+				}
 			}
-		}
+			allReduceUDP(t, ws, inputs)
+			for w := range inputs {
+				for i, v := range inputs[w] {
+					if want := float32(1+i%3) + float32(1+(i+1)%3); v != want {
+						t.Fatalf("worker %d elem %d: %v, want %v", w, i, v, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,7 +156,9 @@ func TestRebindGraceSuppressesOnePeriod(t *testing.T) {
 // formats' collectives and a named job's lifecycle run on the same worker.
 // The view swaps the worker's aggregator list; under the race detector
 // this fails if any op or job-control path reads the list outside the
-// lock the swap holds.
+// lock the swap holds. The ops are tiny and may all finish before the
+// view applier is first scheduled, so the sequence repeats until at least
+// two views have been applied, or a deadline passes.
 func TestViewChangeDuringOps(t *testing.T) {
 	c := startCluster(t, Config{Workers: 1, Reliable: true}, 0, 1)
 	w := c.workers[0]
@@ -163,6 +166,7 @@ func TestViewChangeDuringOps(t *testing.T) {
 
 	stop := make(chan struct{})
 	views := make(chan uint32, 1)
+	var applied atomic.Uint32
 	go func() {
 		epoch := uint32(0)
 		defer func() { views <- epoch }()
@@ -174,6 +178,7 @@ func TestViewChangeDuringOps(t *testing.T) {
 			}
 			epoch++
 			w.maybeApplyView(protocol.View{Epoch: epoch, Workers: []int{0}, Aggregators: aggs})
+			applied.Store(epoch)
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
@@ -182,7 +187,8 @@ func TestViewChangeDuringOps(t *testing.T) {
 	kv := tensor.NewCOO(len(data))
 	kv.Append(3, 1)
 	kv.Append(200, 2)
-	for i := 0; i < 60; i++ {
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 60 || (applied.Load() < 2 && time.Now().Before(deadline)); i++ {
 		for j := range data {
 			data[j] = float32(j%5) + 1
 		}

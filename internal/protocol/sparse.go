@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -293,10 +292,11 @@ func admit(p *wire.SparsePacket, sent int64) error {
 }
 
 // mergeRun folds p's strictly ascending run into the unflushed suffix of
-// the sorted runs. Pairs below the packet's first key stay where they
-// are. The held suffix from there and the packet merge into mergeK/mergeV
-// (mergeSteps), what is left of the packet goes on in one copy, and held
-// pairs above its last key move up in one copy. A packet past every held
+// the sorted runs. Held pairs below the packet's first key stay where they
+// are. The held pairs from there to its last key and the packet merge into
+// mergeK/mergeV (tensor.MergeRuns, held + packet on equal keys), the held
+// pairs above its last key move up by the number of new keys in one copy,
+// and one more copy puts the merge in the gap. A packet past every held
 // key, as every worker's first is, is two bulk copies.
 func (sa *sparseAgg) mergeRun(p *wire.SparsePacket) {
 	pk, pv := p.Keys, p.Values
@@ -305,61 +305,22 @@ func (sa *sparseAgg) mergeRun(p *wire.SparsePacket) {
 	}
 	unflushed := sa.keys[sa.flushed:]
 	lo := sa.flushed + sort.Search(len(unflushed), func(i int) bool { return uint32(unflushed[i]) >= uint32(pk[0]) })
-	suf, sufV := sa.keys[lo:], sa.vals[lo:]
-	n := len(suf) + len(pk)
+	above := sa.keys[lo:]
+	last := uint32(pk[len(pk)-1])
+	hi := lo + sort.Search(len(above), func(i int) bool { return uint32(above[i]) > last })
+	n := hi - lo + len(pk)
 	mk := slices.Grow(sa.mergeK[:0], n)[:n]
 	mv := slices.Grow(sa.mergeV[:0], n)[:n]
-	i, j, o := mergeSteps(mk, mv, suf, sufV, pk, pv)
-	copy(mv[o:], pv[j:])
-	o += copy(mk[o:], pk[j:])
-	mk, mv = mk[:o], mv[:o]
 	sa.mergeK, sa.mergeV = mk, mv
-	// mk replaces suf[:i]; it is longer by the keys that are new.
-	end, added := len(sa.keys), len(mk)-i
+	o := tensor.MergeRuns(mk, mv, sa.keys[lo:hi], sa.vals[lo:hi], pk, pv)
+	// The merge replaces keys[lo:hi]; it is longer by the keys that are new.
+	end, added := len(sa.keys), o-(hi-lo)
 	sa.keys = slices.Grow(sa.keys, added)[:end+added]
 	sa.vals = slices.Grow(sa.vals, added)[:end+added]
-	copy(sa.keys[lo+len(mk):], sa.keys[lo+i:end])
-	copy(sa.vals[lo+len(mk):], sa.vals[lo+i:end])
-	copy(sa.keys[lo:], mk)
-	copy(sa.vals[lo:], mv)
-}
-
-// mergeSteps merges the strictly ascending runs (ak, av) and (bk, bv) into
-// mk/mv until one of them runs out, and returns how far each got: i pairs
-// of a, j of b, o written. Every step writes the smaller key and advances
-// each side whose key it wrote. Its value is selected by bits, so a value
-// that is not folded is copied (NaN payloads and -0 included); on equal
-// keys it is av + bv (held + packet), a sum computed every step and kept
-// only then. The selects and the advances compile to conditional moves
-// and SETcc on amd64 (CSEL and CSET on arm64), not branches: the keys of
-// two workers interleave at random, and a branch on them is mispredicted
-// about half the time. o < len(mk) always holds (o <= i+j); it lets the
-// compiler drop the stores' bounds checks.
-func mergeSteps(mk []int32, mv []float32, ak []int32, av []float32, bk []int32, bv []float32) (i, j, o int) {
-	av, bv = av[:len(ak)], bv[:len(bk)]
-	mv = mv[:len(mk)]
-	for ; i < len(ak) && j < len(bk) && o < len(mk); o++ {
-		a, b := uint32(ak[i]), uint32(bk[j])
-		va, vb := math.Float32bits(av[i]), math.Float32bits(bv[j])
-		sum := math.Float32bits(av[i] + bv[j])
-		k, v := b, vb
-		if a < b {
-			k, v = a, va
-		}
-		if a == b {
-			v = sum
-		}
-		mk[o], mv[o] = int32(k), math.Float32frombits(v)
-		di, dj := 0, 0
-		if a <= b {
-			di = 1
-		}
-		if b <= a {
-			dj = 1
-		}
-		i, j = i+di, j+dj
-	}
-	return i, j, o
+	copy(sa.keys[lo+o:], sa.keys[hi:end])
+	copy(sa.vals[lo+o:], sa.vals[hi:end])
+	copy(sa.keys[lo:], mk[:o])
+	copy(sa.vals[lo:], mv[:o])
 }
 
 func (m *AggregatorMachine) handleSparse(p *wire.SparsePacket, eb *EmitBuf) error {

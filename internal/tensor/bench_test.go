@@ -2,7 +2,9 @@ package tensor_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -112,6 +114,36 @@ func BenchmarkDenseAdd(b *testing.B) {
 				tensor.AddF32(x.Data, y.Data)
 			}
 		})
+	}
+}
+
+// BenchmarkMergeRuns is the key-value aggregator's merge kernel,
+// tensor.MergeRuns, at the shape of kv_sparse_chan's first merge: two
+// runs of 8 192 pairs (one packet of 32 x 256) with keys drawn from 1 Mi,
+// as a worker's 1 % of a 1 Mi-element tensor is. MB/s counts the pairs
+// merged, 8 bytes each.
+func BenchmarkMergeRuns(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	run := func() ([]int32, []float32) {
+		seen := map[int32]bool{}
+		for len(seen) < 8192 {
+			seen[int32(rng.Intn(1<<20))] = true
+		}
+		keys := slices.Sorted(maps.Keys(seen))
+		vals := make([]float32, len(keys))
+		for i := range vals {
+			vals[i] = rng.Float32()
+		}
+		return keys, vals
+	}
+	ak, av := run()
+	bk, bv := run()
+	mk, mv := make([]int32, len(ak)+len(bk)), make([]float32, len(ak)+len(bk))
+	b.SetBytes(int64(8 * len(mk)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MergeRuns(mk, mv, ak, av, bk, bv)
 	}
 }
 

@@ -3,6 +3,7 @@ package tensor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -86,16 +87,10 @@ func checkRun(prev int64, keys []int32, values []float32, dim int) error {
 	return nil
 }
 
-// Clone returns a deep copy of s.
+// Clone returns a deep copy of s. slices.Clone does not zero the arrays
+// it is about to overwrite, as make would.
 func (s *COO) Clone() *COO {
-	c := &COO{
-		Dim:    s.Dim,
-		Keys:   make([]int32, len(s.Keys)),
-		Values: make([]float32, len(s.Values)),
-	}
-	copy(c.Keys, s.Keys)
-	copy(c.Values, s.Values)
-	return c
+	return &COO{Dim: s.Dim, Keys: slices.Clone(s.Keys), Values: slices.Clone(s.Values)}
 }
 
 // ToDense materializes the dense representation. This is the "sparse to
@@ -122,35 +117,15 @@ func FromDense(d *Dense) *COO {
 	return s
 }
 
-// AddCOO merges other into s, summing values at equal keys. Both inputs
-// must have sorted keys; the result remains sorted. The merged result may
-// be denser than either input (the SparCML m > rho switch condition).
+// AddCOO merges other into s, summing values at equal keys (s's value
+// first), with MergeRuns. Both inputs must be well-formed (Check); the
+// result is too. The merged result may be denser than either input (the
+// SparCML m > rho switch condition).
 func (s *COO) AddCOO(other *COO) *COO {
-	out := &COO{Dim: s.Dim}
-	out.Keys = make([]int32, 0, len(s.Keys)+len(other.Keys))
-	out.Values = make([]float32, 0, len(s.Values)+len(other.Values))
-	i, j := 0, 0
-	for i < len(s.Keys) && j < len(other.Keys) {
-		switch {
-		case s.Keys[i] < other.Keys[j]:
-			out.Keys = append(out.Keys, s.Keys[i])
-			out.Values = append(out.Values, s.Values[i])
-			i++
-		case s.Keys[i] > other.Keys[j]:
-			out.Keys = append(out.Keys, other.Keys[j])
-			out.Values = append(out.Values, other.Values[j])
-			j++
-		default:
-			out.Keys = append(out.Keys, s.Keys[i])
-			out.Values = append(out.Values, s.Values[i]+other.Values[j])
-			i++
-			j++
-		}
-	}
-	out.Keys = append(out.Keys, s.Keys[i:]...)
-	out.Values = append(out.Values, s.Values[i:]...)
-	out.Keys = append(out.Keys, other.Keys[j:]...)
-	out.Values = append(out.Values, other.Values[j:]...)
+	n := len(s.Keys) + len(other.Keys)
+	out := &COO{Dim: s.Dim, Keys: make([]int32, n), Values: make([]float32, n)}
+	o := MergeRuns(out.Keys, out.Values, s.Keys, s.Values, other.Keys, other.Values)
+	out.Keys, out.Values = out.Keys[:o], out.Values[:o]
 	return out
 }
 

@@ -36,7 +36,7 @@ import (
 // (oversize TCP frames) are rare enough to leave to the allocator.
 const (
 	minBufClassBits = 10 // 1 KiB
-	maxBufClassBits = 17 // 128 KiB, covers MaxDatagram
+	maxBufClassBits = 17 // 128 KiB: TCP frames of the widest packet; MaxDatagram takes the 64 KiB class
 	numBufClasses   = maxBufClassBits - minBufClassBits + 1
 )
 

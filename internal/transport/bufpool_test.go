@@ -11,8 +11,9 @@ func TestBufClass(t *testing.T) {
 		{1 << 10, 0},
 		{1<<10 + 1, 1},
 		{1 << 11, 1},
-		{MaxDatagram, maxBufClassBits - minBufClassBits},
-		{MaxDatagram + 1, -1},
+		{MaxDatagram, 16 - minBufClassBits},
+		{1 << maxBufClassBits, maxBufClassBits - minBufClassBits},
+		{1<<maxBufClassBits + 1, -1},
 		{1 << 20, -1},
 	}
 	for _, c := range cases {

@@ -25,10 +25,14 @@ type UDP struct {
 
 var _ Conn = (*UDP)(nil)
 
-// MaxDatagram is the largest datagram the transport sends or receives.
-// It comfortably covers a fused packet of 64 x 256 float32 blocks on a
-// loopback interface (jumbo frames / local sockets).
-const MaxDatagram = 128 << 10
+// MaxDatagram is the largest datagram the transport sends or receives:
+// the largest UDP payload IPv4 carries (65 535 bytes less the 20-byte IP
+// and 8-byte UDP headers), on loopback too. A fused data packet of 63 x
+// 256 float32 blocks fits (65 292 bytes) and one of 64 does not (66 328);
+// at half precision 64 fit. omnireduce.NewUDPWorker and NewUDPAggregator
+// refuse a shape whose full packet does not, where the kernel would
+// refuse every send of it.
+const MaxDatagram = 65507
 
 // udpSocketBuf is the kernel socket buffer size requested for both
 // directions. A burst of jumbo datagrams needs headroom on loopback, where

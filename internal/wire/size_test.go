@@ -85,3 +85,25 @@ func TestEncodedSparsePacketSizeMatchesEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestFullPacketLenMatchesEncoder: FullPacketLen (and MaxPacketLen, its
+// float32 case) is the encoded size of a packet whose every column holds
+// a full block, in either element encoding, up to the widest packet.
+func TestFullPacketLenMatchesEncoder(t *testing.T) {
+	for _, cols := range []int{1, 4, 32, 63, MaxCols} {
+		for _, bs := range []int{1, 256} {
+			for _, dtype := range []uint8{DTypeF32, DTypeF16} {
+				p := &Packet{Type: TypeData, DType: dtype, BlockSize: uint32(bs), Nexts: make([]uint32, cols)}
+				for c := 0; c < cols; c++ {
+					p.Blocks = append(p.Blocks, Block{Index: uint32(c), Data: make([]float32, bs)})
+				}
+				if got, want := FullPacketLen(cols, bs, dtype), len(AppendPacket(nil, p)); got != want {
+					t.Errorf("%d x %d, dtype %d: FullPacketLen = %d, encoder wrote %d bytes", cols, bs, dtype, got, want)
+				}
+			}
+			if got, want := MaxPacketLen(cols, bs), FullPacketLen(cols, bs, DTypeF32); got != want {
+				t.Errorf("%d x %d: MaxPacketLen = %d, FullPacketLen %d", cols, bs, got, want)
+			}
+		}
+	}
+}

@@ -129,10 +129,20 @@ func CopySparsePacketInto(dst, src *SparsePacket) {
 
 const headerLen = 24
 
-// MaxPacketLen returns the encoded size of a packet with the given fusion
-// width and block size when all columns carry data.
-func MaxPacketLen(cols, blockSize int) int {
-	return headerLen + 4*cols + cols*(4+4*blockSize)
+// MaxPacketLen returns the encoded size of a float32 packet with the
+// given fusion width whose every column carries a full block of blockSize
+// elements: the largest data packet of that shape.
+func MaxPacketLen(cols, blockSize int) int { return FullPacketLen(cols, blockSize, DTypeF32) }
+
+// FullPacketLen is MaxPacketLen for either element encoding, DTypeF32 or
+// DTypeF16: the header, a next-key entry per column, and per column a
+// block's index, length and elements.
+func FullPacketLen(cols, blockSize int, dtype uint8) int {
+	elemBytes := 4
+	if dtype == DTypeF16 {
+		elemBytes = 2
+	}
+	return headerLen + 4*cols + cols*(8+elemBytes*blockSize)
 }
 
 // EncodedPacketSize returns the exact byte length AppendPacket would

@@ -35,6 +35,7 @@ import (
 	"omnireduce/internal/tenant"
 	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
+	"omnireduce/internal/wire"
 )
 
 // Options configures a deployment. The zero value of every field selects
@@ -378,8 +379,12 @@ func NewTCPWorker(id int, addrs map[int]string, o Options) (*Worker, error) {
 }
 
 // NewUDPWorker joins over UDP (the unreliable fabric; Algorithm 2 loss
-// recovery active).
+// recovery active). A packet shape whose full data packet does not fit in
+// one datagram is refused (see udpShape).
 func NewUDPWorker(id int, addrs map[int]string, o Options) (*Worker, error) {
+	if err := udpShape(o); err != nil {
+		return nil, err
+	}
 	tr, err := transport.NewUDP(id, addrs)
 	if err != nil {
 		return nil, err
@@ -390,6 +395,23 @@ func NewUDPWorker(id int, addrs map[int]string, o Options) (*Worker, error) {
 		return nil, err
 	}
 	return &Worker{w: w}, nil
+}
+
+// udpShape refuses a packet shape a UDP fabric cannot carry: one whose
+// full data packet, every one of FusionWidth columns a block of BlockSize
+// elements (float32, or binary16 with HalfPrecision), encodes larger than
+// transport.MaxDatagram. A worker sends such a packet whenever a packet's
+// blocks are all non-zero, and the kernel refuses every send of it.
+func udpShape(o Options) error {
+	c := protocol.Config{BlockSize: o.BlockSize, FusionWidth: o.FusionWidth}.WithDefaults()
+	dtype := wire.DTypeF32
+	if o.HalfPrecision {
+		dtype = wire.DTypeF16
+	}
+	if n := wire.FullPacketLen(c.FusionWidth, c.BlockSize, dtype); n > transport.MaxDatagram {
+		return fmt.Errorf("omnireduce: a full data packet of %d x %d elements encodes to %d bytes, more than a UDP datagram carries (%d)", c.FusionWidth, c.BlockSize, n, transport.MaxDatagram)
+	}
+	return nil
 }
 
 // Aggregator is a standalone aggregator node for cross-process jobs.
@@ -412,8 +434,12 @@ func NewTCPAggregator(id int, addrs map[int]string, o Options) (*Aggregator, err
 	return &Aggregator{agg: agg, conn: tr}, nil
 }
 
-// NewUDPAggregator starts aggregator node id over UDP.
+// NewUDPAggregator starts aggregator node id over UDP, refusing a packet
+// shape as NewUDPWorker does.
 func NewUDPAggregator(id int, addrs map[int]string, o Options) (*Aggregator, error) {
+	if err := udpShape(o); err != nil {
+		return nil, err
+	}
 	tr, err := transport.NewUDP(id, addrs)
 	if err != nil {
 		return nil, err
