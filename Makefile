@@ -146,10 +146,18 @@ fuzz:
 # the perf trajectory is tracked across PRs. Repeated runs (-count=3 on
 # the live collectives and the wire and tensor microbenches) record the
 # best observed value per metric, which filters scheduler and GC noise on
-# shared boxes. BenchmarkAllReduceLive also records wire-B/op (the workers'
-# encoded bytes per operation), and BenchmarkPacketShape's FusionWidth x
-# Streams sweep is recorded with them: it is the evidence behind
-# protocol.Defaults' packet shape, so a change of default starts as a rerun.
+# shared boxes. The live collectives are timed by one runner
+# (internal/exp's Runner.Time: inputs restored outside the timer, four
+# untimed warm-ups, GC off) and record wire-B/op (the workers' encoded
+# bytes per operation). BenchmarkAllReduceLive, BenchmarkRingAllReduceLive
+# and BenchmarkAGsparseLive are the paper's sparsity curve on one
+# workers=W/sparsity=S grid (0 / 0.5 / 0.9 / 0.99 / 0.999 block sparsity),
+# and benchjson fails the tier unless OmniReduce's ns/op falls at each step
+# up to 0.99 and stays below ring's at every point, at 2 and 4 workers; it
+# prints where AGsparse overtakes OmniReduce, ungated.
+# BenchmarkPacketShape's FusionWidth x Streams sweep is recorded with them:
+# it is the evidence behind protocol.Defaults' packet shape, so a change of
+# default starts as a rerun.
 # The key-value path has four rungs: BenchmarkAllReduceSparseLive (the
 # live Algorithm 3 collective), BenchmarkSparseMerge (the aggregator's
 # merge and flush alone, MB/s over the pairs merged),
@@ -181,7 +189,7 @@ fuzz:
 # elems=1Mi,bs=256,blocksparsity=0.99,scans=2 row (two 4 MiB tensors
 # scanned at once, as sparse99_chan's two workers do), under the same gate.
 bench:
-	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
+	( $(GO) test -run '^$$' -bench '^(BenchmarkAllReduceLive|BenchmarkRingAllReduceLive|BenchmarkAGsparseLive|BenchmarkAllReduceTCPLive|BenchmarkMultiJobLive)$$' -benchmem -benchtime 5x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceSparseLive$$' -benchmem -benchtime 50x -count=3 . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkSparseMerge|BenchmarkSparseWorkerStep|BenchmarkAggregatorStep)$$' -benchmem -count=3 ./internal/protocol/ ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 10x . ; \

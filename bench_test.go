@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -25,7 +24,6 @@ import (
 	"omnireduce/internal/metrics"
 	"omnireduce/internal/obs"
 	"omnireduce/internal/protocol"
-	"omnireduce/internal/sparsity"
 	"omnireduce/internal/transport"
 )
 
@@ -90,15 +88,6 @@ func BenchmarkPerfModel(b *testing.B) {
 
 func benchCluster(b *testing.B, workers int) *LocalCluster {
 	b.Helper()
-	// Pin GC off for the lifetime of the cluster: the datapath pools
-	// (protocol machines, transport buffers, op states) are
-	// sync.Pool-backed, and a GC pass mid-run evicts them, flipping
-	// allocs/op between a warm-pool and a cold-pool mode from run to run
-	// (observed 210 vs 329 on workers=4 — the benchjson alloc gate flaked
-	// on that spread). With collection disabled the benchmark measures
-	// steady-state allocation behavior, which is what the gate pins.
-	prev := debug.SetGCPercent(-1)
-	b.Cleanup(func() { debug.SetGCPercent(prev) })
 	c, err := NewLocalCluster(Options{Workers: workers, Streams: 8})
 	if err != nil {
 		b.Fatal(err)
@@ -121,76 +110,34 @@ func benchInputs(workers, n int, sparsity float64, seed int64) [][]float32 {
 	return out
 }
 
-// blockSparseInputs draws one tensor per worker with the given share of
-// all-zero blocks (internal/sparsity, random overlap, blocks of the
-// library's default size) — the sparsity OmniReduce acts on. Zeroing
-// elements instead leaves practically every block non-zero: a dense run
-// under a sparse label.
-func blockSparseInputs(workers, n int, blockSparsity float64, seed int64) [][]float32 {
-	ts := sparsity.Generate(sparsity.GenSpec{
-		Elements:     n,
-		Sparsity:     blockSparsity,
-		Workers:      workers,
-		Overlap:      sparsity.OverlapRandom,
-		BlockAligned: protocol.Defaults().BlockSize,
-	}, rand.New(rand.NewSource(seed)))
-	out := make([][]float32, workers)
-	for w, t := range ts {
-		out[w] = t.Data
+// benchAllReduce times b.N ops of r on inputs with the runner's method
+// (exp.Runner.Time) and reports the parties' encoded bytes per op as
+// wire-B/op. MB/s counts one party's tensor.
+func benchAllReduce(b *testing.B, r *exp.Runner, inputs [][]float32) {
+	b.Helper()
+	b.StopTimer()
+	b.ResetTimer()
+	b.SetBytes(int64(4 * len(inputs[0])))
+	c, err := r.Time(b, inputs, b.N)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return out
+	b.ReportMetric(float64(c.WireBytes)/float64(b.N), "wire-B/op")
 }
 
-// benchAllReduce times b.N AllReduce rounds of inputs over ws and reports
-// the workers' encoded bytes per round as wire-B/op. Every round starts
-// from a fresh copy of inputs (untimed): reducing in place would turn each
-// worker's tensor into the union of all of them after one round, and the
-// label's sparsity with it. Four untimed rounds first populate the pooled
-// machine/buffer/op-state free lists, so allocs/op is the warm steady
-// state, not first-contact pool fills (a sparse tensor's packets spread
-// over every buffer size class up to the full packet, and one round does
-// not fill them all: 101-140 allocs/op after one, 72-85 after four).
-func benchAllReduce(b *testing.B, ws []*Worker, inputs [][]float32) {
-	b.Helper()
-	work := make([][]float32, len(inputs))
-	for w := range work {
-		work[w] = make([]float32, len(inputs[w]))
+// publicRunner runs the public API's AllReduce on ws.
+func publicRunner(ws []*Worker) *exp.Runner {
+	return &exp.Runner{
+		Parties: len(ws),
+		Op:      func(w int, data []float32) error { return ws[w].AllReduce(data) },
+		Counts: func() (c exp.Counts) {
+			for _, w := range ws {
+				s := w.Stats()
+				c.Blocks, c.WireBytes = c.Blocks+s.BlocksSent, c.WireBytes+s.BytesSent
+			}
+			return c
+		},
 	}
-	round := func() {
-		for w := range work {
-			copy(work[w], inputs[w])
-		}
-		b.StartTimer()
-		var wg sync.WaitGroup
-		for w := range ws {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if err := ws[w].AllReduce(work[w]); err != nil {
-					b.Error(err)
-				}
-			}(w)
-		}
-		wg.Wait()
-		b.StopTimer()
-	}
-	wireBytes := func() (n int64) {
-		for _, w := range ws {
-			n += w.Stats().BytesSent
-		}
-		return n
-	}
-	b.StopTimer()
-	for i := 0; i < 4; i++ {
-		round()
-	}
-	b.SetBytes(int64(4 * len(inputs[0])))
-	b.ResetTimer()
-	before := wireBytes()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
-	b.ReportMetric(float64(wireBytes()-before)/float64(b.N), "wire-B/op")
 }
 
 func clusterWorkers(c *LocalCluster) []*Worker {
@@ -201,18 +148,30 @@ func clusterWorkers(c *LocalCluster) []*Worker {
 	return ws
 }
 
-// BenchmarkAllReduceLive: sparsity is the share of all-zero blocks.
-func BenchmarkAllReduceLive(b *testing.B) {
-	for _, workers := range []int{2, 4, 8} {
-		for _, s := range []float64{0, 0.9, 0.99} {
-			name := fmt.Sprintf("workers=%d/sparsity=%v", workers, s)
-			b.Run(name, func(b *testing.B) {
-				c := benchCluster(b, workers)
-				benchAllReduce(b, clusterWorkers(c), blockSparseInputs(workers, 1<<20, s, 7))
+// benchCurve times algo over the paper's curve (exp.LiveSparsities, the
+// share of all-zero blocks) at each worker count, 1 Mi elements a worker,
+// at protocol.Defaults()' shape; cmd/benchjson checks the curve.
+func benchCurve(b *testing.B, algo exp.Algorithm, workers ...int) {
+	for _, w := range workers {
+		for _, s := range exp.LiveSparsities {
+			b.Run(fmt.Sprintf("workers=%d/sparsity=%v", w, s), func(b *testing.B) {
+				r, err := exp.NewRunner(algo, core.Config{Workers: w})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() { r.Close() })
+				benchAllReduce(b, r, exp.BlockSparseInputs(w, 1<<20, s, 7))
 			})
 		}
 	}
 }
+
+// BenchmarkAllReduceLive is OmniReduce's series of the curve. The two
+// comparators stop at 4 workers: AGsparse gathers every worker's whole
+// tensor, 64 MB a worker per dense op at 8.
+func BenchmarkAllReduceLive(b *testing.B)     { benchCurve(b, exp.OmniReduce, 2, 4, 8) }
+func BenchmarkRingAllReduceLive(b *testing.B) { benchCurve(b, exp.Ring, 2, 4) }
+func BenchmarkAGsparseLive(b *testing.B)      { benchCurve(b, exp.AGsparse, 2, 4) }
 
 // BenchmarkPacketShape is the evidence behind protocol.Defaults' packet
 // shape: FusionWidth x Streams on inputs shaped like the repository
@@ -229,14 +188,14 @@ func BenchmarkPacketShape(b *testing.B) {
 			n = 1 << 18
 		}
 		for _, s := range []float64{0, 0.99} {
-			inputs := blockSparseInputs(workers, n, s, 1)
+			inputs := exp.BlockSparseInputs(workers, n, s, 1)
 			for _, width := range []int{8, 16, 32} {
 				for _, streams := range []int{4, 8} {
 					name := fmt.Sprintf("%s/sparsity=%v/fusion=%d/streams=%d", fab, s, width, streams)
 					b.Run(name, func(b *testing.B) {
 						opts := Options{Workers: workers, FusionWidth: width, Streams: streams}
 						if fab == "udp" {
-							benchAllReduce(b, udpBenchCluster(b, opts), inputs)
+							benchAllReduce(b, publicRunner(udpBenchCluster(b, opts)), inputs)
 							return
 						}
 						c, err := NewLocalCluster(opts)
@@ -244,7 +203,7 @@ func BenchmarkPacketShape(b *testing.B) {
 							b.Fatal(err)
 						}
 						b.Cleanup(func() { c.Close() })
-						benchAllReduce(b, clusterWorkers(c), inputs)
+						benchAllReduce(b, publicRunner(clusterWorkers(c)), inputs)
 					})
 				}
 			}
@@ -293,21 +252,13 @@ func BenchmarkAllReduceSparseLive(b *testing.B) {
 		}
 		ins[w] = FromDense(dense)
 	}
-	b.SetBytes(int64(8 * len(ins[0].Keys)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if _, err := c.Worker(w).AllReduceSparse(ins[w]); err != nil {
-					b.Error(err)
-				}
-			}(w)
-		}
-		wg.Wait()
+	r := publicRunner(clusterWorkers(c))
+	r.Op = func(w int, _ []float32) error {
+		_, err := c.Worker(w).AllReduceSparse(ins[w])
+		return err
 	}
+	benchAllReduce(b, r, make([][]float32, 4))
+	b.SetBytes(int64(8 * len(ins[0].Keys))) // one worker's pairs
 }
 
 // BenchmarkMultiJobLive measures the multi-tenant service's multiplexing
@@ -324,22 +275,7 @@ func BenchmarkMultiJobLive(b *testing.B) {
 	const n = 1 << 20
 	b.Run("jobs=1", func(b *testing.B) {
 		c := benchCluster(b, workers)
-		inputs := benchInputs(workers, n, 0, 19)
-		b.SetBytes(int64(4 * n))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					if err := c.Worker(w).AllReduce(inputs[w]); err != nil {
-						b.Error(err)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
+		benchAllReduce(b, publicRunner(clusterWorkers(c)), benchInputs(workers, n, 0, 19))
 	})
 	b.Run("jobs=4_tenants=2", func(b *testing.B) {
 		c := benchCluster(b, workers)
@@ -359,28 +295,15 @@ func BenchmarkMultiJobLive(b *testing.B) {
 				jobs[ji][w] = j
 			}
 		}
-		per := n / len(names)
-		inputs := make([][][]float32, len(names))
-		for ji := range inputs {
-			inputs[ji] = benchInputs(workers, per, 0, int64(23+ji))
+		var inputs [][]float32 // party p is job p/workers on worker p%workers
+		for ji := range names {
+			inputs = append(inputs, benchInputs(workers, n/len(names), 0, int64(23+ji))...)
 		}
-		b.SetBytes(int64(4 * n))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for ji := range jobs {
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(ji, w int) {
-						defer wg.Done()
-						if err := jobs[ji][w].AllReduce(inputs[ji][w]); err != nil {
-							b.Error(err)
-						}
-					}(ji, w)
-				}
-			}
-			wg.Wait()
-		}
+		r := publicRunner(clusterWorkers(c))
+		r.Parties = len(inputs)
+		r.Op = func(p int, data []float32) error { return jobs[p/workers][p%workers].AllReduce(data) }
+		benchAllReduce(b, r, inputs)
+		b.SetBytes(int64(4 * n)) // the total volume, as in jobs=1
 	})
 }
 
@@ -399,20 +322,13 @@ func BenchmarkTracerOverhead(b *testing.B) {
 	flight := obs.NewFlightRecorder(-1, obs.DefaultFlightEvents)
 	prev := obs.SetTracer(nil)
 	defer obs.SetTracer(prev)
+	r := publicRunner(clusterWorkers(c))
 	round := func(tr obs.Tracer) time.Duration {
 		obs.SetTracer(tr)
 		t0 := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if err := c.Worker(w).AllReduce(inputs[w]); err != nil {
-					b.Error(err)
-				}
-			}(w)
+		if err := r.Run(inputs); err != nil {
+			b.Error(err)
 		}
-		wg.Wait()
 		return time.Since(t0)
 	}
 	for i := 0; i < 4; i++ {
@@ -436,66 +352,13 @@ func BenchmarkTracerOverhead(b *testing.B) {
 }
 
 // BenchmarkAllReduceUDPLive measures the real protocol over loopback UDP
-// sockets, one syscall per datagram; allocs/op isolates the
-// persistent-pump zero-allocation win (cmd/benchjson records it in
+// sockets in unreliable mode (Algorithm 2, which the public UDP
+// constructors select) at protocol.Defaults()' shape; allocs/op isolates
+// the persistent-pump zero-allocation win (cmd/benchjson records it in
 // BENCH_datapath.json).
 func BenchmarkAllReduceUDPLive(b *testing.B) {
-	const workers = 2
-	cfg := core.Config{
-		Workers:           workers,
-		Aggregators:       []int{workers},
-		Streams:           4,
-		BlockSize:         256,
-		Reliable:          false,
-		RetransmitTimeout: 20 * time.Millisecond,
-	}
-	aggUDP, err := transport.NewUDP(workers, map[int]string{workers: "127.0.0.1:0"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	agg, err := core.NewAggregator(aggUDP, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	go agg.Run()
-	b.Cleanup(func() { aggUDP.Close() })
-	ws := make([]*core.Worker, workers)
-	for i := 0; i < workers; i++ {
-		wUDP, err := transport.NewUDP(i, map[int]string{
-			i:       "127.0.0.1:0",
-			workers: aggUDP.Addr(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := aggUDP.RegisterPeer(i, wUDP.Addr()); err != nil {
-			b.Fatal(err)
-		}
-		w, err := core.NewWorker(wUDP, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { w.Close() })
-		ws[i] = w
-	}
-	const n = 1 << 18
-	inputs := benchInputs(workers, n, 0.9, 17)
-	b.SetBytes(int64(4 * n))
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if err := ws[w].AllReduce(inputs[w]); err != nil {
-					b.Error(err)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	benchAllReduce(b, publicRunner(udpBenchCluster(b, Options{Workers: 2})), benchInputs(2, 1<<18, 0.9, 17))
 }
 
 // BenchmarkAllReduceTCPLive measures the real protocol over loopback TCP
@@ -521,23 +384,7 @@ func BenchmarkAllReduceTCPLive(b *testing.B) {
 		b.Cleanup(func() { w.Close() })
 		ws[i] = w
 	}
-	const n = 1 << 18
-	inputs := benchInputs(workers, n, 0.9, 11)
-	b.SetBytes(int64(4 * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if err := ws[w].AllReduce(inputs[w]); err != nil {
-					b.Error(err)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	benchAllReduce(b, publicRunner(ws), benchInputs(workers, 1<<18, 0.9, 11))
 }
 
 // failoverScenario runs one live chaos-kill handoff and returns its two
@@ -602,16 +449,12 @@ func failoverScenario(b *testing.B) (detect, handoff time.Duration) {
 		}
 		workers[w] = wk
 	}
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := workers[w].AllReduce(inputs[w]); err != nil {
-				b.Error(err)
-			}
-		}(w)
-	}
+	inFlight := make(chan error, 1)
+	go func() {
+		inFlight <- (&exp.Runner{Parties: W, Op: func(w int, data []float32) error {
+			return workers[w].AllReduce(data)
+		}}).Run(inputs)
+	}()
 
 	for sb.CheckpointsFrom(aggB) == 0 {
 		time.Sleep(100 * time.Microsecond)
@@ -627,7 +470,9 @@ func failoverScenario(b *testing.B) (detect, handoff time.Duration) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	detect = time.Since(t0)
-	wg.Wait()
+	if err := <-inFlight; err != nil {
+		b.Error(err)
+	}
 	handoff = time.Since(t0)
 
 	for _, wk := range workers {
@@ -688,7 +533,7 @@ func benchCheckpointTax(b *testing.B, reliable bool) {
 		standby = 3
 		n       = 1 << 20
 	)
-	cluster := func(mirrored bool) []*core.Worker {
+	cluster := func(mirrored bool) *exp.Runner {
 		cfg := core.Config{Workers: W, Aggregators: []int{agg}, Reliable: reliable}
 		nw := transport.NewNetwork(W, 4096)
 		var conns []transport.Conn
@@ -735,29 +580,21 @@ func benchCheckpointTax(b *testing.B, reliable bool) {
 			}
 			wg.Wait()
 		})
-		return ws
+		return &exp.Runner{Parties: W, Op: func(w int, data []float32) error { return ws[w].AllReduce(data) }}
 	}
 	inputs := benchInputs(W, n, 0, 5)
 	work := make([][]float32, W)
 	for w := range work {
 		work[w] = make([]float32, n)
 	}
-	round := func(ws []*core.Worker) time.Duration {
+	round := func(r *exp.Runner) time.Duration {
 		for w := range work {
 			copy(work[w], inputs[w])
 		}
 		t0 := time.Now()
-		var wg sync.WaitGroup
-		for w := range ws {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if err := ws[w].AllReduce(work[w]); err != nil {
-					b.Error(err)
-				}
-			}(w)
+		if err := r.Run(work); err != nil {
+			b.Error(err)
 		}
-		wg.Wait()
 		return time.Since(t0)
 	}
 	plain, mirrored := cluster(false), cluster(true)

@@ -35,6 +35,14 @@
 // BenchmarkTracerOverhead likewise reports tracer-x, the median traced
 // round over the median untraced one on the same cluster, and may not
 // exceed maxTracerOverhead: a live flight recorder costs at most 5%.
+//
+// BenchmarkAllReduceLive, BenchmarkRingAllReduceLive and
+// BenchmarkAGsparseLive record the paper's sparsity curve (§6, Fig 6) on
+// one workers=W/sparsity=S grid. At each of curveWorkers, OmniReduce's
+// ns/op must fall at every step of curvePoints up to 0.99 and lie below
+// ring's at every point (checkCurve). Where AGsparse overtakes OmniReduce is
+// printed, not gated: SparCML (arXiv 1802.08021) expects the sparse
+// allgather to win at extreme sparsity.
 package main
 
 import (
@@ -271,9 +279,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks (%d runs) to %s\n", len(current), len(runs), *out)
 
 	fail := false
-	for _, err := range checkRatios(current) {
+	curveErrs, crossovers := checkCurve(current)
+	for _, err := range append(checkRatios(current), curveErrs...) {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		fail = true
+	}
+	for _, n := range crossovers {
+		fmt.Fprintf(os.Stderr, "benchjson: curve: %s\n", n)
 	}
 	if *gate != "" && len(prevCur) > 0 {
 		prefixes := strings.Split(*gate, ",")
@@ -290,6 +302,52 @@ func main() {
 	if fail {
 		os.Exit(1)
 	}
+}
+
+// The sparsity curve's rows (see the package comment). The last point is
+// held below ring but not to the fall: there the op is mostly the bitmap
+// scan of the whole tensor, which no sparsity shrinks.
+var (
+	curveWorkers = []int{2, 4}
+	curvePoints  = []string{"0", "0.5", "0.9", "0.99", "0.999"}
+)
+
+// checkCurve holds the recorded sparsity curve to the paper's claim and
+// returns, per worker count, the points where AGsparse beats OmniReduce.
+// Rows absent from the recording are skipped.
+func checkCurve(results []Result) (errs []error, notes []string) {
+	ns := make(map[string]float64, len(results))
+	for _, r := range results {
+		ns[r.Name] = r.NsPerOp
+	}
+	for _, w := range curveWorkers {
+		at := func(family, s string) float64 {
+			return ns[fmt.Sprintf("Benchmark%s/workers=%d/sparsity=%s", family, w, s)]
+		}
+		for i := 1; i < len(curvePoints)-1; i++ {
+			prev, cur := at("AllReduceLive", curvePoints[i-1]), at("AllReduceLive", curvePoints[i])
+			if prev > 0 && cur >= prev {
+				errs = append(errs, fmt.Errorf("workers=%d: OmniReduce does not fall from sparsity %s to %s (%.0f -> %.0f ns/op)",
+					w, curvePoints[i-1], curvePoints[i], prev, cur))
+			}
+		}
+		var wins []string
+		for _, s := range curvePoints {
+			omni, ring, ag := at("AllReduceLive", s), at("RingAllReduceLive", s), at("AGsparseLive", s)
+			if omni > 0 && ring > 0 && omni >= ring {
+				errs = append(errs, fmt.Errorf("workers=%d sparsity=%s: OmniReduce %.0f ns/op not below ring %.0f", w, s, omni, ring))
+			}
+			if omni > 0 && ag > 0 && ag < omni {
+				wins = append(wins, fmt.Sprintf("%s (%.0f vs %.0f ns/op)", s, ag, omni))
+			}
+		}
+		where := "at no recorded point"
+		if len(wins) > 0 {
+			where = "at sparsity " + strings.Join(wins, ", ")
+		}
+		notes = append(notes, fmt.Sprintf("workers=%d: AGsparse beats OmniReduce %s", w, where))
+	}
+	return errs, notes
 }
 
 // checkRatios holds the interleaved-ratio benchmarks to their constant

@@ -91,6 +91,50 @@ func TestCheckpointTaxGate(t *testing.T) {
 	}
 }
 
+func TestSparsityCurveGate(t *testing.T) {
+	// OmniReduce falls at each step up to 0.99 and stays below ring at every
+	// point; AGsparse overtaking it is a note, not an error.
+	curve := func(omni99, omni999, ring999, ag999 float64) []Result {
+		var rs []Result
+		for _, w := range []string{"2", "4"} {
+			row := func(family, s string, ns float64) {
+				rs = append(rs, Result{Name: "Benchmark" + family + "/workers=" + w + "/sparsity=" + s, NsPerOp: ns})
+			}
+			for i, s := range []string{"0", "0.5", "0.9"} {
+				row("AllReduceLive", s, float64(5-i)*1e6)
+				row("RingAllReduceLive", s, 30e6)
+				row("AGsparseLive", s, 40e6)
+			}
+			row("AllReduceLive", "0.99", omni99)
+			row("AllReduceLive", "0.999", omni999)
+			row("RingAllReduceLive", "0.999", ring999)
+			row("AGsparseLive", "0.999", ag999)
+		}
+		return rs
+	}
+	// 0.999 is not held to the fall.
+	errs, notes := checkCurve(curve(1e6, 1.1e6, 30e6, 0.9e6))
+	if len(errs) != 0 {
+		t.Fatalf("a falling curve below ring tripped the gate: %v", errs)
+	}
+	if len(notes) != 2 || !strings.Contains(notes[0], "sparsity 0.999 (900000 vs 1100000 ns/op)") {
+		t.Fatalf("crossover notes: %v", notes)
+	}
+	// A flat step to 0.99 and OmniReduce above ring at 0.999: two errors a
+	// worker count.
+	errs, notes = checkCurve(curve(3e6, 40e6, 30e6, 50e6))
+	if len(errs) != 4 || !strings.Contains(errs[0].Error(), "does not fall from sparsity 0.9 to 0.99") ||
+		!strings.Contains(errs[1].Error(), "not below ring") {
+		t.Fatalf("curve errors: %v", errs)
+	}
+	if !strings.Contains(notes[1], "at no recorded point") {
+		t.Fatalf("no-crossover note: %v", notes)
+	}
+	if errs, _ := checkCurve(nil); len(errs) != 0 {
+		t.Fatalf("an unrecorded curve tripped the gate: %v", errs)
+	}
+}
+
 func TestGateAllocRegression(t *testing.T) {
 	old := []Result{{Name: "BenchmarkAllReduceLive/workers=8", NsPerOp: 100, AllocsOp: 1000, MBPerS: 150}}
 	ok := []Result{{Name: "BenchmarkAllReduceLive/workers=8", NsPerOp: 100, AllocsOp: 1090, MBPerS: 150}}

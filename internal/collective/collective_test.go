@@ -228,51 +228,6 @@ func TestAllReduceAlgorithmsAgreeProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkRingAllReduceLive(b *testing.B) {
-	const n = 4
-	cs := group(b, n)
-	data := randVecs(1<<20, n, 1)
-	b.SetBytes(int64(4 << 20))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < n; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				if err := cs[r].RingAllReduce(data[r]); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
-func BenchmarkAGsparseLive(b *testing.B) {
-	const n = 4
-	cs := group(b, n)
-	rng := rand.New(rand.NewSource(7))
-	ins := make([]*tensor.COO, n)
-	for r := range ins {
-		ins[r] = randCOO(1<<18, 1<<12, rng)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < n; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				if _, err := cs[r].AGsparseAllReduce(ins[r]); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
 func TestCommAccessors(t *testing.T) {
 	cs := group(t, 3)
 	if cs[1].Rank() != 1 || cs[1].Size() != 3 {

@@ -7,17 +7,13 @@ package exp
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
-	"omnireduce/internal/collective"
 	"omnireduce/internal/core"
 	"omnireduce/internal/netsim"
 	"omnireduce/internal/netsim/simproto"
 	"omnireduce/internal/sparsity"
 	"omnireduce/internal/tensor"
-	"omnireduce/internal/transport"
 )
 
 // TestSimTrafficMatchesRealImplementation runs the same workload through
@@ -50,46 +46,11 @@ func TestSimTrafficMatchesRealImplementation(t *testing.T) {
 	}
 
 	// (a) live protocol.
-	cfg := core.Config{
-		Workers: workers, Aggregators: []int{workers},
-		Reliable: true, BlockSize: bs, FusionWidth: width, Streams: streams,
-	}
-	nw := transport.NewNetwork(workers, 4096)
-	aggConn := nw.AddNode(workers)
-	agg, err := core.NewAggregator(aggConn, cfg)
-	if err != nil {
+	r := newRunner(t, OmniReduce, core.Config{Workers: workers, BlockSize: bs, FusionWidth: width, Streams: streams})
+	if err := r.Run(inputs); err != nil {
 		t.Fatal(err)
 	}
-	go agg.Run()
-	defer aggConn.Close()
-	ws := make([]*core.Worker, workers)
-	for i := range ws {
-		if ws[i], err = core.NewWorker(nw.Conn(i), cfg); err != nil {
-			t.Fatal(err)
-		}
-		defer ws[i].Close()
-	}
-	var wg sync.WaitGroup
-	for i := range ws {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ws[i].AllReduce(inputs[i]); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("live AllReduce timed out")
-	}
-	var liveBlocks int64
-	for _, w := range ws {
-		liveBlocks += w.Stats.Snapshot().BlocksSent
-	}
+	liveBlocks := r.Counts().Blocks
 
 	// The live count excludes the bootstrap row (first block per column
 	// per stream, sent unconditionally); add back the non-zero ones the
@@ -201,53 +162,13 @@ func TestOmniMatchesRingOracle(t *testing.T) {
 		return out
 	}
 
-	// Live OmniReduce.
-	omniData := clone()
-	cfg := core.Config{Workers: workers, Aggregators: []int{workers}, Reliable: true}
-	nw := transport.NewNetwork(workers, 4096)
-	aggConn := nw.AddNode(workers)
-	agg, err := core.NewAggregator(aggConn, cfg)
-	if err != nil {
-		t.Fatal(err)
+	omniData, ringData := clone(), clone()
+	if err := newRunner(t, OmniReduce, core.Config{Workers: workers}).Run(omniData); err != nil {
+		t.Fatalf("omni: %v", err)
 	}
-	go agg.Run()
-	defer aggConn.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wk, err := core.NewWorker(nw.Conn(w), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer wk.Close()
-		wg.Add(1)
-		go func(w int, wk *core.Worker) {
-			defer wg.Done()
-			if err := wk.AllReduce(omniData[w]); err != nil {
-				t.Errorf("omni worker %d: %v", w, err)
-			}
-		}(w, wk)
+	if err := newRunner(t, Ring, core.Config{Workers: workers}).Run(ringData); err != nil {
+		t.Fatalf("ring: %v", err)
 	}
-	wg.Wait()
-
-	// Live ring.
-	ringData := clone()
-	nw2 := transport.NewNetwork(workers, 4096)
-	var wg2 sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cm, err := collective.NewComm(nw2.Conn(w), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cm.Close()
-		wg2.Add(1)
-		go func(w int, cm *collective.Comm) {
-			defer wg2.Done()
-			if err := cm.RingAllReduce(ringData[w]); err != nil {
-				t.Errorf("ring worker %d: %v", w, err)
-			}
-		}(w, cm)
-	}
-	wg2.Wait()
 
 	for i := 0; i < n; i++ {
 		d := float64(omniData[0][i]) - float64(ringData[0][i])
@@ -255,4 +176,19 @@ func TestOmniMatchesRingOracle(t *testing.T) {
 			t.Fatalf("elem %d: omni %v vs ring %v", i, omniData[0][i], ringData[0][i])
 		}
 	}
+}
+
+// newRunner builds algo's live cluster for the rest of the test.
+func newRunner(t *testing.T, algo Algorithm, cfg core.Config) *Runner {
+	t.Helper()
+	r, err := NewRunner(algo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return r
 }

@@ -1,8 +1,12 @@
 package exp
 
 import (
+	"errors"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"omnireduce/internal/collective"
@@ -14,44 +18,183 @@ import (
 	"omnireduce/internal/transport"
 )
 
-// FromDenseSlice extracts the non-zero elements of v as a COO tensor.
-func FromDenseSlice(v []float32) *tensor.COO {
-	return tensor.FromDense(tensor.FromSlice(v))
+// Algorithm names a live collective NewRunner builds: OmniReduce, ring
+// AllReduce, or AGsparse, whose dense-to-COO conversion is part of its op
+// as in Fig 8's accounting.
+type Algorithm int
+
+const (
+	OmniReduce Algorithm = iota
+	Ring
+	AGsparse
+)
+
+// LiveSparsities are the points of the paper's curve (§6, Fig 6) on the
+// live path, each the share of all-zero blocks.
+var LiveSparsities = []float64{0, 0.5, 0.9, 0.99, 0.999}
+
+// Counts are the data blocks and encoded bytes a runner's parties sent.
+type Counts struct{ Blocks, WireBytes int64 }
+
+// Runner is a set of parties that run one collective together: the one
+// way the repository times a live collective. A caller with a cluster of
+// its own (another transport, the public API, jobs) fills the fields.
+type Runner struct {
+	Parties int
+	Op      func(p int, data []float32) error // party p's part of one op
+	Counts  func() Counts                     // cumulative, all parties; Time reads it
+	closers []func() error
 }
 
-// LiveComparison measures the *real* implementations — OmniReduce workers
-// plus aggregator, ring AllReduce, and AGsparse — wall-clock on the
-// in-process fabric as block sparsity varies. Unlike the simulated figures
-// this reflects actual CPU/protocol costs (encode/decode, bitmap scans,
-// goroutine scheduling) rather than modeled network time, so absolute
-// ordering differs from Fig 6 (the channel fabric has memory bandwidth,
-// not NIC bandwidth). The invariants that must hold: OmniReduce's
-// transmitted block count tracks block sparsity, and at very high sparsity
-// it beats dense ring even on CPU cost alone.
-func LiveComparison(o Options) *metrics.Table {
-	o = o.withDefaults()
-	t := metrics.NewTable("Live (wall-clock, in-process): AllReduce time (ms)",
-		"sparsity%", "omnireduce", "ring", "agsparse", "omni-blocks-sent")
-	const (
-		workers = 4
-		elems   = 1 << 20
-		iters   = 3
-	)
-	for _, s := range []float64{0, 0.90, 0.99, 0.999} {
-		inputs := liveInputs(workers, elems, s, o.Seed)
-
-		omniT, blocks := liveOmni(workers, inputs, iters)
-		ringT := liveRing(workers, inputs, iters)
-		agT := liveAGsparse(workers, inputs, iters)
-		t.AddRow(s*100, omniT*1e3, ringT*1e3, agT*1e3, blocks)
+// NewRunner builds algo's cluster of cfg.Workers workers on the channel
+// fabric. OmniReduce adds one aggregator, node cfg.Workers, in reliable
+// mode and takes every field cfg leaves zero from protocol.Defaults();
+// ring and AGsparse read only cfg.Workers and send no blocks.
+func NewRunner(algo Algorithm, cfg core.Config) (*Runner, error) {
+	n := cfg.Workers
+	nw := transport.NewNetwork(n, 4096)
+	r := &Runner{Parties: n}
+	if algo != OmniReduce {
+		var sent atomic.Int64
+		r.Counts = func() Counts { return Counts{WireBytes: sent.Load()} }
+		comms := make([]*collective.Comm, n)
+		for i := range comms {
+			c, err := collective.NewComm(sentConn{nw.Conn(i), &sent}, n)
+			if err != nil {
+				return nil, errors.Join(err, r.Close())
+			}
+			comms[i] = c
+			r.closers = append(r.closers, c.Close)
+		}
+		r.Op = func(p int, data []float32) error { return comms[p].RingAllReduce(data) }
+		if algo == AGsparse {
+			r.Op = func(p int, data []float32) error {
+				_, err := comms[p].AGsparseAllReduce(tensor.FromDense(tensor.FromSlice(data)))
+				return err
+			}
+		}
+		return r, nil
 	}
-	return t
+	cfg.Aggregators, cfg.Reliable = []int{n}, true
+	aggConn := nw.AddNode(n)
+	agg, err := core.NewAggregator(aggConn, cfg)
+	if err != nil {
+		return nil, errors.Join(err, aggConn.Close())
+	}
+	done := make(chan error, 1)
+	go func() { done <- agg.Run() }()
+	r.closers = append(r.closers, func() error { aggConn.Close(); return <-done })
+	ws := make([]*core.Worker, n)
+	for i := range ws {
+		if ws[i], err = core.NewWorker(nw.Conn(i), cfg); err != nil {
+			return nil, errors.Join(err, r.Close())
+		}
+		r.closers = append(r.closers, ws[i].Close)
+	}
+	r.Op = func(p int, data []float32) error { return ws[p].AllReduce(data) }
+	r.Counts = func() (c Counts) {
+		for _, w := range ws {
+			s := w.Stats.Snapshot()
+			c.Blocks, c.WireBytes = c.Blocks+s.BlocksSent, c.WireBytes+s.BytesSent
+		}
+		return c
+	}
+	return r, nil
 }
 
-// liveInputs draws each worker's tensor with the given *block* sparsity at
-// the block size OmniReduce runs with, so the row label is the fraction of
-// blocks the protocol may skip (independently per worker).
-func liveInputs(workers, elems int, s float64, seed int64) [][]float32 {
+// sentConn counts the bytes a comparator sends.
+type sentConn struct {
+	transport.Conn
+	sent *atomic.Int64
+}
+
+func (c sentConn) Send(to int, data []byte) error {
+	c.sent.Add(int64(len(data)))
+	return c.Conn.Send(to, data)
+}
+
+// Close tears down what NewRunner built, last built first.
+func (r *Runner) Close() error {
+	var errs []error
+	for _, c := range slices.Backward(r.closers) {
+		errs = append(errs, c())
+	}
+	return errors.Join(errs...)
+}
+
+// Run runs one op, party p on data[p], all parties at once.
+func (r *Runner) Run(data [][]float32) error {
+	errs := make([]error, r.Parties)
+	var wg sync.WaitGroup
+	for p := range errs {
+		wg.Add(1)
+		go func() { defer wg.Done(); errs[p] = r.Op(p, data[p]) }()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// Timer times ops: a *testing.B, stopped when handed over, or a Stopwatch.
+type Timer interface {
+	StartTimer()
+	StopTimer()
+}
+
+// Time runs 4 untimed ops, then ops timed ones, and returns the counts of
+// the timed ones. The untimed ops fill the pooled machine, buffer and
+// op-state free lists (a sparse tensor's packets spread over every buffer
+// size class, and one op does not fill them all: 101-140 allocs/op after
+// one, 72-85 after four). Each op starts from a copy of inputs made with
+// t stopped: reducing in place would turn every tensor into the union of
+// all of them, and the label's sparsity with it. The collector is off:
+// a collection evicts the sync.Pool-backed datapath pools, flipping
+// allocs/op between warm and cold pools from run to run (210 vs 329 on 4
+// workers). A 512 MiB limit still collects AGsparse's per-op tensors.
+func (r *Runner) Time(t Timer, inputs [][]float32, ops int) (Counts, error) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(512 << 20))
+	work := make([][]float32, len(inputs))
+	for p := range work {
+		work[p] = make([]float32, len(inputs[p]))
+	}
+	restore := func() {
+		for p := range work {
+			copy(work[p], inputs[p])
+		}
+	}
+	for range 4 {
+		restore()
+		if err := r.Run(work); err != nil {
+			return Counts{}, err
+		}
+	}
+	before := r.Counts()
+	for range ops {
+		restore()
+		t.StartTimer()
+		err := r.Run(work)
+		t.StopTimer()
+		if err != nil {
+			return Counts{}, err
+		}
+	}
+	after := r.Counts()
+	return Counts{after.Blocks - before.Blocks, after.WireBytes - before.WireBytes}, nil
+}
+
+// Stopwatch is a Timer that keeps one sample per timed op.
+type Stopwatch struct {
+	Samples []time.Duration
+	start   time.Time
+}
+
+func (s *Stopwatch) StartTimer() { s.start = time.Now() }
+func (s *Stopwatch) StopTimer()  { s.Samples = append(s.Samples, time.Since(s.start)) }
+
+// BlockSparseInputs draws one tensor of elems per worker whose share of
+// all-zero blocks is s, at the block size OmniReduce runs with, each
+// worker's blocks drawn independently: the sparsity the protocol acts on.
+func BlockSparseInputs(workers, elems int, s float64, seed int64) [][]float32 {
 	ts := sparsity.Generate(sparsity.GenSpec{
 		Elements: elems, Sparsity: s, Workers: workers,
 		BlockAligned: protocol.Defaults().BlockSize,
@@ -63,111 +206,43 @@ func liveInputs(workers, elems int, s float64, seed int64) [][]float32 {
 	return out
 }
 
-func cloneAll(in [][]float32) [][]float32 {
-	out := make([][]float32, len(in))
-	for i := range in {
-		out[i] = append([]float32(nil), in[i]...)
-	}
-	return out
-}
-
-func liveOmni(workers int, inputs [][]float32, iters int) (sec float64, blocksSent int64) {
-	cfg := core.Config{
-		Workers: workers, Aggregators: []int{workers},
-		Reliable: true, Streams: 8,
-	}
-	nw := transport.NewNetwork(workers, 4096)
-	aggConn := nw.AddNode(workers)
-	agg, err := core.NewAggregator(aggConn, cfg)
-	if err != nil {
-		panic(err)
-	}
-	go agg.Run()
-	defer aggConn.Close()
-	ws := make([]*core.Worker, workers)
-	for i := range ws {
-		if ws[i], err = core.NewWorker(nw.Conn(i), cfg); err != nil {
-			panic(err)
-		}
-		defer ws[i].Close()
-	}
-	start := time.Now()
-	for it := 0; it < iters; it++ {
-		data := cloneAll(inputs)
-		var wg sync.WaitGroup
-		for i := range ws {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := ws[i].AllReduce(data[i]); err != nil {
+// LiveComparison times the *real* implementations — OmniReduce workers
+// plus aggregator, ring AllReduce, and AGsparse — on the in-process fabric
+// over LiveSparsities at 2 and 4 workers, 2^24/Scale elements a worker,
+// each cell the median of 21 warm ops. Unlike the simulated figures this reflects actual CPU/protocol
+// costs (encode/decode, bitmap scans, goroutine scheduling) rather than
+// modeled network time, so absolute ordering differs from Fig 6 (the
+// channel fabric has memory bandwidth, not NIC bandwidth). The invariants
+// that must hold: OmniReduce's transmitted block count tracks block
+// sparsity, and at very high sparsity it beats dense ring even on CPU
+// cost alone.
+func LiveComparison(o Options) *metrics.Table {
+	o = o.withDefaults()
+	const ops = 21
+	t := metrics.NewTable("Live (wall-clock, in-process, median of 21 warm ops): AllReduce time (ms)",
+		"sparsity%", "omni-2w", "ring-2w", "agsparse-2w", "blocks-2w", "omni-4w", "ring-4w", "agsparse-4w", "blocks-4w")
+	for _, s := range LiveSparsities {
+		row := []any{s * 100}
+		for _, workers := range []int{2, 4} {
+			inputs := BlockSparseInputs(workers, 1<<24/o.Scale, s, o.Seed)
+			var blocks int64
+			for _, algo := range []Algorithm{OmniReduce, Ring, AGsparse} {
+				r, err := NewRunner(algo, core.Config{Workers: workers})
+				if err != nil {
 					panic(err)
 				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	for _, w := range ws {
-		blocksSent += w.Stats.Snapshot().BlocksSent
-	}
-	return time.Since(start).Seconds() / float64(iters), blocksSent / int64(iters)
-}
-
-func liveRing(workers int, inputs [][]float32, iters int) float64 {
-	nw := transport.NewNetwork(workers, 4096)
-	cs := make([]*collective.Comm, workers)
-	for i := range cs {
-		c, err := collective.NewComm(nw.Conn(i), workers)
-		if err != nil {
-			panic(err)
-		}
-		defer c.Close()
-		cs[i] = c
-	}
-	start := time.Now()
-	for it := 0; it < iters; it++ {
-		data := cloneAll(inputs)
-		var wg sync.WaitGroup
-		for i := range cs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := cs[i].RingAllReduce(data[i]); err != nil {
+				var sw Stopwatch
+				c, err := r.Time(&sw, inputs, ops)
+				if err = errors.Join(err, r.Close()); err != nil {
 					panic(err)
 				}
-			}(i)
+				blocks += c.Blocks / ops // the comparators send no blocks
+				slices.Sort(sw.Samples)
+				row = append(row, float64(sw.Samples[ops/2].Microseconds())/1e3)
+			}
+			row = append(row, blocks)
 		}
-		wg.Wait()
+		t.AddRow(row...)
 	}
-	return time.Since(start).Seconds() / float64(iters)
-}
-
-func liveAGsparse(workers int, inputs [][]float32, iters int) float64 {
-	nw := transport.NewNetwork(workers, 4096)
-	cs := make([]*collective.Comm, workers)
-	for i := range cs {
-		c, err := collective.NewComm(nw.Conn(i), workers)
-		if err != nil {
-			panic(err)
-		}
-		defer c.Close()
-		cs[i] = c
-	}
-	start := time.Now()
-	for it := 0; it < iters; it++ {
-		var wg sync.WaitGroup
-		for i := range cs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// AGsparse includes the dense->sparse conversion, as in
-				// Fig 8's accounting.
-				in := FromDenseSlice(inputs[i])
-				if _, err := cs[i].AGsparseAllReduce(in); err != nil {
-					panic(err)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	return time.Since(start).Seconds() / float64(iters)
+	return t
 }

@@ -24,7 +24,8 @@ import (
 
 // Options tunes experiment fidelity.
 type Options struct {
-	// Scale divides simulated traffic volume (default 16). Larger is
+	// Scale divides simulated traffic volume (default 16), and the live
+	// comparison's tensor (1 Mi elements a worker at 16). Larger is
 	// faster and slightly less faithful on latency terms.
 	Scale int
 	// Seed drives all synthetic data.
