@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -112,12 +113,12 @@ func benchInputs(workers, n int, sparsity float64, seed int64) [][]float32 {
 
 // benchAllReduce times b.N ops of r on inputs with the runner's method
 // (exp.Runner.Time) and reports the parties' encoded bytes per op as
-// wire-B/op. MB/s counts one party's tensor.
-func benchAllReduce(b *testing.B, r *exp.Runner, inputs [][]float32) {
+// wire-B/op. MB/s counts bytes per op.
+func benchAllReduce(b *testing.B, r *exp.Runner, inputs [][]float32, bytes int64) {
 	b.Helper()
 	b.StopTimer()
 	b.ResetTimer()
-	b.SetBytes(int64(4 * len(inputs[0])))
+	b.SetBytes(bytes)
 	c, err := r.Time(b, inputs, b.N)
 	if err != nil {
 		b.Fatal(err)
@@ -130,13 +131,18 @@ func publicRunner(ws []*Worker) *exp.Runner {
 	return &exp.Runner{
 		Parties: len(ws),
 		Op:      func(w int, data []float32) error { return ws[w].AllReduce(data) },
-		Counts: func() (c exp.Counts) {
-			for _, w := range ws {
-				s := w.Stats()
-				c.Blocks, c.WireBytes = c.Blocks+s.BlocksSent, c.WireBytes+s.BytesSent
-			}
-			return c
-		},
+		Counts:  workerCounts(ws),
+	}
+}
+
+// workerCounts sums what ws sent.
+func workerCounts(ws []*Worker) func() exp.Counts {
+	return func() (c exp.Counts) {
+		for _, w := range ws {
+			s := w.Stats()
+			c.Blocks, c.WireBytes = c.Blocks+s.BlocksSent, c.WireBytes+s.BytesSent
+		}
+		return c
 	}
 }
 
@@ -160,7 +166,7 @@ func benchCurve(b *testing.B, algo exp.Algorithm, workers ...int) {
 					b.Fatal(err)
 				}
 				b.Cleanup(func() { r.Close() })
-				benchAllReduce(b, r, exp.BlockSparseInputs(w, 1<<20, s, 7))
+				benchAllReduce(b, r, exp.BlockSparseInputs(w, 1<<20, s, 7), 4<<20)
 			})
 		}
 	}
@@ -195,7 +201,7 @@ func BenchmarkPacketShape(b *testing.B) {
 					b.Run(name, func(b *testing.B) {
 						opts := Options{Workers: workers, FusionWidth: width, Streams: streams}
 						if fab == "udp" {
-							benchAllReduce(b, publicRunner(udpBenchCluster(b, opts)), inputs)
+							benchAllReduce(b, publicRunner(udpBenchCluster(b, opts)), inputs, int64(4*n))
 							return
 						}
 						c, err := NewLocalCluster(opts)
@@ -203,7 +209,7 @@ func BenchmarkPacketShape(b *testing.B) {
 							b.Fatal(err)
 						}
 						b.Cleanup(func() { c.Close() })
-						benchAllReduce(b, publicRunner(clusterWorkers(c)), inputs)
+						benchAllReduce(b, publicRunner(clusterWorkers(c)), inputs, int64(4*n))
 					})
 				}
 			}
@@ -242,23 +248,26 @@ func udpBenchCluster(b *testing.B, o Options) []*Worker {
 func BenchmarkAllReduceSparseLive(b *testing.B) {
 	c := benchCluster(b, 4)
 	rng := rand.New(rand.NewSource(3))
-	ins := make([]*SparseTensor, 4)
+	dense, ins := make([][]float32, 4), make([]*SparseTensor, 4)
 	for w := range ins {
-		dense := make([]float32, 1<<18)
-		for i := range dense {
+		dense[w] = make([]float32, 1<<18)
+		for i := range dense[w] {
 			if rng.Float64() < 0.01 {
-				dense[i] = float32(rng.NormFloat64())
+				dense[w][i] = float32(rng.NormFloat64())
 			}
 		}
-		ins[w] = FromDense(dense)
+		ins[w] = FromDense(dense[w])
 	}
-	r := publicRunner(clusterWorkers(c))
-	r.Op = func(w int, _ []float32) error {
-		_, err := c.Worker(w).AllReduceSparse(ins[w])
-		return err
+	// Each op reduces ins[w], dense[w]'s pairs, drawn once before the timer.
+	r := &exp.Runner{
+		Parties: 4,
+		Op: func(w int, _ []float32) error {
+			_, err := c.Worker(w).AllReduceSparse(ins[w])
+			return err
+		},
+		Counts: workerCounts(clusterWorkers(c)),
 	}
-	benchAllReduce(b, r, make([][]float32, 4))
-	b.SetBytes(int64(8 * len(ins[0].Keys))) // one worker's pairs
+	benchAllReduce(b, r, dense, int64(8*len(ins[0].Keys))) // one worker's pairs
 }
 
 // BenchmarkMultiJobLive measures the multi-tenant service's multiplexing
@@ -275,7 +284,7 @@ func BenchmarkMultiJobLive(b *testing.B) {
 	const n = 1 << 20
 	b.Run("jobs=1", func(b *testing.B) {
 		c := benchCluster(b, workers)
-		benchAllReduce(b, publicRunner(clusterWorkers(c)), benchInputs(workers, n, 0, 19))
+		benchAllReduce(b, publicRunner(clusterWorkers(c)), benchInputs(workers, n, 0, 19), 4*n)
 	})
 	b.Run("jobs=4_tenants=2", func(b *testing.B) {
 		c := benchCluster(b, workers)
@@ -299,11 +308,12 @@ func BenchmarkMultiJobLive(b *testing.B) {
 		for ji := range names {
 			inputs = append(inputs, benchInputs(workers, n/len(names), 0, int64(23+ji))...)
 		}
-		r := publicRunner(clusterWorkers(c))
-		r.Parties = len(inputs)
-		r.Op = func(p int, data []float32) error { return jobs[p/workers][p%workers].AllReduce(data) }
-		benchAllReduce(b, r, inputs)
-		b.SetBytes(int64(4 * n)) // the total volume, as in jobs=1
+		r := &exp.Runner{
+			Parties: len(inputs),
+			Op:      func(p int, data []float32) error { return jobs[p/workers][p%workers].AllReduce(data) },
+			Counts:  workerCounts(clusterWorkers(c)),
+		}
+		benchAllReduce(b, r, inputs, 4*n) // the total volume, as in jobs=1
 	})
 }
 
@@ -315,6 +325,10 @@ func BenchmarkMultiJobLive(b *testing.B) {
 // one; tracer-x their ratio, which cmd/benchjson holds to at most 1.05 in
 // make bench.
 func BenchmarkTracerOverhead(b *testing.B) {
+	// The collector stays off, as in exp.Runner.Time: a collection in one
+	// round and not its partner would land in the ratio.
+	prevGC := debug.SetGCPercent(-1)
+	b.Cleanup(func() { debug.SetGCPercent(prevGC) })
 	const workers = 2
 	c := benchCluster(b, workers)
 	const n = 1 << 18
@@ -358,7 +372,7 @@ func BenchmarkTracerOverhead(b *testing.B) {
 // BENCH_datapath.json).
 func BenchmarkAllReduceUDPLive(b *testing.B) {
 	b.ReportAllocs()
-	benchAllReduce(b, publicRunner(udpBenchCluster(b, Options{Workers: 2})), benchInputs(2, 1<<18, 0.9, 17))
+	benchAllReduce(b, publicRunner(udpBenchCluster(b, Options{Workers: 2})), benchInputs(2, 1<<18, 0.9, 17), 4<<18)
 }
 
 // BenchmarkAllReduceTCPLive measures the real protocol over loopback TCP
@@ -384,7 +398,7 @@ func BenchmarkAllReduceTCPLive(b *testing.B) {
 		b.Cleanup(func() { w.Close() })
 		ws[i] = w
 	}
-	benchAllReduce(b, publicRunner(ws), benchInputs(workers, 1<<18, 0.9, 11))
+	benchAllReduce(b, publicRunner(ws), benchInputs(workers, 1<<18, 0.9, 11), 4<<18)
 }
 
 // failoverScenario runs one live chaos-kill handoff and returns its two
@@ -449,12 +463,16 @@ func failoverScenario(b *testing.B) (detect, handoff time.Duration) {
 		}
 		workers[w] = wk
 	}
-	inFlight := make(chan error, 1)
-	go func() {
-		inFlight <- (&exp.Runner{Parties: W, Op: func(w int, data []float32) error {
-			return workers[w].AllReduce(data)
-		}}).Run(inputs)
-	}()
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if err := workers[w].AllReduce(inputs[w]); err != nil {
+				b.Error(err)
+			}
+		}(w)
+	}
 
 	for sb.CheckpointsFrom(aggB) == 0 {
 		time.Sleep(100 * time.Microsecond)
@@ -470,9 +488,7 @@ func failoverScenario(b *testing.B) (detect, handoff time.Duration) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	detect = time.Since(t0)
-	if err := <-inFlight; err != nil {
-		b.Error(err)
-	}
+	wg.Wait()
 	handoff = time.Since(t0)
 
 	for _, wk := range workers {

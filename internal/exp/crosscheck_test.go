@@ -8,6 +8,7 @@ package exp
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"omnireduce/internal/core"
 	"omnireduce/internal/netsim"
@@ -47,8 +48,15 @@ func TestSimTrafficMatchesRealImplementation(t *testing.T) {
 
 	// (a) live protocol.
 	r := newRunner(t, OmniReduce, core.Config{Workers: workers, BlockSize: bs, FusionWidth: width, Streams: streams})
-	if err := r.Run(inputs); err != nil {
-		t.Fatal(err)
+	done := make(chan error, 1)
+	go func() { done <- r.Run(inputs) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("live AllReduce timed out")
 	}
 	liveBlocks := r.Counts().Blocks
 

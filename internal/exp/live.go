@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"slices"
@@ -216,10 +217,12 @@ func BlockSparseInputs(workers, elems int, s float64, seed int64) [][]float32 {
 // that must hold: OmniReduce's transmitted block count tracks block
 // sparsity, and at very high sparsity it beats dense ring even on CPU
 // cost alone.
-func LiveComparison(o Options) *metrics.Table {
+func LiveComparison(o Options) *metrics.Table { return liveComparison(o, 21) }
+
+// liveComparison is LiveComparison with each cell the median of ops warm ops.
+func liveComparison(o Options, ops int) *metrics.Table {
 	o = o.withDefaults()
-	const ops = 21
-	t := metrics.NewTable("Live (wall-clock, in-process, median of 21 warm ops): AllReduce time (ms)",
+	t := metrics.NewTable(fmt.Sprintf("Live (wall-clock, in-process, median of %d warm ops): AllReduce time (ms)", ops),
 		"sparsity%", "omni-2w", "ring-2w", "agsparse-2w", "blocks-2w", "omni-4w", "ring-4w", "agsparse-4w", "blocks-4w")
 	for _, s := range LiveSparsities {
 		row := []any{s * 100}
@@ -236,7 +239,7 @@ func LiveComparison(o Options) *metrics.Table {
 				if err = errors.Join(err, r.Close()); err != nil {
 					panic(err)
 				}
-				blocks += c.Blocks / ops // the comparators send no blocks
+				blocks += c.Blocks / int64(ops) // the comparators send no blocks
 				slices.Sort(sw.Samples)
 				row = append(row, float64(sw.Samples[ops/2].Microseconds())/1e3)
 			}
