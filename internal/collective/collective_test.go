@@ -1,14 +1,18 @@
 package collective
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"omnireduce/internal/obs"
 	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
+	"omnireduce/internal/wire"
 )
 
 // group creates n communicators over an in-process network.
@@ -92,11 +96,13 @@ func checkVecs(t testing.TB, got [][]float32, want []float32, tol float64) {
 }
 
 func TestRingAllReduce(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 8} {
-		cs := group(t, n)
-		data := randVecs(10_000, n, int64(n))
+	// 100 003 elements split into segments of several frames each, the
+	// last one short, and segments of different lengths at 3 ranks.
+	for _, tc := range []struct{ n, elems int }{{1, 10_000}, {2, 10_000}, {3, 10_000}, {4, 10_000}, {8, 10_000}, {2, 100_003}, {3, 100_003}} {
+		cs := group(t, tc.n)
+		data := randVecs(tc.elems, tc.n, int64(tc.n))
 		want := sumVecs(data)
-		runAll(t, n, func(r int) error { return cs[r].RingAllReduce(data[r]) })
+		runAll(t, tc.n, func(r int) error { return cs[r].RingAllReduce(data[r]) })
 		checkVecs(t, data, want, 1e-3)
 	}
 }
@@ -110,25 +116,6 @@ func TestRingAllReduceSmall(t *testing.T) {
 	checkVecs(t, data, want, 1e-4)
 }
 
-func TestRingAllGatherVar(t *testing.T) {
-	n := 3
-	cs := group(t, n)
-	payloads := [][]byte{{1}, {2, 2}, {3, 3, 3}}
-	outs := make([][][]byte, n)
-	runAll(t, n, func(r int) error {
-		var err error
-		outs[r], err = cs[r].RingAllGatherVar(payloads[r])
-		return err
-	})
-	for r := 0; r < n; r++ {
-		for p := 0; p < n; p++ {
-			if len(outs[r][p]) != p+1 {
-				t.Fatalf("rank %d: payload %d has len %d", r, p, len(outs[r][p]))
-			}
-		}
-	}
-}
-
 func randCOO(dim, nnz int, rng *rand.Rand) *tensor.COO {
 	d := tensor.NewDense(dim)
 	for _, i := range rng.Perm(dim)[:nnz] {
@@ -138,17 +125,59 @@ func randCOO(dim, nnz int, rng *rand.Rand) *tensor.COO {
 }
 
 func TestAGsparseAllReduce(t *testing.T) {
-	n := 4
-	cs := group(t, n)
-	rng := rand.New(rand.NewSource(11))
+	// Parts of different sizes: an empty one, and one longer than a frame.
+	for _, tc := range []struct {
+		dim int
+		nnz []int
+	}{
+		{2_000, []int{100, 100, 100, 100}},
+		{20_000, []int{100, 0, 10_000, 37}}, // a frame holds 8 185 pairs
+		{500, []int{50}},
+	} {
+		n := len(tc.nnz)
+		cs := group(t, n)
+		rng := rand.New(rand.NewSource(11))
+		ins := make([]*tensor.COO, n)
+		for r := range ins {
+			ins[r] = randCOO(tc.dim, tc.nnz[r], rng)
+		}
+		wantDense := tensor.NewDense(tc.dim)
+		for _, in := range ins {
+			wantDense.Add(in.ToDense())
+		}
+		outs := make([]*tensor.COO, n)
+		runAll(t, n, func(r int) error {
+			var err error
+			outs[r], err = cs[r].AGsparseAllReduce(ins[r])
+			return err
+		})
+		for r, out := range outs {
+			if err := out.Check(); err != nil || !out.ToDense().ApproxEqual(wantDense, 1e-4) {
+				t.Fatalf("nnz %v: rank %d mismatch (%v)", tc.nnz, r, err)
+			}
+		}
+	}
+}
+
+// Every rank returns exactly the worker-ordered sum: with values spread
+// over many magnitudes and keys shared by three and four ranks, another
+// order of addition gives other values.
+func TestAGsparseRanksAgreeBitwise(t *testing.T) {
+	const n, dim = 4, 1_000
+	rng := rand.New(rand.NewSource(5))
 	ins := make([]*tensor.COO, n)
+	want := make([]float32, dim)
 	for r := range ins {
-		ins[r] = randCOO(2_000, 100, rng)
+		d := tensor.NewDense(dim)
+		for _, i := range rng.Perm(dim)[:700] {
+			d.Data[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-6)))
+		}
+		ins[r] = tensor.FromDense(d)
+		for i, v := range d.Data {
+			want[i] += v
+		}
 	}
-	wantDense := tensor.NewDense(2_000)
-	for _, in := range ins {
-		wantDense.Add(in.ToDense())
-	}
+	cs := group(t, n)
 	outs := make([]*tensor.COO, n)
 	runAll(t, n, func(r int) error {
 		var err error
@@ -156,28 +185,78 @@ func TestAGsparseAllReduce(t *testing.T) {
 		return err
 	})
 	for r, out := range outs {
-		if !out.ToDense().ApproxEqual(wantDense, 1e-4) {
-			t.Fatalf("rank %d mismatch", r)
+		for i, v := range out.ToDense().Data {
+			if v != want[i] {
+				t.Fatalf("rank %d elem %d: %v, worker-ordered sum %v", r, i, v, want[i])
+			}
 		}
 	}
 }
 
-func TestCOOCodec(t *testing.T) {
-	s := tensor.NewCOO(50)
-	s.Append(3, 1.5)
-	s.Append(10, -2)
-	got, err := decodeCOO(encodeCOO(s))
-	if err != nil {
-		t.Fatal(err)
+// One ring op and one AGsparse op release every frame they receive.
+func TestCollectivesLeakNoBuffers(t *testing.T) {
+	const n = 3
+	audit := obs.StartLeakAudit()
+	cs := group(t, n)
+	data := randVecs(100_003, n, 3)
+	rng := rand.New(rand.NewSource(3))
+	ins := make([]*tensor.COO, n)
+	for r := range ins {
+		ins[r] = randCOO(20_000, 10_000, rng)
 	}
-	if got.Dim != 50 || got.Len() != 2 || got.Keys[1] != 10 || got.Values[0] != 1.5 {
-		t.Fatalf("round trip: %+v", got)
+	runAll(t, n, func(r int) error {
+		if err := cs[r].RingAllReduce(data[r]); err != nil {
+			return err
+		}
+		_, err := cs[r].AGsparseAllReduce(ins[r])
+		return err
+	})
+	for _, c := range cs {
+		c.Close()
 	}
-	if _, err := decodeCOO([]byte{1, 2}); err == nil {
-		t.Fatal("short buffer accepted")
+	if leaks := audit.Settle(2 * time.Second); len(leaks) != 0 {
+		t.Fatal(obs.LeaksErr(leaks))
 	}
-	if _, err := decodeCOO([]byte{0, 0, 0, 0, 255, 0, 0, 0}); err == nil {
-		t.Fatal("truncated entries accepted")
+}
+
+// A frame that does not fit what rank 0 awaits is an error, not a panic:
+// frames the left neighbour (a bare endpoint here) has sent ahead of rank
+// 0's first op, op 1.
+func TestCommRejectsMalformedFrames(t *testing.T) {
+	sparse := func(keys ...int32) []byte {
+		p := wire.SparsePacket{NextKey: wire.InfKey, Keys: keys, Values: make([]float32, len(keys))}
+		return wire.AppendSparsePacket(nil, &p)
+	}
+	ring := func(c *Comm) error { return c.RingAllReduce(make([]float32, 10)) }
+	ag := func(c *Comm) error { _, err := c.AGsparseAllReduce(tensor.NewCOO(100)); return err }
+	for _, tc := range []struct {
+		name    string
+		tag     uint64
+		payload []byte
+		op      func(*Comm) error
+	}{
+		{"ring frame longer than its segment", 1 << 16, make([]byte, 4*6), ring},
+		{"ring frame of a partial float", 1 << 16, make([]byte, 7), ring},
+		{"ring frame under another tag", 1<<16 | 64, make([]byte, 4*5), ring},
+		{"truncated sparse frame", 1 << 16, sparse(1, 2, 3)[:16+8*3-5], ag},
+		{"sparse keys out of order", 1 << 16, sparse(3, 2), ag},
+		{"sparse key past the tensor", 1 << 16, sparse(100), ag},
+	} {
+		nw := transport.NewNetwork(2, 16)
+		c, err := NewComm(nw.Conn(0), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		left := nw.Conn(1)
+		f := binary.LittleEndian.AppendUint64(nil, tc.tag)
+		if err := left.Send(0, append(f, tc.payload...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.op(c); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		c.Close()
+		left.Close()
 	}
 }
 
@@ -233,7 +312,11 @@ func TestCommAccessors(t *testing.T) {
 	if cs[1].Rank() != 1 || cs[1].Size() != 3 {
 		t.Fatalf("rank/size = %d/%d", cs[1].Rank(), cs[1].Size())
 	}
-	if errSize("x", 1, 2).Error() == "" {
-		t.Fatal("empty size error")
+	// One ring op over 30 elements: 2(n-1) frames a rank, 10 floats and
+	// the tag each.
+	data := randVecs(30, 3, 1)
+	runAll(t, 3, func(r int) error { return cs[r].RingAllReduce(data[r]) })
+	if got, want := cs[1].BytesSent(), int64(4*(8+4*10)); got != want {
+		t.Fatalf("BytesSent = %d, want %d", got, want)
 	}
 }

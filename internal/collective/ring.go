@@ -1,5 +1,12 @@
 package collective
 
+import (
+	"fmt"
+
+	"omnireduce/internal/tensor"
+	"omnireduce/internal/wire"
+)
+
 // Ring AllReduce (Patarasuk & Yuan): the bandwidth-optimal dense algorithm
 // NCCL and Gloo default to, used as the paper's main baseline. The vector
 // is split into N segments; a reduce-scatter phase of N-1 steps leaves
@@ -20,85 +27,37 @@ func (c *Comm) RingAllReduce(data []float32) error {
 		return nil
 	}
 	op := c.nextOp()
-	right := (c.rank + 1) % c.n
-	left := (c.rank - 1 + c.n) % c.n
-
-	// Reduce-scatter: at step s, send segment (rank-s) right and reduce
-	// segment (rank-s-1) arriving from the left.
-	for s := 0; s < c.n-1; s++ {
-		sendLo, sendHi := segment(c.rank-s, c.n, len(data))
-		if err := c.send(right, op|uint64(s), f32Bytes(data[sendLo:sendHi])); err != nil {
-			return err
-		}
-		buf, err := c.recv(left, op|uint64(s))
-		if err != nil {
-			return err
-		}
-		recvLo, recvHi := segment(c.rank-s-1, c.n, len(data))
-		in := bytesF32(buf)
-		if len(in) != recvHi-recvLo {
-			return errSize("ring reduce-scatter", len(in), recvHi-recvLo)
-		}
-		for i, v := range in {
-			data[recvLo+i] += v
-		}
+	seg := func(s int) []float32 {
+		lo, hi := segment(s, c.n, len(data))
+		return data[lo:hi]
 	}
-	// AllGather: circulate the fully reduced segments.
-	for s := 0; s < c.n-1; s++ {
-		sendLo, sendHi := segment(c.rank+1-s, c.n, len(data))
-		if err := c.send(right, op|uint64(64+s), f32Bytes(data[sendLo:sendHi])); err != nil {
+	// At step t, send segment (rank-t) right and fold segment (rank-t-1)
+	// arriving from the left into place, straight from each frame: by
+	// dst += src for the N-1 steps of the reduce-scatter, by a copy for
+	// the N-1 of the allgather.
+	for t := 0; t < 2*(c.n-1); t++ {
+		out, in := seg(c.rank-t), seg(c.rank-t-1)
+		fold := tensor.AddF32
+		if t >= c.n-1 {
+			fold = func(dst, src []float32) { copy(dst, src) }
+		}
+		if err := c.exchange(len(out) > 0, len(in) > 0, op|uint64(t), func(p []byte) (int, bool) {
+			k := min(len(out), len(p)/4)
+			wire.PutF32Slice(p, out[:k])
+			out = out[k:]
+			return 4 * k, len(out) > 0
+		}, func(payload []byte) (bool, error) {
+			if len(payload) == 0 || len(payload)%4 != 0 || len(payload)/4 > len(in) {
+				return false, fmt.Errorf("collective: ring frame of %d bytes with %d elements left in the segment", len(payload), len(in))
+			}
+			var v []float32
+			v, c.f32 = wire.ViewF32Slice(payload, c.f32)
+			fold(in, v)
+			in = in[len(v):]
+			return len(in) > 0, nil
+		}); err != nil {
 			return err
 		}
-		buf, err := c.recv(left, op|uint64(64+s))
-		if err != nil {
-			return err
-		}
-		recvLo, recvHi := segment(c.rank-s, c.n, len(data))
-		in := bytesF32(buf)
-		if len(in) != recvHi-recvLo {
-			return errSize("ring allgather", len(in), recvHi-recvLo)
-		}
-		copy(data[recvLo:recvHi], in)
 	}
 	return nil
-}
-
-// RingAllGatherVar gathers variable-length byte payloads from every rank;
-// result[r] holds rank r's payload on every rank. This is the AllGather
-// AGsparse builds on: ranks exchange COO buffers of different sizes.
-func (c *Comm) RingAllGatherVar(mine []byte) ([][]byte, error) {
-	out := make([][]byte, c.n)
-	out[c.rank] = mine
-	if c.n == 1 {
-		return out, nil
-	}
-	op := c.nextOp()
-	right := (c.rank + 1) % c.n
-	left := (c.rank - 1 + c.n) % c.n
-	for s := 0; s < c.n-1; s++ {
-		src := ((c.rank-s)%c.n + c.n) % c.n
-		if err := c.send(right, op|uint64(s), out[src]); err != nil {
-			return nil, err
-		}
-		buf, err := c.recv(left, op|uint64(s))
-		if err != nil {
-			return nil, err
-		}
-		dst := ((c.rank-s-1)%c.n + c.n) % c.n
-		out[dst] = buf
-	}
-	return out, nil
-}
-
-type sizeError struct {
-	where     string
-	got, want int
-}
-
-func (e sizeError) Error() string {
-	return "collective: " + e.where + " size mismatch"
-}
-
-func errSize(where string, got, want int) error {
-	return sizeError{where, got, want}
 }

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"omnireduce/internal/collective"
@@ -56,16 +55,20 @@ func NewRunner(algo Algorithm, cfg core.Config) (*Runner, error) {
 	nw := transport.NewNetwork(n, 4096)
 	r := &Runner{Parties: n}
 	if algo != OmniReduce {
-		var sent atomic.Int64
-		r.Counts = func() Counts { return Counts{WireBytes: sent.Load()} }
 		comms := make([]*collective.Comm, n)
 		for i := range comms {
-			c, err := collective.NewComm(sentConn{nw.Conn(i), &sent}, n)
+			c, err := collective.NewComm(nw.Conn(i), n)
 			if err != nil {
 				return nil, errors.Join(err, r.Close())
 			}
 			comms[i] = c
 			r.closers = append(r.closers, c.Close)
+		}
+		r.Counts = func() (c Counts) {
+			for _, comm := range comms {
+				c.WireBytes += comm.BytesSent()
+			}
+			return c
 		}
 		r.Op = func(p int, data []float32) error { return comms[p].RingAllReduce(data) }
 		if algo == AGsparse {
@@ -103,23 +106,15 @@ func NewRunner(algo Algorithm, cfg core.Config) (*Runner, error) {
 	return r, nil
 }
 
-// sentConn counts the bytes a comparator sends.
-type sentConn struct {
-	transport.Conn
-	sent *atomic.Int64
-}
-
-func (c sentConn) Send(to int, data []byte) error {
-	c.sent.Add(int64(len(data)))
-	return c.Conn.Send(to, data)
-}
-
-// Close tears down what NewRunner built, last built first.
+// Close tears down what NewRunner built, last built first, and drops it,
+// so a Runner still referenced afterwards (the testing package keeps a
+// benchmark's first -count round) holds no cluster memory.
 func (r *Runner) Close() error {
 	var errs []error
 	for _, c := range slices.Backward(r.closers) {
 		errs = append(errs, c())
 	}
+	r.Op, r.Counts, r.closers = nil, nil, nil
 	return errors.Join(errs...)
 }
 

@@ -47,3 +47,24 @@ func TestAddF32Unrolled(t *testing.T) {
 		t.Fatalf("prefix add wrong: %v", dst)
 	}
 }
+
+// FromDense is the dense-to-sparse conversion inside every AGsparse op:
+// the COO and its exactly sized Keys and Values are its only allocations,
+// however many non-zeros there are.
+func TestFromDenseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	d := NewDense(1 << 12)
+	for i := 0; i < d.Len(); i += 3 {
+		d.Data[i] = float32(i) + 1
+	}
+	var s *COO
+	allocs := testing.AllocsPerRun(20, func() { s = FromDense(d) })
+	if allocs != 3 {
+		t.Fatalf("FromDense: %v allocs/op, want 3", allocs)
+	}
+	if n := (d.Len() + 2) / 3; s.Len() != n || cap(s.Keys) != n || cap(s.Values) != n {
+		t.Fatalf("FromDense: %d pairs in %d/%d capacity, want %d exactly", s.Len(), cap(s.Keys), cap(s.Values), n)
+	}
+}

@@ -22,7 +22,7 @@ const mergeSplitMin = 16
 // give an unspecified merge but no access outside the slices.
 //
 // This is the one sorted-run merge of the repository (the aggregator's
-// Algorithm 3 and COO.AddCOO both call it). On amd64 a merge of
+// Algorithm 3, AGsparse and COO.AddCOO call it). On amd64 a merge of
 // mergeSplitMin pairs or more runs in merge_amd64.s as two independent
 // chains, one from each end; everywhere else, and below that size, it is
 // the branch-free loop of mergeSteps, with identical results.

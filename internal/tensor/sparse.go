@@ -3,6 +3,7 @@ package tensor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -105,17 +106,40 @@ func (s *COO) ToDense() *Dense {
 }
 
 // FromDense extracts the non-zero elements of d into a new COO tensor.
-// This is the "dense to sparse" conversion of Figure 8.
+// This is the "dense to sparse" conversion of Figure 8. One pass counts
+// the non-zeros, so Keys and Values are each allocated once, exactly
+// sized, and a second fills them. Both skip all-zero runs of 256 elements
+// at the bitmap scan's speed, and neither branches on an element.
 func FromDense(d *Dense) *COO {
-	s := NewCOO(d.Len())
-	for i, v := range d.Data {
-		if v != 0 {
-			s.Keys = append(s.Keys, int32(i))
-			s.Values = append(s.Values, v)
+	nnz := 0
+	for lo := 0; lo < d.Len(); lo += 256 {
+		for _, v := range nonZeroRun(d.Data[lo:min(lo+256, d.Len())]) {
+			nnz += nonZero(v)
 		}
 	}
-	return s
+	keys, vals := make([]int32, nnz), make([]float32, nnz)
+	for lo, j := 0, 0; j < nnz; lo += 256 {
+		for i, v := range nonZeroRun(d.Data[lo:min(lo+256, d.Len())]) {
+			if j == nnz {
+				break
+			}
+			keys[j], vals[j] = int32(lo+i), v
+			j += nonZero(v)
+		}
+	}
+	return &COO{Dim: d.Len(), Keys: keys, Values: vals}
 }
+
+// nonZeroRun returns r, or nothing when all of r is zero.
+func nonZeroRun(r []float32) []float32 {
+	if isZeroBlock(r) {
+		return nil
+	}
+	return r
+}
+
+// nonZero is 1 when v != 0 and 0 otherwise: -0 is zero, NaN is not.
+func nonZero(v float32) int { return int((math.Float32bits(v)&0x7fffffff + 0x7fffffff) >> 31) }
 
 // AddCOO merges other into s, summing values at equal keys (s's value
 // first), with MergeRuns. Both inputs must be well-formed (Check); the

@@ -17,9 +17,9 @@ func f32Bytes(v []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
 }
 
-// putF32Slice writes src as little-endian float32 bits into dst, which
+// PutF32Slice writes src as little-endian float32 bits into dst, which
 // must hold at least 4*len(src) bytes.
-func putF32Slice(dst []byte, src []float32) {
+func PutF32Slice(dst []byte, src []float32) {
 	if len(src) > 0 {
 		copy(dst[:4*len(src)], f32Bytes(src))
 	}
@@ -38,7 +38,7 @@ func i32Bytes(v []int32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
 }
 
-// putI32Slice is putF32Slice for int32 keys.
+// putI32Slice is PutF32Slice for int32 keys.
 func putI32Slice(dst []byte, src []int32) {
 	if len(src) > 0 {
 		copy(dst[:4*len(src)], i32Bytes(src))

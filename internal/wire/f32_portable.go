@@ -11,10 +11,10 @@ import (
 // little-endian (f32_le.go lists those): per-element conversion, correct on
 // any byte order.
 
-// putF32Slice writes src as little-endian float32 bits into dst, which
+// PutF32Slice writes src as little-endian float32 bits into dst, which
 // must hold at least 4*len(src) bytes. Eight elements per iteration: one
 // bounds check per 32 bytes.
-func putF32Slice(dst []byte, src []float32) {
+func PutF32Slice(dst []byte, src []float32) {
 	for len(src) >= 8 {
 		d := dst[:32]
 		binary.LittleEndian.PutUint32(d[0:], math.Float32bits(src[0]))

@@ -185,6 +185,22 @@ func grow(dst []byte, n int) (ext, tail []byte) {
 	return ext, ext[len(dst):]
 }
 
+// ViewF32Slice returns the float32s that b, a multiple of four bytes
+// long, encodes: b itself where viewable (f32_le.go, b 4-byte aligned),
+// valid only while b is, else decoded into scratch, grown when too small
+// and returned for reuse.
+func ViewF32Slice(b []byte, scratch []float32) ([]float32, []float32) {
+	if viewable(b) {
+		return viewF32(b), scratch
+	}
+	if cap(scratch) < len(b)/4 {
+		scratch = make([]float32, len(b)/4)
+	}
+	v := scratch[:len(b)/4]
+	getF32Slice(v, b)
+	return v, scratch
+}
+
 // putF16Slice writes src as little-endian binary16 into dst (2*len(src)
 // bytes).
 func putF16Slice(dst []byte, src []float32) {
@@ -256,7 +272,7 @@ func AppendPacket(dst []byte, p *Packet) []byte {
 			putF16Slice(w[off:], b.Data)
 			off += 2 * len(b.Data)
 		} else {
-			putF32Slice(w[off:], b.Data)
+			PutF32Slice(w[off:], b.Data)
 			off += 4 * len(b.Data)
 		}
 	}
@@ -473,7 +489,7 @@ func AppendSparsePacket(dst []byte, p *SparsePacket) []byte {
 	binary.LittleEndian.PutUint32(w[8:], p.NextKey)
 	binary.LittleEndian.PutUint32(w[12:], uint32(len(p.Keys)))
 	putI32Slice(w[sparseHeaderLen:], p.Keys)
-	putF32Slice(w[sparseHeaderLen+4*len(p.Keys):], p.Values)
+	PutF32Slice(w[sparseHeaderLen+4*len(p.Keys):], p.Values)
 	return dst
 }
 
