@@ -28,12 +28,16 @@ vet:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 # Check tier: the protocol machines under every delivery schedule at small
-# scope. Today that is Algorithm 3 — 2 and 3 workers, FusionWidth 1 and 2,
-# every interleaving of the per-connection queues, and the aggregator's
-# merge against the scalar fold under every FIFO-consistent delivery order
-# of random packetizations; -v prints the states and schedules covered.
+# scope, on the protocol tests' one schedule harness. Algorithm 3: 2 and 3
+# workers, FusionWidth 1 and 2, every interleaving of the per-connection
+# queues, and the aggregator's merge against the scalar fold under every
+# FIFO-consistent delivery order of random packetizations. Algorithm 2:
+# versioned mode, 2 workers, one stream of at most 4 blocks, FusionWidth 1
+# and 2, every schedule of deliveries with at most two faults (a drop, a
+# duplicate, an armed timer firing at any point), each then finished, after
+# its committed seed schedules; -v prints the states and schedules covered.
 check:
-	$(GO) test -run 'TestSparseScheduleExhaustive|TestSparseMergeMatchesFold' -v ./internal/protocol/
+	$(GO) test -run 'TestSparseScheduleExhaustive|TestSparseMergeMatchesFold|TestDenseScheduleExhaustive' -v ./internal/protocol/
 
 # Race tier: vet, the small-scope schedule check, the observability/
 # leak-audit suite, the timeline pipeline, the multi-tenant tier, the

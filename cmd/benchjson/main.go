@@ -22,9 +22,11 @@
 // previous recording's "current" section, and the command exits nonzero
 // if allocs/op grew by more than -gate-pct percent (default 10) or MB/s
 // shrank by more than -gate-mbs-pct percent (default 35; throughput is
-// far noisier than allocation counts on a shared box). The file is
-// still written first, so the offending numbers are on disk for
-// inspection.
+// far noisier than allocation counts on a shared box).
+//
+// The output file is replaced only by a run that passes every check, so
+// each run is gated against the last passing recording. A failing run's
+// numbers are only in the benchmark lines it passes through.
 //
 // BenchmarkCheckpointTax reports tax-x, the time of a collective with a
 // standby over the same collective without one, in a row per mode. It is
@@ -50,6 +52,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -228,29 +231,39 @@ func checkGate(newCur, oldCur []Result, prefixes []string, pct, mbsPct float64) 
 }
 
 func main() {
-	out := flag.String("o", "BENCH_datapath.json", "output JSON path")
-	gate := flag.String("gate", "", "comma-separated benchmark name prefixes to gate against the previous recording")
-	gatePct := flag.Float64("gate-pct", 10, "max %% regression in allocs/op for gated benchmarks")
-	gateMBsPct := flag.Float64("gate-mbs-pct", 35, "max %% regression in MB/s for gated benchmarks (throughput is noisier than allocation counts)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the command on args, reading benchmark output from in and passing
+// it through to out; it reports to errw and returns the exit status.
+func run(args []string, in io.Reader, out, errw io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	outPath := fs.String("o", "BENCH_datapath.json", "output JSON path")
+	gate := fs.String("gate", "", "comma-separated benchmark name prefixes to gate against the previous recording")
+	gatePct := fs.Float64("gate-pct", 10, "max %% regression in allocs/op for gated benchmarks")
+	gateMBsPct := fs.Float64("gate-mbs-pct", 35, "max %% regression in MB/s for gated benchmarks (throughput is noisier than allocation counts)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var runs []Result
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass the raw output through for the console
+		fmt.Fprintln(out, line) // pass the raw output through for the console
 		if r, ok := parse(line); ok {
 			runs = append(runs, r)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: read stdin: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(errw, "benchjson: read stdin: %v\n", err)
+		return 1
 	}
 	if len(runs) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
-		os.Exit(1)
+		fmt.Fprintln(errw, "benchjson: no benchmark lines found on stdin")
+		return 1
 	}
 	current := dedupe(runs)
 
@@ -260,7 +273,7 @@ func main() {
 		Current:  current,
 	}
 	var prevCur []Result
-	if prev, err := os.ReadFile(*out); err == nil {
+	if prev, err := os.ReadFile(*outPath); err == nil {
 		var old File
 		if json.Unmarshal(prev, &old) == nil && len(old.Baseline) > 0 {
 			f.Baseline = old.Baseline
@@ -269,39 +282,42 @@ func main() {
 	}
 	enc, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(errw, "benchjson: %v\n", err)
+		return 1
 	}
-	if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks (%d runs) to %s\n", len(current), len(runs), *out)
+	enc = append(enc, '\n')
 
 	fail := false
 	curveErrs, crossovers := checkCurve(current)
 	for _, err := range append(checkRatios(current), curveErrs...) {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		fmt.Fprintf(errw, "benchjson: %v\n", err)
 		fail = true
 	}
 	for _, n := range crossovers {
-		fmt.Fprintf(os.Stderr, "benchjson: curve: %s\n", n)
+		fmt.Fprintf(errw, "benchjson: curve: %s\n", n)
 	}
 	if *gate != "" && len(prevCur) > 0 {
 		prefixes := strings.Split(*gate, ",")
 		if errs := checkGate(current, prevCur, prefixes, *gatePct, *gateMBsPct); len(errs) > 0 {
 			for _, e := range errs {
-				fmt.Fprintf(os.Stderr, "benchjson: gate: %v\n", e)
+				fmt.Fprintf(errw, "benchjson: gate: %v\n", e)
 			}
 			fail = true
 		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: %d pinned benchmarks within limits (allocs %.0f%%, MB/s %.0f%%) of previous recording\n",
+			fmt.Fprintf(errw, "benchjson: gate: %d pinned benchmarks within limits (allocs %.0f%%, MB/s %.0f%%) of previous recording\n",
 				countPinned(current, prefixes), *gatePct, *gateMBsPct)
 		}
 	}
 	if fail {
-		os.Exit(1)
+		fmt.Fprintf(errw, "benchjson: checks failed: %s left as it was (this run's lines are above)\n", *outPath)
+		return 1
 	}
+	if err := os.WriteFile(*outPath, enc, 0o644); err != nil {
+		fmt.Fprintf(errw, "benchjson: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(errw, "benchjson: wrote %d benchmarks (%d runs) to %s\n", len(current), len(runs), *outPath)
+	return 0
 }
 
 // The sparsity curve's rows (see the package comment). The last point is

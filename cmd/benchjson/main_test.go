@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -190,5 +195,47 @@ func TestGateScope(t *testing.T) {
 	cur = []Result{{Name: "BenchmarkPinnedSmall", AllocsOp: 11, NsPerOp: 1}}
 	if errs := checkGate(cur, old, []string{"BenchmarkPinnedSmall"}, 10, 35); len(errs) != 1 {
 		t.Fatalf("past-slack regression not flagged: %v", errs)
+	}
+}
+
+// TestFailingRunKeepsRecording: a run that fails a check leaves the
+// recording byte for byte as it was, so the next run is gated against the
+// last passing one; a passing run replaces it.
+func TestFailingRunKeepsRecording(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	record := func(input string, args ...string) (int, string) {
+		t.Helper()
+		var errw bytes.Buffer
+		code := run(append([]string{"-o", path}, args...), strings.NewReader(input), io.Discard, &errw)
+		return code, errw.String()
+	}
+	if code, msg := record("BenchmarkA-2  100  200 ns/op  50.00 MB/s  0 B/op  0 allocs/op\n"); code != 0 {
+		t.Fatalf("first run: exit %d: %s", code, msg)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		input string
+		args  []string
+	}{
+		"ratio":   {input: "BenchmarkTracerOverhead-2  30  1155133 ns/op  1.2 tracer-x\n"},
+		"mb-gate": {input: "BenchmarkA-2  100  900 ns/op  10.00 MB/s  0 B/op  0 allocs/op\n", args: []string{"-gate", "BenchmarkA"}},
+	} {
+		code, msg := record(tc.input, tc.args...)
+		if code != 1 || !strings.Contains(msg, "left as it was") {
+			t.Fatalf("%s: failing run exited %d: %s", name, code, msg)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, first) {
+			t.Fatalf("%s: a failing run rewrote the recording", name)
+		}
+	}
+	if code, msg := record("BenchmarkA-2  100  190 ns/op  55.00 MB/s  0 B/op  0 allocs/op\n", "-gate", "BenchmarkA"); code != 0 {
+		t.Fatalf("passing run: exit %d: %s", code, msg)
+	}
+	var f File
+	if got, err := os.ReadFile(path); err != nil || json.Unmarshal(got, &f) != nil || len(f.Current) != 1 || f.Current[0].NsPerOp != 190 || f.Baseline[0].NsPerOp != 200 {
+		t.Fatalf("passing run recorded %+v (err %v)", f, err)
 	}
 }

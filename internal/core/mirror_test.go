@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"omnireduce/internal/protocol"
@@ -223,9 +225,29 @@ func TestStandbyShadowShards(t *testing.T) {
 	for shard := 0; shard < 2; shard++ {
 		m := protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
 		a.adoptShadow(m, shard, 0)
-		ck := m.Checkpoint()
-		if len(ck.Slots) != 2 || int(ck.Slots[0].Slot) != shard || int(ck.Slots[1].Slot) != shard+2 || ck.Slots[0].Round != 6 {
-			t.Fatalf("shard %d adopted %+v", shard, ck.Slots)
+		if m.Held() != 2 {
+			t.Fatalf("shard %d holds %d results, want 2", shard, m.Held())
+		}
+		// A worker a round behind draws round 5's result on the shard's
+		// slots and nothing elsewhere; one at round 6 is merged.
+		var eb protocol.EmitBuf
+		for slot := uint16(0); slot < 4; slot++ {
+			eb.Reset()
+			if err := m.HandlePacket(staleData(slot, protocol.TidFor(0, 1), 5), &eb); err != nil {
+				t.Fatal(err)
+			}
+			ours := int(slot)%2 == shard
+			if got := eb.Emits(); ours != (len(got) == 1) || ours && (got[0].Packet.Slot != slot || got[0].Packet.Version != 5) {
+				t.Fatalf("shard %d: a round-5 packet on slot %d drew %d emits", shard, slot, len(got))
+			}
+			if !ours {
+				continue
+			}
+			before := m.Stats()
+			eb.Reset()
+			if err := m.HandlePacket(staleData(slot, protocol.TidFor(0, 1), 6), &eb); err != nil || eb.Len() != 0 || m.Stats().StaleRounds != before.StaleRounds {
+				t.Fatalf("shard %d slot %d: a round-6 packet was not merged: err %v, %d emits", shard, slot, err, eb.Len())
+			}
 		}
 		again := protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
 		a.adoptShadow(again, shard, 0)
@@ -236,23 +258,66 @@ func TestStandbyShadowShards(t *testing.T) {
 	}
 }
 
-// machineState renders what a successor machine holds, for comparison:
-// slots, archive and finished sets, with every packet in its wire bytes
-// (adopted packets are always encodable) so that recycled and fresh
-// storage compare equal.
-func machineState(m *protocol.AggregatorMachine) string {
-	ck := m.Checkpoint()
+// staleData is the data packet a rebinding worker 0 replays: round ver
+// of tensor tid on slot, with no block.
+func staleData(slot uint16, tid uint32, ver uint8) protocol.Msg {
+	return probe{slot: slot, tid: tid, bs: mirBS, cols: 2, ver: ver}.msg()
+}
+
+// probe is a packet a rebinding worker 0 may replay: round ver of tensor
+// tid on slot, at a geometry of block size bs and cols columns, with no
+// block.
+type probe struct {
+	slot    uint16
+	tid, bs uint32
+	cols    int
+	ver     uint8
+}
+
+func (p probe) msg() protocol.Msg {
+	nexts := make([]uint32, p.cols)
+	for c := range nexts {
+		nexts[c] = wire.Inf(c)
+	}
+	return protocol.Msg{Dense: &wire.Packet{Type: wire.TypeData, Version: p.ver, Slot: p.slot, TensorID: p.tid,
+		BlockSize: p.bs, Nexts: nexts}}
+}
+
+// probesOf is what a rebinding worker may replay on the lane of an
+// adopted result r: r's own round, which a held result answers; the
+// round after it, which the successor is collecting; and one half the
+// version space away, stale for both. Each is sent at r's geometry.
+func probesOf(r *wire.Packet) []probe {
+	var ps []probe
+	for _, v := range []uint8{r.Version, r.Version + 1, r.Version + 0x80} {
+		ps = append(ps, probe{slot: r.Slot, tid: r.TensorID, bs: r.BlockSize, cols: len(r.Nexts), ver: v})
+	}
+	return ps
+}
+
+// replies renders a successor machine by what it answers: the results it
+// holds, then, in wire bytes, what it emits for each of probes (sorted,
+// each once), then its counters. Machines in the same state answer alike,
+// byte for byte.
+func replies(m *protocol.AggregatorMachine, probes []probe) string {
+	probes = slices.Clone(probes)
+	slices.SortFunc(probes, func(a, b probe) int {
+		return cmp.Or(cmp.Compare(a.slot, b.slot), cmp.Compare(a.tid, b.tid), cmp.Compare(a.bs, b.bs),
+			cmp.Compare(a.cols, b.cols), cmp.Compare(a.ver, b.ver))
+	})
 	var b bytes.Buffer
-	for _, s := range ck.Slots {
-		fmt.Fprintf(&b, "slot %d tid %#x cols %d bs %d dt %d round %d cur %v count %d seen %v last %x\n",
-			s.Slot, s.TensorID, s.Cols, s.BlockSize, s.DType, s.Round, s.Cur, s.Count, s.Seen, wire.AppendPacket(nil, s.LastRes))
+	var eb protocol.EmitBuf
+	fmt.Fprintf(&b, "held %d\n", m.Held())
+	for _, p := range slices.Compact(probes) {
+		eb.Reset()
+		err := m.HandlePacket(p.msg(), &eb)
+		fmt.Fprintf(&b, "%+v: %v", p, err)
+		for _, e := range eb.Emits() {
+			fmt.Fprintf(&b, " %d:%x", e.Dst, wire.AppendPacket(nil, e.Packet))
+		}
+		b.WriteByte('\n')
 	}
-	for _, ar := range ck.Archive {
-		fmt.Fprintf(&b, "final %d tid %#x size %d %x\n", ar.Slot, ar.TensorID, ar.Size, wire.AppendPacket(nil, &ar.Packet))
-	}
-	for _, f := range ck.Finished {
-		fmt.Fprintf(&b, "finished %d ns %d upto %d except %v\n", f.Slot, f.NS, f.UpTo, f.Except)
-	}
+	fmt.Fprintf(&b, "%+v, %d live\n", m.Stats(), m.ActiveSlots())
 	return b.String()
 }
 
@@ -262,11 +327,13 @@ func machineState(m *protocol.AggregatorMachine) string {
 // raw bytes — and checks three things: nothing panics; the standby holds
 // at most 2 x ArchiveDepth results per (namespace, slot), nothing from a
 // stranger, and no pooled buffer or slot once it is done; and the machine a
-// take-over builds is exactly the machine that had adopted, in order, every
-// frame a listed aggregator sent in a current epoch whose envelope and
-// payload decode and agree on the namespace — what some valid sequence of
-// results would give, since AdoptResult (which the protocol tests hold to
-// real result sequences) is the only way in.
+// take-over builds answers, byte for byte, as the machine that had adopted,
+// in order, every frame a listed aggregator sent in a current epoch whose
+// envelope and payload decode and agree on the namespace — what some valid
+// sequence of results would give, since AdoptResult (which the protocol
+// tests hold to real result sequences) is the only way in. The two are
+// probed on every lane, and at every geometry, that such a frame named
+// (probesOf).
 func FuzzStandbyFrame(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 0, 3, 0, 0, 0, 1, 0, 1, 0, 4, 1, 0})
 	f.Add([]byte{0, 1, 1, 20, 1, 0, 2, 1, 1, 0, 2, 3, 0, 9, 4, 2, 0, 1, 1, 2, 1, 0, 10, 0})
@@ -277,6 +344,7 @@ func FuzzStandbyFrame(f *testing.F) {
 		a := newStandbyNode(t, 1)
 		refs := map[uint32]*protocol.AggregatorMachine{}
 		lanes := map[[2]uint32]bool{}
+		probes := map[uint32][]probe{}
 		for ; len(script) >= 8; script = script[8:] {
 			op := script[:8]
 			from := mirPrimary
@@ -314,6 +382,7 @@ func FuzzStandbyFrame(f *testing.F) {
 					if refs[got.NS].AdoptResult(p) {
 						lanes[[2]uint32{got.NS, uint32(p.Slot)}] = true
 					}
+					probes[got.NS] = append(probes[got.NS], probesOf(p)...)
 				}
 			}
 			offerRaw(a, from, buf)
@@ -329,7 +398,7 @@ func FuzzStandbyFrame(f *testing.F) {
 		for ns, ref := range refs {
 			m := protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
 			a.adoptShadow(m, 0, ns)
-			if got, want := machineState(m), machineState(ref); got != want {
+			if got, want := replies(m, probes[ns]), replies(ref, probes[ns]); got != want {
 				t.Fatalf("namespace %d: take-over built\n%s\nadopting every frame on arrival gives\n%s", ns, got, want)
 			}
 			m.Release()

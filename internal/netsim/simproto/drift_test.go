@@ -523,7 +523,9 @@ func fixedAggStats(s protocol.AggStats) protocol.AggStats {
 // with its first contribution: it is copied, not added to zeros, so an
 // element that is -0.0 on every worker sums to -0.0 (the IEEE sum; adding
 // into +0.0 would give +0.0) — on both substrates alike, since they share
-// the accumulator. Two workers, so arrival order cannot move a bit.
+// the accumulator. Two workers, so arrival order cannot move a bit. The
+// last block is zero everywhere and -0.0 on worker 0 alone: it is never
+// sent, and every worker ends it with +0.0 (the scan clears it).
 func TestNegativeZeroSumLiveVsSim(t *testing.T) {
 	const W, blocks, bs, negAt = 2, 24, 16, 5
 	negZero := float32(math.Copysign(0, -1))
@@ -532,7 +534,9 @@ func TestNegativeZeroSumLiveVsSim(t *testing.T) {
 		for b := 0; b < blocks; b++ {
 			in[b*bs+negAt] = negZero
 		}
+		clear(in[(blocks-1)*bs:])
 	}
+	inputs[0][(blocks-1)*bs+negAt] = negZero
 	cfg := core.Config{Workers: W, Aggregators: []int{W}, BlockSize: bs, FusionWidth: 4, Streams: 2, Reliable: true}
 	live, _, _ := liveRun(t, cfg, inputs, nil)
 	sim := simproto.SimOmniReduceTensors(simproto.Testbed10G(W, 1), inputs, protocol.Config{
@@ -544,7 +548,11 @@ func TestNegativeZeroSumLiveVsSim(t *testing.T) {
 				t.Fatalf("worker %d elem %d: live %v (%#x) != sim %v (%#x)", w, e,
 					v, math.Float32bits(v), sim.Results[w][e], math.Float32bits(sim.Results[w][e]))
 			}
-			if e%bs == negAt && math.Float32bits(v) != math.Float32bits(negZero) {
+			if e >= (blocks-1)*bs {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("worker %d elem %d of the block zero everywhere: %v (%#x), want +0.0", w, e, v, math.Float32bits(v))
+				}
+			} else if e%bs == negAt && math.Float32bits(v) != math.Float32bits(negZero) {
 				t.Fatalf("worker %d elem %d: -0.0 + -0.0 = %v (%#x), want -0.0", w, e, v, math.Float32bits(v))
 			}
 		}

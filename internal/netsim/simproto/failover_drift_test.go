@@ -198,15 +198,15 @@ func TestFailoverDriftLiveVsSim(t *testing.T) {
 	// rounds in flight) and late (most rounds already archived).
 	for _, frac := range []float64{0.2, 0.5} {
 		fopts := opts
-		fopts.FailoverAt = base.Time * frac
+		fopts.FailoverAtEvent = int(float64(base.Events) * frac)
 		fopts.FailAggIndex = 1
 		run := simproto.SimOmniReduceTensors(cl, inputs, pcfg, fopts)
 		if run.Time <= 0 {
 			t.Fatalf("failover sim (frac %.1f) did not complete: time %g", frac, run.Time)
 		}
-		if run.Time <= fopts.FailoverAt {
-			t.Fatalf("failover sim (frac %.1f) finished at %g before the kill at %g: not a mid-collective kill",
-				frac, run.Time, fopts.FailoverAt)
+		if run.Events <= fopts.FailoverAtEvent {
+			t.Fatalf("failover sim (frac %.1f) finished after %d events, before the kill at event %d: not a mid-collective kill",
+				frac, run.Events, fopts.FailoverAtEvent)
 		}
 		assertBitIdentical(t, "sim-failover", run.Results, want)
 		// The failed position's stats come from the machine that finished

@@ -62,27 +62,21 @@ type OmniOpts struct {
 	SwitchAgg bool
 	// NoCopy skips the staging-copy model regardless of cluster CopyBW.
 	NoCopy bool
-	// FailoverAt, when > 0, kills the aggregator serving position
-	// FailAggIndex (in aggregatorIDs order) at that simulated time and
-	// fails the position over to a standby node. The standby machine has
-	// adopted every result the doomed machine committed (AdoptResult on
-	// its Commit emits — what the live driver mirrors to standbys, here
-	// without a fabric in between) and knows nothing else; every worker
-	// machine rebinds (Rebind), replaying its unacknowledged rounds at the
-	// new aggregator. Requires Lossy (reliable mode has no replay
-	// machinery) and dedicated aggregator nodes (a colocated aggregator
-	// cannot die alone).
-	FailoverAt   float64
-	FailAggIndex int
-	// FailoverAtEvent, when > 0, kills the same aggregator immediately
-	// before the run's FailoverAtEvent-th event instead (events are the
-	// deliveries to a machine and the timer wakeups, counted in
-	// OmniRun.Events), so a test can put the kill at every point of a
-	// collective rather than at the times it thought of.
+	// FailoverAtEvent, when > 0, kills the aggregator serving position
+	// FailAggIndex (in aggregatorIDs order) immediately before the run's
+	// FailoverAtEvent-th event (events are the deliveries to a machine and
+	// the timer wakeups, counted in OmniRun.Events), so a test can put the
+	// kill at every point of a collective, and fails the position over to
+	// a standby at the next free node ID after the dedicated aggregators.
+	// The standby machine has adopted every result the doomed machine
+	// committed (AdoptResult on its Commit emits — what the live driver
+	// mirrors to standbys, here without a fabric in between) and knows
+	// nothing else; every worker machine rebinds (Rebind), replaying its
+	// unacknowledged rounds at the new aggregator. Requires Lossy
+	// (reliable mode has no replay machinery) and dedicated aggregator
+	// nodes (a colocated aggregator cannot die alone).
 	FailoverAtEvent int
-	// StandbyID is the simulated node ID hosting the standby; 0 picks the
-	// next free ID after the dedicated aggregators.
-	StandbyID int
+	FailAggIndex    int
 }
 
 // simPkt is one in-flight simulated message: a deep copy of an emitted
@@ -480,7 +474,7 @@ func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, s
 	// servedBy maps aggregator positions to the node currently serving
 	// them; failover swaps the failed position to the standby.
 	servedBy := append([]int(nil), aggIDs...)
-	if opts.FailoverAt > 0 || opts.FailoverAtEvent > 0 {
+	if opts.FailoverAtEvent > 0 {
 		if c.Colocated {
 			panic("simproto: failover requires dedicated aggregator nodes")
 		}
@@ -490,10 +484,7 @@ func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, s
 		if opts.FailAggIndex < 0 || opts.FailAggIndex >= len(aggIDs) {
 			panic(fmt.Sprintf("simproto: FailAggIndex %d out of range (%d aggregators)", opts.FailAggIndex, len(aggIDs)))
 		}
-		standby := opts.StandbyID
-		if standby == 0 {
-			standby = N + len(aggIDs)
-		}
+		standby := N + len(aggIDs)
 		nd := n.AddNode(standby, c.AggBW, c.AggBW)
 		nd.CPUPerMsg = c.CPUPerMsg
 		if opts.SwitchAgg {
@@ -528,9 +519,6 @@ func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, s
 				route(w, eb.Emits())
 				arm(w)
 			}
-		}
-		if opts.FailoverAt > 0 {
-			n.Sim.At(opts.FailoverAt, kill)
 		}
 	}
 

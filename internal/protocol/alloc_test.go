@@ -165,12 +165,15 @@ func TestTensorCompletionZeroAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("reliable=%v", reliable), func(t *testing.T) {
 			cfg := Config{Reliable: reliable, DeterministicOrder: true, BlockSize: 4, FusionWidth: 2, Streams: 2}
 			var trace []*wire.Packet
-			p, _ := newPump(t, cfg, traceInputs(), func(_ int, m tmsg) []tmsg {
-				if m.dst == aggNode {
-					trace = append(trace, m.pkt)
+			inputs := traceInputs()
+			p := newHarness(t, cfg, len(inputs))
+			p.observe = func(f *frame, msg Msg) {
+				if f.dst == aggNode {
+					trace = append(trace, new(wire.Packet))
+					wire.CopyPacketInto(trace[len(trace)-1], nil, msg.Dense)
 				}
-				return []tmsg{m}
-			}, false)
+			}
+			p.begin(1, inputs)
 			p.drain()
 			if !p.allDone() {
 				t.Fatal("recorded collective did not converge")

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"omnireduce/internal/wire"
@@ -15,64 +16,40 @@ type aggRounds struct {
 	bytes  int64 // payload bytes aggregated over the collective
 }
 
-// recordAggRounds runs cfg.Workers dense worker machines against an aggregator
-// machine in memory over an n-element tensor and records every packet the
-// aggregator receives, cut at each round it closes.
+// recordAggRounds runs cfg.Workers dense worker machines against an
+// aggregator machine on the harness over an n-element tensor and records
+// every packet the aggregator receives, cut at each round it closes.
 func recordAggRounds(tb testing.TB, cfg Config, n int) *aggRounds {
 	tb.Helper()
-	am := NewAggregatorMachine(cfg, aggNode)
+	inputs := make([][]float32, cfg.Workers)
+	for w := range inputs {
+		inputs[w] = make([]float32, n)
+		for i := range inputs[w] {
+			inputs[w][i] = float32(i%13+w) + 0.5 // fully dense: every block is sent
+		}
+	}
+	h := newHarness(tb, cfg, cfg.Workers)
 	rec := &aggRounds{}
-	var queue [][]byte
-	var ebW, ebA EmitBuf
-	wms := make([]*WorkerMachine, cfg.Workers)
-	enqueue := func() {
-		for _, e := range ebW.Emits() {
-			queue = append(queue, e.Encode(nil))
-		}
-		ebW.Reset()
-	}
-	data := make([][]float32, cfg.Workers)
-	for w := range wms {
-		data[w] = make([]float32, n)
-		for i := range data[w] {
-			data[w][i] = float32(i%13+w) + 0.5 // fully dense: every block is sent
-		}
-		wms[w] = NewWorkerMachine(cfg, w, 1)
-		wms[w].Start(NewDenseView(data[w], cfg.BlockSize, cfg.ForceDense), 0, &ebW)
-		enqueue()
-	}
 	var cur [][]byte
-	var p wire.Packet
-	for len(queue) > 0 {
-		buf := queue[0]
-		queue = queue[1:]
-		cur = append(cur, buf)
-		if _, err := wire.DecodePacketInto(&p, nil, buf); err != nil {
-			tb.Fatal(err)
-		}
-		for _, b := range p.Blocks {
-			rec.bytes += int64(4 * len(b.Data))
-		}
-		ebA.Reset()
-		if err := am.HandlePacket(Msg{Dense: &p}, &ebA); err != nil {
-			tb.Fatal(err)
-		}
-		if len(ebA.Emits()) == 0 {
-			continue
-		}
-		rec.rounds = append(rec.rounds, cur)
-		cur = nil
-		for _, e := range ebA.Emits() {
-			if err := wms[e.Dst].HandlePacket(e.Packet, 0, &ebW); err != nil {
-				tb.Fatal(err)
-			}
-			enqueue()
+	cut := func() {
+		if len(h.rounds) > len(rec.rounds) {
+			rec.rounds, cur = append(rec.rounds, cur), nil
 		}
 	}
-	for w, m := range wms {
-		if !m.Done() {
-			tb.Fatalf("worker %d did not finish", w)
+	h.observe = func(f *frame, msg Msg) {
+		if f.dst == aggNode {
+			cut()
+			cur = append(cur, slices.Clone(f.buf))
+			for _, b := range msg.Dense.Blocks {
+				rec.bytes += int64(4 * len(b.Data))
+			}
 		}
+	}
+	h.begin(1, inputs)
+	h.drain()
+	cut()
+	if !h.allDone() {
+		tb.Fatal("the recorded collective did not finish")
 	}
 	return rec
 }

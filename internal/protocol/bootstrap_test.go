@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,8 +14,7 @@ import (
 // Tests for the header-only bootstrap (WorkerMachine.Start attaches a
 // column's first block only if it is non-zero) and the aggregator's
 // round-0 contract that makes it safe (aggSlot.cur). Everything runs on
-// the synchronous pumps of machine_test.go and view_test.go: no
-// goroutines, no clocks.
+// the schedule harness: no goroutines, no clocks.
 
 // The small scope the bootstrap tests enumerate over: six blocks of four
 // elements, two columns. One stream has first-in-column
@@ -69,7 +69,7 @@ func bootInputs(workers int, firsts []int, mask uint) [][]float32 {
 	return out
 }
 
-// wireTally is a pump tamper hook that records what every worker put on
+// wireTally is a harness fault hook that records what every worker put on
 // the wire — encoding each packet for real — before applying the
 // schedule's own perturbation.
 type wireTally struct {
@@ -78,10 +78,10 @@ type wireTally struct {
 	empties    []int64 // per worker: packets without a block
 	bootBlocks []int64 // per worker: blocks that rode in bootstrap packets
 	bootSeen   map[[2]int]bool
-	perturb    func(n int, m tmsg) []tmsg
+	perturb    func(n, src int, e *Emit) int
 }
 
-func newWireTally(t *testing.T, workers int, perturb func(n int, m tmsg) []tmsg) *wireTally {
+func newWireTally(t *testing.T, workers int, perturb func(n, src int, e *Emit) int) *wireTally {
 	return &wireTally{
 		t:          t,
 		bytes:      make([]int64, workers),
@@ -92,46 +92,41 @@ func newWireTally(t *testing.T, workers int, perturb func(n int, m tmsg) []tmsg)
 	}
 }
 
-func (wt *wireTally) tamper(n int, m tmsg) []tmsg {
-	if m.dst == aggNode {
-		enc := wire.AppendPacket(nil, m.pkt)
-		if len(enc) != wire.EncodedPacketSize(m.pkt) {
-			wt.t.Fatalf("EncodedPacketSize %d, AppendPacket %d bytes", wire.EncodedPacketSize(m.pkt), len(enc))
+func (wt *wireTally) fault(n, src int, e *Emit) int {
+	if p := e.Packet; e.Dst == aggNode {
+		enc := wire.AppendPacket(nil, p)
+		if len(enc) != wire.EncodedPacketSize(p) {
+			wt.t.Fatalf("EncodedPacketSize %d, AppendPacket %d bytes", wire.EncodedPacketSize(p), len(enc))
 		}
-		wt.bytes[m.src] += int64(len(enc))
-		if len(m.pkt.Blocks) == 0 {
-			wt.empties[m.src]++
+		wt.bytes[src] += int64(len(enc))
+		if len(p.Blocks) == 0 {
+			wt.empties[src]++
 		}
 		// The first Version-0 packet of a stream is its bootstrap (a later
 		// one is the retransmission of it).
-		k := [2]int{m.src, int(m.pkt.Slot)}
-		if m.pkt.Version == 0 && !wt.bootSeen[k] {
+		k := [2]int{src, int(p.Slot)}
+		if p.Version == 0 && !wt.bootSeen[k] {
 			wt.bootSeen[k] = true
-			wt.bootBlocks[m.src] += int64(len(m.pkt.Blocks))
-			want := 24 + 4*m.pkt.Cols() + len(m.pkt.Blocks)*(8+4*bootBS)
+			wt.bootBlocks[src] += int64(len(p.Blocks))
+			want := 24 + 4*p.Cols() + len(p.Blocks)*(8+4*bootBS)
 			if len(enc) != want {
-				wt.t.Fatalf("bootstrap of %d blocks encodes to %d bytes, want %d", len(m.pkt.Blocks), len(enc), want)
+				wt.t.Fatalf("bootstrap of %d blocks encodes to %d bytes, want %d", len(p.Blocks), len(enc), want)
 			}
-			for _, b := range m.pkt.Blocks {
+			for _, b := range p.Blocks {
 				if allZero(b.Data) {
-					wt.t.Fatalf("worker %d bootstrapped zero block %d", m.src, b.Index)
+					wt.t.Fatalf("worker %d bootstrapped zero block %d", src, b.Index)
 				}
 			}
 		}
 	}
 	if wt.perturb != nil {
-		return wt.perturb(n, m)
+		return wt.perturb(n, src, e)
 	}
-	return []tmsg{m}
+	return 1
 }
 
 func allZero(d []float32) bool {
-	for _, v := range d {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(d, func(v float32) bool { return v != 0 })
 }
 
 // TestBootstrapElisionExhaustive enumerates every zero/non-zero assignment
@@ -145,22 +140,22 @@ func TestBootstrapElisionExhaustive(t *testing.T) {
 	schedules := []struct {
 		name     string
 		reliable bool
-		perturb  func(n int, m tmsg) []tmsg
+		perturb  func(n, src int, e *Emit) int
 		lossFree bool
 	}{
 		{name: "reliable", reliable: true, lossFree: true},
 		{name: "versioned", lossFree: true},
-		{name: "versioned-bootstrap-dropped", perturb: func(n int, m tmsg) []tmsg {
+		{name: "versioned-bootstrap-dropped", perturb: func(n, src int, e *Emit) int {
 			if n == 0 {
-				return nil
+				return 0
 			}
-			return []tmsg{m}
+			return 1
 		}},
-		{name: "versioned-bootstrap-duplicated", lossFree: true, perturb: func(n int, m tmsg) []tmsg {
+		{name: "versioned-bootstrap-duplicated", lossFree: true, perturb: func(n, src int, e *Emit) int {
 			if n == 0 {
-				return []tmsg{m, m}
+				return 2
 			}
-			return []tmsg{m}
+			return 1
 		}},
 	}
 	accums := []struct {
@@ -182,23 +177,15 @@ func TestBootstrapElisionExhaustive(t *testing.T) {
 						ac.set(&cfg)
 						inputs := bootInputs(g.workers, firsts, mask)
 						wt := newWireTally(t, g.workers, sc.perturb)
-						p, work := newPump(t, cfg, inputs, wt.tamper, false)
-						p.drain()
-						for i := 0; i < 8 && !p.allDone(); i++ {
-							p.tick()
-							p.drain()
-						}
-						if !p.allDone() {
+						p := newHarness(t, cfg, len(inputs))
+						p.fault = wt.fault
+						work := p.begin(1, inputs)
+						if !p.converge(8) {
 							t.Fatalf("mask %#x: machines did not converge", mask)
 						}
-						ref := refSum(inputs)
+						assertExact(t, fmt.Sprintf("mask %#x", mask), work, refSum(inputs))
 						for w := range work {
-							for i, v := range work[w] {
-								if v != ref[i] {
-									t.Fatalf("mask %#x: worker %d elem %d: %v != %v", mask, w, i, v, ref[i])
-								}
-							}
-							s := p.wms[w].Stats()
+							s := p.ops[w].Stats()
 							nz := int64(tensor.ComputeBitmap(tensor.FromSlice(inputs[w]), bootBS).Count())
 							if got := wt.bootBlocks[w] + s.BlocksSent; got != nz {
 								t.Fatalf("mask %#x: worker %d sent %d+%d blocks, has %d non-zero", mask, w, wt.bootBlocks[w], s.BlocksSent, nz)
@@ -269,20 +256,15 @@ func TestBootstrapForceDense(t *testing.T) {
 		}
 	}
 
-	p, work := newPump(t, cfg, inputs, nil, false)
+	p, work := newDense(t, cfg, inputs)
 	p.drain()
 	if !p.allDone() {
 		t.Fatal("machines did not converge")
 	}
-	ref := refSum(inputs)
+	assertExact(t, "ForceDense", work, refSum(inputs))
 	for w := range work {
-		for i, v := range work[w] {
-			if v != ref[i] {
-				t.Fatalf("worker %d elem %d: %v != %v", w, i, v, ref[i])
-			}
-		}
 		// Two shards of three blocks in two columns: two rounds each.
-		s := p.wms[w].Stats()
+		s := p.ops[w].Stats()
 		want := WorkerStats{BlocksSent: bootBlocks - streams*bootCols, PacketsSent: 4, ResultsRecvd: 4,
 			BytesSent: 4*(24+4*bootCols) + bootBlocks*(8+4*bootBS)}
 		if s != want {
@@ -304,73 +286,7 @@ func TestBootstrapElisionFailover(t *testing.T) {
 	// everywhere, so stream 0's bootstrap round concludes empty.
 	firsts := bootFirsts(2)
 	inputs := bootInputs(3, firsts, 1<<uint(1*len(firsts)+2))
-	ref := refSum(inputs)
-	finish := func(p *multiPump, work [][]float32, what string) {
-		t.Helper()
-		p.step(1 << 20)
-		for i := 0; i < 64 && !p.allDone(); i++ {
-			p.tick()
-			p.step(1 << 20)
-		}
-		if !p.allDone() {
-			t.Fatalf("%s: machines did not converge", what)
-		}
-		for w := range work {
-			for i, v := range work[w] {
-				if v != ref[i] {
-					t.Fatalf("%s: worker %d elem %d: %v != %v", what, w, i, v, ref[i])
-				}
-			}
-		}
-	}
-
-	probe, _ := newMultiPump(t, cfg, inputs)
-	total := 0
-	for len(probe.q) > 0 {
-		probe.step(1)
-		total++
-	}
-	for _, dead := range []int{100, 200} {
-		for k := 0; k <= total; k++ {
-			p, work := newMultiPump(t, cfg, inputs)
-			p.step(k)
-			p.kill(dead, 300)
-			finish(p, work, fmt.Sprintf("kill %d after %d steps", dead, k))
-		}
-	}
-
-	// A round behind: let the doomed machine conclude a round and its
-	// results reach the workers, then lose it, everything sent to it since,
-	// and the mirror frame of that round.
-	var fastForwards, roundZero int64
-	for _, dead := range []int{100, 200} {
-		for k := 0; k < total; k++ {
-			p, work := newMultiPump(t, cfg, inputs)
-			p.step(k)
-			if len(p.q) == 0 || p.q[0].dst != dead {
-				continue
-			}
-			before := p.ams[dead].Stats().RoundsCompleted
-			p.step(1)
-			if p.ams[dead].Stats().RoundsCompleted == before {
-				continue // the step concluded no round: nothing went out
-			}
-			for len(p.q) > 0 {
-				if p.q[0].dst == dead {
-					p.q = p.q[1:]
-					continue
-				}
-				p.step(1)
-			}
-			p.killBehind(dead, 300, 1)
-			stale := p.ams[300]
-			finish(p, work, fmt.Sprintf("kill %d a round behind, after %d steps", dead, k))
-			fastForwards += stale.Stats().FastForwards
-			if before == 0 {
-				roundZero += stale.Stats().FastForwards
-			}
-		}
-	}
+	fastForwards, roundZero := failoverSweep(t, cfg, inputs, "header-only bootstraps")
 	if fastForwards == 0 || roundZero == 0 {
 		t.Fatalf("stale restores fast-forwarded %d times, %d of them out of round 0", fastForwards, roundZero)
 	}

@@ -128,12 +128,14 @@ type DenseView struct {
 
 // NewDenseView wraps data with block size bs. When forceDense is set the
 // occupancy bitmap is skipped entirely: NonZero must not be consulted (the
-// machines do not when Config.ForceDense is set).
+// machines do not when Config.ForceDense is set). Otherwise the scan also
+// writes +0.0 over every zero block's -0.0s: a block zero on every worker
+// is never sent, and this way every worker ends it with the same bits.
 func NewDenseView(data []float32, bs int, forceDense bool) *DenseView {
 	t := tensor.FromSlice(data)
 	v := &DenseView{t: t, bs: bs, nb: t.NumBlocks(bs)}
 	if !forceDense {
-		v.bm = tensor.ComputeBitmap(t, bs)
+		v.bm = tensor.ComputeBitmapNormalized(t, bs)
 	}
 	return v
 }

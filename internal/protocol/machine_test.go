@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,164 +14,10 @@ import (
 	"omnireduce/internal/wire"
 )
 
-// Trace tests for the sans-I/O machines: a tiny synchronous pump feeds
-// worker and aggregator machines from a FIFO queue — no transport, no
-// goroutines, no clocks. Each table entry perturbs the delivery schedule
-// (duplicates, reorders, drops + timeouts) and asserts the machines still
-// converge on the exact deterministic sum.
-
-const aggNode = 100 // dedicated aggregator node ID, distinct from worker IDs
-
-type tmsg struct {
-	src, dst int
-	pkt      *wire.Packet
-}
-
-// testClone deep-copies an emitted dense packet. Machines emit reusable
-// shells valid only until the next call into the emitting machine, so
-// the pump — which queues messages for later delivery — must copy them
-// at enqueue time, exactly as a real driver would encode them.
-func testClone(p *wire.Packet) *wire.Packet {
-	c := *p
-	c.Nexts = append([]uint32(nil), p.Nexts...)
-	c.Blocks = append([]wire.Block(nil), p.Blocks...)
-	for i := range c.Blocks {
-		c.Blocks[i].Data = append([]float32(nil), c.Blocks[i].Data...)
-	}
-	return &c
-}
-
-// poison overwrites a delivered packet's encoding with 0xFF (NaN payloads,
-// keys no tensor has): what the buffer pool may do to it once a live
-// driver has released it after HandlePacket.
-func poison(buf []byte) {
-	for i := range buf {
-		buf[i] = 0xFF
-	}
-}
-
-// pump drives the machines to completion with deterministic, synchronous
-// delivery. tamper sees every enqueued message and returns the copies to
-// actually deliver (nil drops it); swapLinks additionally swaps adjacent
-// queue entries on distinct links to exercise cross-link reordering.
-//
-// The aggregator gets each packet the way a live driver hands it one: as a
-// view of the packet's own encoding (wire.DecodePacketView), poisoned as
-// soon as HandlePacket returns. A machine that kept any slice of it sums
-// NaNs.
-type pump struct {
-	t         *testing.T
-	cfg       Config
-	wms       []*WorkerMachine
-	am        *AggregatorMachine
-	q         []tmsg
-	now       time.Duration
-	tamper    func(n int, m tmsg) []tmsg
-	swapLinks bool
-	seq       int
-	eb        EmitBuf
-	view      wire.Packet
-	arena     []float32
-}
-
-func newPump(t *testing.T, cfg Config, inputs [][]float32, tamper func(n int, m tmsg) []tmsg, swap bool) (*pump, [][]float32) {
-	t.Helper()
-	cfg.Workers = len(inputs)
-	cfg.Aggregators = []int{aggNode}
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p := &pump{t: t, cfg: cfg, am: NewAggregatorMachine(cfg, aggNode),
-		tamper: tamper, swapLinks: swap}
-	work := make([][]float32, len(inputs))
-	for w := range inputs {
-		work[w] = append([]float32(nil), inputs[w]...)
-		p.wms = append(p.wms, NewWorkerMachine(cfg, w, 1))
-	}
-	for w, m := range p.wms {
-		view := NewDenseView(work[w], cfg.BlockSize, cfg.ForceDense)
-		p.eb.Reset()
-		m.Start(view, 0, &p.eb)
-		p.push(w, p.eb.Emits())
-	}
-	return p, work
-}
-
-func (p *pump) push(src int, emits []Emit) {
-	for i := range emits {
-		m := tmsg{src: src, dst: emits[i].Dst, pkt: testClone(emits[i].Packet)}
-		out := []tmsg{m}
-		if p.tamper != nil {
-			out = p.tamper(p.seq, m)
-		}
-		p.seq++
-		p.q = append(p.q, out...)
-		if p.swapLinks && len(p.q) >= 2 {
-			a, b := &p.q[len(p.q)-2], &p.q[len(p.q)-1]
-			if a.src != b.src || a.dst != b.dst {
-				*a, *b = *b, *a // cross-link swap preserves per-link FIFO
-			}
-		}
-	}
-}
-
-// drain processes the queue to empty, panicking the test on machine errors.
-func (p *pump) drain() {
-	for len(p.q) > 0 {
-		m := p.q[0]
-		p.q = p.q[1:]
-		if m.dst == aggNode {
-			buf := wire.AppendPacket(nil, m.pkt)
-			arena, err := wire.DecodePacketView(&p.view, p.arena, buf)
-			if err != nil {
-				p.t.Fatalf("decode: %v", err)
-			}
-			p.arena = arena
-			p.eb.Reset()
-			err = p.am.HandlePacket(Msg{Dense: &p.view}, &p.eb)
-			poison(buf)
-			if err != nil {
-				p.t.Fatalf("aggregator: %v", err)
-			}
-			p.push(aggNode, p.eb.Emits())
-			continue
-		}
-		p.eb.Reset()
-		if err := p.wms[m.dst].HandlePacket(m.pkt, p.now, &p.eb); err != nil {
-			p.t.Fatalf("worker %d: %v", m.dst, err)
-		}
-		p.push(m.dst, p.eb.Emits())
-	}
-}
-
-// tick advances virtual time past every pending deadline and fires the
-// timeout handler on all workers.
-func (p *pump) tick() {
-	var latest time.Duration
-	for _, m := range p.wms {
-		if d, ok := m.NextTimeout(); ok && d > latest {
-			latest = d
-		}
-	}
-	p.now = latest + time.Nanosecond
-	for w, m := range p.wms {
-		p.eb.Reset()
-		if err := m.HandleTimeout(p.now, &p.eb); err != nil {
-			p.t.Fatalf("worker %d timeout: %v", w, err)
-		}
-		p.push(w, p.eb.Emits())
-	}
-}
-
-func (p *pump) allDone() bool {
-	for _, m := range p.wms {
-		if !m.Done() {
-			return false
-		}
-	}
-	return true
-}
+// Trace tests for the sans-I/O machines on the schedule harness: each
+// table entry perturbs the delivery schedule (duplicates, reorders, drops
+// + timeouts) and asserts the machines still converge on the exact
+// deterministic sum.
 
 // traceInputs builds three workers' inputs with distinct sparsity patterns
 // over 24 blocks of 4 elements each.
@@ -195,6 +42,13 @@ func traceInputs() [][]float32 {
 	}
 }
 
+// traceCfg is the configuration traceInputs run at, served by aggs:
+// blocks of 4, four columns, two streams and a fixed summation order.
+func traceCfg(aggs ...int) Config {
+	return Config{BlockSize: 4, FusionWidth: 4, Streams: 2, Aggregators: aggs,
+		DeterministicOrder: true, RetransmitTimeout: time.Millisecond}
+}
+
 func refSum(inputs [][]float32) []float32 {
 	ref := make([]float32, len(inputs[0]))
 	for _, in := range inputs {
@@ -206,20 +60,13 @@ func refSum(inputs [][]float32) []float32 {
 }
 
 func TestMachineTraces(t *testing.T) {
-	base := Config{
-		BlockSize:          4,
-		FusionWidth:        4,
-		Streams:            2,
-		DeterministicOrder: true,
-		RetransmitTimeout:  time.Millisecond,
-	}
 	cases := []struct {
 		name     string
 		reliable bool
-		tamper   func(n int, m tmsg) []tmsg
+		fault    func(n, src int, e *Emit) int
 		swap     bool
 		ticks    int // extra timeout rounds to recover dropped packets
-		check    func(t *testing.T, p *pump)
+		check    func(t *testing.T, h *harness)
 	}{
 		{
 			name: "in-order-reliable", reliable: true,
@@ -231,16 +78,16 @@ func TestMachineTraces(t *testing.T) {
 			// Every aggregator result delivered twice: the duplicate must be
 			// version-filtered (or done-filtered) by the worker machines.
 			name: "duplicated-results",
-			tamper: func(n int, m tmsg) []tmsg {
-				if m.src == aggNode {
-					return []tmsg{m, m}
+			fault: func(n, src int, e *Emit) int {
+				if src == aggNode {
+					return 2
 				}
-				return []tmsg{m}
+				return 1
 			},
-			check: func(t *testing.T, p *pump) {
+			check: func(t *testing.T, h *harness) {
 				var stale int64
-				for _, m := range p.wms {
-					stale += m.Stats().StaleResults
+				for _, op := range h.ops {
+					stale += op.Stats().StaleResults
 				}
 				if stale == 0 {
 					t.Fatal("duplicated results not filtered")
@@ -252,14 +99,14 @@ func TestMachineTraces(t *testing.T) {
 			// filter same-round duplicates and replay to stale rounds without
 			// corrupting the sum.
 			name: "duplicated-data-stale-rounds",
-			tamper: func(n int, m tmsg) []tmsg {
-				if m.dst == aggNode {
-					return []tmsg{m, m}
+			fault: func(n, src int, e *Emit) int {
+				if e.Dst == aggNode {
+					return 2
 				}
-				return []tmsg{m}
+				return 1
 			},
-			check: func(t *testing.T, p *pump) {
-				s := p.am.Stats()
+			check: func(t *testing.T, h *harness) {
+				s := h.ams[aggNode].Stats()
 				if s.DupsFiltered == 0 && s.StaleRounds == 0 {
 					t.Fatalf("duplicates neither filtered nor recognized stale: %+v", s)
 				}
@@ -278,17 +125,17 @@ func TestMachineTraces(t *testing.T) {
 			// Drop the first five worker packets (bootstraps among them);
 			// only the retransmission timer can recover the streams.
 			name: "timeout-before-result",
-			tamper: func(n int, m tmsg) []tmsg {
-				if m.dst == aggNode && n < 5 {
-					return nil
+			fault: func(n, src int, e *Emit) int {
+				if e.Dst == aggNode && n < 5 {
+					return 0
 				}
-				return []tmsg{m}
+				return 1
 			},
 			ticks: 32,
-			check: func(t *testing.T, p *pump) {
+			check: func(t *testing.T, h *harness) {
 				var retr int64
-				for _, m := range p.wms {
-					retr += m.Stats().Retransmits
+				for _, op := range h.ops {
+					retr += op.Stats().Retransmits
 				}
 				if retr == 0 {
 					t.Fatal("drops recovered without retransmissions")
@@ -298,36 +145,26 @@ func TestMachineTraces(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
+			cfg := traceCfg()
 			cfg.Reliable = tc.reliable
 			inputs := traceInputs()
-			p, work := newPump(t, cfg, inputs, tc.tamper, tc.swap)
-			p.drain()
-			for i := 0; i < tc.ticks && !p.allDone(); i++ {
-				p.tick()
-				p.drain()
-			}
-			if !p.allDone() {
+			h := newHarness(t, cfg, len(inputs))
+			h.fault, h.swap = tc.fault, tc.swap
+			work := h.begin(1, inputs)
+			if !h.converge(tc.ticks) {
 				t.Fatal("machines did not converge")
 			}
-			ref := refSum(inputs)
-			for w := range work {
-				for i, v := range work[w] {
-					if v != ref[i] {
-						t.Fatalf("worker %d elem %d: %v != %v", w, i, v, ref[i])
-					}
-				}
-			}
+			assertExact(t, tc.name, work, refSum(inputs))
 			if tc.check != nil {
-				tc.check(t, p)
+				tc.check(t, h)
 			}
 		})
 	}
 }
 
 // TestMachinesReleaseNoLiveView runs each aggregation mode with every
-// aggregator-bound packet poisoned right after its HandlePacket (see pump
-// and kvWorld.deliver) and expects the exact sum, bit for bit. Two workers
+// packet poisoned right after its machine returns (see harness.handle)
+// and expects the exact sum, bit for bit. Two workers
 // where contributions are summed in arrival order (a+b is b+a), three where
 // the order is fixed or the inputs are integers.
 func TestMachinesReleaseNoLiveView(t *testing.T) {
@@ -374,22 +211,16 @@ func TestMachinesReleaseNoLiveView(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Reliable = true
 			cfg.BlockSize, cfg.FusionWidth, cfg.Streams = 4, 4, 2
-			p, work := newPump(t, cfg, tc.inputs, nil, false)
-			p.drain()
-			if !p.allDone() {
+			h, work := newDense(t, cfg, tc.inputs)
+			h.drain()
+			if !h.allDone() {
 				t.Fatal("machines did not converge")
 			}
 			want := refSum(tc.inputs)
 			if tc.want != nil {
 				want = tc.want(tc.inputs)
 			}
-			for w := range work {
-				for i, v := range work[w] {
-					if math.Float32bits(v) != math.Float32bits(want[i]) {
-						t.Fatalf("worker %d elem %d: %v != %v: a released buffer was still being read", w, i, v, want[i])
-					}
-				}
-			}
+			assertExact(t, "a released buffer was still being read", work, want)
 		})
 	}
 
@@ -403,14 +234,11 @@ func TestMachinesReleaseNoLiveView(t *testing.T) {
 			ins[0].Append(3*k, float32(rng.NormFloat64()))
 			ins[1].Append(3*k+rng.Int31n(2), float32(rng.NormFloat64()))
 		}
-		w := newKVWorld(t, cfg, ins)
-		for qs := w.enabled(); len(qs) > 0; qs = w.enabled() {
-			w.deliver(t, qs[0])
-			w.check(t)
-		}
-		for id, m := range w.wms {
-			if !m.Done() || m.Result().Len() != len(w.ref) {
-				t.Fatalf("worker %d: done %v, %d pairs of %d", id, m.Done(), m.Result().Len(), len(w.ref))
+		h, ref := newKVWorld(t, cfg, ins)
+		h.drain()
+		for id, m := range h.kv {
+			if !m.Done() || m.Result().Len() != len(ref) {
+				t.Fatalf("worker %d: done %v, %d pairs of %d", id, m.Done(), m.Result().Len(), len(ref))
 			}
 		}
 	})
@@ -509,76 +337,56 @@ func TestWorkerMachineResultErrors(t *testing.T) {
 	}
 }
 
-// runSparseFIFO runs the Algorithm 3 key-value machines through the same
-// synchronous in-memory style — one aggregator, one FIFO queue for the
-// whole cluster — calling deliver with every packet just before its
-// destination handles it, and returns the worker machines.
-func runSparseFIFO(tb testing.TB, cfg Config, ins []*tensor.COO, deliver func(dst int, p *wire.SparsePacket)) []*SparseWorkerMachine {
+// runSparseFIFO runs key-value collective tid of the Algorithm 3
+// machines on the harness, every frame in the order it was sent, calling
+// deliver with every packet just before its destination handles it, and
+// returns the harness with every worker done.
+func runSparseFIFO(tb testing.TB, cfg Config, tid uint32, ins []*tensor.COO, deliver func(dst int, p *wire.SparsePacket)) *harness {
 	tb.Helper()
-	am := NewAggregatorMachine(cfg, aggNode)
-	var wms []*SparseWorkerMachine
-	type smsg struct {
-		dst int
-		pkt *wire.SparsePacket
-	}
-	var q []smsg
-	var eb EmitBuf
-	push := func(emits []Emit) {
-		for i := range emits {
-			p := new(wire.SparsePacket)
-			wire.CopySparsePacketInto(p, emits[i].Sparse)
-			q = append(q, smsg{dst: emits[i].Dst, pkt: p})
-		}
-	}
-	for w := range ins {
-		m, err := NewSparseWorkerMachine(cfg, w, 1, ins[w])
-		if err != nil {
-			tb.Fatal(err)
-		}
-		wms = append(wms, m)
-		eb.Reset()
-		m.Start(&eb)
-		push(eb.Emits())
-	}
-	for ; len(q) > 0; q = q[1:] {
-		m := q[0]
-		deliver(m.dst, m.pkt)
-		eb.Reset()
-		var err error
-		if m.dst == aggNode {
-			err = am.HandlePacket(Msg{Sparse: m.pkt}, &eb)
-		} else {
-			err = wms[m.dst].HandlePacket(m.pkt, &eb)
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
-		push(eb.Emits())
-	}
-	for w, m := range wms {
+	h := newHarness(tb, cfg, len(ins))
+	h.observe = func(f *frame, msg Msg) { deliver(f.dst, msg.Sparse) }
+	h.beginKV(tid, ins)
+	h.drain()
+	for w, m := range h.kv {
 		if !m.Done() {
 			tb.Fatalf("worker %d not done", w)
 		}
 	}
-	return wms
+	return h
+}
+
+// assertKV fails t unless every worker machine's result is want.
+func assertKV(t *testing.T, what string, wms []*SparseWorkerMachine, want map[int32]float32) {
+	t.Helper()
+	for w, m := range wms {
+		res := m.Result()
+		if res.Len() != len(want) {
+			t.Fatalf("%s: worker %d: %d keys, want %d", what, w, res.Len(), len(want))
+		}
+		for i, k := range res.Keys {
+			if res.Values[i] != want[k] {
+				t.Fatalf("%s: worker %d key %d: %v != %v", what, w, k, res.Values[i], want[k])
+			}
+		}
+	}
+}
+
+// cooOf is the 100-key tensor holding pairs.
+func cooOf(pairs map[int32]float32) *tensor.COO {
+	c := tensor.NewCOO(100)
+	for _, k := range slices.Sorted(maps.Keys(pairs)) {
+		c.Append(k, pairs[k])
+	}
+	return c
 }
 
 // TestSparseMachineTrace: two workers with overlapping COO tensors,
 // in-order delivery, at every packet shape from Algorithm 3's own (one
 // block per packet) to one wider than the input.
 func TestSparseMachineTrace(t *testing.T) {
-	mk := func(pairs map[int32]float32) *tensor.COO {
-		c := tensor.NewCOO(100)
-		for k := int32(0); k < 100; k++ {
-			if v, ok := pairs[k]; ok {
-				c.Append(k, v)
-			}
-		}
-		return c
-	}
 	ins := []*tensor.COO{
-		mk(map[int32]float32{3: 1, 7: 2, 50: 3, 51: 4, 99: 5}),
-		mk(map[int32]float32{7: 10, 8: 11, 51: 12}),
+		cooOf(map[int32]float32{3: 1, 7: 2, 50: 3, 51: 4, 99: 5}),
+		cooOf(map[int32]float32{7: 10, 8: 11, 51: 12}),
 	}
 	want := map[int32]float32{3: 1, 7: 12, 8: 11, 50: 3, 51: 16, 99: 5}
 	// FusionWidth = 1 is the paper's Algorithm 3: this is the packet
@@ -613,12 +421,12 @@ func TestSparseMachineTrace(t *testing.T) {
 			FusionWidth: shape.fusion}.WithDefaults()
 		var seq []string // every packet in delivery order: "dst<-wid next=NextKey keys"
 		results := make([]int64, len(ins))
-		wms := runSparseFIFO(t, cfg, ins, func(dst int, p *wire.SparsePacket) {
+		wms := runSparseFIFO(t, cfg, 1, ins, func(dst int, p *wire.SparsePacket) {
 			seq = append(seq, fmt.Sprintf("%d<-%d next=%d %v", dst, p.WID, int64(p.NextKey), p.Keys))
 			if dst != aggNode {
 				results[dst]++
 			}
-		})
+		}).kv
 		if shape.seq != nil && !slices.Equal(seq, shape.seq) {
 			t.Fatalf("fusion %d: packet sequence\n%s\nwant\n%s", shape.fusion,
 				strings.Join(seq, "\n"), strings.Join(shape.seq, "\n"))
@@ -637,16 +445,8 @@ func TestSparseMachineTrace(t *testing.T) {
 			if got := m.Stats().ResultsRecvd; got != results[w] {
 				t.Errorf("fusion %d: worker %d: ResultsRecvd %d, want %d", shape.fusion, w, got, results[w])
 			}
-			res := m.Result()
-			if res.Len() != len(want) {
-				t.Fatalf("fusion %d: worker %d: %d keys, want %d", shape.fusion, w, res.Len(), len(want))
-			}
-			for i, k := range res.Keys {
-				if res.Values[i] != want[k] {
-					t.Fatalf("fusion %d: worker %d key %d: %v != %v", shape.fusion, w, k, res.Values[i], want[k])
-				}
-			}
 		}
+		assertKV(t, fmt.Sprintf("fusion %d", shape.fusion), wms, want)
 	}
 }
 
@@ -694,30 +494,17 @@ func TestResultLifetime(t *testing.T) {
 			}
 		}
 	}
-	// sum is row's exact result, as bits.
-	sum := func(row int) [][]uint32 {
-		var out [][]uint32
-		for c := 0; c < cols; c++ {
-			b := row*cols + c
-			var blk []uint32
-			for i := 0; i < bs; i++ {
-				blk = append(blk, math.Float32bits(vals[0][b*bs+i]+vals[1][b*bs+i]))
-			}
-			out = append(out, blk)
-		}
-		return out
-	}
+	// check fails t unless p holds row's exact sum, bit for bit.
 	check := func(t *testing.T, what string, p *wire.Packet, row int) {
 		t.Helper()
-		want := sum(row)
 		if len(p.Blocks) != cols {
 			t.Fatalf("%s: %d blocks, want %d", what, len(p.Blocks), cols)
 		}
 		for c, b := range p.Blocks {
+			at := (row*cols + c) * bs
 			for i, v := range b.Data {
-				if math.Float32bits(v) != want[c][i] {
-					t.Fatalf("%s: block %d elem %d = %v, want round %d's sum %v",
-						what, b.Index, i, v, row, math.Float32frombits(want[c][i]))
+				if want := vals[0][at+i] + vals[1][at+i]; !sameBits(v, want) {
+					t.Fatalf("%s: block %d elem %d = %v, want round %d's sum %v", what, b.Index, i, v, row, want)
 				}
 			}
 		}

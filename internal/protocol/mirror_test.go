@@ -3,7 +3,9 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,65 +15,56 @@ import (
 
 // Handoff tests for result mirroring: every successor here is a fresh
 // machine that adopted the results its predecessor committed
-// (multiPump.successor) and knows nothing else. Everything runs on the
-// synchronous multi-aggregator pump of view_test.go.
-
-// converge runs the pump until every worker is done, firing retransmission
-// timers whenever the queue runs dry, and reports whether it got there.
-func (p *multiPump) converge() bool {
-	p.step(1 << 20)
-	for i := 0; i < 64 && !p.allDone(); i++ {
-		p.tick()
-		p.step(1 << 20)
-	}
-	return p.allDone()
-}
-
-func assertExact(t *testing.T, what string, work [][]float32, ref []float32) {
-	t.Helper()
-	for w := range work {
-		for i, v := range work[w] {
-			if v != ref[i] {
-				t.Fatalf("%s: worker %d elem %d: %v != %v", what, w, i, v, ref[i])
-			}
-		}
-	}
-}
+// (harness.successor) and knows nothing else. Everything runs on the
+// schedule harness.
 
 // pumpLen is how many deliveries an undisturbed run of cfg over inputs
 // takes.
 func pumpLen(t *testing.T, cfg Config, inputs [][]float32) int {
-	p, _ := newMultiPump(t, cfg, inputs)
-	n := 0
-	for len(p.q) > 0 {
-		p.step(1)
-		n++
-	}
-	return n
+	h, _ := newDense(t, cfg, inputs)
+	return h.step(math.MaxInt)
 }
 
-// stepToCommit delivers the next message, which must be for dead, and
-// reports whether dead concluded a round on it. If so it then delivers
-// that round's results (and whatever else is not bound for dead), so every
-// worker holds the result the lost mirror frame carried: the situation a
-// standby on a lossy link is in, and the only one fast-forward covers.
-func (p *multiPump) stepToCommit(dead int) bool {
-	if len(p.q) == 0 || p.q[0].dst != dead {
-		return false
-	}
-	before := p.ams[dead].Stats().RoundsCompleted
-	p.step(1)
-	if p.ams[dead].Stats().RoundsCompleted == before {
-		return false
-	}
-	for len(p.q) > 0 {
-		if p.q[0].dst == dead {
-			p.q = p.q[1:]
-			continue
+// failoverSweep takes each aggregator of a versioned collective over
+// inputs away after every delivery, twice — its successor level with the
+// dead machine's last commit, and one frame behind it (the result went
+// out, the mirror frame carrying it was lost) — and holds every run to the
+// bit-exact sum. It returns how often the successors fast-forwarded, and
+// how often of that out of round 0.
+func failoverSweep(t *testing.T, cfg Config, inputs [][]float32, what string) (fastForwards, roundZero int64) {
+	t.Helper()
+	ref := refSum(inputs)
+	total := pumpLen(t, cfg, inputs)
+	for _, dead := range cfg.Aggregators {
+		for k := 0; k <= total; k++ {
+			at := fmt.Sprintf("%s: kill %d after %d of %d", what, dead, k, total)
+			p, work := newDense(t, cfg, inputs)
+			p.step(k)
+			p.kill(dead, 300)
+			if !p.converge(64) {
+				t.Fatalf("%s: did not converge", at)
+			}
+			assertExact(t, at, work, ref)
+
+			p, work = newDense(t, cfg, inputs)
+			p.step(k)
+			before := p.ams[dead].Stats().RoundsCompleted
+			if !p.stepToCommit(dead) {
+				continue // the step concluded no round: nothing went out
+			}
+			p.killBehind(dead, 300, 1)
+			if !p.converge(64) {
+				t.Fatalf("%s, a frame behind: did not converge", at)
+			}
+			assertExact(t, at+", a frame behind", work, ref)
+			ff := p.ams[300].Stats().FastForwards
+			fastForwards += ff
+			if before == 0 {
+				roundZero += ff
+			}
 		}
-		p.step(1)
 	}
-	return true
+	return fastForwards, roundZero
 }
 
 // TestMirrorFailoverExhaustive takes each aggregator of a versioned
@@ -93,37 +86,11 @@ func TestMirrorFailoverExhaustive(t *testing.T) {
 		// No first-in-column block anywhere, one on one worker, all of them.
 		for _, mask := range []uint{0, 1 << uint(len(firsts)+2), 1<<uint(workers*len(firsts)) - 1} {
 			inputs := bootInputs(workers, firsts, mask)
-			ref := refSum(inputs)
 			for _, ac := range accums {
 				cfg := Config{BlockSize: bootBS, FusionWidth: bootCols, Streams: 2,
 					Aggregators: []int{100, 200}, RetransmitTimeout: time.Millisecond}
 				ac.set(&cfg)
-				total := pumpLen(t, cfg, inputs)
-				var fastForwards int64
-				for _, dead := range []int{100, 200} {
-					for k := 0; k <= total; k++ {
-						what := fmt.Sprintf("w%d mask %#x %s: kill %d after %d of %d", workers, mask, ac.name, dead, k, total)
-						p, work := newMultiPump(t, cfg, inputs)
-						p.step(k)
-						p.kill(dead, 300)
-						if !p.converge() {
-							t.Fatalf("%s: did not converge", what)
-						}
-						assertExact(t, what, work, ref)
-
-						p, work = newMultiPump(t, cfg, inputs)
-						p.step(k)
-						if !p.stepToCommit(dead) {
-							continue
-						}
-						p.killBehind(dead, 300, 1)
-						if !p.converge() {
-							t.Fatalf("%s, a frame behind: did not converge", what)
-						}
-						assertExact(t, what+", a frame behind", work, ref)
-						fastForwards += p.ams[300].Stats().FastForwards
-					}
-				}
+				fastForwards, _ := failoverSweep(t, cfg, inputs, fmt.Sprintf("w%d mask %#x %s", workers, mask, ac.name))
 				if fastForwards == 0 {
 					t.Fatalf("w%d mask %#x %s: no successor ever fast-forwarded", workers, mask, ac.name)
 				}
@@ -137,8 +104,7 @@ func TestMirrorFailoverExhaustive(t *testing.T) {
 // committed — the first machine's results while it lived, then the
 // successor's — and every pair of kill points ends bit-exact.
 func TestMirrorDoubleFailover(t *testing.T) {
-	cfg := Config{BlockSize: 4, FusionWidth: 4, Streams: 2, Aggregators: []int{100, 200},
-		DeterministicOrder: true, RetransmitTimeout: time.Millisecond}
+	cfg := traceCfg(100, 200)
 	inputs := traceInputs()
 	ref := refSum(inputs)
 	total := pumpLen(t, cfg, inputs)
@@ -146,13 +112,13 @@ func TestMirrorDoubleFailover(t *testing.T) {
 	for k1 := 0; k1 <= total; k1++ {
 		for k2 := 0; k2 <= total-k1; k2++ {
 			what := fmt.Sprintf("kill 200 after %d, its successor after %d more", k1, k2)
-			p, work := newMultiPump(t, cfg, inputs)
+			p, work := newDense(t, cfg, inputs)
 			p.step(k1)
 			p.kill(200, 300)
 			p.step(k2)
 			first := p.ams[300].Stats().RoundsCompleted
 			p.kill(300, 400)
-			if !p.converge() {
+			if !p.converge(64) {
 				t.Fatalf("%s: did not converge", what)
 			}
 			assertExact(t, what, work, ref)
@@ -176,38 +142,18 @@ func TestMirrorStandbyTwoBehind(t *testing.T) {
 	cfg := Config{BlockSize: 4, FusionWidth: 4, Streams: 1, Aggregators: []int{100},
 		DeterministicOrder: true, RetransmitTimeout: time.Millisecond, MaxRetries: 4}
 	inputs := traceInputs()
-	ref := refSum(inputs)
-	p, work := newMultiPump(t, cfg, inputs)
+	p, work := newDense(t, cfg, inputs)
 	for p.ams[100].Stats().RoundsCompleted < 3 {
 		p.step(1)
 	}
-	for len(p.q) > 0 { // the third result reaches every worker
-		if p.q[0].dst == 100 {
-			p.q = p.q[1:]
-			continue
-		}
-		p.step(1)
-	}
+	p.drainLosing(100) // the third result reaches every worker
 	p.killBehind(100, 300, 2)
-	p.step(1 << 20)
+	p.drain()
 
 	var err error
 	for i := 0; i < 64 && err == nil; i++ {
-		var latest time.Duration
-		for _, m := range p.wms {
-			if d, ok := m.NextTimeout(); ok && d > latest {
-				latest = d
-			}
-		}
-		p.now = latest + time.Nanosecond
-		for w, m := range p.wms {
-			p.eb.Reset()
-			if err = m.HandleTimeout(p.now, &p.eb); err != nil {
-				break
-			}
-			p.push(w, p.eb.Emits())
-		}
-		p.step(1 << 20)
+		err = p.tick()
+		p.drain()
 	}
 	if err == nil || !strings.Contains(err.Error(), "no response after 4 retransmissions") {
 		t.Fatalf("collective behind a two-frame gap ended with %v, want the retransmission-exhausted error", err)
@@ -219,10 +165,18 @@ func TestMirrorStandbyTwoBehind(t *testing.T) {
 	if s.FastForwards != 0 || s.RoundsCompleted != 0 || s.StaleRounds == 0 {
 		t.Fatalf("successor two frames behind: %+v, want only stale rounds", s)
 	}
+	assertNoWrongBlock(t, "two frames behind", work, inputs)
+}
+
+// assertNoWrongBlock fails t unless every element a worker holds is its
+// input or the sum: a collective that stopped holds no wrong block.
+func assertNoWrongBlock(t *testing.T, what string, work, inputs [][]float32) {
+	t.Helper()
+	ref := refSum(inputs)
 	for w := range work {
 		for i, v := range work[w] {
 			if v != ref[i] && v != inputs[w][i] {
-				t.Fatalf("worker %d elem %d: %v is neither its input %v nor the sum %v", w, i, v, inputs[w][i], ref[i])
+				t.Fatalf("%s: worker %d elem %d: %v is neither its input %v nor the sum %v", what, w, i, v, inputs[w][i], ref[i])
 			}
 		}
 	}
@@ -249,19 +203,22 @@ func TestReliableFailoverBetweenCollectivesOnly(t *testing.T) {
 	total := pumpLen(t, cfg, inputs)
 
 	// Between collectives.
-	p, work := newMultiPump(t, cfg, inputs)
-	p.step(1 << 20)
+	p, work := newDense(t, cfg, inputs)
+	p.drain()
 	if !p.allDone() {
 		t.Fatal("first collective did not converge")
 	}
 	assertExact(t, "first collective", work, ref)
-	straggler := tmsg{src: 0, dst: 100, pkt: testClone(p.mirror[0].pkt)}
-	straggler.pkt.Type, straggler.pkt.WID = wire.TypeData, 0 // a late tensor-1 data packet
+	straggler, err := wire.DecodePacket(p.mirror[0].buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straggler.Type, straggler.WID = wire.TypeData, 0 // a late tensor-1 data packet
 	sm := p.successor(100, 100, 0)
 	p.ams[100] = sm
-	p.q = append(p.q, straggler)
+	p.inject(0, 100, wire.AppendPacket(nil, straggler))
 	work = p.begin(2, inputs)
-	p.step(1 << 20)
+	p.drain()
 	if !p.allDone() {
 		t.Fatal("collective after the handover did not converge")
 	}
@@ -276,14 +233,14 @@ func TestReliableFailoverBetweenCollectivesOnly(t *testing.T) {
 	var converged [2]int
 	for every, name := range []string{"the mirror", "every round's result"} {
 		for k := 0; k <= total; k++ {
-			p, work := newMultiPump(t, cfg, inputs)
+			p, work := newDense(t, cfg, inputs)
 			p.step(k)
 			log := p.mirror
 			if every == 1 {
 				log = p.rounds
 			}
 			p.ams[100] = p.successorOf(log, 100, 100, 0)
-			p.step(1 << 20)
+			p.drain()
 			what := fmt.Sprintf("handover after %d from %s", k, name)
 			if p.allDone() {
 				converged[every]++
@@ -293,13 +250,7 @@ func TestReliableFailoverBetweenCollectivesOnly(t *testing.T) {
 			if k == 0 || k == total {
 				t.Fatalf("%s of %d (no collective in progress) did not converge", what, total)
 			}
-			for w := range work {
-				for i, v := range work[w] {
-					if v != ref[i] && v != inputs[w][i] {
-						t.Fatalf("%s: worker %d elem %d: %v is neither its input nor the sum", what, w, i, v)
-					}
-				}
-			}
+			assertNoWrongBlock(t, what, work, inputs)
 		}
 	}
 	t.Logf("reliable-mode handover converged at %d of %d points", converged[0], total+1)
@@ -321,9 +272,9 @@ func TestCommitMarksResumableResults(t *testing.T) {
 	inputs := traceInputs()
 	for _, reliable := range []bool{true, false} {
 		t.Run(fmt.Sprintf("reliable=%v", reliable), func(t *testing.T) {
-			cfg := Config{BlockSize: 4, FusionWidth: 4, Streams: 2, Aggregators: []int{100},
-				Reliable: reliable, DeterministicOrder: true, RetransmitTimeout: time.Millisecond}
-			p, _ := newMultiPump(t, cfg, inputs)
+			cfg := traceCfg(100)
+			cfg.Reliable = reliable
+			p, _ := newDense(t, cfg, inputs)
 			am := p.ams[100]
 			type pair struct {
 				slot uint16
@@ -331,62 +282,62 @@ func TestCommitMarksResumableResults(t *testing.T) {
 			}
 			perPair := make(map[pair]int)
 			var rounds, finals, commits int
-			var sent []tmsg // every worker packet the aggregator was sent
-			for tid := uint32(1); tid <= 3; tid++ {
+			var sent []frame // every worker packet the aggregator was sent
+			var tid uint32
+			var toAgg bool
+			before := am.Stats().RoundsCompleted
+			p.observe = func(f *frame, _ Msg) {
+				if toAgg = f.dst == 100; toAgg {
+					sent = append(sent, frame{src: f.src, dst: f.dst, buf: slices.Clone(f.buf)})
+					before = am.Stats().RoundsCompleted
+				}
+			}
+			p.check = func(bool) error {
+				emits := p.eb.Emits()
+				marked := 0
+				for i := range emits {
+					if emits[i].Commit {
+						marked++
+					}
+				}
+				if !toAgg || am.Stats().RoundsCompleted == before {
+					if marked != 0 {
+						return fmt.Errorf("tensor %d: %d emits outside a round's fan-out carry Commit", tid, marked)
+					}
+					return nil
+				}
+				res := emits[0].Packet
+				want := 0
+				if !reliable || res.Done() {
+					want = len(emits)
+				}
+				if len(emits) != len(inputs) || marked != want {
+					return fmt.Errorf("tensor %d slot %d round %d (final %v): %d of %d emits carry Commit, want %d of %d",
+						tid, res.Slot, res.Version, res.Done(), marked, len(emits), want, len(inputs))
+				}
+				rounds++
+				if res.Done() {
+					finals++
+				}
+				if want > 0 {
+					commits++
+					perPair[pair{res.Slot, res.TensorID}]++
+				}
+				return nil
+			}
+			for tid = 1; tid <= 3; tid++ {
 				if tid > 1 {
 					p.begin(tid, inputs)
 				}
 				for n := 1; !p.allDone(); n++ {
 					if !reliable && n%7 == 0 {
-						p.tick() // the workers retransmit: stale rounds draw replays
+						if err := p.tick(); err != nil { // the workers retransmit: stale rounds draw replays
+							t.Fatal(err)
+						}
 					}
-					if len(p.q) == 0 {
+					if p.step(1) == 0 {
 						t.Fatalf("tensor %d stalled", tid)
 					}
-					m := p.q[0]
-					if m.dst != 100 {
-						p.step(1)
-						continue
-					}
-					p.q = p.q[1:]
-					sent = append(sent, m)
-					before := am.Stats().RoundsCompleted
-					p.eb.Reset()
-					if err := am.HandlePacket(Msg{Dense: m.pkt}, &p.eb); err != nil {
-						t.Fatal(err)
-					}
-					emits := p.eb.Emits()
-					marked := 0
-					for i := range emits {
-						if emits[i].Commit {
-							marked++
-						}
-					}
-					if am.Stats().RoundsCompleted == before {
-						if marked != 0 {
-							t.Fatalf("tensor %d: %d emits outside a round's fan-out carry Commit", tid, marked)
-						}
-						p.push(100, emits)
-						continue
-					}
-					res := emits[0].Packet
-					want := 0
-					if !reliable || res.Done() {
-						want = len(emits)
-					}
-					if len(emits) != len(inputs) || marked != want {
-						t.Fatalf("tensor %d slot %d round %d (final %v): %d of %d emits carry Commit, want %d of %d",
-							tid, res.Slot, res.Version, res.Done(), marked, len(emits), want, len(inputs))
-					}
-					rounds++
-					if res.Done() {
-						finals++
-					}
-					if want > 0 {
-						commits++
-						perPair[pair{res.Slot, res.TensorID}]++
-					}
-					p.push(100, emits)
 				}
 				if !reliable && tid == 1 && am.Stats().Replays == 0 {
 					t.Fatal("retransmissions drew no replay of a live slot")
@@ -407,14 +358,15 @@ func TestCommitMarksResumableResults(t *testing.T) {
 			}
 
 			// Every packet again, after the fact: archive replays only.
+			p.observe, p.check = nil, nil
 			replays := am.Stats().Replays
-			for _, m := range sent {
-				p.eb.Reset()
-				if err := am.HandlePacket(Msg{Dense: m.pkt}, &p.eb); err != nil {
+			for i, m := range sent {
+				emits, err := p.handle(m)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if e := Committed(p.eb.Emits()); e != nil {
-					t.Fatalf("a straggler of tensor %d drew a Commit emit", m.pkt.TensorID)
+				if Committed(emits) != nil {
+					t.Fatalf("straggler %d of %d drew a Commit emit", i, len(sent))
 				}
 			}
 			if am.Stats().Replays == replays {
@@ -456,9 +408,9 @@ func TestReliableFinalsOnlySuccessor(t *testing.T) {
 	inputs := traceInputs()
 	ref := refSum(inputs)
 	const collectives = ArchiveDepth + 2
-	p, work := newMultiPump(t, cfg, inputs)
+	p, work := newDense(t, cfg, inputs)
 	for tid := uint32(1); ; tid++ {
-		p.step(1 << 20)
+		p.drain()
 		if !p.allDone() {
 			t.Fatalf("collective %d did not converge", tid)
 		}
@@ -481,11 +433,10 @@ func TestReliableFinalsOnlySuccessor(t *testing.T) {
 			t.Fatalf("after %d: finished sets differ: %v and %v", tid, finals.finished, every.finished)
 		}
 		for _, sm := range []*AggregatorMachine{finals, every} {
-			q, _ := newMultiPump(t, cfg, inputs)
-			q.q = q.q[:0]
+			q := newHarness(t, cfg, len(inputs))
 			q.ams[100] = sm
 			next := q.begin(tid+1, inputs)
-			q.step(1 << 20)
+			q.drain()
 			if !q.allDone() {
 				t.Fatalf("after %d: the successor did not serve collective %d", tid, tid+1)
 			}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"omnireduce/internal/tensor"
@@ -67,95 +68,69 @@ func kvStream(wid int, keys []int32, vals []float32, cuts []bool) []*wire.Sparse
 	return out
 }
 
-// mergeOracle delivers every worker's packets to a fresh aggregator
-// machine, one queue head at a time in the order next picks (next gets the
-// workers whose queue is not empty and returns one of them), and holds
-// what the aggregator flushes to worker 0 to the scalar fold of the same
-// arrivals: a key's first value copied, every later one added as held +
-// packet. Keys must come out strictly ascending, and every value bit for
-// bit. The packets are a worker's stream, so the aggregator must refuse
-// none of them, in any order.
-func mergeOracle(cfg Config, queues [][]*wire.SparsePacket, next func(ready []int) int) error {
-	am := NewAggregatorMachine(cfg, aggNode)
-	queues = slices.Clone(queues)
-	ref := map[int32]float32{}
-	var gotK []int32
-	var gotV []float32
-	var eb EmitBuf
-	for {
-		var ready []int
-		for w, q := range queues {
-			if len(q) > 0 {
-				ready = append(ready, w)
-			}
-		}
-		if len(ready) == 0 {
-			break
-		}
-		w := next(ready)
-		p := queues[w][0]
-		queues[w] = queues[w][1:]
-		for i, k := range p.Keys {
-			if held, ok := ref[k]; ok {
-				ref[k] = held + p.Values[i]
-			} else {
-				ref[k] = p.Values[i]
-			}
-		}
-		eb.Reset()
-		if err := am.HandlePacket(Msg{Sparse: p}, &eb); err != nil {
-			return fmt.Errorf("worker %d's packet %v refused: %w", w, p.Keys, err)
-		}
-		for _, e := range eb.Emits() {
-			if e.Dst == 0 {
-				gotK = append(gotK, e.Sparse.Keys...)
-				gotV = append(gotV, e.Sparse.Values...)
-			}
+// foldArrival is the scalar fold of one arriving packet into ref: a key's
+// first value copied, every later one added as held + packet.
+func foldArrival(ref map[int32]float32, p *wire.SparsePacket) {
+	for i, k := range p.Keys {
+		if held, ok := ref[k]; ok {
+			ref[k] = held + p.Values[i]
+		} else {
+			ref[k] = p.Values[i]
 		}
 	}
-	if am.ActiveSlots() != 0 {
-		return errors.New("every stream ended, and the aggregation state is still open")
-	}
-	want := slices.Sorted(maps.Keys(ref))
-	if !slices.Equal(gotK, want) {
-		return fmt.Errorf("flushed keys %v, folded keys %v", gotK, want)
-	}
-	for i, k := range want {
-		if g, r := math.Float32bits(gotV[i]), math.Float32bits(ref[k]); g != r {
-			return fmt.Errorf("key %d: flushed %#08x, fold %#08x", k, g, r)
-		}
-	}
-	return nil
 }
 
-// fifoOrders calls visit with every order in which queues of the given
-// lengths can be drained, each queue in its own order: the delivery
-// schedules a reliable fabric allows.
-func fifoOrders(counts []int, visit func(order []int)) {
-	left := slices.Clone(counts)
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	order := make([]int, 0, total)
-	var walk func()
-	walk = func() {
-		if len(order) == total {
-			visit(order)
-			return
+// mergeWorld is a harness holding only the aggregator, with each
+// worker's packets (queues[w]) queued on its link. At the end of a
+// schedule its check holds what the aggregator flushed to worker 0 to
+// the scalar fold of the same arrivals (foldArrival). Keys must come out
+// strictly ascending, and every value bit for bit. The packets are a
+// worker's stream, so the aggregator must refuse none of them, in any
+// order.
+func mergeWorld(tb testing.TB, cfg Config, queues [][]*wire.SparsePacket, what string) *harness {
+	h := newHarness(tb, cfg, cfg.Workers)
+	ref := map[int32]float32{}
+	h.observe = func(_ *frame, msg Msg) { foldArrival(ref, msg.Sparse) }
+	h.check = func(end bool) error {
+		if !end {
+			return nil
 		}
-		for w := range left {
-			if left[w] > 0 {
-				left[w]--
-				order = append(order, w)
-				walk()
-				order = order[:len(order)-1]
-				left[w]++
+		if h.ams[aggNode].ActiveSlots() != 0 {
+			return fmt.Errorf("%s: every stream ended, and the aggregation state is still open", what)
+		}
+		var gotK []int32
+		var gotV []float32
+		for _, f := range h.q {
+			if f.dst == 0 {
+				p, err := wire.DecodeSparsePacket(f.buf)
+				if err != nil {
+					return err
+				}
+				gotK, gotV = append(gotK, p.Keys...), append(gotV, p.Values...)
 			}
 		}
+		want := slices.Sorted(maps.Keys(ref))
+		if !slices.Equal(gotK, want) {
+			return fmt.Errorf("%s: flushed keys %v, folded keys %v", what, gotK, want)
+		}
+		for i, k := range want {
+			if g, r := math.Float32bits(gotV[i]), math.Float32bits(ref[k]); g != r {
+				return fmt.Errorf("%s: key %d: flushed %#08x, fold %#08x", what, k, g, r)
+			}
+		}
+		return nil
 	}
-	walk()
+	for w, q := range queues {
+		for _, p := range q {
+			h.inject(w, aggNode, wire.AppendSparsePacket(nil, p))
+		}
+	}
+	return h
 }
+
+// intoAggregator is the moves that deliver some worker's next packet: a
+// reliable fabric's schedules.
+func intoAggregator(h *harness, _ int) []string { return onHeads(h, aggNode, "deliver") }
 
 // TestSparseMergeMatchesFold: 2 and 3 workers with random strictly
 // ascending runs over a narrow key range (so they collide), cut into
@@ -173,7 +148,6 @@ func TestSparseMergeMatchesFold(t *testing.T) {
 			maxPackets = 3
 		}
 		queues := make([][]*wire.SparsePacket, cfg.Workers)
-		counts := make([]int, cfg.Workers)
 		for w := range queues {
 			n := rng.Intn(7)
 			keys := make([]int32, 0, n)
@@ -194,16 +168,10 @@ func TestSparseMergeMatchesFold(t *testing.T) {
 				}
 			}
 			queues[w] = kvStream(w, keys, vals, cuts)
-			counts[w] = len(queues[w])
 		}
-		fifoOrders(counts, func(order []int) {
-			schedules++
-			pos := 0
-			err := mergeOracle(cfg.WithDefaults(), queues, func([]int) int { pos++; return order[pos-1] })
-			if err != nil {
-				t.Fatalf("trial %d, %d workers, delivery order %v: %v", trial, cfg.Workers, order, err)
-			}
-		})
+		what := fmt.Sprintf("trial %d, %d workers", trial, cfg.Workers)
+		_, n := walk(func() *harness { return mergeWorld(t, cfg, queues, what) }, intoAggregator)
+		schedules += int(n)
 	}
 	t.Logf("%d schedules", schedules)
 }
@@ -240,7 +208,13 @@ func FuzzSparseMerge(f *testing.F) {
 			}
 			queues[w] = kvStream(w, keys, vals, cuts)
 		}
-		if err := mergeOracle(cfg, queues, func(ready []int) int { return ready[int(next())%len(ready)] }); err != nil {
+		h := mergeWorld(t, cfg, queues, "fuzz")
+		for ms := intoAggregator(h, 0); len(ms) > 0; ms = intoAggregator(h, 0) {
+			if err := h.apply(ms[int(next())%len(ms)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.check(true); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -277,8 +251,12 @@ func TestSparseBelowWatermarkRefused(t *testing.T) {
 		t.Fatalf("first flush %v, want [1 2 3]", flushed)
 	}
 	snapshot := func() string {
-		ck := am.Checkpoint()
-		return fmt.Sprintf("%+v", ck.Sparse)
+		var b strings.Builder
+		for _, tid := range slices.Sorted(maps.Keys(am.sparse)) {
+			sa := am.sparse[tid]
+			fmt.Fprintf(&b, "tid %d keys %v vals %v flushed %d next %v sent %d\n", tid, sa.keys, sa.vals, sa.flushed, sa.nextKey, sa.sent)
+		}
+		return b.String()
 	}
 	before := snapshot()
 	for _, tc := range []struct {

@@ -92,9 +92,10 @@ func sparseInputs(cfg Config, dim, nnz int) []*tensor.COO {
 func sparseMergeTrace(tb testing.TB, cfg Config, dim, nnz int) []*wire.SparsePacket {
 	tb.Helper()
 	var trace []*wire.SparsePacket
-	runSparseFIFO(tb, cfg, sparseInputs(cfg, dim, nnz), func(dst int, p *wire.SparsePacket) {
+	runSparseFIFO(tb, cfg, 1, sparseInputs(cfg, dim, nnz), func(dst int, p *wire.SparsePacket) {
 		if dst == aggNode {
-			trace = append(trace, p)
+			trace = append(trace, new(wire.SparsePacket))
+			wire.CopySparsePacketInto(trace[len(trace)-1], p)
 		}
 	})
 	return trace
@@ -140,11 +141,11 @@ func BenchmarkSparseWorkerStep(b *testing.B) {
 	cfg := Config{Workers: 2, Aggregators: []int{aggNode}, Reliable: true}.WithDefaults()
 	ins := sparseInputs(cfg, 1<<20, 10486)
 	var chunks [][]byte
-	wms := runSparseFIFO(b, cfg, ins, func(dst int, p *wire.SparsePacket) {
+	wms := runSparseFIFO(b, cfg, 1, ins, func(dst int, p *wire.SparsePacket) {
 		if dst == 0 {
 			chunks = append(chunks, wire.AppendSparsePacket(nil, p))
 		}
-	})
+	}).kv
 	b.SetBytes(8 * int64(wms[0].Result().Len()))
 	var view wire.SparsePacket
 	var keys []int32

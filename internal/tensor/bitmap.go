@@ -105,11 +105,20 @@ const minShardBytes = 256 << 10
 // goroutines (the stand-in for the paper's CUDA kernel), the caller
 // scanning the first shard itself; shard boundaries are aligned to
 // multiples of 64 blocks so shards never write the same word.
-func ComputeBitmap(t *Dense, bs int) *Bitmap {
+func ComputeBitmap(t *Dense, bs int) *Bitmap { return computeBitmap(t, bs, false) }
+
+// ComputeBitmapNormalized is ComputeBitmap that also overwrites, in the
+// same pass, every zero block of t that holds a -0.0 with +0.0. A block
+// zero on every worker is never sent, so it keeps what each worker had:
+// normalized, every worker ends it with +0.0, the sum of the zeros
+// (starting from +0.0) and the same bits on every rank.
+func ComputeBitmapNormalized(t *Dense, bs int) *Bitmap { return computeBitmap(t, bs, true) }
+
+func computeBitmap(t *Dense, bs int, normalize bool) *Bitmap {
 	m := NewBitmap(t.NumBlocks(bs))
 	shards := min(runtime.GOMAXPROCS(0), 4*len(t.Data)/minShardBytes)
 	if shards <= 1 {
-		scanRange(m, t, bs, 0, len(m.bits))
+		scanRange(m, t, bs, 0, len(m.bits), normalize)
 		return m
 	}
 	wordsPerShard := (len(m.bits) + shards - 1) / shards
@@ -118,10 +127,10 @@ func ComputeBitmap(t *Dense, bs int) *Bitmap {
 		wg.Add(1)
 		go func(w0 int) {
 			defer wg.Done()
-			scanRange(m, t, bs, w0, min(w0+wordsPerShard, len(m.bits)))
+			scanRange(m, t, bs, w0, min(w0+wordsPerShard, len(m.bits)), normalize)
 		}(w0)
 	}
-	scanRange(m, t, bs, 0, wordsPerShard)
+	scanRange(m, t, bs, 0, wordsPerShard, normalize)
 	wg.Wait()
 	return m
 }
@@ -130,45 +139,58 @@ func ComputeBitmap(t *Dense, bs int) *Bitmap {
 // cost benchmark (Fig 20) to expose the raw per-element scan cost.
 func ComputeBitmapSerial(t *Dense, bs int) *Bitmap {
 	m := NewBitmap(t.NumBlocks(bs))
-	scanRange(m, t, bs, 0, len(m.bits))
+	scanRange(m, t, bs, 0, len(m.bits), false)
 	return m
 }
 
 // scanRange fills bitmap words [w0, w1) of m from t, each built by
-// scanWord from its 64 blocks and stored once.
-func scanRange(m *Bitmap, t *Dense, bs, w0, w1 int) {
+// scanWord from its 64 blocks and stored once; with normalize set it
+// clears the zero blocks that hold a -0.0.
+func scanRange(m *Bitmap, t *Dense, bs, w0, w1 int, normalize bool) {
 	for wi := w0; wi < w1; wi++ {
 		lo := (wi << 6) * bs
-		m.bits[wi] = scanWord(t.Data[lo:min(lo+64*bs, len(t.Data))], bs)
+		span := t.Data[lo:min(lo+64*bs, len(t.Data))]
+		word, negZero := scanWord(span, bs)
+		m.bits[wi] = word
+		for ; normalize && negZero != 0; negZero &= negZero - 1 {
+			b := bits.TrailingZeros64(negZero) * bs
+			clear(span[b:min(b+bs, len(span))])
+		}
 	}
 }
 
-// scanWordGo is the portable word builder: bit j of the result is set iff
+// scanWordGo is the portable word builder: bit j of the word is set iff
 // the j-th block of bs floats in rest (the last one possibly shorter) is
-// non-zero. The word is built in a register. Short blocks get a loop of
-// their own: a call anywhere in the loop makes the compiler spill the loop
-// state around every block, which at bs=1 is most of the work.
-func scanWordGo(rest []float32, bs int) uint64 {
-	var word uint64
+// non-zero, and bit j of negZero iff it is zero and holds a -0.0. The
+// words are built in registers. Short blocks get a loop of their own: a
+// call anywhere in the loop makes the compiler spill the loop state around
+// every block, which at bs=1 is most of the work.
+func scanWordGo(rest []float32, bs int) (word, negZero uint64) {
 	if bs < wordScanMin {
 		for j := 0; len(rest) > 0; j++ {
 			n := min(bs, len(rest))
-			if !isZeroShort(rest[:n]) {
+			if or := orShort(rest[:n]); or<<1 != 0 {
 				word |= 1 << uint(j)
+			} else {
+				negZero |= uint64(or>>31) << uint(j)
 			}
 			rest = rest[n:]
 		}
-		return word
+		return word, negZero
 	}
 	for j := 0; len(rest) > 0; j++ {
 		n := min(bs, len(rest))
 		// A dense block leaves on its first element without a call.
-		if rest[0] != 0 || !isZeroBlock(rest[:n]) {
+		if rest[0] != 0 {
 			word |= 1 << uint(j)
+		} else if zero, neg := isZeroBlock(rest[:n]); !zero {
+			word |= 1 << uint(j)
+		} else if neg {
+			negZero |= 1 << uint(j)
 		}
 		rest = rest[n:]
 	}
-	return word
+	return word, negZero
 }
 
 // DensityWithinBlocks returns the average fraction of non-zero elements

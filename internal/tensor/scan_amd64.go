@@ -1,10 +1,11 @@
 package tensor
 
 // scanWord builds the bitmap word of the blocks of bs floats in rest, a
-// word's span of the tensor (64 blocks, fewer in the last word). A full
-// word of blocks whose length is a multiple of 32 goes to the AVX2 kernel
-// where the CPU has it; everything else to scanWordGo.
-func scanWord(rest []float32, bs int) uint64 {
+// word's span of the tensor (64 blocks, fewer in the last word), and the
+// word of its zero blocks that hold a -0.0. A full word of blocks whose
+// length is a multiple of 32 goes to the AVX2 kernel where the CPU has it;
+// everything else to scanWordGo.
+func scanWord(rest []float32, bs int) (word, negZero uint64) {
 	if useAVX2 && bs%32 == 0 && len(rest) == 64*bs {
 		return scanWordAVX2(&rest[0], bs, 64)
 	}
@@ -13,15 +14,18 @@ func scanWord(rest []float32, bs int) uint64 {
 
 // scanWordAVX2 is scanWord's AVX2 kernel (scan_amd64.s): it
 // returns the bitmap word of the nblocks blocks of bs floats at p, bit j
-// set iff block j holds an element x != 0. Each block is first tested on
-// its first element, so a dense block costs one load; the rest is read
-// 128 bytes per step, four unaligned 32-byte loads ORed together, and left
-// at the first step with a bit set outside the sign bits (the predicate of
-// isZeroBlock, see absMask64). bs must be a positive multiple of 32, so
-// every step lies inside its block, and the CPU must have AVX2 (useAVX2).
+// set iff block j holds an element x != 0, and in negZero bit j set iff
+// block j is zero and holds a -0.0. Each block is first tested on its
+// first element, so a dense block costs one load; the rest is read 128
+// bytes per step, four unaligned 32-byte loads ORed together, and left at
+// the first step with a bit set outside the sign bits (the predicate of
+// isZeroBlock, see absMask64). A zero block's steps are ORed together too,
+// and its sign bits tested once at its end. bs must be a positive multiple
+// of 32, so every step lies inside its block, and the CPU must have AVX2
+// (useAVX2).
 //
 //go:noescape
-func scanWordAVX2(p *float32, bs, nblocks int) uint64
+func scanWordAVX2(p *float32, bs, nblocks int) (word, negZero uint64)
 
 // useAVX2 is whether this CPU runs scanWordAVX2: it reports AVX2 and the
 // OS saves the YMM registers across context switches.

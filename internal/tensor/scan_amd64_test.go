@@ -17,8 +17,8 @@ var scanSpecials = []uint32{
 }
 
 // TestScanWordMatchesGo calls both word builders directly on the same
-// 64-block words and holds each to the oracle's verdict on the probe:
-// every special value at every element position of the word, on a +0 and
+// 64-block words and holds both words of each to the oracles' verdicts
+// on every block: every special value at every element position of the word, on a +0 and
 // a -0 background, at float offsets 0-3 from an aligned backing. Each
 // round puts the probe in every other block, each block at its own
 // position, so half the blocks are background only and half hold the
@@ -42,23 +42,27 @@ func TestScanWordMatchesGo(t *testing.T) {
 						v[i] = math.Float32frombits(bg)
 					}
 					for r := 0; r < 2*bs; r++ {
-						var want uint64
+						var want, wantNeg uint64
 						for j := 0; j < 64; j++ {
 							if (j+r)&1 == 0 {
 								v[j*bs+(r/2+7*j)%bs] = val
-								if !isZeroOracle([]float32{val}) {
-									want |= 1 << j
-								}
+							}
+							if blk := v[j*bs : (j+1)*bs]; !isZeroOracle(blk) {
+								want |= 1 << j
+							} else if isNegZeroOracle(blk) {
+								wantNeg |= 1 << j
 							}
 						}
-						asm, gow := scanWordAVX2(&v[0], bs, 64), scanWordGo(v, bs)
-						if asm != want || gow != want {
-							t.Fatalf("bs=%d off=%d value %#08x on %#08x, round %d: asm %#016x, go %#016x, want %#016x",
-								bs, off, bits, bg, r, asm, gow, want)
+						asm, asmNeg := scanWordAVX2(&v[0], bs, 64)
+						gow, goNeg := scanWordGo(v, bs)
+						if asm != want || gow != want || asmNeg != wantNeg || goNeg != wantNeg {
+							t.Fatalf("bs=%d off=%d value %#08x on %#08x, round %d: asm %#016x -0 %#016x, go %#016x -0 %#016x, want %#016x -0 %#016x",
+								bs, off, bits, bg, r, asm, asmNeg, gow, goNeg, want, wantNeg)
 						}
 						for _, nb := range []int{0, 1, 63} {
-							if got := scanWordAVX2(&v[0], bs, nb); got != want&(1<<nb-1) {
-								t.Fatalf("bs=%d nblocks=%d: asm %#016x, want %#016x", bs, nb, got, want&(1<<nb-1))
+							mask := uint64(1)<<nb - 1
+							if got, neg := scanWordAVX2(&v[0], bs, nb); got != want&mask || neg != wantNeg&mask {
+								t.Fatalf("bs=%d nblocks=%d: asm %#016x -0 %#016x, want %#016x -0 %#016x", bs, nb, got, neg, want&mask, wantNeg&mask)
 							}
 						}
 						for j := 0; j < 64; j++ {

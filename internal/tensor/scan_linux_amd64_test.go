@@ -49,7 +49,7 @@ func TestScanWordAVX2StopsEarly(t *testing.T) {
 					t.Fatalf("%s: kernel read past byte %d of the block: %v", c.name, c.unread, e)
 				}
 			}()
-			if got := scanWordAVX2(c.p, c.bs, 1); got != 1 {
+			if got, _ := scanWordAVX2(c.p, c.bs, 1); got != 1 {
 				t.Fatalf("%s: word %#x, want 1", c.name, got)
 			}
 		}()

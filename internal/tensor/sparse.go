@@ -132,7 +132,7 @@ func FromDense(d *Dense) *COO {
 
 // nonZeroRun returns r, or nothing when all of r is zero.
 func nonZeroRun(r []float32) []float32 {
-	if isZeroBlock(r) {
+	if zero, _ := isZeroBlock(r); zero {
 		return nil
 	}
 	return r

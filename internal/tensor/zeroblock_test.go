@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -15,6 +16,12 @@ func isZeroOracle(v []float32) bool {
 		}
 	}
 	return true
+}
+
+// isNegZeroOracle is the second answer isZeroBlock must give: the block
+// is zero and one of its elements is -0.0.
+func isNegZeroOracle(v []float32) bool {
+	return isZeroOracle(v) && slices.ContainsFunc(v, func(x float32) bool { return math.Signbit(float64(x)) })
 }
 
 var zeroTestLengths = []int{0, 1, 2, 15, 16, 17, 255, 256, 257}
@@ -54,16 +61,17 @@ func TestZeroBlockSemantics(t *testing.T) {
 					for i := range v {
 						v[i] = bg
 					}
-					if !isZeroBlock(v) {
-						t.Fatalf("n=%d off=%d: all-%v block reported non-zero", n, off, bg)
+					if zero, neg := isZeroBlock(v); !zero || neg != isNegZeroOracle(v) {
+						t.Fatalf("n=%d off=%d: all-%v block reported zero %v, -0 %v", n, off, bg, zero, neg)
 					}
 					for _, pos := range []int{0, 1, n / 2, n - 2, n - 1} {
 						if pos < 0 || pos >= n {
 							continue
 						}
 						v[pos] = val.v
-						if got := isZeroBlock(v); got != val.zero {
-							t.Fatalf("n=%d off=%d %s at %d: isZeroBlock=%v, want %v", n, off, val.name, pos, got, val.zero)
+						if got, neg := isZeroBlock(v); got != val.zero || neg != isNegZeroOracle(v) {
+							t.Fatalf("n=%d off=%d %s at %d on %v: isZeroBlock=%v, %v, want %v, %v",
+								n, off, val.name, pos, bg, got, neg, val.zero, isNegZeroOracle(v))
 						}
 						v[pos] = bg
 					}
@@ -98,6 +106,32 @@ func TestComputeBitmapMatchesOracle(t *testing.T) {
 					t.Fatalf("n=%d bs=%d block %d: parallel=%v serial=%v, want %v", n, bs, b, par.Get(b), ser.Get(b), want)
 				}
 			}
+			checkNormalized(t, d, bs)
+		}
+	}
+}
+
+// checkNormalized holds ComputeBitmapNormalized, run on a copy of d, to
+// the oracle's bitmap, and the copy to d with every zero block +0.0 and
+// every other block untouched, bit for bit.
+func checkNormalized(t *testing.T, d *Dense, bs int) {
+	t.Helper()
+	c := FromSlice(slices.Clone(d.Data))
+	m := ComputeBitmapNormalized(c, bs)
+	for b := 0; b < d.NumBlocks(bs); b++ {
+		in, out := d.Block(b, bs), c.Block(b, bs)
+		zero := isZeroOracle(in)
+		if m.Get(b) == zero {
+			t.Fatalf("n=%d bs=%d block %d: normalized scan says non-zero %v", d.Len(), bs, b, m.Get(b))
+		}
+		for i := range in {
+			want := math.Float32bits(in[i])
+			if zero {
+				want = 0
+			}
+			if got := math.Float32bits(out[i]); got != want {
+				t.Fatalf("n=%d bs=%d block %d elem %d: normalized to %#08x, want %#08x", d.Len(), bs, b, i, got, want)
+			}
 		}
 	}
 }
@@ -118,8 +152,9 @@ func FuzzZeroBlock(f *testing.F) {
 		lo := min(int(off), len(floats))
 		hi := min(lo+int(n), len(floats))
 		v := floats[lo:hi]
-		if got, want := isZeroBlock(v), isZeroOracle(v); got != want {
-			t.Fatalf("isZeroBlock=%v, oracle=%v for %d floats at offset %d: % x", got, want, len(v), lo, raw)
+		if got, neg := isZeroBlock(v); got != isZeroOracle(v) || neg != isNegZeroOracle(v) {
+			t.Fatalf("isZeroBlock=%v, %v, oracle=%v, %v for %d floats at offset %d: % x",
+				got, neg, isZeroOracle(v), isNegZeroOracle(v), len(v), lo, raw)
 		}
 	})
 }
@@ -129,7 +164,8 @@ func FuzzZeroBlock(f *testing.F) {
 // each record's float lands gap elements after the previous one, the rest
 // stay zero. Small inputs thus make long tensors of mostly zero blocks,
 // whose full words reach the AVX2 kernel. The block size is a multiple of
-// 32 up to 288; both scan entry points must give the oracle's bitmap.
+// 32 up to 288; every scan entry point must give the oracle's bitmap, and
+// the normalizing one must clear exactly the zero blocks.
 func FuzzComputeBitmap(f *testing.F) {
 	f.Add([]byte{}, uint16(64*32), uint8(0), uint8(0))
 	f.Add([]byte{0xff, 0x07, 0, 0, 0, 0x80}, uint16(4096), uint8(0), uint8(1))                              // -0.0
@@ -155,5 +191,6 @@ func FuzzComputeBitmap(f *testing.F) {
 				t.Fatalf("n=%d bs=%d offset %d block %d: parallel=%v serial=%v, want %v", n, bs, lo, b, par.Get(b), ser.Get(b), want)
 			}
 		}
+		checkNormalized(t, d, bs)
 	})
 }
