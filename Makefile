@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet check race short-race fuzz chaos bench bench-all bench-selftest drift obs timeline tenants failover clean
+.PHONY: all tier1 vet check race short-race fuzz chaos bench bench-all bench-selftest drift figures obs timeline tenants failover clean
 
 all: tier1
 
@@ -41,11 +41,12 @@ check:
 
 # Race tier: vet, the small-scope schedule check, the observability/
 # leak-audit suite, the timeline pipeline, the multi-tenant tier, the
-# elastic-membership failover tier, the benchmark module's own tests, then
-# the full test suite under the race detector with the virtual-time tests
-# built in, and the drift grid in virtual time twenty times over (it is
-# deterministic there, so one failure in twenty is a bug).
-race: vet check obs timeline tenants failover bench-selftest
+# elastic-membership failover tier, the benchmark module's own tests, the
+# recorded figures, then the full test suite under the race detector with
+# the virtual-time tests built in, and the drift grid in virtual time
+# twenty times over (it is deterministic there, so one failure in twenty
+# is a bug).
+race: vet check obs timeline tenants failover bench-selftest figures
 	GOEXPERIMENT=synctest $(GO) test -race ./...
 	GOEXPERIMENT=synctest $(GO) test -race -run 'TestSubstrateEquivalenceBubble' -count=20 ./internal/netsim/simproto/
 
@@ -220,7 +221,9 @@ bench-all:
 # fault decision function). Its key-value rows run Algorithm 3 on both
 # (loss-free, since the mode is reliable-only); the aggregator sums those
 # in arrival order, so rows of more than two workers use integer values,
-# whose sums are exact in any order. The grid runs twice: on the wall clock, and
+# whose sums are exact in any order. Three loss-free block rows each set
+# one field no other row varies: HalfPrecision, QuantizeScale, ForceDense.
+# The grid runs twice: on the wall clock, and
 # with the live cluster in a synctest bubble, where both substrates wake
 # workers by one timer rule in virtual time and every row is held to
 # every counter (DESIGN.md §5). TestRetransmitAtMachineDeadline checks
@@ -229,6 +232,22 @@ drift:
 	$(GO) vet ./...
 	GOEXPERIMENT=synctest $(GO) test -run 'TestSubstrateEquivalence' -v ./internal/netsim/simproto/
 	GOEXPERIMENT=synctest $(GO) test -run 'TestRetransmitAtMachineDeadline' -v ./internal/core/
+
+# Figures tier: regenerate every simulated table and figure (omnibench
+# -all, trainsim -all, at the recorded -scale 16 -seed 42) and diff them
+# against results/omnibench.txt and results/trainsim.txt. The simulator is
+# deterministic, so any difference is a change that moved a figure: mend
+# it, or re-record the file and explain the move in EXPERIMENTS.md. Fig 20
+# times the real bitmap scan on the wall clock, so its table is left out.
+SKIP_FIG20 = awk '/^== Fig 20:/ { skip = 1 } skip && /^$$/ { skip = 0; next } !skip'
+figures:
+	@dir=$$(mktemp -d) && \
+	( $(GO) run ./cmd/omnibench -all -scale 16 -seed 42 | $(SKIP_FIG20) > $$dir/omnibench.txt && \
+	  $(SKIP_FIG20) results/omnibench.txt | diff -u - $$dir/omnibench.txt && \
+	  $(GO) run ./cmd/trainsim -all -scale 16 -seed 42 > $$dir/trainsim.txt && \
+	  diff -u results/trainsim.txt $$dir/trainsim.txt && \
+	  echo "figures: omnibench (but Fig 20) and trainsim match results/" ); \
+	rc=$$?; rm -rf $$dir; exit $$rc
 
 clean:
 	$(GO) clean -testcache

@@ -513,7 +513,7 @@ func (a *Aggregator) Run() error {
 	defer a.releaseShadows()
 	n := a.cfg.AggShards
 	shards := make([]*aggShard, n)
-	proto := a.cfg.proto()
+	proto := a.cfg.Protocol()
 	for i := range shards {
 		shards[i] = &aggShard{
 			conn: a.conn,

@@ -29,7 +29,7 @@ type shardStep struct {
 func newShardStep(cfg Config) *shardStep {
 	cfg = cfg.withDefaults()
 	reg := tenant.NewRegistry(tenant.Config{}, obs.Default, cfg.Workers)
-	return &shardStep{ms: newMachineSet(cfg.proto(), cfg.Aggregators[0], reg)}
+	return &shardStep{ms: newMachineSet(cfg.Protocol(), cfg.Aggregators[0], reg)}
 }
 
 func (s *shardStep) handle(from int, data []byte) error {

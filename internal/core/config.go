@@ -78,7 +78,7 @@ type Config struct {
 	// backed-off timeout, in [0, 1): each retransmission waits
 	// timeout*(1 ± jitter) to de-synchronize workers that lost the same
 	// multicast. Drawn from a per-worker deterministic source, so runs
-	// remain reproducible. Default 0.1.
+	// remain reproducible. Default 0.1; negative disables it.
 	RetransmitJitter float64
 	// MaxRetries bounds per-packet retransmissions in unreliable mode;
 	// exceeding it fails the collective with an error (e.g. the
@@ -86,8 +86,10 @@ type Config struct {
 	MaxRetries int
 	// DeterministicOrder makes aggregation numerically reproducible by
 	// reducing worker contributions in worker-ID order (§7). It requires
-	// buffering one contribution per worker per slot. It covers the block
-	// path only: AllReduceSparse (Algorithm 3) sums in arrival order.
+	// buffering one contribution per worker per slot, except with
+	// QuantizeScale, whose int64 sums are the same in any order. It covers
+	// the block path only: AllReduceSparse (Algorithm 3) sums in arrival
+	// order.
 	DeterministicOrder bool
 	// HalfPrecision transmits block data as IEEE 754 binary16 on the
 	// wire, halving communication volume; the aggregator still
@@ -163,8 +165,10 @@ type Config struct {
 	Standby bool
 }
 
-// proto converts to the protocol-machine configuration, field for field.
-func (c Config) proto() protocol.Config {
+// Protocol converts to the protocol-machine configuration, field for
+// field: what the live machines run, and what a simulated run of the same
+// cluster takes (simproto's entry points).
+func (c Config) Protocol() protocol.Config {
 	return protocol.Config{
 		Workers:            c.Workers,
 		Aggregators:        c.Aggregators,
@@ -187,7 +191,7 @@ func (c Config) proto() protocol.Config {
 // withDefaults fills zero fields from protocol.Defaults, the single
 // source of paper-default parameters shared with the simulator.
 func (c Config) withDefaults() Config {
-	p := c.proto().WithDefaults()
+	p := c.Protocol().WithDefaults()
 	c.BlockSize = p.BlockSize
 	c.FusionWidth = p.FusionWidth
 	c.Streams = p.Streams
@@ -226,5 +230,5 @@ func (c Config) Validate() error {
 	if c.Standby && c.View == nil {
 		return fmt.Errorf("core: Standby requires a View (the refusals it answers data with must carry one)")
 	}
-	return c.proto().Validate()
+	return c.Protocol().Validate()
 }

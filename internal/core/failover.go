@@ -168,7 +168,7 @@ func (a *Aggregator) shadowResult(from int, buf []byte, dec *decodeState) {
 		if a.shadows == nil {
 			a.shadows = make(map[shadowKey]*protocol.AggregatorMachine)
 		}
-		m = protocol.NewAggregatorMachine(a.cfg.proto(), a.conn.LocalID())
+		m = protocol.NewAggregatorMachine(a.cfg.Protocol(), a.conn.LocalID())
 		a.shadows[k] = m
 	}
 	if m.AdoptResult(res) {

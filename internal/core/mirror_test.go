@@ -192,7 +192,7 @@ func TestStandbyFrameRules(t *testing.T) {
 
 	// Nothing stays out of a pool: frames are released as they are ruled
 	// on, shadows at take-over or when Run returns.
-	m := protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
+	m := protocol.NewAggregatorMachine(a.cfg.Protocol(), mirStandby)
 	a.adoptShadow(m, 0, 0)
 	if n := a.CheckpointsFrom(mirPrimary); n != 0 {
 		t.Fatalf("%d frames of the replaced primary left after take-over", n)
@@ -223,7 +223,7 @@ func TestStandbyShadowShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	for shard := 0; shard < 2; shard++ {
-		m := protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
+		m := protocol.NewAggregatorMachine(a.cfg.Protocol(), mirStandby)
 		a.adoptShadow(m, shard, 0)
 		if m.Held() != 2 {
 			t.Fatalf("shard %d holds %d results, want 2", shard, m.Held())
@@ -249,7 +249,7 @@ func TestStandbyShadowShards(t *testing.T) {
 				t.Fatalf("shard %d slot %d: a round-6 packet was not merged: err %v, %d emits", shard, slot, err, eb.Len())
 			}
 		}
-		again := protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
+		again := protocol.NewAggregatorMachine(a.cfg.Protocol(), mirStandby)
 		a.adoptShadow(again, shard, 0)
 		if again.ActiveSlots() != 0 {
 			t.Fatalf("shard %d: lanes adopted twice", shard)
@@ -377,7 +377,7 @@ func FuzzStandbyFrame(f *testing.F) {
 			if got, err := wire.DecodeCheckpoint(buf); err == nil && from == mirPrimary && got.Epoch >= mirEpoch {
 				if p, err := wire.DecodePacket(got.Result); err == nil && protocol.TidNamespace(p.TensorID) == got.NS && p.Slot < maxShadowSlot {
 					if refs[got.NS] == nil {
-						refs[got.NS] = protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
+						refs[got.NS] = protocol.NewAggregatorMachine(a.cfg.Protocol(), mirStandby)
 					}
 					if refs[got.NS].AdoptResult(p) {
 						lanes[[2]uint32{got.NS, uint32(p.Slot)}] = true
@@ -396,7 +396,7 @@ func FuzzStandbyFrame(f *testing.F) {
 			}
 		}
 		for ns, ref := range refs {
-			m := protocol.NewAggregatorMachine(a.cfg.proto(), mirStandby)
+			m := protocol.NewAggregatorMachine(a.cfg.Protocol(), mirStandby)
 			a.adoptShadow(m, 0, ns)
 			if got, want := replies(m, probes[ns]), replies(ref, probes[ns]); got != want {
 				t.Fatalf("namespace %d: take-over built\n%s\nadopting every frame on arrival gives\n%s", ns, got, want)

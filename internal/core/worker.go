@@ -101,7 +101,7 @@ func NewWorker(conn transport.Conn, cfg Config) (*Worker, error) {
 		// lockstep with the view from the start.
 		w.cfg.Aggregators = append([]int(nil), w.view.Aggregators...)
 	}
-	pcfg := w.cfg.proto()
+	pcfg := w.cfg.Protocol()
 	pcfg.Aggregators = nil // each op routes by the list beginOpAt returns
 	w.job = Job{w: w, wid: id, pcfg: pcfg}
 	go w.recvPump()

@@ -23,8 +23,10 @@ func AblationStreams(o Options) *metrics.Table {
 	rng := rand.New(rand.NewSource(o.Seed))
 	c := dpdk10G(o, 8)
 	spec := microSpec(o, 8, 0.90, sparsity.OverlapRandom, rng)
+	cfg := simproto.PaperConfig()
 	for _, streams := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		t.AddRow(streams, simproto.SimOmniReduce(c, spec, simproto.OmniOpts{Streams: streams})*1e3)
+		cfg.Streams = streams
+		t.AddRow(streams, simproto.SimOmniReduce(c, spec, cfg, simproto.OmniOpts{})*1e3)
 	}
 	return t
 }
@@ -42,10 +44,12 @@ func AblationFusionWidth(o Options) *metrics.Table {
 	for _, s := range []float64{0, 0.90, 0.99} {
 		specs[s] = microSpec(o, 8, s, sparsity.OverlapRandom, rng)
 	}
+	cfg := simproto.PaperConfig()
 	for _, w := range []int{1, 2, 4, 8, 16, 32} {
+		cfg.FusionWidth = w
 		row := []interface{}{w}
 		for _, s := range []float64{0, 0.90, 0.99} {
-			row = append(row, simproto.SimOmniReduce(c, specs[s], simproto.OmniOpts{FusionWidth: w})*1e3)
+			row = append(row, simproto.SimOmniReduce(c, specs[s], cfg, simproto.OmniOpts{})*1e3)
 		}
 		t.AddRow(row...)
 	}
@@ -68,8 +72,8 @@ func AblationAggregators(o Options) *metrics.Table {
 		c := dpdk10G(o, 8)
 		c.Aggregators = m
 		t.AddRow(m,
-			simproto.SimOmniReduce(c, specs[0], simproto.OmniOpts{})*1e3,
-			simproto.SimOmniReduce(c, specs[0.90], simproto.OmniOpts{})*1e3)
+			omniTime(c, specs[0])*1e3,
+			omniTime(c, specs[0.90])*1e3)
 	}
 	return t
 }
@@ -89,8 +93,8 @@ func AblationColocation(o Options) *metrics.Table {
 	for _, s := range []float64{0, 0.60, 0.80, 0.90, 0.99} {
 		spec := microSpec(o, 8, s, sparsity.OverlapRandom, rng)
 		t.AddRow(s*100,
-			simproto.SimOmniReduce(ded, spec, simproto.OmniOpts{})*1e3,
-			simproto.SimOmniReduce(col, spec, simproto.OmniOpts{})*1e3)
+			omniTime(ded, spec)*1e3,
+			omniTime(col, spec)*1e3)
 	}
 	return t
 }

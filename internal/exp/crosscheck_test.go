@@ -111,7 +111,7 @@ func TestSimVolumeMatchesSpec(t *testing.T) {
 	// Instrumented run: rebuild the sim net isn't exposed, so check via
 	// the analytic invariant instead — simulated time must be at least
 	// union / bandwidth (each worker must receive the union volume).
-	tSim := simproto.SimOmniReduce(c, spec, simproto.OmniOpts{})
+	tSim := omniTime(c, spec)
 	lower := spec.UnionBytes() * 8 / c.WorkerBW
 	if tSim < lower {
 		t.Fatalf("sim time %v below union-volume bound %v", tSim, lower)

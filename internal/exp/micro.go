@@ -13,6 +13,7 @@ package exp
 import (
 	"math"
 	"math/rand"
+	"time"
 
 	"omnireduce/internal/metrics"
 	"omnireduce/internal/netsim"
@@ -57,6 +58,12 @@ func microSpec(o Options, workers int, sparsity1 float64, ov sparsity.Overlap, r
 
 func scaledBytes(o Options) float64 { return microTensorBytes / float64(o.Scale) }
 
+// omniTime is the simulated OmniReduce at the paper's configuration
+// (simproto.PaperConfig), which every figure runs unless it says otherwise.
+func omniTime(c simproto.Cluster, spec *simproto.BlockSpec) float64 {
+	return simproto.SimOmniReduce(c, spec, simproto.PaperConfig(), simproto.OmniOpts{})
+}
+
 // Fabric presets (per-message CPU distinguishes the data paths).
 func dpdk10G(o Options, workers int) simproto.Cluster {
 	return simproto.Testbed10G(workers, 8).Scaled(o.Scale)
@@ -100,7 +107,7 @@ func Fig4(o Options) *metrics.Table {
 			row := []interface{}{f.name, n, ncclTime(c, scaledBytes(o)) * 1e3}
 			for _, s := range []float64{0, 0.60, 0.90, 0.99} {
 				spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
-				row = append(row, simproto.SimOmniReduce(c, spec, simproto.OmniOpts{})*1e3)
+				row = append(row, omniTime(c, spec)*1e3)
 			}
 			lineRate := 2 * float64(n-1) / float64(n) * microTensorBytes * 8 / f.bw
 			row = append(row, lineRate*1e3)
@@ -129,13 +136,13 @@ func Fig5(o Options) *metrics.Table {
 		spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
 		sb := scaledBytes(o)
 		t.AddRow(s*100,
-			simproto.SimOmniReduce(gdr, spec, simproto.OmniOpts{})*1e3,
-			simproto.SimOmniReduce(gdrCo, spec, simproto.OmniOpts{})*1e3,
-			simproto.SimOmniReduce(rdma, spec, simproto.OmniOpts{})*1e3,
+			omniTime(gdr, spec)*1e3,
+			omniTime(gdrCo, spec)*1e3,
+			omniTime(rdma, spec)*1e3,
 			ncclTime(rdma, sb)*1e3,
 			ncclTime(tcp, sb)*1e3,
 			simproto.SimParameterServer(rdma, sb, 1, 1, 8)*1e3, // BytePS: dense sharded PS
-			simproto.SimSwitchML(rdma, sb, simproto.OmniOpts{})*1e3,
+			simproto.SimSwitchML(rdma, sb, simproto.PaperConfig(), simproto.OmniOpts{})*1e3,
 		)
 	}
 	return t
@@ -163,9 +170,9 @@ func Fig6(o Options) *metrics.Table {
 		spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
 		sb := scaledBytes(o)
 		t.AddRow(s*100,
-			base/simproto.SimOmniReduce(rdma, spec, simproto.OmniOpts{}),
-			base/simproto.SimOmniReduce(rdmaCo, spec, simproto.OmniOpts{}),
-			base/simproto.SimOmniReduce(c, spec, simproto.OmniOpts{}),
+			base/omniTime(rdma, spec),
+			base/omniTime(rdmaCo, spec),
+			base/omniTime(c, spec),
 			base/simproto.SimSparCMLSplitAllgather(c, sb, d, du, false),
 			base/simproto.SimSparCMLSplitAllgather(c, sb, d, du, true),
 			base/simproto.SimAGsparseAllReduce(c, sb, d, 0),
@@ -194,7 +201,7 @@ func Fig7(o Options) *metrics.Table {
 			spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
 			sb := scaledBytes(o)
 			t.AddRow(s*100, n,
-				base/simproto.SimOmniReduce(c, spec, simproto.OmniOpts{}),
+				base/omniTime(c, spec),
 				base/simproto.SimParallax(c, sb, d, du, 8),
 				base/simproto.SimSparCMLSplitAllgather(c, sb, d, du, false),
 				base/simproto.SimSparCMLSplitAllgather(c, sb, d, du, true),
@@ -230,7 +237,7 @@ func Fig8(o Options) *metrics.Table {
 	add("Parallax", conv, simproto.SimParallax(c, sb, d, du, 8), convBack)
 	add("AGsparse(NCCL)", conv, simproto.SimAGsparseAllReduce(c, sb, d, 0), convBack)
 	add("SSAR_Split_allgather", conv, simproto.SimSparCMLSplitAllgather(c, sb, d, du, false), convBack)
-	add("OmniReduce", 0, simproto.SimOmniReduce(c, spec, simproto.OmniOpts{}), 0)
+	add("OmniReduce", 0, omniTime(c, spec), 0)
 	return t
 }
 
@@ -250,7 +257,7 @@ func Fig13(o Options) *metrics.Table {
 	for _, s := range []float64{0, 0.60, 0.90, 0.99} {
 		spec := microSpec(o, nodes, s, sparsity.OverlapRandom, rng)
 		nccl := intra + ncclTime(c, scaledBytes(o))
-		omni := 2*intra + simproto.SimOmniReduce(c, spec, simproto.OmniOpts{})
+		omni := 2*intra + omniTime(c, spec)
 		t.AddRow(s*100, nccl*1e3, omni*1e3)
 	}
 	return t
@@ -279,8 +286,11 @@ func Fig15(o Options) *metrics.Table {
 			if w > 64 {
 				w = 64
 			}
-			bf := simproto.SimOmniReduce(c, spec, simproto.OmniOpts{FusionWidth: w, Streams: 32})
-			nbf := simproto.SimOmniReduce(c, spec, simproto.OmniOpts{FusionWidth: 1, Streams: 32 * w})
+			cfg := simproto.PaperConfig()
+			cfg.FusionWidth = w
+			bf := simproto.SimOmniReduce(c, spec, cfg, simproto.OmniOpts{})
+			cfg.FusionWidth, cfg.Streams = 1, cfg.Streams*w
+			nbf := simproto.SimOmniReduce(c, spec, cfg, simproto.OmniOpts{})
 			t.AddRow(s*100, bs, bf*1e3, nbf*1e3)
 		}
 	}
@@ -300,7 +310,7 @@ func Fig17(o Options) *metrics.Table {
 			row := []interface{}{s * 100, n}
 			for _, ov := range []sparsity.Overlap{sparsity.OverlapRandom, sparsity.OverlapNone, sparsity.OverlapAll} {
 				spec := microSpec(o, n, s, ov, rng)
-				row = append(row, simproto.SimOmniReduce(c, spec, simproto.OmniOpts{})*1e3)
+				row = append(row, omniTime(c, spec)*1e3)
 			}
 			t.AddRow(row...)
 		}
@@ -328,16 +338,18 @@ func Fig18(o Options) *metrics.Table {
 			blockBytes := 34.0 * 4
 			blocks := int(microTensorBytes / float64(o.Scale) / blockBytes)
 			spec := simproto.UniformSpec(blocks, n, blockBytes, 1-s, sparsity.OverlapRandom, rng)
-			p4 := simproto.SimOmniReduce(c, spec, simproto.OmniOpts{SwitchAgg: true, FusionWidth: 1, Streams: 256})
+			cfg := simproto.PaperConfig()
+			cfg.FusionWidth, cfg.Streams = 1, 256
+			p4 := simproto.SimOmniReduce(c, spec, cfg, simproto.OmniOpts{SwitchAgg: true})
 			row = append(row, base/p4)
 		}
 		{
 			spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
-			p4 := simproto.SimOmniReduce(c, spec, simproto.OmniOpts{SwitchAgg: true})
+			p4 := simproto.SimOmniReduce(c, spec, simproto.PaperConfig(), simproto.OmniOpts{SwitchAgg: true})
 			row = append(row, base/p4)
 		}
 		spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
-		row = append(row, base/simproto.SimOmniReduce(c, spec, simproto.OmniOpts{}), 1.0)
+		row = append(row, base/omniTime(c, spec), 1.0)
 		t.AddRow(row...)
 	}
 	return t
@@ -360,12 +372,13 @@ func Fig21(o Options) *metrics.Table {
 		"loss%", "Omni(s=0%)", "Omni(s=90%)", "Omni(s=99%)", "Gloo", "NCCL-TCP")
 	rng := rand.New(rand.NewSource(o.Seed))
 	const n = 4
-	opts := simproto.OmniOpts{Lossy: true, RetransmitTimeout: 10e-3}
+	cfg := simproto.PaperConfig()
+	cfg.Reliable, cfg.RetransmitTimeout = false, 10*time.Millisecond
 	clean := dpdk10G(o, n)
 	base := map[float64]float64{}
 	for _, s := range []float64{0, 0.90, 0.99} {
 		spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
-		base[s] = simproto.SimOmniReduce(clean, spec, opts)
+		base[s] = simproto.SimOmniReduce(clean, spec, cfg, simproto.OmniOpts{})
 	}
 	ncclBase := ncclTime(clean, scaledBytes(o))
 	for _, loss := range []float64{0.0001, 0.001, 0.01} {
@@ -374,7 +387,7 @@ func Fig21(o Options) *metrics.Table {
 		row := []interface{}{loss * 100}
 		for _, s := range []float64{0, 0.90, 0.99} {
 			spec := microSpec(o, n, s, sparsity.OverlapRandom, rng)
-			row = append(row, (simproto.SimOmniReduce(c, spec, opts)-base[s])*1e3)
+			row = append(row, (simproto.SimOmniReduce(c, spec, cfg, simproto.OmniOpts{})-base[s])*1e3)
 		}
 		// TCP throughput under random loss: Mathis et al. MSS/(RTT sqrt(2p/3)).
 		rtt := 4 * clean.Latency * float64(o.Scale) // effective RTT incl. queueing

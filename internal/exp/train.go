@@ -28,7 +28,7 @@ func commTimes(o Options, p *sparsity.Profile, workers int, mk func(Options, int
 	bytes := float64(p.TotalBytes()) / profileScale
 	nccl = simproto.SimRingAllReduce(c, bytes)
 	spec := simproto.ProfileSpec(p, workers, 256, profileScale, rng)
-	omni = simproto.SimOmniReduce(c, spec, simproto.OmniOpts{})
+	omni = omniTime(c, spec)
 	return nccl, omni
 }
 
@@ -152,7 +152,7 @@ func Fig10(o Options) *metrics.Table {
 			nccl, omni := commTimes(o, p, 8, nt.mk)
 			c := unscale(nt.mk(o, 8), o.Scale).Scaled(profileScale)
 			bytes := float64(p.TotalBytes()) / profileScale
-			sw := simproto.SimSwitchML(c, bytes, simproto.OmniOpts{})
+			sw := simproto.SimSwitchML(c, bytes, simproto.PaperConfig(), simproto.OmniOpts{})
 			// AGsparse with 1% compression: conversion of the full dense
 			// gradient dominates (§6.2.2); compression cost excluded.
 			ag := simproto.ConvertTime(float64(p.TotalBytes()), simproto.DefaultConvertBW) +

@@ -312,6 +312,11 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 		// workers' float sums are order-free: rows with more workers use
 		// small-integer values (ints), whose sums are exact in any order.
 		kv, ints bool
+		// half, quant and dense set HalfPrecision, QuantizeScale and
+		// ForceDense on the shared config: fields no other row varies.
+		half  bool
+		quant float64
+		dense bool
 	}{
 		{workers: 2, aggs: 1, sparsity: 0, fusion: 1, streams: 1},
 		{workers: 2, aggs: 1, sparsity: 0.5, fusion: 4, streams: 2},
@@ -333,6 +338,9 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 		// names (AggregatorFor), on both substrates.
 		{workers: 3, aggs: 2, sparsity: 0.8, fusion: 2, streams: 1, kv: true, ints: true},
 		{workers: 4, aggs: 1, sparsity: 0.7, fusion: 1, streams: 1, kv: true, ints: true},
+		{workers: 3, aggs: 1, sparsity: 0.5, fusion: 4, streams: 2, half: true},
+		{workers: 3, aggs: 2, sparsity: 0.5, fusion: 4, streams: 2, quant: 1 << 16},
+		{workers: 3, aggs: 1, sparsity: 0.9, fusion: 4, streams: 2, dense: true},
 	}
 	for i, g := range grid {
 		name := fmt.Sprintf("w%d_a%d_s%.0f%%_f%d", g.workers, g.aggs, g.sparsity*100, g.fusion)
@@ -342,6 +350,15 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 		if g.kv {
 			name += "_kv"
 		}
+		if g.half {
+			name += "_f16"
+		}
+		if g.quant != 0 {
+			name += "_quant"
+		}
+		if g.dense {
+			name += "_dense"
+		}
 		t.Run(name, func(t *testing.T) {
 
 			// Live cluster: dedicated aggregator nodes after the workers,
@@ -350,6 +367,8 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 			for a := 0; a < g.aggs; a++ {
 				aggIDs = append(aggIDs, g.workers+a)
 			}
+			// One config drives both substrates: the live cluster reads it
+			// whole, the simulator its protocol fields (cfg.Protocol()).
 			cfg := core.Config{
 				Workers:            g.workers,
 				Aggregators:        aggIDs,
@@ -358,21 +377,13 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 				Streams:            g.streams,
 				Reliable:           g.faults == nil,
 				DeterministicOrder: true,
+				HalfPrecision:      g.half,
+				QuantizeScale:      g.quant,
+				ForceDense:         g.dense,
 				// Shard the live aggregators: equivalence must hold between
 				// the simulator's single machine and the live driver's
 				// per-slot shard machines (their stats sum field for field).
 				AggShards: 4,
-			}
-			// Record each substrate's machine-emitted slot events with its
-			// own flight recorder (the counting tracer keeps accumulating
-			// underneath): the machines are the single shared protocol
-			// implementation, so the two streams must be identical as
-			// (event, node, tid, slot, round) multisets.
-			pcfg := protocol.Config{
-				BlockSize:          bs,
-				FusionWidth:        g.fusion,
-				Streams:            g.streams,
-				DeterministicOrder: true,
 			}
 			cl := simproto.Testbed10G(g.workers, g.aggs)
 			var fabric *transport.ChaosFabric
@@ -380,9 +391,12 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 				fabric = transport.NewChaosFabric(g.faults.sc)
 				cl.Faults = g.faults.sc
 				cfg.RetransmitTimeout, cfg.RetransmitBackoff, cfg.RetransmitJitter = lossyTimeout, 1, -1
-				pcfg.RetransmitTimeout, pcfg.RetransmitBackoff, pcfg.RetransmitJitter = lossyTimeout, 1, -1
 			}
-			opts := simproto.OmniOpts{FusionWidth: g.fusion, Streams: g.streams, Lossy: g.faults != nil}
+			// Record each substrate's machine-emitted slot events with its
+			// own flight recorder (the counting tracer keeps accumulating
+			// underneath): the machines are the single shared protocol
+			// implementation, so the two streams must be identical as
+			// (event, node, tid, slot, round) multisets.
 			liveFR := obs.NewFlightRecorder(-1, 8192)
 			simFR := obs.NewFlightRecorder(-1, 8192)
 			var liveWS []protocol.WorkerStats
@@ -395,7 +409,7 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 				run(func() { liveRes, liveWS, liveAS = liveRunSparse(t, cfg, inputs) })
 				obs.SetTracer(obs.MultiTracer{tracer, simFR})
 				var err error
-				sim, err = simproto.SimOmniReduceSparse(cl, inputs, pcfg, opts)
+				sim, err = simproto.SimOmniReduceSparse(cl, inputs, cfg.Protocol(), simproto.OmniOpts{})
 				obs.SetTracer(tracer)
 				if err != nil {
 					t.Fatal(err)
@@ -414,7 +428,7 @@ func substrateGrid(t *testing.T, run func(func()), bubble bool) {
 				obs.SetTracer(obs.MultiTracer{tracer, liveFR})
 				run(func() { liveRes, liveWS, liveAS = liveRun(t, cfg, inputs, fabric) })
 				obs.SetTracer(obs.MultiTracer{tracer, simFR})
-				sim = simproto.SimOmniReduceTensors(cl, inputs, pcfg, opts)
+				sim = simproto.SimOmniReduceTensors(cl, inputs, cfg.Protocol(), simproto.OmniOpts{})
 				obs.SetTracer(tracer)
 				for w := 0; w < g.workers; w++ {
 					for e := range liveRes[w] {
@@ -539,9 +553,7 @@ func TestNegativeZeroSumLiveVsSim(t *testing.T) {
 	inputs[0][(blocks-1)*bs+negAt] = negZero
 	cfg := core.Config{Workers: W, Aggregators: []int{W}, BlockSize: bs, FusionWidth: 4, Streams: 2, Reliable: true}
 	live, _, _ := liveRun(t, cfg, inputs, nil)
-	sim := simproto.SimOmniReduceTensors(simproto.Testbed10G(W, 1), inputs, protocol.Config{
-		BlockSize: bs, FusionWidth: 4, Streams: 2, Reliable: true,
-	}, simproto.OmniOpts{FusionWidth: 4, Streams: 2})
+	sim := simproto.SimOmniReduceTensors(simproto.Testbed10G(W, 1), inputs, cfg.Protocol(), simproto.OmniOpts{})
 	for w := 0; w < W; w++ {
 		for e, v := range live[w] {
 			if math.Float32bits(v) != math.Float32bits(sim.Results[w][e]) {

@@ -47,31 +47,22 @@ func assertBitIdentical(t *testing.T, name string, results [][]float32, want []f
 	}
 }
 
-// liveFailoverRun executes the live chaos-kill scenario: three workers,
-// two checkpointing primaries, one standby; the stream-1 primary falls
-// silent after its first checkpoint frame and is killed once the standby
-// holds that frame, the standby is activated into epoch 2, and the
-// workers adopt the view in-band.
-func liveFailoverRun(t *testing.T, inputs [][]float32, bs int) [][]float32 {
+// liveFailoverRun executes the live chaos-kill scenario on cfg, whose two
+// aggregators checkpoint to one standby at the next node ID: the stream-1
+// primary falls silent after its first checkpoint frame and is killed
+// once the standby holds that frame, the standby is activated into epoch
+// 2, and the workers adopt the view in-band.
+func liveFailoverRun(t *testing.T, cfg core.Config, inputs [][]float32) [][]float32 {
 	t.Helper()
-	const (
-		aggA    = 3
-		aggB    = 4
-		standby = 5
-	)
+	aggA, aggB := cfg.Aggregators[0], cfg.Aggregators[1]
+	standby := aggB + 1
 	W := len(inputs)
-	view1 := protocol.View{Epoch: 1, Workers: []int{0, 1, 2}, Aggregators: []int{aggA, aggB}}
-	cfg := core.Config{
-		Workers:            W,
-		Aggregators:        []int{aggA, aggB},
-		Reliable:           false,
-		DeterministicOrder: true,
-		BlockSize:          bs,
-		FusionWidth:        4,
-		Streams:            2,
-		RetransmitTimeout:  3 * time.Millisecond,
-		View:               &view1,
+	var ids []int
+	for w := 0; w < W; w++ {
+		ids = append(ids, w)
 	}
+	view1 := protocol.View{Epoch: 1, Workers: ids, Aggregators: []int{aggA, aggB}}
+	cfg.View = &view1
 
 	nw := transport.NewNetwork(W, 4096)
 	// The doomed primary gets exactly one message out: its first
@@ -142,7 +133,7 @@ func liveFailoverRun(t *testing.T, inputs [][]float32, bs int) [][]float32 {
 		time.Sleep(time.Millisecond)
 	}
 	conns[aggB].Close() // kill: datagrams to the dead node silently vanish
-	if err := sb.Activate(protocol.View{Epoch: 2, Workers: []int{0, 1, 2}, Aggregators: []int{aggA, standby}}); err != nil {
+	if err := sb.Activate(protocol.View{Epoch: 2, Workers: ids, Aggregators: []int{aggA, standby}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,22 +164,22 @@ func TestFailoverDriftLiveVsSim(t *testing.T) {
 	inputs := blockSparseInputs(W, blocks, bs, 0.3, 4242)
 	want := refDenseSum(inputs)
 
-	pcfg := protocol.Config{
+	// One config drives both substrates: the live cluster reads it whole,
+	// the simulator its protocol fields.
+	cfg := core.Config{
+		Workers:            W,
+		Aggregators:        []int{W, W + 1},
+		DeterministicOrder: true,
 		BlockSize:          bs,
 		FusionWidth:        4,
 		Streams:            2,
-		DeterministicOrder: true,
-		// Mirror the simulator's pinned fixed-cadence retransmission (see
-		// OmniOpts.protoConfig): virtual-time RTTs are microseconds.
-		RetransmitTimeout: time.Millisecond,
-		RetransmitBackoff: 1,
-		RetransmitJitter:  -1,
+		RetransmitTimeout:  3 * time.Millisecond,
 	}
-	opts := simproto.OmniOpts{FusionWidth: 4, Streams: 2, Lossy: true}
+	pcfg := cfg.Protocol()
 	cl := simproto.Testbed10G(W, 2)
 
 	// Baseline: undisturbed lossy-mode run.
-	base := simproto.SimOmniReduceTensors(cl, inputs, pcfg, opts)
+	base := simproto.SimOmniReduceTensors(cl, inputs, pcfg, simproto.OmniOpts{})
 	if base.Time <= 0 {
 		t.Fatalf("baseline sim did not complete: time %g", base.Time)
 	}
@@ -197,9 +188,7 @@ func TestFailoverDriftLiveVsSim(t *testing.T) {
 	// Failover at several points of the collective: early (bootstrap
 	// rounds in flight) and late (most rounds already archived).
 	for _, frac := range []float64{0.2, 0.5} {
-		fopts := opts
-		fopts.FailoverAtEvent = int(float64(base.Events) * frac)
-		fopts.FailAggIndex = 1
+		fopts := simproto.OmniOpts{FailoverAtEvent: int(float64(base.Events) * frac), FailAggIndex: 1}
 		run := simproto.SimOmniReduceTensors(cl, inputs, pcfg, fopts)
 		if run.Time <= 0 {
 			t.Fatalf("failover sim (frac %.1f) did not complete: time %g", frac, run.Time)
@@ -218,7 +207,7 @@ func TestFailoverDriftLiveVsSim(t *testing.T) {
 
 	// The live cluster under a real mid-collective kill must land on the
 	// same bits.
-	live := liveFailoverRun(t, inputs, bs)
+	live := liveFailoverRun(t, cfg, inputs)
 	assertBitIdentical(t, "live-failover", live, want)
 }
 
@@ -239,11 +228,10 @@ func TestFailoverSimEveryEvent(t *testing.T) {
 		RetransmitBackoff:  1,
 		RetransmitJitter:   -1,
 	}
-	opts := simproto.OmniOpts{FusionWidth: 2, Streams: 2, Lossy: true}
 	for _, loss := range []float64{0, 0.05} {
 		cl := simproto.Testbed10G(W, 2)
 		cl.Faults = transport.Scenario{Seed: 7, Phases: []transport.Phase{{Drop: loss}}}
-		base := simproto.SimOmniReduceTensors(cl, inputs, pcfg, opts)
+		base := simproto.SimOmniReduceTensors(cl, inputs, pcfg, simproto.OmniOpts{})
 		if base.Time <= 0 || base.Events < 50 {
 			t.Fatalf("loss %g: baseline took %g s and %d events", loss, base.Time, base.Events)
 		}
@@ -251,8 +239,7 @@ func TestFailoverSimEveryEvent(t *testing.T) {
 		var standbyRounds int64
 		for idx := 0; idx < 2; idx++ {
 			for k := 1; k <= base.Events; k++ {
-				fopts := opts
-				fopts.FailoverAtEvent, fopts.FailAggIndex = k, idx
+				fopts := simproto.OmniOpts{FailoverAtEvent: k, FailAggIndex: idx}
 				run := simproto.SimOmniReduceTensors(cl, inputs, pcfg, fopts)
 				name := fmt.Sprintf("loss %g, aggregator %d killed before event %d of %d", loss, idx, k, base.Events)
 				if run.Time <= 0 {

@@ -22,6 +22,13 @@ import (
 // packet-size formula: whatever the machines emit is what the fabric
 // carries.
 //
+// Every entry point runs the protocol.Config it is given, the same value
+// a live cluster's core.Config.Protocol() hands its machines, completed by
+// one rule (fit): workers and aggregator IDs from the Cluster, zero fields
+// from protocol.Defaults. The paper's figures run PaperConfig. OmniOpts
+// holds only what a simulation alone has: the switch-aggregator and
+// staging-copy models and the failover kill point.
+//
 // Because the machines emit reusable packet shells (see the protocol.Emit
 // ownership contract: consume before the next call into the machine) and
 // simulated delivery happens at a future virtual time, the router
@@ -30,33 +37,37 @@ import (
 // (machines copy what they keep during HandlePacket). The fabric never
 // duplicates a message, so each shell has exactly one consumer.
 
-// SimFusionWidth and SimStreams are the simulator's default packet shape:
-// the paper's, not protocol.Defaults'. The simulated 10/100 Gbps fabrics
-// and their per-packet CPU cost are calibrated against the paper's
-// figures, which its implementation produced with 8 fused blocks per
-// packet and 256 outstanding packets per worker (§5) — 32 streams of
-// 8-block packets give a comparable pipeline depth. protocol.Defaults'
-// shape is measured on the live in-process and loopback fabrics, where the
-// trade-off differs (the fusion-width ablation: 32-block packets cost a
-// dense 10 Gbps run 5%). Pass OmniOpts.FusionWidth / Streams explicitly to
-// reconcile the substrates (the substrate-equivalence drift test does).
-const (
-	SimFusionWidth = 8
-	SimStreams     = 32
-)
+// PaperConfig is the paper's protocol configuration, the one the
+// simulated figures run. The simulated 10/100 Gbps fabrics and their
+// per-packet CPU cost are calibrated against the paper's figures, which
+// its implementation produced with 8 fused blocks per packet and 256
+// outstanding packets per worker (§5): 32 streams of 8-block packets give
+// a comparable pipeline depth. protocol.Defaults' shape is measured on the
+// live in-process and loopback fabrics, where the trade-off differs (the
+// fusion-width ablation: 32-block packets cost a dense 10 Gbps run 5%).
+//
+// The retransmission timer runs at a fixed cadence (backoff 1, no
+// jitter): the live default's adaptive backoff defends against real
+// congestion collapse, but the fabric model drops packets i.i.d., so
+// backing off only inflates Algorithm 2's detection latency and distorts
+// the loss-recovery figures it exists to measure. Its 1 ms timeout suits
+// virtual-time round trips of microseconds, where the live 20 ms default
+// would be absurdly conservative. Callers change fields on the copy it
+// returns (Fig 21 runs it unreliable with a 10 ms timeout).
+func PaperConfig() protocol.Config {
+	return protocol.Config{
+		FusionWidth:       8,
+		Streams:           32,
+		Reliable:          true,
+		RetransmitTimeout: time.Millisecond,
+		RetransmitBackoff: 1,
+		RetransmitJitter:  -1, // negative = disabled (0 would mean "default")
+	}
+}
 
-// OmniOpts parameterizes the simulated OmniReduce protocol.
+// OmniOpts holds what only a simulated run has; the protocol itself is
+// the protocol.Config every entry point takes.
 type OmniOpts struct {
-	FusionWidth int // blocks fused per packet (§3.2); default SimFusionWidth
-	Streams     int // parallel slot streams (§3.1.1); default SimStreams
-	ForceDense  bool
-	// Lossy enables the Algorithm 2 machinery: per-round acks from every
-	// worker, retransmission timers, result replay.
-	Lossy bool
-	// RetransmitTimeout is the worker loss-detection timer in simulated
-	// seconds; default 1ms (virtual-time RTTs are microseconds, so the
-	// live 20ms default would be absurdly conservative here).
-	RetransmitTimeout float64
 	// SwitchAgg models the P4 switch aggregator of Fig 18: negligible
 	// per-packet processing at the aggregator.
 	SwitchAgg bool
@@ -72,9 +83,9 @@ type OmniOpts struct {
 	// committed (AdoptResult on its Commit emits — what the live driver
 	// mirrors to standbys, here without a fabric in between) and knows
 	// nothing else; every worker machine rebinds (Rebind), replaying its
-	// unacknowledged rounds at the new aggregator. Requires Lossy
-	// (reliable mode has no replay machinery) and dedicated aggregator
-	// nodes (a colocated aggregator cannot die alone).
+	// unacknowledged rounds at the new aggregator. Requires an unreliable
+	// config (reliable mode has no replay machinery) and dedicated
+	// aggregator nodes (a colocated aggregator cannot die alone).
 	FailoverAtEvent int
 	FailAggIndex    int
 }
@@ -95,19 +106,6 @@ type simPkt struct {
 // key-value run, which picks its aggregator by tensor ID, uses the same
 // one on both substrates.
 const simTid = 1
-
-func (o OmniOpts) withDefaults() OmniOpts {
-	if o.FusionWidth == 0 {
-		o.FusionWidth = SimFusionWidth
-	}
-	if o.Streams == 0 {
-		o.Streams = SimStreams
-	}
-	if o.RetransmitTimeout == 0 {
-		o.RetransmitTimeout = 1e-3
-	}
-	return o
-}
 
 // aggregatorIDs returns the simulated aggregator node IDs: the worker
 // nodes themselves when colocated, dedicated nodes numbered after the
@@ -132,25 +130,13 @@ func aggregatorIDs(c Cluster) []int {
 	return ids
 }
 
-// protoConfig assembles the machine configuration for a simulated run.
-// The simulator pins the retransmission timer to a fixed cadence
-// (backoff 1, no jitter): the live default's adaptive backoff defends
-// against real congestion collapse, but the fabric model drops packets
-// i.i.d., so backing off only inflates Algorithm 2's detection latency
-// and distorts the loss-recovery figures it exists to measure.
-func (o OmniOpts) protoConfig(c Cluster, blockElems int) protocol.Config {
-	return protocol.Config{
-		Workers:           c.Workers,
-		Aggregators:       aggregatorIDs(c),
-		BlockSize:         blockElems,
-		FusionWidth:       o.FusionWidth,
-		Streams:           o.Streams,
-		Reliable:          !o.Lossy,
-		ForceDense:        o.ForceDense,
-		RetransmitTimeout: time.Duration(o.RetransmitTimeout * float64(time.Second)),
-		RetransmitBackoff: 1,
-		RetransmitJitter:  -1, // negative = disabled (0 would mean "default")
-	}.WithDefaults()
+// fit completes cfg for a run on c, the one defaulting rule of every
+// entry point: workers and aggregator IDs from the cluster layout, zero
+// fields from protocol.Defaults.
+func fit(c Cluster, cfg protocol.Config) protocol.Config {
+	cfg.Workers = c.Workers
+	cfg.Aggregators = aggregatorIDs(c)
+	return cfg.WithDefaults()
 }
 
 // specView is the simulator's TensorView over a block-occupancy spec: it
@@ -192,20 +178,17 @@ type OmniRun struct {
 
 // SimOmniReduce runs the block-aggregation protocol on the simulator and
 // returns the completion time in seconds (when every worker has the final
-// result and, if modeled, the staging copy has drained).
-func SimOmniReduce(c Cluster, spec *BlockSpec, opts OmniOpts) float64 {
-	opts = opts.withDefaults()
-	bs := int(spec.BlockBytes / 4)
-	if bs < 1 {
-		bs = 1
-	}
-	zeros := make([]float32, bs)
+// result and, if modeled, the staging copy has drained). The machines run
+// cfg (see fit) with the spec's block size.
+func SimOmniReduce(c Cluster, spec *BlockSpec, cfg protocol.Config, opts OmniOpts) float64 {
+	cfg.BlockSize = max(int(spec.BlockBytes/4), 1)
+	cfg = fit(c, cfg)
+	zeros := make([]float32, cfg.BlockSize)
 	views := make([]protocol.TensorView, c.Workers)
 	for w := range views {
-		bm := spec.PerWorker[w]
-		views[w] = &specView{blocks: spec.Blocks, bm: bm, zeros: zeros}
+		views[w] = &specView{blocks: spec.Blocks, bm: spec.PerWorker[w], zeros: zeros}
 	}
-	return runDense(c, views, opts.protoConfig(c, bs), opts, spec.TotalBytes()).Time
+	return runDense(c, views, cfg, opts, spec.TotalBytes()).Time
 }
 
 // runDense runs one block-format collective over views.
@@ -217,27 +200,14 @@ func runDense(c Cluster, views []protocol.TensorView, cfg protocol.Config, opts 
 	})
 }
 
-// tensorRun fits a cluster and a protocol configuration to a
-// tensor-backed run over n workers: aggregator IDs from the cluster
-// layout, reliable unless opts is lossy, zero fields from
-// protocol.Defaults.
-func tensorRun(c Cluster, n int, cfg protocol.Config, opts OmniOpts) (Cluster, protocol.Config) {
-	c.Workers = n
-	cfg.Workers = n
-	cfg.Aggregators = aggregatorIDs(c)
-	cfg.Reliable = !opts.Lossy
-	return c, cfg.WithDefaults()
-}
-
 // SimOmniReduceTensors runs the protocol machines over real per-worker
 // tensors in virtual time: the same data path as the live cluster, on the
 // simulated fabric. Topology comes from c (which must agree with
-// len(inputs)); protocol parameters from cfg (zero fields filled from
-// protocol.Defaults; aggregator IDs from the cluster layout). The inputs
-// are not modified; Results holds the reduced tensors.
+// len(inputs)); the machines run cfg (see fit). The inputs are not
+// modified; Results holds the reduced tensors.
 func SimOmniReduceTensors(c Cluster, inputs [][]float32, cfg protocol.Config, opts OmniOpts) *OmniRun {
-	opts = opts.withDefaults()
-	c, cfg = tensorRun(c, len(inputs), cfg, opts)
+	c.Workers = len(inputs)
+	cfg = fit(c, cfg)
 	views := make([]protocol.TensorView, len(inputs))
 	results := make([][]float32, len(inputs))
 	var copyBytes float64
@@ -256,13 +226,13 @@ func SimOmniReduceTensors(c Cluster, inputs [][]float32, cfg protocol.Config, op
 // per-worker COO tensors in virtual time: SimOmniReduceTensors' twin for
 // the live worker's AllReduceSparse. The collective goes to the one
 // aggregator cfg.AggregatorFor(tensor ID) names, as it does live. The mode
-// is reliable-only, so a Lossy opts fails, as does a malformed input
+// is reliable-only, so an unreliable cfg fails, as does a malformed input
 // (tensor.COO.Check); failover is not modelled for it. The inputs are not
 // modified; SparseResults holds the reduced tensors. The staging copy is
 // charged at the largest input's encoded pairs (8 bytes each).
 func SimOmniReduceSparse(c Cluster, inputs []*tensor.COO, cfg protocol.Config, opts OmniOpts) (*OmniRun, error) {
-	opts = opts.withDefaults()
-	c, cfg = tensorRun(c, len(inputs), cfg, opts)
+	c.Workers = len(inputs)
+	cfg = fit(c, cfg)
 	ms := make([]*protocol.SparseWorkerMachine, len(inputs))
 	var copyBytes float64
 	for w, in := range inputs {
@@ -302,13 +272,13 @@ func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, s
 		}
 	}
 	aggIDs := cfg.Aggregators
+	aggCPU := c.CPUPerMsg
+	if opts.SwitchAgg {
+		aggCPU = 50e-9
+	}
 	if !c.Colocated {
 		for _, id := range aggIDs {
-			nd := n.AddNode(id, c.AggBW, c.AggBW)
-			nd.CPUPerMsg = c.CPUPerMsg
-			if opts.SwitchAgg {
-				nd.CPUPerMsg = 50e-9
-			}
+			n.AddNode(id, c.AggBW, c.AggBW).CPUPerMsg = aggCPU
 		}
 	}
 
@@ -340,6 +310,12 @@ func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, s
 		}
 		if e.Packet != nil {
 			sp.data = wire.CopyPacketInto(&sp.p, sp.data, e.Packet)
+			if sp.p.DType == wire.DTypeF16 {
+				// The fabric carries what the wire encodes: binary16.
+				for i, v := range sp.data {
+					sp.data[i] = wire.F16ToF32(wire.F16FromF32(v))
+				}
+			}
 			sp.msg = protocol.Msg{Dense: &sp.p}
 		} else {
 			wire.CopySparsePacketInto(&sp.sp, e.Sparse)
@@ -478,18 +454,15 @@ func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, s
 		if c.Colocated {
 			panic("simproto: failover requires dedicated aggregator nodes")
 		}
-		if !opts.Lossy {
-			panic("simproto: failover requires Lossy mode (reliable mode has no replay machinery)")
+		if cfg.Reliable {
+			panic("simproto: failover requires an unreliable config (reliable mode has no replay machinery)")
 		}
 		if opts.FailAggIndex < 0 || opts.FailAggIndex >= len(aggIDs) {
 			panic(fmt.Sprintf("simproto: FailAggIndex %d out of range (%d aggregators)", opts.FailAggIndex, len(aggIDs)))
 		}
 		standby := N + len(aggIDs)
 		nd := n.AddNode(standby, c.AggBW, c.AggBW)
-		nd.CPUPerMsg = c.CPUPerMsg
-		if opts.SwitchAgg {
-			nd.CPUPerMsg = 50e-9
-		}
+		nd.CPUPerMsg = aggCPU
 		nd.Handler = func(m netsim.Message) {
 			tick()
 			sp := m.Payload.(*simPkt)
@@ -554,9 +527,9 @@ func runOmni(c Cluster, cfg protocol.Config, opts OmniOpts, copyBytes float64, s
 
 // SimSwitchML models the SwitchML-style dense streaming aggregation
 // (§6.1.1's SwitchML* server-based baseline): the same slot pipeline with
-// zero-block elision disabled.
-func SimSwitchML(c Cluster, tensorBytes float64, opts OmniOpts) float64 {
-	opts.ForceDense = true
+// zero-block elision disabled, whatever cfg.ForceDense says.
+func SimSwitchML(c Cluster, tensorBytes float64, cfg protocol.Config, opts OmniOpts) float64 {
+	cfg.ForceDense = true
 	blockBytes := 1024.0
 	blocks := int(tensorBytes / blockBytes)
 	if blocks < 1 {
@@ -567,5 +540,5 @@ func SimSwitchML(c Cluster, tensorBytes float64, opts OmniOpts) float64 {
 	for w := range spec.PerWorker {
 		spec.PerWorker[w] = tensor.NewBitmap(blocks)
 	}
-	return SimOmniReduce(c, spec, opts)
+	return SimOmniReduce(c, spec, cfg, opts)
 }

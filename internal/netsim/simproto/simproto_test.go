@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"omnireduce/internal/netsim"
 	"omnireduce/internal/protocol"
@@ -64,7 +65,7 @@ func TestOmniDenseMatchesFormula(t *testing.T) {
 	S := 100e6
 	rng := rand.New(rand.NewSource(1))
 	spec := UniformSpec(int(S/1024), N, 1024, 1.0, sparsity.OverlapRandom, rng)
-	got := SimOmniReduce(c, spec, OmniOpts{})
+	got := SimOmniReduce(c, spec, PaperConfig(), OmniOpts{})
 	want := c.Latency + S*8/c.WorkerBW
 	if got < want || got > want*1.25 {
 		t.Errorf("omni dense: sim %v vs model %v", got, want)
@@ -79,7 +80,7 @@ func TestOmniSparsitySpeedsUp(t *testing.T) {
 	var prev float64 = math.Inf(1)
 	for _, s := range []float64{0, 0.6, 0.9, 0.99} {
 		spec := UniformSpec(int(S/1024), N, 1024, 1-s, sparsity.OverlapAll, rng)
-		got := SimOmniReduce(c, spec, OmniOpts{})
+		got := SimOmniReduce(c, spec, PaperConfig(), OmniOpts{})
 		if got >= prev {
 			t.Errorf("sparsity %v did not speed up: %v >= %v", s, got, prev)
 		}
@@ -94,8 +95,8 @@ func TestOmniOverlapEffect(t *testing.T) {
 	c := cleanCluster(N, 10)
 	blocks := 40_000
 	rng := rand.New(rand.NewSource(3))
-	all := SimOmniReduce(c, UniformSpec(blocks, N, 1024, 0.1, sparsity.OverlapAll, rng), OmniOpts{})
-	none := SimOmniReduce(c, UniformSpec(blocks, N, 1024, 0.1, sparsity.OverlapNone, rng), OmniOpts{})
+	all := SimOmniReduce(c, UniformSpec(blocks, N, 1024, 0.1, sparsity.OverlapAll, rng), PaperConfig(), OmniOpts{})
+	none := SimOmniReduce(c, UniformSpec(blocks, N, 1024, 0.1, sparsity.OverlapNone, rng), PaperConfig(), OmniOpts{})
 	if all >= none {
 		t.Errorf("all-overlap %v not faster than none-overlap %v", all, none)
 	}
@@ -108,7 +109,7 @@ func TestOmniBeatsRingWhenSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ring := SimRingAllReduce(c, S)
 	spec := UniformSpec(int(S/1024), N, 1024, 0.01, sparsity.OverlapRandom, rng)
-	omni := SimOmniReduce(c, spec, OmniOpts{})
+	omni := SimOmniReduce(c, spec, PaperConfig(), OmniOpts{})
 	if omni >= ring/3 {
 		t.Errorf("at 99%% sparsity omni %v should be >3x faster than ring %v", omni, ring)
 	}
@@ -125,8 +126,8 @@ func TestOmniScalesBetterThanRing(t *testing.T) {
 	}
 	spec2 := UniformSpec(int(S/1024), 2, 1024, 1, sparsity.OverlapRandom, rng)
 	spec8 := UniformSpec(int(S/1024), 8, 1024, 1, sparsity.OverlapRandom, rng)
-	omni2 := SimOmniReduce(cleanCluster(2, 10), spec2, OmniOpts{})
-	omni8 := SimOmniReduce(cleanCluster(8, 10), spec8, OmniOpts{})
+	omni2 := SimOmniReduce(cleanCluster(2, 10), spec2, PaperConfig(), OmniOpts{})
+	omni8 := SimOmniReduce(cleanCluster(8, 10), spec8, PaperConfig(), OmniOpts{})
 	if math.Abs(omni8-omni2)/omni2 > 0.15 {
 		t.Errorf("omni dense time should be ~constant in N: %v vs %v", omni2, omni8)
 	}
@@ -180,10 +181,41 @@ func TestOmniColocated(t *testing.T) {
 	col := ded
 	col.Colocated = true
 	spec := UniformSpec(int(S/1024), N, 1024, 1.0, sparsity.OverlapRandom, rng)
-	tDed := SimOmniReduce(ded, spec, OmniOpts{})
-	tCol := SimOmniReduce(col, spec, OmniOpts{})
+	tDed := SimOmniReduce(ded, spec, PaperConfig(), OmniOpts{})
+	tCol := SimOmniReduce(col, spec, PaperConfig(), OmniOpts{})
 	if tCol < tDed {
 		t.Errorf("colocated %v faster than dedicated %v on dense data", tCol, tDed)
+	}
+}
+
+// TestEntryPointsShareOneConfig: the spec-driven and the tensor-backed
+// entry points complete a config by one rule, so one config over one block
+// occupancy is one run, the paper's config and a zero packet shape alike;
+// a zero shape is protocol.Defaults' shape.
+func TestEntryPointsShareOneConfig(t *testing.T) {
+	const W, blocks, bs = 3, 200, 256
+	spec := UniformSpec(blocks, W, 4*bs, 0.3, sparsity.OverlapRandom, rand.New(rand.NewSource(12)))
+	inputs := make([][]float32, W)
+	for w := range inputs {
+		inputs[w] = make([]float32, blocks*bs)
+		for b := 0; b < blocks; b++ {
+			if spec.PerWorker[w].Get(b) {
+				inputs[w][b*bs] = 1
+			}
+		}
+	}
+	c := Testbed10G(W, 1)
+	defaults := protocol.Defaults()
+	defaults.Reliable = true
+	for name, cfg := range map[string]protocol.Config{"paper": PaperConfig(), "zero shape": {Reliable: true}, "defaults": defaults} {
+		fromSpec, fromTensors := SimOmniReduce(c, spec, cfg, OmniOpts{}), SimOmniReduceTensors(c, inputs, cfg, OmniOpts{}).Time
+		if fromSpec != fromTensors {
+			t.Errorf("%s: spec-driven run took %g s, tensor-backed %g s", name, fromSpec, fromTensors)
+		}
+	}
+	zero := SimOmniReduce(c, spec, protocol.Config{Reliable: true}, OmniOpts{})
+	if d, p := SimOmniReduce(c, spec, defaults, OmniOpts{}), SimOmniReduce(c, spec, PaperConfig(), OmniOpts{}); zero != d || zero == p {
+		t.Errorf("zero shape took %g s, protocol.Defaults' %g s, the paper's %g s", zero, d, p)
 	}
 }
 
@@ -208,7 +240,7 @@ func TestSimOmniReduceSparse(t *testing.T) {
 		}
 		want = want.AddCOO(inputs[w])
 	}
-	cfg := protocol.Config{BlockSize: 8, FusionWidth: 2}
+	cfg := protocol.Config{BlockSize: 8, FusionWidth: 2, Reliable: true}
 	col := Testbed10G(W, W)
 	col.Colocated = true
 	for name, c := range map[string]Cluster{"dedicated": Testbed10G(W, 2), "colocated": col} {
@@ -228,7 +260,9 @@ func TestSimOmniReduceSparse(t *testing.T) {
 			}
 		}
 	}
-	if _, err := SimOmniReduceSparse(Testbed10G(W, 1), inputs, cfg, OmniOpts{Lossy: true}); err == nil {
+	lossy := cfg
+	lossy.Reliable = false
+	if _, err := SimOmniReduceSparse(Testbed10G(W, 1), inputs, lossy, OmniOpts{}); err == nil {
 		t.Error("lossy key-value run accepted")
 	}
 	bad := &tensor.COO{Dim: dim, Keys: []int32{5, 3}, Values: []float32{1, 1}}
@@ -243,9 +277,11 @@ func TestOmniLossyConvergesAndCosts(t *testing.T) {
 	c.Faults = transport.Scenario{Phases: []transport.Phase{{Drop: 0.01}}}
 	rng := rand.New(rand.NewSource(7))
 	spec := UniformSpec(5_000, N, 1024, 0.2, sparsity.OverlapRandom, rng)
-	lossy := SimOmniReduce(c, spec, OmniOpts{Lossy: true, RetransmitTimeout: 500e-6})
+	cfg := PaperConfig()
+	cfg.Reliable, cfg.RetransmitTimeout = false, 500*time.Microsecond
+	lossy := SimOmniReduce(c, spec, cfg, OmniOpts{})
 	c.Faults = transport.Scenario{}
-	clean := SimOmniReduce(c, spec, OmniOpts{Lossy: true, RetransmitTimeout: 500e-6})
+	clean := SimOmniReduce(c, spec, cfg, OmniOpts{})
 	if lossy <= clean {
 		t.Errorf("loss should cost time: %v vs %v", lossy, clean)
 	}
@@ -260,15 +296,15 @@ func TestSwitchMLDense(t *testing.T) {
 	c := cleanCluster(N, 10)
 	S := 50e6
 	rng := rand.New(rand.NewSource(8))
-	sw := SimSwitchML(c, S, OmniOpts{})
+	sw := SimSwitchML(c, S, PaperConfig(), OmniOpts{})
 	spec := UniformSpec(int(S/1024), N, 1024, 1.0, sparsity.OverlapRandom, rng)
-	omni := SimOmniReduce(c, spec, OmniOpts{})
+	omni := SimOmniReduce(c, spec, PaperConfig(), OmniOpts{})
 	if math.Abs(sw-omni)/omni > 0.05 {
 		t.Errorf("switchml %v vs omni dense %v", sw, omni)
 	}
 	// And insensitive to sparsity (it sends everything).
 	spec2 := UniformSpec(int(S/1024), N, 1024, 0.01, sparsity.OverlapRandom, rng)
-	omniSparse := SimOmniReduce(c, spec2, OmniOpts{})
+	omniSparse := SimOmniReduce(c, spec2, PaperConfig(), OmniOpts{})
 	if omniSparse >= sw {
 		t.Errorf("omni at 99%% sparsity %v should beat switchml %v", omniSparse, sw)
 	}
@@ -281,8 +317,8 @@ func TestCopyBottleneckAt100G(t *testing.T) {
 	S := 100e6
 	rng := rand.New(rand.NewSource(9))
 	spec := UniformSpec(int(S/1024), N, 1024, 0.01, sparsity.OverlapRandom, rng)
-	rdma := SimOmniReduce(Testbed100G(N, N), spec, OmniOpts{})
-	gdr := SimOmniReduce(Testbed100GGDR(N, N), spec, OmniOpts{})
+	rdma := SimOmniReduce(Testbed100G(N, N), spec, PaperConfig(), OmniOpts{})
+	gdr := SimOmniReduce(Testbed100GGDR(N, N), spec, PaperConfig(), OmniOpts{})
 	if gdr >= rdma {
 		t.Errorf("GDR %v should beat staged RDMA %v at 99%% sparsity", gdr, rdma)
 	}

@@ -884,8 +884,9 @@ func (m *AggregatorMachine) Held() int {
 }
 
 // accum accumulates one block-sized unit of aggregation, supporting plain
-// float32 summation, fixed-point (switch-mode) summation, and
-// deterministic worker-ID-ordered reduction. All backing arrays are
+// float32 summation, fixed-point (switch-mode) summation, which is
+// order-free and so deterministic as it stands, and deterministic
+// worker-ID-ordered float reduction. All backing arrays are
 // retained across rounds and tensors (init/reset truncate, never free).
 //
 // Every mode ends a round with its sum in f, and take hands f out as the
@@ -899,7 +900,7 @@ type accum struct {
 	f     []float32
 	prev  []float32 // the last sum taken (or adopted)
 	q     []int64
-	// Deterministic mode: per[wid] is worker wid's block copy for the
+	// Deterministic float mode: per[wid] is worker wid's block copy for the
 	// current round (nil = absent), carved from arena. If arena
 	// reallocates as workers arrive, earlier per-slices keep reading the
 	// old backing — their copied values are intact there — and the grown
@@ -923,6 +924,17 @@ func (a *accum) init(cfg Config) {
 }
 
 func (a *accum) add(wid int, data []float32) {
+	if a.scale != 0 {
+		// Integer sums do not depend on the order: this is deterministic
+		// mode's sum too.
+		if len(a.q) < len(data) {
+			a.q = append(a.q, make([]int64, len(data)-len(a.q))...)
+		}
+		for i, v := range data {
+			a.q[i] += int64(math.RoundToEven(float64(v) * a.scale))
+		}
+		return
+	}
 	if a.det {
 		for wid >= len(a.per) {
 			a.per = append(a.per, nil)
@@ -930,15 +942,6 @@ func (a *accum) add(wid int, data []float32) {
 		start := len(a.arena)
 		a.arena = append(a.arena, data...)
 		a.per[wid] = a.arena[start:len(a.arena):len(a.arena)]
-		return
-	}
-	if a.scale != 0 {
-		if len(a.q) < len(data) {
-			a.q = append(a.q, make([]int64, len(data)-len(a.q))...)
-		}
-		for i, v := range data {
-			a.q[i] += int64(math.RoundToEven(float64(v) * a.scale))
-		}
 		return
 	}
 	a.reserve(len(data))
@@ -957,12 +960,18 @@ func (a *accum) add(wid int, data []float32) {
 
 // take returns the round's aggregate and starts the next round in the
 // other array. The returned slice is valid until the round after next
-// starts accumulating. Deterministic mode folds worker contributions into
-// f in ascending worker-ID order (the same float-op sequence as summing a
-// sorted map), so results are bit-identical run to run; quantized mode
-// converts its fixed-point sums into f.
+// starts accumulating. Quantized mode, deterministic or not, converts its
+// fixed-point sums into f; deterministic float mode folds worker
+// contributions into f in ascending worker-ID order (the same float-op
+// sequence as summing a sorted map), so results are bit-identical run to
+// run.
 func (a *accum) take() []float32 {
 	switch {
+	case a.scale != 0:
+		a.reserve(len(a.q))
+		for _, v := range a.q {
+			a.f = append(a.f, float32(float64(v)/a.scale))
+		}
 	case a.det:
 		for _, d := range a.per {
 			if d == nil {
@@ -972,19 +981,7 @@ func (a *accum) take() []float32 {
 			for len(a.f) < len(d) {
 				a.f = append(a.f, 0)
 			}
-			if a.scale != 0 {
-				// Deterministic + quantized: quantize each contribution.
-				for i, v := range d {
-					a.f[i] += float32(math.RoundToEven(float64(v)*a.scale) / a.scale)
-				}
-			} else {
-				tensor.AddF32(a.f, d)
-			}
-		}
-	case a.scale != 0:
-		a.reserve(len(a.q))
-		for _, v := range a.q {
-			a.f = append(a.f, float32(float64(v)/a.scale))
+			tensor.AddF32(a.f, d)
 		}
 	}
 	sum := a.f

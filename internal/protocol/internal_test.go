@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"omnireduce/internal/tensor"
@@ -135,13 +137,69 @@ func TestAccumDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestAccumDeterministicQuantized: with QuantizeScale set, deterministic
+// mode sums in int64 fixed point like the plain quantized mode, so the
+// result is the integer formula's, bit for bit, in any arrival order.
 func TestAccumDeterministicQuantized(t *testing.T) {
-	a := newAccum(Config{DeterministicOrder: true, QuantizeScale: 1 << 10})
-	a.add(1, []float32{0.25})
-	a.add(0, []float32{0.5})
-	got := a.take()
-	if math.Abs(float64(got[0])-0.75) > 1e-3 {
-		t.Fatalf("det+quant = %v", got)
+	const workers, n, scale = 4, 4096, 1e6
+	rng := rand.New(rand.NewSource(3))
+	vals := make([][]float32, workers)
+	want := make([]float32, n)
+	for i := range want {
+		var q int64
+		for w := range vals {
+			if i == 0 {
+				vals[w] = make([]float32, n)
+			}
+			vals[w][i] = float32(rng.NormFloat64())
+			q += int64(math.RoundToEven(float64(vals[w][i]) * scale))
+		}
+		want[i] = float32(float64(q) / scale)
+	}
+	a := newAccum(Config{DeterministicOrder: true, QuantizeScale: scale})
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 1, 0, 2}} {
+		for _, w := range order {
+			a.add(w, vals[w])
+		}
+		got := a.take()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("order %v elem %d: det+quant = %v, integer sum %v", order, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestJitterFactor: the retransmission jitter factor stays in [1-j, 1+j),
+// draws the same sequence on every run for a given (worker, tensor),
+// pooled machines included, and a different one for another worker.
+func TestJitterFactor(t *testing.T) {
+	const j, n = 0.1, 1000
+	cfg := Config{Workers: 2, Aggregators: []int{2}}
+	draw := func(m *WorkerMachine) []float64 {
+		out := make([]float64, n)
+		lo, hi := 2.0, 0.0
+		for i := range out {
+			f := m.jitterFactor(j)
+			if f < 1-j || f >= 1+j {
+				t.Fatalf("factor %v outside [%v, %v)", f, 1-j, 1+j)
+			}
+			out[i], lo, hi = f, min(lo, f), max(hi, f)
+		}
+		if lo > 1-j/2 || hi < 1+j/2 {
+			t.Fatalf("%d factors span only [%v, %v]", n, lo, hi)
+		}
+		return out
+	}
+	first := draw(NewWorkerMachine(cfg, 0, 7))
+	m := GetWorkerMachine(cfg, 1, 9)
+	draw(m)
+	m.Recycle()
+	if again := draw(GetWorkerMachine(cfg, 0, 7)); !slices.Equal(again, first) {
+		t.Fatal("worker 0 drew different factors for the same tensor on a pooled machine")
+	}
+	if other := draw(NewWorkerMachine(cfg, 1, 7)); slices.Equal(other, first) {
+		t.Fatal("workers 0 and 1 drew the same factors")
 	}
 }
 

@@ -60,8 +60,9 @@ type Config struct {
 	RetransmitCeiling time.Duration
 	// RetransmitJitter is the fractional jitter in [0,1) applied to
 	// backed-off timeouts, drawn from a deterministic per-(worker, tensor)
-	// source. Zero means the default; pass a negative value to disable
-	// jitter entirely (WithDefaults normalizes it to 0).
+	// source. Zero means the default; a negative value disables jitter
+	// entirely, and WithDefaults keeps it negative, so that a config
+	// completed twice (core.Config, then the machine) stays disabled.
 	RetransmitJitter float64
 	// MaxRetries bounds per-packet retransmissions; 0 retries forever.
 	MaxRetries int
@@ -127,8 +128,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.RetransmitJitter == 0 {
 		c.RetransmitJitter = d.RetransmitJitter
-	} else if c.RetransmitJitter < 0 {
-		c.RetransmitJitter = 0 // explicitly disabled
 	}
 	return c
 }
@@ -150,8 +149,8 @@ func (c Config) Validate() error {
 	if c.RetransmitBackoff != 0 && c.RetransmitBackoff < 1 {
 		return fmt.Errorf("protocol: RetransmitBackoff must be >= 1, got %v", c.RetransmitBackoff)
 	}
-	if c.RetransmitJitter < 0 || c.RetransmitJitter >= 1 {
-		return fmt.Errorf("protocol: RetransmitJitter must be in [0, 1), got %v", c.RetransmitJitter)
+	if c.RetransmitJitter >= 1 {
+		return fmt.Errorf("protocol: RetransmitJitter must be below 1 (negative disables it), got %v", c.RetransmitJitter)
 	}
 	if c.RetransmitCeiling < 0 || (c.RetransmitCeiling > 0 && c.RetransmitCeiling < c.RetransmitTimeout) {
 		return fmt.Errorf("protocol: RetransmitCeiling %v below RetransmitTimeout %v", c.RetransmitCeiling, c.RetransmitTimeout)

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"omnireduce/internal/obs"
@@ -125,7 +124,7 @@ type WorkerMachine struct {
 	streams []*wStream
 	active  int
 	started bool
-	rng     *rand.Rand // retransmission jitter; nil in reliable mode
+	jitter  uint64 // splitmix64 state of the retransmission jitter
 	stats   WorkerStats
 }
 
@@ -151,14 +150,7 @@ func (m *WorkerMachine) init(cfg Config, workerID int, tensorID uint32) {
 	m.active = 0
 	m.started = false
 	m.stats = WorkerStats{}
-	if !cfg.Reliable {
-		seed := int64(workerID)<<32 ^ int64(tensorID)
-		if m.rng == nil {
-			m.rng = rand.New(rand.NewSource(seed))
-		} else {
-			m.rng.Seed(seed)
-		}
-	}
+	m.jitter = uint64(workerID)<<32 ^ uint64(tensorID)
 }
 
 // Stats returns a copy of the machine's traffic counters.
@@ -424,9 +416,8 @@ func (m *WorkerMachine) backoff(st *wStream) {
 	if next > m.cfg.RetransmitCeiling {
 		next = m.cfg.RetransmitCeiling
 	}
-	if j := m.cfg.RetransmitJitter; j > 0 && m.rng != nil {
-		f := 1 + j*(2*m.rng.Float64()-1)
-		next = time.Duration(float64(next) * f)
+	if j := m.cfg.RetransmitJitter; j > 0 {
+		next = time.Duration(float64(next) * m.jitterFactor(j))
 	}
 	if next < m.cfg.RetransmitTimeout {
 		next = m.cfg.RetransmitTimeout
@@ -435,6 +426,20 @@ func (m *WorkerMachine) backoff(st *wStream) {
 		m.stats.Backoffs++
 	}
 	st.timeout = next
+}
+
+// jitterFactor draws the next retransmission jitter factor, uniform in
+// [1-j, 1+j), from the machine's splitmix64 stream: seeded by (worker,
+// tensor) in init, so every run of a job draws the same factors, and a
+// reseed is one store where a math/rand source reseeds a 607-word table.
+func (m *WorkerMachine) jitterFactor(j float64) float64 {
+	m.jitter += 0x9e3779b97f4a7c15
+	z := m.jitter
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	u := float64(z>>11) / (1 << 53) // [0, 1)
+	return 1 + j*(2*u-1)
 }
 
 // firstTimeout is a fresh packet's loss-detection timeout, skewed by a
